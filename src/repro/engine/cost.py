@@ -70,6 +70,7 @@ from repro.bounds.degree_aware import output_size_bound
 from repro.columnar import unsupported_reason as columnar_unsupported_reason
 from repro.constraints.degree import constraints_from_database
 from repro.engine.executors import filtered_instance
+from repro.engine.registry import IndexRegistry
 from repro.errors import QueryError
 from repro.joins.binary_plans import greedy_atom_order
 from repro.joins.hybrid import partition_instance, residual_query
@@ -259,12 +260,14 @@ def _binary_cost(query: ConjunctiveQuery, database: Database,
 
 
 def selection_envelope(query: ConjunctiveQuery, database: Database,
-                       selections: Sequence[Comparison], agm: AGMBound
+                       selections: Sequence[Comparison], agm: AGMBound,
+                       registry: IndexRegistry | None = None,
                        ) -> tuple[dict[int, int], float]:
     """Filtered per-atom scan sizes and the sharpened WCOJ envelope.
 
     Single-atom selections are applied to the scans (every executor pushes
-    them below the join), and the WCOJ envelope becomes the degree-aware
+    them below the join; ``== constant`` scans are seeks into
+    ``registry``'s hash indexes), and the WCOJ envelope becomes the degree-aware
     worst-case output bound of that *filtered* instance
     (:func:`repro.bounds.degree_aware.output_size_bound`) — taken with
     ``min`` against the unfiltered AGM bound, it is still a sound worst
@@ -282,7 +285,7 @@ def selection_envelope(query: ConjunctiveQuery, database: Database,
     falling back to a pessimistic non-zero bound.
     """
     derived_query, derived_db, _residual = filtered_instance(
-        query, selections, database)
+        query, selections, database, registry)
     sizes = {i: len(derived_db.get(atom.relation))
              for i, atom in enumerate(derived_query.atoms)}
     if any(size == 0 for size in sizes.values()):
@@ -706,7 +709,8 @@ def dispatch(query: ConjunctiveQuery, database: Database,
              order_by: Sequence[tuple[str, bool]] = (),
              limit: int | None = None,
              ranked_mode: str = "auto",
-             backend: str = "python") -> DispatchDecision:
+             backend: str = "python",
+             registry: IndexRegistry | None = None) -> DispatchDecision:
     """Choose an executor for the query (or validate a forced choice).
 
     Parameters
@@ -751,6 +755,9 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         ``backend[python]``/``backend[columnar]`` envelopes.  Requesting
         ``columnar`` under ``mode="auto"`` steers strategy choice to the
         columnar-capable WCOJ strategies when the request can be honored.
+    registry:
+        The session's index registry: bound (``== constant``) scans are
+        then sized by a seek into its hash indexes instead of a pass.
     """
     if backend not in BACKENDS:
         raise QueryError(
@@ -802,7 +809,7 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     if mode == "auto":
         binary_order = greedy_atom_order(query, database)
         sizes, envelope = selection_envelope(query, database, selections,
-                                             bound)
+                                             bound, registry)
         hybrid_plan = plan_hybrid(query, database)
         costs, modes, ranked_modes = _estimate(
             query, database, sizes, envelope, acyclic, binary_order,

@@ -39,7 +39,7 @@ joins, at the first join that binds both sides.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.engine.fingerprint import (
     CanonicalQuery,
@@ -67,7 +67,7 @@ from repro.joins.yannakakis import (
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.builder import Query
 from repro.query.decomposition import is_alpha_acyclic
-from repro.query.terms import Comparison, Constant
+from repro.query.terms import Comparison, Constant, pinned_constants
 from repro.query.variable_order import (
     aggregate_elimination_order,
     hybrid_light_order,
@@ -75,7 +75,7 @@ from repro.query.variable_order import (
     skew_split,
 )
 from repro.relational.database import Database
-from repro.relational.index import TrieIndex
+from repro.relational.index import HashIndex, TrieIndex
 from repro.relational.relation import Relation
 
 
@@ -137,49 +137,75 @@ def split_pushable_selections(spec: Query) -> tuple[list[list[Comparison]],
     return split_selections(spec.core, spec.all_selections)
 
 
+def bound_scan(atom: Atom, pinned: Mapping[str, Any], database: Database,
+               registry: IndexRegistry | None = None
+               ) -> Collection[tuple] | None:
+    """The stored rows matching an atom's ``== constant`` columns, or None
+    when it has none: one seek into the registry's hash index on exactly
+    those columns (built for this call without a registry — the same
+    single pass a filtering scan would make).  ``pinned`` maps the pinned
+    variables to their constants."""
+    positions = [p for p, v in enumerate(atom.variables) if v in pinned]
+    if not positions:
+        return None
+    relation = database.get(atom.relation)
+    key = tuple(relation.attributes[p] for p in positions)
+    index = (registry.hash_index(atom.relation, key) if registry is not None
+             else HashIndex(relation, key))
+    return index.lookup([pinned[atom.variables[p]] for p in positions])
+
+
 def filtered_instance(core: ConjunctiveQuery,
                       selections: Sequence[Comparison],
-                      database: Database
+                      database: Database,
+                      registry: IndexRegistry | None = None,
                       ) -> tuple[ConjunctiveQuery, Database, list[Comparison]]:
     """A derived (query, database) with single-atom selections pre-applied.
 
     For the materializing executors (and the dispatcher's selectivity-aware
     envelope): each atom with pushable selections is rebound to a filtered
     copy of its relation (selection strictly below the join), leaving only
-    cross-atom predicates in the returned residual.  Atoms without
-    selections keep their original relations — no copying; when nothing is
-    pushable at all, the original query and database are returned as-is.
+    cross-atom predicates in the returned residual.  An atom with
+    ``== constant`` columns is fetched by :func:`bound_scan` — an index
+    seek, never a pass — and its remaining predicates run over that
+    bucket.  Atoms without selections keep their original relations — no
+    copying; when nothing is pushable at all, the original query and
+    database are returned as-is.
     """
     per_atom, residual = split_selections(core, selections)
     if not any(per_atom):
         return core, database, residual
+    pinned = pinned_constants(selections)
     relations = {}
     new_atoms: list[Atom] = []
     for i, atom in enumerate(core.atoms):
+        relation = database.get(atom.relation)
         if not per_atom[i]:
             new_atoms.append(atom)
-            relations.setdefault(atom.relation, database.get(atom.relation))
+            relations.setdefault(atom.relation, relation)
             continue
-        relation = database.get(atom.relation)
-        attr_to_var = dict(zip(relation.attributes, atom.variables))
-        atom_selections = per_atom[i]
+        rows = bound_scan(atom, pinned, database, registry)
 
-        def keep(row: dict, _map: dict = attr_to_var,
-                 _sels: Sequence[Comparison] = atom_selections) -> bool:
-            binding = {_map[a]: v for a, v in row.items()}
+        def keep(t: tuple, _vars: tuple = atom.variables,
+                 _sels: Sequence[Comparison] = per_atom[i]) -> bool:
+            binding = dict(zip(_vars, t))
             return all(s.evaluate(binding) for s in _sels)
 
         derived_name = f"{atom.relation}#sel{i}"
-        relations[derived_name] = relation.filter(keep, name=derived_name)
+        relations[derived_name] = Relation(
+            derived_name, relation.schema,
+            filter(keep, relation.tuples if rows is None else rows))
         new_atoms.append(Atom(derived_name, atom.variables))
     derived_query = ConjunctiveQuery(new_atoms, name=core.name)
     return derived_query, Database(relations.values()), residual
 
 
-def pushed_instance(spec: Query, database: Database
+def pushed_instance(spec: Query, database: Database,
+                    registry: IndexRegistry | None = None
                     ) -> tuple[ConjunctiveQuery, Database, list[Comparison]]:
     """:func:`filtered_instance` over a rich query's core and selections."""
-    return filtered_instance(spec.core, spec.all_selections, database)
+    return filtered_instance(spec.core, spec.all_selections, database,
+                             registry)
 
 
 def _trie_requests(query: ConjunctiveQuery, database: Database,
@@ -407,7 +433,8 @@ class BinaryPlanExecutor(_NoPayloadExecutor):
                payload: tuple[int, ...],
                registry: IndexRegistry | None = None,
                counter: OperationCounter | None = None) -> Iterator[tuple]:
-        derived, derived_db, residual = pushed_instance(spec, database)
+        derived, derived_db, residual = pushed_instance(spec, database,
+                                                        registry)
         plan = left_deep_plan([derived.edge_key(i) for i in payload])
         execution = execute_plan(plan, derived, derived_db, counter=counter,
                                  selections=residual)
@@ -456,7 +483,8 @@ class YannakakisExecutor(_NoPayloadExecutor):
     def stream(self, spec: Query, database: Database,
                payload: Any, registry: IndexRegistry | None = None,
                counter: OperationCounter | None = None) -> Iterator[tuple]:
-        derived, derived_db, residual = pushed_instance(spec, database)
+        derived, derived_db, residual = pushed_instance(spec, database,
+                                                        registry)
         if self.handles_ordering(spec, payload):
             return yannakakis_ranked_stream(
                 derived, derived_db, spec.head_vars, spec.order_by,

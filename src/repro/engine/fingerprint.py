@@ -37,6 +37,7 @@ class CanonicalQuery:
     ----------
     form:
         The canonical string; equal forms mean "same query up to renaming".
+        Constants included: this is the *result*-cache key.
     to_canonical:
         Mapping from the query's variable names to canonical names.
     from_canonical:
@@ -45,12 +46,20 @@ class CanonicalQuery:
         Original atom indices in canonical emission order: entry ``p`` is
         the index (into ``query.atoms``) of the atom at canonical position
         ``p``.
+    plan_form:
+        ``form`` with every ``var == constant`` selection rendered as a
+        slot (``v0==?``): the *plan*-cache key.  A plan depends on which
+        variables are pinned, never on the values pinning them.
+    parameters:
+        The constants filling the slots, rendered, in slot order.
     """
 
     form: str
     to_canonical: Mapping[str, str]
     from_canonical: Mapping[str, str]
     atom_order: tuple[int, ...]
+    plan_form: str
+    parameters: tuple[str, ...] = ()
 
     def translate_variables(self, canonical_names: tuple[str, ...]
                             ) -> tuple[str, ...]:
@@ -175,7 +184,9 @@ def canonical_query(query: ConjunctiveQuery | Query) -> CanonicalQuery:
     constants must not share result-cache entries), the aggregate heads
     (aliases excluded: results translate positionally), the ORDER BY keys,
     and the LIMIT.  Isomorphic projected/selected/aggregated queries
-    therefore share one plan-cache entry.
+    therefore share one plan-cache entry — and so do queries differing
+    only in the constants they pin (``plan_form``): a constant is a
+    singleton relation, so the plan priced for one is valid for the next.
     """
     rich = query if isinstance(query, Query) else None
     core = rich.core if rich is not None else query
@@ -214,6 +225,8 @@ def _canonical_core(query: ConjunctiveQuery,
         f"{atoms[i].relation}({','.join(to_canonical[v] for v in atoms[i].variables)})"
         for i in order
     )
+    plan_extras = ""
+    parameters: tuple[str, ...] = ()
     if rich is None:
         head = ",".join(to_canonical[v] for v in query.head)
         extras = ""
@@ -242,9 +255,23 @@ def _canonical_core(query: ConjunctiveQuery,
         if rich.limit is not None:
             parts.append(f"lim:{rich.limit}")
         extras = "".join("|" + p for p in parts)
+        if rich.fixed_variables:
+            slots = sorted((f"{to_canonical[sel.lhs]}==?", str(sel.rhs))
+                           for sel in rich.all_selections
+                           if sel.is_constant_equality)
+            parts[0] = "sel:" + ";".join(sorted(
+                [slot for slot, _value in slots]
+                + [sel.canonical_str(to_canonical)
+                   for sel in rich.all_selections
+                   if not sel.is_constant_equality]))
+            plan_extras = "".join("|" + p for p in parts)
+            parameters = tuple(value for _slot, value in slots)
+    form = f"{body}=>{head}{extras}"
     return CanonicalQuery(
-        form=f"{body}=>{head}{extras}",
+        form=form,
         to_canonical=MappingProxyType(to_canonical),
         from_canonical=MappingProxyType(from_canonical),
         atom_order=tuple(order),
+        plan_form=f"{body}=>{head}{plan_extras}" if parameters else form,
+        parameters=parameters,
     )

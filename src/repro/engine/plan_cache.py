@@ -7,12 +7,13 @@ renaming of it) as long as the data statistics stay in the same regime.
 
 Entries are keyed on ``(canonical form, statistics fingerprint, mode)``:
 
-* the *canonical form* (:mod:`repro.engine.fingerprint`) makes isomorphic
-  queries share entries — plans are stored in canonical variable names and
-  translated on the way out;
+* the *canonical form* (:mod:`repro.engine.fingerprint`, its ``plan_form``:
+  ``== constant`` selections are slots) makes isomorphic queries, and
+  queries differing only in their constants, share entries — plans are
+  stored in canonical variable names and translated on the way out;
 * the *statistics fingerprint* (power-of-two size buckets per canonical
-  atom) keeps a plan live across small data drift while any
-  order-of-magnitude change forces re-optimization;
+  atom, then per constant-bound scan) keeps a plan live across small data
+  drift while any order-of-magnitude change forces re-optimization;
 * the *mode* separates explicitly forced strategies from ``auto`` dispatch.
 """
 

@@ -59,6 +59,7 @@ from repro.engine.cost import (
     dispatch,
 )
 from repro.engine.executors import (
+    bound_scan,
     executor_for,
     payload_aggregate_mode,
     payload_order,
@@ -77,9 +78,10 @@ from repro.obs.profile import ProfileReport, profile_query
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.query.builder import Query, sort_rows
 from repro.query.semiring import fold_aggregates
+from repro.query.terms import pinned_constants
 from repro.relational.database import AppliedDelta, Database
 from repro.relational.relation import Relation
-from repro.relational.statistics import statistics_fingerprint
+from repro.relational.statistics import size_bucket, statistics_fingerprint
 
 #: Anything the engine accepts as a query (see ``Query.coerce``).
 QueryLike = Any
@@ -141,7 +143,10 @@ class Explanation:                 # make a generated __hash__ crash
     variable_order:
         The WCOJ variable order (None for non-WCOJ strategies).
     canonical_form:
-        The plan-cache key's structural component.
+        The plan-cache key's structural component (``== constant``
+        selections are slots there: plans are shared across constants).
+    parameters:
+        The constants filling those slots, in slot order.
     plan_cache:
         ``"hit"`` or ``"miss"`` — whether planning work was skipped.
     result_cached:
@@ -224,6 +229,7 @@ class Explanation:                 # make a generated __hash__ crash
     backend_fallback: str | None = None
     session_stats: dict[str, int] | None = None
     analysis: ProfileReport | None = None
+    parameters: tuple[str, ...] = ()
 
     @property
     def agm_bound(self) -> float:
@@ -286,6 +292,11 @@ class Explanation:                 # make a generated __hash__ crash
         if self.hybrid_split:
             lines.append("hybrid split:")
             lines.extend(f"    {entry}" for entry in self.hybrid_split)
+        if self.parameters:
+            lines.append("parameters:     " + ", ".join(
+                f"?{i} = {value}" for i, value in enumerate(self.parameters))
+                + " (cost estimates are those priced for the plan's "
+                  "bound-scan size bucket)")
         lines.append(f"plan cache:     {self.plan_cache} "
                      f"[{self.canonical_form}]")
         lines.append(f"result cache:   "
@@ -746,10 +757,21 @@ class Engine:
             self._db,
             [core.atoms[i].relation for i in canon.atom_order],
         )
+        if query.fixed_variables:
+            # Parameterised plan: the constants leave the key, the size
+            # buckets of the scans they bind (one index seek each) join
+            # the fingerprint — a plan priced for a 2-row key is never
+            # replayed for a 2000-row hub.
+            core.validate_against(self._db)  # seeks index by position
+            pinned = pinned_constants(query.all_selections)
+            scans = (bound_scan(core.atoms[i], pinned, self._db,
+                                self._registry) for i in canon.atom_order)
+            fingerprint += tuple(size_bucket(len(rows)) for rows in scans
+                                 if rows is not None)
         # The requested aggregate and ranked modes are plan axes like the
         # strategy mode: a plan resolved under "drain" must not serve an
         # "anyk" request (the cached payload's mode tag would disagree).
-        key = (canon.form, fingerprint, mode,
+        key = (canon.plan_form, fingerprint, mode,
                aggregate_mode if query.aggregates else "auto",
                ranked_mode if query.order_by else "auto",
                backend)
@@ -771,23 +793,7 @@ class Engine:
         self.stats.plan_misses += 1
         if self._metrics is not None:
             self._m_plan_lookups.inc(outcome="miss")
-        if tracer.enabled:
-            with tracer.span("dispatch.price", mode=mode) as span:
-                decision = dispatch(core, self._db, mode,
-                                    selections=query.all_selections,
-                                    aggregates=query.aggregates,
-                                    group=query.head_vars,
-                                    aggregate_mode=aggregate_mode,
-                                    order_by=query.order_by,
-                                    limit=query.limit,
-                                    ranked_mode=ranked_mode,
-                                    backend=backend)
-                span.set(strategy=decision.strategy,
-                         backend=decision.backend,
-                         costs={name: cost for name, cost
-                                in decision.costs.items()
-                                if cost != float("inf")})
-        else:
+        with tracer.span("dispatch.price", mode=mode) as span:
             decision = dispatch(core, self._db, mode,
                                 selections=query.all_selections,
                                 aggregates=query.aggregates,
@@ -796,7 +802,13 @@ class Engine:
                                 order_by=query.order_by,
                                 limit=query.limit,
                                 ranked_mode=ranked_mode,
-                                backend=backend)
+                                backend=backend,
+                                registry=self._registry)
+            span.set(strategy=decision.strategy,
+                     backend=decision.backend,
+                     costs={name: cost for name, cost
+                            in decision.costs.items()
+                            if cost != float("inf")})
         executor = executor_for(decision.strategy)
         # The dispatcher already computed the greedy order while pricing the
         # binary strategy (and the aggregate-aware order while resolving the
@@ -1171,7 +1183,8 @@ class Engine:
             agm_log2=prepared.plan.agm_log2,
             costs=prepared.plan.cost_dict(),
             variable_order=variable_order,
-            canonical_form=prepared.canon.form,
+            canonical_form=prepared.canon.plan_form,
+            parameters=prepared.canon.parameters,
             plan_cache=prepared.plan_provenance,
             result_cached=result_cached,
             warm_indexes=tuple(warm),
@@ -1275,8 +1288,7 @@ class Engine:
             )
         return ()
 
-    @staticmethod
-    def _selection_placement(prepared: _Prepared
+    def _selection_placement(self, prepared: _Prepared
                              ) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Where each selection lands relative to the join, per strategy."""
         spec = prepared.query
@@ -1308,7 +1320,15 @@ class Engine:
                         pending.remove(sel)
             return tuple(placements), ()
         per_atom, residual = split_pushable_selections(spec)
+
+        def column(atom: Any, variable: str) -> str:
+            stored = self._db.get(atom.relation).attributes
+            return stored[atom.variables.index(variable)]
+
         pushed = tuple(
+            f"{sel} — index seek on "
+            f"{core.atoms[i].relation}[{column(core.atoms[i], sel.lhs)}]"
+            if sel.is_constant_equality else
             f"{sel} — filtered into the scan of {core.atoms[i].relation}"
             for i, sels in enumerate(per_atom) for sel in sels
         ) + tuple(

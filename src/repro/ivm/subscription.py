@@ -213,7 +213,7 @@ class Subscription:
                                   self._planned_fingerprint)
         if drift >= self._replan_threshold:
             self._engine._record_plan_invalidation(
-                "stats-drift", self._canon.form)
+                "stats-drift", self._canon.plan_form)
             self.refresh(
                 f"statistics drifted {drift} size bucket(s) "
                 f"(threshold {self._replan_threshold}); re-planned",
@@ -257,7 +257,7 @@ class Subscription:
         if not self._active or name not in self._relations:
             return
         self._engine._record_plan_invalidation(
-            "version-bump", self._canon.form)
+            "version-bump", self._canon.plan_form)
         if name not in self._engine.database:
             self._active = False
             self.last_maintenance = MaintenanceRecord(

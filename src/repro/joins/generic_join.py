@@ -50,6 +50,7 @@ from repro.query.semiring import (
     rank_component,
     times_fold,
 )
+from repro.query.terms import pinned_constants
 from repro.query.variable_order import min_degree_order, validate_order
 from repro.relational.database import Database
 from repro.relational.index import TrieIndex
@@ -212,8 +213,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             )
         checks_at[max(position[v] for v in sel.variables)].append(sel)
 
-    pinned = {sel.lhs for sel in selections
-              if getattr(sel, "is_constant_equality", False)}
+    pinned = pinned_constants(selections)
 
     def candidates_for(variable: str) -> list[Any]:
         value_lists: list[list[Any]] = []
@@ -223,6 +223,32 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             prefix = tuple(binding[v] for v in atom_order[:depth])
             value_lists.append(trie_map[edge_key].values(prefix))
         return intersect(value_lists, counter)
+
+    if pinned:
+        # A constant is a singleton relation: its level is one seek per
+        # trie, not an intersection filtered afterwards.  Decided here,
+        # once, so a query that pins nothing runs the closure above.
+        enumerate_level = candidates_for
+
+        def candidates_for(variable: str) -> list[Any]:
+            if variable not in pinned:
+                return enumerate_level(variable)
+            target = pinned[variable]
+            if counter is not None:
+                counter.charge(seeks=len(relevant[variable]))
+            stored: list[Any] = []
+            for edge_key in relevant[variable]:
+                atom_order = trie_orders[edge_key]
+                depth = atom_order.index(variable)
+                prefix = tuple(binding[v] for v in atom_order[:depth])
+                try:
+                    found = trie_map[edge_key].seek(prefix, target)
+                except TypeError:  # constant unorderable against the column
+                    return []
+                if found is None or found != target:
+                    return []
+                stored.append(found)
+            return stored[:1]  # the stored value, never the query literal
 
     def passes(depth: int) -> bool:
         return all(sel.evaluate(binding) for sel in checks_at[depth])

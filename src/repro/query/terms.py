@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from typing import Any, Iterable, Mapping, Union
 
 from repro.errors import QueryError
 
@@ -145,6 +145,13 @@ class Comparison:
 
     def __str__(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs}"
+
+
+def pinned_constants(selections: Iterable[Comparison]) -> dict[str, Any]:
+    """Variable -> constant for the ``var == constant`` selections: the
+    variables a query pins to one value, with the value pinning each."""
+    return {sel.lhs: sel.rhs.value for sel in selections
+            if sel.op == "==" and isinstance(sel.rhs, Constant)}
 
 
 def comparison(lhs: Any, op: str, rhs: Any) -> Comparison:

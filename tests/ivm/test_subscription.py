@@ -173,6 +173,23 @@ class TestReplanning:
         key = 'repro_plan_cache_invalidations_total{reason="stats-drift"}'
         assert snapshot[key] == 1.0
 
+    def test_stats_drift_evicts_a_constant_bound_views_plan(self):
+        # The plan key holds the constant-free plan form; evicting by the
+        # full form (constants included) would silently match nothing.
+        edges = {(v, (v + step) % 8) for v in range(8) for step in (1, 2)}
+        engine = Engine(relations=[Relation("Ru", ("A", "B"), edges),
+                                   Relation("Su", ("B", "C"), edges)])
+        sub = engine.subscribe("V(B) :- Ru(3,B), Su(B,C)",
+                               replan_threshold=1)
+        (stale,) = engine._plans._entries
+        assert stale[0] == "Ru(v0,v1);Su(v1,v2)=>v1|sel:v0==?"
+        engine.apply_delta("Su", inserts=[(4, 100 + i) for i in range(40)])
+        assert sub.last_maintenance.replanned
+        assert stale not in engine._plans
+        assert engine._plans.invalidation_counts() == {"stats-drift": 1}
+        assert sub.rows() == sorted(
+            engine.execute(sub.query, counter=OperationCounter()).tuples)
+
     def test_version_bump_on_replace_refreshes_and_counts(self):
         engine = star_engine()
         sub = engine.subscribe(STAR, replan_threshold=99)
