@@ -1,13 +1,14 @@
 """Disabled-tracer overhead on the triangle workload (CI smoke gate).
 
 Observability must be free when it is off.  Sessions built without a
-tracer share the :data:`~repro.obs.trace.NULL_TRACER`, and every
-instrumentation site in the engine is guarded by ``if tracer.enabled``
-— so the whole tracing layer should cost one attribute read per
-lifecycle stage.  This benchmark measures exactly that configuration
-(the engine default: null tracer, metrics registry on, no operation
-counting) against a no-observability baseline (``metrics=False``) on
-repeated skewed-triangle executions, and gates the median ratio.
+tracer share the :data:`~repro.obs.trace.NULL_TRACER`: the null span is
+a shared no-op; only attribute construction is guarded (``if
+tracer.enabled``) — so the whole tracing layer should cost one no-op
+context-manager entry per lifecycle stage.  This benchmark measures
+exactly that configuration (the engine default: null tracer, metrics
+registry on, no operation counting) against a no-observability baseline
+(``metrics=False``) on repeated skewed-triangle executions, and gates
+the median ratio.
 
 The *enabled* configuration — live tracer plus a detail operation
 counter — is measured and printed for the record but not gated:

@@ -11,10 +11,10 @@ intermediate result.
 Run with:  python examples/graph_patterns.py
 """
 
-from repro import Database, OperationCounter, Relation, agm_bound, generic_join
+from repro import (Database, Engine, OperationCounter, Relation, agm_bound,
+                   generic_join)
 from repro.datagen.graphs import social_graph, undirected_closure
 from repro.joins.binary_plans import best_left_deep_execution
-from repro.joins.optimizer import choose_strategy
 from repro.query.atoms import clique_query, cycle_query, path_query
 
 
@@ -38,14 +38,14 @@ def main() -> None:
     for name, query in patterns.items():
         database = bind_pattern(query, edges)
         bound = agm_bound(query, database)
-        choice = choose_strategy(query, database)
+        choice = Engine(database=database).explain(query)
 
         counter = OperationCounter()
         matches = generic_join(query, database, counter=counter)
         pairwise = best_left_deep_execution(query, database)
 
         print(f"pattern: {name}")
-        print(f"  hypergraph acyclic: {choice.acyclic} -> optimizer picks {choice.strategy}")
+        print(f"  hypergraph acyclic: {choice.acyclic} -> engine picks {choice.strategy}")
         print(f"  AGM bound:          {bound.bound:,.0f}")
         print(f"  matches:            {len(matches):,}")
         print(f"  WCOJ operations:    {counter.total():,}")

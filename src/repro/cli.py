@@ -471,21 +471,17 @@ def engine_main(argv: list[str] | None = None) -> int:
                 return 2
             parsed_queries.append(parsed)
 
+        axes = {"mode": args.mode, "aggregate_mode": args.aggregate_mode,
+                "ranked_mode": args.ranked_mode}
         if args.subscribe:
             subs = []
             for query in parsed_queries:
                 if args.explain:
                     print(file=chatter)
-                    print(engine.explain(
-                        query, mode=args.mode,
-                        aggregate_mode=args.aggregate_mode,
-                        ranked_mode=args.ranked_mode,
-                    ).render(), file=chatter)
+                    print(engine.explain(query, **axes).render(),
+                          file=chatter)
                 started = time.perf_counter()
-                sub = engine.subscribe(
-                    query, mode=args.mode,
-                    aggregate_mode=args.aggregate_mode,
-                    ranked_mode=args.ranked_mode)
+                sub = engine.subscribe(query, **axes)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 maintained = ("incremental" if sub.incremental
                               else f"refresh-only: {sub.fallback_reason}")
@@ -514,19 +510,12 @@ def engine_main(argv: list[str] | None = None) -> int:
             for query in parsed_queries:
                 if args.explain:
                     print(file=chatter)
-                    print(engine.explain(
-                        query, mode=args.mode,
-                        aggregate_mode=args.aggregate_mode,
-                        ranked_mode=args.ranked_mode,
-                        backend=args.backend,
-                    ).render(), file=chatter)
+                    print(engine.explain(query, backend=args.backend,
+                                         **axes).render(), file=chatter)
                 started = time.perf_counter()
                 try:
-                    result = engine.execute(
-                        query, mode=args.mode, limit=args.limit,
-                        aggregate_mode=args.aggregate_mode,
-                        ranked_mode=args.ranked_mode,
-                        backend=args.backend)
+                    result = engine.execute(query, limit=args.limit,
+                                            backend=args.backend, **axes)
                 except TypeError as error:
                     # Joining an all-int relation against a textual one
                     # compares incomparable values in the sorted engines;
@@ -553,11 +542,8 @@ def engine_main(argv: list[str] | None = None) -> int:
                       f"in {elapsed_ms:.2f} ms{work}", file=chatter)
                 _emit_result(result, query, args.format, args.show)
                 if args.profile and round_index == 0:
-                    print(engine.profile(
-                        query, mode=args.mode,
-                        aggregate_mode=args.aggregate_mode,
-                        ranked_mode=args.ranked_mode,
-                    ).render(), file=chatter)
+                    print(engine.profile(query, **axes).render(),
+                          file=chatter)
     except ReproError as error:  # parse/schema/dispatch problems
         print(f"error: {error}", file=sys.stderr)
         return 2

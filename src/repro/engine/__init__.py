@@ -30,7 +30,6 @@ from repro.engine.cost import (
     STRATEGIES,
     DispatchDecision,
     dispatch,
-    estimate_costs,
     selection_envelope,
 )
 from repro.engine.executors import (
@@ -55,7 +54,6 @@ __all__ = [
     "STRATEGIES",
     "DispatchDecision",
     "dispatch",
-    "estimate_costs",
     "selection_envelope",
     "EXECUTORS",
     "filtered_instance",

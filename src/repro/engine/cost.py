@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.bounds.agm import AGMBound, agm_bound
 from repro.bounds.degree_aware import output_size_bound
@@ -130,6 +130,60 @@ BACKENDS = ("python", "columnar", "auto")
 #: the columnar runtime *is* a batched variable-at-a-time recursion, so
 #: naive/binary/Yannakakis plans have no columnar form).
 COLUMNAR_CAPABLE = ("generic", "leapfrog")
+
+
+@dataclass(frozen=True)
+class PlanAxes:
+    """One plan request: the four dispatch axes as one validated value.
+
+    Constructing it rejects a value outside :data:`MODES` /
+    :data:`AGGREGATE_MODES` / :data:`RANKED_MODES` / :data:`BACKENDS`;
+    :meth:`check` rejects a mode the query at hand cannot use.  The
+    engine builds the record once per public call, :func:`dispatch`
+    resolves the plan from it, and — iterated — it is the tail of the
+    plan-cache key, so an axis cannot steer a plan without keying it.
+    """
+
+    mode: str = "auto"
+    aggregate_mode: str = "auto"
+    ranked_mode: str = "auto"
+    backend: str = "python"
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise QueryError(
+                f"unknown engine mode {self.mode!r}; expected one of {MODES}")
+        if self.backend not in BACKENDS:
+            raise QueryError(
+                f"unknown backend {self.backend!r}; "
+                f"expected one of {BACKENDS}")
+        if self.aggregate_mode not in AGGREGATE_MODES:
+            raise QueryError(
+                f"unknown aggregate mode {self.aggregate_mode!r}; "
+                f"expected one of {AGGREGATE_MODES}")
+        if self.ranked_mode not in RANKED_MODES:
+            raise QueryError(
+                f"unknown ranked mode {self.ranked_mode!r}; "
+                f"expected one of {RANKED_MODES}")
+
+    def __iter__(self) -> Iterator[str]:
+        """Every field's value, in declaration order: the plan-key tail."""
+        return (getattr(self, name) for name in self.__dataclass_fields__)
+
+    def check(self, aggregates: Sequence[Aggregate],
+              order_by: Sequence[tuple[str, bool]]) -> None:
+        """Reject a forced aggregate or ranked mode on a query without
+        the aggregates or ORDER BY it would apply to."""
+        if self.aggregate_mode != "auto" and not aggregates:
+            raise QueryError(f"aggregate_mode={self.aggregate_mode!r} "
+                             "needs an aggregate query")
+        if self.ranked_mode != "auto" and not order_by:
+            raise QueryError(
+                f"ranked_mode={self.ranked_mode!r} needs an ORDER BY query")
+        if self.ranked_mode == "anyk" and aggregates:
+            raise QueryError(
+                "ranked_mode='anyk' does not apply to aggregate queries; "
+                "their ordered output is the folded group stream")
 
 #: Cap applied to every estimate so products cannot overflow comparisons.
 _COST_CAP = 1e30
@@ -443,236 +497,162 @@ def _hybrid_costs(query: ConjunctiveQuery, database: Database,
     return partition_cost, heavy_cost, light_cost
 
 
-def _resolve_mode(forced: str, recursion_cost: float, fold_cost: float,
-                  recursion_ok: bool, prefer_recursion: bool
-                  ) -> tuple[str | None, float]:
-    """Pick an aggregate mode for one strategy (None = infeasible)."""
-    if forced == "recursion":
-        return ("recursion", recursion_cost) if recursion_ok else (None, math.inf)
-    if forced == "fold":
-        return ("fold", fold_cost)
-    if not recursion_ok:
-        return ("fold", fold_cost)
-    if recursion_cost < fold_cost or (recursion_cost == fold_cost
-                                      and prefer_recursion):
-        return ("recursion", recursion_cost)
-    return ("fold", fold_cost)
+def _resolve(forced: str, inner: str, outer: str, inner_cost: float,
+             outer_cost: float, inner_ok: bool, prefer_inner: bool
+             ) -> tuple[str | None, float]:
+    """Pick one strategy's execution variant on a mode axis.
 
-
-def _resolve_ranked(forced: str, anyk_cost: float, drain_cost: float,
-                    anyk_ok: bool) -> tuple[str | None, float]:
-    """Pick a ranked mode for one strategy (None = infeasible).
-
-    Ties go to drain: with nothing to gain from stopping early, the
-    plain enumerate-and-heap pipeline avoids the frontier's overhead.
+    ``inner`` evaluates inside the join (``recursion`` / ``anyk``),
+    ``outer`` above it (``fold`` / ``drain``).  A forced variant is taken
+    as given — ``(None, inf)`` when the strategy cannot run a forced
+    ``inner``; on ``auto`` the cheaper one wins, and a tie goes to the
+    plainer ``outer`` pipeline unless ``prefer_inner``.
     """
-    if forced == "anyk":
-        return ("anyk", anyk_cost) if anyk_ok else (None, math.inf)
-    if forced == "drain":
-        return ("drain", drain_cost)
-    if anyk_ok and anyk_cost < drain_cost:
-        return ("anyk", anyk_cost)
-    return ("drain", drain_cost)
+    if forced == inner:
+        return (inner, inner_cost) if inner_ok else (None, math.inf)
+    if forced == outer or not inner_ok:
+        return outer, outer_cost
+    if inner_cost < outer_cost or (inner_cost == outer_cost and prefer_inner):
+        return inner, inner_cost
+    return outer, outer_cost
 
 
-def estimate_costs(query: ConjunctiveQuery, database: Database,
-                   agm: AGMBound, acyclic: bool,
-                   binary_order: tuple[int, ...] | None = None,
-                   selections: Sequence[Comparison] = (),
-                   aggregates: Sequence[Aggregate] = (),
-                   group: Sequence[str] = (),
-                   aggregate_mode: str = "auto",
-                   order_by: Sequence[tuple[str, bool]] = (),
-                   limit: int | None = None,
-                   ranked_mode: str = "auto",
-                   ) -> dict[str, float]:
-    """Estimated operation counts for every strategy on this instance.
+#: Per mode axis: the label of its two informational cost entries
+#: (``agg[recursion]``, ``ranked[drain]``, ...) and its in-the-join /
+#: above-the-join variants.
+_VARIANTS = {"aggregate_mode": ("agg", "recursion", "fold"),
+             "ranked_mode": ("ranked", "anyk", "drain")}
 
-    ``binary_order`` lets the dispatcher share one greedy-order computation
-    between pricing and planning; it is recomputed when omitted.
-    ``selections`` (rich-query predicates) shrink the per-atom scan sizes
-    *and* the WCOJ envelope (see :func:`selection_envelope`); with
-    ``aggregates`` the in-recursion and stream-fold execution modes are
-    both priced, and with ``order_by`` (non-aggregate queries) the any-k
-    and drain-and-heap ranked modes are (see :func:`dispatch` for how the
-    modes are then resolved).
+
+class _Pricing(NamedTuple):
+    """What prices the one mode axis an aggregate or ordered query has.
+
+    ``axis`` keys :data:`_VARIANTS`; ``inner_env`` is the envelope of the
+    in-the-join variant (the above-the-join one pays the full join
+    envelope); ``forced`` is the requested mode; ``prefer_inner`` breaks
+    cost ties; ``yannakakis_inner_ok`` is whether Yannakakis can run the
+    in-the-join variant at all (the WCOJ recursions always can).
     """
-    sizes, envelope = selection_envelope(query, database, selections, agm)
-    agg_plan = (plan_aggregation(query, selections, aggregates, group)
-                if aggregates else None)
-    ranked_plan = (plan_ranked(query, selections, order_by, group)
-                   if order_by and not aggregates else None)
-    hybrid_plan = plan_hybrid(query, database)
-    costs, _modes, _ranked = _estimate(query, database, sizes, envelope,
-                                       acyclic, binary_order, agg_plan,
-                                       aggregate_mode, ranked_plan,
-                                       ranked_mode, limit, hybrid_plan)
-    return costs
+
+    axis: str
+    inner_env: float
+    forced: str
+    prefer_inner: bool
+    yannakakis_inner_ok: bool
 
 
-def _ranked_envelopes(envelope: float, n_max: float, width: float,
-                      limit: int | None) -> tuple[float, float]:
-    """(any-k envelope, drain envelope) for one ordered query.
+class _Candidate(NamedTuple):
+    """One strategy as priced: its cost and the modes that cost assumes."""
 
-    The any-k term prices the bottom-up best-suffix DP — the memoized
-    elimination over the ranked order, bounded by ``N^width`` and never
-    worse than plain enumeration — plus one frontier delay per surfaced
-    result.  Without a LIMIT every result must surface, so the k term
-    degenerates to the full envelope and drain wins on auto (the frontier
-    would only add heap overhead to a full enumeration).
+    cost: float
+    aggregate_mode: str | None = None
+    ranked_mode: str | None = None
+
+
+def _pricing(axes: PlanAxes, sizes: dict[int, int], envelope: float,
+             agg_plan: dict | None, ranked_plan: dict | None,
+             limit: int | None) -> _Pricing | None:
+    """The mode axis to price, or None for a plain query.
+
+    Both in-the-join envelopes start from the same memoized-elimination
+    term: ``N^width`` of the axis' variable order, capped by the join
+    envelope (memoized elimination never expands more nodes than
+    enumeration).  *Any-k* adds one frontier delay per surfaced result —
+    without a LIMIT every result must surface, so the k term degenerates
+    to the full envelope and drain wins on auto (the frontier would only
+    add heap overhead to a full enumeration).  *In-recursion aggregation*
+    pays the term as is, but a group-by keeping every variable eliminates
+    nothing: both modes then enumerate the same nodes, are priced
+    identically, and auto resolves to the simpler fold.
     """
-    dp = _capped(min(envelope, max(n_max, 1.0) ** width))
-    k = float(limit) if limit is not None else envelope
-    return _capped(dp + k), envelope
+    n_max = float(max(sizes.values(), default=1))
+
+    def elimination(width: float) -> float:
+        return _capped(min(envelope, max(n_max, 1.0) ** width))
+
+    if ranked_plan is not None:
+        k = float(limit) if limit is not None else envelope
+        return _Pricing("ranked_mode",
+                        _capped(elimination(ranked_plan["width"]) + k),
+                        axes.ranked_mode, prefer_inner=False,
+                        yannakakis_inner_ok=True)
+    if agg_plan is not None:
+        eliminates = agg_plan["has_elimination"]
+        return _Pricing("aggregate_mode",
+                        elimination(agg_plan["width"]) if eliminates
+                        else envelope,
+                        axes.aggregate_mode, prefer_inner=eliminates,
+                        yannakakis_inner_ok=agg_plan["product_ok"])
+    return None
 
 
 def _estimate(query: ConjunctiveQuery, database: Database,
               sizes: dict[int, int], envelope: float, acyclic: bool,
-              binary_order: tuple[int, ...] | None,
-              agg_plan: dict | None, aggregate_mode: str,
-              ranked_plan: dict | None = None,
-              ranked_mode: str = "auto",
-              limit: int | None = None,
-              hybrid_plan: dict | None = None,
-              ) -> tuple[dict[str, float], dict[str, str | None],
-                         dict[str, str | None]]:
-    """Per-strategy costs plus each strategy's resolved aggregate and
-    ranked modes."""
+              binary_order: tuple[int, ...], hybrid_plan: dict,
+              pricing: _Pricing | None
+              ) -> tuple[dict[str, _Candidate], dict[str, float]]:
+    """Price every strategy: one candidate each, plus the informational
+    cost entries (``hybrid[...]`` and the mode axis' two envelopes)."""
     total = float(sum(sizes.values()))
-    if binary_order is None:
-        binary_order = greedy_atom_order(query, database)
+    info: dict[str, float] = {}
+
+    # Cost as a function of the WCOJ envelope the strategy pays.
+    by_envelope = {
+        "generic": lambda env: _capped(total + _GENERIC_FACTOR * env),
+        "leapfrog": lambda env: _capped(total + _LEAPFROG_FACTOR * env),
+    }
+    if acyclic:
+        by_envelope["yannakakis"] = lambda env: _capped(
+            _YANNAKAKIS_PASSES * total + _YANNAKAKIS_OUTPUT_DISCOUNT * env)
 
     naive = 1.0
     for size in sizes.values():
         naive = _capped(naive * max(size, 1))
 
-    modes: dict[str, str | None] = {s: None for s in STRATEGIES}
-    ranked: dict[str, str | None] = {s: None for s in STRATEGIES}
-    costs: dict[str, float] = {}
-
     # The hybrid envelope: partition passes + heavy side + light side.
     # Only skewed instances are partitioned (and priced) at all.
     hybrid_terms = (_hybrid_costs(query, database, hybrid_plan)
-                    if hybrid_plan is not None and hybrid_plan["skewed"]
-                    else None)
-    if hybrid_terms is None:
-        hybrid_total = math.inf
-    else:
+                    if hybrid_plan["skewed"] else None)
+    hybrid = math.inf
+    if hybrid_terms is not None:
         partition_cost, heavy_cost, light_cost = hybrid_terms
-        hybrid_total = _capped(partition_cost + heavy_cost + light_cost)
-        costs["hybrid[heavy]"] = heavy_cost
-        costs["hybrid[light]"] = light_cost
+        hybrid = _capped(partition_cost + heavy_cost + light_cost)
+        info["hybrid[heavy]"] = heavy_cost
+        info["hybrid[light]"] = light_cost
 
-    if ranked_plan is not None:
-        # Ordered, non-aggregate query: price any-k (stop after k) against
-        # drain-and-heap (full join) per strategy.
-        n_max = float(max(sizes.values(), default=1))
-        anyk_env, drain_env = _ranked_envelopes(
-            envelope, n_max, ranked_plan["width"], limit)
-        costs["ranked[anyk]"] = _capped(total + _GENERIC_FACTOR * anyk_env)
-        costs["ranked[drain]"] = _capped(total + _GENERIC_FACTOR * drain_env)
-        for name, factor in (("generic", _GENERIC_FACTOR),
-                             ("leapfrog", _LEAPFROG_FACTOR)):
-            mode, cost = _resolve_ranked(
-                ranked_mode,
-                _capped(total + factor * anyk_env),
-                _capped(total + factor * drain_env),
-                anyk_ok=True)
-            ranked[name] = mode
-            costs[name] = cost
-        if acyclic:
-            mode, cost = _resolve_ranked(
-                ranked_mode,
-                _capped(_YANNAKAKIS_PASSES * total
-                        + _YANNAKAKIS_OUTPUT_DISCOUNT * anyk_env),
-                _capped(_YANNAKAKIS_PASSES * total
-                        + _YANNAKAKIS_OUTPUT_DISCOUNT * drain_env),
-                anyk_ok=True)
-            ranked["yannakakis"] = mode
-            costs["yannakakis"] = cost
-        else:
-            costs["yannakakis"] = math.inf
-        # The materializing, naive, and hybrid strategies can only drain.
-        if ranked_mode == "anyk":
-            costs["binary"] = math.inf
-            costs["naive"] = math.inf
-            costs["hybrid"] = math.inf
-        else:
-            costs["binary"] = _binary_cost(query, database, sizes,
-                                           binary_order)
-            costs["naive"] = naive
-            ranked["binary"] = ranked["naive"] = "drain"
-            costs["hybrid"] = hybrid_total
-            if hybrid_total != math.inf:
-                ranked["hybrid"] = "drain"
-        return costs, modes, ranked
-
-    if agg_plan is None:
-        costs["generic"] = _capped(total + _GENERIC_FACTOR * envelope)
-        costs["leapfrog"] = _capped(total + _LEAPFROG_FACTOR * envelope)
-        costs["yannakakis"] = (
-            _capped(_YANNAKAKIS_PASSES * total
-                    + _YANNAKAKIS_OUTPUT_DISCOUNT * envelope)
-            if acyclic else math.inf
-        )
-        costs["binary"] = _binary_cost(query, database, sizes, binary_order)
-        costs["naive"] = naive
-        costs["hybrid"] = hybrid_total
-        return costs, modes, ranked
-
-    # Aggregate pricing: the in-recursion envelope is the FAQ-width term
-    # of the aggregate-aware order (capped by the join envelope — memoized
-    # elimination never expands more nodes than enumeration), the fold
-    # envelope is the full join.  A group-by keeping every variable
-    # eliminates nothing, so both modes enumerate the same nodes and are
-    # priced identically (auto then resolves to the simpler fold).
-    n_max = float(max(sizes.values(), default=1))
-    fold_env = envelope
-    if agg_plan["has_elimination"]:
-        recursion_env = _capped(min(envelope,
-                                    max(n_max, 1.0) ** agg_plan["width"]))
+    candidates = {"yannakakis": _Candidate(math.inf)}
+    outer_mode: dict[str, str] = {}
+    inner_forced = False
+    if pricing is None:
+        for name, price in by_envelope.items():
+            candidates[name] = _Candidate(price(envelope))
     else:
-        recursion_env = fold_env
-    costs["agg[recursion]"] = _capped(total + _GENERIC_FACTOR * recursion_env)
-    costs["agg[fold]"] = _capped(total + _GENERIC_FACTOR * fold_env)
-    prefer = agg_plan["has_elimination"]
-
-    for name, factor in (("generic", _GENERIC_FACTOR),
-                         ("leapfrog", _LEAPFROG_FACTOR)):
-        mode, env = _resolve_mode(
-            aggregate_mode,
-            _capped(total + factor * recursion_env),
-            _capped(total + factor * fold_env),
-            recursion_ok=True, prefer_recursion=prefer)
-        modes[name] = mode
-        costs[name] = env
-    if acyclic:
-        mode, env = _resolve_mode(
-            aggregate_mode,
-            _capped(_YANNAKAKIS_PASSES * total
-                    + _YANNAKAKIS_OUTPUT_DISCOUNT * recursion_env),
-            _capped(_YANNAKAKIS_PASSES * total
-                    + _YANNAKAKIS_OUTPUT_DISCOUNT * fold_env),
-            recursion_ok=agg_plan["product_ok"], prefer_recursion=prefer)
-        modes["yannakakis"] = mode
-        costs["yannakakis"] = env
+        label, inner, outer = _VARIANTS[pricing.axis]
+        info[f"{label}[{inner}]"] = by_envelope["generic"](pricing.inner_env)
+        info[f"{label}[{outer}]"] = by_envelope["generic"](envelope)
+        for name, price in by_envelope.items():
+            mode, cost = _resolve(
+                pricing.forced, inner, outer,
+                price(pricing.inner_env), price(envelope),
+                inner_ok=name != "yannakakis" or pricing.yannakakis_inner_ok,
+                prefer_inner=pricing.prefer_inner)
+            candidates[name] = _Candidate(cost, **{pricing.axis: mode})
+        outer_mode = {pricing.axis: outer}
+        inner_forced = pricing.forced == inner
+    # The materializing, naive and hybrid strategies never see the
+    # envelope and run only the above-the-join variant: they fold or
+    # sort the stream (the hybrid's sides stream full core tuples,
+    # disjoint on the skew variable, so the engine's fold *is* the
+    # ⊕-stitch) and are infeasible when the in-the-join one is forced.
+    if inner_forced:
+        for name in ("binary", "naive", "hybrid"):
+            candidates[name] = _Candidate(math.inf)
     else:
-        costs["yannakakis"] = math.inf
-    # The materializing, naive, and hybrid strategies can only fold the
-    # stream (the hybrid's sides stream full core tuples, disjoint on the
-    # skew variable, so the engine's fold *is* the ⊕-stitch).
-    if aggregate_mode == "recursion":
-        costs["binary"] = math.inf
-        costs["naive"] = math.inf
-        costs["hybrid"] = math.inf
-    else:
-        costs["binary"] = _binary_cost(query, database, sizes, binary_order)
-        costs["naive"] = naive
-        modes["binary"] = modes["naive"] = "fold"
-        costs["hybrid"] = hybrid_total
-        if hybrid_total != math.inf:
-            modes["hybrid"] = "fold"
-    return costs, modes, ranked
+        candidates["binary"] = _Candidate(
+            _binary_cost(query, database, sizes, binary_order), **outer_mode)
+        candidates["naive"] = _Candidate(naive, **outer_mode)
+        candidates["hybrid"] = _Candidate(hybrid, **outer_mode)
+    return candidates, info
 
 
 def _payload_for(strategy: str, mode: str | None,
@@ -759,69 +739,47 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         The session's index registry: bound (``== constant``) scans are
         then sized by a seek into its hash indexes instead of a pass.
     """
-    if backend not in BACKENDS:
-        raise QueryError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if mode not in MODES:
-        raise QueryError(f"unknown engine mode {mode!r}; expected one of {MODES}")
-    if aggregate_mode not in AGGREGATE_MODES:
-        raise QueryError(
-            f"unknown aggregate mode {aggregate_mode!r}; "
-            f"expected one of {AGGREGATE_MODES}"
-        )
-    if ranked_mode not in RANKED_MODES:
-        raise QueryError(
-            f"unknown ranked mode {ranked_mode!r}; "
-            f"expected one of {RANKED_MODES}"
-        )
+    # Below this line the request is read from the record only.
+    axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
     aggregates = tuple(aggregates)
     order_by = tuple(order_by)
-    if aggregate_mode != "auto" and not aggregates:
-        raise QueryError(
-            f"aggregate_mode={aggregate_mode!r} needs an aggregate query"
-        )
-    if ranked_mode != "auto" and not order_by:
-        raise QueryError(
-            f"ranked_mode={ranked_mode!r} needs an ORDER BY query"
-        )
-    if ranked_mode == "anyk" and aggregates:
-        raise QueryError(
-            "ranked_mode='anyk' does not apply to aggregate queries; "
-            "their ordered output is the folded group stream"
-        )
+    axes.check(aggregates, order_by)
     acyclic = is_alpha_acyclic(query.hypergraph())
     bound = agm_bound(query, database)
     # The elimination-order search only serves auto pricing and the
     # recursion-capable strategies; a forced binary/naive run would
     # discard it (it always folds).
-    needs_agg_plan = bool(aggregates) and (mode == "auto"
-                                           or mode in RECURSION_CAPABLE)
+    needs_agg_plan = bool(aggregates) and (axes.mode == "auto"
+                                           or axes.mode in RECURSION_CAPABLE)
     agg_plan = (plan_aggregation(query, selections, aggregates, group)
                 if needs_agg_plan else None)
     needs_ranked_plan = (bool(order_by) and not aggregates
-                         and (mode == "auto" or mode in ANYK_CAPABLE))
+                         and (axes.mode == "auto"
+                              or axes.mode in ANYK_CAPABLE))
     ranked_plan = (plan_ranked(query, selections, order_by, group)
                    if needs_ranked_plan else None)
 
     backend_resolved = "python"
     backend_fallback: str | None = None
     hybrid_plan: dict | None = None
-    if mode == "auto":
+    if axes.mode == "auto":
         binary_order = greedy_atom_order(query, database)
         sizes, envelope = selection_envelope(query, database, selections,
                                              bound, registry)
         hybrid_plan = plan_hybrid(query, database)
-        costs, modes, ranked_modes = _estimate(
+        candidates, costs = _estimate(
             query, database, sizes, envelope, acyclic, binary_order,
-            agg_plan, aggregate_mode, ranked_plan, ranked_mode, limit,
-            hybrid_plan)
+            hybrid_plan=hybrid_plan,
+            pricing=_pricing(axes, sizes, envelope, agg_plan, ranked_plan,
+                             limit))
+        costs.update((s, candidates[s].cost) for s in STRATEGIES)
         strategy = min(STRATEGIES,
                        key=lambda s: (costs[s], STRATEGIES.index(s)))
         if costs[strategy] == math.inf:
             raise QueryError(
                 f"no feasible strategy for query {query.name!r} under "
-                f"aggregate_mode={aggregate_mode!r}, "
-                f"ranked_mode={ranked_mode!r}"
+                f"aggregate_mode={axes.aggregate_mode!r}, "
+                f"ranked_mode={axes.ranked_mode!r}"
             )
         # Price the backend axis: the best columnar-capable strategy at
         # the vectorized constant vs the best python strategy.  Recorded
@@ -831,28 +789,28 @@ def dispatch(query: ConjunctiveQuery, database: Database,
                         key=lambda s: (costs[s], STRATEGIES.index(s)))
         columnar_reason = columnar_unsupported_reason(
             selections=selections, aggregates=aggregates,
-            ranked_mode=ranked_modes[candidate])
+            ranked_mode=candidates[candidate].ranked_mode)
         if columnar_reason is not None or costs[candidate] == math.inf:
             columnar_cost = math.inf
         else:
             columnar_cost = _capped(_COLUMNAR_FACTOR * costs[candidate])
         costs["backend[python]"] = costs[strategy]
         costs["backend[columnar]"] = columnar_cost
-        if backend != "python":
+        if axes.backend != "python":
             if columnar_cost == math.inf:
                 backend_fallback = (columnar_reason
                                     or "no feasible columnar-capable strategy")
-            elif backend == "columnar" or columnar_cost < costs[strategy]:
+            elif axes.backend == "columnar" or columnar_cost < costs[strategy]:
                 strategy = candidate
                 backend_resolved = "columnar"
             else:
                 backend_fallback = "python backend priced cheaper"
-        resolved = modes[strategy]
-        ranked_resolved = ranked_modes[strategy]
+        resolved = candidates[strategy].aggregate_mode
+        ranked_resolved = candidates[strategy].ranked_mode
         if order_by and ranked_resolved is None:
             ranked_resolved = "drain"  # ordered aggregate queries
     else:
-        strategy = mode
+        strategy = axes.mode
         if strategy == "yannakakis" and not acyclic:
             raise QueryError(
                 f"strategy {strategy!r} is infeasible for query {query.name!r} "
@@ -863,51 +821,39 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         costs = {}
         resolved = None
         ranked_resolved = None
+        # Forced strategies skip the cost comparison: the same resolver
+        # runs on equal costs, so the tie-break alone decides — aggregate
+        # inside the join when that eliminates something, rank-enumerate
+        # when a LIMIT bounds the prefix any-k gets to stop at.
         if aggregates:
-            # Forced strategies skip the cost comparison; the auto rule is
-            # simply "aggregate inside the join when it eliminates
-            # something and the strategy supports it" — matching how the
-            # priced path resolves equal envelopes.
-            if strategy in ("generic", "leapfrog"):
-                resolved = (aggregate_mode if aggregate_mode != "auto"
-                            else ("recursion" if agg_plan["has_elimination"]
-                                  else "fold"))
-            elif strategy == "yannakakis":
-                if aggregate_mode == "recursion" and not agg_plan["product_ok"]:
-                    raise QueryError(
-                        "aggregate_mode='recursion' needs product semirings "
-                        "for every aggregate under strategy 'yannakakis'"
-                    )
-                resolved = (aggregate_mode if aggregate_mode != "auto"
-                            else ("recursion" if (agg_plan["has_elimination"]
-                                                  and agg_plan["product_ok"])
-                                  else "fold"))
-            else:
-                if aggregate_mode == "recursion":
-                    raise QueryError(
-                        f"strategy {strategy!r} cannot aggregate in-recursion; "
-                        "use a WCOJ mode, 'yannakakis', or aggregate_mode='fold'"
-                    )
-                resolved = "fold"
+            # agg_plan is None exactly when the strategy cannot aggregate
+            # inside the join at all (see needs_agg_plan above).
+            resolved, _cost = _resolve(
+                axes.aggregate_mode, "recursion", "fold", 0.0, 0.0,
+                inner_ok=agg_plan is not None and (
+                    strategy != "yannakakis" or agg_plan["product_ok"]),
+                prefer_inner=(agg_plan is not None
+                              and agg_plan["has_elimination"]))
+            if resolved is None:
+                raise QueryError(
+                    "aggregate_mode='recursion' needs product semirings "
+                    "for every aggregate under strategy 'yannakakis'"
+                    if strategy == "yannakakis" else
+                    f"strategy {strategy!r} cannot aggregate in-recursion; "
+                    "use a WCOJ mode, 'yannakakis', or aggregate_mode='fold'"
+                )
         if order_by:
-            if aggregates:
-                ranked_resolved = "drain"
-            elif strategy in ANYK_CAPABLE:
-                # Forced strategies skip the cost comparison; the auto
-                # rule mirrors the priced one: rank-enumerate exactly when
-                # a LIMIT bounds the prefix any-k gets to stop at.
-                ranked_resolved = (ranked_mode if ranked_mode != "auto"
-                                   else ("anyk" if limit is not None
-                                         else "drain"))
-            else:
-                if ranked_mode == "anyk":
-                    raise QueryError(
-                        f"strategy {strategy!r} cannot enumerate in rank "
-                        "order; use a WCOJ mode, 'yannakakis', or "
-                        "ranked_mode='drain'"
-                    )
-                ranked_resolved = "drain"
-        if backend != "python":
+            ranked_resolved, _cost = _resolve(
+                axes.ranked_mode, "anyk", "drain", 0.0, 0.0,
+                inner_ok=strategy in ANYK_CAPABLE and not aggregates,
+                prefer_inner=limit is not None)
+            if ranked_resolved is None:
+                raise QueryError(
+                    f"strategy {strategy!r} cannot enumerate in rank "
+                    "order; use a WCOJ mode, 'yannakakis', or "
+                    "ranked_mode='drain'"
+                )
+        if axes.backend != "python":
             if strategy not in COLUMNAR_CAPABLE:
                 backend_fallback = (
                     f"strategy {strategy!r} has no columnar implementation")

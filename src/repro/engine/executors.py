@@ -8,9 +8,9 @@ the projection, and (when the plan says so) the aggregation; the engine
 layers the remaining folds, ordering and LIMIT on top of the streams they
 return:
 
-* ``plan(spec, database)`` produces the strategy-specific plan payload
-  (a variable order, an atom order, a mode-tagged aggregate order, or
-  nothing);
+* ``plan(spec, database)`` produces the strategy-specific payload of a
+  plain plan (a variable order, an atom order, or nothing); mode-tagged
+  payloads are minted by :func:`repro.engine.cost.dispatch` alone;
 * ``canonical_payload`` / ``payload_from_canonical`` translate that payload
   to and from canonical vocabulary, so the plan cache can serve isomorphic
   queries;
@@ -53,8 +53,7 @@ from repro.engine.registry import IndexRegistry
 from repro.errors import QueryError
 from repro.joins.binary_plans import greedy_atom_order
 from repro.joins.generic_join import generic_join_stream
-from repro.joins.hybrid import (HybridPartition, partition_instance,
-                                residual_query)
+from repro.joins.hybrid import HybridPartition, partition_instance
 from repro.joins.instrumentation import OperationCounter
 from repro.joins.leapfrog import leapfrog_stream
 from repro.joins.naive import nested_loop_stream
@@ -66,14 +65,8 @@ from repro.joins.yannakakis import (
 )
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.builder import Query
-from repro.query.decomposition import is_alpha_acyclic
 from repro.query.terms import Comparison, Constant, pinned_constants
-from repro.query.variable_order import (
-    aggregate_elimination_order,
-    hybrid_light_order,
-    pushdown_order,
-    skew_split,
-)
+from repro.query.variable_order import hybrid_light_order, pushdown_order
 from repro.relational.database import Database
 from repro.relational.index import HashIndex, TrieIndex
 from repro.relational.relation import Relation
@@ -252,38 +245,22 @@ class _WcojExecutor:
     name: str
 
     def plan(self, spec: Query, database: Database) -> tuple:
-        """The global variable order (plus a mode tag when needed).
+        """The global variable order of a plain enumeration.
 
-        Without aggregates or ordering: constant-pinned variables come
-        first (they restrict every containing atom for the whole search),
-        then the head variables (so projection deduplicates early via the
-        existential tail), then the rest — see
-        :func:`repro.query.variable_order.pushdown_order`.  For full
-        unselected queries this degenerates to the classical min-degree
-        order.
+        Constant-pinned variables come first (they restrict every
+        containing atom for the whole search), then the head variables
+        (so projection deduplicates early via the existential tail), then
+        the rest — see :func:`repro.query.variable_order.pushdown_order`.
+        For full unselected queries this degenerates to the classical
+        min-degree order.
 
-        With aggregates: the aggregate-aware order (group prefix, then the
-        width-minimizing elimination tail), mode-tagged ``"recursion"``
-        when any variable is eliminated and ``"fold"`` otherwise.  The
-        dispatcher normally precomputes this payload (with cost-resolved
-        and user-forced modes); this standalone fallback applies the
-        default rule.
-
-        Ordered queries get the *drain* payload here (the plain
-        enumeration order; the engine sorts above it): ``"anyk"``-tagged
-        ranked payloads are only ever minted by the dispatcher
-        (:func:`repro.engine.cost.dispatch`), which owns the
-        anyk-vs-drain resolution — a fallback that second-guessed it
-        would make a forced drain plan run ranked.
+        Mode-tagged payloads — the aggregate-aware order under
+        ``"recursion"`` / ``"fold"``, the ranked order under ``"anyk"`` —
+        are only ever minted by the dispatcher
+        (:func:`repro.engine.cost.dispatch`), which owns those
+        resolutions; a drain-ranked plan runs this order and the engine
+        sorts above it.
         """
-        if spec.aggregates:
-            order, _width = aggregate_elimination_order(
-                spec.core, group=spec.head_vars, fixed=spec.fixed_variables,
-                selections=spec.all_selections,
-                factorize=all(a.semiring().has_product
-                              for a in spec.aggregates))
-            eliminated = set(spec.core.variables) - set(spec.head_vars)
-            return ("recursion" if eliminated else "fold", order)
         return pushdown_order(spec.core, fixed=spec.fixed_variables,
                               leading=spec.head_vars)
 
@@ -461,19 +438,6 @@ class YannakakisExecutor(_NoPayloadExecutor):
 
     name = "yannakakis"
 
-    def plan(self, spec: Query, database: Database) -> tuple | None:
-        # Standalone fallback mirroring the dispatcher's auto rule:
-        # in-pass aggregation needs product semirings AND something to
-        # eliminate (a full group-by gains nothing over the fold).
-        # Ordered queries fall back to drain here — "anyk" payloads are
-        # only minted by the dispatcher, which owns that resolution.
-        if spec.aggregates:
-            product_ok = all(a.semiring().has_product
-                             for a in spec.aggregates)
-            eliminated = set(spec.core.variables) - set(spec.head_vars)
-            return ("recursion" if product_ok and eliminated else "fold", ())
-        return None
-
     def handles_aggregation(self, spec: Query, payload: Any) -> bool:
         return bool(spec.aggregates) and payload_aggregate_mode(payload) == "recursion"
 
@@ -569,17 +533,6 @@ class HybridExecutor(_NoPayloadExecutor):
     """
 
     name = "hybrid"
-
-    def plan(self, spec: Query, database: Database) -> tuple:
-        # Standalone fallback mirroring the dispatcher's rule: per-key
-        # residual Yannakakis when binding the skew variable leaves an
-        # acyclic residual, one whole-side binary plan otherwise; the
-        # light residual always runs generic join.
-        variable, threshold, _degree = skew_split(spec.core, database)
-        residual = residual_query(spec.core, variable)
-        heavy = ("yannakakis" if residual is None
-                 or is_alpha_acyclic(residual.hypergraph()) else "binary")
-        return ("hybrid", variable, threshold, heavy, "generic")
 
     def canonical_payload(self, payload: tuple,
                           canon: CanonicalQuery) -> tuple:

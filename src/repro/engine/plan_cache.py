@@ -5,7 +5,7 @@ AGM fractional-edge-cover LP, cost estimation and variable ordering — work
 that is identical for every repetition of a query (and for every variable
 renaming of it) as long as the data statistics stay in the same regime.
 
-Entries are keyed on ``(canonical form, statistics fingerprint, mode)``:
+Entries are keyed on ``(plan_form, statistics fingerprint, *axes)``:
 
 * the *canonical form* (:mod:`repro.engine.fingerprint`, its ``plan_form``:
   ``== constant`` selections are slots) makes isomorphic queries, and
@@ -14,7 +14,9 @@ Entries are keyed on ``(canonical form, statistics fingerprint, mode)``:
 * the *statistics fingerprint* (power-of-two size buckets per canonical
   atom, then per constant-bound scan) keeps a plan live across small data
   drift while any order-of-magnitude change forces re-optimization;
-* the *mode* separates explicitly forced strategies from ``auto`` dispatch.
+* the *axes* are the request's :class:`~repro.engine.cost.PlanAxes` record
+  (``mode``, ``aggregate_mode``, ``ranked_mode``, ``backend``) itself, so
+  a plan resolved under one request never serves a different one.
 """
 
 from __future__ import annotations

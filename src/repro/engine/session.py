@@ -50,14 +50,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.engine.cost import (
-    AGGREGATE_MODES,
-    BACKENDS,
-    COLUMNAR_CAPABLE,
-    MODES,
-    RANKED_MODES,
-    dispatch,
-)
+from repro.engine.cost import COLUMNAR_CAPABLE, PlanAxes, dispatch
 from repro.engine.executors import (
     bound_scan,
     executor_for,
@@ -85,6 +78,9 @@ from repro.relational.statistics import size_bucket, statistics_fingerprint
 
 #: Anything the engine accepts as a query (see ``Query.coerce``).
 QueryLike = Any
+
+#: One registry index: ``(stored relation, attribute layout)``.
+_Layout = tuple[str, tuple[str, ...]]
 
 
 @dataclass
@@ -336,7 +332,6 @@ class _Prepared:
     """A query after planning: everything needed to run it."""
 
     query: Query
-    mode: str
     canon: CanonicalQuery
     plan: CachedPlan
     payload: tuple | None  # plan payload in this query's vocabulary
@@ -363,7 +358,7 @@ class Engine:
         lifecycle (parse → canonicalize → plan-cache lookup → pricing →
         index resolution → execution → delivery).  None (the default)
         installs the shared no-op tracer, whose per-stage cost is one
-        attribute read.
+        no-op context-manager entry.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` to record cache
         outcomes, dispatch counts, execution-time and any-k delay
@@ -628,14 +623,13 @@ class Engine:
         ``replan_threshold`` is the statistics-fingerprint drift (in
         power-of-two size buckets) that triggers automatic re-planning.
         """
+        axes = PlanAxes(mode, aggregate_mode, ranked_mode)
         # Imported lazily: repro.ivm sits above the engine layer (it
         # re-enters execute/_prepare), so a module-level import would
         # be circular.
         from repro.ivm.subscription import Subscription  # lint: disable=import-layering -- ivm sits above the engine by design; subscribe() is the one upward seam and the import stays lazy to break the cycle
 
-        sub = Subscription(self, query, mode=mode,
-                           aggregate_mode=aggregate_mode,
-                           ranked_mode=ranked_mode, on_change=on_change,
+        sub = Subscription(self, query, axes, on_change=on_change,
                            replan_threshold=replan_threshold)
         self._subscriptions.append(sub)
         if self._metrics is not None:
@@ -705,53 +699,14 @@ class Engine:
             self._canon_cache.put(query, canon)
         return canon
 
-    def _prepare(self, query: QueryLike, mode: str,
-                 aggregate_mode: str = "auto",
-                 ranked_mode: str = "auto",
-                 backend: str = "python") -> _Prepared:
-        if mode not in MODES:
-            raise QueryError(
-                f"unknown engine mode {mode!r}; expected one of {MODES}"
-            )
-        if backend not in BACKENDS:
-            raise QueryError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if aggregate_mode not in AGGREGATE_MODES:
-            raise QueryError(
-                f"unknown aggregate mode {aggregate_mode!r}; "
-                f"expected one of {AGGREGATE_MODES}"
-            )
-        if ranked_mode not in RANKED_MODES:
-            raise QueryError(
-                f"unknown ranked mode {ranked_mode!r}; "
-                f"expected one of {RANKED_MODES}"
-            )
+    def _prepare(self, query: QueryLike, axes: PlanAxes) -> _Prepared:
         tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("parse", from_text=isinstance(query, str)):
-                query = self._normalize(query)
-        else:
+        with tracer.span("parse", from_text=isinstance(query, str)):
             query = self._normalize(query)
-        if aggregate_mode != "auto" and not query.aggregates:
-            raise QueryError(
-                f"aggregate_mode={aggregate_mode!r} needs an aggregate query"
-            )
-        if ranked_mode != "auto" and not query.order_by:
-            raise QueryError(
-                f"ranked_mode={ranked_mode!r} needs an ORDER BY query"
-            )
-        if ranked_mode == "anyk" and query.aggregates:
-            raise QueryError(
-                "ranked_mode='anyk' does not apply to aggregate queries; "
-                "their ordered output is the folded group stream"
-            )
-        if tracer.enabled:
-            with tracer.span("canonicalize") as span:
-                canon = self._canonical(query)
-                span.set(form=canon.form)
-        else:
+        axes.check(query.aggregates, query.order_by)
+        with tracer.span("canonicalize") as span:
             canon = self._canonical(query)
+            span.set(form=canon.form)
         core = query.core
         fingerprint = statistics_fingerprint(
             self._db,
@@ -768,19 +723,13 @@ class Engine:
                                 self._registry) for i in canon.atom_order)
             fingerprint += tuple(size_bucket(len(rows)) for rows in scans
                                  if rows is not None)
-        # The requested aggregate and ranked modes are plan axes like the
-        # strategy mode: a plan resolved under "drain" must not serve an
-        # "anyk" request (the cached payload's mode tag would disagree).
-        key = (canon.plan_form, fingerprint, mode,
-               aggregate_mode if query.aggregates else "auto",
-               ranked_mode if query.order_by else "auto",
-               backend)
-        if tracer.enabled:
-            with tracer.span("plan_cache.lookup") as span:
-                cached = self._plans.get(key)
-                span.set(outcome="hit" if cached is not None else "miss")
-        else:
+        # Every axis of the request keys the plan: one resolved under
+        # "drain" must not serve an "anyk" request (the cached payload's
+        # mode tag would disagree).
+        key = (canon.plan_form, fingerprint, *axes)
+        with tracer.span("plan_cache.lookup") as span:
             cached = self._plans.get(key)
+            span.set(outcome="hit" if cached is not None else "miss")
         if cached is not None:
             self.stats.plan_hits += 1
             if self._metrics is not None:
@@ -788,27 +737,25 @@ class Engine:
             executor = executor_for(cached.strategy)
             payload = executor.payload_from_canonical(cached.payload, canon,
                                                       query)
-            return _Prepared(query, mode, canon, cached, payload, "hit")
+            return _Prepared(query, canon, cached, payload, "hit")
 
         self.stats.plan_misses += 1
         if self._metrics is not None:
             self._m_plan_lookups.inc(outcome="miss")
-        with tracer.span("dispatch.price", mode=mode) as span:
-            decision = dispatch(core, self._db, mode,
+        with tracer.span("dispatch.price", mode=axes.mode) as span:
+            decision = dispatch(core, self._db,
                                 selections=query.all_selections,
                                 aggregates=query.aggregates,
                                 group=query.head_vars,
-                                aggregate_mode=aggregate_mode,
                                 order_by=query.order_by,
                                 limit=query.limit,
-                                ranked_mode=ranked_mode,
-                                backend=backend,
-                                registry=self._registry)
-            span.set(strategy=decision.strategy,
-                     backend=decision.backend,
-                     costs={name: cost for name, cost
-                            in decision.costs.items()
-                            if cost != float("inf")})
+                                registry=self._registry, **asdict(axes))
+            if tracer.enabled:
+                span.set(strategy=decision.strategy,
+                         backend=decision.backend,
+                         costs={name: cost for name, cost
+                                in decision.costs.items()
+                                if cost != float("inf")})
         executor = executor_for(decision.strategy)
         # The dispatcher already computed the greedy order while pricing the
         # binary strategy (and the aggregate-aware order while resolving the
@@ -829,7 +776,7 @@ class Engine:
             backend_fallback=decision.backend_fallback,
         )
         self._plans.put(key, plan)
-        return _Prepared(query, mode, canon, plan, payload, "miss")
+        return _Prepared(query, canon, plan, payload, "miss")
 
     @staticmethod
     def _check_limit(limit: int | None) -> None:
@@ -934,24 +881,19 @@ class Engine:
             picks the cheaper).  The backend never changes results —
             only how fast they are produced.
         """
+        axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
         self._check_limit(limit)
         tracer = self.tracer
-        if not tracer.enabled:
-            prepared = self._prepare(query, mode, aggregate_mode, ranked_mode,
-                                     backend)
-            effective = self._effective_limit(prepared.query, limit)
-            return self._execute_prepared(prepared, effective, counter,
-                                          cacheable=limit is None)
         with tracer.span("query", mode=mode) as span:
-            prepared = self._prepare(query, mode, aggregate_mode, ranked_mode,
-                                     backend)
+            prepared = self._prepare(query, axes)
             effective = self._effective_limit(prepared.query, limit)
             result = self._execute_prepared(prepared, effective, counter,
                                             cacheable=limit is None)
-            span.set(query=str(prepared.query),
-                     strategy=prepared.plan.strategy,
-                     plan_cache=prepared.plan_provenance,
-                     rows=len(result))
+            if tracer.enabled:
+                span.set(query=str(prepared.query),
+                         strategy=prepared.plan.strategy,
+                         plan_cache=prepared.plan_provenance,
+                         rows=len(result))
             return result
 
     def _execute_prepared(self, prepared: _Prepared, limit: int | None,
@@ -981,10 +923,8 @@ class Engine:
                 # a fresh zeroed counter, never the populating run's
                 # tallies.
                 self.last_operations = OperationCounter()
-                if tracer.enabled:
-                    with tracer.span("deliver", result_cache="hit"):
-                        return self._serve_cached(prepared, cached)
-                return self._serve_cached(prepared, cached)
+                with tracer.span("deliver", result_cache="hit"):
+                    return self._serve_cached(prepared, cached)
             self.stats.result_misses += 1
             if metrics is not None:
                 self._m_result_lookups.inc(outcome="miss")
@@ -996,18 +936,13 @@ class Engine:
         self.last_operations = run_counter
         start = time.perf_counter()
         rows = self._run(prepared, run_counter, limit)
-        if tracer.enabled:
-            with tracer.span("execute",
-                             strategy=prepared.plan.strategy) as span:
-                rows = list(rows)
-                span.set(rows=len(rows))
-                if run_counter is not None:
-                    span.set(operations=run_counter.as_dict())
-            with tracer.span("deliver", result_cache="store"
-                             if cacheable else "bypass"):
-                result = Relation(prepared.query.name,
-                                  prepared.query.output_columns, rows)
-        else:
+        with tracer.span("execute", strategy=prepared.plan.strategy) as span:
+            rows = list(rows)
+            span.set(rows=len(rows))
+            if run_counter is not None and tracer.enabled:
+                span.set(operations=run_counter.as_dict())
+        with tracer.span("deliver",
+                         result_cache="store" if cacheable else "bypass"):
             result = Relation(prepared.query.name,
                               prepared.query.output_columns, rows)
         if metrics is not None:
@@ -1058,9 +993,9 @@ class Engine:
         tuples in identical order, but abandoning it early does not save
         join work.
         """
+        axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
         self._check_limit(limit)
-        prepared = self._prepare(query, mode, aggregate_mode, ranked_mode,
-                                 backend)
+        prepared = self._prepare(query, axes)
         limit = self._effective_limit(prepared.query, limit)
         self.stats.queries += 1
         if self._metrics is not None:
@@ -1085,27 +1020,17 @@ class Engine:
         every query in the batch (so the batch must be all-aggregate, or
         all-ordered, to force one).
         """
+        axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
         self._check_limit(limit)
-        prepared = [self._prepare(q, mode, aggregate_mode, ranked_mode,
-                                  backend)
-                    for q in queries]
-        requested: set[tuple[str, tuple[str, ...]]] = set()
-        columnar_requested: set[tuple[str, tuple[str, ...]]] = set()
+        prepared = [self._prepare(q, axes) for q in queries]
+        requested: set[_Layout] = set()
+        columnar_requested: set[_Layout] = set()
         for prep in prepared:
-            executor = executor_for(prep.plan.strategy)
-            layouts = unique_index_layouts(
-                executor, prep.query, self._db, prep.payload)
-            if self._runs_columnar(prep):
-                columnar_requested.update(layouts)
-            else:
-                requested.update(layouts)
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("index.resolve", batch=len(prepared)) as span:
-                self._prebuild_indexes(requested, columnar_requested)
-                span.set(indexes=len(requested) + len(columnar_requested))
-        else:
+            columnar, layouts = self._index_layouts(prep)
+            (columnar_requested if columnar else requested).update(layouts)
+        with self.tracer.span("index.resolve", batch=len(prepared)) as span:
             self._prebuild_indexes(requested, columnar_requested)
+            span.set(indexes=len(requested) + len(columnar_requested))
         self._sync_index_stats()
         return [
             self._execute_prepared(prep,
@@ -1128,27 +1053,11 @@ class Engine:
         predicted envelope against actual operation counts per strategy —
         is attached as :attr:`Explanation.analysis`.
         """
-        prepared = self._prepare(query, mode, aggregate_mode, ranked_mode,
-                                 backend)
-        executor = executor_for(prepared.plan.strategy)
-        runs_columnar = self._runs_columnar(prepared)
-        warm: list[str] = []
-        cold: list[str] = []
-        # Self-join atoms can request the same physical index; report
-        # each (relation, layout) once — it is built once.  Columnar
-        # plans report their sorted-layout cache, not the trie cache.
-        for relation_name, layout in unique_index_layouts(
-                executor, prepared.query, self._db, prepared.payload):
-            label = f"{relation_name}[{','.join(layout)}]"
-            if runs_columnar:
-                is_warm = self._registry.columnar_is_warm(relation_name,
-                                                          layout)
-            else:
-                is_warm = self._registry.is_warm(relation_name, layout)
-            if is_warm:
-                warm.append(label)
-            else:
-                cold.append(label)
+        axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
+        prepared = self._prepare(query, axes)
+        _columnar, layouts = self._index_layouts(prepared)
+        indexes = [(f"{relation_name}[{','.join(layout)}]", warm)
+                   for (relation_name, layout), warm in layouts.items()]
         result_cached = (self._cache_results
                          and self._result_key(prepared) in self._results)
         variable_order = (
@@ -1187,8 +1096,9 @@ class Engine:
             parameters=prepared.canon.parameters,
             plan_cache=prepared.plan_provenance,
             result_cached=result_cached,
-            warm_indexes=tuple(warm),
-            cold_indexes=tuple(cold),
+            warm_indexes=tuple(label for label, warm in indexes if warm),
+            cold_indexes=tuple(label for label, warm in indexes
+                               if not warm),
             output_columns=spec.output_columns,
             aggregates=tuple(f"{a} AS {a.alias}" for a in spec.aggregates),
             aggregate_mode=resolved_mode,
@@ -1206,9 +1116,7 @@ class Engine:
         if analyze:
             explanation = replace(
                 explanation,
-                analysis=profile_query(self, query, mode=mode,
-                                       aggregate_mode=aggregate_mode,
-                                       ranked_mode=ranked_mode))
+                analysis=profile_query(self, query, **asdict(axes)))
         return explanation
 
     def profile(self, query: QueryLike, mode: str = "auto",
@@ -1222,9 +1130,8 @@ class Engine:
         empirically best strategy.  See
         :func:`repro.obs.profile.profile_query`.
         """
-        return profile_query(self, query, mode=mode,
-                             aggregate_mode=aggregate_mode,
-                             ranked_mode=ranked_mode)
+        axes = PlanAxes(mode, aggregate_mode, ranked_mode)
+        return profile_query(self, query, **asdict(axes))
 
     @staticmethod
     def _elimination_placement(prepared: _Prepared,
@@ -1362,19 +1269,12 @@ class Engine:
             # Resolve the plan's indexes up front, inside their own span
             # (executor.stream would otherwise resolve them invisibly).
             with tracer.span("index.resolve") as span:
-                layouts = unique_index_layouts(executor, spec, self._db,
-                                               prepared.payload)
-                if self._runs_columnar(prepared):
-                    already_warm = sum(
-                        1 for name, layout in layouts
-                        if self._registry.columnar_is_warm(name, layout))
+                columnar, layouts = self._index_layouts(prepared)
+                if columnar:
                     self._prebuild_indexes((), layouts)
                 else:
-                    already_warm = sum(
-                        1 for name, layout in layouts
-                        if self._registry.is_warm(name, layout))
                     self._prebuild_indexes(layouts, ())
-                span.set(indexes=len(layouts), warm=already_warm)
+                span.set(indexes=len(layouts), warm=sum(layouts.values()))
         if self._metrics is not None:
             self._m_dispatch.inc(strategy=prepared.plan.strategy)
             self._m_backend.inc(backend=prepared.plan.backend)
@@ -1417,6 +1317,24 @@ class Engine:
         """True when this plan executes on the columnar backend."""
         return (prepared.plan.backend == "columnar"
                 and prepared.plan.strategy in COLUMNAR_CAPABLE)
+
+    def _index_layouts(self, prepared: _Prepared
+                       ) -> tuple[bool, dict[_Layout, bool]]:
+        """The registry indexes a prepared plan reads, each with whether
+        it is already warm: ``(columnar, {(relation, layout): warm})``.
+
+        ``columnar`` says which cache they live in — sorted columnar
+        layouts when the plan runs on that backend, tries otherwise.
+        Self-join atoms can request the same physical index; it is built
+        once, so it is listed once (in first-request order).
+        """
+        columnar = self._runs_columnar(prepared)
+        is_warm = (self._registry.columnar_is_warm if columnar
+                   else self._registry.is_warm)
+        layouts = unique_index_layouts(
+            executor_for(prepared.plan.strategy), prepared.query, self._db,
+            prepared.payload)
+        return columnar, {pair: is_warm(*pair) for pair in layouts}
 
     def _columnar(self, strategy: str) -> Any:
         """The session's columnar executor for one strategy (lazy).

@@ -32,9 +32,10 @@ re-plans through the dispatch path; out-of-band whole-relation rebinding
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
+from repro.engine.cost import PlanAxes
 from repro.engine.fingerprint import (canonical_query, fingerprint_drift,
                                       payload_ranked_mode)
 from repro.errors import QueryError
@@ -99,8 +100,7 @@ class Subscription:
     step that changed the result relation.
     """
 
-    def __init__(self, engine, query, *, mode: str = "auto",
-                 aggregate_mode: str = "auto", ranked_mode: str = "auto",
+    def __init__(self, engine, query, axes: PlanAxes, *,
                  on_change: Callable[["Subscription"], Any] | None = None,
                  replan_threshold: int = 1):
         if replan_threshold < 1:
@@ -109,9 +109,7 @@ class Subscription:
             )
         self._engine = engine
         self._spec = Query.coerce(query)
-        self._mode = mode
-        self._aggregate_mode = aggregate_mode
-        self._ranked_mode = ranked_mode
+        self._axes = axes
         self._on_change = on_change
         self._replan_threshold = replan_threshold
         self._canon = canonical_query(self._spec)
@@ -175,10 +173,8 @@ class Subscription:
         """
         counter = OperationCounter()
         start = time.perf_counter()
-        result = self._engine.execute(
-            self._spec, mode=self._mode, counter=counter,
-            aggregate_mode=self._aggregate_mode,
-            ranked_mode=self._ranked_mode)
+        result = self._engine.execute(self._spec, counter=counter,
+                                      **asdict(self._axes))
         self._rebuild_state(counter)
         self._planned_fingerprint = self._current_fingerprint()
         record = MaintenanceRecord(
@@ -191,9 +187,7 @@ class Subscription:
         """First materialization: the dispatch path plus, when the shape
         allows it, the any-k check that only a resolved plan can answer."""
         if self._fallback_reason is None:
-            prepared = self._engine._prepare(
-                self._spec, self._mode, self._aggregate_mode,
-                self._ranked_mode)
+            prepared = self._engine._prepare(self._spec, self._axes)
             if payload_ranked_mode(prepared.payload) is not None:
                 self._fallback_reason = (
                     "any-k ranked plan: output is a lazy enumeration, "

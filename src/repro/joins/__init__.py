@@ -21,7 +21,6 @@ from repro.joins.binary_plans import (
 from repro.joins.heavy_light import heavy_light_partition
 from repro.joins.hybrid import (HybridPartition, partition_instance,
                                 residual_query)
-from repro.joins.optimizer import choose_strategy, evaluate
 from repro.joins.yannakakis import yannakakis, semijoin_reduce
 from repro.joins.counting import count_join, group_count, sum_product
 
@@ -49,8 +48,6 @@ __all__ = [
     "HybridPartition",
     "partition_instance",
     "residual_query",
-    "choose_strategy",
-    "evaluate",
     "yannakakis",
     "semijoin_reduce",
     "count_join",

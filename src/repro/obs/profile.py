@@ -141,19 +141,18 @@ def _priced_strategies(costs: dict[str, float]) -> list[tuple[str, float]]:
 
 
 def profile_query(engine: Any, query: Any, mode: str = "auto",
-                  aggregate_mode: str = "auto",
-                  ranked_mode: str = "auto") -> ProfileReport:
+                  **axes: str) -> ProfileReport:
     """Run ``query`` under every priced strategy and calibrate the model.
 
     Each run passes a fresh detail counter, which also bypasses the
     engine's result cache — a cached answer costs zero operations and
     would calibrate the model against nothing.  Under a forced ``mode``
     the dispatcher skips pricing, so only that strategy runs and its
-    ``predicted`` is None.
+    ``predicted`` is None.  The remaining dispatch ``axes`` are forwarded
+    as given to ``engine.explain`` and to every ``engine.execute``, so
+    the plans profiled are the ones the explained request would run.
     """
-    explanation = engine.explain(query, mode=mode,
-                                 aggregate_mode=aggregate_mode,
-                                 ranked_mode=ranked_mode)
+    explanation = engine.explain(query, mode=mode, **axes)
     priced = _priced_strategies(explanation.costs)
     if not priced:
         priced = [(explanation.strategy, None)]
@@ -164,8 +163,7 @@ def profile_query(engine: Any, query: Any, mode: str = "auto",
         start = time.perf_counter()
         try:
             result = engine.execute(query, mode=strategy, counter=counter,
-                                    aggregate_mode=aggregate_mode,
-                                    ranked_mode=ranked_mode)
+                                    **axes)
         except QueryError:
             # Priced but unrunnable here (e.g. a stale plan regime);
             # profiling reports what did run rather than failing the lot.

@@ -9,10 +9,13 @@ opens one span per lifecycle stage (``query`` → ``parse`` /
 where a query's time went and which stages a warm cache skipped.
 
 Tracing is **off by default**: sessions built without a tracer get the
-shared :data:`NULL_TRACER`, and every instrumentation site is guarded by
-``if tracer.enabled`` — the disabled cost is one attribute read per
-stage, not a context-manager entry (the overhead gate lives in
-``benchmarks/bench_trace_overhead.py``).
+shared :data:`NULL_TRACER`, whose ``span()`` hands back one shared no-op
+span.  Every instrumentation site is therefore written once — ``with
+tracer.span(name) as span: ...`` — whether tracing is on or off: the null
+span is a shared no-op; only attribute construction is guarded (``if
+tracer.enabled:`` around a ``span.set(...)`` whose values cost more than
+a name lookup).  The overhead gate lives in
+``benchmarks/bench_trace_overhead.py``.
 
 Spans nest lexically via a stack: a span opened while another is active
 records that span as its parent, which is the right model for the
@@ -115,8 +118,9 @@ class Tracer:
     ----------
     enabled:
         Always True on a real tracer.  Instrumentation sites check this
-        flag *before* building span attributes, so a :class:`NullTracer`
-        (enabled=False) costs one attribute read.
+        flag *before* building costly span attributes, so under a
+        :class:`NullTracer` (enabled=False) a site costs a no-op
+        context-manager entry and nothing else.
     spans:
         Finished :class:`SpanRecord` objects, in completion order
         (children complete before parents).

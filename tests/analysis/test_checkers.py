@@ -8,12 +8,11 @@ configuration the CI run uses.
 
 import os
 
-from tools.analysis.checkers.cache_key import CacheKeyChecker
 from tools.analysis.checkers.counter_honesty import CounterHonestyChecker
 from tools.analysis.checkers.layering import LayeringChecker
 from tools.analysis.checkers.semiring_protocol import SemiringProtocolChecker
 from tools.analysis.checkers.tracer_discipline import TracerDisciplineChecker
-from tools.analysis.core import FileContext, Project
+from tools.analysis.core import FileContext
 from tools.analysis.layers import parse_layers
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -86,29 +85,6 @@ def test_layering_passes_clean_twin():
 def test_layering_skips_modules_outside_the_dag():
     ctx = _ctx("layering_bad.py", "tests/somewhere/bad.py")
     assert list(LayeringChecker(_LAYERS).check_file(ctx)) == []
-
-
-# -- cache-key ----------------------------------------------------------
-
-def test_cache_key_fails_seeded_fixture():
-    ctx = _ctx("cachekey_bad.py", "src/repro/engine/session.py")
-    findings = list(CacheKeyChecker().finalize(Project([ctx])))
-    messages = _messages(findings)
-    assert any("'backend'" in m and "plan-cache key" in m for m in messages)
-    assert any("without forwarding dispatch axis 'ranked_mode'" in m
-               for m in messages)
-    assert any("'fresh_axis'" in m and "not a parameter" in m
-               for m in messages)
-
-
-def test_cache_key_passes_clean_twin():
-    ctx = _ctx("cachekey_clean.py", "src/repro/engine/session.py")
-    assert list(CacheKeyChecker().finalize(Project([ctx]))) == []
-
-
-def test_cache_key_silent_when_session_module_absent():
-    ctx = _ctx("cachekey_bad.py", "src/repro/engine/other.py")
-    assert list(CacheKeyChecker().finalize(Project([ctx]))) == []
 
 
 # -- semiring-protocol --------------------------------------------------

@@ -119,7 +119,7 @@ def test_cli_json_report_shape(capsys):
     assert report["clean"] is True
     assert report["files"] > 0
     assert set(report["rules"]) == {
-        "import-layering", "counter-honesty", "cache-key",
+        "import-layering", "counter-honesty",
         "semiring-protocol", "tracer-discipline",
     }
     for entry in report["suppressed"]:
@@ -142,7 +142,7 @@ def test_cli_unknown_rule_is_usage_error(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "counter-honesty" in out and "cache-key" in out
+    assert "counter-honesty" in out and "tracer-discipline" in out
 
 
 def test_repo_baseline_is_empty():

@@ -9,9 +9,11 @@ partition passes), and its side terms decompose the reported total.
 
 import pytest
 
-from repro.datagen.graphs import erdos_renyi_graph, zipf_triangle_instance
+from repro.datagen.graphs import (erdos_renyi_graph, zipf_outdegree_graph,
+                                  zipf_triangle_instance)
 from repro.datagen.worstcase import triangle_skew_instance
 from repro.engine.cost import dispatch, plan_hybrid
+from repro.query.builder import Query
 from repro.relational.database import Database
 
 PURE = ("generic", "leapfrog", "yannakakis", "binary", "naive")
@@ -85,3 +87,20 @@ class TestUniformEnvelope:
         assert plan["skewed"]
         assert plan["heavy_strategy"] == "yannakakis"  # path residual
         assert plan["light_strategy"] == "generic"
+
+    def test_cyclic_residual_prices_a_binary_heavy_side(self):
+        # Binding any variable of a 4-clique leaves a triangle: no per-key
+        # Yannakakis, so the heavy side is one binary plan, priced by the
+        # same pessimistic simulation pure binary gets.
+        clique = Query.coerce("Q(A,B,C,D) :- R(A,B), S(B,C), T(A,C), "
+                              "U(C,D), W(D,A), R(B,D)").core
+        database = Database([
+            zipf_outdegree_graph(30, 30, 150, skew=1.6, seed=seed,
+                                 name=name, attributes=attributes)
+            for seed, (name, attributes) in enumerate([
+                ("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C")),
+                ("U", ("C", "D")), ("W", ("D", "A"))])])
+        plan = plan_hybrid(clique, database)
+        assert plan["skewed"] and plan["heavy_strategy"] == "binary"
+        heavy = dispatch(clique, database).costs["hybrid[heavy]"]
+        assert 0 < heavy < float("inf")

@@ -132,6 +132,10 @@ SHAPES = [
     "Q(A, COUNT(*)) :- R(A,B), S(B,C), T(A,C)",    # group-by count
     "Q(B, SUM(C)) :- R(A,B), S(B,C), T(A,C)",      # group-by sum
     "Q(A, COUNT(*)) :- R(A,B), T(A,C)",            # count on the skew var
+    # 4-clique: binding any variable leaves a triangle, so the residual is
+    # cyclic and the heavy side runs one whole-side binary sub-plan.
+    "Q(A,B,C,D) :- R(A,B), S(B,C), T(A,C), U(C,D), W(D,A), R(B,D)",
+    "Q(A, COUNT(*)) :- R(A,B), S(B,C), T(A,C), U(C,D), W(D,A), R(B,D)",
 ]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datagen.graphs import erdos_renyi_graph
 from repro.engine import Engine
 from repro.obs import ProfileReport, StrategyProfile, profile_query
 
@@ -84,6 +85,24 @@ class TestEngineSurface:
 
     def test_explain_without_analyze_has_no_report(self, engine, triangle):
         assert engine.explain(triangle).analysis is None
+
+    @pytest.mark.parametrize("backend", ["columnar", "auto"])
+    def test_explain_analyze_profiles_the_backend_it_explained(self,
+                                                               backend):
+        """On a sparse uniform triangle the python backend dispatches
+        ``binary`` while a columnar request steers to ``generic``: the
+        attached profile must be of the request that was explained."""
+        pytest.importorskip("numpy")
+        engine = Engine(relations=[
+            erdos_renyi_graph(60, 60, seed=seed, name=name,
+                              attributes=attributes)
+            for seed, (name, attributes) in enumerate(
+                [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))])])
+        query = "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)"
+        assert engine.explain(query).strategy == "binary"
+        explanation = engine.explain(query, backend=backend, analyze=True)
+        assert explanation.strategy == "generic"
+        assert explanation.analysis.dispatched == explanation.strategy
 
 
 class TestRender:

@@ -2,10 +2,9 @@
 
 The engine's CI gates compare *operation counts* and rest on conventions
 nothing in the language enforces: every tuple loop must charge an
-:class:`~repro.joins.instrumentation.OperationCounter`, every dispatch
-axis must reach the plan-cache key, semirings must honor the ring
-protocol IVM deletes depend on, the layer DAG must stay acyclic, and
-observability must stay a null-object pattern.  This package turns those
+:class:`~repro.joins.instrumentation.OperationCounter`, semirings must
+honor the ring protocol IVM deletes depend on, the layer DAG must stay
+acyclic, and observability must stay a null-object pattern.  This package turns those
 conventions into machine-checked invariants: one AST parse per file,
 checkers as visitor plugins, inline suppressions with a required reason,
 a baseline file for grandfathered findings, and human/JSON output with
@@ -19,6 +18,5 @@ from tools.analysis.core import (  # noqa: F401
     Checker,
     FileContext,
     Finding,
-    Project,
     load_baseline,
 )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 
-from tools.analysis.checkers.cache_key import CacheKeyChecker
 from tools.analysis.checkers.counter_honesty import CounterHonestyChecker
 from tools.analysis.checkers.layering import LayeringChecker
 from tools.analysis.checkers.semiring_protocol import SemiringProtocolChecker
@@ -21,14 +20,12 @@ def default_checkers() -> list[Checker]:
     return [
         LayeringChecker(load_layers(LAYERS_TOML)),
         CounterHonestyChecker(),
-        CacheKeyChecker(),
         SemiringProtocolChecker(),
         TracerDisciplineChecker(),
     ]
 
 
 __all__ = [
-    "CacheKeyChecker",
     "CounterHonestyChecker",
     "LayeringChecker",
     "SemiringProtocolChecker",

@@ -2,9 +2,10 @@
 
 The observability layer's overhead gate (``bench_trace_overhead``, CI
 bound: disabled tracing costs <5%) holds because an untraced session
-carries :data:`repro.obs.trace.NULL_TRACER` and every hot-path site pays
-exactly one attribute read — ``if tracer.enabled:``.  Identity tests
-(``tracer is None``) or type tests (``isinstance(tracer, Tracer)``)
+carries :data:`repro.obs.trace.NULL_TRACER`: every site is written once
+as ``with tracer.span(...)``, the null span is a shared no-op, and only
+attribute construction is guarded (``if tracer.enabled:``).  Identity
+tests (``tracer is None``) or type tests (``isinstance(tracer, Tracer)``)
 reintroduce the optional-tracer style: they invite ``None`` back into
 the field, fork the guard idiom across call sites, and make the
 overhead bound depend on which guard a site happened to use.
@@ -32,8 +33,9 @@ def _tracer_like(expr: ast.AST) -> bool:
 
 class TracerDisciplineChecker(Checker):
     rule = "tracer-discipline"
-    contract = ("hot paths guard tracing with tracer.enabled attribute "
-                "reads, never is-None or isinstance branches")
+    contract = ("the tracer is a null object: sites guard costly span "
+                "attributes with tracer.enabled, never is-None or "
+                "isinstance branches")
 
     def __init__(self, prefixes: tuple[str, ...] = ("repro",),
                  exempt_modules: tuple[str, ...] = ("repro.obs.trace",)

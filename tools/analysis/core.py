@@ -5,9 +5,7 @@ Design constraints, in order:
 * **One parse per file.**  Every checker sees the same ``ast`` tree (and
   tokenized comment map); adding a checker never adds a parse.
 * **Checkers are plugins.**  A checker subclasses :class:`Checker`,
-  declares a rule id, and implements :meth:`Checker.check_file` (local
-  rules) and/or :meth:`Checker.finalize` (cross-module rules that need
-  the whole project, like cache-key completeness).
+  declares a rule id, and implements :meth:`Checker.check_file`.
 * **Suppressions carry a reason.**  ``# lint: disable=<rule> -- <why>``
   on the offending line (or the statement's first line) silences that
   rule there; a disable *without* a reason is itself reported under the
@@ -153,18 +151,6 @@ def _collect_suppressions(source: str) -> list[Suppression]:
     return result
 
 
-class Project:
-    """All parsed files, keyed by module name and by path."""
-
-    def __init__(self, files: list[FileContext]) -> None:
-        self.files = files
-        self.by_module = {ctx.module_name: ctx for ctx in files}
-        self.by_path = {ctx.relpath: ctx for ctx in files}
-
-    def module(self, name: str) -> FileContext | None:
-        return self.by_module.get(name)
-
-
 class Checker:
     """Base class for one lint rule.
 
@@ -178,10 +164,6 @@ class Checker:
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         """Per-file pass; yield findings for this file only."""
-        return ()
-
-    def finalize(self, project: Project) -> Iterable[Finding]:
-        """Cross-module pass, after every file has been parsed."""
         return ()
 
 
@@ -212,19 +194,18 @@ class AnalysisDriver:
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
             files.append(FileContext(relpath, source))
-        project = Project(files)
+        by_path = {ctx.relpath: ctx for ctx in files}
 
         raw: list[Finding] = []
         for checker in self.checkers:
-            for ctx in project.files:
+            for ctx in files:
                 raw.extend(checker.check_file(ctx))
-            raw.extend(checker.finalize(project))
 
         findings: list[Finding] = []
         suppressed: list[tuple[Finding, str | None]] = []
         baselined: list[Finding] = []
         for finding in raw:
-            ctx = project.by_path.get(finding.path)
+            ctx = by_path.get(finding.path)
             sup = (ctx.suppression_for(finding.rule, finding.line)
                    if ctx is not None else None)
             if sup is not None:
