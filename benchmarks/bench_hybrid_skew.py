@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 
 import pytest
@@ -52,9 +51,8 @@ except ImportError:  # running standalone from a checkout without install
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
     from repro.engine import Engine
 
+from repro.datagen.graphs import skew_cycle_instance
 from repro.joins.instrumentation import OperationCounter
-from repro.relational.database import Database
-from repro.relational.relation import Relation
 
 #: Minimum acceptable best-pure/hybrid operation-count ratio (CI gate).
 TARGET_RATIO = 5.0
@@ -66,57 +64,6 @@ BENCH_PATH = os.path.join(os.path.dirname(__file__), "..",
                           "BENCH_hybrid.json")
 
 CYCLE_QUERY = "Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A)"
-
-#: Instance knobs (see :func:`skew_cycle_instance`).
-N_HUBS = 12          # heavy A values
-TOP_DEGREE = 100     # R-degree of the rank-1 hub
-MIN_DEGREE = 40      # clamp: every hub stays above the |R|^(1/2) threshold
-B_POOL = 100         # distinct B values hubs fan into
-Q_S = 10             # S-fanout per B (and the size of the C pool)
-T_DEGREE = 500       # T-fanout per C, and U-degree per hub
-N_LIGHT = 80         # light A values with genuine cycles
-
-
-def zipf_degrees(exponent: float, n: int, top: int, floor: int) -> list[int]:
-    """Hub degrees decaying as rank^-(exponent - 1), clamped to ``floor``."""
-    return [max(floor, int(top * (k + 1) ** (1.0 - exponent)))
-            for k in range(n)]
-
-
-def skew_cycle_instance(exponent: float, seed: int = 0) -> Database:
-    rng = random.Random(seed)
-    bs = [f"b{i}" for i in range(B_POOL)]
-    cs = [f"c{i}" for i in range(Q_S)]
-    even = [2 * i for i in range(T_DEGREE + 50)]
-    odd = [2 * i + 1 for i in range(T_DEGREE + 50)]
-
-    r, s, t, u = [], [], [], []
-    for k, deg in enumerate(zipf_degrees(exponent, N_HUBS, TOP_DEGREE,
-                                         MIN_DEGREE)):
-        a = f"h{k}"
-        for b in rng.sample(bs, deg):
-            r.append((a, b))
-        for d in rng.sample(even, T_DEGREE):  # even D: never meets T's odd D
-            u.append((d, a))
-    for b in bs:
-        for c in rng.sample(cs, Q_S):
-            s.append((b, c))
-    for c in cs:
-        for d in rng.sample(odd, T_DEGREE):
-            t.append((c, d))
-    for i in range(N_LIGHT):  # light keys with odd D: some cycles close
-        a = f"l{i}"
-        b, c, d = rng.choice(bs), rng.choice(cs), rng.choice(odd)
-        r.append((a, b))
-        s.append((b, c))
-        t.append((c, d))
-        u.append((d if rng.random() < 0.5 else rng.choice(odd), a))
-    return Database([
-        Relation("R", ("A", "B"), r),
-        Relation("S", ("B", "C"), s),
-        Relation("T", ("C", "D"), t),
-        Relation("U", ("D", "A"), u),
-    ])
 
 
 def measure(exponent: float, modes: tuple[str, ...],

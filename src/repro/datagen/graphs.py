@@ -107,6 +107,58 @@ def zipf_triangle_instance(n: int, skew: float = 1.5, seed: int = 0):
     return triangle_query(), Database([r, s, t])
 
 
+def skew_cycle_instance(exponent: float, seed: int = 0) -> Database:
+    """A 4-cycle ``R(A,B), S(B,C), T(C,D), U(D,A)`` whose hubs never close.
+
+    Twelve hub values of ``A``, their ``R``-degrees decaying as
+    rank^-(exponent - 1) (clamped above the |R|^(1/2) threshold), are
+    heavy in both relations that touch ``A``; every hub's
+    ``R``-neighborhood fans through ``S`` into a small ``C``-pool, and
+    the cycle never closes for a hub because ``T`` emits odd ``D`` values
+    while the hubs' ``U``-tuples carry even ones — value-disjoint
+    neighborhoods, which degree statistics alone cannot see.  Eighty
+    light ``A`` values with genuine cycles keep the output non-empty.
+    The WCOJ recursions grind out every hub's expansion for nothing; the
+    heavy/light hybrid pays a few linear passes per hub
+    (``benchmarks/bench_hybrid_skew.py`` gates the ratio).
+    """
+    n_hubs, top_degree, min_degree = 12, 100, 40
+    s_fanout, t_degree, n_light = 10, 500, 80
+    rng = random.Random(seed)
+    bs = [f"b{i}" for i in range(100)]
+    cs = [f"c{i}" for i in range(s_fanout)]
+    even = [2 * i for i in range(t_degree + 50)]
+    odd = [2 * i + 1 for i in range(t_degree + 50)]
+
+    r, s, t, u = [], [], [], []
+    for k in range(n_hubs):
+        a = f"h{k}"
+        degree = max(min_degree, int(top_degree * (k + 1) ** (1.0 - exponent)))
+        for b in rng.sample(bs, degree):
+            r.append((a, b))
+        for d in rng.sample(even, t_degree):  # even D: never meets T's odd D
+            u.append((d, a))
+    for b in bs:
+        for c in rng.sample(cs, s_fanout):
+            s.append((b, c))
+    for c in cs:
+        for d in rng.sample(odd, t_degree):
+            t.append((c, d))
+    for i in range(n_light):  # light keys with odd D: some cycles close
+        a = f"l{i}"
+        b, c, d = rng.choice(bs), rng.choice(cs), rng.choice(odd)
+        r.append((a, b))
+        s.append((b, c))
+        t.append((c, d))
+        u.append((d if rng.random() < 0.5 else rng.choice(odd), a))
+    return Database([
+        Relation("R", ("A", "B"), r),
+        Relation("S", ("B", "C"), s),
+        Relation("T", ("C", "D"), t),
+        Relation("U", ("D", "A"), u),
+    ])
+
+
 def complete_bipartite_graph(left_size: int, right_size: int, name: str = "E",
                              attributes: Sequence[str] = ("A", "B")) -> Relation:
     """The complete bipartite graph K_{left,right} with disjoint vertex ids.

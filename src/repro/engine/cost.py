@@ -2,73 +2,47 @@
 
 The paper's Open Problem 8 asks for a principled optimizer choosing between
 pairwise plans and WCOJ execution.  A full answer needs new theory; what a
-practical engine can do today is combine the quantities the theory *does*
-provide — the AGM bound as the WCOJ runtime envelope, acyclicity as the
-license for Yannakakis' output-linear algorithm, and textbook
-distinct-count estimates for pairwise intermediates — into one comparable
-"estimated operations" scale per strategy:
+practical engine can do today is price every strategy the same way — from
+the *instance's own degrees*, in *predicted seconds* — and run the
+cheapest.  Three layers:
 
-* ``naive``     — the product of the relation sizes (wins only for
-  single-atom scans and tiny inputs);
-* ``binary``    — greedy left-deep simulation with *pessimistic*
-  (degree-based, worst-case) intermediate estimates: each join can grow the
-  intermediate by at most the joined relation's maximum degree on the
-  shared variables.  Worst-case estimation is what makes the dispatcher
-  sound on skew — independence-style estimates are exactly what the
-  "skew strikes back" instances fool;
-* ``generic`` / ``leapfrog`` — index build plus the WCOJ envelope (the
-  constants separating the two reflect hashing vs galloping in this
-  pure-Python setting);
-* ``yannakakis`` — input-linear semijoin passes plus a discounted output
-  term; only *feasible* for alpha-acyclic queries;
-* ``hybrid``    — heavy/light partition on the most skewed variable
-  (threshold = sqrt of the largest touched relation): two partition
-  passes, a semijoin-priced heavy side (few distinct keys amortize), and
-  a generic-join light side whose envelope the partition's own degree
-  bound sharpens.  Only *feasible* when some value actually exceeds the
-  threshold — on uniform-degree data the split degenerates and a pure
-  strategy is strictly better.
+* **catalog** — per relation version, its degree maps
+  (:class:`repro.relational.statistics.DegreeCatalog`, owned by the
+  :class:`~repro.engine.registry.IndexRegistry`): max degree, distinct
+  count, ``deg(Y | X)`` and the exact size of a two-relation join (a dot
+  product of two maps) are reads of it.
+* **simulation** — :func:`simulate_levels` walks the variable order the
+  executor will actually run and bounds, level by level, the bindings
+  that survive (Theorem 5.1 / Algorithm 3 for the degree constraints
+  picked along the order).  ``generic`` / ``leapfrog``, in-recursion
+  aggregation, any-k and the columnar descent are all that walk, over
+  their own order and memo scopes; the envelope is ``min(AGM, sum of
+  levels)``.  ``binary`` simulates its greedy left-deep plan over the same
+  catalog and is *refused* when an intermediate can exceed that envelope;
+  ``yannakakis`` (acyclic only) pays input-linear passes plus its output;
+  ``hybrid`` pays partition passes, per-key residual sub-plans and the
+  simulated light side, and is only *feasible* when some value exceeds
+  the |R|^(1/2) threshold; ``naive`` rescans.  Selections shrink every
+  estimate through the filtered scans.
+* **seconds** — :data:`COST_TABLE`, measured seconds per counted
+  operation, turns operations into the predicted milliseconds that are
+  compared.  Plans are replayed against a registry that keeps its
+  indexes, so candidates are ranked on warm indexes; what a first run
+  adds is reported beside them (``build[trie]`` / ``build[layout]``).
 
-Two refinements sharpen the envelope beyond the raw AGM bound:
-
-* **selectivity**: when the query carries selections, the envelope is the
-  degree-aware output-size bound of the *filtered* instance (single-atom
-  predicates applied to the scans, :mod:`repro.bounds.degree_aware`),
-  taken against the unfiltered AGM bound with ``min`` — selective
-  constants therefore shrink the WCOJ estimate, not just the scan terms;
-* **aggregation**: aggregate queries are priced in both execution modes —
-  *stream-fold* (drain the join, fold the output; join-linear) and
-  *in-recursion* (FAQ-style variable elimination with component
-  factorization; bounded by ``N^faq-width`` where the width is the
-  **maximum residual-component width** of the aggregate-aware order, not
-  the monolithic tail width — the eliminators fold
-  conditionally-independent tail components separately, so that is the
-  exponent actually paid) — and the dispatcher resolves the mode per
-  strategy, reporting both estimates so ``explain()`` can show the
-  comparison;
-* **ranked enumeration**: ordered non-aggregate queries are priced in both
-  ranked modes — *drain-and-heap* (full join plus a heap top-k) and
-  *any-k* (the bottom-up best-suffix DP, bounded by ``N^width`` of the
-  ranked order, plus one frontier delay per surfaced result) — so
-  ``ORDER BY ... LIMIT k`` with small k dispatches to the k-sensitive
-  envelope instead of paying for the whole join.
-
-These are heuristics on top of exact theory: the AGM term is a worst case,
-not an expectation, and the binary estimates assume independence.  The
-dispatcher therefore reports every estimate it computed so ``explain()``
-can show its work.
+Aggregate and ordered queries are priced in both execution modes per
+strategy, and every estimate is reported so ``explain()`` can show the
+work; ``Engine.profile`` joins them to measured operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.bounds.agm import AGMBound, agm_bound
-from repro.bounds.degree_aware import output_size_bound
 from repro.columnar import unsupported_reason as columnar_unsupported_reason
-from repro.constraints.degree import constraints_from_database
 from repro.engine.executors import filtered_instance
 from repro.engine.registry import IndexRegistry
 from repro.errors import QueryError
@@ -77,14 +51,20 @@ from repro.joins.hybrid import partition_instance, residual_query
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.decomposition import is_alpha_acyclic
 from repro.query.semiring import Aggregate
-from repro.query.terms import Comparison
+from repro.query.terms import Comparison, pinned_constants
 from repro.query.variable_order import (
     aggregate_elimination_order,
+    hybrid_light_order,
+    pushdown_order,
     ranked_order,
     skew_split,
 )
 from repro.relational.database import Database
-from repro.relational.statistics import degree
+from repro.relational.statistics import (
+    DegreeCatalog,
+    catalog_lookup,
+    join_size,
+)
 
 #: All executor strategies, in dispatch tie-break preference order.
 #: ``hybrid`` (heavy/light partitioned sub-plans) is last: on a cost tie
@@ -185,21 +165,36 @@ class PlanAxes:
                 "ranked_mode='anyk' does not apply to aggregate queries; "
                 "their ordered output is the folded group stream")
 
+
 #: Cap applied to every estimate so products cannot overflow comparisons.
 _COST_CAP = 1e30
 
-# Calibrated constants for this pure-Python implementation: hash-probe
-# intersections (Generic-Join) run a little cheaper per element than bisect
-# galloping (Leapfrog); either WCOJ engine pays one index-build pass.
-_GENERIC_FACTOR = 2.0
-_LEAPFROG_FACTOR = 2.5
-_YANNAKAKIS_PASSES = 2.0
-_YANNAKAKIS_OUTPUT_DISCOUNT = 0.25
-# The columnar backend runs the same recursion batched through NumPy: the
-# per-operation constant drops by roughly this factor (calibrated on the
-# triangle/star benchmarks, where measured speedups are 20-100x; priced
-# conservatively so the axis decides backend, never the envelope shape).
-_COLUMNAR_FACTOR = 0.05
+#: The one cost table: seconds per counted operation of each strategy, the
+#: columnar kernel's fixed per-level cost, the engine's fold per drained
+#: row, the index build cost per row.  Measured, never hand-edited:
+#: ``python tools/calibrate_costs.py`` re-fits and prints it.  ``generic``
+#: is the rate of the WCOJ recursion under either intersection primitive:
+#: Leapfrog's wall is 0.85-1.17x Generic-Join's on the calibration shapes
+#: and its operation count 0.5-1.9x, unrelated — one price for the two.
+# provenance: commit ecb8685-dirty, python 3.11.7, x86_64 x2, tools/calibrate_costs.py
+COST_TABLE = {
+    "naive": 6.641e-07,  # 1.51 M/s
+    "binary": 8.315e-07,  # 1.20 M/s
+    "generic": 1.881e-06,  # 0.53 M/s
+    "yannakakis": 1.050e-06,  # 0.95 M/s
+    "hybrid": 9.035e-07,  # 1.11 M/s
+    "columnar": 2.443e-07,  # 4.09 M/s
+    "columnar.level": 7.002e-05,
+    "fold.row": 7.108e-07,  # 1.41 M/s
+    "trie.row": 1.675e-06,  # 0.60 M/s
+    "layout.row": 7.242e-07,  # 1.38 M/s
+}
+
+#: Counted operations per input tuple of Yannakakis' three entry points
+#: when no pass shrinks anything (two semijoin sweeps over both sides of
+#: every tree edge; in-pass aggregation adds the annotation and message
+#: passes).  Structure, not speed: ``calibrate_costs.py --check`` holds it.
+_TREE_PASSES = {None: 8.0, "recursion": 12.0, "anyk": 8.0}
 
 
 @dataclass(frozen=True)
@@ -216,11 +211,14 @@ class DispatchDecision:
         The AGM bound on the given database (unfiltered — the classical
         envelope ``explain()`` reports).
     costs:
-        Estimated operation counts per strategy (``inf`` = infeasible).
-        Empty for forced modes, which skip the estimation work.  For
-        aggregate queries the informational ``agg[recursion]`` /
-        ``agg[fold]`` entries record the two execution-mode envelopes the
-        dispatcher compared.
+        Predicted milliseconds per strategy on warm indexes (``inf`` =
+        infeasible), with the predicted operation counts behind them as
+        ``ops[strategy]``.  Empty for forced modes, which skip the
+        estimation work.  The other bracketed entries are informational:
+        ``agg[recursion]`` / ``agg[fold]`` and ``ranked[anyk]`` /
+        ``ranked[drain]`` (the two execution-mode estimates compared),
+        ``hybrid[heavy]`` / ``hybrid[light]``, ``backend[...]`` and
+        ``build[trie]`` / ``build[layout]`` (what a first run adds).
     binary_order:
         The greedy atom order the cost simulation priced — reused as the
         binary executor's plan so the plan run is the plan priced.  None
@@ -239,9 +237,8 @@ class DispatchDecision:
         ``plan()`` should be used.
     faq_width:
         The fractional-hypertree width of the aggregate-aware variable
-        order — the maximum over the tail's residual components, which
-        is what the factorized eliminator pays (the FAQ-width proxy
-        priced for in-recursion mode); None for non-aggregate queries.
+        order — the maximum over the tail's residual components; None
+        for non-aggregate queries.
     backend:
         The resolved execution backend: ``"python"`` (reference oracle)
         or ``"columnar"`` (sorted NumPy layouts).  In auto pricing the
@@ -270,88 +267,251 @@ def _capped(value: float) -> float:
     return min(value, _COST_CAP)
 
 
-def _join_growth(query: ConjunctiveQuery, atom_index: int,
-                 covered: set[str], size: int, database: Database) -> float:
-    """Worst-case growth factor of joining atom ``atom_index`` into an
-    intermediate covering ``covered``: the relation's maximum degree on the
-    shared variables (``deg(everything else | shared)``)."""
-    atom = query.atoms[atom_index]
-    relation = database.get(atom.relation)
-    shared_cols = [relation.attributes[p]
-                   for p, v in enumerate(atom.variables) if v in covered]
-    new_cols = [relation.attributes[p]
-                for p, v in enumerate(atom.variables) if v not in covered]
-    if not shared_cols:
-        return float(max(size, 1))  # cartesian product
-    if not new_cols:
-        return 1.0  # semijoin-shaped: the intermediate cannot grow
-    return float(max(1, degree(relation, shared_cols, new_cols)))
+class _Instance(NamedTuple):
+    """What is priced: the query over its filtered scans and the degree
+    catalog of each atom's relation."""
+
+    query: ConjunctiveQuery
+    catalogs: tuple[DegreeCatalog, ...]
+
+    def attrs(self, atom: int, variables: Sequence[str]) -> tuple[str, ...]:
+        """The stored attribute names of ``variables`` in one atom."""
+        names = self.query.atoms[atom].variables
+        stored = self.catalogs[atom].relation.attributes
+        return tuple(stored[names.index(v)] for v in variables)
 
 
-def _binary_cost(query: ConjunctiveQuery, database: Database,
-                 sizes: dict[int, int], order: tuple[int, ...]) -> float:
-    """Simulate the greedy left-deep plan with pessimistic estimates.
+def _instance(query: ConjunctiveQuery, database: Database,
+              selections: Sequence[Comparison],
+              registry: IndexRegistry) -> _Instance:
+    """Single-atom selections applied (``== constant`` scans by index
+    seek); unfiltered relations share the registry's version-checked
+    catalogs, filtered ones get a catalog for the call."""
+    derived, derived_db, _residual = filtered_instance(
+        query, selections, database, registry)
+    own = catalog_lookup(derived_db)
+    return _Instance(derived, tuple(
+        registry.statistics(atom.relation)
+        if derived_db.get(atom.relation) is database.get(stored.relation)
+        else own(atom.relation)
+        for atom, stored in zip(derived.atoms, query.atoms)))
 
-    Walks exactly the :func:`repro.joins.binary_plans.greedy_atom_order`
-    the binary executor would run; each join's output is bounded by the
-    current intermediate times the joined relation's max degree on the
-    shared variables — a quantity the data actually achieves in the worst
-    case, so skewed instances (where independence assumptions collapse) are
-    priced honestly.  The cost charged is the materialized read+write work
-    of every intermediate.
+
+def _scopes(query: ConjunctiveQuery, order: Sequence[str], start: int,
+            selections: Sequence[Comparison], memo: bool = True,
+            factorize: bool = True) -> list[tuple[str, ...]]:
+    """Per level of ``order``, the earlier variables its work is keyed on:
+    the whole prefix above ``start``.  From ``start`` on the executors
+    eliminate — each residual component on its own (``factorize``), and
+    with ``memo`` (the python recursion; the columnar descent has none) a
+    level is evaluated once per binding of its *separator*, the earlier
+    variables sharing an atom with it or a later one of its component."""
+    order = tuple(order)
+    position = {v: i for i, v in enumerate(order)}
+    scopes = [order[:depth] for depth in range(len(order))]
+    if start >= len(order):
+        return scopes
+    groups = (query.hypergraph().residual_components(
+        order[:start], couplings=[sel.variables for sel in selections])
+        if factorize else (frozenset(order[start:]),))
+    for group in groups:
+        depths = sorted(position[v] for v in group)
+        seen: set[str] = set()
+        separators = {}
+        for depth in reversed(depths):
+            for atom in query.atoms_containing(order[depth]):
+                seen |= atom.variable_set
+            separators[depth] = set(seen)
+        for j, depth in enumerate(depths):
+            before = order[:start] + tuple(order[d] for d in depths[:j])
+            scopes[depth] = tuple(u for u in before
+                                  if not memo or u in separators[depth])
+    return scopes
+
+
+def simulate_levels(instance: _Instance, order: Sequence[str],
+                    scopes: Sequence[tuple[str, ...]] | None = None
+                    ) -> list[tuple[float, float, int, float]]:
+    """Walk ``order`` over the instance's own degrees, one level at a time.
+
+    Returns per level ``(evaluations, candidates, atoms, thinning)``: how
+    many bindings of the level's scope reach it, how many candidate values
+    they examine in total, how many atoms are intersected there, and the
+    share of candidates expected to survive (per further atom, the share
+    of its values an average bound prefix reaches: an independence
+    estimate, used only for the number of *results* every strategy emits
+    alike).  A level's candidates bound the bindings that survive it, so
+    with the default scopes (the whole prefix) this is the survey's
+    Theorem 5.1 / Algorithm 3 bound for the degree constraints picked
+    along the order — one guard per variable, hence acyclic and
+    order-compatible.  Three reads of the catalog bound a level, the
+    tightest wins: *forward*, bindings so far times an atom's
+    ``deg(variable | bound variables)``; *exact*, when one atom holds the
+    whole scope, the dot product of its degree map with the joined atom's
+    (the 2-path count: on Zipf out-degrees over level in-degrees,
+    cardinality times max degree explodes and the instance does not);
+    *backward*, an atom's tuples times the most prefixes sharing one
+    binding of its bound variables (the chain read from its other end,
+    carried down longer paths).
     """
-    first, rest = order[0], order[1:]
-    current_size = float(sizes[first])
-    covered = set(query.atoms[first].variables)
-    cost = current_size
-    for chosen in rest:
-        growth = _join_growth(query, chosen, covered, sizes[chosen], database)
-        estimate = _capped(current_size * growth)
-        cost = _capped(cost + current_size + sizes[chosen] + estimate)
-        covered |= set(query.atoms[chosen].variables)
-        current_size = max(estimate, 1.0)
-    return cost
+    query, catalogs, attrs = instance.query, instance.catalogs, instance.attrs
+    order = tuple(order)
+    prefixes = 1.0                  # bindings of the whole prefix so far
+    share: dict[str, float] = {}    # most prefixes sharing one value of it
+    levels = []
+    for depth, variable in enumerate(order):
+        prefix = order[:depth]
+        fans = []                   # (atom, its bound variables, degree map)
+        for h, atom in enumerate(query.atoms):
+            if variable in atom.variable_set:
+                bound = tuple(u for u in prefix if u in atom.variable_set)
+                fans.append((h, bound, catalogs[h].degree_map(
+                    attrs(h, bound), attrs(h, (variable,)))))
+        tops = [max(fan.values(), default=0) for _h, _b, fan in fans]
+        degree = min(tops)
+        reach = sorted(min(1.0, sum(fan.values()) / ((len(fan) * catalogs[
+            h].distinct(attrs(h, (variable,)))) or 1)) for h, _b, fan in fans)
+        # An intersection iterates its smallest list: inside a sum over
+        # bindings, an atom's degree counts up to the other atoms' best.
+        for i, (h, bound, fan) in enumerate(fans):
+            clip = min(tops[:i] + tops[i + 1:], default=math.inf)
+            if clip < tops[i]:
+                fans[i] = (h, bound, {x: min(d, clip) for x, d in fan.items()})
+
+        def candidates(scope: tuple[str, ...], count: float) -> float:
+            best = count * degree
+            for g, holder in enumerate(query.atoms):
+                if scope and set(scope) <= holder.variable_set:
+                    for _h, bound, fan in fans:
+                        if bound:
+                            rest = tuple(u for u in scope if u not in bound)
+                            best = min(best, join_size(
+                                catalogs[g].degree_map(attrs(g, bound),
+                                                       attrs(g, rest)), fan))
+            return best
+
+        grown = candidates(prefix, prefixes)
+        behind = [prefixes]
+        for h, bound, fan in fans:
+            if bound:
+                held = min(share[u] for u in bound)
+                grown = min(grown, sum(fan.values()) * held)
+                behind.append(held * catalogs[h].max_degree(
+                    attrs(h, (variable,)), attrs(h, bound)))
+        scope = prefix if scopes is None else tuple(scopes[depth])
+        count, examined = prefixes, grown
+        if scope != prefix:
+            count = min([prefixes] + [
+                catalogs[g].distinct(attrs(g, scope))
+                for g, holder in enumerate(query.atoms)
+                if set(scope) <= holder.variable_set]) if scope else 1.0
+            examined = min(grown, candidates(scope, count))
+        levels.append((count, examined, len(fans), math.prod(reach[:-1])))
+        for u in prefix:
+            share[u] = min(share[u] * degree, grown)
+        share[variable] = min(behind)
+        prefixes = grown
+    return levels
+
+
+def _recursion_ops(levels: Sequence[tuple[float, float, int, float]],
+                   results: float, agm: float, fan_in: bool = False) -> float:
+    """Counted operations of a recursion over simulated ``levels``: a
+    search node per evaluation, a step per candidate (per intersected
+    atom with ``fan_in`` — the columnar kernel's seeks), an emission per
+    result.  The candidate total is the WCOJ envelope: capped
+    at the AGM bound."""
+    work = sum(level[1] for level in levels)
+    scale = min(1.0, agm / work) if work > 0 else 1.0
+    return _capped(results + scale * sum(
+        e + w * (k if fan_in else 1) for e, w, k, _thin in levels))
+
+
+def _plain_plan(query: ConjunctiveQuery, selections: Sequence[Comparison],
+                head: Sequence[str]) -> tuple[tuple[str, ...], int]:
+    """The order a plain WCOJ enumeration runs and the depth its
+    elimination starts at: the executors' pushdown order puts the pinned
+    and head variables first, so a strict projection collapses everything
+    after them through the existential eliminator."""
+    fixed = set(pinned_constants(selections))
+    order = pushdown_order(query, fixed=fixed, leading=head)
+    kept = len(fixed | set(head))
+    return order, kept if head and kept < len(order) else len(order)
 
 
 def selection_envelope(query: ConjunctiveQuery, database: Database,
                        selections: Sequence[Comparison], agm: AGMBound,
                        registry: IndexRegistry | None = None,
                        ) -> tuple[dict[int, int], float]:
-    """Filtered per-atom scan sizes and the sharpened WCOJ envelope.
-
-    Single-atom selections are applied to the scans (every executor pushes
-    them below the join; ``== constant`` scans are seeks into
-    ``registry``'s hash indexes), and the WCOJ envelope becomes the degree-aware
-    worst-case output bound of that *filtered* instance
-    (:func:`repro.bounds.degree_aware.output_size_bound`) — taken with
-    ``min`` against the unfiltered AGM bound, it is still a sound worst
-    case but no longer ignores the selectivity the executors exploit.
-    Data-derived degree constraints (single-variable conditioning) are
-    tried first; when their dependency graph is cyclic — where only the
-    exponential polymatroid LP would apply — the envelope falls back to
-    the plain AGM bound of the filtered instance (still taken with
-    ``min`` against the unfiltered AGM bound), keeping planning cheap.
-
-    An empty scan — a relation with no tuples, or one a selection
-    filters out entirely — forces an empty join: the envelope is exactly
-    zero, returned directly instead of routing a ``log2 0`` through the
-    degree-constraint LPs (which must special-case it) or silently
-    falling back to a pessimistic non-zero bound.
-    """
-    derived_query, derived_db, _residual = filtered_instance(
-        query, selections, database, registry)
-    sizes = {i: len(derived_db.get(atom.relation))
-             for i, atom in enumerate(derived_query.atoms)}
-    if any(size == 0 for size in sizes.values()):
+    """Filtered per-atom scan sizes and the WCOJ envelope of the instance:
+    ``min(AGM, sum of the simulated levels)`` of a full enumeration over
+    the scans with single-atom selections applied (``== constant`` ones
+    by a seek into ``registry``).  Selective constants shrink it, and on
+    bounded-degree data it sits far below the AGM bound, a worst case over
+    every instance of these sizes.  An empty scan forces an empty join:
+    the envelope is exactly zero."""
+    if registry is None:
+        registry = IndexRegistry(database)  # catalogs for the call
+    instance = _instance(query, database, selections, registry)
+    sizes = {i: c.cardinality for i, c in enumerate(instance.catalogs)}
+    if not all(sizes.values()):
         return sizes, 0.0
-    if derived_db is database:
-        return sizes, _capped(agm.bound)
-    dc = constraints_from_database(derived_query, derived_db, max_key_size=1)
-    if dc.is_acyclic():
-        sharpened = output_size_bound(derived_query, derived_db, dc=dc).bound
-    else:
-        sharpened = output_size_bound(derived_query, derived_db).bound
-    return sizes, _capped(min(agm.bound, sharpened))
+    order, _start = _plain_plan(query, selections, ())
+    levels = simulate_levels(instance, order)
+    return sizes, _capped(min(agm.bound, sum(level[1] for level in levels)))
+
+
+def _left_deep_sizes(instance: _Instance, order: Sequence[int]
+                     ) -> Iterator[tuple[float, int, float]]:
+    """Per join of the left-deep plan over ``order``: the intermediate
+    going in, the joined relation's size, the intermediate coming out —
+    exact for the first join (the dot product of two degree maps), then
+    the intermediate times the joined relation's max degree on the shared
+    variables: what skew achieves, where independence estimates collapse.
+    """
+    query, catalogs, attrs = instance.query, instance.catalogs, instance.attrs
+    first = order[0]
+    size = float(catalogs[first].cardinality)
+    covered = set(query.atoms[first].variables)
+    for step, chosen in enumerate(order[1:]):
+        variables = query.atoms[chosen].variables
+        shared = tuple(v for v in variables if v in covered)
+        scanned = catalogs[chosen].cardinality
+        if not shared:
+            grown = size * scanned  # cartesian product
+        elif step == 0:
+            grown = float(join_size(
+                catalogs[first].degree_map(attrs(first, shared)),
+                catalogs[chosen].degree_map(attrs(chosen, shared))))
+        elif covered.issuperset(variables):
+            grown = size  # semijoin-shaped: the intermediate cannot grow
+        else:
+            grown = size * catalogs[chosen].max_degree(attrs(chosen, shared))
+        yield size, scanned, grown
+        covered.update(variables)
+        size = max(grown, 1.0)
+
+
+def _binary_ops(instance: _Instance, order: tuple[int, ...],
+                envelope: float, results: float) -> float:
+    """Counted operations of the greedy left-deep plan the binary executor
+    would run, or ``inf``.  A hash join scans, and inserts or probes, each
+    input tuple and emits each output tuple (an intermediate is also
+    materialized: charged twice); the final join emits the shared result
+    estimate.  A plan whose pessimistic intermediate exceeds the WCOJ
+    ``envelope`` is refused: a plan that can exceed the bound is what
+    worst-case optimality rules out (and how a Zipf star projection runs
+    out of memory)."""
+    joins = list(_left_deep_sizes(instance, order))
+    if not joins:
+        return float(instance.catalogs[order[0]].cardinality)  # a lone scan
+    ops = 0.0
+    for size, scanned, grown in joins[:-1]:
+        if grown > envelope:
+            return math.inf
+        ops += 2.0 * (size + scanned + grown)
+    size, scanned, grown = joins[-1]
+    return _capped(ops + 2.0 * (size + scanned) + min(grown, results))
 
 
 def plan_aggregation(query: ConjunctiveQuery,
@@ -411,7 +571,8 @@ def plan_ranked(query: ConjunctiveQuery, selections: Sequence[Comparison],
     return {"order": order, "width": width, "keys": keys}
 
 
-def plan_hybrid(query: ConjunctiveQuery, database: Database) -> dict:
+def plan_hybrid(query: ConjunctiveQuery, database: Database,
+                registry: IndexRegistry | None = None) -> dict:
     """The skew facts behind a hybrid heavy/light plan.
 
     Returns a dict with the chosen skew ``variable``, the
@@ -427,7 +588,9 @@ def plan_hybrid(query: ConjunctiveQuery, database: Database) -> dict:
     whole-side binary sub-plan.  The bounded-degree light residual
     always runs generic join.
     """
-    variable, threshold, max_degree = skew_split(query, database)
+    variable, threshold, max_degree = skew_split(
+        query, database,
+        registry.statistics if registry is not None else None)
     residual = residual_query(query, variable)
     residual_acyclic = (residual is None
                         or is_alpha_acyclic(residual.hypergraph()))
@@ -441,60 +604,44 @@ def plan_hybrid(query: ConjunctiveQuery, database: Database) -> dict:
     }
 
 
-def _hybrid_costs(query: ConjunctiveQuery, database: Database,
-                  hybrid_plan: dict) -> tuple[float, float, float] | None:
-    """(partition, heavy-side, light-side) cost terms, or None.
+def _hybrid_ops(query: ConjunctiveQuery, database: Database,
+                hybrid_plan: dict, group: Sequence[str], agm: float,
+                ) -> tuple[float, float, float] | None:
+    """(partition, heavy-side, light-side) operation counts, or None.
 
-    The partition term is the two heavy/light scan passes over every
-    touched relation.  The heavy side binds one of at most
-    ``sum |R_i| / t`` distinct skew keys.  Under per-key residual
-    Yannakakis sub-plans its cost is honest arithmetic, not an envelope:
-    the touched restrictions are scanned once *in total* across keys
-    (they partition the heavy tuples), while each relation the skew
-    variable does not touch is scanned once per key — so the price is
-    the semijoin passes over ``heavy_total + n_keys * untouched``
-    (output is charged by the engine's stream itself).  A cyclic
-    residual instead prices the one whole-side binary sub-plan with the
-    same pessimistic greedy simulation pure binary gets.  The light
-    side is priced like generic join, but its envelope is sharpened by
-    the degree constraints the partition just *created* — every touched
-    relation's per-key degree is <= t — via the degree-aware output
-    bound; on skewed data heavy + light undercut the full instance's
-    AGM term, which is the whole case for the hybrid.  None when either
-    side is empty: a degenerate split means a pure strategy already
-    does the same work without the partition passes.
+    Two heavy/light scan passes over every touched relation; then, under
+    per-key residual Yannakakis sub-plans, the touched restrictions are
+    scanned once *in total* across keys (they partition the heavy tuples)
+    and each untouched relation once per key — semijoin passes over
+    ``heavy_total + n_keys * untouched``; a cyclic residual prices one
+    whole-side binary sub-plan instead.  The light side is generic join
+    simulated on the light instance's own degrees (per-key degree <= t in
+    every touched relation: the whole case for the hybrid).  None when no
+    key is heavy — the light side alone is generic join plus the passes;
+    an empty *light* side is still a plan (a few fat keys, each a residual
+    sub-plan, beat the recursion).
     """
     part = partition_instance(query, database, hybrid_plan["variable"],
                               hybrid_plan["threshold"])
-    if part.heavy_total == 0 or part.light_total == 0:
+    if part.heavy_total == 0:
         return None
-    partition_cost = 2.0 * float(part.heavy_total + part.light_total)
+    own = catalog_lookup(part.heavy_db), catalog_lookup(part.light_db)
+    heavy, light = (
+        _Instance(side, tuple(lookup(atom.relation) for atom in side.atoms))
+        for side, lookup in zip((part.heavy_query, part.light_query), own))
     if hybrid_plan["heavy_strategy"] == "yannakakis":
-        untouched = float(sum(
-            len(part.heavy_db.get(atom.relation))
-            for i, atom in enumerate(part.heavy_query.atoms)
-            if i not in part.touched))
-        heavy_cost = _capped(_YANNAKAKIS_PASSES * (
-            float(part.heavy_total)
-            + len(part.heavy_keys) * untouched))
+        untouched = sum(c.cardinality for i, c in enumerate(heavy.catalogs)
+                        if i not in part.touched)
+        heavy_ops = _TREE_PASSES[None] * (
+            part.heavy_total + len(part.heavy_keys) * untouched)
     else:
-        heavy_sizes = {i: len(part.heavy_db.get(atom.relation))
-                       for i, atom in enumerate(part.heavy_query.atoms)}
-        heavy_cost = _capped(_binary_cost(
-            part.heavy_query, part.heavy_db, heavy_sizes,
-            greedy_atom_order(part.heavy_query, part.heavy_db)))
-    light_input = float(sum(
-        len(part.light_db.get(atom.relation))
-        for atom in part.light_query.atoms))
-    light_env = agm_bound(part.light_query, part.light_db).bound
-    dc = constraints_from_database(part.light_query, part.light_db,
-                                   max_key_size=1)
-    if dc.is_acyclic():
-        light_env = min(light_env,
-                        output_size_bound(part.light_query, part.light_db,
-                                          dc=dc).bound)
-    light_cost = _capped(light_input + _GENERIC_FACTOR * light_env)
-    return partition_cost, heavy_cost, light_cost
+        heavy_ops = _binary_ops(
+            heavy, greedy_atom_order(part.heavy_query, part.heavy_db),
+            math.inf, 0.0)
+    order = hybrid_light_order(query, hybrid_plan["variable"], leading=group)
+    light_ops = _recursion_ops(simulate_levels(light, order), 0.0, agm)
+    return (2.0 * (part.heavy_total + part.light_total), _capped(heavy_ops),
+            light_ops)
 
 
 def _resolve(forced: str, inner: str, outer: str, inner_cost: float,
@@ -524,135 +671,172 @@ _VARIANTS = {"aggregate_mode": ("agg", "recursion", "fold"),
              "ranked_mode": ("ranked", "anyk", "drain")}
 
 
-class _Pricing(NamedTuple):
-    """What prices the one mode axis an aggregate or ordered query has.
+class _Variant(NamedTuple):
+    """One way to run the recursion: the variable order the executor will
+    actually use, the depth its elimination starts at (the order's length
+    for a full enumeration) and whether the eliminator may factorize."""
 
-    ``axis`` keys :data:`_VARIANTS`; ``inner_env`` is the envelope of the
-    in-the-join variant (the above-the-join one pays the full join
-    envelope); ``forced`` is the requested mode; ``prefer_inner`` breaks
-    cost ties; ``yannakakis_inner_ok`` is whether Yannakakis can run the
-    in-the-join variant at all (the WCOJ recursions always can).
-    """
-
-    axis: str
-    inner_env: float
-    forced: str
-    prefer_inner: bool
-    yannakakis_inner_ok: bool
+    order: tuple[str, ...]
+    start: int
+    factorize: bool = True
 
 
 class _Candidate(NamedTuple):
-    """One strategy as priced: its cost and the modes that cost assumes."""
+    """One strategy as priced: predicted ms, the predicted operations
+    behind them, the modes that cost assumes."""
 
     cost: float
+    ops: float = math.inf
     aggregate_mode: str | None = None
     ranked_mode: str | None = None
 
 
-def _pricing(axes: PlanAxes, sizes: dict[int, int], envelope: float,
-             agg_plan: dict | None, ranked_plan: dict | None,
-             limit: int | None) -> _Pricing | None:
-    """The mode axis to price, or None for a plain query.
+def _estimate(query: ConjunctiveQuery, database: Database,
+              instance: _Instance, selections: Sequence[Comparison],
+              group: Sequence[str], agm: float, acyclic: bool,
+              binary_order: tuple[int, ...], hybrid_plan: dict,
+              axes: PlanAxes, agg_plan: dict | None,
+              ranked_plan: dict | None, limit: int | None,
+              ) -> tuple[dict[str, _Candidate], dict[str, float],
+                         Callable[[str], float]]:
+    """Price every strategy in predicted milliseconds: one candidate
+    each, the informational cost entries, and the columnar pricer
+    (strategy -> ms for the variant that strategy resolved to).
 
-    Both in-the-join envelopes start from the same memoized-elimination
-    term: ``N^width`` of the axis' variable order, capped by the join
-    envelope (memoized elimination never expands more nodes than
-    enumeration).  *Any-k* adds one frontier delay per surfaced result —
-    without a LIMIT every result must surface, so the k term degenerates
-    to the full envelope and drain wins on auto (the frontier would only
-    add heap overhead to a full enumeration).  *In-recursion aggregation*
-    pays the term as is, but a group-by keeping every variable eliminates
-    nothing: both modes then enumerate the same nodes, are priced
-    identically, and auto resolves to the simpler fold.
+    Every recursion variant — plain, in-recursion aggregation, any-k, the
+    columnar descent — is the same :func:`simulate_levels` walk over the
+    order *it* runs, under its own scopes.  *Any-k* pays the best-suffix
+    DP below the first level plus one root-to-leaf delay per surfaced
+    result; without a LIMIT every result must surface, so it pays the
+    drain on top and auto resolves to drain.  A group-by keeping every
+    variable eliminates nothing: both aggregate modes cost the same and
+    auto resolves to the simpler fold.
     """
-    n_max = float(max(sizes.values(), default=1))
+    total = float(sum(c.cardinality for c in instance.catalogs))
+    n = len(query.variables)
+    order, start = _plain_plan(query, selections, group)
+    last = simulate_levels(instance, order)[-1]
+    results = min(agm, last[1] * last[3])  # the full join, for everybody
+    outer, inner, pops = _Variant(order, start), None, 0.0
+    axis, forced, prefer_inner, tree_inner_ok = "", "", False, True
+    if ranked_plan is not None:
+        axis, forced = "ranked_mode", axes.ranked_mode
+        inner = _Variant(ranked_plan["order"], 1)
+    elif agg_plan is not None:
+        axis, forced = "aggregate_mode", axes.aggregate_mode
+        prefer_inner = agg_plan["has_elimination"]
+        tree_inner_ok = agg_plan["product_ok"]
+        outer = _Variant(agg_plan["order"], n)
+        kept = len(set(pinned_constants(selections)) | set(group))
+        inner = _Variant(agg_plan["order"], kept if prefer_inner else n,
+                         agg_plan["product_ok"])
+    label, inner_name, outer_name = _VARIANTS.get(axis, ("", "", ""))
 
-    def elimination(width: float) -> float:
-        return _capped(min(envelope, max(n_max, 1.0) ** width))
+    walks: dict[tuple, tuple[list, float]] = {}
+
+    def walk(variant: _Variant, memo: bool = True) -> tuple[list, float]:
+        # Levels and rows emitted (below an elimination: surviving prefixes).
+        if (variant, memo) not in walks:
+            levels = simulate_levels(instance, variant.order, _scopes(
+                query, variant.order, variant.start, selections, memo,
+                variant.factorize))
+            if variant.start == n:
+                emitted = results
+            elif variant.start:
+                emitted = min(results, levels[variant.start - 1][1])
+            else:
+                emitted = min(results, 1.0)
+            walks[variant, memo] = levels, emitted
+        return walks[variant, memo]
+
+    def recursion_ops(variant: _Variant, fan_in: bool = False,
+                      memo: bool = True) -> float:
+        return _capped(_recursion_ops(*walk(variant, memo), agm, fan_in)
+                       + (pops if variant is inner else 0.0))
 
     if ranked_plan is not None:
-        k = float(limit) if limit is not None else envelope
-        return _Pricing("ranked_mode",
-                        _capped(elimination(ranked_plan["width"]) + k),
-                        axes.ranked_mode, prefer_inner=False,
-                        yannakakis_inner_ok=True)
-    if agg_plan is not None:
-        eliminates = agg_plan["has_elimination"]
-        return _Pricing("aggregate_mode",
-                        elimination(agg_plan["width"]) if eliminates
-                        else envelope,
-                        axes.aggregate_mode, prefer_inner=eliminates,
-                        yannakakis_inner_ok=agg_plan["product_ok"])
-    return None
+        pops = n * limit if limit is not None else recursion_ops(outer)
+    # Yannakakis: input-linear passes plus what it emits.
+    tree_ops = {outer_name: _capped(_TREE_PASSES[None] * total + 4 * results)}
+    if inner is not None:
+        tree_ops[inner_name] = _capped(
+            _TREE_PASSES[inner_name] * total
+            + (pops if ranked_plan is not None else walk(inner)[1]))
 
+    def ms(name: str, ops: float, mode: str = "") -> float:
+        # A stream-fold also pays the engine's fold over every result.
+        return 1000.0 * (COST_TABLE[name] * ops + (
+            COST_TABLE["fold.row"] * results if mode == "fold" else 0.0))
 
-def _estimate(query: ConjunctiveQuery, database: Database,
-              sizes: dict[int, int], envelope: float, acyclic: bool,
-              binary_order: tuple[int, ...], hybrid_plan: dict,
-              pricing: _Pricing | None
-              ) -> tuple[dict[str, _Candidate], dict[str, float]]:
-    """Price every strategy: one candidate each, plus the informational
-    cost entries (``hybrid[...]`` and the mode axis' two envelopes)."""
-    total = float(sum(sizes.values()))
+    candidates = {name: _Candidate(math.inf) for name in STRATEGIES}
     info: dict[str, float] = {}
+    resolved: dict[str, _Variant] = {}
+    for name in ("generic", "yannakakis") if acyclic else ("generic",):
+        ops = {mode: tree_ops[mode] if name == "yannakakis"
+               else recursion_ops(variant)
+               for mode, variant in ((outer_name, outer), (inner_name, inner))
+               if variant is not None}
+        mode: str | None = outer_name
+        if inner is not None:
+            if name == "generic":
+                info.update((f"{label}[{m}]", ms(name, o, m))
+                            for m, o in ops.items())
+            mode, _ms = _resolve(
+                forced, inner_name, outer_name,
+                ms(name, ops[inner_name], inner_name),
+                ms(name, ops[outer_name], outer_name),
+                prefer_inner=prefer_inner,
+                inner_ok=name != "yannakakis" or tree_inner_ok)
+            if mode is None:
+                continue
+        resolved[name] = inner if inner is not None and mode == inner_name \
+            else outer
+        candidates[name] = _Candidate(ms(name, ops[mode], mode), ops[mode],
+                                      **({axis: mode} if axis else {}))
+    # Leapfrog is the same recursion under another intersection primitive:
+    # one price, and the STRATEGIES tie-break runs Generic-Join.
+    candidates["leapfrog"] = candidates["generic"]
+    resolved["leapfrog"] = resolved["generic"]
 
-    # Cost as a function of the WCOJ envelope the strategy pays.
-    by_envelope = {
-        "generic": lambda env: _capped(total + _GENERIC_FACTOR * env),
-        "leapfrog": lambda env: _capped(total + _LEAPFROG_FACTOR * env),
-    }
-    if acyclic:
-        by_envelope["yannakakis"] = lambda env: _capped(
-            _YANNAKAKIS_PASSES * total + _YANNAKAKIS_OUTPUT_DISCOUNT * env)
-
-    naive = 1.0
-    for size in sizes.values():
-        naive = _capped(naive * max(size, 1))
-
-    # The hybrid envelope: partition passes + heavy side + light side.
-    # Only skewed instances are partitioned (and priced) at all.
-    hybrid_terms = (_hybrid_costs(query, database, hybrid_plan)
-                    if hybrid_plan["skewed"] else None)
-    hybrid = math.inf
-    if hybrid_terms is not None:
-        partition_cost, heavy_cost, light_cost = hybrid_terms
-        hybrid = _capped(partition_cost + heavy_cost + light_cost)
-        info["hybrid[heavy]"] = heavy_cost
-        info["hybrid[light]"] = light_cost
-
-    candidates = {"yannakakis": _Candidate(math.inf)}
-    outer_mode: dict[str, str] = {}
-    inner_forced = False
-    if pricing is None:
-        for name, price in by_envelope.items():
-            candidates[name] = _Candidate(price(envelope))
-    else:
-        label, inner, outer = _VARIANTS[pricing.axis]
-        info[f"{label}[{inner}]"] = by_envelope["generic"](pricing.inner_env)
-        info[f"{label}[{outer}]"] = by_envelope["generic"](envelope)
-        for name, price in by_envelope.items():
-            mode, cost = _resolve(
-                pricing.forced, inner, outer,
-                price(pricing.inner_env), price(envelope),
-                inner_ok=name != "yannakakis" or pricing.yannakakis_inner_ok,
-                prefer_inner=pricing.prefer_inner)
-            candidates[name] = _Candidate(cost, **{pricing.axis: mode})
-        outer_mode = {pricing.axis: outer}
-        inner_forced = pricing.forced == inner
-    # The materializing, naive and hybrid strategies never see the
-    # envelope and run only the above-the-join variant: they fold or
-    # sort the stream (the hybrid's sides stream full core tuples,
+    # The materializing, naive and hybrid strategies run only the
+    # above-the-join variant (the hybrid's sides stream full core tuples,
     # disjoint on the skew variable, so the engine's fold *is* the
-    # ⊕-stitch) and are infeasible when the in-the-join one is forced.
-    if inner_forced:
-        for name in ("binary", "naive", "hybrid"):
-            candidates[name] = _Candidate(math.inf)
-    else:
-        candidates["binary"] = _Candidate(
-            _binary_cost(query, database, sizes, binary_order), **outer_mode)
-        candidates["naive"] = _Candidate(naive, **outer_mode)
-        candidates["hybrid"] = _Candidate(hybrid, **outer_mode)
-    return candidates, info
+    # ⊕-stitch): infeasible when the in-the-join one is forced.
+    if inner is None or forced != inner_name:
+        envelope = min(agm, sum(level[1] for level in walk(outer)[0]))
+        # Nested loops rescan each (unfiltered) relation once per binding
+        # that survives the atoms before it.
+        naive_ops = results
+        reaching = [1.0] + [size for size, _scanned, _grown in
+                            _left_deep_sizes(instance,
+                                             range(len(query.atoms)))]
+        for atom, size in zip(query.atoms, reaching):
+            naive_ops += size * len(database.get(atom.relation))
+        flat = {"binary": _binary_ops(instance, binary_order, envelope,
+                                      results),
+                "naive": _capped(naive_ops)}
+        # Only skewed instances are partitioned (and priced) at all.
+        sides = (_hybrid_ops(query, database, hybrid_plan, group, agm)
+                 if hybrid_plan["skewed"] else None)
+        if sides is not None:
+            flat["hybrid"] = _capped(sum(sides) + results)
+            info["hybrid[heavy]"] = ms("hybrid", sides[1])
+            info["hybrid[light]"] = ms("hybrid", sides[2])
+        for name, count in flat.items():
+            candidates[name] = _Candidate(
+                ms(name, count, outer_name), count,
+                **({axis: outer_name} if axis else {}))
+
+    def columnar_ms(name: str) -> float:
+        """The same levels without the separator memo, one seek per
+        intersected atom, plus the kernel's fixed cost per level."""
+        return (ms("columnar", recursion_ops(resolved[name], True, False),
+                   candidates[name].aggregate_mode or "")
+                + 1000.0 * n * COST_TABLE["columnar.level"])
+
+    info["build[trie]"] = ms("trie.row", total)
+    info["build[layout]"] = ms("layout.row", total)
+    return candidates, info, columnar_ms
 
 
 def _payload_for(strategy: str, mode: str | None,
@@ -699,12 +883,11 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         ``"auto"`` picks the cheapest feasible strategy; any strategy name
         forces it (raising :class:`QueryError` when infeasible, e.g.
         ``"yannakakis"`` on a cyclic query).  Forced modes skip the cost
-        estimation (the per-join degree scans in particular), paying only
-        the acyclicity test and the AGM LP that ``explain()`` reports.
+        estimation, paying only the acyclicity test and the AGM LP that
+        ``explain()`` reports.
     selections:
-        Rich-query comparison predicates; single-atom ones shrink the
-        per-atom scan estimates *and* sharpen the WCOJ envelope to the
-        degree-aware bound of the filtered instance.
+        Rich-query comparison predicates; single-atom ones filter the
+        scans every estimate is simulated over.
     aggregates / group:
         The query's semiring aggregate heads and group-by variables; when
         present, both aggregate execution modes are priced and the
@@ -717,8 +900,8 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     order_by / limit:
         The query's sort keys (``(variable, descending)`` pairs) and its
         own LIMIT; for non-aggregate ordered queries the k-sensitive
-        any-k envelope is priced against the full-join drain envelope
-        (the ``ranked[anyk]`` / ``ranked[drain]`` cost entries).
+        any-k plan is priced against the full-join drain (the
+        ``ranked[anyk]`` / ``ranked[drain]`` cost entries).
     ranked_mode:
         ``"auto"`` resolves the ranked mode per strategy by cost (any-k
         needs a LIMIT to beat drain, since without one every result must
@@ -732,12 +915,13 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         python (with the reason in ``backend_fallback``) whenever the
         query needs a feature outside the vectorized subset or the chosen
         strategy has no columnar form; ``"auto"`` compares the priced
-        ``backend[python]``/``backend[columnar]`` envelopes.  Requesting
+        ``backend[python]``/``backend[columnar]`` predictions.  Requesting
         ``columnar`` under ``mode="auto"`` steers strategy choice to the
         columnar-capable WCOJ strategies when the request can be honored.
     registry:
-        The session's index registry: bound (``== constant``) scans are
-        then sized by a seek into its hash indexes instead of a pass.
+        The session's index registry: its degree catalogs and hash
+        indexes (bound scans are seeks) serve the pricing; without one
+        they are built for the call.
     """
     # Below this line the request is read from the record only.
     axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
@@ -763,16 +947,19 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     backend_fallback: str | None = None
     hybrid_plan: dict | None = None
     if axes.mode == "auto":
+        if registry is None:
+            registry = IndexRegistry(database)  # catalogs for the call
         binary_order = greedy_atom_order(query, database)
-        sizes, envelope = selection_envelope(query, database, selections,
-                                             bound, registry)
-        hybrid_plan = plan_hybrid(query, database)
-        candidates, costs = _estimate(
-            query, database, sizes, envelope, acyclic, binary_order,
-            hybrid_plan=hybrid_plan,
-            pricing=_pricing(axes, sizes, envelope, agg_plan, ranked_plan,
-                             limit))
-        costs.update((s, candidates[s].cost) for s in STRATEGIES)
+        hybrid_plan = plan_hybrid(query, database, registry)
+        instance = _instance(query, database, selections, registry)
+        candidates, costs, columnar_ms = _estimate(
+            query, database, instance, selections, group, bound.bound,
+            acyclic, binary_order, hybrid_plan, axes, agg_plan, ranked_plan,
+            limit)
+        for name in STRATEGIES:
+            costs[name] = candidates[name].cost
+            if candidates[name].cost != math.inf:
+                costs[f"ops[{name}]"] = candidates[name].ops
         strategy = min(STRATEGIES,
                        key=lambda s: (costs[s], STRATEGIES.index(s)))
         if costs[strategy] == math.inf:
@@ -781,10 +968,9 @@ def dispatch(query: ConjunctiveQuery, database: Database,
                 f"aggregate_mode={axes.aggregate_mode!r}, "
                 f"ranked_mode={axes.ranked_mode!r}"
             )
-        # Price the backend axis: the best columnar-capable strategy at
-        # the vectorized constant vs the best python strategy.  Recorded
-        # even for default-python requests so explain() always shows both
-        # envelopes.
+        # Price the backend axis: the best columnar-capable strategy on
+        # the vectorized kernel vs the best python strategy.  Recorded
+        # even for default-python requests so explain() always shows both.
         candidate = min(COLUMNAR_CAPABLE,
                         key=lambda s: (costs[s], STRATEGIES.index(s)))
         columnar_reason = columnar_unsupported_reason(
@@ -793,7 +979,7 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         if columnar_reason is not None or costs[candidate] == math.inf:
             columnar_cost = math.inf
         else:
-            columnar_cost = _capped(_COLUMNAR_FACTOR * costs[candidate])
+            columnar_cost = _capped(columnar_ms(candidate))
         costs["backend[python]"] = costs[strategy]
         costs["backend[columnar]"] = columnar_cost
         if axes.backend != "python":

@@ -25,6 +25,7 @@ from typing import Sequence
 
 from repro.relational.database import Database
 from repro.relational.index import HashIndex, TrieIndex
+from repro.relational.statistics import DegreeCatalog
 
 
 class IndexRegistry:
@@ -41,6 +42,7 @@ class IndexRegistry:
         self._database = database
         self._tries: dict[tuple[str, tuple[str, ...]], tuple[int, TrieIndex]] = {}
         self._hashes: dict[tuple[str, tuple[str, ...]], tuple[int, HashIndex]] = {}
+        self._statistics: dict[str, tuple[int, DegreeCatalog]] = {}
         self.builds = 0
         self.reuses = 0
         self.invalidations = 0
@@ -88,6 +90,15 @@ class IndexRegistry:
         self._hashes[key] = (version, index)
         self.builds += 1
         return index
+
+    def statistics(self, relation_name: str) -> DegreeCatalog:
+        """The relation's degree catalog at its current version."""
+        version = self._database.version(relation_name)
+        cached = self._statistics.get(relation_name)
+        if cached is None or cached[0] != version:
+            cached = (version, DegreeCatalog(self._database.get(relation_name)))
+            self._statistics[relation_name] = cached
+        return cached[1]
 
     @property
     def columnar_store(self):
@@ -186,6 +197,9 @@ class IndexRegistry:
                      if relation_name is None or n == relation_name]:
             # Re-register on next use so new values enter the dictionary.
             del self._columnar_registered[name]
+        for name in [n for n in self._statistics
+                     if relation_name in (None, n)]:
+            del self._statistics[name]
         self.invalidations += dropped
         return dropped
 

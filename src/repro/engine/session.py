@@ -135,7 +135,8 @@ class Explanation:                 # make a generated __hash__ crash
         log2 of the AGM bound on the current statistics regime (from the
         plan-cache entry, i.e. computed when the plan was first optimized).
     costs:
-        The dispatcher's per-strategy estimates (``inf`` = infeasible).
+        The dispatcher's predicted ms per strategy (``inf`` = infeasible);
+        bracketed entries are ``ops[strategy]`` and informational.
     variable_order:
         The WCOJ variable order (None for non-WCOJ strategies).
     canonical_form:
@@ -250,9 +251,8 @@ class Explanation:                 # make a generated __hash__ crash
             backend_line,
             f"acyclic:        {self.acyclic}",
             f"AGM bound:      {self.agm_bound:.6g} (log2 = {self.agm_log2:.4g})",
-            "cost estimates: " + (", ".join(
-                f"{name}={cost:.4g}" for name, cost in sorted(self.costs.items())
-            ) if self.costs else "(skipped — forced mode)"),
+            "cost estimates: " + (self._render_costs() if self.costs
+                                  else "(skipped — forced mode)"),
         ]
         if self.variable_order is not None:
             lines.append(f"variable order: {' -> '.join(self.variable_order)}")
@@ -307,6 +307,23 @@ class Explanation:                 # make a generated __hash__ crash
         if self.analysis is not None:
             lines.append(self.analysis.render())
         return "\n".join(lines)
+
+    def _render_costs(self) -> str:
+        """Predicted ms per candidate on warm indexes — with ``analyze``,
+        the measured ms and operation calibration beside the chosen one —
+        then the informational entries (``ops[...]`` stay in the table)."""
+        ran = (self.analysis.profile_for(self.strategy)
+               if self.analysis is not None else None)
+        pieces = []
+        for name, cost in sorted(self.costs.items()):
+            if name.startswith("ops["):
+                continue
+            piece = f"{name}={cost:.4g}" + ("" if "[" in name else " ms")
+            if ran and name == self.strategy:
+                piece += (f" (measured {ran.wall_ms:.4g} ms, calibration "
+                          f"{ran.calibration or 0.0:.2f})")
+            pieces.append(piece)
+        return ", ".join(pieces)
 
     def __str__(self) -> str:
         return self.render()
@@ -454,6 +471,14 @@ class Engine:
             "repro_search_nodes_total",
             "Search nodes by join variable (detail counters only)",
             ("variable",))
+        self._m_calibration = m.histogram(
+            "repro_dispatch_calibration_ratio",
+            "Counted runs: actual / predicted operations of the plan run",
+            ("strategy",), buckets=(0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
+        self._m_regret = m.counter(
+            "repro_dispatch_regret_ops",
+            "Counted runs: operations beyond the cheapest candidate's "
+            "prediction")
         self._m_anyk_first = m.histogram(
             "repro_anyk_first_row_seconds",
             "Any-k ranked enumeration: time to the first row")
@@ -949,6 +974,7 @@ class Engine:
             self._m_exec_seconds.observe(time.perf_counter() - start)
             if run_counter is not None:
                 self._record_operations(run_counter)
+                self._record_calibration(prepared.plan, run_counter.total())
         if cacheable:
             self._results.put(self._result_key(prepared), result)
         return result
@@ -962,6 +988,16 @@ class Engine:
         for label, amount in counter.breakdown.items():
             if label.startswith("search_nodes[") and label.endswith("]"):
                 self._m_search_nodes.inc(amount, variable=label[13:-1])
+
+    def _record_calibration(self, plan: CachedPlan, actual: int) -> None:
+        """A counted run against its plan's prediction and against the
+        cheapest candidate's (forced plans carry none: nothing recorded)."""
+        predicted = {name[4:-1]: ops for name, ops in plan.costs
+                     if name.startswith("ops[")}
+        if predicted.get(plan.strategy):
+            self._m_calibration.observe(actual / predicted[plan.strategy],
+                                        strategy=plan.strategy)
+            self._m_regret.inc(max(0, actual - round(min(predicted.values()))))
 
     def stream(self, query: QueryLike, mode: str = "auto",
                limit: int | None = None,

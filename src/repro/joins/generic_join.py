@@ -37,6 +37,7 @@ engine can amortize index construction across queries.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
@@ -359,7 +360,10 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                     memo_keys[j] = key
                     memo[j] = {}
 
-            def fold(j: int) -> list | None:
+            # fold, tie_class, group_recurse and recurse recurse through an
+            # argument: a closure naming itself is a reference cycle, and a
+            # finished stream would keep its memo tables until a full GC.
+            def fold(j: int, fold: Callable) -> list | None:
                 if j == k:
                     return [lift() for lift in fold_lifts]
                 table = memo.get(j)
@@ -378,7 +382,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                 total: list | None = None
                 for value in candidates_for(variable):
                     binding[variable] = value
-                    sub = fold(j + 1) if passes(depth) else None
+                    sub = fold(j + 1, fold) if passes(depth) else None
                     del binding[variable]
                     if sub is None:
                         continue
@@ -393,7 +397,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                     table[mkey] = total
                 return total
 
-            return fold
+            return functools.partial(fold, fold=fold)
 
         def tail_components(depth: int) -> list[tuple[int, ...]] | None:
             """Position groups of the residual components below ``depth``.
@@ -625,7 +629,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                                               depth + 1, prefix + (value,)))
                 del binding[variable]
 
-        def tie_class(depth: int) -> Iterator[tuple]:
+        def tie_class(depth: int, tie_class: Callable) -> Iterator[tuple]:
             """Head rows of one popped key class (depths ``ob_depth`` to
             ``emit_depth``), existential tail collapsed per row."""
             if depth == emit_depth:
@@ -641,7 +645,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             for value in candidates_for(variable):
                 binding[variable] = value
                 if passes(depth):
-                    yield from tie_class(depth + 1)
+                    yield from tie_class(depth + 1, tie_class)
                 del binding[variable]
 
         expand(0)
@@ -653,7 +657,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                 # Distinct pops carry distinct keys (the key variables are
                 # the only branching prefix variables), so one pop is one
                 # whole tie class: emit it in the drain tie-break order.
-                rows = sorted(tie_class(depth))
+                rows = sorted(tie_class(depth, tie_class))
                 binding.clear()
                 for row in rows:
                     if counter is not None:
@@ -712,7 +716,8 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             return (tuple(binding[g] for g in group)
                     + tuple(sr.finish(v) for sr, v in zip(semirings, values)))
 
-        def group_recurse(depth: int) -> Iterator[tuple]:
+        def group_recurse(depth: int,
+                          group_recurse: Callable) -> Iterator[tuple]:
             if depth == agg_start:
                 row = emit_group()
                 if row is not None:
@@ -726,11 +731,11 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             for value in candidates_for(variable):
                 binding[variable] = value
                 if passes(depth):
-                    yield from group_recurse(depth + 1)
+                    yield from group_recurse(depth + 1, group_recurse)
                 del binding[variable]
 
         produced = False
-        for row in group_recurse(0):
+        for row in group_recurse(0, group_recurse):
             produced = True
             yield row
         if not produced and not group:
@@ -774,7 +779,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             return tuple(binding[v] for v in variables)
         return tuple(binding[h] for h in head)
 
-    def recurse(depth: int) -> Iterator[tuple]:
+    def recurse(depth: int, recurse: Callable) -> Iterator[tuple]:
         if exists is not None and depth == prefix_depth:
             if exists(prefix_depth) is not None:
                 yield emit()
@@ -790,7 +795,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
         for value in candidates_for(variable):
             binding[variable] = value
             if passes(depth):
-                yield from recurse(depth + 1)
+                yield from recurse(depth + 1, recurse)
             del binding[variable]
 
     if head is not None and not early_distinct and set(head) != set(variables):
@@ -798,13 +803,13 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
         # the head, so distinctness needs a seen-set.
         def deduplicated() -> Iterator[tuple]:
             seen: set[tuple] = set()
-            for projected in recurse(0):
+            for projected in recurse(0, recurse):
                 if projected not in seen:
                     seen.add(projected)
                     yield projected
         yield from deduplicated()
     else:
-        yield from recurse(0)
+        yield from recurse(0, recurse)
 
 
 def hash_probe_intersect(value_lists: list,

@@ -1,16 +1,15 @@
 """EXPLAIN ANALYZE: the cost model's predictions against measured work.
 
-The dispatcher prices every feasible strategy with a *worst-case
-envelope* (AGM / degree-aware / FAQ-width estimated operations, see
-:mod:`repro.engine.cost`) and runs the cheapest.  Nothing in the survey
-guarantees the envelope is *tight* on a given instance — that is exactly
-what its worst-case framing leaves open — so this module closes the
+The dispatcher prices every feasible strategy from a per-level
+simulation over the instance's own degrees (predicted operations, turned
+into predicted milliseconds by one measured table — see
+:mod:`repro.engine.cost`) and runs the cheapest.  This module closes the
 loop: run the query under every priced strategy with a detail
 :class:`~repro.joins.instrumentation.OperationCounter`, and report per
 strategy the **calibration ratio** ``actual operations / predicted
-envelope``.  A ratio near 1 means the instance realizes its worst case
-(the AGM-tight constructions); a ratio far below 1 quantifies the
-slack skew-adaptive dispatch would need to exploit.
+operations`` beside the predicted and measured milliseconds.  A ratio
+near 1 means the simulation tracks what the executor does; the tests
+hold it within a factor of 8 on the calibration shapes.
 
 ``profile_query`` is deliberately engine-agnostic (the engine is passed
 in and used through its public ``explain``/``execute`` surface) so this
@@ -36,8 +35,11 @@ class StrategyProfile:
     strategy:
         The executor that ran.
     predicted:
-        The dispatcher's estimated operations for it (None when the
+        The dispatcher's predicted operations for it (None when the
         profile ran under a forced mode, which skips pricing).
+    predicted_ms:
+        The dispatcher's predicted milliseconds on warm indexes — what
+        candidates are ranked by; None under a forced mode.
     operations:
         The detail counter's :meth:`~repro.joins.instrumentation.
         OperationCounter.as_dict` — actual work, including ``total``.
@@ -45,12 +47,11 @@ class StrategyProfile:
         Per-variable / per-phase attribution (``search_nodes[A]``,
         ``semijoin.bottom_up.tuples_scanned``, ...).
     calibration:
-        ``actual total / predicted`` — below 1 the envelope over-states
-        the instance, near 1 the instance realizes its worst case; None
-        without a finite positive prediction.
+        ``actual total / predicted`` — below 1 the simulation over-states
+        the instance; None without a finite positive prediction.
     wall_ms:
-        Wall-clock of the measured run (context, not the primary axis:
-        operation counts are what the bounds speak about).
+        Wall-clock of the measured run, counter on (context, not the
+        primary axis: operation counts are what the bounds speak about).
     rows:
         Result cardinality.
     """
@@ -62,6 +63,7 @@ class StrategyProfile:
     calibration: float | None = None
     wall_ms: float = 0.0
     rows: int = 0
+    predicted_ms: float | None = None
 
     @property
     def actual(self) -> int:
@@ -99,17 +101,20 @@ class ProfileReport:
         lines = [f"profile:        {self.query}",
                  f"dispatched:     {self.dispatched} (mode={self.mode})"]
         header = (f"  {'strategy':<12} {'predicted':>12} {'actual':>10} "
-                  f"{'calibration':>12} {'wall ms':>9} {'rows':>7}")
+                  f"{'calibration':>12} {'pred ms':>9} {'wall ms':>9} "
+                  f"{'rows':>7}")
         lines.append(header)
         for profile in self.profiles:
             predicted = (f"{profile.predicted:.4g}"
                          if profile.predicted is not None else "—")
             ratio = (f"{profile.calibration:.3f}"
                      if profile.calibration is not None else "—")
+            predicted_ms = (f"{profile.predicted_ms:.2f}"
+                            if profile.predicted_ms is not None else "—")
             marker = " *" if profile.strategy == self.dispatched else ""
             lines.append(
                 f"  {profile.strategy:<12} {predicted:>12} "
-                f"{profile.actual:>10} {ratio:>12} "
+                f"{profile.actual:>10} {ratio:>12} {predicted_ms:>9} "
                 f"{profile.wall_ms:>9.2f} {profile.rows:>7}{marker}"
             )
         dispatched = self.profile_for(self.dispatched)
@@ -129,14 +134,13 @@ class ProfileReport:
         return self.render()
 
 
-def _priced_strategies(costs: dict[str, float]) -> list[tuple[str, float]]:
-    """Feasible (finite-cost) strategy entries from a costs dict.
-
-    The dispatcher's costs dict also carries meta entries for resolved
-    sub-modes (``agg[recursion]``, ``ranked[anyk]``, ...); strategies are
-    exactly the bracket-free keys.
-    """
-    return [(name, cost) for name, cost in sorted(costs.items())
+def _priced_strategies(costs: dict[str, float]
+                       ) -> list[tuple[str, float | None, float | None]]:
+    """Feasible strategies of a costs dict as ``(name, predicted
+    operations, predicted ms)``: the bracket-free keys with a finite cost
+    (bracketed ones — ``ops[generic]``, ``agg[recursion]`` — are meta)."""
+    return [(name, costs.get(f"ops[{name}]"), cost)
+            for name, cost in sorted(costs.items())
             if "[" not in name and cost != float("inf")]
 
 
@@ -155,10 +159,10 @@ def profile_query(engine: Any, query: Any, mode: str = "auto",
     explanation = engine.explain(query, mode=mode, **axes)
     priced = _priced_strategies(explanation.costs)
     if not priced:
-        priced = [(explanation.strategy, None)]
+        priced = [(explanation.strategy, None, None)]
 
     profiles: list[StrategyProfile] = []
-    for strategy, predicted in priced:
+    for strategy, predicted, predicted_ms in priced:
         counter = OperationCounter(detail=True)
         start = time.perf_counter()
         try:
@@ -180,6 +184,7 @@ def profile_query(engine: Any, query: Any, mode: str = "auto",
             calibration=calibration,
             wall_ms=wall_ms,
             rows=len(result),
+            predicted_ms=predicted_ms,
         ))
 
     best = min(profiles, key=lambda p: p.actual, default=None)

@@ -16,7 +16,7 @@ from typing import Any, Callable, Collection, Sequence
 
 from repro.query.atoms import ConjunctiveQuery
 from repro.relational.database import Database
-from repro.relational.statistics import max_degree
+from repro.relational.statistics import DegreeCatalog, catalog_lookup
 
 
 def natural_order(query: ConjunctiveQuery) -> tuple[str, ...]:
@@ -104,7 +104,8 @@ def pushdown_order(query: ConjunctiveQuery,
     )
 
 
-def skew_split(query: ConjunctiveQuery, database: Database
+def skew_split(query: ConjunctiveQuery, database: Database,
+               statistics: Callable[[str], DegreeCatalog] | None = None,
                ) -> tuple[str, float, int]:
     """Pick the hybrid strategy's skew variable and degree threshold.
 
@@ -116,17 +117,20 @@ def skew_split(query: ConjunctiveQuery, database: Database
     largest degree/threshold ratio wins (name tie-break), so the returned
     triple ``(variable, threshold, max_degree)`` is a pure function of
     the instance statistics.  ``max_degree <= threshold`` means the
-    instance shows no skew worth partitioning on.
+    instance shows no skew worth partitioning on.  Degrees are read from
+    ``statistics`` (relation name -> :class:`DegreeCatalog`, e.g.
+    ``IndexRegistry.statistics``; built for the call when omitted).
     """
+    statistics = statistics or catalog_lookup(database)
     best: tuple[float, str, float, int] | None = None
     for v in query.variables:
         deg = 0
         size = 0
         for atom in query.atoms_containing(v):
-            relation = database.get(atom.relation)
-            attr = relation.attributes[atom.variables.index(v)]
-            deg = max(deg, max_degree(relation, attr))
-            size = max(size, len(relation))
+            catalog = statistics(atom.relation)
+            attr = catalog.relation.attributes[atom.variables.index(v)]
+            deg = max(deg, catalog.max_degree((attr,)))
+            size = max(size, catalog.cardinality)
         threshold = math.sqrt(size)
         score = deg / threshold if threshold > 0 else 0.0
         if best is None or score > best[0] or (score == best[0] and v < best[1]):

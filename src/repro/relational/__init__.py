@@ -23,11 +23,11 @@ from repro.relational.operators import (
     cartesian_product,
 )
 from repro.relational.statistics import (
+    DegreeCatalog,
     cardinality,
-    database_statistics,
     degree,
+    join_size,
     max_degree,
-    relation_statistics,
     size_bucket,
     statistics_fingerprint,
 )
@@ -49,10 +49,10 @@ __all__ = [
     "intersect_sorted",
     "cartesian_product",
     "cardinality",
-    "database_statistics",
+    "DegreeCatalog",
     "degree",
     "max_degree",
-    "relation_statistics",
+    "join_size",
     "size_bucket",
     "statistics_fingerprint",
 ]

@@ -11,9 +11,11 @@ sets can be *derived from* instances as well as validated against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+import functools
+from collections import Counter
+from itertools import repeat
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.database import Database
@@ -68,6 +70,79 @@ def max_degree(relation: Relation, attribute: str) -> int:
     return max(counts.values()) if counts else 0
 
 
+class DegreeCatalog:
+    """The degree maps of one relation: every statistic the planner reads.
+
+    ``degree_map(x, y)`` maps each X-binding to the number of distinct
+    Y-projections it has (``y`` defaults to all other attributes, i.e. the
+    tuple count).  Max degree, distinct count and ``deg(Y | X)`` are reads
+    of a map; the size of a join on shared attributes is the dot product
+    of two (:func:`join_size`).  Each map is built lazily in one pass and
+    kept, so the catalog is only valid for the relation it was built on —
+    :class:`repro.engine.registry.IndexRegistry` owns one per version.
+    """
+
+    def __init__(self, relation: Relation):
+        self.relation = relation
+        self.cardinality = len(relation)
+        self._maps: dict[tuple, dict] = {}
+
+    def degree_map(self, x_attrs: Sequence[str],
+                   y_attrs: Sequence[str] | None = None) -> dict:
+        """X-binding -> distinct Y count.  A binding is the bare value
+        for one attribute, the tuple in ``x_attrs`` order for several,
+        ``()`` for none."""
+        x = tuple(x_attrs)
+        rest = tuple(a for a in self.relation.attributes if a not in x)
+        y = rest if y_attrs is None else tuple(
+            a for a in rest if a in y_attrs)
+        cached = self._maps.get((x, y))
+        if cached is None:
+            if not x:
+                cached = {(): self.distinct(y)}
+            elif not y:  # nothing to count: one per distinct binding
+                cached = dict.fromkeys(
+                    self.relation.tuples if not rest else self.degree_map(x),
+                    1)
+            else:
+                rows: Iterable[tuple] = self.relation.tuples
+                pick = itemgetter(*self.relation.schema.positions(x))
+                if y != rest:  # partial Y: distinct (X, Y) projections
+                    rows = set(map(itemgetter(
+                        *self.relation.schema.positions(x + y)), rows))
+                    pick = itemgetter(*range(len(x)))
+                cached = dict(Counter(map(pick, rows)))
+            self._maps[(x, y)] = cached
+        return cached
+
+    def max_degree(self, x_attrs: Sequence[str],
+                   y_attrs: Sequence[str] | None = None) -> int:
+        """``deg(Y | X)``; with the default Y, the most tuples sharing one
+        X-binding.  0 on an empty relation."""
+        return max(self.degree_map(x_attrs, y_attrs).values(), default=0)
+
+    def distinct(self, x_attrs: Sequence[str]) -> int:
+        """Number of distinct X-bindings."""
+        if len(x_attrs) == len(self.relation.attributes):
+            return self.cardinality
+        return len(self.degree_map(x_attrs)) if x_attrs else 1
+
+
+def catalog_lookup(database: Database) -> Callable[[str], DegreeCatalog]:
+    """Relation name -> its catalog, built on first use: a throw-away
+    catalog set for one planning call that has no registry to ask."""
+    return functools.cache(lambda name: DegreeCatalog(database.get(name)))
+
+
+def join_size(left: dict, right: dict) -> int:
+    """The dot product of two degree maps keyed on the same attributes:
+    with tuple-count maps, the exact size of the two relations' join on
+    them."""
+    if len(right) < len(left):
+        left, right = right, left
+    return sum(map(mul, left.values(), map(right.get, left, repeat(0))))
+
+
 def is_functional_dependency(relation: Relation, x_attrs: Sequence[str],
                              y_attrs: Sequence[str]) -> bool:
     """True if the relation satisfies the FD ``A_X -> A_Y``.
@@ -77,68 +152,6 @@ def is_functional_dependency(relation: Relation, x_attrs: Sequence[str],
     if len(relation) == 0:
         return True
     return degree(relation, x_attrs, y_attrs) <= 1
-
-
-@dataclass(frozen=True)
-class RelationStatistics:
-    """A summary of the statistics of one relation.
-
-    Attributes
-    ----------
-    name:
-        Relation name.
-    cardinality:
-        Number of tuples.
-    attribute_cardinalities:
-        Distinct count per attribute.
-    degrees:
-        Mapping ``(X, Y) -> deg(A_Y | A_X)`` over all single-attribute X and
-        the remaining attributes Y (the statistics a simple catalog would
-        maintain).
-    """
-
-    name: str
-    cardinality: int
-    attribute_cardinalities: dict[str, int]
-    degrees: dict[tuple[tuple[str, ...], tuple[str, ...]], int]
-
-    def degree_of(self, x_attrs: Sequence[str], y_attrs: Sequence[str]) -> int | None:
-        """Look up a collected degree statistic, or None if absent."""
-        return self.degrees.get((tuple(x_attrs), tuple(y_attrs)))
-
-
-def relation_statistics(relation: Relation, max_key_size: int = 1) -> RelationStatistics:
-    """Collect cardinality and degree statistics from a relation.
-
-    Degrees are collected for every key set X of size at most ``max_key_size``
-    (including the empty key) and, for each X, the Y set of all remaining
-    attributes.  This mirrors what a practical catalog (or the "degree
-    constraints" a query planner would know) looks like.
-    """
-    attrs = relation.attributes
-    attribute_cardinalities = {a: len(relation.column(a)) for a in attrs}
-    degrees: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-    degrees[((), attrs)] = len(relation)
-    for size in range(1, min(max_key_size, len(attrs) - 1) + 1):
-        for x in combinations(attrs, size):
-            y = tuple(a for a in attrs if a not in x)
-            if not y:
-                continue
-            degrees[(x, attrs)] = degree(relation, x, attrs)
-            degrees[(x, y)] = degree(relation, x, y)
-    return RelationStatistics(
-        name=relation.name,
-        cardinality=len(relation),
-        attribute_cardinalities=attribute_cardinalities,
-        degrees=degrees,
-    )
-
-
-def database_statistics(database: Database, max_key_size: int = 1
-                        ) -> dict[str, RelationStatistics]:
-    """Collect :func:`relation_statistics` for every relation in the catalog."""
-    return {rel.name: relation_statistics(rel, max_key_size=max_key_size)
-            for rel in database}
 
 
 def size_bucket(n: int) -> int:

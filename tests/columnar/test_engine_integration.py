@@ -30,9 +30,10 @@ class TestExplain:
         assert explanation.backend_fallback is None
         rendered = explanation.render()
         assert "backend:        columnar" in rendered
-        # Both backends' priced envelopes appear in the cost estimates.
-        assert explanation.costs["backend[columnar]"] < \
-            explanation.costs["backend[python]"]
+        # Both backends' predictions appear in the cost estimates; on
+        # seven rows the kernel's fixed per-level cost is the larger.
+        assert explanation.costs["backend[python]"] < \
+            explanation.costs["backend[columnar]"] < float("inf")
         assert "backend[columnar]" in rendered
         assert "backend[python]" in rendered
 

@@ -1,11 +1,11 @@
-"""The selectivity-aware WCOJ envelope (degree-aware bound on the filtered
+"""The selectivity-aware WCOJ envelope (simulated over the filtered
 instance).
 
 The dispatcher used to price WCOJ strategies with the unfiltered AGM bound
-even when a selective constant shrank every scan; the envelope is now the
-degree-aware output-size bound of the instance with single-atom selections
+even when a selective constant shrank every scan; the envelope is the
+per-level simulation over the instance with single-atom selections
 applied, min'd with the unfiltered AGM bound — so selective queries get
-honestly smaller WCOJ estimates while unselective ones are unchanged.
+honestly smaller WCOJ estimates and unselective ones never exceed AGM.
 """
 
 from repro.bounds.agm import agm_bound

@@ -4,9 +4,10 @@ Satellite regression of the component-factorization PR: an empty relation
 (or one a selection filters out entirely) forces an empty join, so the
 dispatcher's envelope must be exactly zero — previously a zero-bound
 degree constraint reached the LP layer as a ``log2 0 = -inf`` coefficient
-and scipy's ``linprog`` raised ``ValueError``.  The cyclic-constraint
-fallback (``dc.is_acyclic()`` false) is also pinned to still return
-``min(AGM, degree-aware bound of the filtered instance)``.
+and scipy's ``linprog`` raised ``ValueError``.  Data-derived constraint
+sets are cyclic (``dc.is_acyclic()`` false), which is why the envelope is
+no longer asked of them: it is ``min(AGM, simulated levels of the
+filtered instance)`` and must still respect the filter.
 """
 
 import math
@@ -106,9 +107,9 @@ class TestSelectionEnvelope:
 
     def test_cyclic_fallback_still_returns_min_of_agm_and_filtered(self):
         # Binary atoms derive both conditioning directions, so the
-        # data-derived constraint graph is cyclic and the envelope falls
-        # back to the filtered instance's AGM — which must still be
-        # min'd against the unfiltered bound and respect the filter.
+        # data-derived constraint graph is cyclic (the degree-aware LP
+        # never applied); the envelope simulated over the filtered scans
+        # must still sit under the unfiltered bound and respect the filter.
         spec = Query.coerce("Q(A,B,C) :- R(A,B), S(B,C), A == 0")
         database = Database([
             Relation("R", ("a", "b"),

@@ -1,8 +1,10 @@
 """Tests for the version-checked index registry."""
 
+from repro.engine import Engine
 from repro.engine.registry import IndexRegistry
 from repro.relational.database import Database
 from repro.relational.relation import Relation
+from repro.relational.statistics import DegreeCatalog
 
 
 def make_database():
@@ -81,6 +83,56 @@ class TestInvalidation:
         registry.trie("S", ("B", "C"))
         database.replace(Relation("S", ("B", "C"), [(9, 9)]))
         assert registry.warm_layouts() == [("R", ("A", "B"))]
+
+
+class TestStatisticsCatalog:
+    def test_one_catalog_per_relation_version(self):
+        database = make_database()
+        registry = IndexRegistry(database)
+        catalog = registry.statistics("R")
+        assert registry.statistics("R") is catalog
+        assert catalog.degree_map(("A",)) == {1: 1, 2: 1, 3: 1}
+        assert registry.builds == 0  # statistics are not index builds
+
+    def test_rebuilt_after_apply_delta_never_served_across_versions(self):
+        database = make_database()
+        registry = IndexRegistry(database)
+        stale = registry.statistics("R")
+        database.apply_delta("R", inserts=[(1, 9)], deletes=[(3, 1)])
+        fresh = registry.statistics("R")
+        assert fresh is not stale
+        assert fresh.cardinality == 3
+        assert fresh.degree_map(("A",)) == {1: 2, 2: 1}
+        assert registry.statistics("S") is registry.statistics("S")
+
+    def test_invalidate_drops_catalogs(self):
+        registry = IndexRegistry(make_database())
+        r, s = registry.statistics("R"), registry.statistics("S")
+        assert registry.invalidate("R") == 0  # catalogs are not indexes
+        assert registry.statistics("R") is not r
+        assert registry.statistics("S") is s
+        registry.invalidate()
+        assert registry.statistics("S") is not s
+
+
+    def test_a_cold_session_keeps_the_catalogs_its_first_dispatch_built(
+            self, monkeypatch):
+        # An index-less registry is empty (``len() == 0``) but not absent:
+        # pricing must fill *it*, once per relation, not a throw-away.
+        built = []
+        init = DegreeCatalog.__init__
+        monkeypatch.setattr(
+            DegreeCatalog, "__init__",
+            lambda self, relation: (built.append(relation.name),
+                                    init(self, relation))[1])
+        engine = Engine(make_database())
+        assert len(engine.registry) == 0
+        engine.explain("Q(A,B,C) :- R(A,B), S(B,C)")
+        assert sorted(built) == ["R", "S"]
+        kept = engine.registry.statistics("R")
+        engine.explain("Q(A,C) :- R(A,B), S(B,C)")
+        assert engine.registry.statistics("R") is kept
+        assert sorted(built) == ["R", "S"]
 
 
 class TestDatabaseVersions:

@@ -1,10 +1,13 @@
-"""The hybrid envelope in the cost model.
+"""The hybrid estimate in the cost model.
 
-The heavy/light envelope must behave like the theory says: on skewed
-statistics it undercuts every pure strategy (that is its reason to
-exist), on uniform statistics it is infeasible (no value beats the
-|R|^(1/2) threshold, so the split would degenerate into pure work plus
-partition passes), and its side terms decompose the reported total.
+The heavy/light estimate must behave like the theory says: where a few
+fat keys make the recursion grind out output-free expansions it
+undercuts every pure strategy (that is its reason to exist); on Zipf
+triangles Generic-Join already absorbs the heavy/light trick (Skew
+Strikes Back) and is priced — and measured — below it; on uniform
+statistics it is infeasible (no value beats the |R|^(1/2) threshold, so
+the split would degenerate into pure work plus partition passes); and
+its side terms decompose the reported total.
 """
 
 import pytest
@@ -34,12 +37,18 @@ def uniform_triangle(vertices=60, edges=240):
 class TestSkewedEnvelope:
     @pytest.mark.parametrize("skew", (1.2, 1.5, 2.0))
     @pytest.mark.parametrize("n", (300, 600))
-    def test_hybrid_undercuts_every_pure_strategy_on_zipf(self, skew, n):
+    def test_generic_join_absorbs_the_split_on_zipf_triangles(self, skew, n):
+        # This test used to pin ``hybrid`` here.  Measured on these six
+        # instances (forced modes, warm): generic 1.6-3.9 k operations in
+        # 2.4-5.5 ms, hybrid 11.9-27.2 k in 6.4-17.6 ms — the partition
+        # passes and per-key sub-plans cost more than the hubs they save.
         query, database = zipf_triangle_instance(n, skew=skew, seed=0)
         decision = dispatch(query, database)
-        best_pure = min(decision.costs[s] for s in PURE)
-        assert decision.costs["hybrid"] < best_pure
-        assert decision.strategy == "hybrid"
+        assert decision.costs["generic"] < decision.costs["hybrid"] \
+            < float("inf")
+        assert decision.strategy == "generic"
+        assert decision.costs["generic"] == min(
+            decision.costs[s] for s in PURE)
 
     def test_hybrid_wins_on_single_hub_star_stats(self):
         # The classic skew-strikes-back star: one hub makes every

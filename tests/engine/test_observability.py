@@ -72,8 +72,8 @@ class TestMetrics:
     def test_query_and_cache_counters(self, small_triangle_instance):
         query, database, _ = small_triangle_instance
         engine = Engine(database)
-        engine.execute(query)
-        engine.execute(query)
+        engine.execute(query, mode="generic")  # an index-building plan
+        engine.execute(query, mode="generic")
         snapshot = engine.metrics_snapshot()
         assert snapshot["repro_queries_total"] == 2
         assert snapshot['repro_plan_cache_lookups_total{outcome="miss"}'] == 1
@@ -98,7 +98,7 @@ class TestMetrics:
     def test_gauges_reflect_cache_occupancy(self, small_triangle_instance):
         query, database, _ = small_triangle_instance
         engine = Engine(database)
-        engine.execute(query)
+        engine.execute(query, mode="generic")
         snapshot = engine.metrics_snapshot()
         assert snapshot["repro_plan_cache_entries"] == 1
         assert snapshot["repro_result_cache_entries"] == 1
@@ -107,11 +107,44 @@ class TestMetrics:
     def test_invalidate_event_on_replace(self, small_triangle_instance):
         query, database, _ = small_triangle_instance
         engine = Engine(database)
-        engine.execute(query)
+        engine.execute(query, mode="generic")
         engine.replace_relation(
             Relation("R", ("A", "B"), [(1, 1)]))
         snapshot = engine.metrics_snapshot()
         assert snapshot['repro_index_events_total{event="invalidate"}'] > 0
+
+    def test_calibration_and_regret_recorded_on_counted_runs(
+            self, small_triangle_instance):
+        query, database, _ = small_triangle_instance
+        engine = Engine(database, collect_operations=True,
+                        cache_results=False)
+        strategy = engine.explain(query).strategy
+        engine.execute(query)
+        snapshot = engine.metrics_snapshot()
+        ratio = snapshot[
+            f'repro_dispatch_calibration_ratio{{strategy="{strategy}"}}']
+        assert ratio["count"] == 1 and ratio["sum"] > 0
+        assert snapshot["repro_dispatch_regret_ops"] >= 0
+        # A forced plan carries no prediction; an uncounted run no actual.
+        engine.execute(query, mode="leapfrog")
+        quiet = Engine(database, cache_results=False)
+        quiet.execute(query)
+        assert not any("calibration" in name and "leapfrog" in name
+                       for name in engine.metrics_snapshot())
+        assert not any("calibration" in name
+                       for name in quiet.metrics_snapshot())
+
+    def test_explain_shows_predicted_and_measured_milliseconds(
+            self, small_triangle_instance):
+        query, database, _ = small_triangle_instance
+        engine = Engine(database)
+        plain = engine.explain(query)
+        line = next(l for l in plain.render().splitlines()
+                    if l.startswith("cost estimates:"))
+        assert f"{plain.strategy}={plain.costs[plain.strategy]:.4g} ms" in line
+        assert "ops[" not in line and "measured" not in line
+        analyzed = engine.explain(query, analyze=True).render()
+        assert "ms (measured " in analyzed and "calibration " in analyzed
 
     def test_anyk_delay_histograms_populate(self):
         edges = [(i, j) for i in range(6) for j in range(6)]

@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
+from repro.relational.operators import natural_join
 from repro.relational.relation import Relation
 from repro.relational.statistics import (
+    DegreeCatalog,
     cardinality,
     degree,
     is_functional_dependency,
+    join_size,
     max_degree,
-    relation_statistics,
 )
 
 
@@ -62,15 +64,15 @@ class TestDegree:
 
 class TestRelationStatistics:
     def test_summary_contains_cardinality_and_degrees(self, orders):
-        stats = relation_statistics(orders)
+        stats = DegreeCatalog(orders)
         assert stats.cardinality == 4
-        assert stats.attribute_cardinalities["customer"] == 2
-        assert stats.degree_of((), ("customer", "order", "item")) == 4
-        assert stats.degree_of(("customer",), ("order", "item")) == 2
+        assert stats.distinct(("customer",)) == 2
+        assert stats.max_degree((), ("customer", "order", "item")) == 4
+        assert stats.max_degree(("customer",), ("order", "item")) == 2
 
-    def test_degree_of_missing_key_returns_none(self, orders):
-        stats = relation_statistics(orders)
-        assert stats.degree_of(("customer", "order"), ("item",)) is None
+    def test_composite_keys_are_built_on_demand(self, orders):
+        stats = DegreeCatalog(orders)
+        assert stats.max_degree(("customer", "order"), ("item",)) == 2
 
     @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
@@ -81,3 +83,47 @@ class TestRelationStatistics:
         assert per_a * len(relation.column("A")) >= len(relation)
         # Degree never exceeds total distinct B values.
         assert per_a <= len(relation.column("B"))
+
+
+TRIPLES = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                            st.integers(0, 4)), max_size=40)
+
+
+class TestDegreeCatalog:
+    """The planner's catalog: every read equals the one-shot functions."""
+
+    @given(TRIPLES)
+    @settings(max_examples=60, deadline=None)
+    def test_reads_equal_degree_and_max_degree(self, tuples):
+        relation = Relation("R", ("A", "B", "C"), tuples)
+        catalog = DegreeCatalog(relation)
+        assert catalog.cardinality == len(relation)
+        for x, y in ((("A",), ("B", "C")), (("A",), ("B",)),
+                     (("B", "C"), ("A",)), ((), ("A", "C")),
+                     (("C",), ("A", "B"))):
+            assert catalog.max_degree(x, y) == degree(relation, x, y)
+        for attribute in relation.attributes:
+            assert catalog.max_degree((attribute,)) \
+                == max_degree(relation, attribute)
+            assert catalog.distinct((attribute,)) \
+                == len(relation.column(attribute))
+        assert catalog.distinct(("A", "B")) == len(relation.columns(("A", "B")))
+
+    @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                   max_size=30),
+           st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                   max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_dot_product_is_the_join_size(self, left, right):
+        r = Relation("R", ("A", "B"), left)
+        s = Relation("S", ("B", "C"), right)
+        assert join_size(DegreeCatalog(r).degree_map(("B",)),
+                         DegreeCatalog(s).degree_map(("B",))) \
+            == len(natural_join(r, s))
+
+    def test_maps_are_built_once(self, orders):
+        catalog = DegreeCatalog(orders)
+        assert catalog.degree_map(("customer",)) \
+            is catalog.degree_map(("customer",), ("order", "item"))
+        assert catalog.degree_map(("customer",)) == {1: 2, 2: 2}
+        assert catalog.degree_map(("customer",), ("order",)) == {1: 2, 2: 1}
