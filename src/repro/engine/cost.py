@@ -176,18 +176,18 @@ _COST_CAP = 1e30
 #: is the rate of the WCOJ recursion under either intersection primitive:
 #: Leapfrog's wall is 0.85-1.17x Generic-Join's on the calibration shapes
 #: and its operation count 0.5-1.9x, unrelated — one price for the two.
-# provenance: commit ecb8685-dirty, python 3.11.7, x86_64 x2, tools/calibrate_costs.py
+# provenance: commit 8dcc2c1-dirty, python 3.11.7, x86_64 x2, tools/calibrate_costs.py
 COST_TABLE = {
-    "naive": 6.641e-07,  # 1.51 M/s
-    "binary": 8.315e-07,  # 1.20 M/s
-    "generic": 1.881e-06,  # 0.53 M/s
-    "yannakakis": 1.050e-06,  # 0.95 M/s
-    "hybrid": 9.035e-07,  # 1.11 M/s
-    "columnar": 2.443e-07,  # 4.09 M/s
-    "columnar.level": 7.002e-05,
-    "fold.row": 7.108e-07,  # 1.41 M/s
-    "trie.row": 1.675e-06,  # 0.60 M/s
-    "layout.row": 7.242e-07,  # 1.38 M/s
+    "naive": 6.645e-07,  # 1.50 M/s
+    "binary": 8.426e-07,  # 1.19 M/s
+    "generic": 1.292e-06,  # 0.77 M/s
+    "yannakakis": 1.022e-06,  # 0.98 M/s
+    "hybrid": 8.172e-07,  # 1.22 M/s
+    "columnar": 2.225e-07,  # 4.49 M/s
+    "columnar.level": 6.988e-05,
+    "fold.row": 7.646e-07,  # 1.31 M/s
+    "trie.row": 5.778e-07,  # 1.73 M/s
+    "layout.row": 4.309e-07,  # 2.32 M/s
 }
 
 #: Counted operations per input tuple of Yannakakis' three entry points

@@ -28,6 +28,7 @@ from repro.constraints.dependency_graph import (
     order_is_compatible,
 )
 from repro.errors import ConstraintError
+from repro.joins.generic_join import hash_probe_intersect
 from repro.joins.instrumentation import OperationCounter
 from repro.query.atoms import ConjunctiveQuery
 from repro.relational.database import Database
@@ -129,19 +130,14 @@ def backtracking_search(query: ConjunctiveQuery, database: Database,
     binding: dict[str, Any] = {}
 
     def candidates_for(variable: str) -> list[Any]:
-        value_lists: list[list[Any]] = []
+        nodes = []
         for trie, y_order in bounding[variable]:
             level = y_order.index(variable)
-            prefix = tuple(binding[v] for v in y_order[:level])
-            value_lists.append(trie.values(prefix))
-        value_lists.sort(key=len)
-        smallest = value_lists[0]
-        if counter is not None:
-            counter.charge(intersection_steps=len(smallest))
-        if len(value_lists) == 1:
-            return list(smallest)
-        other_sets = [set(lst) for lst in value_lists[1:]]
-        return [v for v in smallest if all(v in s for s in other_sets)]
+            node = trie.node(tuple(binding[v] for v in y_order[:level]))
+            if node is None:  # X was bound by other constraints' guards
+                return []
+            nodes.append(node)
+        return hash_probe_intersect(nodes, counter)
 
     def search(depth: int) -> None:
         if depth == len(order):

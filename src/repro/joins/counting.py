@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.joins.generic_join import hash_probe_intersect
 from repro.joins.instrumentation import OperationCounter
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.variable_order import min_degree_order, validate_order
@@ -56,22 +57,16 @@ class _JoinTraversal:
         self.binding: dict[str, Any] = {}
 
     def candidates(self, variable: str) -> list[Any]:
-        value_lists = []
+        nodes = []
         for edge_key in self.relevant[variable]:
             atom_order = self.trie_orders[edge_key]
             depth = atom_order.index(variable)
             prefix = tuple(self.binding[v] for v in atom_order[:depth])
-            value_lists.append(self.tries[edge_key].values(prefix))
-        if not value_lists:
-            return []
-        value_lists.sort(key=len)
-        smallest = value_lists[0]
-        if self.counter is not None:
-            self.counter.charge(intersection_steps=len(smallest))
-        if len(value_lists) == 1:
-            return list(smallest)
-        others = [set(lst) for lst in value_lists[1:]]
-        return [v for v in smallest if all(v in s for s in others)]
+            node = self.tries[edge_key].node(prefix)
+            if node is None:
+                return []
+            nodes.append(node)
+        return hash_probe_intersect(nodes, self.counter)
 
 
 def count_join(query: ConjunctiveQuery, database: Database,

@@ -54,7 +54,7 @@ from repro.query.semiring import (
 from repro.query.terms import pinned_constants
 from repro.query.variable_order import min_degree_order, validate_order
 from repro.relational.database import Database
-from repro.relational.index import TrieIndex
+from repro.relational.index import TrieIndex, TrieNode
 from repro.relational.relation import Relation
 
 
@@ -92,7 +92,8 @@ _BOOLEAN_FACTORS = ((frozenset(), lambda _subset: (lambda: True)),)
 
 
 def wcoj_stream(query: ConjunctiveQuery, database: Database,
-                intersect: Callable[[list, OperationCounter | None], list],
+                intersect: Callable[[Sequence[TrieNode],
+                                     OperationCounter | None], list],
                 order: Sequence[str] | None = None,
                 counter: OperationCounter | None = None,
                 tries: Mapping[str, TrieIndex] | None = None,
@@ -108,9 +109,10 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
     the intersection of the per-atom candidate sets (the paper's single
     algorithmic assumption); everything else — trie resolution, the
     relevant-atom map, the suspending recursion, in-recursion semiring
-    elimination — is this one generator.  ``intersect(value_lists,
-    counter)`` supplies that primitive: it receives the per-atom sorted
-    value lists and returns their intersection.
+    elimination — is this one generator.  ``intersect(nodes, counter)``
+    supplies that primitive: it receives the per-atom trie nodes the
+    stream's cursors sit on and returns the sorted intersection of their
+    next-level values.
 
     Selections (:class:`~repro.query.terms.Comparison` predicates over the
     query variables) are pushed into the recursion at the *binding* level:
@@ -185,11 +187,18 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
 
     trie_map, trie_orders = resolve_tries(query, database, order, tries)
 
-    # For each variable, the atoms whose candidate sets constrain it.
-    relevant: dict[str, list[str]] = {v: [] for v in order}
+    # One cursor per atom: slot d holds the TrieNode reached by the atom's
+    # first d bound variables (slot 0 is the root).  ``levels`` lists, per
+    # variable, the (cursor, depth, parent variable) of every atom whose
+    # candidate set constrains it.  Cursors belong to this stream — the
+    # tries are shared with every other stream reading the registry.
+    levels: dict[str, list[tuple[list, int, str | None]]] = {
+        v: [] for v in order}
     for edge_key, atom_order in trie_orders.items():
-        for v in atom_order:
-            relevant[v].append(edge_key)
+        cursor = [trie_map[edge_key].root] * len(atom_order)
+        for depth, v in enumerate(atom_order):
+            levels[v].append(
+                (cursor, depth, atom_order[depth - 1] if depth else None))
 
     variables = query.variables
     binding: dict[str, Any] = {}
@@ -216,14 +225,20 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
 
     pinned = pinned_constants(selections)
 
+    def nodes_at(variable: str) -> list[TrieNode]:
+        """Seat every relevant atom's cursor on ``variable``'s level: one
+        ``children`` lookup from the slot its parent level seated.  The
+        parent's value came out of an intersection this atom took part
+        in, so the child is always there."""
+        nodes = []
+        for cursor, depth, parent in levels[variable]:
+            if depth:
+                cursor[depth] = cursor[depth - 1].children[binding[parent]]
+            nodes.append(cursor[depth])
+        return nodes
+
     def candidates_for(variable: str) -> list[Any]:
-        value_lists: list[list[Any]] = []
-        for edge_key in relevant[variable]:
-            atom_order = trie_orders[edge_key]
-            depth = atom_order.index(variable)
-            prefix = tuple(binding[v] for v in atom_order[:depth])
-            value_lists.append(trie_map[edge_key].values(prefix))
-        return intersect(value_lists, counter)
+        return intersect(nodes_at(variable), counter)
 
     if pinned:
         # A constant is a singleton relation: its level is one seek per
@@ -235,15 +250,13 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             if variable not in pinned:
                 return enumerate_level(variable)
             target = pinned[variable]
+            nodes = nodes_at(variable)
             if counter is not None:
-                counter.charge(seeks=len(relevant[variable]))
+                counter.charge(seeks=len(nodes))
             stored: list[Any] = []
-            for edge_key in relevant[variable]:
-                atom_order = trie_orders[edge_key]
-                depth = atom_order.index(variable)
-                prefix = tuple(binding[v] for v in atom_order[:depth])
+            for node in nodes:
                 try:
-                    found = trie_map[edge_key].seek(prefix, target)
+                    found = node.seek(target)
                 except TypeError:  # constant unorderable against the column
                     return []
                 if found is None or found != target:
@@ -252,7 +265,10 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             return stored[:1]  # the stored value, never the query literal
 
     def passes(depth: int) -> bool:
-        return all(sel.evaluate(binding) for sel in checks_at[depth])
+        for sel in checks_at[depth]:
+            if not sel.evaluate(binding):
+                return False
+        return True
 
     def make_eliminator(start: int, semirings: Sequence,
                         lifts: Sequence[Callable[[], Any]],
@@ -653,6 +669,10 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             _priority, _tick, depth, values = heapq.heappop(heap)
             binding.clear()
             binding.update(zip(order[:depth], values))
+            # The one binding that does not come from the level above:
+            # re-seat the cursors along the restored prefix.
+            for variable in order[:depth]:
+                nodes_at(variable)
             if depth == ob_depth:
                 # Distinct pops carry distinct keys (the key variables are
                 # the only branching prefix variables), so one pop is one
@@ -812,23 +832,30 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
         yield from recurse(0, recurse)
 
 
-def hash_probe_intersect(value_lists: list,
+def hash_probe_intersect(nodes: Sequence[TrieNode],
                          counter: OperationCounter | None = None) -> list:
-    """Intersect sorted value lists smallest-first with hash probes.
+    """Intersect the next-level values of trie nodes with hash probes.
 
     This is Generic-Join's realization of the O(min size) intersection
-    assumption: iterate the smallest list and probe the others as sets.
+    assumption: iterate the smallest node's ``sorted_keys`` and probe the
+    other nodes' ``children`` maps — nothing is built, sorted or copied,
+    so the work is the ``len(smallest)`` steps charged.  The result is
+    sorted and must not be mutated (it may be a node's own key list).
     """
-    if not value_lists:
+    if not nodes:
         return []
-    value_lists = sorted(value_lists, key=len)
-    smallest = value_lists[0]
+    smallest = nodes[0]
+    for node in nodes:
+        if len(node.sorted_keys) < len(smallest.sorted_keys):
+            smallest = node
+    keys = smallest.sorted_keys
     if counter is not None:
-        counter.charge(intersection_steps=len(smallest))
-    if len(value_lists) == 1:
-        return list(smallest)
-    other_sets = [set(lst) for lst in value_lists[1:]]
-    return [v for v in smallest if all(v in s for s in other_sets)]
+        counter.charge(intersection_steps=len(keys))
+    for node in nodes:
+        if node is not smallest:
+            probe = node.children
+            keys = [v for v in keys if v in probe]
+    return keys
 
 
 def generic_join_stream(query: ConjunctiveQuery, database: Database,

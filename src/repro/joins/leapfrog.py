@@ -25,7 +25,7 @@ from repro.joins.instrumentation import OperationCounter
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.semiring import Aggregate
 from repro.relational.database import Database
-from repro.relational.index import TrieIndex
+from repro.relational.index import TrieIndex, TrieNode
 from repro.relational.relation import Relation
 
 
@@ -97,6 +97,12 @@ def leapfrog_intersect(sorted_lists: Sequence[Sequence[Any]],
     return result
 
 
+def _leapfrog_nodes(nodes: Sequence[TrieNode],
+                    counter: OperationCounter | None = None) -> list[Any]:
+    """The leapfrog probe policy over the nodes ``wcoj_stream`` holds."""
+    return leapfrog_intersect([node.sorted_keys for node in nodes], counter)
+
+
 def leapfrog_stream(query: ConjunctiveQuery, database: Database,
                     order: Sequence[str] | None = None,
                     counter: OperationCounter | None = None,
@@ -115,15 +121,15 @@ def leapfrog_stream(query: ConjunctiveQuery, database: Database,
     projection, in-recursion semiring ``aggregates`` with
     component-``factorize``d elimination, any-k ``ranked``
     enumeration, and per-variable search-node attribution under a
-    ``counter`` with ``detail`` set); the difference is purely in how the
-    per-variable
-    intersections are computed (sorted leapfrog seeks instead of hash
-    probes), which is the design-choice ablation benchmarked in
+    ``counter`` with ``detail`` set); the difference is purely in the
+    probe policy over the same trie nodes (leapfrog seeks in their
+    ``sorted_keys`` instead of hash probes of their ``children``), which
+    is the design-choice ablation benchmarked in
     ``benchmarks/bench_intersection.py``.  Both share the
     variable-at-a-time recursion of
     :func:`repro.joins.generic_join.wcoj_stream`.
     """
-    return wcoj_stream(query, database, leapfrog_intersect,
+    return wcoj_stream(query, database, _leapfrog_nodes,
                        order=order, counter=counter, tries=tries,
                        selections=selections, head=head,
                        aggregates=aggregates, ranked=ranked,

@@ -19,7 +19,6 @@ from repro.relational.operators import (
     semijoin,
     union,
     difference,
-    intersect_sorted,
     cartesian_product,
 )
 from repro.relational.statistics import (
@@ -46,7 +45,6 @@ __all__ = [
     "semijoin",
     "union",
     "difference",
-    "intersect_sorted",
     "cartesian_product",
     "cardinality",
     "DegreeCatalog",

@@ -5,16 +5,33 @@ the paper's single algorithmic assumption ("we can loop through the
 intersection of two sets X and Y in time O(min(|X|, |Y|))", Section 2):
 
 * :class:`HashIndex` — a hash map from key-attribute values to the set of
-  matching tuples.  Intersections iterate the smaller set and probe the
-  other, as in hash-based Generic-Join.
-* :class:`TrieIndex` — a sorted nested-dictionary trie over a fixed
-  attribute order, exposing sorted value lists per prefix.  This is the
-  storage layout assumed by Leapfrog Triejoin.
+  matching tuples: the lookup structure of the binary-join executors and
+  of constant-bound scans.
+* :class:`TrieIndex` — a trie over a fixed attribute order whose every
+  :class:`TrieNode` carries its next-level values twice: ``sorted_keys``
+  (a sorted list — what Leapfrog Triejoin seeks in, and what any
+  intersection iterates) and ``children`` (a hash map keyed by the same
+  values, in the same order — what hash-based Generic-Join probes).  The
+  WCOJ recursion holds on to *nodes*: it iterates the smallest node's
+  ``sorted_keys`` and tests membership in the other nodes' ``children``
+  (:func:`repro.joins.generic_join.hash_probe_intersect`), which is the
+  O(min) loop the assumption asks for with nothing rebuilt per search
+  node, and it descends with one ``children`` lookup per level (a cursor
+  per atom, owned by the stream — the index itself is immutable and
+  shared).
+
+A trie is built from the projected rows ``sorted()`` once and grouped
+level by level, so children are inserted in sorted order
+(``sorted_keys`` is the insertion order of ``children``), counts are
+summed bottom-up, and the last level's children share one leaf node
+instead of owning a node, a dict and a list per stored tuple.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import SchemaError
@@ -92,20 +109,50 @@ class HashIndex:
 
 
 class TrieNode:
-    """A node of a :class:`TrieIndex`: sorted children keyed by value."""
+    """A node of a :class:`TrieIndex`: its next-level values as a sorted
+    list (``sorted_keys``) and as a hash map to the child nodes
+    (``children``, same keys in the same order), plus the number of
+    (projected) tuples below it.  Immutable once built."""
 
     __slots__ = ("children", "sorted_keys", "count")
 
-    def __init__(self) -> None:
-        self.children: dict[Value, "TrieNode"] = {}
-        self.sorted_keys: list[Value] = []
-        self.count: int = 0
+    def __init__(self, children: dict[Value, "TrieNode"],
+                 sorted_keys: list[Value], count: int) -> None:
+        self.children = children
+        self.sorted_keys = sorted_keys
+        self.count = count
 
-    def freeze(self) -> None:
-        """Sort child keys (called once after construction) and recurse."""
-        self.sorted_keys = sorted(self.children.keys())
-        for child in self.children.values():
-            child.freeze()
+    def seek(self, lower_bound: Value) -> Value | None:
+        """Least next-level value >= ``lower_bound`` (None when there is
+        none): Leapfrog Triejoin's galloping primitive."""
+        keys = self.sorted_keys
+        i = bisect.bisect_left(keys, lower_bound)
+        return keys[i] if i < len(keys) else None
+
+
+#: The node below every last-level value that stands for one tuple.
+_LEAF = TrieNode({}, [], 1)
+
+
+def _build_node(rows: Iterable[tuple], level: int, last: int) -> TrieNode:
+    """The node over ``rows``: sorted, agreeing on the columns before
+    ``level``, consumed once (a :func:`itertools.groupby` run will do)."""
+    if level == last:
+        keys = [row[level] for row in rows]
+        children = dict.fromkeys(keys, _LEAF)
+        if len(children) == len(keys):
+            return TrieNode(children, keys, len(keys))
+        # Only a proper projection repeats rows (tests build them, nothing
+        # under ``src/`` does): a repeated value's leaf carries how many.
+        for key, run in groupby(keys):
+            n = len(list(run))
+            if n > 1:
+                children[key] = TrieNode({}, [], n)
+        return TrieNode(children, list(children), len(keys))
+    children = {key: _build_node(run, level + 1, last)
+                for key, run in groupby(rows, key=itemgetter(level))}
+    return TrieNode(children, list(children),
+                    sum(child.count for child in children.values()))
 
 
 class TrieIndex:
@@ -124,9 +171,15 @@ class TrieIndex:
     order:
         Attribute order for trie levels.  Must be a subset (usually all) of
         the relation's attributes; tuples are first projected onto ``order``.
+
+    Attributes
+    ----------
+    root:
+        The :class:`TrieNode` of the empty prefix, where the WCOJ
+        recursion's cursors start.
     """
 
-    __slots__ = ("_relation", "_order", "_root")
+    __slots__ = ("_relation", "_order", "root")
 
     def __init__(self, relation: Relation, order: Sequence[str]):
         self._relation = relation
@@ -138,20 +191,14 @@ class TrieIndex:
                     f"schema {relation.attributes}"
                 )
         positions = relation.schema.positions(self._order)
-        root = TrieNode()
-        for t in relation:
-            node = root
-            node.count += 1
-            for p in positions:
-                value = t[p]
-                child = node.children.get(value)
-                if child is None:
-                    child = TrieNode()
-                    node.children[value] = child
-                child.count += 1
-                node = child
-        root.freeze()
-        self._root = root
+        if not positions:
+            self.root = TrieNode({}, [], len(relation))
+            return
+        if len(positions) == 1:
+            rows = sorted([(t[positions[0]],) for t in relation])
+        else:
+            rows = sorted(map(itemgetter(*positions), relation))
+        self.root = _build_node(rows, 0, len(positions) - 1)
 
     @property
     def relation(self) -> Relation:
@@ -163,8 +210,9 @@ class TrieIndex:
         """The attribute order of the trie levels."""
         return self._order
 
-    def _node(self, prefix: Sequence[Value]) -> TrieNode | None:
-        node = self._root
+    def node(self, prefix: Sequence[Value] = ()) -> TrieNode | None:
+        """The node reached by ``prefix`` (None when no tuple extends it)."""
+        node = self.root
         for value in prefix:
             node = node.children.get(value)
             if node is None:
@@ -177,24 +225,24 @@ class TrieIndex:
         ``prefix`` binds the first ``len(prefix)`` attributes of the trie
         order; an unknown prefix yields an empty list.
         """
-        node = self._node(prefix)
+        node = self.node(prefix)
         if node is None:
             return []
         return node.sorted_keys
 
     def count(self, prefix: Sequence[Value] = ()) -> int:
         """Number of (projected) tuples extending ``prefix``."""
-        node = self._node(prefix)
+        node = self.node(prefix)
         return 0 if node is None else node.count
 
     def num_children(self, prefix: Sequence[Value] = ()) -> int:
         """Number of distinct next-level values under ``prefix``."""
-        node = self._node(prefix)
+        node = self.node(prefix)
         return 0 if node is None else len(node.sorted_keys)
 
     def contains_prefix(self, prefix: Sequence[Value]) -> bool:
         """True if some tuple extends ``prefix``."""
-        return self._node(prefix) is not None
+        return self.node(prefix) is not None
 
     def seek(self, prefix: Sequence[Value], lower_bound: Value) -> Value | None:
         """Least next-level value >= ``lower_bound`` under ``prefix``.
@@ -202,14 +250,8 @@ class TrieIndex:
         This is the primitive Leapfrog Triejoin uses for galloping; returns
         ``None`` when no such value exists.
         """
-        node = self._node(prefix)
-        if node is None:
-            return None
-        keys = node.sorted_keys
-        i = bisect.bisect_left(keys, lower_bound)
-        if i >= len(keys):
-            return None
-        return keys[i]
+        node = self.node(prefix)
+        return None if node is None else node.seek(lower_bound)
 
 
 def build_tries(relations: Iterable[Relation], global_order: Sequence[str]

@@ -152,24 +152,6 @@ def cartesian_product(left: Relation, right: Relation, name: str | None = None,
     return Relation(name or f"({left.name} X {right.name})", out_schema, result)
 
 
-def intersect_sorted(lists: Sequence[Sequence[Value]],
-                     counter: "OperationCounter | None" = None) -> list[Value]:
-    """Intersect several sorted, duplicate-free value lists.
-
-    The iteration starts from the smallest list and probes the others using
-    hash sets, honouring the paper's O(min size) intersection assumption.
-    Returns a sorted list.
-    """
-    if not lists:
-        return []
-    ordered = sorted(lists, key=len)
-    smallest = ordered[0]
-    others = [set(lst) for lst in ordered[1:]]
-    _charge(counter, intersection_steps=len(smallest))
-    result = [v for v in smallest if all(v in o for o in others)]
-    return result
-
-
 def intersect_value_sets(sets: Sequence[Iterable[Value]],
                          counter: "OperationCounter | None" = None) -> set[Value]:
     """Intersect several value collections, iterating the smallest one."""

@@ -65,6 +65,23 @@ def test_counter_honesty_ignores_unmeasured_packages():
     assert list(CounterHonestyChecker().check_file(ctx)) == []
 
 
+def test_counter_honesty_sees_materialising_calls_on_node_values():
+    ctx = _ctx("counter_set_bad.py", "src/repro/joins/fixture.py")
+    messages = _messages(CounterHonestyChecker().check_file(ctx))
+    assert len(messages) == 3
+    assert any("intersect: set(lst)" in m for m in messages)
+    assert any("frozenset(trie.values(prefix))" in m for m in messages)
+    assert any("sorted(node.sorted_keys)" in m for m in messages)
+    # Per-node value lists are a repro.joins notion.
+    ctx = _ctx("counter_set_bad.py", "src/repro/columnar/fixture.py")
+    assert list(CounterHonestyChecker().check_file(ctx)) == []
+
+
+def test_counter_honesty_passes_probing_twin():
+    ctx = _ctx("counter_set_clean.py", "src/repro/joins/fixture.py")
+    assert list(CounterHonestyChecker().check_file(ctx)) == []
+
+
 # -- import-layering ----------------------------------------------------
 
 def test_layering_fails_seeded_fixture():

@@ -114,3 +114,78 @@ class TestTrieIndex:
         trie = TrieIndex(relation, ("A", "B"))
         assert trie.count(()) == len(relation)
         assert sum(trie.count((a,)) for a in trie.values(())) == len(relation)
+
+
+class TestTrieBuildEquivalence:
+    """The one-sort build against a per-row reference, on the shapes where
+    they could differ: projections that repeat rows, the empty order, the
+    empty relation, arity 1."""
+
+    @staticmethod
+    def reference(relation, order):
+        """prefix -> (sorted next-level values, tuples below), per row."""
+        positions = relation.schema.positions(order)
+        below: dict = {}
+        values: dict = {}
+        for t in relation:
+            row = tuple(t[p] for p in positions)
+            for k in range(len(row) + 1):
+                below[row[:k]] = below.get(row[:k], 0) + 1
+                if k < len(row):
+                    values.setdefault(row[:k], set()).add(row[k])
+        return below, {p: sorted(v) for p, v in values.items()}
+
+    def check(self, relation, order):
+        trie = TrieIndex(relation, order)
+        below, values = self.reference(relation, order)
+        assert trie.order == tuple(order)
+        assert trie.count(()) == len(relation)
+        for prefix, count in below.items():
+            expected = values.get(prefix, [])
+            assert trie.values(prefix) == expected
+            assert trie.count(prefix) == count
+            assert trie.num_children(prefix) == len(expected)
+            assert trie.contains_prefix(prefix)
+            node = trie.node(prefix)
+            assert list(node.children) == node.sorted_keys == expected
+            for bound in range(-1, 8):
+                least = min((v for v in expected if v >= bound), default=None)
+                assert trie.seek(prefix, bound) == least
+        absent = (99,) * max(len(order), 1)
+        assert trie.values(absent) == []
+        assert trie.count(absent) == 0
+        assert trie.num_children(absent) == 0
+        assert not trie.contains_prefix(absent)
+        assert trie.seek(absent, 0) is None
+
+    triples = st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                st.integers(0, 3)), max_size=40)
+
+    @given(triples, st.sampled_from([
+        (), ("A",), ("C",), ("B", "A"), ("C", "B"), ("A", "B", "C"),
+        ("C", "A", "B")]))
+    @settings(max_examples=120, deadline=None)
+    def test_every_order_of_a_ternary_relation(self, tuples, order):
+        self.check(Relation("R", ("A", "B", "C"), tuples), order)
+
+    def test_projection_repeating_rows_keeps_multiplicities(self):
+        relation = Relation("R", ("A", "B"), [(1, 1), (1, 2), (1, 3), (2, 1)])
+        trie = TrieIndex(relation, ("A",))
+        assert trie.count(()) == 4
+        assert trie.count((1,)) == 3
+        assert trie.count((2,)) == 1
+        self.check(relation, ("A",))
+
+    def test_empty_relation_and_arity_one(self):
+        self.check(Relation("E", ("A", "B"), []), ("A", "B"))
+        self.check(Relation("E", ("A", "B"), []), ())
+        self.check(Relation("U", ("A",), [(3,), (1,), (2,)]), ("A",))
+        self.check(Relation("U", ("A",), [(3,), (1,)]), ())
+
+    def test_last_level_values_share_one_leaf(self):
+        trie = TrieIndex(Relation("R", ("A", "B"), [(1, 2), (1, 3), (2, 3)]),
+                         ("A", "B"))
+        leaves = {id(leaf) for a in trie.values(())
+                  for leaf in trie.node((a,)).children.values()}
+        assert len(leaves) == 1
+        assert trie.count((1, 2)) == 1 and trie.values((1, 2)) == []

@@ -9,7 +9,6 @@ from repro.joins.instrumentation import OperationCounter
 from repro.relational.operators import (
     cartesian_product,
     difference,
-    intersect_sorted,
     intersect_value_sets,
     natural_join,
     project,
@@ -119,16 +118,6 @@ class TestCartesianProduct:
 
 
 class TestIntersections:
-    def test_intersect_sorted(self):
-        assert intersect_sorted([[1, 2, 3, 4], [2, 4, 6], [0, 2, 4, 8]]) == [2, 4]
-
-    def test_intersect_sorted_empty_input(self):
-        assert intersect_sorted([]) == []
-        assert intersect_sorted([[1, 2], []]) == []
-
-    def test_intersect_sorted_single_list(self):
-        assert intersect_sorted([[3, 1, 2]]) == [3, 1, 2] or intersect_sorted([[1, 2, 3]]) == [1, 2, 3]
-
     def test_intersect_value_sets(self):
         assert intersect_value_sets([{1, 2, 3}, [2, 3, 4], {3}]) == {3}
 

@@ -29,6 +29,15 @@ like the python eliminator's per-tuple ⊕ calls.  Calls to those fold
 primitives are therefore held to the same rule — the enclosing function
 must charge referencing one of the arrays the fold reads.
 
+A materialising builtin is a loop too: ``set(x)`` / ``frozenset(x)`` /
+``sorted(x)`` / ``list(x)`` / ``dict.fromkeys(x)`` walks all of ``x``
+with no ``for`` in sight.  Inside ``repro.joins`` such a call on a
+*per-node value source* — a trie node's ``sorted_keys``, a
+``.values(prefix)`` read, an element of ``value_lists`` — runs once per
+search node, so it is held to the same rule (it is how an intersection
+that charged ``len(smallest)`` rebuilt a hash set of every *other* list
+at every node under a clean lint).
+
 Purely structural walks (building an index keyed by tuples already
 charged elsewhere) that genuinely must not double-charge get an inline
 ``# lint: disable=counter-honesty -- <why>``.
@@ -60,6 +69,15 @@ TRANSPARENT_WRAPPERS = frozenset({
 #: Vectorized segment-fold primitives: one call = one pass over tuples.
 VECTORIZED_FOLDS = frozenset({"reduceat", "bincount"})
 
+#: Calls that walk their whole argument to build a collection.
+MATERIALIZERS = frozenset({"set", "frozenset", "sorted", "list", "fromkeys"})
+
+#: Where the per-search-node value lists of the WCOJ kernels live, and
+#: the one package whose functions run once per search node.
+NODE_VALUE_PREFIX = "repro.joins"
+NODE_VALUE_ATTRS = frozenset({"sorted_keys"})
+NODE_VALUE_CONTAINERS = frozenset({"value_lists"})
+
 _LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp,
           ast.DictComp)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -81,6 +99,7 @@ class CounterHonestyChecker(Checker):
         # Instrumentation defines the counters; it has no join loops.
         if ctx.module_name.endswith(".instrumentation"):
             return
+        per_node = (ctx.module_name + ".").startswith(NODE_VALUE_PREFIX + ".")
         for func in self._functions(ctx.tree):
             charged_names = _names_charged_in(func)
             has_any_charge = _contains_charge(func)
@@ -98,6 +117,16 @@ class CounterHonestyChecker(Checker):
                     rule=self.rule, path=ctx.relpath, line=loop.lineno,
                     message=(f"{func.name}: loop over relation tuples "
                              f"({ast.unparse(iterable)}) never charges an "
+                             "OperationCounter on its path"),
+                )
+            for call, roots in (self._materialisations(func) if per_node
+                                else ()):
+                if has_any_charge and roots & charged_names:
+                    continue
+                yield Finding(
+                    rule=self.rule, path=ctx.relpath, line=call.lineno,
+                    message=(f"{func.name}: {ast.unparse(call)} walks a "
+                             "per-node value list but never charges an "
                              "OperationCounter on its path"),
                 )
             for call in self._vectorized_folds(func):
@@ -129,6 +158,29 @@ class CounterHonestyChecker(Checker):
                     if _is_tuple_source(gen.iter):
                         yield node, gen.iter
                         break
+
+    def _materialisations(self, func: ast.AST):
+        """``(call, names a bulk charge may reference)`` for materialising
+        calls on per-node value sources directly inside ``func``."""
+        elements: dict[str, set[str]] = {}
+        for node in _walk_same_function(func):
+            for target, iterable in _loop_bindings(node):
+                containers = _read_names(iterable) & NODE_VALUE_CONTAINERS
+                if containers and isinstance(target, ast.Name):
+                    elements.setdefault(target.id, set()).update(containers)
+        for node in _walk_same_function(func):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            if name not in MATERIALIZERS:
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Name) and arg.id in elements:
+                yield node, {arg.id} | elements[arg.id]
+            elif _is_node_values(arg):
+                yield node, _read_names(arg)
 
     def _vectorized_folds(self, func: ast.AST):
         for node in _walk_same_function(func):
@@ -171,6 +223,27 @@ def _is_tuple_source(expr: ast.AST) -> bool:
         return _is_tuple_source(expr.body) or _is_tuple_source(expr.orelse)
     if isinstance(expr, ast.BoolOp):
         return any(_is_tuple_source(v) for v in expr.values)
+    return False
+
+
+def _loop_bindings(node: ast.AST):
+    """``(target, iterable)`` pairs a ``for`` or comprehension binds."""
+    if isinstance(node, ast.For):
+        yield node.target, node.iter
+    elif isinstance(node, _LOOPS):
+        for gen in node.generators:
+            yield gen.target, gen.iter
+
+
+def _is_node_values(expr: ast.AST) -> bool:
+    if isinstance(expr, ast.Attribute):
+        return expr.attr in NODE_VALUE_ATTRS
+    if isinstance(expr, ast.Subscript):
+        return bool(_read_names(expr.value) & NODE_VALUE_CONTAINERS)
+    if isinstance(expr, ast.Call):  # trie.values(prefix); not dict.values()
+        f = expr.func
+        return (isinstance(f, ast.Attribute) and f.attr == "values"
+                and bool(expr.args))
     return False
 
 
