@@ -11,40 +11,21 @@ group that reaches it.
 The instance is deliberately skewed: every A sees every B, and one hub B
 carries almost all of S's fan-out.  In-recursion aggregation pays for the
 hub subtree once; drain-and-fold pays for it once per group, which is the
-asymptotic gap this benchmark records as the ratio of join search nodes
-(a deterministic operation count; wall-clock is printed for the record
-but does not gate — shared CI runners are noisy).  All four executors are
-also checked for identical grouped results.
+asymptotic gap this benchmark gates as the ratio of join search nodes.
+All four executors are also checked for identical grouped results.
 
-Run standalone (exit code gates on the operation-count ratio)::
-
-    python benchmarks/bench_aggregate_pushdown.py [--quick]
-
-or through pytest::
-
-    python -m pytest benchmarks/bench_aggregate_pushdown.py -q
+Run: ``python benchmarks/bench_aggregate_pushdown.py [--quick]``
+(flags, table and exit code are ``harness.py``'s).
 """
 
 from __future__ import annotations
 
-import sys
-import time
+from harness import Gate, Measurement, main, timed
 
-import pytest
-
-try:
-    from repro.engine import Engine
-except ImportError:  # running standalone from a checkout without install
-    import os
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-    from repro.engine import Engine
-
+from repro.engine import Engine
 from repro.joins.instrumentation import OperationCounter
 from repro.relational.database import Database
 from repro.relational.relation import Relation
-
-#: Minimum acceptable fold/in-recursion search-node ratio.
-TARGET_RATIO = 10.0
 
 QUERY = "Q(A, COUNT(*), SUM(C) AS total) :- R(A,B), S(B,C)"
 
@@ -60,23 +41,19 @@ def skewed_group_by_instance(groups: int, hubs: int = 30,
     return Database([r, s])
 
 
-def measure(groups: int) -> tuple[float, float, float]:
-    """(search-node ratio, in-recursion ms, fold ms); asserts agreement."""
+def measure(groups: int) -> Measurement:
+    """Search nodes of drain-and-fold over in-recursion; asserts agreement."""
     database = skewed_group_by_instance(groups)
     engine = Engine(database=database, cache_results=False)
 
     recursion_counter = OperationCounter()
-    started = time.perf_counter()
-    recursion = engine.execute(QUERY, mode="generic",
-                               aggregate_mode="recursion",
-                               counter=recursion_counter)
-    recursion_ms = (time.perf_counter() - started) * 1000.0
-
+    recursion, recursion_ms = timed(
+        engine.execute, QUERY, mode="generic", aggregate_mode="recursion",
+        counter=recursion_counter)
     fold_counter = OperationCounter()
-    started = time.perf_counter()
-    fold = engine.execute(QUERY, mode="generic", aggregate_mode="fold",
-                          counter=fold_counter)
-    fold_ms = (time.perf_counter() - started) * 1000.0
+    fold, fold_ms = timed(
+        engine.execute, QUERY, mode="generic", aggregate_mode="fold",
+        counter=fold_counter)
 
     expected = sorted(fold.tuples)
     if sorted(recursion.tuples) != expected:
@@ -88,38 +65,19 @@ def measure(groups: int) -> tuple[float, float, float]:
         if sorted(other.tuples) != expected:
             raise AssertionError(f"{mode} disagrees on {QUERY}")
 
-    ratio = fold_counter.search_nodes / max(recursion_counter.search_nodes, 1)
-    return ratio, recursion_ms, fold_ms
+    return Measurement(fold_counter.search_nodes,
+                       recursion_counter.search_nodes,
+                       ms={"recursion": recursion_ms, "fold": fold_ms})
 
 
-@pytest.mark.experiment("aggregate_pushdown")
-@pytest.mark.parametrize("groups", [40])
-def test_in_recursion_aggregation_beats_drain_and_fold(groups):
-    """Variable elimination must prune the search, not just defer the fold."""
-    ratio, _recursion_ms, _fold_ms = measure(groups)
-    assert ratio >= TARGET_RATIO
-
-
-def run(group_counts=(40, 80, 160)) -> bool:
-    print("in-recursion aggregation vs drain-and-fold — skewed acyclic "
-          f"group-by, query: {QUERY}")
-    print(f"{'groups':>8s} {'recursion (ms)':>15s} {'fold (ms)':>11s} "
-          f"{'node ratio':>11s}")
-    ok = True
-    for groups in group_counts:
-        ratio, recursion_ms, fold_ms = measure(groups)
-        ok = ok and ratio >= TARGET_RATIO
-        print(f"{groups:8d} {recursion_ms:15.2f} {fold_ms:11.2f} "
-              f"{ratio:10.1f}x")
-    print(f"target: >= {TARGET_RATIO:.0f}x fewer search nodes in-recursion")
-    return ok
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    return 0 if run(group_counts=(30, 60) if quick else (40, 80, 160)) else 1
-
+GATE = Gate(
+    name="aggregate_pushdown",
+    measure=measure,
+    numerator="fold", denominator="recursion", quantity="search nodes",
+    target=10.0,
+    cases=({"groups": 40}, {"groups": 80}, {"groups": 160}),
+    quick=({"groups": 30}, {"groups": 60}),
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main(GATE))

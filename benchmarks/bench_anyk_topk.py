@@ -12,120 +12,68 @@ benchmark: every A sees every B and one hub B carries almost all of S's
 fan-out, so the full-head join has many (B, A) prefixes that drain must
 enumerate before its heap sees a single row, while any-k pays one
 saturating existence check per candidate sort key.  The gap is recorded
-as the ratio of join search nodes at k ∈ {1, 10, 100} (a deterministic
-operation count; wall-clock is printed for the record but does not gate —
-shared CI runners are noisy).  The emitted ranked prefixes are asserted
-identical across both modes and all any-k-capable executors.
+as the ratio of join search nodes at k ∈ {1, 10, 100} and gated at k = 1.
+The emitted ranked prefixes are asserted identical across both modes and
+all any-k-capable executors.
 
-Run standalone (exit code gates on the k=1 operation-count ratio)::
-
-    python benchmarks/bench_anyk_topk.py [--quick]
-
-or through pytest::
-
-    python -m pytest benchmarks/bench_anyk_topk.py -q
+Run: ``python benchmarks/bench_anyk_topk.py [--quick]``
+(flags, table and exit code are ``harness.py``'s).
 """
 
 from __future__ import annotations
 
-import sys
-import time
+from harness import Gate, Measurement, main, timed
 
-import pytest
+from bench_aggregate_pushdown import skewed_group_by_instance
 
-try:
-    from repro.engine import Engine
-except ImportError:  # running standalone from a checkout without install
-    import os
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-    from repro.engine import Engine
-
+from repro.engine import Engine
 from repro.joins.instrumentation import OperationCounter
-from repro.relational.database import Database
-from repro.relational.relation import Relation
-
-#: Minimum acceptable drain/any-k search-node ratio at k = 1.
-TARGET_RATIO = 10.0
 
 QUERY = "Q(A, B, C) :- R(A,B), S(B,C) ORDER BY A, B"
 
 
-def skewed_topk_instance(groups: int, hubs: int = 40,
-                         hub_fanout: int = 250) -> Database:
-    """Every A joins every B; hub B=0 holds almost all of S's fan-out."""
-    r = Relation("R", ("a", "b"),
-                 [(a, b) for a in range(groups) for b in range(hubs)])
-    s_rows = [(0, c) for c in range(hub_fanout)]
-    s_rows += [(b, c) for b in range(1, hubs) for c in range(2)]
-    s = Relation("S", ("b", "c"), s_rows)
-    return Database([r, s])
-
-
-def measure(groups: int, k: int) -> tuple[float, float, float]:
-    """(drain/any-k search-node ratio, anyk ms, drain ms) at LIMIT ``k``.
+def measure(groups: int, k: int) -> Measurement:
+    """Search nodes of drain over any-k at LIMIT ``k``.
 
     Asserts that both modes emit the identical ranked prefix, on every
     executor that supports each mode.
     """
-    database = skewed_topk_instance(groups)
+    database = skewed_group_by_instance(groups, hubs=40, hub_fanout=250)
     engine = Engine(database=database, cache_results=False)
     query = f"{QUERY} LIMIT {k}"
 
-    anyk_counter = OperationCounter()
-    started = time.perf_counter()
-    anyk = list(engine.stream(query, mode="generic", ranked_mode="anyk",
-                              counter=anyk_counter))
-    anyk_ms = (time.perf_counter() - started) * 1000.0
+    def ranked(**kwargs) -> list[tuple]:
+        return list(engine.stream(query, **kwargs))
 
+    anyk_counter = OperationCounter()
+    anyk, anyk_ms = timed(ranked, mode="generic", ranked_mode="anyk",
+                          counter=anyk_counter)
     drain_counter = OperationCounter()
-    started = time.perf_counter()
-    drain = list(engine.stream(query, mode="generic", ranked_mode="drain",
-                               counter=drain_counter))
-    drain_ms = (time.perf_counter() - started) * 1000.0
+    drain, drain_ms = timed(ranked, mode="generic", ranked_mode="drain",
+                            counter=drain_counter)
 
     if anyk != drain:
         raise AssertionError("any-k and drain ranked prefixes disagree")
     for mode, ranked_mode in (("leapfrog", "anyk"), ("yannakakis", "anyk"),
                               ("binary", "drain"), ("naive", "drain")):
-        other = list(engine.stream(query, mode=mode, ranked_mode=ranked_mode))
-        if other != drain:
+        if ranked(mode=mode, ranked_mode=ranked_mode) != drain:
             raise AssertionError(
                 f"{mode}/{ranked_mode} disagrees on {query}")
 
-    ratio = drain_counter.search_nodes / max(anyk_counter.search_nodes, 1)
-    return ratio, anyk_ms, drain_ms
+    return Measurement(drain_counter.search_nodes, anyk_counter.search_nodes,
+                       ms={"anyk": anyk_ms, "drain": drain_ms})
 
 
-@pytest.mark.experiment("anyk_topk")
-@pytest.mark.parametrize("groups", [60])
-def test_anyk_beats_drain_and_heap_for_top1(groups):
-    """Top-1 must cost the DP + one tie class, not the whole join."""
-    ratio, _anyk_ms, _drain_ms = measure(groups, k=1)
-    assert ratio >= TARGET_RATIO
-
-
-def run(group_counts=(60, 120)) -> bool:
-    print("any-k ranked enumeration vs drain-and-heap — skewed acyclic "
-          f"top-k, query: {QUERY} LIMIT k")
-    print(f"{'groups':>8s} {'k':>5s} {'anyk (ms)':>11s} {'drain (ms)':>12s} "
-          f"{'node ratio':>11s}")
-    ok = True
-    for groups in group_counts:
-        for k in (1, 10, 100):
-            ratio, anyk_ms, drain_ms = measure(groups, k)
-            if k == 1:
-                ok = ok and ratio >= TARGET_RATIO
-            print(f"{groups:8d} {k:5d} {anyk_ms:11.2f} {drain_ms:12.2f} "
-                  f"{ratio:10.1f}x")
-    print(f"target: >= {TARGET_RATIO:.0f}x fewer search nodes for k=1")
-    return ok
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    return 0 if run(group_counts=(60,) if quick else (60, 120)) else 1
-
+GATE = Gate(
+    name="anyk_topk",
+    measure=measure,
+    numerator="drain", denominator="anyk", quantity="search nodes",
+    target=10.0,
+    cases=tuple({"groups": groups, "k": k}
+                for groups in (60, 120) for k in (1, 10, 100)),
+    quick=tuple({"groups": 60, "k": k} for k in (1, 10, 100)),
+    gated=lambda case: case["k"] == 1,
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main(GATE))

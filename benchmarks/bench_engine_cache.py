@@ -1,164 +1,84 @@
-"""Warm-vs-cold engine throughput on repeated workloads.
+"""Warm-vs-cold engine sessions on repeated workloads.
 
 The point of the `repro.engine` subsystem is amortization: a long-lived
 :class:`~repro.engine.Engine` session keeps plans, indexes and results
 across queries, while one-shot execution pays for parsing, the AGM LP,
-variable ordering and index builds on every call.  This benchmark measures
-that gap on the canonical repeated workloads (triangle on skewed and
-AGM-tight instances, Loomis–Whitney LW(4)) and records the warm/cold
-speedup — the series future scaling PRs (sharding, async serving) should
-move.
+variable ordering and index builds on every call.  This benchmark runs
+the canonical repeated workloads (triangle on skewed and AGM-tight
+instances, Loomis–Whitney LW(4)) both ways.
 
-Run standalone (prints the timing table with the measured speedups; the
-exit code gates on the *deterministic* cache-hit accounting, since
-wall-clock on shared CI runners is noisy)::
+The gate is the *deterministic* cache accounting: ``repeats`` executions
+in one session must plan once and join once, so all ``2 * (repeats - 1)``
+repeat lookups (plan and result) are served from the caches — the ratio
+served / repeat lookups must be 1.  The cold and warm wall-clock totals
+are recorded beside it for trend tracking and never gate.
 
-    python benchmarks/bench_engine_cache.py [--quick]
-
-or through pytest::
-
-    python -m pytest benchmarks/bench_engine_cache.py -q
+Run: ``python benchmarks/bench_engine_cache.py [--quick]``
+(flags, table and exit code are ``harness.py``'s).
 """
 
 from __future__ import annotations
 
-import sys
-import time
-
-import pytest
-
-try:
-    from repro.engine import Engine
-except ImportError:  # running standalone from a checkout without install
-    import os
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-    from repro.engine import Engine
+from harness import Gate, Measurement, main, timed
 
 from repro.datagen.loomis_whitney import loomis_whitney_random_instance
 from repro.datagen.worstcase import (
     triangle_agm_tight_instance,
     triangle_skew_instance,
 )
+from repro.engine import Engine
 
-#: Minimum acceptable aggregate warm/cold speedup on repeated queries.
-TARGET_SPEEDUP = 2.0
-
-
-WORKLOAD_NAMES = ("triangle-skew", "triangle-tight", "lw4")
-
-
-def _workload(name: str, scale: int):
-    """The (query, database) pair of one named repeated-query workload."""
-    if name == "triangle-skew":
-        return triangle_skew_instance(scale)
-    if name == "triangle-tight":
-        return triangle_agm_tight_instance(scale)
-    if name == "lw4":
-        return loomis_whitney_random_instance(4, scale, seed=7)
-    raise ValueError(f"unknown workload {name!r}")
+#: scale -> (query, database) of each repeated-query workload.
+WORKLOADS = {
+    "triangle-skew": triangle_skew_instance,
+    "triangle-tight": triangle_agm_tight_instance,
+    "lw4": lambda scale: loomis_whitney_random_instance(4, scale, seed=7),
+}
 
 
-def _workloads(scale: int):
-    """(name, query, database) triples for the repeated-query workloads."""
-    return [(name, *_workload(name, scale)) for name in WORKLOAD_NAMES]
-
-
-def measure_workload(query, database, repeats: int) -> tuple[float, float]:
-    """(cold_seconds, warm_seconds) for ``repeats`` runs of one query.
+def measure(workload: str, scale: int, repeats: int) -> Measurement:
+    """Cache-served lookups over repeat lookups for ``repeats`` runs.
 
     Cold runs a fresh engine per repetition (every plan, index and result
     recomputed); warm reuses one session, so repetitions after the first
     are served from the caches.
     """
-    started = time.perf_counter()
-    for _ in range(repeats):
-        engine = Engine(database=database)
-        engine.execute(query)
-    cold = time.perf_counter() - started
-
+    query, database = WORKLOADS[workload](scale)
     session = Engine(database=database)
-    started = time.perf_counter()
-    for _ in range(repeats):
-        session.execute(query)
-    warm = time.perf_counter() - started
-    return cold, warm
 
+    def cold() -> None:
+        for _ in range(repeats):
+            Engine(database=database).execute(query)
 
-def cache_behavior_ok(query, database, repeats: int) -> bool:
-    """Deterministic check that a warm session actually served from caches.
+    def warm() -> None:
+        for _ in range(repeats):
+            session.execute(query)
 
-    Unlike the wall-clock speedup (which a loaded CI runner can distort),
-    cache hit counts are exact: ``repeats`` runs must plan once and serve
-    ``repeats - 1`` results from the cache.
-    """
-    session = Engine(database=database)
-    for _ in range(repeats):
-        session.execute(query)
+    _, cold_ms = timed(cold)
+    _, warm_ms = timed(warm)
     stats = session.stats
-    return (stats.plan_misses == 1
-            and stats.result_hits == repeats - 1
-            and stats.result_misses == 1)
+    if stats.result_hits + stats.result_misses != repeats:
+        raise AssertionError(f"{workload}: result hits + misses != {repeats}")
+    served = (repeats - stats.plan_misses) + stats.result_hits
+    return Measurement(
+        served, 2 * (repeats - 1),
+        ms={"cold": cold_ms, "warm": warm_ms},
+        counts={"plan_misses": stats.plan_misses,
+                "result_hits": stats.result_hits,
+                "result_misses": stats.result_misses})
 
 
-def run(scale: int = 300, repeats: int = 10) -> tuple[float, bool]:
-    """Run every workload and print the table.
-
-    Returns ``(aggregate speedup, all cache checks passed)``.
-    """
-    rows = []
-    total_cold = 0.0
-    total_warm = 0.0
-    all_cached = True
-    for name, query, database in _workloads(scale):
-        cold, warm = measure_workload(query, database, repeats)
-        cached = cache_behavior_ok(query, database, repeats)
-        all_cached = all_cached and cached
-        total_cold += cold
-        total_warm += warm
-        rows.append((name, cold, warm, cold / max(warm, 1e-12), cached))
-
-    print(f"engine cache throughput — {repeats} repeats per query, "
-          f"scale ~{scale} tuples/relation")
-    print(f"{'workload':16s} {'cold (s)':>10s} {'warm (s)':>10s} "
-          f"{'speedup':>9s} {'caches':>8s}")
-    for name, cold, warm, speedup, cached in rows:
-        print(f"{name:16s} {cold:10.4f} {warm:10.4f} {speedup:8.1f}x "
-              f"{'ok' if cached else 'MISS':>8s}")
-    aggregate = total_cold / max(total_warm, 1e-12)
-    print(f"{'aggregate':16s} {total_cold:10.4f} {total_warm:10.4f} "
-          f"{aggregate:8.1f}x  (target >= {TARGET_SPEEDUP:.0f}x)")
-    return aggregate, all_cached
-
-
-@pytest.mark.experiment("engine-cache")
-@pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_warm_cache_speedup(name):
-    """Warm sessions must actually serve from their caches.
-
-    The gate is the deterministic hit accounting; the wall-clock speedup is
-    printed for the record (the standalone ``main()`` records it per
-    workload) rather than asserted, because timing assertions flake on
-    loaded machines.  Workloads are generated inside the test so importing
-    this module (e.g. for the standalone CLI path) does no datagen.
-    """
-    query, database = _workload(name, 150)
-    assert cache_behavior_ok(query, database, repeats=5)
-    cold, warm = measure_workload(query, database, repeats=5)
-    print(f"{name}: warm/cold speedup {cold / max(warm, 1e-12):.1f}x")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Exit non-zero when cache behaviour breaks (a deterministic check).
-
-    The wall-clock speedup is recorded in the table for trend tracking but
-    does not gate the exit code — timing on shared CI runners is noisy.
-    """
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    _aggregate, all_cached = run(scale=120 if quick else 300,
-                                 repeats=5 if quick else 10)
-    return 0 if all_cached else 1
-
+GATE = Gate(
+    name="engine_cache",
+    measure=measure,
+    numerator="served", denominator="repeat lookups",
+    quantity="plan + result cache hits",
+    target=1.0,
+    cases=tuple({"workload": name, "scale": 300, "repeats": 10}
+                for name in WORKLOADS),
+    quick=tuple({"workload": name, "scale": 120, "repeats": 5}
+                for name in WORKLOADS),
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main(GATE))

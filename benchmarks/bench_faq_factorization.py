@@ -8,45 +8,27 @@ independent arms get re-folded once per B1 value, an ``N^{tail width}``
 factor the FAQ bound does not charge.  Component factorization folds each
 arm of the residual hypergraph independently and combines the values with
 the semiring product, restoring the exact ``N^{max component width}``
-bound; this benchmark records the ratio of join search nodes between the
-two (a deterministic operation count; wall-clock is printed for the record
-but does not gate — shared CI runners are noisy).  Both folds are also
-checked for bit-identical grouped results, and every engine strategy for
-agreement.
+bound; this benchmark gates the ratio of join search nodes between the
+two.  Both folds are also checked for bit-identical grouped results, and
+every engine strategy for agreement.
 
-Run standalone (exit code gates on the operation-count ratio)::
-
-    python benchmarks/bench_faq_factorization.py [--quick]
-
-or through pytest::
-
-    python -m pytest benchmarks/bench_faq_factorization.py -q
+Run: ``python benchmarks/bench_faq_factorization.py [--quick]``
+(flags, table and exit code are ``harness.py``'s).
 """
 
 from __future__ import annotations
 
 import random
-import sys
-import time
 
-import pytest
+from harness import Gate, Measurement, main, timed
 
-try:
-    from repro.engine import Engine
-except ImportError:  # running standalone from a checkout without install
-    import os
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-    from repro.engine import Engine
-
+from repro.engine import Engine
 from repro.joins.generic_join import generic_join_stream
 from repro.joins.instrumentation import OperationCounter
 from repro.query.builder import Query
 from repro.query.variable_order import aggregate_elimination_order
 from repro.relational.database import Database
 from repro.relational.relation import Relation
-
-#: Minimum acceptable monolithic/factorized search-node ratio (CI gate).
-TARGET_RATIO = 10.0
 
 QUERY = "Q(A, SUM(B1) AS total, COUNT(*) AS n) :- R1(A,B1), R2(A,B2), R3(A,B3)"
 
@@ -69,27 +51,23 @@ def skewed_star_instance(groups: int, fanout: int = 30,
     return Database(relations)
 
 
-def measure(groups: int) -> tuple[float, float, float]:
-    """(search-node ratio, factorized ms, monolithic ms); asserts agreement."""
+def measure(groups: int) -> Measurement:
+    """Search nodes of monolithic over factorized; asserts agreement."""
     database = skewed_star_instance(groups)
     spec = Query.coerce(QUERY)
     order, _width = aggregate_elimination_order(spec.core,
                                                 group=spec.head_vars)
 
-    factorized_counter = OperationCounter()
-    started = time.perf_counter()
-    factorized = sorted(generic_join_stream(
-        spec.core, database, order=order, head=spec.head_vars,
-        aggregates=spec.aggregates, counter=factorized_counter))
-    factorized_ms = (time.perf_counter() - started) * 1000.0
+    def fold(counter: OperationCounter, **kwargs) -> list[tuple]:
+        return sorted(generic_join_stream(
+            spec.core, database, order=order, head=spec.head_vars,
+            aggregates=spec.aggregates, counter=counter, **kwargs))
 
+    factorized_counter = OperationCounter()
+    factorized, factorized_ms = timed(fold, factorized_counter)
     monolithic_counter = OperationCounter()
-    started = time.perf_counter()
-    monolithic = sorted(generic_join_stream(
-        spec.core, database, order=order, head=spec.head_vars,
-        aggregates=spec.aggregates, counter=monolithic_counter,
-        factorize=False))
-    monolithic_ms = (time.perf_counter() - started) * 1000.0
+    monolithic, monolithic_ms = timed(fold, monolithic_counter,
+                                      factorize=False)
 
     if factorized != monolithic:
         raise AssertionError("factorized and monolithic folds disagree")
@@ -99,39 +77,21 @@ def measure(groups: int) -> tuple[float, float, float]:
         if sorted(other.tuples) != factorized:
             raise AssertionError(f"{mode} disagrees on {QUERY}")
 
-    ratio = (monolithic_counter.search_nodes
-             / max(factorized_counter.search_nodes, 1))
-    return ratio, factorized_ms, monolithic_ms
+    return Measurement(monolithic_counter.search_nodes,
+                       factorized_counter.search_nodes,
+                       ms={"factorized": factorized_ms,
+                           "monolithic": monolithic_ms})
 
 
-@pytest.mark.experiment("faq_factorization")
-@pytest.mark.parametrize("groups", [25])
-def test_factorized_elimination_beats_monolithic(groups):
-    """Independent tail arms must be paid for once each, not as a product."""
-    ratio, _factorized_ms, _monolithic_ms = measure(groups)
-    assert ratio >= TARGET_RATIO
-
-
-def run(group_counts=(25, 50, 100)) -> bool:
-    print("component-factorized vs monolithic elimination — skewed star "
-          f"group-by, query: {QUERY}")
-    print(f"{'groups':>8s} {'factorized (ms)':>16s} {'monolithic (ms)':>16s} "
-          f"{'node ratio':>11s}")
-    ok = True
-    for groups in group_counts:
-        ratio, factorized_ms, monolithic_ms = measure(groups)
-        ok = ok and ratio >= TARGET_RATIO
-        print(f"{groups:8d} {factorized_ms:16.2f} {monolithic_ms:16.2f} "
-              f"{ratio:10.1f}x")
-    print(f"target: >= {TARGET_RATIO:.0f}x fewer search nodes factorized")
-    return ok
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    return 0 if run(group_counts=(20, 40) if quick else (25, 50, 100)) else 1
-
+GATE = Gate(
+    name="faq_factorization",
+    measure=measure,
+    numerator="monolithic", denominator="factorized",
+    quantity="search nodes",
+    target=10.0,
+    cases=({"groups": 25}, {"groups": 50}, {"groups": 100}),
+    quick=({"groups": 20}, {"groups": 40}),
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main(GATE))

@@ -5,42 +5,25 @@ R1(A,B1), R2(A,B2), R3(A,B3)`` is subscribed once; then a stream of
 single-tuple inserts and deletes lands on the arm relations.  The
 subscription repairs its stored join-tree messages along one root path per
 delta — work proportional to the touched entries — while a cold
-re-execution rescans every relation.  This benchmark records the ratio of
-executor operation counts between the two (deterministic; wall-clock is
-printed for the record but does not gate — shared CI runners are noisy)
-and checks after every delta that the maintained rows are bit-identical
-to a fresh uncached execution through the engine's dispatch path.
+re-execution rescans every relation.  This benchmark gates the ratio of
+executor operation counts between the two and checks after every delta
+that the maintained rows are bit-identical to a fresh uncached execution
+through the engine's dispatch path.
 
-Run standalone (exit code gates on the operation-count ratio)::
-
-    python benchmarks/bench_ivm_delta.py [--quick]
-
-or through pytest::
-
-    python -m pytest benchmarks/bench_ivm_delta.py -q
+Run: ``python benchmarks/bench_ivm_delta.py [--quick]``
+(flags, table and exit code are ``harness.py``'s).
 """
 
 from __future__ import annotations
 
 import random
-import sys
-import time
 
-import pytest
+from harness import Gate, Measurement, main, timed
 
-try:
-    from repro.engine import Engine
-except ImportError:  # running standalone from a checkout without install
-    import os
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-    from repro.engine import Engine
-
+from repro.engine import Engine
 from repro.joins.instrumentation import OperationCounter
 from repro.relational.database import Database
 from repro.relational.relation import Relation
-
-#: Minimum acceptable re-execution/incremental operation ratio (CI gate).
-TARGET_RATIO = 10.0
 
 QUERY = ("Q(A, SUM(B1) AS total, COUNT(*) AS n) :- "
          "R1(A,B1), R2(A,B2), R3(A,B3)")
@@ -64,8 +47,8 @@ def star_instance(groups: int, fanout: int = 8) -> Database:
     return Database(relations)
 
 
-def measure(groups: int, deltas: int = 12) -> tuple[float, float, float]:
-    """(ops ratio, incremental ms, re-execution ms); asserts agreement.
+def measure(groups: int, deltas: int = 12) -> Measurement:
+    """Operations of re-execution over incremental; asserts agreement.
 
     Streams ``deltas`` alternating single-tuple inserts and deletes over
     the three arm relations; after each, compares the subscription's rows
@@ -83,7 +66,7 @@ def measure(groups: int, deltas: int = 12) -> tuple[float, float, float]:
 
     rng = random.Random(groups + 1)
     incremental_ops = reexec_ops = 0
-    incremental_s = reexec_s = 0.0
+    incremental_ms = reexec_ms = 0.0
     for step in range(deltas):
         name = f"R{step % 3 + 1}"
         if step % 2 == 0:
@@ -99,49 +82,30 @@ def measure(groups: int, deltas: int = 12) -> tuple[float, float, float]:
             raise AssertionError(
                 f"delta {step} fell back to refresh: {maint.reason}")
         incremental_ops += maint.operations
-        incremental_s += maint.seconds
+        incremental_ms += maint.seconds * 1000.0
 
         counter = OperationCounter()
-        started = time.perf_counter()
-        cold = reference.execute(QUERY, counter=counter)
-        reexec_s += time.perf_counter() - started
+        cold, cold_ms = timed(reference.execute, QUERY, counter=counter)
+        reexec_ms += cold_ms
         reexec_ops += counter.total()
         if sorted(cold.tuples) != sub.rows():
             raise AssertionError(
                 f"maintained rows diverged from re-execution at delta {step}")
 
-    ratio = reexec_ops / max(incremental_ops, 1)
-    return ratio, incremental_s * 1000.0, reexec_s * 1000.0
+    return Measurement(reexec_ops, incremental_ops,
+                       ms={"incremental": incremental_ms,
+                           "re-execution": reexec_ms})
 
 
-@pytest.mark.experiment("ivm_delta")
-@pytest.mark.parametrize("groups", [40])
-def test_incremental_maintenance_beats_reexecution(groups):
-    """Single-tuple deltas must cost a root path, not a full re-execution."""
-    ratio, _incremental_ms, _reexec_ms = measure(groups)
-    assert ratio >= TARGET_RATIO
-
-
-def run(group_counts=(40, 80, 160)) -> bool:
-    print("incremental maintenance vs re-execution — star aggregate view, "
-          f"query: {QUERY}")
-    print(f"{'groups':>8s} {'incremental (ms)':>17s} "
-          f"{'re-execution (ms)':>18s} {'ops ratio':>10s}")
-    ok = True
-    for groups in group_counts:
-        ratio, incremental_ms, reexec_ms = measure(groups)
-        ok = ok and ratio >= TARGET_RATIO
-        print(f"{groups:8d} {incremental_ms:17.2f} {reexec_ms:18.2f} "
-              f"{ratio:9.1f}x")
-    print(f"target: >= {TARGET_RATIO:.0f}x fewer operations incrementally")
-    return ok
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    return 0 if run(group_counts=(30, 60) if quick else (40, 80, 160)) else 1
-
+GATE = Gate(
+    name="ivm_delta",
+    measure=measure,
+    numerator="re-execution", denominator="incremental",
+    quantity="operations",
+    target=10.0,
+    cases=({"groups": 40}, {"groups": 80}, {"groups": 160}),
+    quick=({"groups": 30}, {"groups": 60}),
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main(GATE))

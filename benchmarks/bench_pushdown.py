@@ -8,39 +8,21 @@ bound.  The alternative — computing the full join and filtering the output
 value makes the full join large) the gap is the whole point of pushdown.
 
 This benchmark runs both strategies over the skew-triangle family with a
-selective constant pin plus a comparison, and records the ratio of join
-search nodes (a deterministic operation count; wall-clock is printed for
-the record but does not gate — shared CI runners are noisy).
+selective constant pin plus a comparison, and gates the ratio of join
+search nodes.
 
-Run standalone (exit code gates on the operation-count ratio)::
-
-    python benchmarks/bench_pushdown.py [--quick]
-
-or through pytest::
-
-    python -m pytest benchmarks/bench_pushdown.py -q
+Run: ``python benchmarks/bench_pushdown.py [--quick]``
+(flags, table and exit code are ``harness.py``'s).
 """
 
 from __future__ import annotations
 
-import sys
-import time
-
-import pytest
-
-try:
-    from repro.engine import Engine
-except ImportError:  # running standalone from a checkout without install
-    import os
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-    from repro.engine import Engine
+from harness import Gate, Measurement, main, timed
 
 from repro.datagen.worstcase import triangle_skew_instance
+from repro.engine import Engine
 from repro.joins.instrumentation import OperationCounter
 from repro.query.builder import Query
-
-#: Minimum acceptable pushdown/post-hoc search-node ratio.
-TARGET_RATIO = 2.0
 
 FULL = "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)"
 SELECTED = "Q(A,B,C) :- R(A,B), S(B,C), T(A,C), A == 1, B < C"
@@ -58,56 +40,32 @@ def _post_hoc_rows(engine: Engine, counter: OperationCounter) -> list[tuple]:
     )
 
 
-def measure(scale: int) -> tuple[float, float, float]:
-    """(search-node ratio, pushdown ms, post-hoc ms); asserts agreement."""
+def measure(scale: int) -> Measurement:
+    """Search nodes of post-hoc filtering over pushdown; asserts agreement."""
     _, database = triangle_skew_instance(scale)
     engine = Engine(database=database, cache_results=False)
 
     pushdown_counter = OperationCounter()
-    started = time.perf_counter()
-    pushed = engine.execute(SELECTED, mode="generic",
-                            counter=pushdown_counter)
-    pushdown_ms = (time.perf_counter() - started) * 1000.0
-
+    pushed, pushdown_ms = timed(engine.execute, SELECTED, mode="generic",
+                                counter=pushdown_counter)
     posthoc_counter = OperationCounter()
-    started = time.perf_counter()
-    filtered = _post_hoc_rows(engine, posthoc_counter)
-    posthoc_ms = (time.perf_counter() - started) * 1000.0
+    filtered, posthoc_ms = timed(_post_hoc_rows, engine, posthoc_counter)
 
     if sorted(pushed.tuples) != filtered:
         raise AssertionError("pushdown and post-hoc answers disagree")
-    ratio = posthoc_counter.search_nodes / max(pushdown_counter.search_nodes, 1)
-    return ratio, pushdown_ms, posthoc_ms
+    return Measurement(posthoc_counter.search_nodes,
+                       pushdown_counter.search_nodes,
+                       ms={"pushdown": pushdown_ms, "post-hoc": posthoc_ms})
 
 
-@pytest.mark.experiment("pushdown")
-@pytest.mark.parametrize("scale", [200])
-def test_pushdown_beats_post_hoc_filtering(scale):
-    """Binding-level pushdown must prune the search, not just the output."""
-    ratio, _pushdown_ms, _posthoc_ms = measure(scale)
-    assert ratio >= TARGET_RATIO
-
-
-def run(scales=(200, 400, 800)) -> bool:
-    print("selection pushdown vs post-hoc filtering — skewed triangle, "
-          f"query: {SELECTED}")
-    print(f"{'scale':>8s} {'pushdown (ms)':>14s} {'post-hoc (ms)':>14s} "
-          f"{'node ratio':>11s}")
-    ok = True
-    for scale in scales:
-        ratio, pushdown_ms, posthoc_ms = measure(scale)
-        ok = ok and ratio >= TARGET_RATIO
-        print(f"{scale:8d} {pushdown_ms:14.2f} {posthoc_ms:14.2f} "
-              f"{ratio:10.1f}x")
-    print(f"target: >= {TARGET_RATIO:.0f}x fewer search nodes with pushdown")
-    return ok
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    return 0 if run(scales=(150, 300) if quick else (200, 400, 800)) else 1
-
+GATE = Gate(
+    name="pushdown",
+    measure=measure,
+    numerator="post-hoc", denominator="pushdown", quantity="search nodes",
+    target=2.0,
+    cases=({"scale": 200}, {"scale": 400}, {"scale": 800}),
+    quick=({"scale": 150}, {"scale": 300}),
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main(GATE))

@@ -37,8 +37,6 @@ from repro.engine.executors import (
     executor_for,
     filtered_instance,
     head_projected,
-    pushed_instance,
-    split_pushable_selections,
 )
 from repro.engine.fingerprint import CanonicalQuery, canonical_query
 from repro.engine.plan_cache import CachedPlan, LRUCache, PlanCache
@@ -59,8 +57,6 @@ __all__ = [
     "filtered_instance",
     "executor_for",
     "head_projected",
-    "pushed_instance",
-    "split_pushable_selections",
     "CanonicalQuery",
     "canonical_query",
     "CachedPlan",

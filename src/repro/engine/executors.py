@@ -124,12 +124,6 @@ def split_selections(core: ConjunctiveQuery, selections: Sequence[Comparison]
     return per_atom, residual
 
 
-def split_pushable_selections(spec: Query) -> tuple[list[list[Comparison]],
-                                                    list[Comparison]]:
-    """:func:`split_selections` over a rich query's core and selections."""
-    return split_selections(spec.core, spec.all_selections)
-
-
 def bound_scan(atom: Atom, pinned: Mapping[str, Any], database: Database,
                registry: IndexRegistry | None = None
                ) -> Collection[tuple] | None:
@@ -191,14 +185,6 @@ def filtered_instance(core: ConjunctiveQuery,
         new_atoms.append(Atom(derived_name, atom.variables))
     derived_query = ConjunctiveQuery(new_atoms, name=core.name)
     return derived_query, Database(relations.values()), residual
-
-
-def pushed_instance(spec: Query, database: Database,
-                    registry: IndexRegistry | None = None
-                    ) -> tuple[ConjunctiveQuery, Database, list[Comparison]]:
-    """:func:`filtered_instance` over a rich query's core and selections."""
-    return filtered_instance(spec.core, spec.all_selections, database,
-                             registry)
 
 
 def _trie_requests(query: ConjunctiveQuery, database: Database,
@@ -410,8 +396,8 @@ class BinaryPlanExecutor(_NoPayloadExecutor):
                payload: tuple[int, ...],
                registry: IndexRegistry | None = None,
                counter: OperationCounter | None = None) -> Iterator[tuple]:
-        derived, derived_db, residual = pushed_instance(spec, database,
-                                                        registry)
+        derived, derived_db, residual = filtered_instance(
+            spec.core, spec.all_selections, database, registry)
         plan = left_deep_plan([derived.edge_key(i) for i in payload])
         execution = execute_plan(plan, derived, derived_db, counter=counter,
                                  selections=residual)
@@ -447,8 +433,8 @@ class YannakakisExecutor(_NoPayloadExecutor):
     def stream(self, spec: Query, database: Database,
                payload: Any, registry: IndexRegistry | None = None,
                counter: OperationCounter | None = None) -> Iterator[tuple]:
-        derived, derived_db, residual = pushed_instance(spec, database,
-                                                        registry)
+        derived, derived_db, residual = filtered_instance(
+            spec.core, spec.all_selections, database, registry)
         if self.handles_ordering(spec, payload):
             return yannakakis_ranked_stream(
                 derived, derived_db, spec.head_vars, spec.order_by,

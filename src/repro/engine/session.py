@@ -57,7 +57,7 @@ from repro.engine.executors import (
     payload_aggregate_mode,
     payload_order,
     payload_ranked_mode,
-    split_pushable_selections,
+    split_selections,
     unique_index_layouts,
 )
 from repro.engine.fingerprint import CanonicalQuery, canonical_query
@@ -1262,7 +1262,7 @@ class Engine:
                             f"{sel} — pruned at atom {i} ({atom})")
                         pending.remove(sel)
             return tuple(placements), ()
-        per_atom, residual = split_pushable_selections(spec)
+        per_atom, residual = split_selections(core, spec.all_selections)
 
         def column(atom: Any, variable: str) -> str:
             stored = self._db.get(atom.relation).attributes

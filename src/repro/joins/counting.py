@@ -15,86 +15,37 @@ aggregate forms over a full conjunctive query:
   of Friedgut's inequality, Theorem 4.1), which subsumes counting when every
   weight is 1.
 
-All three run within the same worst-case-optimal budget as Generic-Join: the
-recursion tree they traverse is identical, only the leaves differ.
+All three are :func:`~repro.joins.generic_join.generic_join_stream`: the two
+counts are its in-recursion COUNT semiring (grouped on a prefix of the
+variable order, or on nothing), SumProd folds its tuples — so they run within
+Generic-Join's worst-case-optimal budget on the one recursion the engine uses.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from repro.joins.generic_join import hash_probe_intersect
+from repro.joins.generic_join import generic_join_stream
 from repro.joins.instrumentation import OperationCounter
 from repro.query.atoms import ConjunctiveQuery
+from repro.query.semiring import count
 from repro.query.variable_order import min_degree_order, validate_order
 from repro.relational.database import Database
-from repro.relational.index import TrieIndex
-
-
-class _JoinTraversal:
-    """Shared Generic-Join-style traversal used by the aggregate functions."""
-
-    def __init__(self, query: ConjunctiveQuery, database: Database,
-                 order: Sequence[str] | None,
-                 counter: OperationCounter | None):
-        if order is None:
-            order = min_degree_order(query)
-        else:
-            order = validate_order(query, order)
-        self.order = tuple(order)
-        self.counter = counter
-        bound_relations = query.bind(database)
-        self.tries: dict[str, TrieIndex] = {}
-        self.trie_orders: dict[str, tuple[str, ...]] = {}
-        for edge_key, relation in bound_relations.items():
-            atom_order = tuple(v for v in self.order if v in relation.schema)
-            self.tries[edge_key] = TrieIndex(relation, atom_order)
-            self.trie_orders[edge_key] = atom_order
-        self.relevant: dict[str, list[str]] = {v: [] for v in self.order}
-        for edge_key, atom_order in self.trie_orders.items():
-            for v in atom_order:
-                self.relevant[v].append(edge_key)
-        self.binding: dict[str, Any] = {}
-
-    def candidates(self, variable: str) -> list[Any]:
-        nodes = []
-        for edge_key in self.relevant[variable]:
-            atom_order = self.trie_orders[edge_key]
-            depth = atom_order.index(variable)
-            prefix = tuple(self.binding[v] for v in atom_order[:depth])
-            node = self.tries[edge_key].node(prefix)
-            if node is None:
-                return []
-            nodes.append(node)
-        return hash_probe_intersect(nodes, self.counter)
 
 
 def count_join(query: ConjunctiveQuery, database: Database,
                order: Sequence[str] | None = None,
                counter: OperationCounter | None = None) -> int:
-    """Count |Q(D)| without materializing the output.
+    """Count |Q(D)| without materializing the output (0 on an empty join).
 
     The traversal is exactly Generic-Join's, so the work is within the same
     worst-case-optimal bound; only an integer is carried back up the
     recursion.
     """
-    traversal = _JoinTraversal(query, database, order, counter)
-    order_ = traversal.order
-
-    def recurse(depth: int) -> int:
-        if depth == len(order_):
-            return 1
-        variable = order_[depth]
-        if counter is not None:
-            counter.charge(search_nodes=1)
-        total = 0
-        for value in traversal.candidates(variable):
-            traversal.binding[variable] = value
-            total += recurse(depth + 1)
-            del traversal.binding[variable]
-        return total
-
-    return recurse(0)
+    ((total,),) = generic_join_stream(query, database, order=order,
+                                      counter=counter, head=(),
+                                      aggregates=[count()])
+    return total
 
 
 def group_count(query: ConjunctiveQuery, database: Database,
@@ -113,47 +64,14 @@ def group_count(query: ConjunctiveQuery, database: Database,
     if unknown:
         raise ValueError(f"group-by variables {unknown} are not query variables")
     if order is None:
-        base = [v for v in min_degree_order(query) if v not in group_by]
-        order = tuple(group_by) + tuple(base)
-    else:
-        order = validate_order(query, order)
-        if tuple(order[:len(group_by)]) != group_by:
-            raise ValueError("the variable order must start with the group-by variables")
-
-    traversal = _JoinTraversal(query, database, order, counter)
-    order_ = traversal.order
-    results: dict[tuple, int] = {}
-
-    def count_subtree(depth: int) -> int:
-        if depth == len(order_):
-            return 1
-        variable = order_[depth]
-        if counter is not None:
-            counter.charge(search_nodes=1)
-        total = 0
-        for value in traversal.candidates(variable):
-            traversal.binding[variable] = value
-            total += count_subtree(depth + 1)
-            del traversal.binding[variable]
-        return total
-
-    def enumerate_groups(depth: int) -> None:
-        if depth == len(group_by):
-            count = count_subtree(depth)
-            if count:
-                key = tuple(traversal.binding[v] for v in group_by)
-                results[key] = count
-            return
-        variable = order_[depth]
-        if counter is not None:
-            counter.charge(search_nodes=1)
-        for value in traversal.candidates(variable):
-            traversal.binding[variable] = value
-            enumerate_groups(depth + 1)
-            del traversal.binding[variable]
-
-    enumerate_groups(0)
-    return results
+        order = group_by + tuple(v for v in min_degree_order(query)
+                                 if v not in group_by)
+    elif tuple(validate_order(query, order)[:len(group_by)]) != group_by:
+        raise ValueError("the variable order must start with the group-by variables")
+    grouped = generic_join_stream(query, database, order=order,
+                                  counter=counter, head=group_by,
+                                  aggregates=[count()])
+    return {row[:-1]: row[-1] for row in grouped if row[-1]}
 
 
 def sum_product(query: ConjunctiveQuery, database: Database,
@@ -168,31 +86,16 @@ def sum_product(query: ConjunctiveQuery, database: Database,
     ``count_join``.  This is the quantity Friedgut's inequality (Theorem 4.1)
     bounds, evaluated in worst-case-optimal time.
     """
-    weight_functions = dict(weight_functions or {})
-    traversal = _JoinTraversal(query, database, order, counter)
-    order_ = traversal.order
-    variables = query.variables
-    atom_info = []
-    for i, atom in enumerate(query.atoms):
-        key = query.edge_key(i)
-        if key in weight_functions:
-            atom_info.append((key, atom.variables, weight_functions[key]))
-
-    def recurse(depth: int) -> float:
-        if depth == len(order_):
-            product = 1.0
-            for _key, atom_vars, func in atom_info:
-                values = tuple(traversal.binding[v] for v in atom_vars)
-                product *= func(values)
-            return product
-        variable = order_[depth]
-        if counter is not None:
-            counter.charge(search_nodes=1)
-        total = 0.0
-        for value in traversal.candidates(variable):
-            traversal.binding[variable] = value
-            total += recurse(depth + 1)
-            del traversal.binding[variable]
-        return total
-
-    return recurse(0)
+    weight_functions = weight_functions or {}
+    column = {v: i for i, v in enumerate(query.variables)}
+    weighted = [(func, [column[v] for v in atom.variables])
+                for i, atom in enumerate(query.atoms)
+                if (func := weight_functions.get(query.edge_key(i)))]
+    total = 0.0
+    for row in generic_join_stream(query, database, order=order,
+                                   counter=counter):
+        product = 1.0
+        for func, columns in weighted:
+            product *= func(tuple(row[c] for c in columns))
+        total += product
+    return total
