@@ -13,7 +13,9 @@ the oracle's depth-first order, which keeps streams bit-identical.
 
 Three emission modes mirror ``generic_join_stream``:
 
-* plain / full-prefix projection — descend every level, decode rows;
+* plain / full-prefix projection — descend every level, decode rows (a
+  guarded order's projection keeps each head tuple's first occurrence,
+  the oracle's seen-set);
 * early-distinct projection — descend the head prefix, then decide each
   prefix's survival with a *component-factorized* boolean existential
   tail (one batched descent per residual component, exactly the
@@ -298,17 +300,14 @@ def columnar_rows(core, order, layouts, store, selections=(), head=None,
     head_set = set(head)
     early_distinct = all(v in head_set or v in pinned
                          for v in order[:prefix_depth])
-    if not early_distinct and head_set != set(core.variables):
-        # The oracle falls back to a seen-set here; engine plans always
-        # produce head-prefix orders, so keep columnar out of this case.
-        raise ColumnarFallback(
-            "variable order interleaves non-head, non-pinned variables "
-            "before the head prefix")
     if prefix_depth >= len(order) or not early_distinct:
-        # Full descent: either every variable is head/pinned up to the last
-        # level, or the head is a permutation of all variables — both emit
-        # one head tuple per full binding, exactly like the oracle.
-        return _full_rows(descent, head, store, counter)
+        # Full descent: every variable is head/pinned up to the last
+        # level, or the head is a permutation of all variables — one head
+        # tuple per full binding, exactly like the oracle — or (a guarded
+        # order) an existential variable binds before the last head
+        # variable, and each head tuple is kept at its first occurrence.
+        distinct = not early_distinct and head_set != set(core.variables)
+        return _full_rows(descent, head, store, counter, distinct)
     state = descent.initial_state()
     for depth in range(prefix_depth):
         state = descent.step(state, depth, track_value=order[depth] in head_set)
@@ -328,14 +327,24 @@ def columnar_rows(core, order, layouts, store, selections=(), head=None,
     return rows
 
 
-def _full_rows(descent: _Descent, emit_vars, store, counter) -> list[tuple]:
-    """Descend every level and decode the frontier as full bindings."""
+def _full_rows(descent: _Descent, emit_vars, store, counter,
+               distinct: bool = False) -> list[tuple]:
+    """Descend every level and decode the frontier as full bindings —
+    with ``distinct``, only the first occurrence of each ``emit_vars``
+    tuple.  The frontier is in the python recursion's value order, so
+    first occurrences in frontier order are its seen-set's output."""
     state = descent.initial_state()
     for depth in range(len(descent.order)):
         state = descent.step(state, depth, track_value=True)
         if state["size"] == 0:
             return []
-    columns = [store.decode_column(state["values"][v]) for v in emit_vars]
+    codes = [state["values"][v] for v in emit_vars]
+    if distinct:
+        _unique, first = np.unique(np.stack(codes, axis=1), axis=0,
+                                   return_index=True)
+        first.sort()
+        codes = [column[first] for column in codes]
+    columns = [store.decode_column(column) for column in codes]
     if not columns:
         rows = [()] if state["size"] else []
     else:

@@ -17,9 +17,13 @@ cheapest.  Three layers:
   picked along the order).  ``generic`` / ``leapfrog``, in-recursion
   aggregation, any-k and the columnar descent are all that walk, over
   their own order and memo scopes; the envelope is ``min(AGM, sum of
-  levels)``.  ``binary`` simulates its greedy left-deep plan over the same
-  catalog and is *refused* when an intermediate can exceed that envelope;
-  ``yannakakis`` (acyclic only) pays input-linear passes plus its output;
+  levels)``.  A strict projection's order is *chosen* by that walk: the
+  head-first order (existential tail) against the guarded one (each
+  variable guarded by one bound earlier, the head deduplicated by a
+  seen-set), the cheaper runs.  ``binary`` simulates its greedy
+  left-deep plan over the same catalog and is *refused* when an
+  intermediate can exceed that envelope; ``yannakakis`` (acyclic only)
+  pays input-linear passes plus its output;
   ``hybrid`` pays partition passes, per-key residual sub-plans and the
   simulated light side, and is only *feasible* when some value exceeds
   the |R|^(1/2) threshold; ``naive`` rescans.  Selections shrink every
@@ -217,6 +221,8 @@ class DispatchDecision:
         estimation work.  The other bracketed entries are informational:
         ``agg[recursion]`` / ``agg[fold]`` and ``ranked[anyk]`` /
         ``ranked[drain]`` (the two execution-mode estimates compared),
+        ``order[head]`` / ``order[guarded]`` (a strict projection's two
+        variable orders, priced as the recursion),
         ``hybrid[heavy]`` / ``hybrid[light]``, ``backend[...]`` and
         ``build[trie]`` / ``build[layout]`` (what a first run adds).
     binary_order:
@@ -231,10 +237,11 @@ class DispatchDecision:
         (``"anyk"`` / ``"drain"``); None for unordered queries.
     payload:
         The plan payload for the chosen strategy when the dispatcher
-        already computed it (the mode-tagged aggregate order for WCOJ
-        strategies, the mode tag for Yannakakis) — reused by the engine so
-        the plan run is the plan priced.  None when the executor's own
-        ``plan()`` should be used.
+        already computed it (every WCOJ order — a plain enumeration's
+        chosen order, the mode-tagged aggregate or any-k order — and the
+        mode tag for Yannakakis) — reused by the engine so the plan run
+        is the plan priced.  None when the executor's own ``plan()``
+        should be used.
     faq_width:
         The fractional-hypertree width of the aggregate-aware variable
         order — the maximum over the tail's residual components; None
@@ -427,16 +434,102 @@ def _recursion_ops(levels: Sequence[tuple[float, float, int, float]],
         e + w * (k if fan_in else 1) for e, w, k, _thin in levels))
 
 
-def _plain_plan(query: ConjunctiveQuery, selections: Sequence[Comparison],
-                head: Sequence[str]) -> tuple[tuple[str, ...], int]:
-    """The order a plain WCOJ enumeration runs and the depth its
-    elimination starts at: the executors' pushdown order puts the pinned
-    and head variables first, so a strict projection collapses everything
-    after them through the existential eliminator."""
+class _Variant(NamedTuple):
+    """One way to run the recursion: the variable order the executor will
+    actually use, the depth its elimination starts at (the order's length
+    for a full enumeration), whether the eliminator may factorize, and
+    whether a seen-set deduplicates the head over every full row (a
+    strict projection whose order binds an existential variable before
+    the last head variable)."""
+
+    order: tuple[str, ...]
+    start: int
+    factorize: bool = True
+    seen_set: bool = False
+
+
+def _plain_orders(query: ConjunctiveQuery, selections: Sequence[Comparison],
+                  head: Sequence[str]) -> tuple[_Variant, ...]:
+    """The orders a plain WCOJ enumeration can run, head-first first.
+
+    *Head-first* is the pushdown order with the head leading: pinned and
+    head variables first, so a strict projection collapses everything
+    after them through the existential eliminator.  A strict projection
+    (some unpinned variable outside the head) has a second: *guarded*,
+    the pushdown order without the head block — each variable placed by
+    its own degree, so it can be guarded by one bound before it — which
+    enumerates every full row and deduplicates the head by a seen-set.
+    Only orders that differ are returned."""
     fixed = set(pinned_constants(selections))
     order = pushdown_order(query, fixed=fixed, leading=head)
     kept = len(fixed | set(head))
-    return order, kept if head and kept < len(order) else len(order)
+    if not head or kept >= len(order):
+        return (_Variant(order, len(order)),)
+    guarded = pushdown_order(query, fixed=fixed)
+    if guarded == order:
+        return (_Variant(order, kept),)
+    return (_Variant(order, kept),
+            _Variant(guarded, len(order), seen_set=True))
+
+
+def _walk(instance: _Instance, variant: _Variant,
+          selections: Sequence[Comparison], results: float,
+          memo: bool = True) -> tuple[list, float]:
+    """A variant's simulated levels and the rows it emits (below an
+    elimination: the surviving prefixes)."""
+    n = len(variant.order)
+    levels = simulate_levels(instance, variant.order, _scopes(
+        instance.query, variant.order, variant.start, selections, memo,
+        variant.factorize))
+    if variant.start == n:
+        emitted = results
+    elif variant.start:
+        emitted = min(results, levels[variant.start - 1][1])
+    else:
+        emitted = min(results, 1.0)
+    return levels, emitted
+
+
+class _PlainPlan(NamedTuple):
+    """A plain enumeration as chosen: the variant that runs, the full
+    join's estimated size, and the predicted ms of each order compared
+    (``order[head]`` / ``order[guarded]``; empty without a choice)."""
+
+    variant: _Variant
+    results: float
+    priced: dict[str, float]
+
+
+def _plain_plan(instance: _Instance, selections: Sequence[Comparison],
+                head: Sequence[str], agm: float,
+                choose: bool = True) -> _PlainPlan:
+    """The one chooser of a plain WCOJ enumeration's order.
+
+    Every order of :func:`_plain_orders` is walked by
+    :func:`simulate_levels` and priced like the recursion it is — plus,
+    for the guarded order, the seen-set's probe of every full row at the
+    engine's per-row fold rate.  The cheaper runs; a tie runs head-first.
+    The full join's size is estimated over the head-first order, so
+    every other strategy's price is the same whichever order wins.
+    Without ``choose`` (an aggregate query: ``head`` is its group-by, and
+    the aggregate planner owns the order) only that estimate is taken.
+    """
+    orders = _plain_orders(instance.query, selections, head)
+    last = simulate_levels(instance, orders[0].order)[-1]
+    results = min(agm, last[1] * last[3])
+    if len(orders) == 1 or not choose:
+        return _PlainPlan(orders[0], results, {})
+    priced = {}
+    for label, variant in zip(("order[head]", "order[guarded]"), orders):
+        levels, emitted = _walk(instance, variant, selections, results)
+        seen_rows = results if variant.seen_set else 0.0
+        priced[label] = 1000.0 * (
+            COST_TABLE["generic"] * _recursion_ops(levels, emitted, agm)
+            + COST_TABLE["fold.row"] * seen_rows)
+    head_first, guarded = orders
+    chosen = (guarded if priced["order[guarded]"] < priced["order[head]"]
+              else head_first)
+    return _PlainPlan(chosen, results, priced)
 
 
 def selection_envelope(query: ConjunctiveQuery, database: Database,
@@ -456,7 +549,7 @@ def selection_envelope(query: ConjunctiveQuery, database: Database,
     sizes = {i: c.cardinality for i, c in enumerate(instance.catalogs)}
     if not all(sizes.values()):
         return sizes, 0.0
-    order, _start = _plain_plan(query, selections, ())
+    order = pushdown_order(query, fixed=set(pinned_constants(selections)))
     levels = simulate_levels(instance, order)
     return sizes, _capped(min(agm.bound, sum(level[1] for level in levels)))
 
@@ -671,16 +764,6 @@ _VARIANTS = {"aggregate_mode": ("agg", "recursion", "fold"),
              "ranked_mode": ("ranked", "anyk", "drain")}
 
 
-class _Variant(NamedTuple):
-    """One way to run the recursion: the variable order the executor will
-    actually use, the depth its elimination starts at (the order's length
-    for a full enumeration) and whether the eliminator may factorize."""
-
-    order: tuple[str, ...]
-    start: int
-    factorize: bool = True
-
-
 class _Candidate(NamedTuple):
     """One strategy as priced: predicted ms, the predicted operations
     behind them, the modes that cost assumes."""
@@ -698,10 +781,11 @@ def _estimate(query: ConjunctiveQuery, database: Database,
               axes: PlanAxes, agg_plan: dict | None,
               ranked_plan: dict | None, limit: int | None,
               ) -> tuple[dict[str, _Candidate], dict[str, float],
-                         Callable[[str], float]]:
+                         Callable[[str], float], tuple[str, ...]]:
     """Price every strategy in predicted milliseconds: one candidate
-    each, the informational cost entries, and the columnar pricer
-    (strategy -> ms for the variant that strategy resolved to).
+    each, the informational cost entries, the columnar pricer (strategy
+    -> ms for the variant that strategy resolved to), and the order a
+    plain enumeration runs (:func:`_plain_plan`'s choice).
 
     Every recursion variant — plain, in-recursion aggregation, any-k, the
     columnar descent — is the same :func:`simulate_levels` walk over the
@@ -714,10 +798,10 @@ def _estimate(query: ConjunctiveQuery, database: Database,
     """
     total = float(sum(c.cardinality for c in instance.catalogs))
     n = len(query.variables)
-    order, start = _plain_plan(query, selections, group)
-    last = simulate_levels(instance, order)[-1]
-    results = min(agm, last[1] * last[3])  # the full join, for everybody
-    outer, inner, pops = _Variant(order, start), None, 0.0
+    plain = _plain_plan(instance, selections, group, agm,
+                        choose=agg_plan is None)
+    results = plain.results  # the full join, for everybody
+    outer, inner, pops = plain.variant, None, 0.0
     axis, forced, prefer_inner, tree_inner_ok = "", "", False, True
     if ranked_plan is not None:
         axis, forced = "ranked_mode", axes.ranked_mode
@@ -735,18 +819,9 @@ def _estimate(query: ConjunctiveQuery, database: Database,
     walks: dict[tuple, tuple[list, float]] = {}
 
     def walk(variant: _Variant, memo: bool = True) -> tuple[list, float]:
-        # Levels and rows emitted (below an elimination: surviving prefixes).
         if (variant, memo) not in walks:
-            levels = simulate_levels(instance, variant.order, _scopes(
-                query, variant.order, variant.start, selections, memo,
-                variant.factorize))
-            if variant.start == n:
-                emitted = results
-            elif variant.start:
-                emitted = min(results, levels[variant.start - 1][1])
-            else:
-                emitted = min(results, 1.0)
-            walks[variant, memo] = levels, emitted
+            walks[variant, memo] = _walk(instance, variant, selections,
+                                         results, memo)
         return walks[variant, memo]
 
     def recursion_ops(variant: _Variant, fan_in: bool = False,
@@ -763,35 +838,40 @@ def _estimate(query: ConjunctiveQuery, database: Database,
             _TREE_PASSES[inner_name] * total
             + (pops if ranked_plan is not None else walk(inner)[1]))
 
-    def ms(name: str, ops: float, mode: str = "") -> float:
-        # A stream-fold also pays the engine's fold over every result.
+    def ms(name: str, ops: float, mode: str = "",
+           seen_set: bool = False) -> float:
+        # A stream-fold also pays the engine's fold over every result, and
+        # a seen-set its probe of every full row, at the same rate.
+        folded = mode == "fold" or seen_set
         return 1000.0 * (COST_TABLE[name] * ops + (
-            COST_TABLE["fold.row"] * results if mode == "fold" else 0.0))
+            COST_TABLE["fold.row"] * results if folded else 0.0))
 
+    variants = {outer_name: outer}
+    if inner is not None:
+        variants[inner_name] = inner
     candidates = {name: _Candidate(math.inf) for name in STRATEGIES}
-    info: dict[str, float] = {}
+    info: dict[str, float] = dict(plain.priced)
     resolved: dict[str, _Variant] = {}
     for name in ("generic", "yannakakis") if acyclic else ("generic",):
-        ops = {mode: tree_ops[mode] if name == "yannakakis"
-               else recursion_ops(variant)
-               for mode, variant in ((outer_name, outer), (inner_name, inner))
-               if variant is not None}
+        recursion = name == "generic"
+        ops = {mode: recursion_ops(variant) if recursion else tree_ops[mode]
+               for mode, variant in variants.items()}
+        cost = {mode: ms(name, ops[mode], mode,
+                         recursion and variant.seen_set)
+                for mode, variant in variants.items()}
         mode: str | None = outer_name
         if inner is not None:
-            if name == "generic":
-                info.update((f"{label}[{m}]", ms(name, o, m))
-                            for m, o in ops.items())
+            if recursion:
+                info.update((f"{label}[{m}]", c) for m, c in cost.items())
             mode, _ms = _resolve(
                 forced, inner_name, outer_name,
-                ms(name, ops[inner_name], inner_name),
-                ms(name, ops[outer_name], outer_name),
+                cost[inner_name], cost[outer_name],
                 prefer_inner=prefer_inner,
-                inner_ok=name != "yannakakis" or tree_inner_ok)
+                inner_ok=recursion or tree_inner_ok)
             if mode is None:
                 continue
-        resolved[name] = inner if inner is not None and mode == inner_name \
-            else outer
-        candidates[name] = _Candidate(ms(name, ops[mode], mode), ops[mode],
+        resolved[name] = variants[mode]
+        candidates[name] = _Candidate(cost[mode], ops[mode],
                                       **({axis: mode} if axis else {}))
     # Leapfrog is the same recursion under another intersection primitive:
     # one price, and the STRATEGIES tie-break runs Generic-Join.
@@ -836,18 +916,37 @@ def _estimate(query: ConjunctiveQuery, database: Database,
 
     info["build[trie]"] = ms("trie.row", total)
     info["build[layout]"] = ms("layout.row", total)
-    return candidates, info, columnar_ms
+    return candidates, info, columnar_ms, plain.variant.order
+
+
+def _forced_plain_order(query: ConjunctiveQuery, database: Database,
+                        selections: Sequence[Comparison],
+                        head: Sequence[str], agm: float,
+                        registry: IndexRegistry | None) -> tuple[str, ...]:
+    """The order a forced WCOJ plan enumerates: :func:`_plain_plan`'s
+    choice, as under auto pricing, so a profile or a calibration times
+    the plan whose operations were predicted.  Catalogs are read only
+    when there are two orders to compare."""
+    orders = _plain_orders(query, selections, head)
+    if len(orders) == 1:
+        return orders[0].order
+    if registry is None:
+        registry = IndexRegistry(database)  # catalogs for the call
+    instance = _instance(query, database, selections, registry)
+    return _plain_plan(instance, selections, head, agm).variant.order
 
 
 def _payload_for(strategy: str, mode: str | None,
                  agg_plan: dict | None,
                  ranked_resolved: str | None = None,
-                 ranked_plan: dict | None = None) -> tuple | None:
+                 ranked_plan: dict | None = None,
+                 plain_order: tuple[str, ...] | None = None
+                 ) -> tuple | None:
     """The dispatcher-computed plan payload for the chosen strategy.
 
-    Any-k plans carry the ``("anyk", ranked order)`` tag; drain-ranked
-    plans stay untagged (the executor runs its plain enumeration payload
-    and the engine sorts above it).
+    Any-k plans carry the ``("anyk", ranked order)`` tag, aggregate plans
+    their mode tag; every other WCOJ plan — drain-ranked ones included,
+    the engine sorts above them — runs the untagged ``plain_order``.
     """
     if ranked_resolved == "anyk" and ranked_plan is not None:
         if strategy in ("generic", "leapfrog"):
@@ -855,12 +954,14 @@ def _payload_for(strategy: str, mode: str | None,
         if strategy == "yannakakis":
             return ("anyk", ())
         return None
-    if agg_plan is None or mode is None:
+    if agg_plan is not None and mode is not None:
+        if strategy in ("generic", "leapfrog"):
+            return (mode, agg_plan["order"])
+        if strategy == "yannakakis":
+            return (mode, ())
         return None
     if strategy in ("generic", "leapfrog"):
-        return (mode, agg_plan["order"])
-    if strategy == "yannakakis":
-        return (mode, ())
+        return plain_order
     return None
 
 
@@ -884,7 +985,9 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         forces it (raising :class:`QueryError` when infeasible, e.g.
         ``"yannakakis"`` on a cyclic query).  Forced modes skip the cost
         estimation, paying only the acyclicity test and the AGM LP that
-        ``explain()`` reports.
+        ``explain()`` reports — and, for a forced ``generic`` /
+        ``leapfrog`` strict projection, the pricing of its two variable
+        orders, so the forced plan runs the order auto would.
     selections:
         Rich-query comparison predicates; single-atom ones filter the
         scans every estimate is simulated over.
@@ -946,13 +1049,14 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     backend_resolved = "python"
     backend_fallback: str | None = None
     hybrid_plan: dict | None = None
+    plain_order: tuple[str, ...] | None = None
     if axes.mode == "auto":
         if registry is None:
             registry = IndexRegistry(database)  # catalogs for the call
         binary_order = greedy_atom_order(query, database)
         hybrid_plan = plan_hybrid(query, database, registry)
         instance = _instance(query, database, selections, registry)
-        candidates, costs, columnar_ms = _estimate(
+        candidates, costs, columnar_ms, plain_order = _estimate(
             query, database, instance, selections, group, bound.bound,
             acyclic, binary_order, hybrid_plan, axes, agg_plan, ranked_plan,
             limit)
@@ -1039,6 +1143,10 @@ def dispatch(query: ConjunctiveQuery, database: Database,
                     "order; use a WCOJ mode, 'yannakakis', or "
                     "ranked_mode='drain'"
                 )
+        if (strategy in ("generic", "leapfrog") and not aggregates
+                and ranked_resolved != "anyk"):
+            plain_order = _forced_plain_order(query, database, selections,
+                                              group, bound.bound, registry)
         if axes.backend != "python":
             if strategy not in COLUMNAR_CAPABLE:
                 backend_fallback = (
@@ -1058,7 +1166,7 @@ def dispatch(query: ConjunctiveQuery, database: Database,
                    hybrid_plan["light_strategy"])
     else:
         payload = _payload_for(strategy, resolved, agg_plan,
-                               ranked_resolved, ranked_plan)
+                               ranked_resolved, ranked_plan, plain_order)
     return DispatchDecision(
         strategy=strategy, acyclic=acyclic, agm=bound, costs=costs,
         binary_order=binary_order,

@@ -9,8 +9,9 @@ layers the remaining folds, ordering and LIMIT on top of the streams they
 return:
 
 * ``plan(spec, database)`` produces the strategy-specific payload of a
-  plain plan (a variable order, an atom order, or nothing); mode-tagged
-  payloads are minted by :func:`repro.engine.cost.dispatch` alone;
+  plain plan (a variable order, an atom order, or nothing); WCOJ
+  payloads — a projection's priced order, the mode-tagged ones — are
+  minted by :func:`repro.engine.cost.dispatch` alone;
 * ``canonical_payload`` / ``payload_from_canonical`` translate that payload
   to and from canonical vocabulary, so the plan cache can serve isomorphic
   queries;
@@ -231,7 +232,7 @@ class _WcojExecutor:
     name: str
 
     def plan(self, spec: Query, database: Database) -> tuple:
-        """The global variable order of a plain enumeration.
+        """The structural head-first order of a plain enumeration.
 
         Constant-pinned variables come first (they restrict every
         containing atom for the whole search), then the head variables
@@ -240,12 +241,14 @@ class _WcojExecutor:
         For full unselected queries this degenerates to the classical
         min-degree order.
 
-        Mode-tagged payloads — the aggregate-aware order under
-        ``"recursion"`` / ``"fold"``, the ranked order under ``"anyk"`` —
-        are only ever minted by the dispatcher
-        (:func:`repro.engine.cost.dispatch`), which owns those
-        resolutions; a drain-ranked plan runs this order and the engine
-        sorts above it.
+        Engine plans do not call this: the dispatcher
+        (:func:`repro.engine.cost.dispatch`) mints every WCOJ payload —
+        for a strict projection the cheaper of this order and the
+        guarded one (the head deduplicated by a seen-set), priced on the
+        instance's degrees; the aggregate-aware order under
+        ``"recursion"`` / ``"fold"``; the ranked order under ``"anyk"``.
+        A drain-ranked plan runs the plain order and the engine sorts
+        above it.
         """
         return pushdown_order(spec.core, fixed=spec.fixed_variables,
                               leading=spec.head_vars)

@@ -139,6 +139,12 @@ class Explanation:                 # make a generated __hash__ crash
         bracketed entries are ``ops[strategy]`` and informational.
     variable_order:
         The WCOJ variable order (None for non-WCOJ strategies).
+    projection:
+        For a plain WCOJ enumeration of a strict projection, how the head
+        is made distinct — ``"existential tail after C"`` (head-first
+        order) or ``"head deduplicated by a seen-set"`` (guarded order;
+        the ``order[head]`` / ``order[guarded]`` cost entries price the
+        two); None otherwise.
     canonical_form:
         The plan-cache key's structural component (``== constant``
         selections are slots there: plans are shared across constants).
@@ -227,6 +233,7 @@ class Explanation:                 # make a generated __hash__ crash
     session_stats: dict[str, int] | None = None
     analysis: ProfileReport | None = None
     parameters: tuple[str, ...] = ()
+    projection: str | None = None
 
     @property
     def agm_bound(self) -> float:
@@ -255,7 +262,9 @@ class Explanation:                 # make a generated __hash__ crash
                                   else "(skipped — forced mode)"),
         ]
         if self.variable_order is not None:
-            lines.append(f"variable order: {' -> '.join(self.variable_order)}")
+            lines.append(f"variable order: {' -> '.join(self.variable_order)}"
+                         + (f" ({self.projection})" if self.projection
+                            else ""))
         if self.output_columns:
             lines.append(f"output:         ({', '.join(self.output_columns)})")
         if self.aggregates:
@@ -1128,6 +1137,7 @@ class Engine:
             agm_log2=prepared.plan.agm_log2,
             costs=prepared.plan.cost_dict(),
             variable_order=variable_order,
+            projection=self._projection_form(prepared, variable_order),
             canonical_form=prepared.canon.plan_form,
             parameters=prepared.canon.parameters,
             plan_cache=prepared.plan_provenance,
@@ -1168,6 +1178,24 @@ class Engine:
         """
         axes = PlanAxes(mode, aggregate_mode, ranked_mode)
         return profile_query(self, query, **asdict(axes))
+
+    @staticmethod
+    def _projection_form(prepared: _Prepared,
+                         order: tuple[str, ...] | None) -> str | None:
+        """How a plain WCOJ enumeration makes a strict projection's head
+        distinct — the test ``wcoj_stream`` applies to the order it is
+        given — or None when nothing is projected away."""
+        spec = prepared.query
+        head = set(spec.head_vars)
+        if (order is None or not head or spec.aggregates
+                or payload_ranked_mode(prepared.payload) is not None
+                or set(order) <= head | spec.fixed_variables):
+            return None
+        last = max(order.index(h) for h in head)
+        if all(v in head or v in spec.fixed_variables
+               for v in order[:last]):
+            return f"existential tail after {order[last]}"
+        return "head deduplicated by a seen-set"
 
     @staticmethod
     def _elimination_placement(prepared: _Prepared,

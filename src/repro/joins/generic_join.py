@@ -129,7 +129,11 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
     one witness saturates the fold (``absorbing``), the rest of the
     subtree is abandoned, and a separator-keyed memo reuses witnesses
     across head prefixes that agree on the variables the tail can actually
-    see.  Otherwise a seen-set fallback keeps the semantics.
+    see.  Otherwise every full binding is enumerated and a seen-set keeps
+    each head tuple's first occurrence: the plan for a *guarded* order,
+    which binds an existential variable before a head variable because
+    it guards it — the dispatcher runs it when it prices cheaper than the
+    head-first order's unguarded levels.
 
     **Aggregation.**  With ``aggregates``, ``head`` is the group-by prefix
     and the stream yields finalized aggregate rows ``group values +
@@ -819,7 +823,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             del binding[variable]
 
     if head is not None and not early_distinct and set(head) != set(variables):
-        # Fallback: the order interleaves unpinned non-head variables with
+        # A guarded order interleaves unpinned non-head variables with
         # the head, so distinctness needs a seen-set.
         def deduplicated() -> Iterator[tuple]:
             seen: set[tuple] = set()

@@ -91,6 +91,13 @@ def pushdown_order(query: ConjunctiveQuery,
     close the order.  Within each block the min-degree heuristic (with
     its name tie-break) applies, so the result is still a pure function
     of the query structure.
+
+    Head-first is not always cheaper: it can bind a head variable that no
+    earlier variable guards (a pinned 2-hop ``Q(C) :- R(a,B), S(B,C)``
+    enumerates every ``C`` of ``S``).  Without ``leading`` the order is
+    the *guarded* one, each variable placed by its own degree; for a
+    strict projection the dispatcher prices both and runs the cheaper
+    (:func:`repro.engine.cost.dispatch`).
     """
     blocks = {v: 0 for v in fixed}
     for v in leading:

@@ -13,10 +13,16 @@ import random
 
 import pytest
 
+from repro.engine.executors import executor_for
 from repro.engine.session import Engine
+from repro.joins.instrumentation import OperationCounter
+from repro.query.builder import Query
+from repro.query.variable_order import pushdown_order
 from repro.relational.relation import Relation
 
 pytest.importorskip("numpy")
+
+from repro.columnar.executor import ColumnarExecutor  # noqa: E402
 
 
 def _random_relation(rng: random.Random, name: str, arity: int,
@@ -168,6 +174,46 @@ def test_forced_strategies_agree():
         columnar = list(engine.execute(query, mode=mode,
                                        backend="columnar").tuples)
         assert columnar == python, f"mismatch under forced {mode}"
+
+
+STRICT_PROJECTIONS = [
+    "Q(C) :- R(1,B), S(B,C)",
+    "Q(D) :- R(1,B), S(B,C), T(C,D)",
+    "Q(C) :- R(1,B), R(B,C)",
+    "Q(A) :- R(A,B), S(B,C)",
+]
+
+
+@pytest.mark.parametrize("query", STRICT_PROJECTIONS)
+def test_strict_projections_agree_under_both_orders(query):
+    """Dispatch chooses between two orders for a strict projection:
+    head-first (existential tail) and guarded (every full row, each head
+    tuple kept at its first occurrence).  The kernel runs both — no
+    fallback — with the python recursion's rows in its order, and the
+    forced and auto plans agree across backends whichever order won."""
+    # Every shape here reaches some head tuple along two paths: the
+    # guarded order's seen-set has duplicates to drop.
+    rng = random.Random(29)
+    rows = sorted({(rng.randrange(9), rng.randrange(9)) for _ in range(35)})
+    engine = Engine(relations=[Relation(name, ("X", "Y"), rows)
+                               for name in "RST"], cache_results=False)
+    spec = Query.coerce(query)
+    fixed = spec.fixed_variables
+    head_first = pushdown_order(spec.core, fixed=fixed,
+                                leading=spec.head_vars)
+    guarded = pushdown_order(spec.core, fixed=fixed)
+    assert head_first != guarded
+    kernel = ColumnarExecutor()
+    for order in (head_first, guarded):
+        for strategy in ("generic", "leapfrog"):
+            python = list(executor_for(strategy).stream(
+                spec, engine.database, order, registry=engine.registry))
+            counter = OperationCounter()
+            columnar = kernel._columnar_rows(spec, engine.database, order,
+                                             engine.registry, counter)
+            assert columnar == python, (order, strategy)
+            assert counter.tuples_emitted == len(columnar)
+    _assert_backends_agree(engine, query)
 
 
 def test_agreement_across_mutations():

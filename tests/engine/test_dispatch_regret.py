@@ -107,6 +107,55 @@ class TestCatastrophicFlips:
         assert session.execute(self.STAR).tuples == oracle.tuples
 
 
+class TestProjectionOrder:
+    """A strict projection runs the cheaper of its two variable orders.
+
+    Head-first binds the head before the existential variables; on a
+    pinned path that puts ``C`` at a level nothing bound guards, so it
+    walks every value of ``S``.  The guarded order binds ``B`` from the
+    constant first and deduplicates the head by a seen-set."""
+
+    PINNED = {
+        "two_hop": "Q(C) :- R(1,B), S(B,C)",
+        "three_hop": "Q(D) :- R(1,B), S(B,C), U(C,D)",
+    }
+    STAR = "Q(A) :- R(A,B), T(A,C), V(D,A)"
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        return graph_engine("uniform")
+
+    @pytest.mark.parametrize("shape", sorted(PINNED))
+    def test_auto_runs_the_guarded_wcoj_order(self, session, shape):
+        explanation = session.explain(self.PINNED[shape])
+        assert explanation.strategy in ("generic", "leapfrog")
+        order = explanation.variable_order
+        assert order.index("B") < order.index("C")
+        assert explanation.projection == "head deduplicated by a seen-set"
+        assert explanation.costs["order[guarded]"] \
+            < explanation.costs["order[head]"]
+
+    @pytest.mark.parametrize("shape", sorted(PINNED))
+    def test_dispatched_within_1_5x_and_generic_calibrated(self, session,
+                                                          shape):
+        # Forced generic runs the order auto priced: measured on the
+        # head-first walk, the 2-hop's guarded prediction reads 8.8x off.
+        report = session.profile(self.PINNED[shape])
+        best = min(profile.actual for profile in report.profiles)
+        assert report.profile_for(report.dispatched).actual <= 1.5 * best, \
+            report.render()
+        generic = report.profile_for("generic")
+        assert 1 / 8 <= generic.calibration <= 8, report.render()
+
+    def test_star_projection_keeps_its_head_first_order(self, session):
+        # The head is the star's centre: the guarded order is the same
+        # order, so there is nothing to choose.
+        explanation = session.explain(self.STAR)
+        assert explanation.variable_order[0] == "A"
+        assert explanation.projection == "existential tail after A"
+        assert "order[guarded]" not in explanation.costs
+
+
 class TestCalibration:
     TOLERANCE = 8.0
     SHAPES = {

@@ -78,6 +78,10 @@ SHAPES = {
 #: form name -> (query template over body/head, forced axes).
 FORMS = {
     "plain": ("Q({head}) :- {body}", {}),
+    # A pinned strict projection: on the paths and the 4-cycle the
+    # guarded order (A -> B -> ... with a seen-set) differs from the
+    # head-first one, so dispatch prices both and runs the cheaper.
+    "projected": ("Q(C) :- {body}, A == 1", {}),
     "grouped.recursion": ("Q(A, COUNT(*) AS n) :- {body}",
                           {"aggregate_mode": "recursion"}),
     "grouped.fold": ("Q(A, COUNT(*) AS n) :- {body}",
