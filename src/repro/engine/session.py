@@ -420,7 +420,7 @@ class Engine:
         self._parse_cache: LRUCache = LRUCache(plan_cache_size)
         self._canon_cache: LRUCache = LRUCache(plan_cache_size)
         self.stats = EngineStats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer  # type: ignore[assignment]  # the setter maps None
         if metrics is False:
             self._metrics: MetricsRegistry | None = None
         elif metrics is None or metrics is True:
@@ -445,6 +445,16 @@ class Engine:
         self._columnar_executor: dict[str, Any] | None = None
         if self._metrics is not None:
             self._declare_metrics()
+
+    @property
+    def tracer(self) -> Tracer | NullTracer:
+        """The session's tracer, never None: assigning None installs the
+        shared :data:`~repro.obs.trace.NULL_TRACER`."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Tracer | NullTracer | None) -> None:
+        self._tracer = NULL_TRACER if tracer is None else tracer
 
     def _declare_metrics(self) -> None:
         """Declare the session's instruments once, keeping bound
@@ -734,7 +744,7 @@ class Engine:
         return canon
 
     def _prepare(self, query: QueryLike, axes: PlanAxes) -> _Prepared:
-        tracer = self.tracer
+        tracer = self._tracer
         with tracer.span("parse", from_text=isinstance(query, str)):
             query = self._normalize(query)
         axes.check(query.aggregates, query.order_by)
@@ -917,7 +927,7 @@ class Engine:
         """
         axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
         self._check_limit(limit)
-        tracer = self.tracer
+        tracer = self._tracer
         with tracer.span("query", mode=mode) as span:
             prepared = self._prepare(query, axes)
             effective = self._effective_limit(prepared.query, limit)
@@ -945,7 +955,7 @@ class Engine:
         metrics = self._metrics
         if metrics is not None:
             self._m_queries.inc()
-        tracer = self.tracer
+        tracer = self._tracer
         cacheable = cacheable and self._cache_results and counter is None
         if cacheable:
             cached = self._results.get(self._result_key(prepared))
@@ -969,9 +979,9 @@ class Engine:
             run_counter = OperationCounter(detail=metrics is not None)
         self.last_operations = run_counter
         start = time.perf_counter()
-        rows = self._run(prepared, run_counter, limit)
+        self._resolve_indexes(prepared)
         with tracer.span("execute", strategy=prepared.plan.strategy) as span:
-            rows = list(rows)
+            rows = list(self._run(prepared, run_counter, limit))
             span.set(rows=len(rows))
             if run_counter is not None and tracer.enabled:
                 span.set(operations=run_counter.as_dict())
@@ -1049,6 +1059,7 @@ class Engine:
         if run_counter is None and self._collect:
             run_counter = OperationCounter(detail=self._metrics is not None)
         self.last_operations = run_counter
+        self._resolve_indexes(prepared)
         return self._run(prepared, run_counter, limit)
 
     def execute_many(self, queries: Sequence[QueryLike],
@@ -1073,7 +1084,7 @@ class Engine:
         for prep in prepared:
             columnar, layouts = self._index_layouts(prep)
             (columnar_requested if columnar else requested).update(layouts)
-        with self.tracer.span("index.resolve", batch=len(prepared)) as span:
+        with self._tracer.span("index.resolve", batch=len(prepared)) as span:
             self._prebuild_indexes(requested, columnar_requested)
             span.set(indexes=len(requested) + len(columnar_requested))
         self._sync_index_stats()
@@ -1312,6 +1323,20 @@ class Engine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _resolve_indexes(self, prepared: _Prepared) -> None:
+        """Under tracing, warm the plan's indexes inside their own span
+        before the run (executor.stream would otherwise resolve them
+        invisibly, inside ``execute``)."""
+        tracer = self._tracer
+        if tracer.enabled:
+            with tracer.span("index.resolve") as span:
+                columnar, layouts = self._index_layouts(prepared)
+                if columnar:
+                    self._prebuild_indexes((), layouts)
+                else:
+                    self._prebuild_indexes(layouts, ())
+                span.set(indexes=len(layouts), warm=sum(layouts.values()))
+
     def _run(self, prepared: _Prepared, counter: OperationCounter | None,
              limit: int | None = None) -> Iterator[tuple]:
         """Stream output rows: join → aggregate fold → order → limit.
@@ -1328,17 +1353,6 @@ class Engine:
         executor = executor_for(prepared.plan.strategy)
         if self._runs_columnar(prepared):
             executor = self._columnar(prepared.plan.strategy)
-        tracer = self.tracer
-        if tracer.enabled:
-            # Resolve the plan's indexes up front, inside their own span
-            # (executor.stream would otherwise resolve them invisibly).
-            with tracer.span("index.resolve") as span:
-                columnar, layouts = self._index_layouts(prepared)
-                if columnar:
-                    self._prebuild_indexes((), layouts)
-                else:
-                    self._prebuild_indexes(layouts, ())
-                span.set(indexes=len(layouts), warm=sum(layouts.values()))
         if self._metrics is not None:
             self._m_dispatch.inc(strategy=prepared.plan.strategy)
             self._m_backend.inc(backend=prepared.plan.backend)

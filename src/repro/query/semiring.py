@@ -115,6 +115,12 @@ class Semiring:
         be joined against unchanged annotations.  ``None`` declares the
         semiring non-invertible (MIN/MAX, boolean, ranking): delete paths
         must refuse it via :func:`negate_value`.
+
+    The class is final and checks its own protocol when built: ``one``
+    and ``times`` are declared together or not at all (``None`` means
+    undeclared), so the in-recursion folds, Yannakakis' in-pass
+    aggregation and IVM's deletes can trust whatever algebra reaches
+    them, however it was assembled.
     """
 
     name: str
@@ -127,6 +133,20 @@ class Semiring:
     finalize: Callable[[Any], Any] | None = None
     absorbing: Any = _NO_ABSORBING
     negate: Callable[[Any], Any] | None = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # A subclass method named like a field (``negate``) is shadowed by
+        # the instance's field value, so ``has_inverse`` would disagree.
+        raise TypeError("Semiring is final; build one with Semiring(...) "
+                        "or product_semiring(...)")
+
+    def __post_init__(self) -> None:
+        if (self.one is None) != (self.times is None):
+            declared, missing = (("times", "one") if self.one is None
+                                 else ("one", "times"))
+            raise QueryError(
+                f"semiring {self.name!r} declares {declared!r} without "
+                f"{missing!r}; the product structure is declared whole")
 
     @property
     def has_product(self) -> bool:
@@ -323,6 +343,9 @@ def ranking_semiring() -> Semiring:
 
 def register_semiring(semiring: Semiring) -> None:
     """Register a custom aggregate semiring under ``semiring.name``."""
+    if not isinstance(semiring, Semiring):
+        raise QueryError(
+            f"register_semiring expects a Semiring, got {semiring!r}")
     if semiring.name in SEMIRINGS:
         raise QueryError(f"semiring {semiring.name!r} is already registered")
     SEMIRINGS[semiring.name] = semiring
@@ -392,9 +415,9 @@ def product_semiring(name: str, factors: Sequence[Semiring],
     are the tuples of the factors' identities and ``plus``/``times``/
     ``lift`` apply coordinatewise (every factor lifts the *same* column
     value, so a product aggregate can observe one variable through
-    several algebras at once).  ``times`` is only defined when every
-    factor has a product, and ``finalize`` defaults to the coordinatewise
-    finalizers whenever any factor declares one.
+    several algebras at once).  ``one`` and ``times`` are only defined
+    when every factor has a product, and ``finalize`` defaults to the
+    coordinatewise finalizers whenever any factor declares one.
 
     **Absorbing elements do not survive the product unless every factor
     has one.**  ``(a₁, x)`` with ``a₁`` absorbing for the first factor
@@ -421,8 +444,11 @@ def product_semiring(name: str, factors: Sequence[Semiring],
     def lift(v: Any) -> tuple:
         return tuple(f.lift(v) for f in factors)
 
+    one = None
     times = None
     if all(f.has_product for f in factors):
+        one = tuple(f.one for f in factors)
+
         def times(a: tuple, b: tuple) -> tuple:
             return tuple(f.times(x, y) for f, x, y in zip(factors, a, b))
 
@@ -446,7 +472,7 @@ def product_semiring(name: str, factors: Sequence[Semiring],
         plus=plus,
         lift=lift,
         needs_variable=any(f.needs_variable for f in factors),
-        one=tuple(f.one for f in factors),
+        one=one,
         times=times,
         finalize=finalize,
         absorbing=absorbing,

@@ -2,12 +2,13 @@
 intersection charges the smallest list and rebuilds every other one."""
 
 
-def intersect(value_lists, counter):
-    value_lists = sorted(value_lists, key=len)
-    smallest = value_lists[0]
-    counter.charge(intersection_steps=len(smallest))
-    others = [set(lst) for lst in value_lists[1:]]  # O(sum), uncharged
-    return [v for v in smallest if all(v in s for s in others)]
+def intersect(nodes, counter):
+    smallest = min(nodes, key=lambda node: len(node.sorted_keys))
+    keys = smallest.sorted_keys
+    counter.charge(intersection_steps=len(keys))
+    others = [set(node.sorted_keys)  # O(sum), uncharged
+              for node in nodes if node is not smallest]
+    return [v for v in keys if all(v in s for s in others)]
 
 
 def level(trie, prefix, node):

@@ -10,9 +10,9 @@ def intersect(nodes, counter):
     return [v for v in keys if all(v in probe for probe in probes)]
 
 
-def rebuild(value_lists, counter):
-    counter.charge(hash_inserts=sum(len(lst) for lst in value_lists))
-    return [set(lst) for lst in value_lists]
+def rebuild(nodes, counter):
+    counter.charge(hash_inserts=sum(len(node.sorted_keys) for node in nodes))
+    return [set(node.sorted_keys) for node in nodes]
 
 
 def level(trie, prefix, node, counter):

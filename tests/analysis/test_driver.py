@@ -118,10 +118,7 @@ def test_cli_json_report_shape(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["clean"] is True
     assert report["files"] > 0
-    assert set(report["rules"]) == {
-        "import-layering", "counter-honesty",
-        "semiring-protocol", "tracer-discipline",
-    }
+    assert set(report["rules"]) == {"import-layering", "counter-honesty"}
     for entry in report["suppressed"]:
         assert entry["reason"]  # every repo suppression carries a reason
 
@@ -142,7 +139,8 @@ def test_cli_unknown_rule_is_usage_error(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "counter-honesty" in out and "tracer-discipline" in out
+    assert "counter-honesty" in out and "import-layering" in out
+    assert "tracer-discipline" not in out
 
 
 def test_repo_baseline_is_empty():

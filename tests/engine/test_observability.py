@@ -1,10 +1,12 @@
 """Integration tests: the engine's tracer spans and metrics registry."""
 
+import importlib
+
 import pytest
 
 from repro.engine import Engine
 from repro.errors import QueryError
-from repro.obs import MetricsRegistry, Tracer, parse_exposition
+from repro.obs import NULL_TRACER, MetricsRegistry, Tracer, parse_exposition
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -15,6 +17,22 @@ def traced(small_triangle_instance):
     tracer = Tracer()
     return Engine(database, tracer=tracer, collect_operations=True), \
         tracer, query
+
+
+class _NamingTracer(Tracer):
+    """A tracer that can name the spans open at any moment."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = {}
+
+    def span(self, name, **attributes):
+        live = super().span(name, **attributes)
+        self.names[live.span_id] = name
+        return live
+
+    def open_names(self):
+        return [self.names[span_id] for span_id in self._stack]
 
 
 class TestTracing:
@@ -66,6 +84,50 @@ class TestTracing:
         assert not engine.tracer.enabled
         engine.execute(query)
         assert len(engine.tracer) == 0
+
+    def test_tracer_is_never_none(self, small_triangle_instance):
+        _query, database, _ = small_triangle_instance
+        assert Engine(database, tracer=None).tracer is NULL_TRACER
+        engine = Engine(database, tracer=Tracer())
+        engine.tracer = None
+        assert engine.tracer is NULL_TRACER
+
+    @pytest.mark.parametrize("text, mode, backend, executor", [
+        ("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", "binary", "python",
+         "repro.engine.executors.BinaryPlanExecutor"),
+        ("Q(A,B,C) :- R(A,B), S(B,C)", "yannakakis", "python",
+         "repro.engine.executors.YannakakisExecutor"),
+        ("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", "generic", "columnar",
+         "repro.columnar.executor.ColumnarExecutor"),
+    ])
+    def test_executor_runs_inside_the_execute_span(
+            self, small_triangle_instance, monkeypatch, text, mode, backend,
+            executor):
+        # Eager executors finish inside stream(); if execute opened after
+        # it, their whole run would fall outside every stage span.
+        if backend == "columnar":
+            pytest.importorskip("numpy")
+        module, _, name = executor.rpartition(".")
+        executor = getattr(importlib.import_module(module), name)
+        _query, database, _ = small_triangle_instance
+        tracer = _NamingTracer()
+        open_at_call = []
+        original = executor.stream
+
+        def stream(self, *args, **kwargs):
+            open_at_call.append(tracer.open_names())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "stream", stream)
+        Engine(database, tracer=tracer).execute(text, mode=mode,
+                                                backend=backend)
+        assert open_at_call == [["query", "execute"]]
+        # index.resolve stays a sibling of execute, closed before it opens.
+        (root,), (resolve,), (execute,) = (
+            tracer.find(name) for name in ("query", "index.resolve",
+                                           "execute"))
+        assert resolve.parent_id == execute.parent_id == root.span_id
+        assert resolve.span_id < execute.span_id
 
 
 class TestMetrics:

@@ -1,5 +1,7 @@
 """Tests for the pluggable semiring aggregate layer."""
 
+import operator
+
 import pytest
 
 from repro.errors import QueryError
@@ -45,6 +47,30 @@ class TestFold:
         assert list(fold_aggregates([], VARIABLES, ("A",), [count()])) == []
 
 
+class TestProtocol:
+    """A Semiring checks its own protocol when it is built."""
+
+    def test_times_without_one_raises(self):
+        with pytest.raises(QueryError, match="'times' without 'one'"):
+            Semiring("t", 0, operator.add, int, times=operator.mul)
+
+    def test_one_without_times_raises(self):
+        with pytest.raises(QueryError, match="'one' without 'times'"):
+            Semiring("o", 0, operator.add, int, one=1)
+
+    def test_fold_monoid_is_required(self):
+        with pytest.raises(TypeError):
+            Semiring("m", zero=0, plus=operator.add)  # no lift
+
+    def test_subclassing_raises(self):
+        # A subclass's negate() method would be shadowed by the field,
+        # leaving has_inverse False on a ring.
+        with pytest.raises(TypeError, match="final"):
+            class Lopsided(Semiring):
+                def negate(self, value):
+                    return -value
+
+
 class TestRegistry:
     def test_builtins_registered(self):
         assert {"count", "sum", "min", "max"} <= set(SEMIRINGS)
@@ -67,6 +93,10 @@ class TestRegistry:
                 register_semiring(SEMIRINGS[name])
         finally:
             SEMIRINGS.pop(name, None)
+
+    def test_register_rejects_a_non_semiring(self):
+        with pytest.raises(QueryError, match="expects a Semiring"):
+            register_semiring(object())
 
     def test_default_aliases(self):
         assert count().alias == "count"

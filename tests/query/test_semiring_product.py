@@ -71,10 +71,18 @@ class TestProductSemiring:
         assert not SEMIRINGS["avg"].has_absorbing
 
     def test_times_only_when_every_factor_has_product(self):
+        # ... and ``one`` with it: a product declares the two together.
         from repro.query.semiring import Semiring
         monoid = Semiring("monoid", 0, lambda a, b: a + b, lambda v: v)
         product = product_semiring("p", [SEMIRINGS["sum"], monoid])
         assert not product.has_product
+        assert product.one is None
+
+    def test_negate_only_when_every_factor_is_a_ring(self):
+        mixed = product_semiring("mixed", [SEMIRINGS["sum"], SEMIRINGS["min"]])
+        assert not mixed.has_inverse
+        ring = product_semiring("ring", [SEMIRINGS["sum"], SEMIRINGS["count"]])
+        assert ring.negate((5, 2)) == (-5, -2)
 
     def test_coordinatewise_finalize_default(self):
         avgish = product_semiring("fin", [SEMIRINGS["avg"], SEMIRINGS["sum"]])

@@ -6,8 +6,6 @@ import os
 
 from tools.analysis.checkers.counter_honesty import CounterHonestyChecker
 from tools.analysis.checkers.layering import LayeringChecker
-from tools.analysis.checkers.semiring_protocol import SemiringProtocolChecker
-from tools.analysis.checkers.tracer_discipline import TracerDisciplineChecker
 from tools.analysis.core import Checker
 from tools.analysis.layers import load_layers
 
@@ -20,16 +18,12 @@ def default_checkers() -> list[Checker]:
     return [
         LayeringChecker(load_layers(LAYERS_TOML)),
         CounterHonestyChecker(),
-        SemiringProtocolChecker(),
-        TracerDisciplineChecker(),
     ]
 
 
 __all__ = [
     "CounterHonestyChecker",
     "LayeringChecker",
-    "SemiringProtocolChecker",
-    "TracerDisciplineChecker",
     "default_checkers",
     "LAYERS_TOML",
 ]

@@ -32,11 +32,11 @@ must charge referencing one of the arrays the fold reads.
 A materialising builtin is a loop too: ``set(x)`` / ``frozenset(x)`` /
 ``sorted(x)`` / ``list(x)`` / ``dict.fromkeys(x)`` walks all of ``x``
 with no ``for`` in sight.  Inside ``repro.joins`` such a call on a
-*per-node value source* — a trie node's ``sorted_keys``, a
-``.values(prefix)`` read, an element of ``value_lists`` — runs once per
-search node, so it is held to the same rule (it is how an intersection
-that charged ``len(smallest)`` rebuilt a hash set of every *other* list
-at every node under a clean lint).
+*per-node value source* — a trie node's ``sorted_keys`` or a
+``.values(prefix)`` read — runs once per search node, so it is held to
+the same rule (it is how an intersection that charged ``len(smallest)``
+rebuilt a hash set of every *other* list at every node under a clean
+lint).
 
 Purely structural walks (building an index keyed by tuples already
 charged elsewhere) that genuinely must not double-charge get an inline
@@ -76,7 +76,6 @@ MATERIALIZERS = frozenset({"set", "frozenset", "sorted", "list", "fromkeys"})
 #: the one package whose functions run once per search node.
 NODE_VALUE_PREFIX = "repro.joins"
 NODE_VALUE_ATTRS = frozenset({"sorted_keys"})
-NODE_VALUE_CONTAINERS = frozenset({"value_lists"})
 
 _LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp,
           ast.DictComp)
@@ -162,25 +161,14 @@ class CounterHonestyChecker(Checker):
     def _materialisations(self, func: ast.AST):
         """``(call, names a bulk charge may reference)`` for materialising
         calls on per-node value sources directly inside ``func``."""
-        elements: dict[str, set[str]] = {}
-        for node in _walk_same_function(func):
-            for target, iterable in _loop_bindings(node):
-                containers = _read_names(iterable) & NODE_VALUE_CONTAINERS
-                if containers and isinstance(target, ast.Name):
-                    elements.setdefault(target.id, set()).update(containers)
         for node in _walk_same_function(func):
             if not (isinstance(node, ast.Call) and node.args):
                 continue
             f = node.func
             name = f.id if isinstance(f, ast.Name) else \
                 f.attr if isinstance(f, ast.Attribute) else None
-            if name not in MATERIALIZERS:
-                continue
-            arg = node.args[0]
-            if isinstance(arg, ast.Name) and arg.id in elements:
-                yield node, {arg.id} | elements[arg.id]
-            elif _is_node_values(arg):
-                yield node, _read_names(arg)
+            if name in MATERIALIZERS and _is_node_values(node.args[0]):
+                yield node, _read_names(node.args[0])
 
     def _vectorized_folds(self, func: ast.AST):
         for node in _walk_same_function(func):
@@ -226,20 +214,9 @@ def _is_tuple_source(expr: ast.AST) -> bool:
     return False
 
 
-def _loop_bindings(node: ast.AST):
-    """``(target, iterable)`` pairs a ``for`` or comprehension binds."""
-    if isinstance(node, ast.For):
-        yield node.target, node.iter
-    elif isinstance(node, _LOOPS):
-        for gen in node.generators:
-            yield gen.target, gen.iter
-
-
 def _is_node_values(expr: ast.AST) -> bool:
     if isinstance(expr, ast.Attribute):
         return expr.attr in NODE_VALUE_ATTRS
-    if isinstance(expr, ast.Subscript):
-        return bool(_read_names(expr.value) & NODE_VALUE_CONTAINERS)
     if isinstance(expr, ast.Call):  # trie.values(prefix); not dict.values()
         f = expr.func
         return (isinstance(f, ast.Attribute) and f.attr == "values"
