@@ -174,10 +174,6 @@ class Explanation:                 # make a generated __hash__ crash
         Where each selection lands *below* the join (recursion depth for
         WCOJ, earliest covering atom for naive, filtered scan or
         first-covering pairwise join for the materializing strategies).
-    residual_selections:
-        Predicates applied after the join (none under the current
-        executors, which push every predicate below or into the join;
-        kept for forward compatibility).
     order_by / limit:
         Result-ordering and top-k controls carried by the query.
     ranked_mode:
@@ -223,7 +219,6 @@ class Explanation:                 # make a generated __hash__ crash
     aggregate_mode: str | None = None
     elimination: tuple[str, ...] = ()
     pushed_selections: tuple[str, ...] = ()
-    residual_selections: tuple[str, ...] = ()
     order_by: tuple[str, ...] = ()
     limit: int | None = None
     ranked_mode: str | None = None
@@ -274,11 +269,9 @@ class Explanation:                 # make a generated __hash__ crash
         if self.elimination:
             lines.append("elimination:")
             lines.extend(f"    {entry}" for entry in self.elimination)
-        for label, entries in (("pushed below join", self.pushed_selections),
-                               ("post-join filters", self.residual_selections)):
-            if entries:
-                lines.append(f"{label}:")
-                lines.extend(f"    {entry}" for entry in entries)
+        if self.pushed_selections:
+            lines.append("pushed below join:")
+            lines.extend(f"    {entry}" for entry in self.pushed_selections)
         if self.order_by or self.limit is not None:
             order = ", ".join(self.order_by)
             pieces = []
@@ -1120,7 +1113,6 @@ class Engine:
             payload_order(prepared.payload)
             if prepared.plan.strategy in ("generic", "leapfrog") else None
         )
-        pushed, residual = self._selection_placement(prepared)
         spec = prepared.query
         resolved_mode = (payload_aggregate_mode(prepared.payload)
                          or ("fold" if spec.aggregates else None))
@@ -1160,8 +1152,7 @@ class Engine:
             aggregates=tuple(f"{a} AS {a.alias}" for a in spec.aggregates),
             aggregate_mode=resolved_mode,
             elimination=self._elimination_placement(prepared, resolved_mode),
-            pushed_selections=pushed,
-            residual_selections=residual,
+            pushed_selections=self._selection_placement(prepared),
             order_by=tuple(f"{c} DESC" if d else c for c, d in spec.order_by),
             limit=spec.limit,
             ranked_mode=resolved_ranked,
@@ -1270,25 +1261,24 @@ class Engine:
             )
         return ()
 
-    def _selection_placement(self, prepared: _Prepared
-                             ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Where each selection lands relative to the join, per strategy."""
+    def _selection_placement(self, prepared: _Prepared) -> tuple[str, ...]:
+        """Where each selection lands below the join, per strategy: every
+        executor pushes every predicate below or into the join."""
         spec = prepared.query
         if not spec.all_selections:
-            return (), ()
+            return ()
         strategy = prepared.plan.strategy
         core = spec.core
         if strategy in ("generic", "leapfrog"):
             order = payload_order(prepared.payload)
             position = {v: i for i, v in enumerate(order)}
-            pushed = tuple(
+            return tuple(
                 f"{sel} — pruned at depth "
                 f"{max(position[v] for v in sel.variables)} "
                 f"(variable {order[max(position[v] for v in sel.variables)]}"
                 f") of the join recursion"
                 for sel in spec.all_selections
             )
-            return pushed, ()
         if strategy == "naive":
             covered: set[str] = set()
             placements = []
@@ -1300,14 +1290,14 @@ class Engine:
                         placements.append(
                             f"{sel} — pruned at atom {i} ({atom})")
                         pending.remove(sel)
-            return tuple(placements), ()
+            return tuple(placements)
         per_atom, residual = split_selections(core, spec.all_selections)
 
         def column(atom: Any, variable: str) -> str:
             stored = self._db.get(atom.relation).attributes
             return stored[atom.variables.index(variable)]
 
-        pushed = tuple(
+        return tuple(
             f"{sel} — index seek on "
             f"{core.atoms[i].relation}[{column(core.atoms[i], sel.lhs)}]"
             if sel.is_constant_equality else
@@ -1318,7 +1308,6 @@ class Engine:
             "join binding both sides"
             for sel in residual
         )
-        return pushed, ()
 
     # ------------------------------------------------------------------
     # Internals

@@ -12,6 +12,3 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 if REPO_ROOT not in sys.path:
     sys.path.insert(0, REPO_ROOT)
-
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "fixtures")

@@ -1,9 +1,9 @@
 """Each rule demonstrably fails its seeded fixture and passes the twin.
 
 Fixture sources live in ``fixtures/`` (never imported, only parsed);
-each is wrapped in a :class:`FileContext` under a repo path the checker's
-default prefixes cover, so these tests exercise exactly the
-configuration the CI run uses.
+each is wrapped in a :class:`FileContext` under a repo path the checker
+covers, so these tests exercise exactly the configuration the CI run
+uses.
 """
 
 import os
@@ -11,25 +11,16 @@ import os
 from tools.analysis.checkers.counter_honesty import CounterHonestyChecker
 from tools.analysis.checkers.layering import LayeringChecker
 from tools.analysis.core import FileContext
-from tools.analysis.layers import parse_layers
+from tools.analysis.layers import Layer, LayerConfig
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
 
-_LAYERS = parse_layers("""
-[[layer]]
-name = "low"
-modules = ["repro.low"]
-
-[[layer]]
-name = "high"
-modules = ["repro.high"]
-numeric = true
-
-[[layer]]
-name = "apps"
-modules = ["repro.apps"]
-""")
+_LAYERS = LayerConfig(
+    Layer("low", ("repro.low",)),
+    Layer("high", ("repro.high",), numeric=True),
+    Layer("apps", ("repro.apps",)),
+)
 
 
 def _ctx(fixture: str, relpath: str) -> FileContext:

@@ -1,21 +1,18 @@
-"""Driver behaviour: suppressions, baseline round-trip, CLI contract."""
+"""Driver behaviour: suppressions, the CLI, and the repository run."""
 
-import json
+import ast
 import os
+import subprocess
+import sys
 
+from tools.analysis.checkers import default_checkers
 from tools.analysis.checkers.counter_honesty import CounterHonestyChecker
-from tools.analysis.core import (
-    AnalysisDriver,
-    FileContext,
-    iter_python_files,
-    load_baseline,
-    write_baseline,
-)
-from tools.analysis.layers import _parse_toml_subset, parse_layers
-from tools.analysis.__main__ import main
+from tools.analysis.core import AnalysisDriver, FileContext
+from tools.analysis.layers import LAYERS
+from tools.analysis.__main__ import REPO_ROOT, main, run_on_repo
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures")
 
 _VIOLATION = """
 def scan(relation, out):
@@ -39,11 +36,11 @@ def scan(relation, out):
 """
 
 
-def _run(tmp_path, source, baseline=None):
+def _run(tmp_path, source):
     target = tmp_path / "src" / "repro" / "joins" / "mod.py"
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source, encoding="utf-8")
-    driver = AnalysisDriver([CounterHonestyChecker()], baseline)
+    driver = AnalysisDriver([CounterHonestyChecker()])
     return driver.run(str(tmp_path), [str(target)])
 
 
@@ -70,25 +67,24 @@ def test_suppression_without_reason_is_itself_a_finding(tmp_path):
     assert "no reason" in result.findings[0].message
 
 
-def test_baseline_round_trip(tmp_path):
-    first = _run(tmp_path, _VIOLATION)
-    assert not first.clean
-    baseline_path = tmp_path / "baseline.json"
-    count = write_baseline(str(baseline_path), first.findings)
-    assert count == 1
-    entries = load_baseline(str(baseline_path))
-    second = _run(tmp_path, _VIOLATION, baseline=entries)
-    assert second.clean
-    assert len(second.baselined) == 1
+def test_unused_suppression_is_a_finding(tmp_path):
+    with open(os.path.join(FIXTURES, "suppression_unused.py"),
+              encoding="utf-8") as handle:
+        result = _run(tmp_path, handle.read())
+    assert not result.clean and not result.suppressed
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("suppression", 5), ("suppression", 11)]
+    assert "'counter-honesty' silences no finding" in result.findings[0].message
+    assert "'semiring-protocol'" in result.findings[1].message
 
 
-def test_fingerprint_survives_line_shifts(tmp_path):
-    first = _run(tmp_path, _VIOLATION)
-    shifted = "# a new leading comment\n\n" + _VIOLATION
-    second = _run(tmp_path, shifted)
-    assert (first.findings[0].fingerprint()
-            == second.findings[0].fingerprint())
-    assert first.findings[0].line != second.findings[0].line
+def test_partly_used_suppression_reports_only_the_unused_rule(tmp_path):
+    source = _SUPPRESSED.replace("disable=counter-honesty",
+                                 "disable=counter-honesty,import-layering")
+    result = _run_all(tmp_path, "src/repro/joins/mod.py", source)
+    assert [f.rule for f, _ in result.suppressed] == ["counter-honesty"]
+    assert [(f.rule, f.line) for f in result.findings] == [("suppression", 3)]
+    assert "'import-layering' silences no finding" in result.findings[0].message
 
 
 def test_one_parse_per_file():
@@ -97,79 +93,115 @@ def test_one_parse_per_file():
     assert ctx.tree is not None
 
 
-def test_iter_python_files_skips_pycache(tmp_path):
-    (tmp_path / "pkg" / "__pycache__").mkdir(parents=True)
-    (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
-    (tmp_path / "pkg" / "__pycache__" / "b.py").write_text("x = 2\n")
-    found = list(iter_python_files(str(tmp_path), ["pkg"]))
-    assert [os.path.basename(p) for p in found] == ["a.py"]
+# -- the full rule set on a temporary tree ------------------------------
+
+def _run_all(tmp_path, relpath, source):
+    target = tmp_path / relpath
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(source, encoding="utf-8")
+    return AnalysisDriver(default_checkers()).run(str(tmp_path),
+                                                  [str(target)])
 
 
-# -- CLI contract (the same invocations CI runs) ------------------------
+def test_default_rules_flag_an_uncharged_loop_in_joins(tmp_path):
+    result = _run_all(tmp_path, "src/repro/joins/mod.py", _VIOLATION)
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("counter-honesty", 3)]
+
+
+def test_default_rules_flag_an_upward_module_level_import(tmp_path):
+    result = _run_all(tmp_path, "src/repro/relational/mod.py",
+                      "from repro.engine import Engine\n")
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("import-layering", 1)]
+    assert "higher layer 'physical'" in result.findings[0].message
+    assert "(lazy)" not in result.findings[0].message
+
+
+def test_default_rules_flag_numpy_in_the_query_layer(tmp_path):
+    result = _run_all(tmp_path, "src/repro/query/mod.py", "import numpy\n")
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("import-layering", 1)]
+    assert "numeric stack" in result.findings[0].message
+
+
+# -- the repository run (what the CI analysis job executes) -------------
 
 def test_cli_clean_on_the_repo(capsys):
-    assert main([]) == 0
+    assert main() == 0
     err = capsys.readouterr().err
     assert "0 finding(s)" in err
 
 
-def test_cli_json_report_shape(capsys):
-    assert main(["--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["clean"] is True
-    assert report["files"] > 0
-    assert set(report["rules"]) == {"import-layering", "counter-honesty"}
-    for entry in report["suppressed"]:
-        assert entry["reason"]  # every repo suppression carries a reason
+def test_default_checkers_are_the_two_rules():
+    assert {c.rule for c in default_checkers()} == {"import-layering",
+                                                    "counter-honesty"}
 
 
-def test_cli_rejects_baseline_entries_in_gated_packages(tmp_path, capsys):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps([
-        "counter-honesty::src/repro/joins/generic_join.py::whatever",
-    ]))
-    assert main(["--baseline", str(bad)]) == 1
-    assert "forbidden" in capsys.readouterr().err
+def test_repo_run_has_six_reasoned_suppressions():
+    result = run_on_repo()
+    assert result.findings == []
+    assert sorted((f.path, f.rule) for f, _ in result.suppressed) == [
+        ("src/repro/columnar/layout.py", "counter-honesty"),
+        ("src/repro/covers/lp.py", "import-layering"),
+        ("src/repro/covers/lp.py", "import-layering"),
+        ("src/repro/engine/session.py", "import-layering"),
+        ("src/repro/infotheory/shearer.py", "import-layering"),
+        ("src/repro/joins/yannakakis.py", "counter-honesty"),
+    ]
+    assert all(reason for _, reason in result.suppressed)
 
 
-def test_cli_unknown_rule_is_usage_error(capsys):
-    assert main(["--rules", "no-such-rule"]) == 2
+def test_repo_run_checks_every_python_file_under_src():
+    src = os.path.join(REPO_ROOT, "src")
+    expected = sum(name.endswith(".py")
+                   for _dirpath, _dirs, names in os.walk(src)
+                   for name in names)
+    assert run_on_repo().files_checked == expected > 0
 
 
-def test_cli_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    assert "counter-honesty" in out and "import-layering" in out
-    assert "tracer-discipline" not in out
+# -- Python 3.10 has no tomllib -----------------------------------------
+
+def test_no_tomllib_import_under_tools_or_tests():
+    offenders = []
+    for top in ("tools", "tests"):
+        for dirpath, _dirs, names in os.walk(os.path.join(REPO_ROOT, top)):
+            for name in names:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), filename=path)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        continue
+                    if any(m.split(".")[0] == "tomllib" for m in modules):
+                        offenders.append(
+                            f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}")
+    assert offenders == []
 
 
-def test_repo_baseline_is_empty():
-    baseline = load_baseline(
-        os.path.join(REPO_ROOT, "tools", "analysis", "baseline.json"))
-    assert baseline == set()
-
-
-# -- layers.toml parsing ------------------------------------------------
-
-def test_toml_subset_parser_agrees_with_tomllib():
-    import tomllib
-    path = os.path.join(REPO_ROOT, "tools", "analysis", "layers.toml")
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    assert _parse_toml_subset(text) == tomllib.loads(text)
+def test_cli_runs_with_tomllib_unavailable():
+    script = ("import sys; sys.modules['tomllib'] = None; "
+              "from tools.analysis.__main__ import main; sys.exit(main())")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "0 finding(s), 6 suppressed" in proc.stderr
 
 
 def test_real_layer_config_assigns_core_modules():
-    path = os.path.join(REPO_ROOT, "tools", "analysis", "layers.toml")
-    with open(path, encoding="utf-8") as handle:
-        config = parse_layers(handle.read())
-    joins = config.layer_of("repro.joins.generic_join")
-    instrumentation = config.layer_of("repro.joins.instrumentation")
-    engine = config.layer_of("repro.engine.session")
+    joins = LAYERS.layer_of("repro.joins.generic_join")
+    instrumentation = LAYERS.layer_of("repro.joins.instrumentation")
+    engine = LAYERS.layer_of("repro.engine.session")
     assert joins is not None and engine is not None
     # Longest-prefix wins: instrumentation is carved out below joins.
     assert instrumentation is not None
-    assert instrumentation.rank < joins.rank
+    assert LAYERS.rank(instrumentation) < LAYERS.rank(joins)
     # The physical layer is the numeric one; planner layers are not.
     assert engine.numeric
-    assert not config.layer_of("repro.covers.lp").numeric
+    assert not LAYERS.layer_of("repro.covers.lp").numeric

@@ -3,15 +3,15 @@
 The engine's CI gates compare *operation counts* and rest on conventions
 nothing in the language enforces: every tuple loop must charge an
 :class:`~repro.joins.instrumentation.OperationCounter`, and the layer
-DAG must stay acyclic.  (Contracts a type can enforce itself — the
-semiring protocol, the never-None tracer — are checked at run time by
-``Semiring`` and ``Engine.tracer`` instead.)  This package turns the
-remaining conventions into machine-checked invariants: one AST parse per file,
-checkers as visitor plugins, inline suppressions with a required reason,
-a baseline file for grandfathered findings, and human/JSON output with
-stable exit codes.
+DAG (``layers.py``) must stay acyclic.  (Contracts a type can enforce
+itself — the semiring protocol, the never-None tracer — are checked at
+run time by ``Semiring`` and ``Engine.tracer`` instead.)  This package
+turns the remaining conventions into machine-checked invariants: one AST
+parse per file, checkers as visitor plugins, and inline suppressions
+that must carry a reason and silence a finding.
 
-Run it as ``python -m tools.analysis`` from the repository root.
+Run it as ``python -m tools.analysis`` from the repository root; it
+takes no arguments, scans ``src/`` and exits 0 when clean, 1 otherwise.
 """
 
 from tools.analysis.core import (  # noqa: F401
@@ -19,5 +19,4 @@ from tools.analysis.core import (  # noqa: F401
     Checker,
     FileContext,
     Finding,
-    load_baseline,
 )

@@ -1,118 +1,37 @@
-"""CLI driver: ``python -m tools.analysis [paths...] [options]``.
+"""``python -m tools.analysis``: every rule over ``src/``, no arguments.
 
-Exit codes are stable for CI: **0** clean (suppressed and baselined
-findings allowed), **1** unsuppressed findings, **2** usage or internal
-error.  ``--json`` emits a machine-readable report on stdout (validated
-by the CI smoke step the same way ``repro --trace`` NDJSON is).
+Prints one line per finding on stdout and a summary on stderr; exits 0
+when clean (suppressed findings allowed) and 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 
 from tools.analysis.checkers import default_checkers
-from tools.analysis.core import (
-    AnalysisDriver,
-    iter_python_files,
-    load_baseline,
-    write_baseline,
-)
+from tools.analysis.core import AnalysisDriver, AnalysisResult
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-REPO_ROOT = os.path.dirname(os.path.dirname(_HERE))
-DEFAULT_BASELINE = os.path.join(_HERE, "baseline.json")
-
-#: The packages whose benchmark gates the counter-honesty rule protects.
-#: Baseline entries are forbidden there: a grandfathered uncharged loop
-#: would be a permanently dishonest gate.
-NO_BASELINE_PREFIXES = ("src/repro/joins/", "src/repro/columnar/")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m tools.analysis",
-        description="Repo-specific AST contract checkers.",
-    )
-    parser.add_argument("paths", nargs="*", default=None,
-                        help="files or directories to scan "
-                             "(default: src/)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit a JSON report on stdout")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings as the new baseline "
-                             "and exit 0")
-    parser.add_argument("--rules", default=None,
-                        help="comma-separated rule ids to run "
-                             "(default: all)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="list rule ids and contracts, then exit")
-    args = parser.parse_args(argv)
+def run_on_repo() -> AnalysisResult:
+    """Every rule over every ``.py`` file under ``src/``."""
+    src = os.path.join(REPO_ROOT, "src")
+    files = [os.path.join(dirpath, name)
+             for dirpath, _dirs, names in os.walk(src)
+             for name in names if name.endswith(".py")]
+    return AnalysisDriver(default_checkers()).run(REPO_ROOT, files)
 
-    checkers = default_checkers()
-    if args.list_rules:
-        for checker in checkers:
-            print(f"{checker.rule:20s} {checker.contract}")
-        return 0
-    if args.rules:
-        wanted = {r.strip() for r in args.rules.split(",") if r.strip()}
-        unknown = wanted - {c.rule for c in checkers}
-        if unknown:
-            print(f"unknown rule(s): {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return 2
-        checkers = [c for c in checkers if c.rule in wanted]
 
-    roots = args.paths or [os.path.join(REPO_ROOT, "src")]
-    try:
-        files = list(iter_python_files(REPO_ROOT, roots))
-        baseline = load_baseline(args.baseline)
-        offenders = [e for e in baseline
-                     if any(p in e for p in NO_BASELINE_PREFIXES)]
-        if offenders:
-            print("baseline entries are forbidden in the benchmark-gated "
-                  "packages (fix or suppress inline with a reason):",
-                  file=sys.stderr)
-            for entry in offenders:
-                print(f"  {entry}", file=sys.stderr)
-            return 1
-        driver = AnalysisDriver(checkers, baseline)
-        result = driver.run(REPO_ROOT, files)
-    except (OSError, SyntaxError, ValueError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        count = write_baseline(args.baseline, result.findings)
-        print(f"wrote {count} baseline entries to {args.baseline}",
-              file=sys.stderr)
-        return 0
-
-    if args.json:
-        json.dump({
-            "clean": result.clean,
-            "files": result.files_checked,
-            "rules": [c.rule for c in checkers],
-            "findings": [f.as_dict() for f in result.findings],
-            "suppressed": [
-                {**f.as_dict(), "reason": reason}
-                for f, reason in result.suppressed
-            ],
-            "baselined": [f.as_dict() for f in result.baselined],
-        }, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        for finding in result.findings:
-            print(finding.render())
-        summary = (f"{len(result.findings)} finding(s), "
-                   f"{len(result.suppressed)} suppressed, "
-                   f"{len(result.baselined)} baselined, "
-                   f"{result.files_checked} file(s) checked")
-        print(summary, file=sys.stderr)
+def main() -> int:
+    result = run_on_repo()
+    for finding in result.findings:
+        print(finding.render())
+    print(f"{len(result.findings)} finding(s), "
+          f"{len(result.suppressed)} suppressed, "
+          f"{result.files_checked} file(s) checked", file=sys.stderr)
     return 0 if result.clean else 1
 
 

@@ -72,6 +72,9 @@ VECTORIZED_FOLDS = frozenset({"reduceat", "bincount"})
 #: Calls that walk their whole argument to build a collection.
 MATERIALIZERS = frozenset({"set", "frozenset", "sorted", "list", "fromkeys"})
 
+#: The packages whose operation counts the benchmark gates compare.
+MEASURED_PACKAGES = ("repro.joins", "repro.columnar")
+
 #: Where the per-search-node value lists of the WCOJ kernels live, and
 #: the one package whose functions run once per search node.
 NODE_VALUE_PREFIX = "repro.joins"
@@ -84,16 +87,10 @@ _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 class CounterHonestyChecker(Checker):
     rule = "counter-honesty"
-    contract = ("every relation-tuple loop in repro.joins / repro.columnar "
-                "charges an OperationCounter on its path")
-
-    def __init__(self, prefixes: tuple[str, ...] = ("repro.joins",
-                                                    "repro.columnar")) -> None:
-        self.prefixes = prefixes
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if not any(ctx.module_name == p or ctx.module_name.startswith(p + ".")
-                   for p in self.prefixes):
+                   for p in MEASURED_PACKAGES):
             return
         # Instrumentation defines the counters; it has no join loops.
         if ctx.module_name.endswith(".instrumentation"):

@@ -1,14 +1,15 @@
 """Rule ``layering``: the import DAG of src/repro, on two axes.
 
 **Internal axis** — a module may import only from its own layer or lower
-ones (``layers.toml`` lists layers lowest-first; longest module prefix
-wins).  Upward imports are findings even when lazy (inside a function):
-a lazy upward edge is sometimes the right call — the engine's
+ones (``LAYERS`` in ``tools/analysis/layers.py`` lists layers
+lowest-first; longest module prefix wins).  Upward imports are findings
+even when lazy (inside a function): a lazy upward edge is sometimes the
+right call — the engine's
 ``subscribe`` pulls in :mod:`repro.ivm` lazily because subscriptions
 re-enter ``execute`` — but each such edge must carry an inline
 suppression with its reason, so the DAG's exceptions stay enumerable.
 
-**Numeric axis** — only layers flagged ``numeric = true`` may import
+**Numeric axis** — only layers flagged ``numeric=True`` may import
 numpy/scipy, on any line.  This is the static half of the no-numpy-in-
 core contract; the runtime half (``tools/check_no_numpy_in_core.py``)
 stays, because only it proves the lazy imports are never *executed* on
@@ -29,16 +30,15 @@ from tools.analysis.layers import LayerConfig
 #: Top-level third-party packages the numeric axis polices.
 NUMERIC_STACK = ("numpy", "scipy")
 
+#: The package whose internal imports the DAG orders.
+INTERNAL_ROOT = "repro"
+
 
 class LayeringChecker(Checker):
     rule = "import-layering"
-    contract = ("imports follow the layer DAG in layers.toml; "
-                "numpy/scipy only in numeric layers")
 
-    def __init__(self, config: LayerConfig,
-                 internal_root: str = "repro") -> None:
+    def __init__(self, config: LayerConfig) -> None:
         self.config = config
-        self.internal_root = internal_root
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         source_layer = self.config.layer_of(ctx.module_name)
@@ -63,7 +63,7 @@ class LayeringChecker(Checker):
                                  "allowed only in numeric layers"),
                     )
                 continue
-            if root != self.internal_root:
+            if root != INTERNAL_ROOT:
                 continue
 
             target_layer = self.config.layer_of(target)
@@ -71,9 +71,10 @@ class LayeringChecker(Checker):
                 yield Finding(
                     rule=self.rule, path=ctx.relpath, line=node.lineno,
                     message=(f"imports {target}, which is assigned to no "
-                             "layer in layers.toml"),
+                             "layer in layers.py"),
                 )
-            elif target_layer.rank > source_layer.rank:
+            elif (self.config.rank(target_layer)
+                  > self.config.rank(source_layer)):
                 yield Finding(
                     rule=self.rule, path=ctx.relpath, line=node.lineno,
                     message=(f"layer '{source_layer.name}' imports {target} "

@@ -6,30 +6,23 @@ Design constraints, in order:
   tokenized comment map); adding a checker never adds a parse.
 * **Checkers are plugins.**  A checker subclasses :class:`Checker`,
   declares a rule id, and implements :meth:`Checker.check_file`.
-* **Suppressions carry a reason.**  ``# lint: disable=<rule> -- <why>``
-  on the offending line (or the statement's first line) silences that
-  rule there; a disable *without* a reason is itself reported under the
-  ``suppression`` pseudo-rule, so exemptions stay auditable.
-* **Baseline, not amnesty.**  ``baseline.json`` holds fingerprints of
-  findings that predate a rule; baselined findings are reported as
-  suppressed counts, never as failures.  The acceptance bar for the
-  benchmark-bearing packages (``repro.joins``, ``repro.columnar``) is a
-  baseline with zero entries — see ``tools/analysis/__main__.py``.
-
-Exit codes (stable, for CI): 0 = clean, 1 = unsuppressed findings,
-2 = usage or internal error.
+* **Suppressions carry a reason and a finding.**  ``# lint:
+  disable=<rule> -- <why>`` on the offending line (or the statement's
+  first line) silences that rule there, and is the only way to exempt a
+  finding.  A disable *without* a reason, or one that silences nothing,
+  is itself reported under the ``suppression`` pseudo-rule, so
+  exemptions stay auditable and never outlive their finding.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import os
 import re
 import tokenize
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable
 
 #: Matches one suppression comment.  Reason is everything after ``--``.
 _SUPPRESS_RE = re.compile(
@@ -47,25 +40,8 @@ class Finding:
     line: int
     message: str
 
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline file.
-
-        Baselines must survive unrelated edits above the finding, so the
-        fingerprint is (rule, path, message) — messages name the symbol
-        they anchor to, which keeps collisions rare in practice.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
-
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-        }
 
 
 @dataclass
@@ -75,7 +51,7 @@ class Suppression:
     line: int
     rules: tuple[str, ...]
     reason: str | None
-    used: bool = False
+    used: set[str] = field(default_factory=set)
 
 
 class FileContext:
@@ -83,24 +59,19 @@ class FileContext:
 
     Parsed exactly once by the driver; checkers must not re-read or
     re-parse.  ``relpath`` is repo-root-relative with forward slashes so
-    findings and baselines are machine-independent.
+    findings are machine-independent.
     """
 
     def __init__(self, relpath: str, source: str) -> None:
         self.relpath = relpath
-        self.source = source
         self.tree = ast.parse(source, filename=relpath)
-        self.lines = source.splitlines()
         self.module_name = _module_name(relpath)
         self.suppressions = _collect_suppressions(source)
-        self._suppressed_lines: dict[int, list[Suppression]] = {}
-        for sup in self.suppressions:
-            self._suppressed_lines.setdefault(sup.line, []).append(sup)
 
     def suppression_for(self, rule: str, line: int) -> Suppression | None:
         """The suppression covering ``rule`` at ``line``, if any."""
-        for sup in self._suppressed_lines.get(line, ()):
-            if rule in sup.rules:
+        for sup in self.suppressions:
+            if sup.line == line and rule in sup.rules:
                 return sup
         return None
 
@@ -154,13 +125,10 @@ def _collect_suppressions(source: str) -> list[Suppression]:
 class Checker:
     """Base class for one lint rule.
 
-    Subclasses set :attr:`rule` (the id used in suppressions, output,
-    and the baseline) and :attr:`contract` (one sentence: the invariant
-    this rule enforces — surfaced by ``--list-rules`` and the docs).
+    Subclasses set :attr:`rule`, the id used in suppressions and output.
     """
 
     rule: str = ""
-    contract: str = ""
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         """Per-file pass; yield findings for this file only."""
@@ -171,7 +139,6 @@ class Checker:
 class AnalysisResult:
     findings: list[Finding]
     suppressed: list[tuple[Finding, str | None]]
-    baselined: list[Finding]
     files_checked: int = 0
 
     @property
@@ -180,91 +147,47 @@ class AnalysisResult:
 
 
 class AnalysisDriver:
-    """Parse once, run every checker, apply suppressions and baseline."""
+    """Parse once, run every checker, apply suppressions."""
 
-    def __init__(self, checkers: Iterable[Checker],
-                 baseline: set[str] | None = None) -> None:
+    def __init__(self, checkers: Iterable[Checker]) -> None:
         self.checkers = list(checkers)
-        self.baseline = baseline or set()
 
     def run(self, root: str, paths: Iterable[str]) -> AnalysisResult:
         files = []
         for path in sorted(set(paths)):
             relpath = os.path.relpath(path, root).replace(os.sep, "/")
             with open(path, encoding="utf-8") as handle:
-                source = handle.read()
-            files.append(FileContext(relpath, source))
-        by_path = {ctx.relpath: ctx for ctx in files}
-
-        raw: list[Finding] = []
-        for checker in self.checkers:
-            for ctx in files:
-                raw.extend(checker.check_file(ctx))
+                files.append(FileContext(relpath, handle.read()))
 
         findings: list[Finding] = []
         suppressed: list[tuple[Finding, str | None]] = []
-        baselined: list[Finding] = []
-        for finding in raw:
-            ctx = by_path.get(finding.path)
-            sup = (ctx.suppression_for(finding.rule, finding.line)
-                   if ctx is not None else None)
-            if sup is not None:
-                sup.used = True
-                suppressed.append((finding, sup.reason))
-                if not sup.reason:
-                    findings.append(Finding(
-                        rule="suppression",
-                        path=finding.path,
-                        line=sup.line,
-                        message=(f"suppression of '{finding.rule}' has no "
-                                 "reason; write '# lint: disable="
-                                 f"{finding.rule} -- <why>'"),
-                    ))
-                continue
-            if finding.fingerprint() in self.baseline:
-                baselined.append(finding)
-                continue
-            findings.append(finding)
+        for ctx in files:
+            for checker in self.checkers:
+                for finding in checker.check_file(ctx):
+                    sup = ctx.suppression_for(finding.rule, finding.line)
+                    if sup is None:
+                        findings.append(finding)
+                        continue
+                    sup.used.add(finding.rule)
+                    suppressed.append((finding, sup.reason))
+                    if not sup.reason:
+                        findings.append(Finding(
+                            rule="suppression", path=ctx.relpath,
+                            line=sup.line,
+                            message=(f"suppression of '{finding.rule}' has "
+                                     "no reason; write '# lint: disable="
+                                     f"{finding.rule} -- <why>'"),
+                        ))
+            # A rule this driver did not run counts as unused too: the
+            # CLI always runs every rule, so that is a stale rule id.
+            for sup in ctx.suppressions:
+                findings.extend(
+                    Finding(rule="suppression", path=ctx.relpath,
+                            line=sup.line,
+                            message=(f"suppression of '{rule}' silences no "
+                                     "finding; delete it"))
+                    for rule in sup.rules if rule not in sup.used)
 
         findings.sort(key=lambda f: (f.path, f.line, f.rule))
         return AnalysisResult(findings=findings, suppressed=suppressed,
-                              baselined=baselined,
                               files_checked=len(files))
-
-
-def load_baseline(path: str) -> set[str]:
-    """Load baseline fingerprints; a missing file is an empty baseline."""
-    if not os.path.exists(path):
-        return set()
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, list) or not all(isinstance(e, str) for e in data):
-        raise ValueError(
-            f"baseline {path!r} must be a JSON list of fingerprint strings"
-        )
-    return set(data)
-
-
-def write_baseline(path: str, findings: Iterable[Finding]) -> int:
-    """Write the findings' fingerprints as the new baseline; returns the
-    entry count."""
-    entries = sorted({f.fingerprint() for f in findings})
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entries, handle, indent=2)
-        handle.write("\n")
-    return len(entries)
-
-
-def iter_python_files(root: str, subdirs: Iterable[str]) -> Iterator[str]:
-    """Yield every ``.py`` file under the given repo-relative subdirs."""
-    for sub in subdirs:
-        base = os.path.join(root, sub)
-        if os.path.isfile(base) and base.endswith(".py"):
-            yield base
-            continue
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames[:] = [d for d in dirnames
-                           if d not in ("__pycache__", ".git")]
-            for name in sorted(filenames):
-                if name.endswith(".py"):
-                    yield os.path.join(dirpath, name)

@@ -1,25 +1,27 @@
-"""Layer-DAG configuration for the ``layering`` rule.
+"""The layer DAG of src/repro, enforced by the ``import-layering`` rule.
 
-``layers.toml`` lists layers lowest-first; each layer owns a list of
-module prefixes (longest prefix wins, so a single module can be carved
-out of its package — ``repro.joins.instrumentation`` lives below
-``repro.joins``).  A ``numeric = true`` layer may import numpy/scipy.
+Layers are listed lowest first; a module may import (at module level or
+lazily) only from its own layer or layers listed above it.  Modules are
+assigned to the *longest matching prefix*, so repro.joins.instrumentation
+can sit in the foundation layer while the rest of repro.joins sits in the
+executor layer.  An upward import — even a lazy, inside-a-function one —
+is a finding and needs an inline ``# lint: disable=import-layering --
+<why>``.
 
-Parsed with :mod:`tomllib` where available (3.11+); a minimal fallback
-parser covers the strict subset this file uses so the checker (and its
-tests) still run on 3.10.
+``numeric=True`` marks the only layers allowed to import numpy/scipy;
+everywhere else the numeric stack is a finding on either axis (the
+runtime half of this contract is tools/check_no_numpy_in_core.py, which
+actually blocks the imports and runs a join).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Layer:
     name: str
-    rank: int
     modules: tuple[str, ...]
     numeric: bool = False
 
@@ -27,12 +29,14 @@ class Layer:
 class LayerConfig:
     """The ordered layer list plus prefix-based module assignment."""
 
-    def __init__(self, layers: list[Layer]) -> None:
+    def __init__(self, *layers: Layer) -> None:
         self.layers = layers
-        self._by_prefix: dict[str, Layer] = {}
-        for layer in layers:
-            for prefix in layer.modules:
-                self._by_prefix[prefix] = layer
+        self._by_prefix = {prefix: layer for layer in layers
+                           for prefix in layer.modules}
+
+    def rank(self, layer: Layer) -> int:
+        """Position of ``layer`` in the DAG, lowest first."""
+        return self.layers.index(layer)
 
     def layer_of(self, module: str) -> Layer | None:
         """The layer owning ``module``, by longest matching prefix."""
@@ -45,95 +49,22 @@ class LayerConfig:
         return best
 
 
-def parse_layers(text: str) -> LayerConfig:
-    data = _parse_toml(text)
-    layers = []
-    for rank, entry in enumerate(data.get("layer", [])):
-        layers.append(Layer(
-            name=entry["name"],
-            rank=rank,
-            modules=tuple(entry["modules"]),
-            numeric=bool(entry.get("numeric", False)),
-        ))
-    if not layers:
-        raise ValueError("layers.toml defines no [[layer]] tables")
-    return LayerConfig(layers)
-
-
-def load_layers(path: str) -> LayerConfig:
-    with open(path, encoding="utf-8") as handle:
-        return parse_layers(handle.read())
-
-
-def _parse_toml(text: str) -> dict:
-    try:
-        import tomllib
-    except ImportError:  # Python 3.10: fall back to the subset parser.
-        return _parse_toml_subset(text)
-    return tomllib.loads(text)
-
-
-_ARRAY_TABLE_RE = re.compile(r"^\[\[([A-Za-z0-9_.-]+)\]\]$")
-_KEY_VALUE_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.+)$")
-
-
-def _parse_toml_subset(text: str) -> dict:
-    """Parse the subset of TOML layers.toml uses.
-
-    Supported: ``[[name]]`` array-of-tables headers, string/bool scalars,
-    and (possibly multi-line) arrays of strings.  Enough for the config —
-    not a general TOML parser.
-    """
-    data: dict = {}
-    current: dict | None = None
-    pending_key: str | None = None
-    pending_items: list[str] | None = None
-
-    def close_array(chunk: str) -> bool:
-        """Accumulate array items from ``chunk``; True when ``]`` seen."""
-        assert pending_items is not None
-        closed = chunk.rstrip().endswith("]")
-        body = chunk.rstrip().rstrip("]")
-        for part in body.split(","):
-            part = part.strip()
-            if part:
-                pending_items.append(_parse_scalar(part))
-        return closed
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip() if not raw.strip().startswith('"') else raw.strip()
-        if not line:
-            continue
-        if pending_items is not None:
-            if close_array(line):
-                assert current is not None and pending_key is not None
-                current[pending_key] = pending_items
-                pending_key = pending_items = None
-            continue
-        header = _ARRAY_TABLE_RE.match(line)
-        if header:
-            current = {}
-            data.setdefault(header.group(1), []).append(current)
-            continue
-        keyval = _KEY_VALUE_RE.match(line)
-        if keyval and current is not None:
-            key, value = keyval.group(1), keyval.group(2).strip()
-            if value.startswith("["):
-                pending_items = []
-                if close_array(value[1:]):
-                    current[key] = pending_items
-                    pending_items = None
-                else:
-                    pending_key = key
-                continue
-            current[key] = _parse_scalar(value)
-    return data
-
-
-def _parse_scalar(token: str):
-    token = token.strip()
-    if token in ("true", "false"):
-        return token == "true"
-    if len(token) >= 2 and token[0] == '"' and token[-1] == '"':
-        return token[1:-1]
-    raise ValueError(f"unsupported TOML scalar in layers.toml: {token!r}")
+LAYERS = LayerConfig(
+    Layer("foundation", ("repro.errors", "repro.joins.instrumentation")),
+    # Observability imports nothing from the engine: the engine imports *it*.
+    Layer("obs", ("repro.obs",)),
+    Layer("relational", ("repro.relational",)),
+    # repro.query and repro.covers are mutually recursive (widths needs the
+    # edge-cover LP; the LP needs the hypergraph) — one layer, by design.
+    Layer("querycore", ("repro.query", "repro.covers")),
+    Layer("theory", ("repro.constraints", "repro.infotheory",
+                     "repro.datagen")),
+    Layer("bounds", ("repro.bounds",)),
+    Layer("joins", ("repro.joins",)),
+    # The engine imports repro.columnar for planning; columnar.executor
+    # imports engine.executors for its fallback oracle — one layer.
+    Layer("physical", ("repro.engine", "repro.columnar"), numeric=True),
+    Layer("ivm", ("repro.ivm",)),
+    Layer("apps", ("repro", "repro.cli", "repro.__main__", "repro.panda",
+                   "repro.experiments")),
+)
