@@ -14,7 +14,7 @@ multi-backend) plug into:
 * :class:`PlanCache` (:mod:`repro.engine.plan_cache`) — plans keyed on
   canonical query structure + statistics fingerprint;
 * :mod:`repro.engine.cost` — the cost-based dispatcher over naive, binary,
-  Generic-Join, Leapfrog and Yannakakis executors;
+  Generic-Join, Leapfrog, Yannakakis and hybrid heavy/light executors;
 * :mod:`repro.engine.executors` — the common executor protocol (streaming
   result iteration with ``LIMIT`` pushdown);
 * :mod:`repro.engine.fingerprint` — canonical query forms, so isomorphic

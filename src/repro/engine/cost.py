@@ -36,7 +36,9 @@ cheapest.  Three layers:
 
 Aggregate and ordered queries are priced in both execution modes per
 strategy, and every estimate is reported so ``explain()`` can show the
-work; ``Engine.profile`` joins them to measured operations.
+work; ``Engine.profile`` joins them to measured operations.  A forced
+``mode=`` only narrows the candidates to one strategy: it is priced, and
+its modes and backend resolved, exactly as under ``mode="auto"``.
 """
 
 from __future__ import annotations
@@ -92,17 +94,6 @@ AGGREGATE_MODES = ("auto", "recursion", "fold")
 #: top-k), ``auto`` prices the k-sensitive any-k envelope against the
 #: full-join envelope per strategy.
 RANKED_MODES = ("auto", "anyk", "drain")
-
-#: Strategies that can evaluate aggregates inside the join itself (the
-#: WCOJ recursions eliminate in-recursion; Yannakakis aggregates during
-#: its join-tree passes, which additionally needs product semirings).
-RECURSION_CAPABLE = ("generic", "leapfrog", "yannakakis")
-
-#: Strategies that can enumerate ordered results in rank order (any-k):
-#: the WCOJ recursions host the ranking-semiring frontier, Yannakakis the
-#: annotated join-tree expansion.  Aggregate queries always drain — their
-#: ordered output is the (small) group-row stream, not the join.
-ANYK_CAPABLE = ("generic", "leapfrog", "yannakakis")
 
 #: Accepted values for ``Engine.execute(..., backend=...)``: ``python``
 #: (the default — the pure-Python reference oracle), ``columnar`` (sorted
@@ -215,10 +206,11 @@ class DispatchDecision:
         The AGM bound on the given database (unfiltered — the classical
         envelope ``explain()`` reports).
     costs:
-        Predicted milliseconds per strategy on warm indexes (``inf`` =
-        infeasible), with the predicted operation counts behind them as
-        ``ops[strategy]``.  Empty for forced modes, which skip the
-        estimation work.  The other bracketed entries are informational:
+        Predicted milliseconds per candidate strategy on warm indexes
+        (``inf`` = infeasible), with the predicted operation counts behind
+        them as ``ops[strategy]``: every strategy under ``mode="auto"``,
+        the forced one otherwise.  The other bracketed entries are
+        informational:
         ``agg[recursion]`` / ``agg[fold]`` and ``ranked[anyk]`` /
         ``ranked[drain]`` (the two execution-mode estimates compared),
         ``order[head]`` / ``order[guarded]`` (a strict projection's two
@@ -226,9 +218,8 @@ class DispatchDecision:
         ``hybrid[heavy]`` / ``hybrid[light]``, ``backend[...]`` and
         ``build[trie]`` / ``build[layout]`` (what a first run adds).
     binary_order:
-        The greedy atom order the cost simulation priced — reused as the
-        binary executor's plan so the plan run is the plan priced.  None
-        when the binary strategy was neither priced nor chosen.
+        The greedy atom order the binary simulation priced (the payload
+        when binary is chosen); None when binary was not a candidate.
     aggregate_mode:
         The resolved aggregate execution mode for the chosen strategy
         (``"recursion"`` / ``"fold"``); None for non-aggregate queries.
@@ -236,12 +227,11 @@ class DispatchDecision:
         The resolved ranked execution mode for the chosen strategy
         (``"anyk"`` / ``"drain"``); None for unordered queries.
     payload:
-        The plan payload for the chosen strategy when the dispatcher
-        already computed it (every WCOJ order — a plain enumeration's
-        chosen order, the mode-tagged aggregate or any-k order — and the
-        mode tag for Yannakakis) — reused by the engine so the plan run
-        is the plan priced.  None when the executor's own ``plan()``
-        should be used.
+        The run payload of the chosen strategy, so the plan run is the
+        plan priced: a WCOJ order (a plain enumeration's chosen order, or
+        the mode-tagged aggregate or any-k order), the mode tag for
+        Yannakakis, binary's greedy atom order, the hybrid split; None
+        for naive and plain Yannakakis.
     faq_width:
         The fractional-hypertree width of the aggregate-aware variable
         order — the maximum over the tail's residual components; None
@@ -769,7 +759,7 @@ class _Candidate(NamedTuple):
     behind them, the modes that cost assumes."""
 
     cost: float
-    ops: float = math.inf
+    ops: float
     aggregate_mode: str | None = None
     ranked_mode: str | None = None
 
@@ -777,15 +767,21 @@ class _Candidate(NamedTuple):
 def _estimate(query: ConjunctiveQuery, database: Database,
               instance: _Instance, selections: Sequence[Comparison],
               group: Sequence[str], agm: float, acyclic: bool,
-              binary_order: tuple[int, ...], hybrid_plan: dict,
-              axes: PlanAxes, agg_plan: dict | None,
-              ranked_plan: dict | None, limit: int | None,
+              names: Sequence[str], binary_order: tuple[int, ...] | None,
+              hybrid_plan: dict | None, axes: PlanAxes,
+              agg_plan: dict | None, ranked_plan: dict | None,
+              limit: int | None,
               ) -> tuple[dict[str, _Candidate], dict[str, float],
                          Callable[[str], float], tuple[str, ...]]:
-    """Price every strategy in predicted milliseconds: one candidate
-    each, the informational cost entries, the columnar pricer (strategy
-    -> ms for the variant that strategy resolved to), and the order a
-    plain enumeration runs (:func:`_plain_plan`'s choice).
+    """Price the strategies in ``names`` in predicted milliseconds: a
+    candidate for each one that can run the request (a name is absent
+    when it cannot: Yannakakis on a cyclic query, or a strategy without
+    the forced in-the-join mode), the informational cost entries, the
+    columnar pricer (strategy -> ms for the variant that strategy
+    resolved to), and the order a plain enumeration runs
+    (:func:`_plain_plan`'s choice).  A strategy outside ``names`` is not
+    priced at all: no binary simulation, hybrid partition or naive
+    rescan unless asked for.
 
     Every recursion variant — plain, in-recursion aggregation, any-k, the
     columnar descent — is the same :func:`simulate_levels` walk over the
@@ -793,8 +789,8 @@ def _estimate(query: ConjunctiveQuery, database: Database,
     DP below the first level plus one root-to-leaf delay per surfaced
     result; without a LIMIT every result must surface, so it pays the
     drain on top and auto resolves to drain.  A group-by keeping every
-    variable eliminates nothing: both aggregate modes cost the same and
-    auto resolves to the simpler fold.
+    variable eliminates nothing: both aggregate modes walk the same
+    levels, and only the fold pays the engine's fold over every row.
     """
     total = float(sum(c.cardinality for c in instance.catalogs))
     n = len(query.variables)
@@ -831,12 +827,6 @@ def _estimate(query: ConjunctiveQuery, database: Database,
 
     if ranked_plan is not None:
         pops = n * limit if limit is not None else recursion_ops(outer)
-    # Yannakakis: input-linear passes plus what it emits.
-    tree_ops = {outer_name: _capped(_TREE_PASSES[None] * total + 4 * results)}
-    if inner is not None:
-        tree_ops[inner_name] = _capped(
-            _TREE_PASSES[inner_name] * total
-            + (pops if ranked_plan is not None else walk(inner)[1]))
 
     def ms(name: str, ops: float, mode: str = "",
            seen_set: bool = False) -> float:
@@ -849,12 +839,28 @@ def _estimate(query: ConjunctiveQuery, database: Database,
     variants = {outer_name: outer}
     if inner is not None:
         variants[inner_name] = inner
-    candidates = {name: _Candidate(math.inf) for name in STRATEGIES}
+
+    def tree_ops(mode: str) -> float:
+        # Yannakakis: input-linear passes plus what it emits.
+        if mode == outer_name:
+            return _capped(_TREE_PASSES[None] * total + 4 * results)
+        return _capped(_TREE_PASSES[mode] * total + (
+            pops if ranked_plan is not None else walk(variants[mode])[1]))
+
+    candidates: dict[str, _Candidate] = {}
     info: dict[str, float] = dict(plain.priced)
     resolved: dict[str, _Variant] = {}
+    # The recursion and Yannakakis can also run in the join: in-recursion
+    # or in-pass aggregation (Yannakakis' needs product semirings), the
+    # any-k frontier or annotated join-tree expansion.  Leapfrog is the
+    # same recursion under another intersection primitive: one price, and
+    # the STRATEGIES tie-break runs Generic-Join.
     for name in ("generic", "yannakakis") if acyclic else ("generic",):
+        if name not in names and not (name == "generic"
+                                      and "leapfrog" in names):
+            continue
         recursion = name == "generic"
-        ops = {mode: recursion_ops(variant) if recursion else tree_ops[mode]
+        ops = {mode: recursion_ops(variant) if recursion else tree_ops(mode)
                for mode, variant in variants.items()}
         cost = {mode: ms(name, ops[mode], mode,
                          recursion and variant.seen_set)
@@ -873,35 +879,40 @@ def _estimate(query: ConjunctiveQuery, database: Database,
         resolved[name] = variants[mode]
         candidates[name] = _Candidate(cost[mode], ops[mode],
                                       **({axis: mode} if axis else {}))
-    # Leapfrog is the same recursion under another intersection primitive:
-    # one price, and the STRATEGIES tie-break runs Generic-Join.
-    candidates["leapfrog"] = candidates["generic"]
-    resolved["leapfrog"] = resolved["generic"]
+    if "generic" in candidates:
+        candidates["leapfrog"] = candidates["generic"]
+        resolved["leapfrog"] = resolved["generic"]
 
     # The materializing, naive and hybrid strategies run only the
     # above-the-join variant (the hybrid's sides stream full core tuples,
     # disjoint on the skew variable, so the engine's fold *is* the
     # ⊕-stitch): infeasible when the in-the-join one is forced.
     if inner is None or forced != inner_name:
-        envelope = min(agm, sum(level[1] for level in walk(outer)[0]))
-        # Nested loops rescan each (unfiltered) relation once per binding
-        # that survives the atoms before it.
-        naive_ops = results
-        reaching = [1.0] + [size for size, _scanned, _grown in
-                            _left_deep_sizes(instance,
-                                             range(len(query.atoms)))]
-        for atom, size in zip(query.atoms, reaching):
-            naive_ops += size * len(database.get(atom.relation))
-        flat = {"binary": _binary_ops(instance, binary_order, envelope,
-                                      results),
-                "naive": _capped(naive_ops)}
-        # Only skewed instances are partitioned (and priced) at all.
-        sides = (_hybrid_ops(query, database, hybrid_plan, group, agm)
-                 if hybrid_plan["skewed"] else None)
-        if sides is not None:
-            flat["hybrid"] = _capped(sum(sides) + results)
-            info["hybrid[heavy]"] = ms("hybrid", sides[1])
-            info["hybrid[light]"] = ms("hybrid", sides[2])
+        flat: dict[str, float] = {}
+        if binary_order is not None:
+            envelope = min(agm, sum(level[1] for level in walk(outer)[0]))
+            flat["binary"] = _binary_ops(instance, binary_order, envelope,
+                                         results)
+        if "naive" in names:
+            # Nested loops rescan each (unfiltered) relation once per
+            # binding that survives the atoms before it.
+            naive_ops = results
+            reaching = [1.0] + [size for size, _scanned, _grown in
+                                _left_deep_sizes(instance,
+                                                 range(len(query.atoms)))]
+            for atom, size in zip(query.atoms, reaching):
+                naive_ops += size * len(database.get(atom.relation))
+            flat["naive"] = _capped(naive_ops)
+        if hybrid_plan is not None:
+            # Only skewed instances are partitioned (and priced) at all;
+            # an unskewed one still runs a forced hybrid, priced inf.
+            sides = (_hybrid_ops(query, database, hybrid_plan, group, agm)
+                     if hybrid_plan["skewed"] else None)
+            flat["hybrid"] = math.inf
+            if sides is not None:
+                flat["hybrid"] = _capped(sum(sides) + results)
+                info["hybrid[heavy]"] = ms("hybrid", sides[1])
+                info["hybrid[light]"] = ms("hybrid", sides[2])
         for name, count in flat.items():
             candidates[name] = _Candidate(
                 ms(name, count, outer_name), count,
@@ -916,53 +927,36 @@ def _estimate(query: ConjunctiveQuery, database: Database,
 
     info["build[trie]"] = ms("trie.row", total)
     info["build[layout]"] = ms("layout.row", total)
-    return candidates, info, columnar_ms, plain.variant.order
+    asked = {name: candidates[name] for name in names if name in candidates}
+    return asked, info, columnar_ms, plain.variant.order
 
 
-def _forced_plain_order(query: ConjunctiveQuery, database: Database,
-                        selections: Sequence[Comparison],
-                        head: Sequence[str], agm: float,
-                        registry: IndexRegistry | None) -> tuple[str, ...]:
-    """The order a forced WCOJ plan enumerates: :func:`_plain_plan`'s
-    choice, as under auto pricing, so a profile or a calibration times
-    the plan whose operations were predicted.  Catalogs are read only
-    when there are two orders to compare."""
-    orders = _plain_orders(query, selections, head)
-    if len(orders) == 1:
-        return orders[0].order
-    if registry is None:
-        registry = IndexRegistry(database)  # catalogs for the call
-    instance = _instance(query, database, selections, registry)
-    return _plain_plan(instance, selections, head, agm).variant.order
-
-
-def _payload_for(strategy: str, mode: str | None,
-                 agg_plan: dict | None,
-                 ranked_resolved: str | None = None,
-                 ranked_plan: dict | None = None,
-                 plain_order: tuple[str, ...] | None = None
-                 ) -> tuple | None:
-    """The dispatcher-computed plan payload for the chosen strategy.
+def _payload_for(strategy: str, candidate: _Candidate,
+                 plain_order: tuple[str, ...], agg_plan: dict | None,
+                 ranked_plan: dict | None,
+                 binary_order: tuple[int, ...] | None,
+                 hybrid_plan: dict | None) -> tuple | None:
+    """The run payload of the chosen strategy, in the modes it was
+    priced in.
 
     Any-k plans carry the ``("anyk", ranked order)`` tag, aggregate plans
-    their mode tag; every other WCOJ plan — drain-ranked ones included,
-    the engine sorts above them — runs the untagged ``plain_order``.
+    their mode tag (Yannakakis' with an empty order); every other WCOJ
+    plan — drain-ranked ones included, the engine sorts above them — runs
+    the untagged ``plain_order``.  Binary runs the greedy order its
+    simulation priced, hybrid the skew split; naive needs nothing.
     """
-    if ranked_resolved == "anyk" and ranked_plan is not None:
-        if strategy in ("generic", "leapfrog"):
-            return ("anyk", ranked_plan["order"])
-        if strategy == "yannakakis":
-            return ("anyk", ())
-        return None
-    if agg_plan is not None and mode is not None:
-        if strategy in ("generic", "leapfrog"):
-            return (mode, agg_plan["order"])
-        if strategy == "yannakakis":
-            return (mode, ())
-        return None
-    if strategy in ("generic", "leapfrog"):
-        return plain_order
-    return None
+    if strategy == "binary":
+        return binary_order
+    if strategy == "hybrid" and hybrid_plan is not None:
+        return ("hybrid", hybrid_plan["variable"], hybrid_plan["threshold"],
+                hybrid_plan["heavy_strategy"], hybrid_plan["light_strategy"])
+    wcoj = strategy in ("generic", "leapfrog")
+    if candidate.ranked_mode == "anyk" and ranked_plan is not None:
+        return ("anyk", ranked_plan["order"] if wcoj else ())
+    mode = candidate.aggregate_mode
+    if mode is not None and agg_plan is not None and strategy != "naive":
+        return (mode, agg_plan["order"] if wcoj else ())
+    return plain_order if wcoj else None
 
 
 def dispatch(query: ConjunctiveQuery, database: Database,
@@ -976,18 +970,19 @@ def dispatch(query: ConjunctiveQuery, database: Database,
              ranked_mode: str = "auto",
              backend: str = "python",
              registry: IndexRegistry | None = None) -> DispatchDecision:
-    """Choose an executor for the query (or validate a forced choice).
+    """Choose an executor for the query and resolve its plan.
 
     Parameters
     ----------
     mode:
-        ``"auto"`` picks the cheapest feasible strategy; any strategy name
-        forces it (raising :class:`QueryError` when infeasible, e.g.
-        ``"yannakakis"`` on a cyclic query).  Forced modes skip the cost
-        estimation, paying only the acyclicity test and the AGM LP that
-        ``explain()`` reports — and, for a forced ``generic`` /
-        ``leapfrog`` strict projection, the pricing of its two variable
-        orders, so the forced plan runs the order auto would.
+        ``"auto"`` prices every strategy and picks the cheapest; a
+        strategy name narrows the candidates to that one, priced the same
+        way (and nothing else priced), so it resolves its aggregate mode,
+        ranked mode and backend exactly as auto's candidate of that name.
+        A forced strategy priced ``inf`` still runs; one that cannot run
+        the request at all raises :class:`QueryError` (``"yannakakis"`` on
+        a cyclic query, an in-the-join mode forced on a strategy without
+        one).
     selections:
         Rich-query comparison predicates; single-atom ones filter the
         scans every estimate is simulated over.
@@ -998,8 +993,8 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     aggregate_mode:
         ``"auto"`` resolves the mode per strategy by cost;
         ``"recursion"``/``"fold"`` force it (forcing ``"recursion"``
-        restricts dispatch to the strategies that support it and raises
-        when a forced strategy does not).
+        restricts dispatch to the recursions and Yannakakis, whose
+        in-pass mode needs product semirings).
     order_by / limit:
         The query's sort keys (``(variable, descending)`` pairs) and its
         own LIMIT; for non-aggregate ordered queries the k-sensitive
@@ -1009,8 +1004,8 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         ``"auto"`` resolves the ranked mode per strategy by cost (any-k
         needs a LIMIT to beat drain, since without one every result must
         surface anyway); ``"anyk"``/``"drain"`` force it (forcing
-        ``"anyk"`` restricts dispatch to :data:`ANYK_CAPABLE` strategies
-        and rejects aggregate queries, whose ordered output is the group
+        ``"anyk"`` restricts dispatch to the recursions and Yannakakis and
+        rejects aggregate queries, whose ordered output is the group
         stream, not the join).
     backend:
         ``"python"`` (default) runs the reference oracle; ``"columnar"``
@@ -1033,144 +1028,87 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     axes.check(aggregates, order_by)
     acyclic = is_alpha_acyclic(query.hypergraph())
     bound = agm_bound(query, database)
-    # The elimination-order search only serves auto pricing and the
-    # recursion-capable strategies; a forced binary/naive run would
-    # discard it (it always folds).
-    needs_agg_plan = bool(aggregates) and (axes.mode == "auto"
-                                           or axes.mode in RECURSION_CAPABLE)
     agg_plan = (plan_aggregation(query, selections, aggregates, group)
-                if needs_agg_plan else None)
-    needs_ranked_plan = (bool(order_by) and not aggregates
-                         and (axes.mode == "auto"
-                              or axes.mode in ANYK_CAPABLE))
+                if aggregates else None)
     ranked_plan = (plan_ranked(query, selections, order_by, group)
-                   if needs_ranked_plan else None)
-
-    backend_resolved = "python"
-    backend_fallback: str | None = None
-    hybrid_plan: dict | None = None
-    plain_order: tuple[str, ...] | None = None
-    if axes.mode == "auto":
-        if registry is None:
-            registry = IndexRegistry(database)  # catalogs for the call
-        binary_order = greedy_atom_order(query, database)
-        hybrid_plan = plan_hybrid(query, database, registry)
-        instance = _instance(query, database, selections, registry)
-        candidates, costs, columnar_ms, plain_order = _estimate(
-            query, database, instance, selections, group, bound.bound,
-            acyclic, binary_order, hybrid_plan, axes, agg_plan, ranked_plan,
-            limit)
-        for name in STRATEGIES:
-            costs[name] = candidates[name].cost
-            if candidates[name].cost != math.inf:
-                costs[f"ops[{name}]"] = candidates[name].ops
-        strategy = min(STRATEGIES,
-                       key=lambda s: (costs[s], STRATEGIES.index(s)))
-        if costs[strategy] == math.inf:
+                   if order_by and not aggregates else None)
+    # A forced mode narrows the candidates to one; pricing chooses among
+    # what is left, so a forced strategy resolves every other axis exactly
+    # as auto's candidate of that name does.
+    names = STRATEGIES if axes.mode == "auto" else (axes.mode,)
+    if registry is None:
+        registry = IndexRegistry(database)  # catalogs for the call
+    binary_order = (greedy_atom_order(query, database)
+                    if "binary" in names else None)
+    hybrid_plan = (plan_hybrid(query, database, registry)
+                   if "hybrid" in names else None)
+    instance = _instance(query, database, selections, registry)
+    candidates, costs, columnar_ms, plain_order = _estimate(
+        query, database, instance, selections, group, bound.bound, acyclic,
+        names, binary_order, hybrid_plan, axes, agg_plan, ranked_plan, limit)
+    for name in names:
+        costs[name] = candidates[name].cost if name in candidates else math.inf
+        if costs[name] != math.inf:
+            costs[f"ops[{name}]"] = candidates[name].ops
+    if not candidates:  # auto always has generic: a forced one refused
+        forced = axes.mode
+        if forced == "yannakakis" and not acyclic:
             raise QueryError(
-                f"no feasible strategy for query {query.name!r} under "
-                f"aggregate_mode={axes.aggregate_mode!r}, "
-                f"ranked_mode={axes.ranked_mode!r}"
-            )
-        # Price the backend axis: the best columnar-capable strategy on
-        # the vectorized kernel vs the best python strategy.  Recorded
-        # even for default-python requests so explain() always shows both.
-        candidate = min(COLUMNAR_CAPABLE,
-                        key=lambda s: (costs[s], STRATEGIES.index(s)))
-        columnar_reason = columnar_unsupported_reason(
+                f"strategy {forced!r} is infeasible for query {query.name!r} "
+                f"(cyclic query?); use mode='auto' or a WCOJ mode")
+        if axes.aggregate_mode == "recursion":
+            raise QueryError(
+                "aggregate_mode='recursion' needs product semirings "
+                "for every aggregate under strategy 'yannakakis'"
+                if forced == "yannakakis" else
+                f"strategy {forced!r} cannot aggregate in-recursion; "
+                "use a WCOJ mode, 'yannakakis', or aggregate_mode='fold'")
+        raise QueryError(
+            f"strategy {forced!r} cannot enumerate in rank order; "
+            "use a WCOJ mode, 'yannakakis', or ranked_mode='drain'")
+    # A candidate priced inf (binary refused by the envelope, hybrid on an
+    # unskewed instance) still runs when it is the only one.
+    strategy = min(candidates, key=lambda s: (costs[s], STRATEGIES.index(s)))
+
+    # Price the backend axis: the best columnar-capable candidate on the
+    # vectorized kernel vs the best python one.  Recorded even for
+    # default-python requests so explain() always shows both.
+    capable = [s for s in COLUMNAR_CAPABLE if s in candidates]
+    candidate = (min(capable, key=lambda s: (costs[s], STRATEGIES.index(s)))
+                 if capable else strategy)
+    columnar_reason = (
+        columnar_unsupported_reason(
             selections=selections, aggregates=aggregates,
             ranked_mode=candidates[candidate].ranked_mode)
-        if columnar_reason is not None or costs[candidate] == math.inf:
-            columnar_cost = math.inf
+        if capable else
+        f"strategy {strategy!r} has no columnar implementation")
+    if columnar_reason is not None or costs[candidate] == math.inf:
+        columnar_cost = math.inf
+    else:
+        columnar_cost = _capped(columnar_ms(candidate))
+    costs["backend[python]"] = costs[strategy]
+    costs["backend[columnar]"] = columnar_cost
+    backend_resolved = "python"
+    backend_fallback: str | None = None
+    if axes.backend != "python":
+        if columnar_cost == math.inf:
+            backend_fallback = (columnar_reason
+                                or "no feasible columnar-capable strategy")
+        elif axes.backend == "columnar" or columnar_cost < costs[strategy]:
+            strategy = candidate
+            backend_resolved = "columnar"
         else:
-            columnar_cost = _capped(columnar_ms(candidate))
-        costs["backend[python]"] = costs[strategy]
-        costs["backend[columnar]"] = columnar_cost
-        if axes.backend != "python":
-            if columnar_cost == math.inf:
-                backend_fallback = (columnar_reason
-                                    or "no feasible columnar-capable strategy")
-            elif axes.backend == "columnar" or columnar_cost < costs[strategy]:
-                strategy = candidate
-                backend_resolved = "columnar"
-            else:
-                backend_fallback = "python backend priced cheaper"
-        resolved = candidates[strategy].aggregate_mode
-        ranked_resolved = candidates[strategy].ranked_mode
-        if order_by and ranked_resolved is None:
-            ranked_resolved = "drain"  # ordered aggregate queries
-    else:
-        strategy = axes.mode
-        if strategy == "yannakakis" and not acyclic:
-            raise QueryError(
-                f"strategy {strategy!r} is infeasible for query {query.name!r} "
-                f"(cyclic query?); use mode='auto' or a WCOJ mode"
-            )
-        binary_order = (greedy_atom_order(query, database)
-                        if strategy == "binary" else None)
-        costs = {}
-        resolved = None
-        ranked_resolved = None
-        # Forced strategies skip the cost comparison: the same resolver
-        # runs on equal costs, so the tie-break alone decides — aggregate
-        # inside the join when that eliminates something, rank-enumerate
-        # when a LIMIT bounds the prefix any-k gets to stop at.
-        if aggregates:
-            # agg_plan is None exactly when the strategy cannot aggregate
-            # inside the join at all (see needs_agg_plan above).
-            resolved, _cost = _resolve(
-                axes.aggregate_mode, "recursion", "fold", 0.0, 0.0,
-                inner_ok=agg_plan is not None and (
-                    strategy != "yannakakis" or agg_plan["product_ok"]),
-                prefer_inner=(agg_plan is not None
-                              and agg_plan["has_elimination"]))
-            if resolved is None:
-                raise QueryError(
-                    "aggregate_mode='recursion' needs product semirings "
-                    "for every aggregate under strategy 'yannakakis'"
-                    if strategy == "yannakakis" else
-                    f"strategy {strategy!r} cannot aggregate in-recursion; "
-                    "use a WCOJ mode, 'yannakakis', or aggregate_mode='fold'"
-                )
-        if order_by:
-            ranked_resolved, _cost = _resolve(
-                axes.ranked_mode, "anyk", "drain", 0.0, 0.0,
-                inner_ok=strategy in ANYK_CAPABLE and not aggregates,
-                prefer_inner=limit is not None)
-            if ranked_resolved is None:
-                raise QueryError(
-                    f"strategy {strategy!r} cannot enumerate in rank "
-                    "order; use a WCOJ mode, 'yannakakis', or "
-                    "ranked_mode='drain'"
-                )
-        if (strategy in ("generic", "leapfrog") and not aggregates
-                and ranked_resolved != "anyk"):
-            plain_order = _forced_plain_order(query, database, selections,
-                                              group, bound.bound, registry)
-        if axes.backend != "python":
-            if strategy not in COLUMNAR_CAPABLE:
-                backend_fallback = (
-                    f"strategy {strategy!r} has no columnar implementation")
-            else:
-                backend_fallback = columnar_unsupported_reason(
-                    selections=selections, aggregates=aggregates,
-                    ranked_mode=ranked_resolved)
-            if backend_fallback is None:
-                backend_resolved = "columnar"
-    if strategy == "hybrid":
-        if hybrid_plan is None:
-            hybrid_plan = plan_hybrid(query, database)
-        payload = ("hybrid", hybrid_plan["variable"],
-                   hybrid_plan["threshold"],
-                   hybrid_plan["heavy_strategy"],
-                   hybrid_plan["light_strategy"])
-    else:
-        payload = _payload_for(strategy, resolved, agg_plan,
-                               ranked_resolved, ranked_plan, plain_order)
+            backend_fallback = "python backend priced cheaper"
+    chosen = candidates[strategy]
+    ranked_resolved = chosen.ranked_mode
+    if order_by and ranked_resolved is None:
+        ranked_resolved = "drain"  # ordered aggregate queries
+    payload = _payload_for(strategy, chosen, plain_order, agg_plan,
+                           ranked_plan, binary_order, hybrid_plan)
     return DispatchDecision(
         strategy=strategy, acyclic=acyclic, agm=bound, costs=costs,
         binary_order=binary_order,
-        aggregate_mode=resolved,
+        aggregate_mode=chosen.aggregate_mode,
         ranked_mode=ranked_resolved,
         payload=payload,
         faq_width=agg_plan["width"] if agg_plan is not None else None,

@@ -34,11 +34,16 @@ class CachedPlan:
     ----------
     strategy:
         Executor name (``"naive"``, ``"binary"``, ``"generic"``,
-        ``"leapfrog"``, ``"yannakakis"``).
+        ``"leapfrog"``, ``"yannakakis"``, ``"hybrid"``).
     payload:
         Strategy-specific plan payload, expressed canonically: a tuple of
-        canonical variable names for WCOJ orders, a tuple of canonical atom
-        positions for binary join orders, or None.
+        canonical variable names for plain WCOJ orders; a ``(mode tag,
+        order)`` pair for aggregate (``"recursion"`` / ``"fold"``) and
+        any-k (``"anyk"``) plans, the order empty for Yannakakis; a tuple
+        of canonical atom positions for binary join orders;
+        ``("hybrid", skew variable, threshold, heavy strategy, light
+        strategy)`` for hybrid plans; None for naive and plain
+        Yannakakis.
     acyclic:
         Whether the query hypergraph is alpha-acyclic.
     agm_log2:

@@ -11,8 +11,8 @@ state a single-shot call throws away:
 * a result cache keyed on exact query form + the versions of the relations
   it reads, serving repeated identical queries on unchanged data instantly;
 * a cost-based dispatcher (:mod:`repro.engine.cost`) choosing among naive,
-  binary-plan, Generic-Join, Leapfrog and Yannakakis executors behind the
-  single ``execute(query, mode=...)`` API.
+  binary-plan, Generic-Join, Leapfrog, Yannakakis and hybrid heavy/light
+  executors behind the single ``execute(query, mode=...)`` API.
 
 Queries arrive through one declarative surface
 (:class:`~repro.query.builder.Query` / ``Q`` builder / datalog text /
@@ -135,8 +135,10 @@ class Explanation:                 # make a generated __hash__ crash
         log2 of the AGM bound on the current statistics regime (from the
         plan-cache entry, i.e. computed when the plan was first optimized).
     costs:
-        The dispatcher's predicted ms per strategy (``inf`` = infeasible);
-        bracketed entries are ``ops[strategy]`` and informational.
+        The dispatcher's predicted ms per candidate strategy — every one
+        under ``mode="auto"``, the forced one otherwise (``inf`` =
+        infeasible); bracketed entries are ``ops[strategy]`` and
+        informational.
     variable_order:
         The WCOJ variable order (None for non-WCOJ strategies).
     projection:
@@ -253,8 +255,7 @@ class Explanation:                 # make a generated __hash__ crash
             backend_line,
             f"acyclic:        {self.acyclic}",
             f"AGM bound:      {self.agm_bound:.6g} (log2 = {self.agm_log2:.4g})",
-            "cost estimates: " + (self._render_costs() if self.costs
-                                  else "(skipped — forced mode)"),
+            "cost estimates: " + self._render_costs(),
         ]
         if self.variable_order is not None:
             lines.append(f"variable order: {' -> '.join(self.variable_order)}"
@@ -612,6 +613,11 @@ class Engine:
         cached results over ``name`` are invalidated and every standing
         query is offered the *effective* delta for incremental
         maintenance.  Returns the effective delta either way.
+
+        A subscription that raises does not stop the others: each one
+        is offered the delta, each one that raised drops its incremental
+        state (its next delta refreshes it from the catalog), and the
+        first error is re-raised after the loop.
         """
         applied = self._db.apply_delta(name, inserts, deletes)
         if not applied.changed:
@@ -622,8 +628,16 @@ class Engine:
                 self._m_deltas.inc(len(applied.inserted), kind="insert")
             if applied.deleted:
                 self._m_deltas.inc(len(applied.deleted), kind="delete")
+        first_error: Exception | None = None
         for sub in list(self._subscriptions):
-            sub._on_delta(applied)
+            try:
+                sub._on_delta(applied)
+            except Exception as exc:  # re-raised below, after the others
+                sub._drop_state()
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error
         return applied
 
     def _invalidate_derived(self, name: str) -> None:
@@ -793,19 +807,10 @@ class Engine:
                          costs={name: cost for name, cost
                                 in decision.costs.items()
                                 if cost != float("inf")})
-        executor = executor_for(decision.strategy)
-        # The dispatcher already computed the greedy order while pricing the
-        # binary strategy (and the aggregate-aware order while resolving the
-        # aggregate mode) — reuse them so the plan run is the plan priced.
-        if decision.strategy == "binary":
-            payload: tuple | None = decision.binary_order
-        elif decision.payload is not None:
-            payload = decision.payload
-        else:
-            payload = executor.plan(query, self._db)
         plan = CachedPlan(
             strategy=decision.strategy,
-            payload=executor.canonical_payload(payload, canon),
+            payload=executor_for(decision.strategy).canonical_payload(
+                decision.payload, canon),
             acyclic=decision.acyclic,
             agm_log2=decision.agm.log2_bound,
             costs=tuple(sorted(decision.costs.items())),
@@ -813,7 +818,7 @@ class Engine:
             backend_fallback=decision.backend_fallback,
         )
         self._plans.put(key, plan)
-        return _Prepared(query, canon, plan, payload, "miss")
+        return _Prepared(query, canon, plan, decision.payload, "miss")
 
     @staticmethod
     def _check_limit(limit: int | None) -> None:
@@ -1003,7 +1008,8 @@ class Engine:
 
     def _record_calibration(self, plan: CachedPlan, actual: int) -> None:
         """A counted run against its plan's prediction and against the
-        cheapest candidate's (forced plans carry none: nothing recorded)."""
+        cheapest candidate's — a forced plan's only candidate is itself;
+        a plan priced ``inf`` carries no prediction: nothing recorded."""
         predicted = {name[4:-1]: ops for name, ops in plan.costs
                      if name.startswith("ops[")}
         if predicted.get(plan.strategy):

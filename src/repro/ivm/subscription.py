@@ -308,6 +308,12 @@ class Subscription:
     def _deactivate(self) -> None:
         self._active = False
 
+    def _drop_state(self) -> None:
+        """Forget the incremental state after a maintenance step raised
+        part-way: the next delta refreshes from the catalog instead of
+        patching state that may have missed this one."""
+        self._state = None
+
     def __repr__(self) -> str:
         mode = ("incremental" if self._state is not None
                 else f"refresh ({self._fallback_reason})")

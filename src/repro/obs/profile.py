@@ -35,11 +35,12 @@ class StrategyProfile:
     strategy:
         The executor that ran.
     predicted:
-        The dispatcher's predicted operations for it (None when the
-        profile ran under a forced mode, which skips pricing).
+        The dispatcher's predicted operations for it (None when a forced
+        strategy was priced ``inf`` and runs anyway: binary refused by
+        the envelope, hybrid on an unskewed instance).
     predicted_ms:
         The dispatcher's predicted milliseconds on warm indexes — what
-        candidates are ranked by; None under a forced mode.
+        candidates are ranked by; None exactly when ``predicted`` is.
     operations:
         The detail counter's :meth:`~repro.joins.instrumentation.
         OperationCounter.as_dict` — actual work, including ``total``.
@@ -151,10 +152,10 @@ def profile_query(engine: Any, query: Any, mode: str = "auto",
     Each run passes a fresh detail counter, which also bypasses the
     engine's result cache — a cached answer costs zero operations and
     would calibrate the model against nothing.  Under a forced ``mode``
-    the dispatcher skips pricing, so only that strategy runs and its
-    ``predicted`` is None.  The remaining dispatch ``axes`` are forwarded
-    as given to ``engine.explain`` and to every ``engine.execute``, so
-    the plans profiled are the ones the explained request would run.
+    the dispatcher prices only that strategy, so only it runs.  The
+    remaining dispatch ``axes`` are forwarded as given to
+    ``engine.explain`` and to every ``engine.execute``, so the plans
+    profiled are the ones the explained request would run.
     """
     explanation = engine.explain(query, mode=mode, **axes)
     priced = _priced_strategies(explanation.costs)

@@ -26,8 +26,6 @@ from repro.query.semiring import (
 from repro.query.terms import Comparison, Constant, comparison, make_term
 from repro.query.variable_order import (
     aggregate_elimination_order,
-    natural_order,
-    greedy_min_domain_order,
     min_degree_order,
     pushdown_order,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "comparison",
     "make_term",
     "aggregate_elimination_order",
-    "natural_order",
-    "greedy_min_domain_order",
     "min_degree_order",
     "pushdown_order",
     "gyo_reduction",

@@ -19,11 +19,6 @@ from repro.relational.database import Database
 from repro.relational.statistics import DegreeCatalog, catalog_lookup
 
 
-def natural_order(query: ConjunctiveQuery) -> tuple[str, ...]:
-    """Variables in order of first occurrence in the query body."""
-    return query.variables
-
-
 #: Bounded memo tables for the pure order functions.  Both
 #: :func:`min_degree_order` and :func:`_best_tail_order` are pure
 #: functions of hashable inputs, yet were re-run on every call — the
@@ -350,30 +345,6 @@ def ranked_order(query: ConjunctiveQuery,
     tail = tuple(v for v in base if v not in prefix_set)
     return _best_tail_order(query, prefix, tail, max_exact_tail,
                             selections=selections)
-
-
-def greedy_min_domain_order(query: ConjunctiveQuery, database: Database
-                            ) -> tuple[str, ...]:
-    """Order variables by increasing estimated domain size.
-
-    The estimate for a variable is the minimum, over atoms containing it, of
-    the number of distinct values the corresponding relation column takes —
-    i.e. the size of the smallest set that will ever be intersected for that
-    variable.  Smaller domains first keeps the top of the search tree narrow.
-    """
-    query.validate_against(database)
-    estimates: dict[str, int] = {}
-    for variable in query.variables:
-        sizes = []
-        for atom in query.atoms_containing(variable):
-            relation = database.get(atom.relation)
-            column = relation.attributes[atom.variables.index(variable)]
-            sizes.append(len(relation.column(column)))
-        estimates[variable] = min(sizes) if sizes else 0
-    occurrence = {v: i for i, v in enumerate(query.variables)}
-    return tuple(
-        sorted(query.variables, key=lambda v: (estimates[v], occurrence[v]))
-    )
 
 
 def validate_order(query: ConjunctiveQuery, order: Sequence[str]) -> tuple[str, ...]:

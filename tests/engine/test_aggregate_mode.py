@@ -87,11 +87,20 @@ class TestDispatch:
         assert (explanation.costs["agg[recursion]"]
                 < explanation.costs["agg[fold]"])
 
-    def test_full_group_by_resolves_to_fold(self):
+    def test_full_group_by_resolves_the_cheaper_mode(self):
+        # Nothing is eliminated: both modes walk the same levels, and the
+        # in-recursion fold skips the engine's fold over every row.
         engine = chain_engine()
-        explanation = engine.explain(
-            "Q(A, B, C, COUNT(*)) :- R(A,B), S(B,C)", mode="generic")
-        assert explanation.aggregate_mode == "fold"
+        query = "Q(A, B, C, COUNT(*)) :- R(A,B), S(B,C)"
+        explanation = engine.explain(query, mode="generic")
+        costs = explanation.costs
+        assert costs["agg[recursion]"] < costs["agg[fold]"]
+        assert explanation.aggregate_mode == "recursion"
+        assert not any("eliminated" in line
+                       for line in explanation.elimination)
+        assert (sorted(engine.execute(query, mode="generic").tuples)
+                == sorted(engine.execute(query, mode="generic",
+                                         aggregate_mode="fold").tuples))
 
     def test_dispatch_carries_faq_width(self):
         engine = chain_engine()
@@ -227,6 +236,9 @@ class TestJoinsLayer:
         explanation = engine.explain(spec, mode="yannakakis")
         assert explanation.aggregate_mode == "fold"
         assert sorted(engine.execute(spec, mode="yannakakis").tuples) == [(1, 3)]
+        with pytest.raises(QueryError, match="needs product semirings"):
+            engine.execute(spec, mode="yannakakis",
+                           aggregate_mode="recursion")
 
 
 class TestAvgAggregate:

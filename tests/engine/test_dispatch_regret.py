@@ -106,6 +106,17 @@ class TestCatastrophicFlips:
         oracle = session.execute(self.STAR, mode="generic")
         assert session.execute(self.STAR).tuples == oracle.tuples
 
+    def test_forced_binary_priced_inf_still_runs(self):
+        # Refused by the envelope under auto, yet a forced request is a
+        # request: it runs the greedy plan the simulation priced.
+        session = graph_engine("zipf")
+        explanation = session.explain(self.STAR, mode="binary")
+        assert explanation.strategy == "binary"
+        assert explanation.costs["binary"] == math.inf
+        assert "ops[binary]" not in explanation.costs
+        assert (sorted(session.execute(self.STAR, mode="binary").tuples)
+                == sorted(session.execute(self.STAR, mode="naive").tuples))
+
 
 class TestProjectionOrder:
     """A strict projection runs the cheaper of its two variable orders.

@@ -187,12 +187,20 @@ class TestMetrics:
             f'repro_dispatch_calibration_ratio{{strategy="{strategy}"}}']
         assert ratio["count"] == 1 and ratio["sum"] > 0
         assert snapshot["repro_dispatch_regret_ops"] >= 0
-        # A forced plan carries no prediction; an uncounted run no actual.
+        # A forced plan is priced like auto's candidate; one priced inf
+        # (hybrid where every degree is 1) carries no prediction, and an
+        # uncounted run no actual.
         engine.execute(query, mode="leapfrog")
+        assert any("calibration" in name and "leapfrog" in name
+                   for name in engine.metrics_snapshot())
+        unskewed = Engine(relations=[
+            Relation(name, ("x", "y"), [(i, i) for i in range(6)])
+            for name in ("R", "S", "T")], collect_operations=True)
+        unskewed.execute(query, mode="hybrid")
         quiet = Engine(database, cache_results=False)
         quiet.execute(query)
-        assert not any("calibration" in name and "leapfrog" in name
-                       for name in engine.metrics_snapshot())
+        assert not any("calibration" in name
+                       for name in unskewed.metrics_snapshot())
         assert not any("calibration" in name
                        for name in quiet.metrics_snapshot())
 

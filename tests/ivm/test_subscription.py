@@ -241,3 +241,39 @@ class TestMetrics:
         engine.apply_delta("R1", inserts=[(0, 499)])
         assert sub.result == engine.execute(
             STAR, counter=OperationCounter())
+
+
+class TestFailingSubscriber:
+    QUERIES = (STAR,
+               "Q(A, COUNT(*) AS n) :- R1(A,B), R2(A,C)",
+               "Q(A, MAX(B) AS top) :- R1(A,B), R3(A,D)")
+
+    def test_raising_view_does_not_strand_the_others(self):
+        engine = star_engine()
+        raised = []
+
+        def fail_once(sub):
+            if not raised:
+                raised.append(sub)
+                raise RuntimeError("subscriber failed")
+
+        subs = [engine.subscribe(q, replan_threshold=99,
+                                 on_change=fail_once if i == 1 else None)
+                for i, q in enumerate(self.QUERIES)]
+
+        def fresh(q):
+            return engine.execute(q, counter=OperationCounter())
+
+        with pytest.raises(RuntimeError, match="subscriber failed"):
+            engine.apply_delta("R1", inserts=[(0, 499)])
+        assert raised == [subs[1]]
+        assert subs[0].result == fresh(self.QUERIES[0])
+        assert subs[2].result == fresh(self.QUERIES[2])
+        assert not subs[1].incremental  # its state was dropped
+
+        engine.apply_delta("R1", inserts=[(1, 498)])
+        for sub, q in zip(subs, self.QUERIES):
+            assert sub.result == fresh(q)
+        assert subs[1].last_maintenance.kind == "refresh"
+        assert subs[1].incremental
+        assert subs[0].last_maintenance.kind == "incremental"

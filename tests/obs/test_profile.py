@@ -5,6 +5,7 @@ import pytest
 from repro.datagen.graphs import erdos_renyi_graph
 from repro.engine import Engine
 from repro.obs import ProfileReport, StrategyProfile, profile_query
+from repro.relational.relation import Relation
 
 
 @pytest.fixture
@@ -48,12 +49,26 @@ class TestProfileQuery:
         assert report.dispatch_optimal == (
             report.profile_for(report.dispatched).actual == best.actual)
 
-    def test_forced_mode_profiles_one_strategy_unpriced(self, engine,
-                                                        triangle):
+    def test_forced_mode_profiles_one_strategy_priced(self, engine,
+                                                      triangle):
         report = profile_query(engine, triangle, mode="generic")
         assert [p.strategy for p in report.profiles] == ["generic"]
+        auto = engine.explain(triangle).costs
+        assert report.profiles[0].predicted == auto["ops[generic]"]
+        assert report.profiles[0].predicted_ms == auto["generic"]
+        assert report.profiles[0].calibration == pytest.approx(
+            report.profiles[0].actual / report.profiles[0].predicted)
+
+    def test_forced_mode_priced_inf_profiles_unpriced(self, triangle):
+        # Every value has degree 1: no key is heavy, hybrid is priced inf.
+        engine = Engine(relations=[
+            Relation(name, ("x", "y"), [(i, i) for i in range(6)])
+            for name in ("R", "S", "T")])
+        report = profile_query(engine, triangle, mode="hybrid")
+        assert [p.strategy for p in report.profiles] == ["hybrid"]
         assert report.profiles[0].predicted is None
         assert report.profiles[0].calibration is None
+        assert report.profiles[0].rows == 6
 
     def test_breakdown_attributes_search_nodes(self, engine, triangle):
         report = profile_query(engine, triangle, mode="generic")

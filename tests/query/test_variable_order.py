@@ -4,19 +4,13 @@ import pytest
 
 from repro.query.atoms import Atom, ConjunctiveQuery, path_query, triangle_query
 from repro.query.variable_order import (
-    greedy_min_domain_order,
     min_degree_order,
-    natural_order,
     validate_order,
 )
-from repro.relational.database import Database
 from repro.relational.relation import Relation
 
 
 class TestOrders:
-    def test_natural_order(self):
-        assert natural_order(triangle_query()) == ("A", "B", "C")
-
     def test_min_degree_order_prefers_shared_variables(self):
         # In Q :- R(A,B), S(B,C), U(B,D): B occurs in 3 atoms.
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C")),
@@ -47,18 +41,6 @@ class TestOrders:
         permuted = ConjunctiveQuery([Atom("T", ("A", "C")), Atom("S", ("B", "C")),
                                      Atom("R", ("A", "B"))])
         assert min_degree_order(base) == min_degree_order(permuted)
-
-    def test_greedy_min_domain_order(self):
-        q = triangle_query()
-        db = Database([
-            Relation("R", ("A", "B"), [(i, 0) for i in range(10)]),
-            Relation("S", ("B", "C"), [(0, i) for i in range(10)]),
-            Relation("T", ("A", "C"), [(i, i) for i in range(10)]),
-        ])
-        order = greedy_min_domain_order(q, db)
-        # B has a single distinct value in both R and S, so it should come first.
-        assert order[0] == "B"
-        assert sorted(order) == ["A", "B", "C"]
 
     def test_validate_order_accepts_permutation(self):
         q = triangle_query()
