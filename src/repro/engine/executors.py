@@ -8,10 +8,9 @@ the projection, and (when the plan says so) the aggregation; the engine
 layers the remaining folds, ordering and LIMIT on top of the streams they
 return:
 
-* ``plan(spec, database)`` produces the strategy-specific payload of a
-  plain plan (a variable order, an atom order, or nothing); WCOJ
-  payloads — a projection's priced order, the mode-tagged ones — are
-  minted by :func:`repro.engine.cost.dispatch` alone;
+* ``plan(spec, database)`` produces the payload of a non-WCOJ plan (an
+  atom order, or nothing); WCOJ payloads — variable orders, plain or
+  mode-tagged — are minted by :func:`repro.engine.cost.dispatch` alone;
 * ``canonical_payload`` / ``payload_from_canonical`` translate that payload
   to and from canonical vocabulary, so the plan cache can serve isomorphic
   queries;
@@ -58,7 +57,7 @@ from repro.joins.hybrid import HybridPartition, partition_instance
 from repro.joins.instrumentation import OperationCounter
 from repro.joins.leapfrog import leapfrog_stream
 from repro.joins.naive import nested_loop_stream
-from repro.joins.plan import execute_plan, left_deep_plan
+from repro.joins.plan import execute_plan, left_deep_plan, split_selections
 from repro.joins.yannakakis import (
     yannakakis,
     yannakakis_aggregate_stream,
@@ -67,7 +66,7 @@ from repro.joins.yannakakis import (
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.builder import Query
 from repro.query.terms import Comparison, Constant, pinned_constants
-from repro.query.variable_order import hybrid_light_order, pushdown_order
+from repro.query.variable_order import hybrid_light_order
 from repro.relational.database import Database
 from repro.relational.index import HashIndex, TrieIndex
 from repro.relational.relation import Relation
@@ -102,27 +101,6 @@ def head_projected(query: ConjunctiveQuery, stream: Iterator[tuple],
         if projected not in seen:
             seen.add(projected)
             yield projected
-
-
-def split_selections(core: ConjunctiveQuery, selections: Sequence[Comparison]
-                     ) -> tuple[list[list[Comparison]], list[Comparison]]:
-    """Partition selections into per-atom pushable lists and a residual.
-
-    A selection is pushable into *every* atom containing all its variables
-    (applying a conjunctive filter at each covering scan is sound and
-    prunes most); only predicates spanning atoms (``A < B`` with A and B
-    in different relations) stay residual.
-    """
-    per_atom: list[list[Comparison]] = [[] for _ in core.atoms]
-    residual: list[Comparison] = []
-    for sel in selections:
-        covering = [i for i, atom in enumerate(core.atoms)
-                    if sel.variables <= atom.variable_set]
-        for i in covering:
-            per_atom[i].append(sel)
-        if not covering:
-            residual.append(sel)
-    return per_atom, residual
 
 
 def bound_scan(atom: Atom, pinned: Mapping[str, Any], database: Database,
@@ -230,28 +208,6 @@ class _WcojExecutor:
     """Shared adaptation of the two streaming WCOJ engines."""
 
     name: str
-
-    def plan(self, spec: Query, database: Database) -> tuple:
-        """The structural head-first order of a plain enumeration.
-
-        Constant-pinned variables come first (they restrict every
-        containing atom for the whole search), then the head variables
-        (so projection deduplicates early via the existential tail), then
-        the rest — see :func:`repro.query.variable_order.pushdown_order`.
-        For full unselected queries this degenerates to the classical
-        min-degree order.
-
-        Engine plans do not call this: the dispatcher
-        (:func:`repro.engine.cost.dispatch`) mints every WCOJ payload —
-        for a strict projection the cheaper of this order and the
-        guarded one (the head deduplicated by a seen-set), priced on the
-        instance's degrees; the aggregate-aware order under
-        ``"recursion"`` / ``"fold"``; the ranked order under ``"anyk"``.
-        A drain-ranked plan runs the plain order and the engine sorts
-        above it.
-        """
-        return pushdown_order(spec.core, fixed=spec.fixed_variables,
-                              leading=spec.head_vars)
 
     def canonical_payload(self, payload: tuple,
                           canon: CanonicalQuery) -> tuple:
@@ -414,15 +370,18 @@ class YannakakisExecutor(_NoPayloadExecutor):
     """Yannakakis' acyclic-query algorithm behind the common protocol.
 
     The payload is empty for plain queries and a mode tag otherwise:
-    ``("recursion", ())`` runs the in-pass aggregation of
-    :func:`repro.joins.yannakakis.yannakakis_aggregate_stream` (semiring
-    product at joins, fold at projections — never materializing the join),
+    ``("recursion", ())`` builds one
+    :class:`repro.joins.yannakakis.AnnotatedJoinTree` — the state IVM
+    maintains — and yields its group rows (semiring product at joins,
+    fold at projections, no semijoin pass, never materializing the join);
     ``("fold", ())`` materializes the join and leaves the fold to the
-    engine, and ``("anyk", ())`` runs the ranked enumeration of
+    engine; ``("anyk", ())`` runs the ranked enumeration of
     :func:`repro.joins.yannakakis.yannakakis_ranked_stream` (ordering-
     semiring annotations on the join tree, Lawler-style frontier).
-    Cross-atom comparisons are applied during the join passes in every
-    mode.
+    Single-atom selections filter the scans first
+    (:func:`filtered_instance`); the cross-atom residue fires at the
+    first join binding it, on complete assignments under any-k, and at
+    the annotated tree's root in-pass.
     """
 
     name = "yannakakis"

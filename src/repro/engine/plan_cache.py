@@ -72,23 +72,19 @@ class CachedPlan:
 
 
 class LRUCache:
-    """A small least-recently-used cache with hit/miss accounting."""
+    """A small least-recently-used cache."""
 
     def __init__(self, max_size: int = 256):
         if max_size < 1:
             raise ValueError(f"cache size must be positive, got {max_size}")
         self._max_size = max_size
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: Hashable) -> Any | None:
         """The cached value, refreshed as most-recent, or None."""
         if key in self._entries:
             self._entries.move_to_end(key)
-            self.hits += 1
             return self._entries[key]
-        self.misses += 1
         return None
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -100,7 +96,7 @@ class LRUCache:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry (hit/miss counters are preserved)."""
+        """Drop every entry."""
         self._entries.clear()
 
     def evict_where(self, predicate) -> int:
@@ -113,22 +109,6 @@ class LRUCache:
         for key in stale:
             del self._entries[key]
         return len(stale)
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def cache_stats(self) -> dict[str, float]:
-        """Hit/miss/occupancy accounting for metrics snapshots."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "entries": len(self._entries),
-            "capacity": self._max_size,
-        }
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -144,8 +124,9 @@ class PlanCache(LRUCache):
     when a standing query decides its plan no longer fits (the statistics
     fingerprint drifted past its threshold, or an out-of-band version
     bump replaced the data wholesale) the owner calls
-    :meth:`record_invalidation` so the re-plan shows up in cache stats
-    and the metrics snapshot instead of looking like an ordinary miss.
+    :meth:`record_invalidation` so the re-plan shows up in the engine's
+    stats and the metrics snapshot instead of looking like an ordinary
+    miss.
     """
 
     def __init__(self, max_size: int = 256):
@@ -165,8 +146,3 @@ class PlanCache(LRUCache):
     def invalidation_counts(self) -> dict[str, int]:
         """Invalidations by reason (a copy, for snapshots)."""
         return dict(self.invalidations)
-
-    def cache_stats(self) -> dict[str, float]:
-        stats = super().cache_stats()
-        stats["invalidations"] = sum(self.invalidations.values())
-        return stats

@@ -57,7 +57,6 @@ from repro.engine.executors import (
     payload_aggregate_mode,
     payload_order,
     payload_ranked_mode,
-    split_selections,
     unique_index_layouts,
 )
 from repro.engine.fingerprint import CanonicalQuery, canonical_query
@@ -66,6 +65,7 @@ from repro.engine.registry import IndexRegistry
 from repro.errors import QueryError
 from repro.joins.hybrid import partition_instance
 from repro.joins.instrumentation import OperationCounter
+from repro.joins.plan import split_selections
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ProfileReport, profile_query
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer

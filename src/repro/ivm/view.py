@@ -1,89 +1,70 @@
 """Per-view maintenance state: annotated join-tree messages that repair.
 
-A standing acyclic view is held as the *materialized message passing* of
-:func:`repro.joins.yannakakis.yannakakis_aggregate_stream`: one annotated
-table per join-tree node (tuples annotated with one semiring value per
-aggregate), one ``⊕``-projected message per non-root node, and the root's
-group accumulators.  The FAQ delta rule is what makes this state
-repairable: the view is *linear* in each atom's annotation table (as long
-as the relation appears in exactly one atom), so a tuple-level delta is
-itself an annotated table — inserted tuples lifted normally, deleted
-tuples lifted and **negated** through the ring protocol
-(:func:`repro.query.semiring.negate_value`) — and
+A standing acyclic view is held as an
+:class:`~repro.joins.yannakakis.AnnotatedJoinTree`: one annotated table
+per join-tree node (tuples annotated with a support count and one
+semiring value per aggregate), one ``⊕``-projected message per non-root
+node, and the root's group accumulators.  The FAQ delta rule is what
+makes this state repairable: the view is *linear* in each atom's
+annotation table (as long as the relation appears in exactly one atom),
+so a tuple-level delta is itself an annotated table — inserted tuples
+lifted normally, deleted tuples lifted and **negated** through the ring
+protocol (:func:`repro.query.semiring.negate_value`) — and
 
     ΔM_n = π_keep( ΔT_n ⊗ M_c₁ ⊗ ... ⊗ M_cₖ )
 
 re-derives only the messages on the changed leaf's root path, joining the
-delta against the *unchanged* sibling messages instead of re-running the
-semijoin passes.  Two deliberate deviations from the one-shot pipeline:
+delta against the *unchanged* sibling messages.  The support coordinate
+tells a delete when an entry's (or group's) last derivation is gone — a
+SUM of 0 alone cannot distinguish "cancelled to zero" from "no longer
+derivable".
 
-* **no semijoin reduction** — reduction is an optimization whose reduced
-  state a delta would invalidate; the inner hash-joins of the message
-  pass drop dangling tuples by themselves, so skipping it changes cost,
-  never results;
-* a hidden **support coordinate** (the COUNT ring) is threaded as
-  annotation 0 of every tuple: it counts the join assignments behind each
-  message entry and each group, so deletes know when an entry's support
-  hits zero and the entry (or group) must disappear — a SUM of 0 alone
-  cannot distinguish "cancelled to zero" from "no longer derivable".
-
-Every propagation join probes a maintained hash index keyed on the
-child's separator (the running-intersection property guarantees the join
-columns *are* exactly the separator), so a single-tuple delta costs work
-proportional to the affected entries, not to the database.
+Every propagation join probes a hash index keyed on the child's
+separator (the running-intersection property guarantees the join columns
+*are* exactly the separator); this module builds and maintains those
+indexes, so a single-tuple delta costs work proportional to the affected
+entries, not to the database.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.errors import QueryError
 from repro.joins.instrumentation import OperationCounter
-from repro.joins.yannakakis import AnnTable, ann_join, ann_project, join_tree_of
+from repro.joins.yannakakis import (
+    AnnotatedJoinTree,
+    AnnotatedNode,
+    AnnTable,
+    ann_project,
+)
 from repro.query.builder import Query
-from repro.query.semiring import SEMIRINGS, Semiring, negate_value
+from repro.query.semiring import negate_value
 from repro.relational.database import Database
-
-#: The hidden support ring: coordinate 0 of every annotation vector.
-_SUPPORT: Semiring = SEMIRINGS["count"]
-
-
-class _Node:
-    """One join-tree node's maintained state."""
-
-    __slots__ = ("edge", "relation", "schema", "parent", "children", "sep",
-                 "keep", "lift", "selections", "table", "table_index",
-                 "message_schema", "message_rows", "message_index")
-
-    def __init__(self, edge: str, relation: str, schema: tuple[str, ...],
-                 parent: str | None, children: tuple[str, ...],
-                 lift: Callable[[tuple], list],
-                 selections: tuple):
-        self.edge = edge
-        self.relation = relation
-        self.schema = schema
-        self.parent = parent
-        self.children = children
-        #: Separator columns with the parent (child-schema order).
-        self.sep: tuple[str, ...] = ()
-        #: Message columns (separator ∪ group ∪ residual-selection vars).
-        self.keep: tuple[str, ...] = ()
-        self.lift = lift
-        self.selections = selections
-        #: The annotated base table: row -> annotation vector.
-        self.table: dict[tuple, list] = {}
-        #: Per child edge: (separator columns, sep-key -> set of rows).
-        self.table_index: dict[str, tuple[tuple[str, ...],
-                                          dict[tuple, set]]] = {}
-        #: The stored message (non-root nodes only).
-        self.message_schema: tuple[str, ...] = ()
-        self.message_rows: dict[tuple, list] = {}
-        #: sep-key -> set of message rows, for sibling/ancestor probes.
-        self.message_index: dict[tuple, set] = {}
 
 
 def _pick(row: tuple, positions: Sequence[int]) -> tuple:
     return tuple(row[p] for p in positions)
+
+
+def _positions(schema: tuple[str, ...], columns: Sequence[str]) -> list[int]:
+    return [schema.index(v) for v in columns]
+
+
+def _index_by(rows: Iterable[tuple], positions: Sequence[int]
+              ) -> dict[tuple, set]:
+    """Rows bucketed by their values at ``positions``."""
+    index: dict[tuple, set] = {}
+    for row in rows:
+        index.setdefault(_pick(row, positions), set()).add(row)
+    return index
+
+
+def _discard(index: dict[tuple, set], key: tuple, row: tuple) -> None:
+    bucket = index.get(key)
+    if bucket is not None:
+        bucket.discard(row)
+        if not bucket:
+            del index[key]
 
 
 class ViewState:
@@ -91,10 +72,7 @@ class ViewState:
 
     Build it from the query spec and the current database, then feed it
     effective tuple deltas through :meth:`apply`; :meth:`rows` yields the
-    current (unordered) output rows.  Construction mirrors the annotated
-    aggregate pass: single-atom selections filter each node's base table,
-    each aggregate's designated atom lifts its input variable (all other
-    atoms lift ``one``), cross-atom residual selections fire at the root.
+    current (unordered) output rows.
 
     Raises :class:`QueryError` when the query cannot be held this way
     (cyclic hypergraph, or an aggregate over a product-less semiring).
@@ -103,173 +81,32 @@ class ViewState:
     def __init__(self, spec: Query, database: Database,
                  counter: OperationCounter | None = None):
         self._spec = spec
-        core = spec.core
-        tree = join_tree_of(core)  # raises QueryError when cyclic
-        self._root = tree.root
-        self._semirings: list[Semiring] = [_SUPPORT]
-        for agg in spec.aggregates:
-            sr = agg.semiring()
-            if not sr.has_product:
-                raise QueryError(
-                    f"aggregate {agg} uses the plus-only semiring "
-                    f"{sr.name!r}; view maintenance needs a product semiring"
-                )
-            self._semirings.append(sr)
-        self._group = tuple(spec.head_vars)
-
-        # Designated atom per aggregate (first body atom holding its var),
-        # mirroring yannakakis_aggregate_stream.
-        designated: dict[int, str] = {}
-        for i, agg in enumerate(spec.aggregates):
-            if agg.var is None:
-                continue
-            for j, atom in enumerate(core.atoms):
-                if agg.var in atom.variable_set:
-                    designated[i] = core.edge_key(j)
-                    break
-            else:
-                raise QueryError(
-                    f"aggregate {agg} reads {agg.var!r}, which no atom binds"
-                )
-
-        # Selections: single-atom ones filter every covering node's base
-        # table; the cross-atom residue fires on root-path join results.
-        atoms_by_edge = {core.edge_key(j): atom
-                         for j, atom in enumerate(core.atoms)}
-        covered: dict[str, list] = {edge: [] for edge in atoms_by_edge}
-        residual = []
-        for sel in spec.all_selections:
-            hit = False
-            for edge, atom in atoms_by_edge.items():
-                if sel.variables <= atom.variable_set:
-                    covered[edge].append(sel)
-                    hit = True
-            if not hit:
-                residual.append(sel)
-        self._residual = tuple(residual)
-
-        still_needed = set(self._group)
-        for sel in residual:
-            still_needed |= sel.variables
+        self._tree = AnnotatedJoinTree(
+            spec.core, database, spec.head_vars, spec.aggregates,
+            spec.all_selections, counter)
+        self._nodes = self._tree.nodes
+        self._semirings = self._tree.semirings
 
         #: Edge keys per relation name (len > 1 marks a self-join, which
         #: breaks the delta rule's linearity for that relation).
         self._edges_of: dict[str, list[str]] = {}
-        for j, atom in enumerate(core.atoms):
-            self._edges_of.setdefault(atom.relation, []).append(
-                core.edge_key(j))
-
-        # Children in bottom-up absorption order: the deterministic
-        # schema-construction order both build and repair must share.
-        order_index = {edge: i for i, edge in enumerate(tree.order)}
-        self._nodes: dict[str, _Node] = {}
-        for j, atom in enumerate(core.atoms):
-            edge = core.edge_key(j)
-            kids = tuple(sorted(tree.children.get(edge, ()),
-                                key=order_index.__getitem__))
-            schema = tuple(atom.variables)
-            self._nodes[edge] = _Node(
-                edge, atom.relation, schema, tree.parent.get(edge), kids,
-                self._make_lift(edge, schema, designated),
-                tuple(covered[edge]),
-            )
         for node in self._nodes.values():
+            self._edges_of.setdefault(node.relation, []).append(node.edge)
+
+        #: Per node, per child edge: child-separator key -> base rows.
+        self._table_index: dict[str, dict[str, dict[tuple, set]]] = {}
+        #: Per non-root node: separator key -> its message rows.
+        self._message_index: dict[str, dict[tuple, set]] = {}
+        for node in self._nodes.values():
+            self._table_index[node.edge] = {
+                child: _index_by(node.table, _positions(
+                    node.schema, self._nodes[child].sep))
+                for child in node.children
+            }
             if node.parent is not None:
-                parent_vars = set(self._nodes[node.parent].schema)
-                node.sep = tuple(v for v in node.schema if v in parent_vars)
-
-        # ---- build: annotated tables, then messages bottom-up ----------
-        bound = core.bind(database)
-        for edge, relation in bound.items():
-            node = self._nodes[edge]
-            schema = node.schema
-            for t in relation:
-                if node.selections:
-                    binding = dict(zip(schema, t))
-                    if not all(sel.evaluate(binding)
-                               for sel in node.selections):
-                        continue
-                node.table[t] = node.lift(t)
-            if counter is not None:
-                counter.charge(tuples_scanned=len(relation))
-            for child in node.children:
-                sep = self._nodes[child].sep
-                positions = [schema.index(v) for v in sep]
-                index: dict[tuple, set] = {}
-                for t in node.table:
-                    index.setdefault(_pick(t, positions), set()).add(t)
-                node.table_index[child] = (sep, index)
-
-        acc: dict[str, AnnTable] = {
-            edge: (node.schema, node.table)
-            for edge, node in self._nodes.items()
-        }
-        for edge in tree.order:
-            node = self._nodes[edge]
-            if node.parent is None:
-                continue
-            schema = acc[edge][0]
-            node.keep = tuple(v for v in schema
-                              if v in node.sep or v in still_needed)
-            message = ann_project(acc[edge], node.keep, self._semirings,
-                                  counter)
-            # _ann_project returns shared state when keep == schema; the
-            # stored message must own its rows (repair mutates them).
-            node.message_schema = message[0]
-            node.message_rows = {row: list(ann)
-                                 for row, ann in message[1].items()}
-            sep_positions = [node.message_schema.index(v) for v in node.sep]
-            node.message_index = {}
-            for row in node.message_rows:
-                node.message_index.setdefault(
-                    _pick(row, sep_positions), set()).add(row)
-            acc[node.parent] = ann_join(
-                acc[node.parent], (node.message_schema, node.message_rows),
-                self._semirings, counter)
-            del acc[edge]
-
-        root_joined = acc[self._root]
-        self._groups: dict[tuple, list] = {}
-        self._merge_groups(self._project_groups(root_joined, counter))
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _make_lift(self, edge: str, schema: tuple[str, ...],
-                   designated: dict[int, str]) -> Callable[[tuple], list]:
-        plan: list[tuple[Semiring, int | None]] = []
-        positions = {v: p for p, v in enumerate(schema)}
-        for i, agg in enumerate(self._spec.aggregates):
-            sr = self._semirings[i + 1]
-            if designated.get(i) == edge:
-                plan.append((sr, positions[agg.var]))
-            else:
-                plan.append((sr, None))
-
-        def lift(row: tuple) -> list:
-            ann: list = [1]  # support: one assignment per base tuple
-            for sr, pos in plan:
-                ann.append(sr.lift(row[pos]) if pos is not None else sr.one)
-            return ann
-
-        return lift
-
-    def _project_groups(self, joined: AnnTable,
-                        counter: OperationCounter | None) -> AnnTable:
-        """Filter the root join by the residual selections, project onto
-        the group columns."""
-        schema, rows = joined
-        if self._residual:
-            filtered: dict[tuple, list] = {}
-            for row, ann in rows.items():
-                binding = dict(zip(schema, row))
-                if all(sel.evaluate(binding) for sel in self._residual):
-                    filtered[row] = ann
-            if counter is not None:
-                counter.charge(tuples_scanned=len(rows))
-            rows = filtered
-        return ann_project((schema, rows), self._group, self._semirings,
-                           counter)
+                schema, rows = node.message
+                self._message_index[node.edge] = _index_by(
+                    rows, _positions(schema, node.sep))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -290,7 +127,7 @@ class ViewState:
 
     def group_count(self) -> int:
         """Number of live groups (root accumulator entries)."""
-        return len(self._groups)
+        return len(self._tree.groups)
 
     # ------------------------------------------------------------------
     # Repair
@@ -319,11 +156,8 @@ class ViewState:
         node = self._nodes[edges[0]]
         delta_rows: dict[tuple, list] = {}
         for row in inserted:
-            if node.selections:
-                binding = dict(zip(node.schema, row))
-                if not all(sel.evaluate(binding)
-                           for sel in node.selections):
-                    continue
+            if not node.admits(row):
+                continue
             if row in node.table:
                 continue  # effective deltas should never resend these
             ann = node.lift(row)
@@ -353,9 +187,10 @@ class ViewState:
                 if child_edge == incoming:
                     continue
                 child = self._nodes[child_edge]
+                message_schema, message_rows = child.message
                 acc = self._probe_join(
-                    acc, child.message_schema, child.message_rows,
-                    child.message_index, child.sep, counter)
+                    acc, message_schema, message_rows,
+                    self._message_index[child_edge], child.sep, counter)
                 if not acc[1]:
                     return False  # delta died against a sibling subtree
             if node.parent is None:
@@ -366,27 +201,25 @@ class ViewState:
             if not delta_message[1]:
                 return False
             parent = self._nodes[node.parent]
-            sep, table_index = parent.table_index[node.edge]
             acc = self._probe_join(delta_message, parent.schema,
-                                   parent.table, table_index, sep, counter)
+                                   parent.table,
+                                   self._table_index[parent.edge][node.edge],
+                                   node.sep, counter)
             if not acc[1]:
                 return False
             incoming, node = node.edge, parent
 
-        return self._merge_groups(self._project_groups(acc, counter))
+        return self._merge_groups(self._tree.project_groups(acc, counter))
 
-    def _index_table_row(self, node: _Node, row: tuple, add: bool) -> None:
-        for child_edge, (sep, index) in node.table_index.items():
-            positions = [node.schema.index(v) for v in sep]
-            key = _pick(row, positions)
+    def _index_table_row(self, node: AnnotatedNode, row: tuple,
+                         add: bool) -> None:
+        for child_edge, index in self._table_index[node.edge].items():
+            key = _pick(row, _positions(node.schema,
+                                        self._nodes[child_edge].sep))
             if add:
                 index.setdefault(key, set()).add(row)
             else:
-                bucket = index.get(key)
-                if bucket is not None:
-                    bucket.discard(row)
-                    if not bucket:
-                        del index[key]
+                _discard(index, key, row)
 
     def _probe_join(self, delta: AnnTable, other_schema: tuple[str, ...],
                     other_rows: dict[tuple, list],
@@ -399,9 +232,9 @@ class ViewState:
         entries — never a scan of the stored side.
         """
         d_schema, d_rows = delta
-        sep_positions = [d_schema.index(v) for v in sep]
+        sep_positions = _positions(d_schema, sep)
         extra = [v for v in other_schema if v not in d_schema]
-        extra_positions = [other_schema.index(v) for v in extra]
+        extra_positions = _positions(other_schema, extra)
         out_schema = d_schema + tuple(extra)
         out: dict[tuple, list] = {}
         semirings = self._semirings
@@ -417,50 +250,45 @@ class ViewState:
                     counter.charge(tuples_emitted=1)
         return out_schema, out
 
-    def _merge_message(self, node: _Node, delta: AnnTable) -> None:
+    def _merge_message(self, node: AnnotatedNode, delta: AnnTable) -> None:
         """``⊕``-merge a delta message into a node's stored message,
         pruning entries whose support reaches zero."""
-        _schema, rows = delta
-        sep_positions = [node.message_schema.index(v) for v in node.sep]
-        for row, ann in rows.items():
-            existing = node.message_rows.get(row)
+        schema, rows = node.message
+        index = self._message_index[node.edge]
+        sep_positions = _positions(schema, node.sep)
+        for row, ann in delta[1].items():
+            existing = rows.get(row)
             if existing is None:
                 if ann[0] == 0:
                     continue  # a cancelled entry never materializes
-                node.message_rows[row] = list(ann)
-                node.message_index.setdefault(
-                    _pick(row, sep_positions), set()).add(row)
+                rows[row] = list(ann)
+                index.setdefault(_pick(row, sep_positions), set()).add(row)
                 continue
             merged = [sr.plus(a, b) for sr, a, b
                       in zip(self._semirings, existing, ann)]
             if merged[0] == 0:
-                del node.message_rows[row]
-                key = _pick(row, sep_positions)
-                bucket = node.message_index.get(key)
-                if bucket is not None:
-                    bucket.discard(row)
-                    if not bucket:
-                        del node.message_index[key]
+                del rows[row]
+                _discard(index, _pick(row, sep_positions), row)
             else:
-                node.message_rows[row] = merged
+                rows[row] = merged
 
     def _merge_groups(self, delta: AnnTable) -> bool:
-        _schema, rows = delta
+        groups = self._tree.groups
         changed = False
-        for key, ann in rows.items():
-            existing = self._groups.get(key)
+        for key, ann in delta[1].items():
+            existing = groups.get(key)
             if existing is None:
                 if ann[0] == 0:
                     continue
-                self._groups[key] = list(ann)
+                groups[key] = list(ann)
                 changed = True
                 continue
             merged = [sr.plus(a, b) for sr, a, b
                       in zip(self._semirings, existing, ann)]
             if merged[0] == 0:
-                del self._groups[key]
+                del groups[key]
             else:
-                self._groups[key] = merged
+                groups[key] = merged
             changed = True
         return changed
 
@@ -469,13 +297,4 @@ class ViewState:
     # ------------------------------------------------------------------
     def rows(self) -> list[tuple]:
         """The current output rows (group keys + finalized aggregates)."""
-        aggregate_srs = self._semirings[1:]
-        out = [
-            key + tuple(sr.finish(a)
-                        for sr, a in zip(aggregate_srs, ann[1:]))
-            for key, ann in self._groups.items()
-        ]
-        if not self._groups and not self._group and self._spec.aggregates:
-            # SQL-style group-free aggregate of an empty join.
-            out.append(tuple(sr.finish(sr.zero) for sr in aggregate_srs))
-        return out
+        return self._tree.rows()

@@ -16,6 +16,7 @@ from typing import Sequence, Union
 from repro.errors import QueryError
 from repro.joins.instrumentation import OperationCounter
 from repro.query.atoms import ConjunctiveQuery
+from repro.query.terms import Comparison
 from repro.relational.database import Database
 from repro.relational.operators import natural_join, project
 from repro.relational.relation import Relation
@@ -90,6 +91,27 @@ class PlanExecution:
     def total_intermediate(self) -> int:
         """Total tuples across all intermediates."""
         return sum(self.intermediate_sizes)
+
+
+def split_selections(core: ConjunctiveQuery, selections: Sequence[Comparison]
+                     ) -> tuple[list[list[Comparison]], list[Comparison]]:
+    """Partition selections into per-atom pushable lists and a residual.
+
+    A selection is pushable into *every* atom containing all its variables
+    (applying a conjunctive filter at each covering scan is sound and
+    prunes most); only predicates spanning atoms (``A < B`` with A and B
+    in different relations) stay residual.
+    """
+    per_atom: list[list[Comparison]] = [[] for _ in core.atoms]
+    residual: list[Comparison] = []
+    for sel in selections:
+        covering = [i for i, atom in enumerate(core.atoms)
+                    if sel.variables <= atom.variable_set]
+        for i in covering:
+            per_atom[i].append(sel)
+        if not covering:
+            residual.append(sel)
+    return per_atom, residual
 
 
 def apply_covered_selections(relation: Relation, pending: list,

@@ -9,19 +9,24 @@ unavailable; having Yannakakis in the library lets the optimizer (and the
 experiments) treat the acyclic case with the right tool and makes the
 "cyclic is where WCOJ matters" story executable.
 
-Two extensions serve the engine's richer surface:
+Beyond the plain join, the module holds the join tree's two annotated
+passes:
 
 * cross-atom comparison predicates can be handed to :func:`yannakakis`
   (``selections``) and are applied *during* the bottom-up joins, at the
   first join where both sides are bound, instead of filtering the finished
   output;
-* :func:`yannakakis_aggregate_stream` evaluates semiring aggregates
-  **inside** the semijoin/join passes (AJAR-style early aggregation): each
-  input tuple is annotated with semiring values, join-tree messages are
-  aggregated down to the parent separator before joining (``⊕`` over
-  eliminated variables, ``⊗`` across joined tuples), and group-by columns
-  survive to the root — so an acyclic group-by never materializes the join,
-  keeping the output-linear guarantee for the *aggregate* output;
+* :class:`AnnotatedJoinTree` is the FAQ aggregate as ⊕/⊗ message passing
+  (AJAR-style early aggregation): each input tuple is annotated with
+  semiring values, join-tree messages are aggregated down to the parent
+  separator before joining (``⊕`` over eliminated variables, ``⊗``
+  across joined tuples), and group-by columns survive to the root — so an
+  acyclic group-by never materializes the join, keeping the output-linear
+  guarantee for the *aggregate* output.  The finished tree is also the
+  state incremental view maintenance (:mod:`repro.ivm`) repairs: a tuple
+  delta re-derives only the messages on the changed leaf's root path with
+  :func:`ann_project` and :func:`ann_join`.
+  :func:`yannakakis_aggregate_stream` builds one and yields its rows;
 * :func:`yannakakis_ranked_stream` is the any-k instance of the same
   annotated-message machinery: tuples are annotated in the **ordering
   semiring** (:func:`repro.query.semiring.ranking_semiring`) with the best
@@ -29,15 +34,6 @@ Two extensions serve the engine's richer surface:
   priority frontier expands root-down tuple assignments in exact bound
   order — ``ORDER BY ... LIMIT k`` emits k rows after the reduction plus
   the bottom-up DP, never materializing the join.
-
-The annotated-message primitives are exported for reuse:
-:func:`join_tree_of` (the GYO join tree as a :class:`JoinTree`),
-:func:`ann_project` (the ``⊕`` message projection) and :func:`ann_join`
-(the ``⊗`` annotated join).  They are the *message re-derivation* entry
-points incremental view maintenance (:mod:`repro.ivm`) builds on: a
-standing query's per-node state is exactly the annotated tables and
-messages these produce, and a tuple-level delta re-derives only the
-messages on the changed leaf's root path with the same two operations.
 """
 
 from __future__ import annotations
@@ -45,15 +41,20 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
 from repro.joins.instrumentation import OperationCounter, phase
-from repro.joins.plan import apply_covered_selections, raise_if_pending
+from repro.joins.plan import (
+    apply_covered_selections,
+    raise_if_pending,
+    split_selections,
+)
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.decomposition import gyo_reduction
 from repro.query.semiring import (
     RANKING,
+    SEMIRINGS,
     Aggregate,
     Semiring,
     rank_component,
@@ -64,40 +65,14 @@ from repro.relational.operators import natural_join, semijoin
 from repro.relational.relation import Relation
 
 
-def _join_tree(query: ConjunctiveQuery):
-    """GYO join tree: (parent map, children map, bottom-up order, root).
-
-    Raises :class:`QueryError` when the query is not alpha-acyclic.
-    """
-    reduction = gyo_reduction(query.hypergraph())
-    if not reduction.acyclic:
-        raise QueryError(
-            f"query {query.name!r} is not alpha-acyclic; use a WCOJ algorithm instead"
-        )
-    parent = dict(reduction.parent)
-    order = list(reduction.elimination_order)
-    children: dict[str, list[str]] = {key: [] for key in parent}
-    root = None
-    for child, par in parent.items():
-        if par is None:
-            root = child
-        else:
-            children[par].append(child)
-    if root is None:
-        # Single-edge query: the only edge is its own root.
-        root = order[-1]
-    return parent, children, order, root
-
-
 @dataclass(frozen=True)
 class JoinTree:
     """A GYO join tree over a query's edge keys.
 
     ``order`` is the bottom-up (ear-elimination) sequence — every node
-    appears before its parent — and ``children`` lists each node's
-    children in that same absorption order, which is the deterministic
-    schema-construction order the annotated passes (and the IVM view
-    state) rely on.
+    appears before its parent, the root last — and ``children`` lists
+    each node's children in that same absorption order, which is the
+    deterministic schema-construction order the annotated passes rely on.
     """
 
     parent: Mapping[str, str | None]
@@ -108,17 +83,26 @@ class JoinTree:
 
 def join_tree_of(query: ConjunctiveQuery) -> JoinTree:
     """The query's GYO join tree (raises :class:`QueryError` if cyclic)."""
-    parent, children, order, root = _join_tree(query)
+    reduction = gyo_reduction(query.hypergraph())
+    if not reduction.acyclic:
+        raise QueryError(
+            f"query {query.name!r} is not alpha-acyclic; use a WCOJ algorithm instead"
+        )
+    order = tuple(reduction.elimination_order)
+    children: dict[str, list[str]] = {node: [] for node in order}
+    for node in order:
+        par = reduction.parent[node]
+        if par is not None:
+            children[par].append(node)
     return JoinTree(
-        parent=dict(parent),
+        parent=dict(reduction.parent),
         children={node: tuple(kids) for node, kids in children.items()},
-        order=tuple(order),
-        root=root,
+        order=order,
+        root=order[-1],
     )
 
 
-def _semijoin_passes(relations: dict[str, Relation], parent: dict[str, str | None],
-                     children: dict[str, list[str]], order: list[str],
+def _semijoin_passes(relations: dict[str, Relation], tree: JoinTree,
                      counter: OperationCounter | None) -> None:
     """The two semijoin passes (bottom-up then top-down), in place.
 
@@ -126,15 +110,15 @@ def _semijoin_passes(relations: dict[str, Relation], parent: dict[str, str | Non
     ``semijoin.bottom_up`` / ``semijoin.top_down``.
     """
     with phase(counter, "semijoin.bottom_up"):
-        for node in order:
-            par = parent.get(node)
+        for node in tree.order:
+            par = tree.parent[node]
             if par is None:
                 continue
             relations[par] = semijoin(relations[par], relations[node],
                                       counter=counter)
     with phase(counter, "semijoin.top_down"):
-        for node in reversed(order):
-            for child in children.get(node, ()):
+        for node in reversed(tree.order):
+            for child in tree.children[node]:
                 relations[child] = semijoin(relations[child], relations[node],
                                             counter=counter)
 
@@ -166,7 +150,7 @@ def yannakakis(query: ConjunctiveQuery, database: Database,
     QueryError
         If the query hypergraph is not alpha-acyclic.
     """
-    parent, children, order, root = _join_tree(query)
+    tree = join_tree_of(query)
     relations = dict(query.bind(database))
     pending = list(selections)
     if pending:
@@ -174,13 +158,13 @@ def yannakakis(query: ConjunctiveQuery, database: Database,
                      for key, rel in relations.items()}
 
     # Phases 2–3: the semijoin reduction.
-    _semijoin_passes(relations, parent, children, order, counter)
+    _semijoin_passes(relations, tree, counter)
 
     # Phase 4: join bottom-up, firing cross-atom predicates as soon as a
     # join binds all their variables.
     with phase(counter, "join"):
-        for node in order:
-            par = parent.get(node)
+        for node in tree.order:
+            par = tree.parent[node]
             if par is None:
                 continue
             joined = natural_join(relations[par], relations[node],
@@ -191,7 +175,7 @@ def yannakakis(query: ConjunctiveQuery, database: Database,
                 counter.charge(intermediate_tuples=len(joined))
             relations[par] = joined
 
-    result = relations[root]
+    result = relations[tree.root]
     raise_if_pending(pending, query)
     variables = query.variables
     missing = [v for v in variables if v not in result.schema]
@@ -213,12 +197,9 @@ def semijoin_reduce(query: ConjunctiveQuery, database: Database,
     remaining tuple participates in at least one output tuple (for acyclic
     queries), which is the precondition for output-linear join evaluation.
     """
-    reduction = gyo_reduction(query.hypergraph())
-    if not reduction.acyclic:
-        raise QueryError("semijoin reduction to a consistent state requires acyclicity")
-    parent, children, order, _root = _join_tree(query)
+    tree = join_tree_of(query)
     relations = dict(query.bind(database))
-    _semijoin_passes(relations, parent, children, order, counter)
+    _semijoin_passes(relations, tree, counter)
     return relations
 
 
@@ -227,15 +208,20 @@ def semijoin_reduce(query: ConjunctiveQuery, database: Database,
 # ----------------------------------------------------------------------
 
 #: An annotated relation: variable schema plus one annotation list (one
-#: semiring value per aggregate) for each tuple.
+#: value per semiring coordinate) for each tuple.
 AnnTable = tuple[tuple[str, ...], dict[tuple, list]]
-_AnnTable = AnnTable
+
+#: The hidden support ring: coordinate 0 of every annotation vector.
+_SUPPORT: Semiring = SEMIRINGS["count"]
 
 
-def _ann_project(table: _AnnTable, keep: Sequence[str],
-                 semirings: Sequence[Semiring],
-                 counter: OperationCounter | None) -> _AnnTable:
-    """Aggregate an annotated relation onto ``keep`` columns (``⊕``)."""
+def ann_project(table: AnnTable, keep: Sequence[str],
+                semirings: Sequence[Semiring],
+                counter: OperationCounter | None = None) -> AnnTable:
+    """The ``⊕`` message: aggregate an annotated table onto ``keep``.
+
+    Returns ``table`` itself when ``keep`` is already its schema.
+    """
     schema, rows = table
     keep = tuple(keep)
     if keep == schema:
@@ -255,22 +241,15 @@ def _ann_project(table: _AnnTable, keep: Sequence[str],
     return keep, out
 
 
-def _ann_join(left: _AnnTable, right: _AnnTable,
-              semirings: Sequence[Semiring],
-              pending: list[Comparison],
-              counter: OperationCounter | None) -> _AnnTable:
-    """Annotated natural join (``⊗`` on annotations), firing any pending
-    comparison predicate the joined schema newly covers."""
+def ann_join(left: AnnTable, right: AnnTable,
+             semirings: Sequence[Semiring],
+             counter: OperationCounter | None = None) -> AnnTable:
+    """The ``⊗`` annotated natural join: combine two annotated tables on
+    their common columns, multiplying annotations coordinatewise."""
     left_schema, left_rows = left
     right_schema, right_rows = right
     common = [v for v in left_schema if v in right_schema]
     extra = [v for v in right_schema if v not in left_schema]
-    out_schema = left_schema + tuple(extra)
-    covered = [sel for sel in pending
-               if sel.variables <= set(out_schema)]
-    for sel in covered:
-        pending.remove(sel)
-
     left_common = [left_schema.index(v) for v in common]
     right_common = [right_schema.index(v) for v in common]
     right_extra = [right_schema.index(v) for v in extra]
@@ -284,48 +263,214 @@ def _ann_join(left: _AnnTable, right: _AnnTable,
                        hash_inserts=len(right_rows))
 
     out: dict[tuple, list] = {}
-    names = out_schema
     for row, ann in left_rows.items():
         if counter is not None:
             counter.charge(tuples_scanned=1, hash_probes=1)
         key = tuple(row[p] for p in left_common)
         for other, other_ann in table.get(key, ()):
             joined = row + tuple(other[p] for p in right_extra)
-            if covered:
-                binding = dict(zip(names, joined))
-                if not all(sel.evaluate(binding) for sel in covered):
-                    continue
             out[joined] = [sr.times(a, b) for sr, a, b
                            in zip(semirings, ann, other_ann)]
             if counter is not None:
                 counter.charge(tuples_emitted=1)
-    return out_schema, out
+    return left_schema + tuple(extra), out
 
 
-def ann_project(table: AnnTable, keep: Sequence[str],
-                semirings: Sequence[Semiring],
-                counter: OperationCounter | None = None) -> AnnTable:
-    """Public ``⊕`` message derivation: aggregate onto ``keep`` columns.
+class AnnotatedNode:
+    """One join-tree node of an :class:`AnnotatedJoinTree`."""
 
-    This is the message-projection half of the annotated join-tree pass,
-    exported so incremental maintenance can re-derive a single node's
-    message from its (updated) annotated table without re-running the
-    whole bottom-up sweep.
+    __slots__ = ("edge", "relation", "schema", "parent", "children", "sep",
+                 "keep", "lift", "selections", "table", "message")
+
+    def __init__(self, edge: str, relation: str, schema: tuple[str, ...],
+                 parent: str | None, children: tuple[str, ...],
+                 lift: Callable[[tuple], list],
+                 selections: Sequence[Comparison]):
+        self.edge = edge
+        self.relation = relation
+        self.schema = schema
+        self.parent = parent
+        self.children = children
+        #: Separator columns with the parent (child-schema order).
+        self.sep: tuple[str, ...] = ()
+        #: Message columns (separator ∪ group ∪ residual-selection vars).
+        self.keep: tuple[str, ...] = ()
+        #: Row -> annotation vector (support first) for a base tuple.
+        self.lift = lift
+        #: The single-atom selections this node's atom covers.
+        self.selections = tuple(selections)
+        #: The annotated base table: row -> annotation vector.
+        self.table: dict[tuple, list] = {}
+        #: The ``⊕``-projected message to the parent (non-root nodes
+        #: only); it owns its rows, never sharing ``table``'s dict.
+        self.message: AnnTable = ((), {})
+
+    def admits(self, row: tuple) -> bool:
+        """Whether a base tuple passes the node's single-atom selections."""
+        if not self.selections:
+            return True
+        binding = dict(zip(self.schema, row))
+        return all(sel.evaluate(binding) for sel in self.selections)
+
+
+class AnnotatedJoinTree:
+    """An acyclic aggregate query as annotated ⊕/⊗ join-tree messages.
+
+    Built in one pass over the database:
+
+    * each aggregate's *designated* atom — the first body atom holding its
+      input variable — lifts that variable; every other atom lifts the
+      semiring's ``one``;
+    * every annotation vector starts with a hidden **support** coordinate
+      (the COUNT ring): the number of join assignments behind a message
+      entry or group, so a repair can tell "cancelled to zero" from "no
+      longer derivable";
+    * single-atom selections filter each covering node's base table;
+    * bottom-up, each node's table (⊗-joined with its children's messages)
+      is ``⊕``-projected onto its separator plus the group-by and
+      residual-selection columns and joined into its parent;
+    * the cross-atom residue filters the root's join, which is then
+      projected onto the group columns: the group accumulators.
+
+    Distributivity is what makes the early ``⊕`` sound, so every aggregate
+    needs a product semiring (``times``/``one``).  No semijoin reduction
+    runs: the message joins drop dangling tuples by themselves, and a
+    reduced state is one a later delta would invalidate.  The tree keeps
+    every node's table and message, which is what
+    :class:`repro.ivm.view.ViewState` repairs.
+
+    Raises :class:`QueryError` when the query is cyclic, an aggregate's
+    semiring has no product, or a selection mentions a variable the query
+    does not bind.
     """
-    return _ann_project(table, keep, semirings, counter)
 
+    def __init__(self, query: ConjunctiveQuery, database: Database,
+                 group: Sequence[str], aggregates: Sequence[Aggregate],
+                 selections: Sequence[Comparison] = (),
+                 counter: OperationCounter | None = None):
+        self.tree = join_tree_of(query)  # raises QueryError when cyclic
+        self.group = tuple(group)
+        self.aggregates = tuple(aggregates)
+        self.semirings: list[Semiring] = [_SUPPORT]
+        for agg in self.aggregates:
+            sr = agg.semiring()
+            if not sr.has_product:
+                raise QueryError(
+                    f"aggregate {agg} uses the plus-only semiring {sr.name!r}; "
+                    "in-pass aggregation needs a product semiring (times/one)"
+                )
+            self.semirings.append(sr)
 
-def ann_join(left: AnnTable, right: AnnTable,
-             semirings: Sequence[Semiring],
-             counter: OperationCounter | None = None) -> AnnTable:
-    """Public ``⊗`` annotated join (no selection side-channel).
+        per_atom, residual = split_selections(query, selections)
+        variables = set(query.variables)
+        raise_if_pending([sel for sel in residual
+                          if not sel.variables <= variables], query)
+        self.residual = tuple(residual)
+        still_needed = set(self.group)
+        for sel in residual:
+            still_needed |= sel.variables
 
-    The join half of the annotated pass: combine two annotated tables on
-    their common columns, multiplying annotations coordinatewise.  Used
-    by the IVM view state both when building per-node state and when
-    joining a delta against unchanged sibling messages.
-    """
-    return _ann_join(left, right, semirings, [], counter)
+        designated: dict[int, str] = {}
+        for i, agg in enumerate(self.aggregates):
+            if agg.var is None:
+                continue
+            for j, atom in enumerate(query.atoms):
+                if agg.var in atom.variable_set:
+                    designated[i] = query.edge_key(j)
+                    break
+            else:
+                raise QueryError(
+                    f"aggregate {agg} reads {agg.var!r}, which no atom binds"
+                )
+
+        self.nodes: dict[str, AnnotatedNode] = {}
+        for j, atom in enumerate(query.atoms):
+            edge = query.edge_key(j)
+            schema = tuple(atom.variables)
+            self.nodes[edge] = AnnotatedNode(
+                edge, atom.relation, schema, self.tree.parent[edge],
+                self.tree.children[edge],
+                self._make_lift(edge, schema, designated), per_atom[j])
+
+        with phase(counter, "annotate"):
+            for edge, relation in query.bind(database).items():
+                node = self.nodes[edge]
+                for t in relation:
+                    if node.admits(t):
+                        node.table[t] = node.lift(t)
+                if counter is not None:
+                    counter.charge(tuples_scanned=len(relation))
+
+        acc: dict[str, AnnTable] = {
+            edge: (node.schema, node.table)
+            for edge, node in self.nodes.items()
+        }
+        with phase(counter, "messages"):
+            for edge in self.tree.order:
+                node = self.nodes[edge]
+                if node.parent is None:
+                    continue
+                parent_vars = set(self.nodes[node.parent].schema)
+                node.sep = tuple(v for v in node.schema if v in parent_vars)
+                table = acc.pop(edge)
+                node.keep = tuple(v for v in table[0]
+                                  if v in node.sep or v in still_needed)
+                message_schema, rows = ann_project(
+                    table, node.keep, self.semirings, counter)
+                node.message = (message_schema,
+                                dict(rows) if rows is node.table else rows)
+                acc[node.parent] = ann_join(acc[node.parent], node.message,
+                                            self.semirings, counter)
+
+        _schema, groups = self.project_groups(acc[self.tree.root], counter)
+        #: Group key -> annotation vector: the root's accumulators.
+        self.groups: dict[tuple, list] = dict(groups)
+
+    def _make_lift(self, edge: str, schema: tuple[str, ...],
+                   designated: dict[int, str]) -> Callable[[tuple], list]:
+        plan: list[tuple[Semiring, int | None]] = []
+        for i, agg in enumerate(self.aggregates):
+            position = (schema.index(agg.var) if designated.get(i) == edge
+                        else None)
+            plan.append((self.semirings[i + 1], position))
+
+        def lift(row: tuple) -> list:
+            ann: list = [1]  # support: one assignment per base tuple
+            for sr, pos in plan:
+                ann.append(sr.lift(row[pos]) if pos is not None else sr.one)
+            return ann
+
+        return lift
+
+    def project_groups(self, joined: AnnTable,
+                       counter: OperationCounter | None) -> AnnTable:
+        """Filter a root join by the residual selections, then project it
+        onto the group columns."""
+        schema, rows = joined
+        if self.residual:
+            filtered: dict[tuple, list] = {}
+            for row, ann in rows.items():
+                binding = dict(zip(schema, row))
+                if all(sel.evaluate(binding) for sel in self.residual):
+                    filtered[row] = ann
+            if counter is not None:
+                counter.charge(tuples_scanned=len(rows))
+            rows = filtered
+        return ann_project((schema, rows), self.group, self.semirings,
+                           counter)
+
+    def rows(self) -> list[tuple]:
+        """The output rows (group keys + finalized aggregates)."""
+        aggregate_srs = self.semirings[1:]
+        out = [
+            key + tuple(sr.finish(a)
+                        for sr, a in zip(aggregate_srs, ann[1:]))
+            for key, ann in self.groups.items()
+        ]
+        if not self.groups and not self.group and self.aggregates:
+            # SQL-style group-free aggregate of an empty join.
+            out.append(tuple(sr.finish(sr.zero) for sr in aggregate_srs))
+        return out
 
 
 def yannakakis_aggregate_stream(query: ConjunctiveQuery, database: Database,
@@ -334,107 +479,20 @@ def yannakakis_aggregate_stream(query: ConjunctiveQuery, database: Database,
                                 selections: Sequence[Comparison] = (),
                                 counter: OperationCounter | None = None,
                                 ) -> Iterator[tuple]:
-    """Aggregate an alpha-acyclic query *inside* the join-tree passes.
+    """Aggregate an alpha-acyclic query *inside* the join-tree pass.
 
-    Yields finalized rows ``group values + aggregate values`` without ever
-    materializing the join: after the semijoin reduction, every tuple is
-    annotated with one semiring value per aggregate (the designated atom of
-    an aggregate lifts its input variable; every other atom contributes the
-    semiring's ``one``), messages up the join tree are aggregated onto the
-    parent separator plus the still-needed columns (group-by variables and
-    variables of comparison predicates that have not fired yet), and joins
-    combine annotations with ``⊗``.  Distributivity is what makes the early
-    ``⊕`` sound — which is why this mode requires every aggregate's
-    semiring to define a product (``times``/``one``); plus-only monoids
-    fall back to the engine's stream-fold mode.
-
-    ``selections`` should be the cross-atom residue only (single-atom
-    predicates belong in the scans); each fires at the first annotated join
-    whose schema covers it.
+    Yields finalized rows ``group values + aggregate values`` of one
+    :class:`AnnotatedJoinTree` build, without ever materializing the join.
+    ``selections`` may be any comparisons over the query variables:
+    single-atom ones filter the scans, the rest filter the root.
+    Plus-only monoids raise :class:`QueryError`; the engine runs them in
+    its stream-fold mode instead.
     """
-    semirings = [agg.semiring() for agg in aggregates]
-    for agg, sr in zip(aggregates, semirings):
-        if not sr.has_product:
-            raise QueryError(
-                f"aggregate {agg} uses the plus-only semiring {sr.name!r}; "
-                "in-pass aggregation needs a product semiring (times/one)"
-            )
-    group = tuple(group)
-    parent, children, order, root = _join_tree(query)
-    relations = dict(query.bind(database))
-    _semijoin_passes(relations, parent, children, order, counter)
-
-    # Designated atom per aggregate: the first (body order) atom holding
-    # the aggregate's input variable lifts it; everything else lifts one.
-    designated: dict[int, str] = {}
-    for i, agg in enumerate(aggregates):
-        if agg.var is None:
-            continue
-        for j, atom in enumerate(query.atoms):
-            if agg.var in atom.variable_set:
-                designated[i] = query.edge_key(j)
-                break
-        else:
-            raise QueryError(
-                f"aggregate {agg} reads {agg.var!r}, which no atom binds"
-            )
-
-    tables: dict[str, _AnnTable] = {}
-    with phase(counter, "annotate"):
-        for edge_key, relation in relations.items():
-            schema = tuple(relation.attributes)
-            var_pos = {v: p for p, v in enumerate(schema)}
-            rows: dict[tuple, list] = {}
-            for t in relation:
-                rows[t] = [
-                    sr.lift(t[var_pos[aggregates[i].var]])
-                    if designated.get(i) == edge_key else sr.one
-                    for i, sr in enumerate(semirings)
-                ]
-            if counter is not None:
-                counter.charge(tuples_scanned=len(relation))
-            tables[edge_key] = (schema, rows)
-
-    pending = list(selections)
-    group_set = set(group)
-
-    def keep_columns(schema: Sequence[str], separator: set[str]) -> tuple[str, ...]:
-        still_needed = set(group_set)
-        for sel in pending:
-            still_needed |= sel.variables
-        return tuple(v for v in schema
-                     if v in separator or v in still_needed)
-
-    # Bottom-up: aggregate each node onto its message columns, join into
-    # the parent (``⊗``), firing cross-atom predicates as they bind.
-    with phase(counter, "messages"):
-        for node in order:
-            par = parent.get(node)
-            if par is None:
-                continue
-            schema, _rows = tables[node]
-            par_schema, _par_rows = tables[par]
-            separator = set(schema) & set(par_schema)
-            message = _ann_project(tables[node],
-                                   keep_columns(schema, separator),
-                                   semirings, counter)
-            del tables[node]
-            tables[par] = _ann_join(tables[par], message, semirings, pending,
-                                    counter)
-
-    raise_if_pending(pending, query)
-
-    _schema, result = _ann_project(tables[root], group, semirings, counter)
-    if not result and not group:
-        # SQL-style group-free aggregate of an empty join.
-        if counter is not None:
-            counter.charge(tuples_emitted=1)
-        yield tuple(sr.finish(sr.zero) for sr in semirings)
-        return
-    for key, ann in result.items():
-        if counter is not None:
-            counter.charge(tuples_emitted=1)
-        yield key + tuple(sr.finish(a) for sr, a in zip(semirings, ann))
+    rows = AnnotatedJoinTree(query, database, group, aggregates,
+                             selections, counter).rows()
+    if counter is not None:
+        counter.charge(tuples_emitted=len(rows))
+    yield from rows
 
 
 # ----------------------------------------------------------------------
@@ -497,21 +555,20 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
             f"ranked head/ORDER BY variables {unknown} are not query "
             f"variables {query.variables}"
         )
-    parent, children, order, root = _join_tree(query)
+    tree = join_tree_of(query)
+    parent, children, root = tree.parent, tree.children, tree.root
     relations = dict(query.bind(database))
     pending = list(selections)
     if pending:
         relations = {key: apply_covered_selections(rel, pending, counter)
                      for key, rel in relations.items()}
     residual = pending  # cross-node predicates: checked on completions
-    _semijoin_passes(relations, parent, children, order, counter)
+    _semijoin_passes(relations, tree, counter)
 
-    # Root-down node sequence (parents before children) and, per node, the
-    # schema, the separator with the parent, and the owned key positions.
-    sequence = [node for node in reversed(order)]
-    if root in sequence:
-        sequence.remove(root)
-    sequence.insert(0, root)
+    # Root-down node sequence (parents before children, the root first)
+    # and, per node, the schema, the separator with the parent, and the
+    # owned key positions.
+    sequence = list(reversed(tree.order))
     node_index = {node: i for i, node in enumerate(sequence)}
     schemas = {node: tuple(relations[node].attributes) for node in sequence}
     owner: dict[int, str] = {}
@@ -550,7 +607,7 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
             positions = [(p, schema.index(keys[p][0]), keys[p][1])
                          for p in sorted(owned[node])]
             messages = []
-            for child in children.get(node, ()):
+            for child in children[node]:
                 best: dict[tuple, tuple] = {}
                 child_positions = child_sep_positions[child]
                 for row, ann in annotations[child].items():

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.engine import Engine
+from repro.joins.instrumentation import OperationCounter
 from repro.joins.naive import nested_loop_stream
 from repro.query.builder import Query
 from repro.query.semiring import fold_aggregates
@@ -31,12 +32,12 @@ def reference(query, database):
                                   spec.aggregates))
 
 
-def random_database(seed: int) -> Database:
+def random_database(seed: int, empty: tuple[str, ...] = ()) -> Database:
+    """Four random binary relations; those named in ``empty`` get no rows."""
     rng = random.Random(seed)
     def rel(name, attrs, n, dom):
-        return Relation(name, attrs,
-                        {tuple(rng.randrange(dom) for _ in attrs)
-                         for _ in range(n)})
+        rows = {tuple(rng.randrange(dom) for _ in attrs) for _ in range(n)}
+        return Relation(name, attrs, () if name in empty else rows)
     return Database([
         rel("R", ("x", "y"), 40, 8),
         rel("S", ("y", "z"), 45, 8),
@@ -83,14 +84,39 @@ class TestModesAgree:
                 )
 
 
-@pytest.mark.parametrize("query", ACYCLIC_QUERIES)
+#: Yannakakis-only extras: a ``== constant`` selection (pushed into the
+#: scan as an index seek before the annotated pass).
+YANNAKAKIS_QUERIES = ACYCLIC_QUERIES + (
+    "Q(A, SUM(C) AS s, COUNT(*)) :- R(A,B), S(B,C), U(C,D), B == 3",
+)
+
+
+@pytest.mark.parametrize("query", YANNAKAKIS_QUERIES)
 @pytest.mark.parametrize("aggregate_mode", ["recursion", "fold"])
-def test_yannakakis_modes_agree_on_acyclic(query, aggregate_mode):
-    database = random_database(3)
+@pytest.mark.parametrize("seed, empty", [(3, ()), (0, ()), (7, ()),
+                                         (3, ("S",))])
+def test_yannakakis_modes_agree_on_acyclic(query, aggregate_mode, seed,
+                                           empty):
+    database = random_database(seed, empty)
     engine = Engine(database=database, cache_results=False)
     result = engine.execute(query, mode="yannakakis",
                             aggregate_mode=aggregate_mode)
     assert sorted(result.tuples) == reference(query, database)
+
+
+def test_in_pass_yannakakis_runs_no_semijoin_pass():
+    # The annotated pass's message joins drop dangling tuples themselves:
+    # a forced in-pass run does no semijoin work at all.
+    database = random_database(3)
+    query = "Q(A, SUM(C) AS s, MIN(B) AS m) :- R(A,B), S(B,C), U(C,D)"
+    counter = OperationCounter(detail=True)
+    engine = Engine(database=database, cache_results=False)
+    result = engine.execute(query, mode="yannakakis",
+                            aggregate_mode="recursion", counter=counter)
+    assert sorted(result.tuples) == reference(query, database)
+    assert counter.breakdown
+    assert not [label for label in counter.breakdown
+                if label.startswith("semijoin.")]
 
 
 def test_streamed_aggregate_rows_match_execute():

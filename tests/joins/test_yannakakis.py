@@ -8,8 +8,14 @@ from repro.datagen.graphs import erdos_renyi_graph
 from repro.errors import QueryError
 from repro.joins.instrumentation import OperationCounter
 from repro.joins.naive import nested_loop_join
-from repro.joins.yannakakis import semijoin_reduce, yannakakis
+from repro.joins.yannakakis import (
+    semijoin_reduce,
+    yannakakis,
+    yannakakis_aggregate_stream,
+)
 from repro.query.atoms import Atom, ConjunctiveQuery, path_query
+from repro.query.semiring import Aggregate
+from repro.query.terms import Comparison, Constant
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -114,3 +120,17 @@ class TestSemijoinReduce:
         query, database = tight_triangle_100
         with pytest.raises(QueryError):
             semijoin_reduce(query, database)
+
+
+class TestAggregateStream:
+    def test_selection_only_the_root_covers(self):
+        # A single atom is the root: no message ever carries B upward, so
+        # the selection must filter the root's own table.
+        query = ConjunctiveQuery([Atom("R", ("A", "B"))])
+        database = Database([
+            Relation("R", ("A", "B"), [(1, 1), (1, 2), (1, 3), (2, 1)]),
+        ])
+        rows = yannakakis_aggregate_stream(
+            query, database, ("A",), [Aggregate("count", None, "n")],
+            selections=[Comparison("B", ">", Constant(1))])
+        assert sorted(rows) == [(1, 2)]
