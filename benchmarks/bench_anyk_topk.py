@@ -14,7 +14,8 @@ enumerate before its heap sees a single row, while any-k pays one
 saturating existence check per candidate sort key.  The gap is recorded
 as the ratio of join search nodes at k ∈ {1, 10, 100} and gated at k = 1.
 The emitted ranked prefixes are asserted identical across both modes and
-all any-k-capable executors.
+all any-k-capable executors; forced Yannakakis any-k's total operations
+are recorded beside them, never gated.
 
 Run: ``python benchmarks/bench_anyk_topk.py [--quick]``
 (flags, table and exit code are ``harness.py``'s).
@@ -54,14 +55,19 @@ def measure(groups: int, k: int) -> Measurement:
 
     if anyk != drain:
         raise AssertionError("any-k and drain ranked prefixes disagree")
-    for mode, ranked_mode in (("leapfrog", "anyk"), ("yannakakis", "anyk"),
-                              ("binary", "drain"), ("naive", "drain")):
-        if ranked(mode=mode, ranked_mode=ranked_mode) != drain:
+    yannakakis_counter = OperationCounter()
+    for mode, ranked_mode, counter in (
+            ("leapfrog", "anyk", None),
+            ("yannakakis", "anyk", yannakakis_counter),
+            ("binary", "drain", None), ("naive", "drain", None)):
+        if ranked(mode=mode, ranked_mode=ranked_mode,
+                  counter=counter) != drain:
             raise AssertionError(
                 f"{mode}/{ranked_mode} disagrees on {query}")
 
     return Measurement(drain_counter.search_nodes, anyk_counter.search_nodes,
-                       ms={"anyk": anyk_ms, "drain": drain_ms})
+                       ms={"anyk": anyk_ms, "drain": drain_ms},
+                       counts={"yannakakis_ops": yannakakis_counter.total()})
 
 
 GATE = Gate(

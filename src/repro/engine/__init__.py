@@ -30,7 +30,6 @@ from repro.engine.cost import (
     STRATEGIES,
     DispatchDecision,
     dispatch,
-    selection_envelope,
 )
 from repro.engine.executors import (
     EXECUTORS,
@@ -52,7 +51,6 @@ __all__ = [
     "STRATEGIES",
     "DispatchDecision",
     "dispatch",
-    "selection_envelope",
     "EXECUTORS",
     "filtered_instance",
     "executor_for",

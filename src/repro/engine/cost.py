@@ -186,10 +186,14 @@ COST_TABLE = {
 }
 
 #: Counted operations per input tuple of Yannakakis' three entry points
-#: when no pass shrinks anything (two semijoin sweeps over both sides of
-#: every tree edge; in-pass aggregation adds the annotation and message
-#: passes).  Structure, not speed: ``calibrate_costs.py --check`` holds it.
-_TREE_PASSES = {None: 8.0, "recursion": 12.0, "anyk": 8.0}
+#: when no pass shrinks anything.  The plain join runs two semijoin
+#: sweeps over both sides of every tree edge.  In-pass aggregation and
+#: any-k run no semijoin sweep: one annotated pass (the annotation scan,
+#: then a ⊕-projected message and a ⊗-join per tree edge); any-k adds
+#: one bucketing of every annotated tuple into its candidate lists, and
+#: its frontier pops are priced on top.  Structure, not speed:
+#: ``calibrate_costs.py --check`` holds it.
+_TREE_PASSES = {None: 8.0, "recursion": 12.0, "anyk": 5.5}
 
 
 @dataclass(frozen=True)
@@ -520,28 +524,6 @@ def _plain_plan(instance: _Instance, selections: Sequence[Comparison],
     chosen = (guarded if priced["order[guarded]"] < priced["order[head]"]
               else head_first)
     return _PlainPlan(chosen, results, priced)
-
-
-def selection_envelope(query: ConjunctiveQuery, database: Database,
-                       selections: Sequence[Comparison], agm: AGMBound,
-                       registry: IndexRegistry | None = None,
-                       ) -> tuple[dict[int, int], float]:
-    """Filtered per-atom scan sizes and the WCOJ envelope of the instance:
-    ``min(AGM, sum of the simulated levels)`` of a full enumeration over
-    the scans with single-atom selections applied (``== constant`` ones
-    by a seek into ``registry``).  Selective constants shrink it, and on
-    bounded-degree data it sits far below the AGM bound, a worst case over
-    every instance of these sizes.  An empty scan forces an empty join:
-    the envelope is exactly zero."""
-    if registry is None:
-        registry = IndexRegistry(database)  # catalogs for the call
-    instance = _instance(query, database, selections, registry)
-    sizes = {i: c.cardinality for i, c in enumerate(instance.catalogs)}
-    if not all(sizes.values()):
-        return sizes, 0.0
-    order = pushdown_order(query, fixed=set(pinned_constants(selections)))
-    levels = simulate_levels(instance, order)
-    return sizes, _capped(min(agm.bound, sum(level[1] for level in levels)))
 
 
 def _left_deep_sizes(instance: _Instance, order: Sequence[int]

@@ -376,8 +376,9 @@ class YannakakisExecutor(_NoPayloadExecutor):
     fold at projections, no semijoin pass, never materializing the join);
     ``("fold", ())`` materializes the join and leaves the fold to the
     engine; ``("anyk", ())`` runs the ranked enumeration of
-    :func:`repro.joins.yannakakis.yannakakis_ranked_stream` (ordering-
-    semiring annotations on the join tree, Lawler-style frontier).
+    :func:`repro.joins.yannakakis.yannakakis_ranked_stream` (the same
+    tree built once in the ordering semiring, no semijoin pass, then a
+    Lawler-style frontier over its candidate lists).
     Single-atom selections filter the scans first
     (:func:`filtered_instance`); the cross-atom residue fires at the
     first join binding it, on complete assignments under any-k, and at

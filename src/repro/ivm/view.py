@@ -35,6 +35,7 @@ from repro.joins.yannakakis import (
     AnnotatedJoinTree,
     AnnotatedNode,
     AnnTable,
+    aggregate_lifts,
     ann_project,
 )
 from repro.query.builder import Query
@@ -81,9 +82,12 @@ class ViewState:
     def __init__(self, spec: Query, database: Database,
                  counter: OperationCounter | None = None):
         self._spec = spec
+        semirings, lifts = aggregate_lifts(spec.core, spec.aggregates)
         self._tree = AnnotatedJoinTree(
-            spec.core, database, spec.head_vars, spec.aggregates,
+            spec.core, database, spec.head_vars, semirings, lifts,
             spec.all_selections, counter)
+        for _node, _table in self._tree.pass_messages(counter):
+            pass
         self._nodes = self._tree.nodes
         self._semirings = self._tree.semirings
 

@@ -9,8 +9,8 @@ unavailable; having Yannakakis in the library lets the optimizer (and the
 experiments) treat the acyclic case with the right tool and makes the
 "cyclic is where WCOJ matters" story executable.
 
-Beyond the plain join, the module holds the join tree's two annotated
-passes:
+Beyond the plain join, the module holds the join tree's annotated pass
+and its two uses:
 
 * cross-atom comparison predicates can be handed to :func:`yannakakis`
   (``selections``) and are applied *during* the bottom-up joins, at the
@@ -26,14 +26,16 @@ passes:
   state incremental view maintenance (:mod:`repro.ivm`) repairs: a tuple
   delta re-derives only the messages on the changed leaf's root path with
   :func:`ann_project` and :func:`ann_join`.
-  :func:`yannakakis_aggregate_stream` builds one and yields its rows;
-* :func:`yannakakis_ranked_stream` is the any-k instance of the same
-  annotated-message machinery: tuples are annotated in the **ordering
-  semiring** (:func:`repro.query.semiring.ranking_semiring`) with the best
-  sort-key contribution of their join-tree subtree, and a Lawler/REA-style
-  priority frontier expands root-down tuple assignments in exact bound
-  order — ``ORDER BY ... LIMIT k`` emits k rows after the reduction plus
-  the bottom-up DP, never materializing the join.
+  :func:`yannakakis_aggregate_stream` builds one over
+  :func:`aggregate_lifts` and yields its rows;
+* :func:`yannakakis_ranked_stream` is the any-k instance of the same pass:
+  one :class:`AnnotatedJoinTree` in the **ordering semiring**
+  (:func:`repro.query.semiring.ranking_semiring`) annotates every tuple
+  with the best sort-key contribution of its join-tree subtree, and a
+  Lawler/REA-style priority frontier expands root-down tuple assignments
+  in exact bound order — ``ORDER BY ... LIMIT k`` emits k rows after one
+  annotated pass, with no semijoin reduction and without materializing
+  the join.
 """
 
 from __future__ import annotations
@@ -264,28 +266,83 @@ def ann_join(left: AnnTable, right: AnnTable,
 
     out: dict[tuple, list] = {}
     for row, ann in left_rows.items():
-        if counter is not None:
-            counter.charge(tuples_scanned=1, hash_probes=1)
         key = tuple(row[p] for p in left_common)
         for other, other_ann in table.get(key, ()):
             joined = row + tuple(other[p] for p in right_extra)
             out[joined] = [sr.times(a, b) for sr, a, b
                            in zip(semirings, ann, other_ann)]
-            if counter is not None:
-                counter.charge(tuples_emitted=1)
+    if counter is not None:
+        counter.charge(tuples_scanned=len(left_rows),
+                       hash_probes=len(left_rows), tuples_emitted=len(out))
     return left_schema + tuple(extra), out
+
+
+#: A node's lift: a base tuple's annotation coordinates, one per caller
+#: semiring (the tree prepends the support).
+Lift = Callable[[tuple], list]
+
+
+def _designated(query: ConjunctiveQuery, variables: Sequence[str | None]
+                ) -> dict[str, dict[int, int]]:
+    """Per edge key, ``{i: position}`` of each ``variables[i]`` whose
+    *designated* atom — the first body atom holding it — is that edge's."""
+    owned: dict[str, dict[int, int]] = {
+        query.edge_key(j): {} for j in range(len(query.atoms))}
+    for i, variable in enumerate(variables):
+        if variable is None:
+            continue
+        for j, atom in enumerate(query.atoms):
+            if variable in atom.variable_set:
+                owned[query.edge_key(j)][i] = tuple(atom.variables).index(
+                    variable)
+                break
+        else:
+            raise QueryError(f"{variable!r} is bound by no atom")
+    return owned
+
+
+def aggregate_lifts(query: ConjunctiveQuery, aggregates: Sequence[Aggregate]
+                    ) -> tuple[list[Semiring], dict[str, Lift]]:
+    """The semirings and per-node lifts of in-pass aggregation.
+
+    Each aggregate's designated atom lifts its input variable; every other
+    atom lifts the semiring's ``one``.  Distributivity is what makes the
+    tree's early ``⊕`` sound, so every aggregate needs a product semiring
+    (``times``/``one``); a plus-only one raises :class:`QueryError`.
+    """
+    semirings = []
+    for agg in aggregates:
+        sr = agg.semiring()
+        if not sr.has_product:
+            raise QueryError(
+                f"aggregate {agg} uses the plus-only semiring {sr.name!r}; "
+                "in-pass aggregation needs a product semiring (times/one)"
+            )
+        semirings.append(sr)
+
+    def lift_of(owned: dict[int, int]) -> Lift:
+        plan = [(sr, owned.get(i)) for i, sr in enumerate(semirings)]
+
+        def lift(row: tuple) -> list:
+            return [sr.one if pos is None else sr.lift(row[pos])
+                    for sr, pos in plan]
+
+        return lift
+
+    designated = _designated(query, [agg.var for agg in aggregates])
+    return semirings, {edge: lift_of(owned)
+                       for edge, owned in designated.items()}
 
 
 class AnnotatedNode:
     """One join-tree node of an :class:`AnnotatedJoinTree`."""
 
     __slots__ = ("edge", "relation", "schema", "parent", "children", "sep",
-                 "keep", "lift", "selections", "table", "message")
+                 "keep", "coordinates", "selections", "table", "message")
 
     def __init__(self, edge: str, relation: str, schema: tuple[str, ...],
                  parent: str | None, children: tuple[str, ...],
-                 lift: Callable[[tuple], list],
-                 selections: Sequence[Comparison]):
+                 coordinates: Lift, selections: Sequence[Comparison]):
         self.edge = edge
         self.relation = relation
         self.schema = schema
@@ -295,8 +352,8 @@ class AnnotatedNode:
         self.sep: tuple[str, ...] = ()
         #: Message columns (separator ∪ group ∪ residual-selection vars).
         self.keep: tuple[str, ...] = ()
-        #: Row -> annotation vector (support first) for a base tuple.
-        self.lift = lift
+        #: Row -> the caller's annotation coordinates for a base tuple.
+        self.coordinates = coordinates
         #: The single-atom selections this node's atom covers.
         self.selections = tuple(selections)
         #: The annotated base table: row -> annotation vector.
@@ -304,6 +361,11 @@ class AnnotatedNode:
         #: The ``⊕``-projected message to the parent (non-root nodes
         #: only); it owns its rows, never sharing ``table``'s dict.
         self.message: AnnTable = ((), {})
+
+    def lift(self, row: tuple) -> list:
+        """A base tuple's annotation vector: support 1, then the caller's
+        coordinates."""
+        return [1, *self.coordinates(row)]
 
     def admits(self, row: tuple) -> bool:
         """Whether a base tuple passes the node's single-atom selections."""
@@ -314,83 +376,62 @@ class AnnotatedNode:
 
 
 class AnnotatedJoinTree:
-    """An acyclic aggregate query as annotated ⊕/⊗ join-tree messages.
+    """An acyclic query as annotated ⊕/⊗ join-tree messages.
 
-    Built in one pass over the database:
+    The constructor annotates every node's base table in one scan of the
+    database:
 
-    * each aggregate's *designated* atom — the first body atom holding its
-      input variable — lifts that variable; every other atom lifts the
-      semiring's ``one``;
+    * ``lifts[edge]`` maps a base tuple of that node to its annotation
+      coordinates, one per entry of ``semirings`` (:func:`aggregate_lifts`
+      builds them for aggregates, :func:`yannakakis_ranked_stream` for
+      sort keys);
     * every annotation vector starts with a hidden **support** coordinate
       (the COUNT ring): the number of join assignments behind a message
       entry or group, so a repair can tell "cancelled to zero" from "no
       longer derivable";
-    * single-atom selections filter each covering node's base table;
-    * bottom-up, each node's table (⊗-joined with its children's messages)
-      is ``⊕``-projected onto its separator plus the group-by and
+    * single-atom selections filter each covering node's base table.
+
+    :meth:`pass_messages` then runs the bottom-up pass:
+
+    * each node's table, ⊗-joined with its children's messages, is
+      ``⊕``-projected onto its separator plus the group-by and
       residual-selection columns and joined into its parent;
     * the cross-atom residue filters the root's join, which is then
       projected onto the group columns: the group accumulators.
 
-    Distributivity is what makes the early ``⊕`` sound, so every aggregate
-    needs a product semiring (``times``/``one``).  No semijoin reduction
-    runs: the message joins drop dangling tuples by themselves, and a
-    reduced state is one a later delta would invalidate.  The tree keeps
-    every node's table and message, which is what
-    :class:`repro.ivm.view.ViewState` repairs.
+    Distributivity is what makes the early ``⊕`` sound, so every semiring
+    needs a product (``times``/``one``).  No semijoin reduction runs: the
+    message joins drop dangling tuples by themselves, and a reduced state
+    is one a later delta would invalidate.  The tree keeps every node's
+    table and message, which is what :class:`repro.ivm.view.ViewState`
+    repairs, and no joined table.
 
-    Raises :class:`QueryError` when the query is cyclic, an aggregate's
-    semiring has no product, or a selection mentions a variable the query
-    does not bind.
+    Raises :class:`QueryError` when the query is cyclic or a selection
+    mentions a variable the query does not bind.
     """
 
     def __init__(self, query: ConjunctiveQuery, database: Database,
-                 group: Sequence[str], aggregates: Sequence[Aggregate],
+                 group: Sequence[str], semirings: Sequence[Semiring],
+                 lifts: Mapping[str, Lift],
                  selections: Sequence[Comparison] = (),
                  counter: OperationCounter | None = None):
         self.tree = join_tree_of(query)  # raises QueryError when cyclic
         self.group = tuple(group)
-        self.aggregates = tuple(aggregates)
-        self.semirings: list[Semiring] = [_SUPPORT]
-        for agg in self.aggregates:
-            sr = agg.semiring()
-            if not sr.has_product:
-                raise QueryError(
-                    f"aggregate {agg} uses the plus-only semiring {sr.name!r}; "
-                    "in-pass aggregation needs a product semiring (times/one)"
-                )
-            self.semirings.append(sr)
+        self.semirings: list[Semiring] = [_SUPPORT, *semirings]
 
         per_atom, residual = split_selections(query, selections)
         variables = set(query.variables)
         raise_if_pending([sel for sel in residual
                           if not sel.variables <= variables], query)
         self.residual = tuple(residual)
-        still_needed = set(self.group)
-        for sel in residual:
-            still_needed |= sel.variables
-
-        designated: dict[int, str] = {}
-        for i, agg in enumerate(self.aggregates):
-            if agg.var is None:
-                continue
-            for j, atom in enumerate(query.atoms):
-                if agg.var in atom.variable_set:
-                    designated[i] = query.edge_key(j)
-                    break
-            else:
-                raise QueryError(
-                    f"aggregate {agg} reads {agg.var!r}, which no atom binds"
-                )
 
         self.nodes: dict[str, AnnotatedNode] = {}
         for j, atom in enumerate(query.atoms):
             edge = query.edge_key(j)
-            schema = tuple(atom.variables)
             self.nodes[edge] = AnnotatedNode(
-                edge, atom.relation, schema, self.tree.parent[edge],
-                self.tree.children[edge],
-                self._make_lift(edge, schema, designated), per_atom[j])
+                edge, atom.relation, tuple(atom.variables),
+                self.tree.parent[edge], self.tree.children[edge],
+                lifts[edge], per_atom[j])
 
         with phase(counter, "annotate"):
             for edge, relation in query.bind(database).items():
@@ -401,6 +442,22 @@ class AnnotatedJoinTree:
                 if counter is not None:
                     counter.charge(tuples_scanned=len(relation))
 
+        #: Group key -> annotation vector: the root's accumulators, set by
+        #: :meth:`pass_messages`.
+        self.groups: dict[tuple, list] = {}
+
+    def pass_messages(self, counter: OperationCounter | None = None
+                      ) -> Iterator[tuple[AnnotatedNode, AnnTable]]:
+        """Run the bottom-up message pass, then set :attr:`groups`.
+
+        Yields each node (children before parents, the root last) with
+        its table ⊗ its children's messages, right before that table's
+        ``⊕``-projection; the yielded tables are read-only and the tree
+        holds none of them afterwards.
+        """
+        still_needed = set(self.group)
+        for sel in self.residual:
+            still_needed |= sel.variables
         acc: dict[str, AnnTable] = {
             edge: (node.schema, node.table)
             for edge, node in self.nodes.items()
@@ -408,11 +465,14 @@ class AnnotatedJoinTree:
         with phase(counter, "messages"):
             for edge in self.tree.order:
                 node = self.nodes[edge]
-                if node.parent is None:
-                    continue
-                parent_vars = set(self.nodes[node.parent].schema)
-                node.sep = tuple(v for v in node.schema if v in parent_vars)
+                if node.parent is not None:
+                    parent_vars = set(self.nodes[node.parent].schema)
+                    node.sep = tuple(v for v in node.schema
+                                     if v in parent_vars)
                 table = acc.pop(edge)
+                yield node, table
+                if node.parent is None:
+                    break  # the root is last
                 node.keep = tuple(v for v in table[0]
                                   if v in node.sep or v in still_needed)
                 message_schema, rows = ann_project(
@@ -421,26 +481,7 @@ class AnnotatedJoinTree:
                                 dict(rows) if rows is node.table else rows)
                 acc[node.parent] = ann_join(acc[node.parent], node.message,
                                             self.semirings, counter)
-
-        _schema, groups = self.project_groups(acc[self.tree.root], counter)
-        #: Group key -> annotation vector: the root's accumulators.
-        self.groups: dict[tuple, list] = dict(groups)
-
-    def _make_lift(self, edge: str, schema: tuple[str, ...],
-                   designated: dict[int, str]) -> Callable[[tuple], list]:
-        plan: list[tuple[Semiring, int | None]] = []
-        for i, agg in enumerate(self.aggregates):
-            position = (schema.index(agg.var) if designated.get(i) == edge
-                        else None)
-            plan.append((self.semirings[i + 1], position))
-
-        def lift(row: tuple) -> list:
-            ann: list = [1]  # support: one assignment per base tuple
-            for sr, pos in plan:
-                ann.append(sr.lift(row[pos]) if pos is not None else sr.one)
-            return ann
-
-        return lift
+        self.groups = dict(self.project_groups(table, counter)[1])
 
     def project_groups(self, joined: AnnTable,
                        counter: OperationCounter | None) -> AnnTable:
@@ -467,7 +508,7 @@ class AnnotatedJoinTree:
                         for sr, a in zip(aggregate_srs, ann[1:]))
             for key, ann in self.groups.items()
         ]
-        if not self.groups and not self.group and self.aggregates:
+        if not self.groups and not self.group and aggregate_srs:
             # SQL-style group-free aggregate of an empty join.
             out.append(tuple(sr.finish(sr.zero) for sr in aggregate_srs))
         return out
@@ -488,8 +529,12 @@ def yannakakis_aggregate_stream(query: ConjunctiveQuery, database: Database,
     Plus-only monoids raise :class:`QueryError`; the engine runs them in
     its stream-fold mode instead.
     """
-    rows = AnnotatedJoinTree(query, database, group, aggregates,
-                             selections, counter).rows()
+    semirings, lifts = aggregate_lifts(query, aggregates)
+    tree = AnnotatedJoinTree(query, database, group, semirings, lifts,
+                             selections, counter)
+    for _node, _table in tree.pass_messages(counter):
+        pass
+    rows = tree.rows()
     if counter is not None:
         counter.charge(tuples_emitted=len(rows))
     yield from rows
@@ -512,17 +557,17 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
     of materializing the join and heap-selecting, the join tree itself is
     annotated in the ordering semiring and enumerated best-first.
 
-    1. *Reduce*: the full (bottom-up + top-down) semijoin reduction, after
-       which every surviving tuple participates in at least one result —
-       the frontier never expands a dead branch.
-    2. *Annotate* (bottom-up DP): every sort-key column is owned by the
-       tree node closest to the root whose schema contains it; each
-       tuple's annotation is the ``⊗``-merge of its own key components
-       with, per child, the ``⊕``-minimum annotation among the child
-       tuples matching it on the separator — i.e. the lexicographically
+    1. *Annotate*: one :class:`AnnotatedJoinTree` pass in ``RANKING``.
+       Every sort-key column is owned by its designated atom, whose lift
+       holds the tuple's own key components; each node's table ⊗ its
+       children's messages annotates a tuple with the lexicographically
        best sort-key contribution its whole subtree can achieve (the
-       join-tree analogue of the WCOJ per-separator best-suffix bounds).
-    3. *Enumerate* (Lawler/REA successor expansion): states assign tuples
+       join-tree analogue of the WCOJ per-separator best-suffix bounds)
+       and drops every tuple with no complete subtree.  Those tables,
+       grouped by the parent separator and sorted by annotation, are the
+       candidate lists.  No semijoin reduction runs: the root-down
+       expansion only ever looks up candidates matching a chosen parent.
+    2. *Enumerate* (Lawler/REA successor expansion): states assign tuples
        to a root-down prefix of the tree nodes; a state's priority is the
        exact best full key among its completions — chosen tuples
        contribute their actual components, unassigned subtrees their
@@ -536,10 +581,10 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
        sort-and-drain.
 
     ``selections`` are the engine's cross-atom residue: predicates a
-    single node's schema covers are filtered into the scans before the
-    reduction; genuinely cross-node predicates are checked on complete
-    assignments (their pruning is invisible to the bounds, which stay
-    admissible, so rank order is unaffected).
+    single node's schema covers filter that node's table; genuinely
+    cross-node predicates are checked on complete assignments (their
+    pruning is invisible to the bounds, which stay admissible, so rank
+    order is unaffected).
 
     Raises :class:`QueryError` when the query is not alpha-acyclic.
     """
@@ -555,94 +600,55 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
             f"ranked head/ORDER BY variables {unknown} are not query "
             f"variables {query.variables}"
         )
-    tree = join_tree_of(query)
-    parent, children, root = tree.parent, tree.children, tree.root
-    relations = dict(query.bind(database))
-    pending = list(selections)
-    if pending:
-        relations = {key: apply_covered_selections(rel, pending, counter)
-                     for key, rel in relations.items()}
-    residual = pending  # cross-node predicates: checked on completions
-    _semijoin_passes(relations, tree, counter)
 
-    # Root-down node sequence (parents before children, the root first)
-    # and, per node, the schema, the separator with the parent, and the
-    # owned key positions.
-    sequence = list(reversed(tree.order))
-    node_index = {node: i for i, node in enumerate(sequence)}
-    schemas = {node: tuple(relations[node].attributes) for node in sequence}
-    owner: dict[int, str] = {}
-    for p, (variable, _descending) in enumerate(keys):
-        owner[p] = min((node for node in sequence
-                        if variable in schemas[node]),
-                       key=lambda node: node_index[node])
-    owned: dict[str, list[int]] = {node: [] for node in sequence}
-    for p, node in owner.items():
-        owned[node].append(p)
-    separators = {
-        node: tuple(sorted(set(schemas[node]) & set(schemas[parent[node]])))
-        for node in sequence if parent.get(node) is not None
-    }
-    # Separator columns as precomputed positions on both sides, so the
-    # per-tuple DP loops and per-pop candidate lookups index directly.
-    child_sep_positions = {
-        node: tuple(schemas[node].index(v) for v in separator)
-        for node, separator in separators.items()
-    }
-    parent_sep_positions = {
-        node: tuple(schemas[parent[node]].index(v) for v in separator)
-        for node, separator in separators.items()
-    }
+    def lift_of(owned: dict[int, int]) -> Lift:
+        plan = [(p, i, keys[p][1]) for p, i in sorted(owned.items())]
 
-    def pick(row: tuple, positions: tuple[int, ...]) -> tuple:
-        return tuple(row[p] for p in positions)
+        def lift(row: tuple) -> list:
+            return [tuple((p, rank_component(row[i], d)) for p, i, d in plan)]
 
-    # Bottom-up DP: annotate every tuple with its subtree's best key
-    # contribution; per node, candidate lists sorted by annotation.
-    annotations: dict[str, dict[tuple, tuple]] = {}
+        return lift
+
+    _per_atom, residual = split_selections(query, selections)
+    owners = _designated(query, [variable for variable, _d in keys])
+    annotated = AnnotatedJoinTree(
+        query, database, (), [RANKING],
+        {edge: lift_of(owned) for edge, owned in owners.items()},
+        [sel for sel in selections if sel not in residual], counter)
+    # Each node's table ⊗ its children's messages, grouped by the parent
+    # separator and sorted by annotation: its candidate lists.
     candidates: dict[str, dict[tuple, list[tuple]]] = {}
-    with phase(counter, "annotate"):
-        for node in reversed(sequence):  # children before parents
-            schema = schemas[node]
-            positions = [(p, schema.index(keys[p][0]), keys[p][1])
-                         for p in sorted(owned[node])]
-            messages = []
-            for child in children[node]:
-                best: dict[tuple, tuple] = {}
-                child_positions = child_sep_positions[child]
-                for row, ann in annotations[child].items():
-                    key = pick(row, child_positions)
-                    best[key] = RANKING.plus(best.get(key), ann)
-                messages.append((parent_sep_positions[child], best))
-            table: dict[tuple, tuple] = {}
-            for row in relations[node]:
-                ann = tuple((p, rank_component(row[i], d))
-                            for p, i, d in positions)
-                for own_positions, best in messages:
-                    child_best = best.get(pick(row, own_positions))
-                    if child_best is None:  # subtree died under selections
-                        ann = None
-                        break
-                    ann = RANKING.times(ann, child_best)
-                if ann is not None:
-                    table[row] = ann
-            if counter is not None:
-                counter.charge(tuples_scanned=len(relations[node]))
-            annotations[node] = table
-            if parent.get(node) is not None:
-                grouped: dict[tuple, list[tuple]] = {}
-                for row, ann in table.items():
-                    key = pick(row, child_sep_positions[node])
-                    grouped.setdefault(key, []).append((ann, row))
-                for group_rows in grouped.values():
-                    group_rows.sort(
-                        key=lambda pair: tuple(c for _p, c in pair[0]))
-                candidates[node] = grouped
+    for node, (_schema, rows) in annotated.pass_messages(counter):
+        positions = [node.schema.index(v) for v in node.sep]
+        grouped: dict[tuple, list[tuple]] = {}
+        for row, ann in rows.items():
+            grouped.setdefault(tuple(row[p] for p in positions),
+                               []).append((ann[1], row))
+        if counter is not None:
+            counter.charge(hash_inserts=len(rows))
+        for group_rows in grouped.values():
+            group_rows.sort(key=lambda pair: tuple(c for _p, c in pair[0]))
+        candidates[node.edge] = grouped
 
-    root_list = sorted(((ann, row) for row, ann in annotations[root].items()),
-                       key=lambda pair: tuple(c for _p, c in pair[0]))
-    if not root_list:
+    # Root-down node sequence (parents before children, the root first);
+    # per depth, the node's candidate lists and where its parent's
+    # separator value sits in the state (the root's list is keyed ()).
+    sequence = [annotated.nodes[edge]
+                for edge in reversed(annotated.tree.order)]
+    depth_of = {node.edge: depth for depth, node in enumerate(sequence)}
+    lookups = [(candidates[node.edge], depth_of.get(node.parent, 0),
+                [annotated.nodes[node.parent].schema.index(v)
+                 for v in node.sep])
+               for node in sequence]
+
+    root_groups = lookups[0][0]
+    if not root_groups:
         return
+
+    def candidate_list(state_rows: tuple, depth: int) -> list[tuple]:
+        grouped, parent_depth, positions = lookups[depth]
+        parent_row = state_rows[parent_depth]
+        return grouped[tuple(parent_row[p] for p in positions)]
 
     def dense(priority: tuple, ann: tuple) -> tuple:
         """Replace an annotation's positions inside a dense priority."""
@@ -651,14 +657,7 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
             components[p] = component
         return tuple(components)
 
-    def candidate_list(state_rows: tuple, depth: int) -> list[tuple]:
-        node = sequence[depth]
-        if depth == 0:
-            return root_list
-        parent_row = state_rows[node_index[parent[node]]]
-        return candidates[node][pick(parent_row, parent_sep_positions[node])]
-
-    initial_ann, initial_row = root_list[0]
+    initial_ann, initial_row = root_groups[()][0]
     heap: list = [(dense((None,) * len(keys), initial_ann),
                    0, (0,), (initial_row,))]
     tick = itertools.count(1)
@@ -672,7 +671,7 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
     def complete_row(rows: tuple) -> tuple | None:
         binding = {}
         for node, row in zip(sequence, rows):  # lint: disable=counter-honesty -- one row per join-tree node (query-sized), not relation tuples; each completion is charged as a frontier pop
-            binding.update(zip(schemas[node], row))
+            binding.update(zip(node.schema, row))
         if residual and not all(sel.evaluate(binding) for sel in residual):
             return None
         return tuple(binding[h] for h in head)
@@ -700,9 +699,9 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
                 ))
             if depth + 1 < len(sequence):
                 # Extension: the next node's best matching tuple.  Its
-                # subtree bound is already in the priority (the DP minimum
-                # equals the sorted candidate list's head), so the priority
-                # is unchanged.
+                # subtree bound is already in the priority (the message
+                # minimum equals the sorted candidate list's head), so the
+                # priority is unchanged.
                 extension_list = candidate_list(rows, depth + 1)
                 _ann, row = extension_list[0]
                 heapq.heappush(heap, (

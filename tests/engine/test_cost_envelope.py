@@ -2,15 +2,14 @@
 instance).
 
 The dispatcher used to price WCOJ strategies with the unfiltered AGM bound
-even when a selective constant shrank every scan; the envelope is the
-per-level simulation over the instance with single-atom selections
-applied, min'd with the unfiltered AGM bound — so selective queries get
-honestly smaller WCOJ estimates and unselective ones never exceed AGM.
+even when a selective constant shrank every scan; ``dispatch`` now prices
+them with the per-level simulation over the instance with single-atom
+selections applied, so selective queries get honestly smaller WCOJ
+estimates.
 """
 
-from repro.bounds.agm import agm_bound
 from repro.engine import Engine
-from repro.engine.cost import dispatch, selection_envelope
+from repro.engine.cost import dispatch
 from repro.query.builder import Query
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -28,15 +27,8 @@ def star_database() -> Database:
 def test_envelope_shrinks_under_selective_constant():
     database = star_database()
     spec = Query.coerce("Q(A,B,C) :- R(A,B), S(B,C), A == 7")
-    core = spec.core
-    agm = agm_bound(core, database)
-    sizes_plain, env_plain = selection_envelope(core, database, (), agm)
-    sizes_sel, env_sel = selection_envelope(core, database,
-                                            spec.all_selections, agm)
-    assert env_plain == min(agm.bound, env_plain)
-    assert env_sel < env_plain / 10
-    assert sizes_sel[0] == 1  # R filtered to the single (7, 7) tuple
-    assert sizes_plain[0] == len(database.get("R"))
+    selected = dispatch(spec.core, database, selections=spec.all_selections)
+    assert selected.costs["ops[generic]"] < selected.agm.bound / 10
 
 
 def test_wcoj_estimates_price_the_filtered_envelope():
@@ -47,14 +39,6 @@ def test_wcoj_estimates_price_the_filtered_envelope():
     selected = dispatch(spec.core, database, selections=spec.all_selections)
     assert selected.costs["generic"] < plain.costs["generic"] / 10
     assert selected.costs["leapfrog"] < plain.costs["leapfrog"] / 10
-
-
-def test_unselective_queries_keep_the_agm_envelope():
-    database = star_database()
-    core = Query.coerce("Q(A,B,C) :- R(A,B), S(B,C)").core
-    agm = agm_bound(core, database)
-    _sizes, envelope = selection_envelope(core, database, (), agm)
-    assert envelope == min(agm.bound, envelope)
 
 
 def test_explained_costs_reflect_selection():

@@ -12,7 +12,6 @@ filtered instance)`` and must still respect the filter.
 
 import math
 
-from repro.bounds.agm import agm_bound
 from repro.bounds.degree_aware import output_size_bound
 from repro.bounds.modular import modular_bound, modular_bound_dual
 from repro.bounds.polymatroid import polymatroid_bound
@@ -22,7 +21,7 @@ from repro.constraints.degree import (
     constraints_from_database,
 )
 from repro.engine import Engine
-from repro.engine.cost import dispatch, selection_envelope
+from repro.engine.cost import dispatch
 from repro.query.builder import Query
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -79,21 +78,21 @@ def chain_database(r_rows):
 
 
 class TestSelectionEnvelope:
+    """Dispatch prices WCOJ over the scans with single-atom selections
+    applied: an empty scan leaves a zero envelope, so only the root
+    search node is priced."""
+
     def test_fully_filtered_scan_gives_zero_envelope(self):
         spec = chain_query()
         database = chain_database([(1, 2), (2, 3)])  # A == 99 empties R
-        agm = agm_bound(spec.core, database)
-        sizes, envelope = selection_envelope(spec.core, database,
-                                             spec.all_selections, agm)
-        assert sizes[0] == 0
-        assert envelope == 0.0
+        decision = dispatch(spec.core, database,
+                            selections=spec.all_selections)
+        assert decision.costs["ops[generic]"] == 1.0
 
     def test_empty_base_relation_gives_zero_envelope(self):
         spec = Query.coerce("Q(A,B,C) :- R(A,B), S(B,C)")
-        database = chain_database([])
-        agm = agm_bound(spec.core, database)
-        sizes, envelope = selection_envelope(spec.core, database, (), agm)
-        assert envelope == 0.0
+        decision = dispatch(spec.core, chain_database([]))
+        assert decision.costs["ops[generic]"] == 1.0
 
     def test_dispatch_and_execute_survive_empty_scans(self):
         database = chain_database([(1, 2)])
@@ -108,8 +107,8 @@ class TestSelectionEnvelope:
     def test_cyclic_fallback_still_returns_min_of_agm_and_filtered(self):
         # Binary atoms derive both conditioning directions, so the
         # data-derived constraint graph is cyclic (the degree-aware LP
-        # never applied); the envelope simulated over the filtered scans
-        # must still sit under the unfiltered bound and respect the filter.
+        # never applied); the price simulated over the filtered scans
+        # must still respect the filter.
         spec = Query.coerce("Q(A,B,C) :- R(A,B), S(B,C), A == 0")
         database = Database([
             Relation("R", ("a", "b"),
@@ -120,10 +119,8 @@ class TestSelectionEnvelope:
         ])
         dc = constraints_from_database(spec.core, database, max_key_size=1)
         assert not dc.is_acyclic()
-        agm = agm_bound(spec.core, database)
-        _sizes, envelope = selection_envelope(spec.core, database,
-                                              spec.all_selections, agm)
-        assert 0.0 < envelope <= agm.bound
-        # The filtered R has 2 tuples; the filtered AGM is far below the
-        # unfiltered bound, so the min actually bit.
-        assert envelope < agm.bound / 4
+        decision = dispatch(spec.core, database,
+                            selections=spec.all_selections)
+        # The filtered R has 2 tuples; the unfiltered AGM bound is far
+        # above what the filtered instance can produce.
+        assert 0.0 < decision.costs["ops[generic]"] < decision.agm.bound / 4

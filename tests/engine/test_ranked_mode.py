@@ -312,6 +312,29 @@ class TestDispatchAndExplain:
         decision = dispatch(q, db)
         assert decision.ranked_mode is None
 
+    def test_sparse_path_top_k_runs_ranked_yannakakis_on_python(self):
+        # Every vertex has out- and in-degree 3, like the e2e benchmark's
+        # uniform graphs: one annotated pass plus the frontier is priced
+        # below binary's greedy join and drain.
+        rng = random.Random(0)
+
+        def dealt() -> list:
+            cycle = list(range(30))
+            rng.shuffle(cycle)
+            return [(s, cycle[(3 * s + k) % 30])
+                    for s in range(30) for k in range(3)]
+
+        engine = Engine(relations=[Relation(name, ("x", "y"), dealt())
+                                   for name in ("R", "S", "U")],
+                        cache_results=False)
+        query = ("Q(A,B,C,D) :- R(A,B), S(B,C), U(C,D) "
+                 "ORDER BY D DESC, A LIMIT 10")
+        exp = engine.explain(query, backend="python")
+        assert (exp.strategy, exp.ranked_mode) == ("yannakakis", "anyk")
+        assert exp.costs["yannakakis"] < exp.costs["binary"]
+        assert (engine.execute(query, backend="python").tuples
+                == engine.execute(query, mode="binary").tuples)
+
 
 class TestPlanCache:
     def test_ranked_mode_is_a_plan_axis(self):

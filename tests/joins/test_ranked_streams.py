@@ -8,14 +8,23 @@ agreement with sort-and-drain, the variable-order contract, and the
 error surface.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.joins.generic_join import generic_join_stream
+from repro.joins.instrumentation import OperationCounter
 from repro.joins.leapfrog import leapfrog_stream
-from repro.joins.yannakakis import yannakakis, yannakakis_ranked_stream
+from repro.joins.yannakakis import (
+    join_tree_of,
+    semijoin_reduce,
+    yannakakis,
+    yannakakis_ranked_stream,
+)
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.builder import sort_rows
 from repro.query.semiring import count
@@ -38,6 +47,8 @@ PATH3 = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C")),
                           Atom("U", ("C", "D"))])
 TRIANGLE = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C")),
                              Atom("T", ("A", "C"))])
+STAR = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("A", "C")),
+                         Atom("U", ("A", "D"))])
 
 
 def drained(query, database, head, order_by, selections=()):
@@ -181,7 +192,7 @@ class TestYannakakisRanked:
                              ("A", "B"), [("B", True)])
         assert got == expected
 
-    def test_empty_reduction_yields_nothing(self):
+    def test_no_complete_assignment_yields_nothing(self):
         database = Database([
             Relation("R", ("a", "b"), [(1, 2)]),
             Relation("S", ("b", "c"), [(9, 9)]),
@@ -202,3 +213,62 @@ class TestYannakakisRanked:
         with pytest.raises(QueryError, match="ORDER BY"):
             list(yannakakis_ranked_stream(CHAIN, database,
                                           ("A", "B", "C"), []))
+
+
+def ranked_prefix(query, database, limit=None):
+    """The first ``limit`` rows of a detail-counted ranked stream and its
+    counter (closed early, as a LIMIT closes it)."""
+    counter = OperationCounter(detail=True)
+    stream = yannakakis_ranked_stream(query, database, ("A", "B", "C", "D"),
+                                      [("D", True), ("A", False)],
+                                      counter=counter)
+    rows = list(itertools.islice(stream, limit))
+    stream.close()
+    return rows, counter
+
+
+def with_dangling(query, contents):
+    """The relations plus one tuple at the join-tree root and at every
+    leaf whose values join nothing."""
+    tree = join_tree_of(query)
+    stranded = {tree.root} | {node for node in tree.order
+                              if not tree.children[node]}
+    return Database([
+        Relation(name, ("x", "y"),
+                 set(rows) | ({(100 + i, 200 + i)} if name in stranded
+                              else set()))
+        for i, (name, rows) in enumerate(sorted(contents.items()))
+    ])
+
+
+class TestNoReduction:
+    def test_ranked_runs_no_semijoin_pass(self):
+        database = random_database(0)
+        rows, counter = ranked_prefix(PATH3, database)
+        labels = {label.split(".")[0] for label in counter.breakdown}
+        assert "semijoin" not in labels
+        assert "messages" in labels
+        assert rows == drained(PATH3, database, ("A", "B", "C", "D"),
+                               [("D", True), ("A", False)])
+
+    pairs = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    max_size=14)
+
+    @pytest.mark.parametrize("query", [PATH3, STAR], ids=["path", "star"])
+    @given(r=pairs, s=pairs, u=pairs, limit=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_dangling_tuples_change_no_row_and_no_pop(self, query, r, s, u,
+                                                      limit):
+        database = with_dangling(query, {"R": r, "S": s, "U": u})
+        reduced = semijoin_reduce(query, database)
+        reduced_db = Database([
+            Relation(atom.relation, ("x", "y"),
+                     reduced[query.edge_key(i)].tuples)
+            for i, atom in enumerate(query.atoms)
+        ])
+        for prefix in (limit, None):
+            rows, counter = ranked_prefix(query, database, prefix)
+            want, want_counter = ranked_prefix(query, reduced_db, prefix)
+            assert rows == want
+            assert (counter.breakdown.get("frontier.search_nodes")
+                    == want_counter.breakdown.get("frontier.search_nodes"))
