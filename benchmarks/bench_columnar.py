@@ -5,8 +5,8 @@ Two workloads where the per-tuple Python constant dominates:
 * **triangle** — the skewed ("star") triangle instance, full enumeration:
   pairwise joins are Omega(n^2/4) while the output is O(n), so both
   backends run the same worst-case-optimal plan and the measured gap is
-  pure representation (sorted NumPy columns + galloping intersection vs
-  per-tuple dict probing).
+  pure representation (sorted NumPy columns, each seek one
+  ``np.searchsorted`` over a composite key, vs per-tuple dict probing).
 * **star** — a skewed 3-arm star with head projection ``Q(A)``: the
   existential tail exercises the component-factorized boolean eliminator,
   vectorized over frontier runs on the columnar side.
@@ -17,7 +17,10 @@ measured run, never trusted; a divergence raises and fails the run.  The
 python / columnar-warm wall-clock ratio (and the cold layout build) is
 *recorded, not gated*: the backend comparison is tracked on every PR by
 the ``warm_cyclic_columnar`` / ``warm_cyclic_python`` pair of the
-end-to-end benchmark (``benchmarks/e2e``).
+end-to-end benchmark (``benchmarks/e2e``).  The total operations of one
+counted warm columnar run are recorded beside it as ``columnar_ops``,
+never gated: they repeat exactly unless the kernel's charged work
+changed.
 
 Run: ``python benchmarks/bench_columnar.py [--quick]``; flags and table are
 ``harness.py``'s, and only diverging rows fail it.
@@ -31,6 +34,7 @@ from harness import Gate, Measurement, main, timed
 
 from repro.datagen.worstcase import triangle_skew_instance
 from repro.engine import Engine
+from repro.joins.instrumentation import OperationCounter
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -65,8 +69,8 @@ def measure(workload: str, n: int) -> Measurement:
     The python run is measured with its tries already built (warm-up run
     first), the columnar side both cold (layout materialization included,
     single shot by definition) and warm — the steady-state comparison the
-    dispatcher's pricing assumes.  Bit-identity of rows and order is
-    asserted on every run.
+    dispatcher's pricing assumes — plus one counted warm run, untimed.
+    Bit-identity of rows and order is asserted on every run.
     """
     if workload == "triangle":
         query, database = triangle_skew_instance(n)
@@ -86,8 +90,11 @@ def measure(workload: str, n: int) -> Measurement:
     python_ms = min(checked_ms() for _ in range(REPEATS))
     cold_ms = checked_ms(backend="columnar")
     warm_ms = min(checked_ms(backend="columnar") for _ in range(REPEATS))
+    counter = OperationCounter()
+    checked_ms(backend="columnar", counter=counter)
     return Measurement(python_ms, warm_ms, ms={"columnar cold": cold_ms},
-                       counts={"rows": len(expected)})
+                       counts={"rows": len(expected),
+                               "columnar_ops": counter.total()})
 
 
 GATE = Gate(

@@ -4,9 +4,10 @@ Relations are materialized once per (relation-version, column-order) as
 lexicographically sorted, dictionary-encoded ``int64`` NumPy columns; the
 trie a streaming WCOJ core walks node-by-node becomes offset ranges over
 those sorted columns, and Leapfrog's seek/next iterator discipline becomes
-vectorized binary search (galloping) over per-atom ranges.  Semiring folds
-for COUNT/SUM/MIN/MAX and the boolean existential tail run over runs of
-equal separator keys instead of per-tuple Python ⊕ calls.
+one ``np.searchsorted`` per seek over a per-level composite key (prefix
+rank times dictionary size plus code), batched over a frontier.  Semiring
+folds for COUNT/SUM/MIN/MAX and the boolean existential tail run over runs
+of equal separator keys instead of per-tuple Python ⊕ calls.
 
 The pure-Python cores in :mod:`repro.joins` remain the reference oracle:
 the columnar backend must produce bit-identical rows, aggregate values,

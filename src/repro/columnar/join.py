@@ -5,8 +5,10 @@ expands one *level* at a time over a frontier of partial bindings held in
 NumPy arrays.  Per level it plays exactly the Generic-Join / Leapfrog
 move: pick the atom with the smallest total candidate span as the probe,
 enumerate its distinct (parent, value) runs, and intersect against every
-other relevant atom with a vectorized per-row binary search — Veldhuizen's
-``seek``/``next`` iterator idiom, batched.  Because the frontier stays
+other relevant atom by seeking each value in that atom's trie node —
+Veldhuizen's ``seek``/``next`` iterator idiom, batched: one
+``np.searchsorted`` per side over the layout's composite key (see
+:meth:`ColumnarLayout.seek`).  Because the frontier stays
 lexicographically sorted by code (and codes are value-sorted by
 construction of the dictionary), the breadth-first emission order equals
 the oracle's depth-first order, which keeps streams bit-identical.
@@ -43,31 +45,6 @@ _SUM_SAFE_ROWS = 1 << 28
 # ----------------------------------------------------------------------
 # Vectorized primitives
 # ----------------------------------------------------------------------
-
-def _bounds(column: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            values: np.ndarray, left: bool) -> np.ndarray:
-    """Per-row binary search with independent ``[lo, hi)`` windows.
-
-    Returns, for each row ``i``, the first position in
-    ``column[lo[i]:hi[i]]`` where ``values[i]`` could be inserted keeping
-    the column sorted (``left=True`` → leftmost, ``left=False`` →
-    rightmost).  This is ``np.searchsorted`` generalized to a different
-    window per row — the batched form of Leapfrog's ``seek``.
-    """
-    lo = lo.astype(np.int64, copy=True)
-    hi = hi.astype(np.int64, copy=True)
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = (lo + hi) >> 1
-        probe = column[np.where(active, mid, 0)]
-        go_right = (probe < values) if left else (probe <= values)
-        go_right &= active
-        lo[go_right] = mid[go_right] + 1
-        stay = active & ~go_right
-        hi[stay] = mid[stay]
-
 
 def _expand(column: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Enumerate the distinct-value runs of every row's ``[lo, hi)`` span.
@@ -119,6 +96,9 @@ class _Descent:
         self.layouts = layouts
         self.store = store
         self.counter = counter
+        if any(layout.keys is None for layout in layouts.values()):
+            raise ColumnarFallback(
+                "composite seek keys would overflow int64")
         self.atom_vars: dict[str, tuple[str, ...]] = {}
         for i, atom in enumerate(core.atoms):
             edge_key = core.edge_key(i)
@@ -213,12 +193,11 @@ class _Descent:
                 if edge_key == probe:
                     continue
                 other_level = self.atom_vars[edge_key].index(variable)
-                other_column = self.layouts[edge_key].columns[other_level]
-                other_lo, other_hi = ranges[edge_key]
-                left = _bounds(other_column, other_lo[parents],
-                               other_hi[parents], values, True)
-                right = _bounds(other_column, other_lo[parents],
-                                other_hi[parents], values, False)
+                # Every frontier window is one trie node (the initial
+                # [0, n), a probe's run or a seek's [left, right)), which
+                # is the one window shape ``seek`` answers for.
+                left, right = self.layouts[edge_key].seek(
+                    other_level, ranges[edge_key][0][parents], values)
                 if counter is not None:
                     counter.charge(seeks=len(values))
                 keep &= left < right

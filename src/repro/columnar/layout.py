@@ -11,7 +11,10 @@ makes cross-backend output order bit-identical.
 A :class:`ColumnarLayout` is one relation materialized under one column
 order (the per-atom variable order a WCOJ plan needs), encoded and sorted
 lexicographically: the trie node for a bound prefix is simply the
-half-open row range whose columns match the prefix, found by galloping.
+half-open row range whose columns match the prefix.  Each level also keeps
+a composite key, the dense rank of a row's prefix times the dictionary
+size plus the row's code, which is globally sorted; seeking a value inside
+one trie node is then a single ``np.searchsorted`` over that key.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ import numpy as np
 #: force the oracle path so exactness can never silently degrade.
 _SUM_SAFE_MAGNITUDE = 2**31
 
+#: Composite keys are ``< n * |dictionary|``; a layout whose keys could
+#: exceed int64 gets none, and the join kernel degrades to the oracle.
+_KEY_LIMIT = 2**63
+
 
 class ColumnarStore:
     """Global sorted dictionary shared by every columnar layout.
@@ -34,6 +41,9 @@ class ColumnarStore:
     state changes, so a failed registration leaves the store untouched.
     Every successful registration that actually adds values bumps
     ``epoch``, invalidating all layouts encoded under older dictionaries.
+    So every layout of one epoch was built against one dictionary size,
+    which is what makes their composite keys (see :class:`ColumnarLayout`)
+    comparable with any code of that epoch.
     """
 
     def __init__(self) -> None:
@@ -97,13 +107,50 @@ class ColumnarStore:
 
 @dataclass(frozen=True)
 class ColumnarLayout:
-    """One relation, one column order, sorted and dictionary-encoded."""
+    """One relation, one column order, sorted and dictionary-encoded.
+
+    ``keys[L]`` is ``prefix_rank[L] * D + columns[L]``, where
+    ``prefix_rank[L]`` is the dense rank of a row's first ``L`` columns and
+    ``D`` the dictionary size at the layout's epoch.  Because the rows are
+    lexsorted, ``keys[L]`` is globally sorted, and a trie node at level
+    ``L`` (one prefix group) is a contiguous run of it.  ``keys`` is
+    ``None`` when some key could overflow int64.
+    """
 
     relation: str
     attributes: tuple[str, ...]
     columns: tuple = field(repr=False)  # tuple of int64 arrays, lex-sorted
     epoch: int = 0
     n: int = 0
+    keys: tuple | None = field(default=None, repr=False)
+
+    def seek(self, level: int, lo: np.ndarray, values: np.ndarray):
+        """Leapfrog's ``seek``, batched over a frontier.
+
+        ``lo[i]`` starts row ``i``'s window, a trie node at ``level``;
+        returns ``(left, right)`` such that ``columns[level][left[i]:
+        right[i]]`` is the run of ``values[i]`` inside that window (empty
+        when absent).  The window's prefix base, ``keys - columns`` at its
+        first row, plus the value is the composite key to search for.
+        """
+        if not self.n:
+            return lo, lo
+        keys = self.keys[level]
+        targets = keys[lo] - self.columns[level][lo] + values
+        return (np.searchsorted(keys, targets, side="left"),
+                np.searchsorted(keys, targets, side="right"))
+
+
+def _composite_keys(columns: list, n: int, size: int) -> tuple | None:
+    """Per level, ``prefix_rank * size + column`` (``None`` on overflow)."""
+    if n * size > _KEY_LIMIT:
+        return None
+    keys = columns[:1]  # level 0: every row has the empty prefix, rank 0
+    new_prefix = np.zeros(n, dtype=bool)
+    for previous, column in zip(columns, columns[1:]):
+        new_prefix[1:] |= previous[1:] != previous[:-1]
+        keys.append(np.cumsum(new_prefix) * size + column)
+    return tuple(keys)
 
 
 def build_layout(relation, attributes: Sequence[str],
@@ -129,4 +176,5 @@ def build_layout(relation, attributes: Sequence[str],
     elif n and columns:
         columns = [np.sort(columns[0], kind="stable")]
     return ColumnarLayout(relation.name, attributes, tuple(columns),
-                          store.epoch, n)
+                          store.epoch, n,
+                          _composite_keys(columns, n, len(store)))

@@ -118,8 +118,10 @@ class IndexRegistry:
         registered are re-registered *first* (a single ``register`` call,
         so at most one epoch bump), then every layout is built or reused
         under the now-stable epoch — codes are comparable across every
-        layout in the batch.  Raises ``TypeError`` (store untouched) on
-        un-orderable mixed value domains.
+        layout in the batch, and every layout of it sees the same store
+        size, which its composite seek keys are built on.  Raises
+        ``TypeError`` (store untouched) on un-orderable mixed value
+        domains.
         """
         from repro.columnar.layout import build_layout
         store = self.columnar_store

@@ -3,7 +3,11 @@ registry's version/epoch-checked layout cache."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.registry import IndexRegistry
 from repro.relational.database import Database
@@ -11,7 +15,12 @@ from repro.relational.relation import Relation
 
 np = pytest.importorskip("numpy")
 
+import repro.columnar.layout as layout_module  # noqa: E402
+from repro.columnar import ColumnarFallback  # noqa: E402
+from repro.columnar.join import columnar_rows  # noqa: E402
 from repro.columnar.layout import ColumnarStore, build_layout  # noqa: E402
+from repro.engine.session import Engine  # noqa: E402
+from repro.query.builder import Query  # noqa: E402
 
 
 class TestColumnarStore:
@@ -100,6 +109,99 @@ class TestBuildLayout:
         rel = Relation("R", ("X", "Y"), [])
         layout = build_layout(rel, ("X", "Y"), store)
         assert layout.n == 0
+
+
+def _trie_nodes(layout, level: int) -> list[tuple[int, int]]:
+    """Every trie node at ``level``: the row ranges of equal prefixes."""
+    if not layout.n:
+        return [(0, 0)]
+    prefixes = list(zip(*(column.tolist()
+                          for column in layout.columns[:level])))
+    if not prefixes:
+        return [(0, layout.n)]
+    nodes, start = [], 0
+    for row in range(1, layout.n + 1):
+        if row == layout.n or prefixes[row] != prefixes[start]:
+            nodes.append((start, row))
+            start = row
+    return nodes
+
+
+@st.composite
+def _layouts(draw):
+    """A lexsorted layout of 1-3 columns over a store of 1-5 values;
+    the small stores make columns duplicate-heavy, and rows may be
+    empty."""
+    size = draw(st.integers(1, 5))
+    arity = draw(st.integers(1, 3))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * arity),
+                        max_size=25))
+    store = ColumnarStore()
+    store.register(range(size))
+    attributes = tuple(f"c{i}" for i in range(arity))
+    relation = Relation("R", attributes, sorted(rows))
+    return build_layout(relation, attributes, store), size
+
+
+class TestCompositeKeySeek:
+    @given(_layouts())
+    @settings(max_examples=200, deadline=None)
+    def test_seek_equals_bisect_in_every_trie_node(self, drawn):
+        """For every trie node and every code of the store — absent ones
+        and the largest included — the batched seek returns exactly the
+        bisect bounds of the code inside the node's window."""
+        layout, size = drawn
+        for level, column in enumerate(layout.columns):
+            windows = [(lo, hi, code)
+                       for lo, hi in _trie_nodes(layout, level)
+                       for code in range(size)]
+            lo = np.asarray([w[0] for w in windows], dtype=np.int64)
+            codes = np.asarray([w[2] for w in windows], dtype=np.int64)
+            left, right = layout.seek(level, lo, codes)
+            values = column.tolist()
+            expected = [(w_lo + bisect_left(values[w_lo:w_hi], code),
+                         w_lo + bisect_right(values[w_lo:w_hi], code))
+                        for w_lo, w_hi, code in windows]
+            assert list(zip(left.tolist(), right.tolist())) == expected
+
+    def test_keys_are_globally_sorted_prefix_ranks(self):
+        store = ColumnarStore()
+        store.register(range(3))
+        rel = Relation("R", ("X", "Y"), [(0, 2), (0, 1), (2, 0), (1, 1)])
+        layout = build_layout(rel, ("X", "Y"), store)
+        assert layout.keys[0] is layout.columns[0]
+        # prefixes (0), (0), (1), (2) rank 0, 0, 1, 2
+        assert layout.keys[1].tolist() == [0 * 3 + 1, 0 * 3 + 2,
+                                           1 * 3 + 1, 2 * 3 + 0]
+
+    def test_overflow_guard_drops_the_keys(self, monkeypatch):
+        """Keys are < n * |dictionary|: a layout at the limit keeps them,
+        one past it gets none rather than wrapping int64."""
+        store = ColumnarStore()
+        store.register(range(4))
+        rel = Relation("R", ("X", "Y"), [(0, 1), (1, 2), (3, 3)])
+        monkeypatch.setattr(layout_module, "_KEY_LIMIT", 3 * 4)
+        assert build_layout(rel, ("X", "Y"), store).keys is not None
+        monkeypatch.setattr(layout_module, "_KEY_LIMIT", 3 * 4 - 1)
+        assert build_layout(rel, ("X", "Y"), store).keys is None
+
+    def test_overflowing_layout_falls_back_to_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(layout_module, "_KEY_LIMIT", 1)
+        rows = [(1, 2), (2, 3), (3, 1), (1, 3)]
+        engine = Engine(relations=[Relation(name, ("X", "Y"), rows)
+                                   for name in "RST"], cache_results=False)
+        query = "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)"
+        spec = Query.coerce(query)
+        layouts = engine.registry.columnar_layouts(
+            [(spec.core.edge_key(i), atom.relation, ("X", "Y"))
+             for i, atom in enumerate(spec.core.atoms)])
+        with pytest.raises(ColumnarFallback, match="overflow"):
+            columnar_rows(spec.core, ("A", "B", "C"), layouts,
+                          engine.registry.columnar_store)
+        python = engine.execute(query, mode="generic").tuples
+        columnar = engine.execute(query, mode="generic",
+                                  backend="columnar").tuples
+        assert list(columnar) == list(python)
 
 
 class TestRegistryLayoutCache:
