@@ -180,8 +180,8 @@ def build_engine_parser() -> argparse.ArgumentParser:
     execution.add_argument("--backend", default="python", choices=BACKENDS,
                            help="physical execution backend: 'python' "
                                 "(reference tuple-at-a-time), 'columnar' "
-                                "(sorted NumPy layouts with galloping "
-                                "intersection; transparently falls back "
+                                "(sorted NumPy layouts with batched "
+                                "searchsorted seeks; transparently falls back "
                                 "when unsupported), 'auto' prices both — "
                                 "results are identical either way")
     execution.add_argument("--limit", type=int, default=None,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.columnar import ColumnarFallback
+from repro.query.variable_order import level_layout
 
 #: Component folds beyond this many rows could overflow exact int64 SUMs
 #: (|value| <= 2**31 and 2**28 rows keep |sum| < 2**59); degrade instead.
@@ -90,15 +91,16 @@ class _Descent:
     variable → int64 code array aligned with the frontier).
     """
 
-    def __init__(self, core, order, layouts, store, selections, counter):
-        self.order = tuple(order)
-        self.position = {v: i for i, v in enumerate(self.order)}
+    def __init__(self, plan, layouts, store, counter):
+        self.plan = plan  # the LevelLayout: order, stop, selection depths
+        self.order = plan.order
         self.layouts = layouts
         self.store = store
         self.counter = counter
         if any(layout.keys is None for layout in layouts.values()):
             raise ColumnarFallback(
                 "composite seek keys would overflow int64")
+        core = plan.query
         self.atom_vars: dict[str, tuple[str, ...]] = {}
         for i, atom in enumerate(core.atoms):
             edge_key = core.edge_key(i)
@@ -110,15 +112,11 @@ class _Descent:
         # per-value TypeError → False semantics) to the oracle's checks.
         domain = store.values
         masks: list[np.ndarray | None] = [None] * len(self.order)
-        for sel in selections:
+        for sel, depth in zip(plan.selections, plan.fires_at):
             if len(sel.variables) > 1:
                 raise ColumnarFallback(
                     "multi-variable comparison selections are not vectorized")
             variable = sel.lhs
-            depth = self.position.get(variable)
-            if depth is None:
-                raise ColumnarFallback(
-                    f"selection variable {variable!r} missing from the order")
             mask = np.fromiter(
                 (bool(sel.evaluate({variable: value})) for value in domain),
                 dtype=bool, count=len(domain))
@@ -134,11 +132,13 @@ class _Descent:
         return {"size": 1, "origins": np.zeros(1, dtype=np.int64),
                 "ranges": ranges, "values": {}}
 
-    def component_state(self, state: dict, component) -> dict:
-        """Restrict ``state`` to the atoms touching ``component``'s vars."""
+    def component_state(self, state: dict, depths) -> dict:
+        """Restrict ``state`` to the atoms touching the variables at the
+        order positions ``depths`` (one residual component)."""
+        component = {self.order[d] for d in depths}
         ranges = {
             edge_key: pair for edge_key, pair in state["ranges"].items()
-            if set(self.atom_vars[edge_key]) & set(component)
+            if component.intersection(self.atom_vars[edge_key])
         }
         return {"size": state["size"],
                 "origins": np.arange(state["size"], dtype=np.int64),
@@ -259,40 +259,34 @@ def columnar_rows(core, order, layouts, store, selections=(), head=None,
     Mirrors ``generic_join_stream``'s mode selection: ``aggregates`` not
     ``None`` selects in-recursion aggregation grouped by ``head``;
     otherwise ``head`` ``None`` emits full bindings over
-    ``core.variables`` and a head tuple selects projection.  Raises
-    :class:`ColumnarFallback` when the plan or the data leaves the
+    ``core.variables`` and a head tuple selects projection.  Where the
+    descent stops and the tail is folded or checked is the
+    :func:`repro.query.variable_order.level_layout` the oracle reads, so
+    an order the oracle rejects raises its ``ValueError`` here too.
+    Raises :class:`ColumnarFallback` when the plan or the data leaves the
     vectorized subset.
     """
-    selections = tuple(selections)
-    descent = _Descent(core, order, layouts, store, selections, counter)
-    order = descent.order
-    position = descent.position
-    pinned = {sel.lhs for sel in selections if sel.is_constant_equality}
+    plan = level_layout(core, order, selections, head,
+                        aggregate=aggregates is not None)
+    descent = _Descent(plan, layouts, store, counter)
     if aggregates is not None:
-        return _aggregate_rows(descent, core, store, selections,
-                               tuple(head or ()), tuple(aggregates),
-                               pinned, counter)
+        return _aggregate_rows(descent, store, tuple(head or ()),
+                               tuple(aggregates), counter)
     if head is None:
         return _full_rows(descent, core.variables, store, counter)
     head = tuple(head)
-    prefix_depth = (max(position[h] for h in head) + 1) if head else 0
+    if plan.stop == len(plan.order):
+        # Full descent: nothing is existential below the head, or (a
+        # guarded order) each head tuple is kept at its first occurrence.
+        return _full_rows(descent, head, store, counter, plan.seen_set)
     head_set = set(head)
-    early_distinct = all(v in head_set or v in pinned
-                         for v in order[:prefix_depth])
-    if prefix_depth >= len(order) or not early_distinct:
-        # Full descent: every variable is head/pinned up to the last
-        # level, or the head is a permutation of all variables — one head
-        # tuple per full binding, exactly like the oracle — or (a guarded
-        # order) an existential variable binds before the last head
-        # variable, and each head tuple is kept at its first occurrence.
-        distinct = not early_distinct and head_set != set(core.variables)
-        return _full_rows(descent, head, store, counter, distinct)
     state = descent.initial_state()
-    for depth in range(prefix_depth):
-        state = descent.step(state, depth, track_value=order[depth] in head_set)
+    for depth in range(plan.stop):
+        state = descent.step(state, depth,
+                             track_value=plan.order[depth] in head_set)
         if state["size"] == 0:
             return []
-    alive = _existential_alive(descent, core, state, prefix_depth, selections)
+    alive = _existential_alive(descent, state)
     kept = np.flatnonzero(alive)
     if not head:  # boolean query: one empty row iff the join is non-empty
         rows = [()] if len(kept) else []
@@ -333,23 +327,18 @@ def _full_rows(descent: _Descent, emit_vars, store, counter,
     return rows
 
 
-def _existential_alive(descent: _Descent, core, state: dict, depth: int,
-                       selections) -> np.ndarray:
+def _existential_alive(descent: _Descent, state: dict) -> np.ndarray:
     """Which frontier rows have at least one completion of the tail?
 
-    One batched boolean descent per residual component — the same
-    factorization ``generic_join_stream`` applies, so a star projection
-    costs the sum of its arms, not their product.
+    One batched boolean descent per residual component below the plan's
+    stop — the same factorization ``generic_join_stream`` applies, so a
+    star projection costs the sum of its arms, not their product.
     """
     size = state["size"]
     alive = np.ones(size, dtype=bool)
-    components = core.hypergraph().residual_components(
-        descent.order[:depth],
-        couplings=[sel.variables for sel in selections])
-    position = descent.position
-    for component in components:
-        sub = descent.component_state(state, component)
-        for d in sorted(position[v] for v in component):
+    for depths in descent.plan.components(descent.plan.stop):
+        sub = descent.component_state(state, depths)
+        for d in depths:
             sub = descent.step(sub, d, track_value=False)
             if sub["size"] == 0:
                 return np.zeros(size, dtype=bool)
@@ -362,8 +351,8 @@ def _existential_alive(descent: _Descent, core, state: dict, depth: int,
     return alive
 
 
-def _aggregate_rows(descent: _Descent, core, store, selections, group,
-                    aggregates, pinned, counter) -> list[tuple]:
+def _aggregate_rows(descent: _Descent, store, group, aggregates,
+                    counter) -> list[tuple]:
     """In-recursion semiring aggregation, component-factorized.
 
     Matches the oracle's grouped elimination: descend the group prefix,
@@ -372,14 +361,7 @@ def _aggregate_rows(descent: _Descent, core, store, selections, group,
     ints so cross-component COUNT/SUM products can never overflow int64.
     """
     order = descent.order
-    position = descent.position
-    group_set = set(group)
-    agg_start = max((position[g] for g in group), default=-1) + 1
-    if any(v not in group_set and v not in pinned
-           for v in order[:agg_start]):
-        raise ColumnarFallback(
-            "variable order interleaves non-group variables before the "
-            "group prefix")
+    stop = descent.plan.stop
     semirings = []
     for agg in aggregates:
         if agg.kind not in ("count", "sum", "min", "max"):
@@ -393,7 +375,7 @@ def _aggregate_rows(descent: _Descent, core, store, selections, group,
             "SUM over a non-integer (or overflow-prone) value domain")
 
     state = descent.initial_state()
-    for depth in range(agg_start):
+    for depth in range(stop):
         state = descent.step(state, depth, track_value=True)
         if state["size"] == 0:
             break
@@ -406,16 +388,17 @@ def _aggregate_rows(descent: _Descent, core, store, selections, group,
             counter.charge(tuples_emitted=1)
         return [row]
 
-    components = core.hypergraph().residual_components(
-        order[:agg_start], couplings=[sel.variables for sel in selections])
-    component_of = {v: ci for ci, comp in enumerate(components) for v in comp}
+    components = descent.plan.components(stop)
+    component_of = {order[d]: ci for ci, depths in enumerate(components)
+                    for d in depths}
     alive = np.ones(size, dtype=bool)
     counts_by_component: list[np.ndarray] = []
     folds: dict[int, tuple[str, np.ndarray]] = {}  # aggregate idx -> fold
-    for ci, component in enumerate(components):
-        track = {agg.var for agg in aggregates if agg.var in component}
-        sub = descent.component_state(state, component)
-        for d in sorted(position[v] for v in component):
+    for ci, depths in enumerate(components):
+        track = {agg.var for agg in aggregates
+                 if component_of.get(agg.var) == ci}
+        sub = descent.component_state(state, depths)
+        for d in depths:
             sub = descent.step(sub, d, track_value=order[d] in track)
         origins = sub["origins"]
         # The COUNT fold: one pass over the component's frontier rows —
@@ -435,7 +418,7 @@ def _aggregate_rows(descent: _Descent, core, store, selections, group,
         segment_starts = np.flatnonzero(change)
         segment_origins = origins[segment_starts]
         for ai, agg in enumerate(aggregates):
-            if agg.var not in component or agg.kind == "count":
+            if agg.var not in track or agg.kind == "count":
                 continue
             codes = sub["values"][agg.var]
             # Each segment reduction below re-walks the component's rows.

@@ -59,8 +59,10 @@ from repro.query.decomposition import is_alpha_acyclic
 from repro.query.semiring import Aggregate
 from repro.query.terms import Comparison, pinned_constants
 from repro.query.variable_order import (
+    LevelLayout,
     aggregate_elimination_order,
     hybrid_light_order,
+    level_layout,
     pushdown_order,
     ranked_order,
     skew_split,
@@ -97,7 +99,7 @@ RANKED_MODES = ("auto", "anyk", "drain")
 
 #: Accepted values for ``Engine.execute(..., backend=...)``: ``python``
 #: (the default — the pure-Python reference oracle), ``columnar`` (sorted
-#: NumPy layouts + batched galloping; transparently falls back to python
+#: NumPy layouts + batched ``searchsorted`` seeks; falls back to python
 #: for unsupported features), ``auto`` (pick by priced envelope).
 BACKENDS = ("python", "columnar", "auto")
 
@@ -298,25 +300,22 @@ def _instance(query: ConjunctiveQuery, database: Database,
         for atom, stored in zip(derived.atoms, query.atoms)))
 
 
-def _scopes(query: ConjunctiveQuery, order: Sequence[str], start: int,
-            selections: Sequence[Comparison], memo: bool = True,
+def _scopes(layout: LevelLayout, start: int, memo: bool = True,
             factorize: bool = True) -> list[tuple[str, ...]]:
-    """Per level of ``order``, the earlier variables its work is keyed on:
-    the whole prefix above ``start``.  From ``start`` on the executors
-    eliminate — each residual component on its own (``factorize``), and
-    with ``memo`` (the python recursion; the columnar descent has none) a
-    level is evaluated once per binding of its *separator*, the earlier
-    variables sharing an atom with it or a later one of its component."""
-    order = tuple(order)
-    position = {v: i for i, v in enumerate(order)}
+    """Per level of the layout's order, the earlier variables its work is
+    keyed on: the whole prefix above ``start``.  From ``start`` on the
+    executors eliminate — each residual component of the layout on its
+    own (``factorize``), and with ``memo`` (the python recursion; the
+    columnar descent has none) a level is evaluated once per binding of
+    its *separator*, the earlier variables sharing an atom with it or a
+    later one of its component."""
+    query, order = layout.query, layout.order
     scopes = [order[:depth] for depth in range(len(order))]
     if start >= len(order):
         return scopes
-    groups = (query.hypergraph().residual_components(
-        order[:start], couplings=[sel.variables for sel in selections])
-        if factorize else (frozenset(order[start:]),))
-    for group in groups:
-        depths = sorted(position[v] for v in group)
+    groups = (layout.components(start) if factorize
+              else (tuple(range(start, len(order))),))
+    for depths in groups:
         seen: set[str] = set()
         separators = {}
         for depth in reversed(depths):
@@ -429,17 +428,16 @@ def _recursion_ops(levels: Sequence[tuple[float, float, int, float]],
 
 
 class _Variant(NamedTuple):
-    """One way to run the recursion: the variable order the executor will
-    actually use, the depth its elimination starts at (the order's length
-    for a full enumeration), whether the eliminator may factorize, and
-    whether a seen-set deduplicates the head over every full row (a
-    strict projection whose order binds an existential variable before
-    the last head variable)."""
+    """One way to run the recursion: the level layout the executor will
+    actually use (its order, where enumeration stops, whether a seen-set
+    deduplicates the head), the depth the priced elimination starts at —
+    the layout's ``stop``, or the first level below the any-k frontier's
+    root, whose eliminators price every deeper level — and whether the
+    eliminator may factorize."""
 
-    order: tuple[str, ...]
+    layout: LevelLayout
     start: int
     factorize: bool = True
-    seen_set: bool = False
 
 
 def _plain_orders(query: ConjunctiveQuery, selections: Sequence[Comparison],
@@ -455,26 +453,26 @@ def _plain_orders(query: ConjunctiveQuery, selections: Sequence[Comparison],
     enumerates every full row and deduplicates the head by a seen-set.
     Only orders that differ are returned."""
     fixed = set(pinned_constants(selections))
-    order = pushdown_order(query, fixed=fixed, leading=head)
-    kept = len(fixed | set(head))
-    if not head or kept >= len(order):
-        return (_Variant(order, len(order)),)
-    guarded = pushdown_order(query, fixed=fixed)
-    if guarded == order:
-        return (_Variant(order, kept),)
-    return (_Variant(order, kept),
-            _Variant(guarded, len(order), seen_set=True))
+    orders = [pushdown_order(query, fixed=fixed, leading=head)]
+    if head and not fixed | set(head) >= set(query.variables):
+        guarded = pushdown_order(query, fixed=fixed)
+        if guarded != orders[0]:
+            orders.append(guarded)
+    # An empty head projects nothing away: a standalone ``dispatch``
+    # without ``group`` prices the full enumeration.
+    layouts = [level_layout(query, order, selections, head or None)
+               for order in orders]
+    return tuple(_Variant(layout, layout.stop) for layout in layouts)
 
 
-def _walk(instance: _Instance, variant: _Variant,
-          selections: Sequence[Comparison], results: float,
+def _walk(instance: _Instance, variant: _Variant, results: float,
           memo: bool = True) -> tuple[list, float]:
     """A variant's simulated levels and the rows it emits (below an
     elimination: the surviving prefixes)."""
-    n = len(variant.order)
-    levels = simulate_levels(instance, variant.order, _scopes(
-        instance.query, variant.order, variant.start, selections, memo,
-        variant.factorize))
+    order = variant.layout.order
+    n = len(order)
+    levels = simulate_levels(instance, order, _scopes(
+        variant.layout, variant.start, memo, variant.factorize))
     if variant.start == n:
         emitted = results
     elif variant.start:
@@ -509,14 +507,14 @@ def _plain_plan(instance: _Instance, selections: Sequence[Comparison],
     the aggregate planner owns the order) only that estimate is taken.
     """
     orders = _plain_orders(instance.query, selections, head)
-    last = simulate_levels(instance, orders[0].order)[-1]
+    last = simulate_levels(instance, orders[0].layout.order)[-1]
     results = min(agm, last[1] * last[3])
     if len(orders) == 1 or not choose:
         return _PlainPlan(orders[0], results, {})
     priced = {}
     for label, variant in zip(("order[head]", "order[guarded]"), orders):
-        levels, emitted = _walk(instance, variant, selections, results)
-        seen_rows = results if variant.seen_set else 0.0
+        levels, emitted = _walk(instance, variant, results)
+        seen_rows = results if variant.layout.seen_set else 0.0
         priced[label] = 1000.0 * (
             COST_TABLE["generic"] * _recursion_ops(levels, emitted, agm)
             + COST_TABLE["fold.row"] * seen_rows)
@@ -594,8 +592,7 @@ def plan_aggregation(query: ConjunctiveQuery,
     aggregate's semiring carries a product (``product_ok`` — the
     precondition for Yannakakis' in-pass mode).
     """
-    fixed = {sel.lhs for sel in selections
-             if getattr(sel, "is_constant_equality", False)}
+    fixed = set(pinned_constants(selections))
     # Without product semirings the eliminator cannot combine component
     # values, so the order and width must be those of the monolithic
     # fold — pricing the factorized exponent would promise a bound the
@@ -626,8 +623,7 @@ def plan_ranked(query: ConjunctiveQuery, selections: Sequence[Comparison],
     ``width`` (the proxy for the bottom-up best-suffix DP's cost), and
     the normalized ``keys``.
     """
-    fixed = {sel.lhs for sel in selections
-             if getattr(sel, "is_constant_equality", False)}
+    fixed = set(pinned_constants(selections))
     keys = tuple((variable, bool(descending))
                  for variable, descending in order_by)
     order, width = ranked_order(query, [v for v, _d in keys],
@@ -783,23 +779,26 @@ def _estimate(query: ConjunctiveQuery, database: Database,
     axis, forced, prefer_inner, tree_inner_ok = "", "", False, True
     if ranked_plan is not None:
         axis, forced = "ranked_mode", axes.ranked_mode
-        inner = _Variant(ranked_plan["order"], 1)
+        # The frontier prices an eliminator below every level from the
+        # root's children on, wherever its keys end.
+        inner = _Variant(level_layout(
+            instance.query, ranked_plan["order"], selections), 1)
     elif agg_plan is not None:
         axis, forced = "aggregate_mode", axes.aggregate_mode
         prefer_inner = agg_plan["has_elimination"]
         tree_inner_ok = agg_plan["product_ok"]
-        outer = _Variant(agg_plan["order"], n)
-        kept = len(set(pinned_constants(selections)) | set(group))
-        inner = _Variant(agg_plan["order"], kept if prefer_inner else n,
-                         agg_plan["product_ok"])
+        outer = _Variant(level_layout(
+            instance.query, agg_plan["order"], selections), n)
+        grouped = level_layout(instance.query, agg_plan["order"],
+                               selections, group, aggregate=True)
+        inner = _Variant(grouped, grouped.stop, agg_plan["product_ok"])
     label, inner_name, outer_name = _VARIANTS.get(axis, ("", "", ""))
 
     walks: dict[tuple, tuple[list, float]] = {}
 
     def walk(variant: _Variant, memo: bool = True) -> tuple[list, float]:
         if (variant, memo) not in walks:
-            walks[variant, memo] = _walk(instance, variant, selections,
-                                         results, memo)
+            walks[variant, memo] = _walk(instance, variant, results, memo)
         return walks[variant, memo]
 
     def recursion_ops(variant: _Variant, fan_in: bool = False,
@@ -845,7 +844,7 @@ def _estimate(query: ConjunctiveQuery, database: Database,
         ops = {mode: recursion_ops(variant) if recursion else tree_ops(mode)
                for mode, variant in variants.items()}
         cost = {mode: ms(name, ops[mode], mode,
-                         recursion and variant.seen_set)
+                         recursion and variant.layout.seen_set)
                 for mode, variant in variants.items()}
         mode: str | None = outer_name
         if inner is not None:
@@ -910,7 +909,7 @@ def _estimate(query: ConjunctiveQuery, database: Database,
     info["build[trie]"] = ms("trie.row", total)
     info["build[layout]"] = ms("layout.row", total)
     asked = {name: candidates[name] for name in names if name in candidates}
-    return asked, info, columnar_ms, plain.variant.order
+    return asked, info, columnar_ms, plain.variant.layout.order
 
 
 def _payload_for(strategy: str, candidate: _Candidate,

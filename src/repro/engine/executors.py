@@ -204,7 +204,19 @@ def unique_index_layouts(executor: Any, spec: Query, database: Database,
     return layouts
 
 
-class _WcojExecutor:
+class _Executor:
+    """What every executor shares: its payload's mode tag says whether the
+    plan aggregates or ranks inside the join.  Only WCOJ and Yannakakis
+    payloads carry one; naive, binary and hybrid payloads never do."""
+
+    def handles_aggregation(self, spec: Query, payload: Any) -> bool:
+        return bool(spec.aggregates) and payload_aggregate_mode(payload) == "recursion"
+
+    def handles_ordering(self, spec: Query, payload: Any) -> bool:
+        return bool(spec.order_by) and payload_ranked_mode(payload) == "anyk"
+
+
+class _WcojExecutor(_Executor):
     """Shared adaptation of the two streaming WCOJ engines."""
 
     name: str
@@ -221,12 +233,6 @@ class _WcojExecutor:
     def index_requests(self, spec: Query, database: Database,
                        payload: tuple) -> list[IndexRequest]:
         return _trie_requests(spec.core, database, payload_order(payload))
-
-    def handles_aggregation(self, spec: Query, payload: Any) -> bool:
-        return bool(spec.aggregates) and payload_aggregate_mode(payload) == "recursion"
-
-    def handles_ordering(self, spec: Query, payload: Any) -> bool:
-        return bool(spec.order_by) and payload_ranked_mode(payload) == "anyk"
 
     def _stream_fn(self):
         raise NotImplementedError
@@ -283,7 +289,7 @@ class LeapfrogExecutor(_WcojExecutor):
         return leapfrog_stream
 
 
-class _NoPayloadExecutor:
+class _NoPayloadExecutor(_Executor):
     """Base for executors whose plan payload is empty.
 
     They use no registry indexes either; subclasses override the payload
@@ -303,12 +309,6 @@ class _NoPayloadExecutor:
     def index_requests(self, spec: Query, database: Database,
                        payload: Any) -> list[IndexRequest]:
         return []
-
-    def handles_aggregation(self, spec: Query, payload: Any) -> bool:
-        return False
-
-    def handles_ordering(self, spec: Query, payload: Any) -> bool:
-        return False
 
 
 class NaiveExecutor(_NoPayloadExecutor):
@@ -386,12 +386,6 @@ class YannakakisExecutor(_NoPayloadExecutor):
     """
 
     name = "yannakakis"
-
-    def handles_aggregation(self, spec: Query, payload: Any) -> bool:
-        return bool(spec.aggregates) and payload_aggregate_mode(payload) == "recursion"
-
-    def handles_ordering(self, spec: Query, payload: Any) -> bool:
-        return bool(spec.order_by) and payload_ranked_mode(payload) == "anyk"
 
     def stream(self, spec: Query, database: Database,
                payload: Any, registry: IndexRegistry | None = None,

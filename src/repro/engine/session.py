@@ -72,6 +72,7 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.query.builder import Query, sort_rows
 from repro.query.semiring import fold_aggregates
 from repro.query.terms import pinned_constants
+from repro.query.variable_order import level_layout
 from repro.relational.database import AppliedDelta, Database
 from repro.relational.relation import Relation
 from repro.relational.statistics import size_bucket, statistics_fingerprint
@@ -190,7 +191,7 @@ class Explanation:                 # make a generated __hash__ crash
     backend:
         The resolved execution backend — ``"python"`` (the reference
         oracle) or ``"columnar"`` (sorted NumPy layouts + batched
-        galloping).  The ``backend[python]``/``backend[columnar]`` cost
+        seeks).  The ``backend[python]``/``backend[columnar]`` cost
         entries record the priced envelopes behind the choice.
     backend_fallback:
         When a non-default backend was requested but the plan resolved
@@ -330,21 +331,6 @@ class Explanation:                 # make a generated __hash__ crash
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _residual_tail_components(spec: Query, order: Sequence[str],
-                              start: int) -> list[tuple[str, ...]]:
-    """The tail's conditionally-independent components, as the executor
-    splits them — the shared rule of
-    :meth:`repro.query.hypergraph.Hypergraph.residual_components` with
-    the query's selections as couplings, rendered in binding order."""
-    position = {v: i for i, v in enumerate(order)}
-    groups = spec.core.hypergraph().residual_components(
-        order[:start],
-        couplings=[sel.variables for sel in spec.all_selections])
-    return [tuple(sorted(g, key=position.__getitem__))
-            for g in sorted(groups, key=lambda g: min(position[v]
-                                                      for v in g))]
 
 
 @dataclass(frozen=True)
@@ -917,7 +903,7 @@ class Engine:
         backend:
             Physical execution backend: ``"python"`` (the reference
             tuple-at-a-time path, the default), ``"columnar"`` (sorted
-            NumPy layouts with galloping intersection; transparently
+            NumPy layouts with batched ``searchsorted`` seeks; transparently
             falls back to python when a feature or value domain is
             unsupported), or ``"auto"`` (the dispatcher prices both and
             picks the cheaper).  The backend never changes results —
@@ -1191,19 +1177,19 @@ class Engine:
     def _projection_form(prepared: _Prepared,
                          order: tuple[str, ...] | None) -> str | None:
         """How a plain WCOJ enumeration makes a strict projection's head
-        distinct — the test ``wcoj_stream`` applies to the order it is
-        given — or None when nothing is projected away."""
+        distinct — read from the order's level layout, as ``wcoj_stream``
+        reads it — or None when nothing is projected away."""
         spec = prepared.query
         head = set(spec.head_vars)
         if (order is None or not head or spec.aggregates
                 or payload_ranked_mode(prepared.payload) is not None
                 or set(order) <= head | spec.fixed_variables):
             return None
-        last = max(order.index(h) for h in head)
-        if all(v in head or v in spec.fixed_variables
-               for v in order[:last]):
-            return f"existential tail after {order[last]}"
-        return "head deduplicated by a seen-set"
+        layout = level_layout(spec.core, order, spec.all_selections,
+                              spec.head_vars)
+        if layout.seen_set:
+            return "head deduplicated by a seen-set"
+        return f"existential tail after {order[layout.stop - 1]}"
 
     @staticmethod
     def _elimination_placement(prepared: _Prepared,
@@ -1221,7 +1207,9 @@ class Engine:
         if strategy in ("generic", "leapfrog"):
             order = payload_order(prepared.payload)
             group = set(spec.head_vars)
-            start = max((order.index(g) for g in group), default=-1) + 1
+            layout = level_layout(spec.core, order, spec.all_selections,
+                                  spec.head_vars, aggregate=True)
+            start = layout.stop
             lines = []
             for depth in range(start):
                 role = ("group-by" if order[depth] in group
@@ -1233,7 +1221,8 @@ class Engine:
             # cannot execute would misdescribe the plan.
             can_factorize = all(a.semiring().has_product
                                 for a in spec.aggregates)
-            components = (_residual_tail_components(spec, order, start)
+            components = ([tuple(order[d] for d in depths)
+                           for depths in sorted(layout.components(start))]
                           if can_factorize and start < len(order) else [])
             component_of = {v: i for i, comp in enumerate(components)
                             for v in comp}
@@ -1277,13 +1266,11 @@ class Engine:
         core = spec.core
         if strategy in ("generic", "leapfrog"):
             order = payload_order(prepared.payload)
-            position = {v: i for i, v in enumerate(order)}
+            layout = level_layout(core, order, spec.all_selections)
             return tuple(
-                f"{sel} — pruned at depth "
-                f"{max(position[v] for v in sel.variables)} "
-                f"(variable {order[max(position[v] for v in sel.variables)]}"
+                f"{sel} — pruned at depth {depth} (variable {order[depth]}"
                 f") of the join recursion"
-                for sel in spec.all_selections
+                for sel, depth in zip(spec.all_selections, layout.fires_at)
             )
         if strategy == "naive":
             covered: set[str] = set()

@@ -52,7 +52,11 @@ from repro.query.semiring import (
     times_fold,
 )
 from repro.query.terms import pinned_constants
-from repro.query.variable_order import min_degree_order, validate_order
+from repro.query.variable_order import (
+    level_layout,
+    min_degree_order,
+    validate_order,
+)
 from repro.relational.database import Database
 from repro.relational.index import TrieIndex, TrieNode
 from repro.relational.relation import Relation
@@ -204,7 +208,6 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             levels[v].append(
                 (cursor, depth, atom_order[depth - 1] if depth else None))
 
-    variables = query.variables
     binding: dict[str, Any] = {}
 
     # Per-variable search-node attribution (EXPLAIN ANALYZE / metrics):
@@ -214,18 +217,15 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
     node_labels = ({v: f"search_nodes[{v}]" for v in order} if detail
                    else {})
 
-    # Selection pushdown: each predicate fires at the shallowest depth
-    # where all of its variables are bound.
-    position = {v: i for i, v in enumerate(order)}
+    # Where enumeration hands over to elimination, and where each
+    # selection prunes the candidate loop: decided by the layout.
+    layout = level_layout(
+        query, order, selections, head, aggregate=aggregates is not None,
+        keys=None if ranked is None else [v for v, _d in ranked])
+    n, stop = len(order), layout.stop
     checks_at: list[list] = [[] for _ in order]
-    for sel in selections:
-        unknown = [v for v in sel.variables if v not in position]
-        if unknown:
-            raise ValueError(
-                f"selection {sel} mentions variables {unknown} "
-                f"outside the query variables {variables}"
-            )
-        checks_at[max(position[v] for v in sel.variables)].append(sel)
+    for sel, depth in zip(selections, layout.fires_at):
+        checks_at[depth].append(sel)
 
     pinned = pinned_constants(selections)
 
@@ -332,7 +332,6 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
         a license to skip the remaining components, whose sub-problems
         may still be empty.
         """
-        n = len(order)
         # Variables co-occurring (in some atom) with each variable.
         covars: dict[str, set[str]] = {v: set() for v in order}
         for atom_order in trie_orders.values():
@@ -380,8 +379,8 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                     memo_keys[j] = key
                     memo[j] = {}
 
-            # fold, tie_class, group_recurse and recurse recurse through an
-            # argument: a closure naming itself is a reference cycle, and a
+            # fold and walk recurse through an argument: a closure naming
+            # itself is a reference cycle, and a
             # finished stream would keep its memo tables until a full GC.
             def fold(j: int, fold: Callable) -> list | None:
                 if j == k:
@@ -419,23 +418,6 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
 
             return functools.partial(fold, fold=fold)
 
-        def tail_components(depth: int) -> list[tuple[int, ...]] | None:
-            """Position groups of the residual components below ``depth``.
-
-            The single shared split rule
-            (:meth:`repro.query.hypergraph.Hypergraph.residual_components`
-            with the selections as couplings — a selection's truth
-            couples the assignments of the tail variables it reads, so
-            the components it spans are glued).  Returns None when the
-            tail does not decompose.
-            """
-            groups = query.hypergraph().residual_components(
-                order[:depth],
-                couplings=[sel.variables for sel in selections])
-            if len(groups) <= 1:
-                return None
-            return [tuple(sorted(position[v] for v in g)) for g in groups]
-
         # Per-invocation-depth factorization structure, built lazily and
         # cached: callers re-enter the eliminator at a handful of depths
         # (its start; the emit depth for ranked tie classes) and the
@@ -450,8 +432,8 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             except KeyError:
                 pass
             result = None
-            components = tail_components(depth) if can_factor else None
-            if components is not None:
+            components = layout.components(depth) if can_factor else ()
+            if len(components) > 1:
                 tail_vars = frozenset(order[p] for p in range(depth, n))
                 prefix_parts: list = []
                 tail_partials: list = []
@@ -516,11 +498,39 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
 
         return eliminate
 
-    if ranked is not None and aggregates is not None:
-        raise ValueError(
-            "ranked enumeration does not apply to aggregate heads; "
-            "ordered aggregate queries drain and sort their group rows"
-        )
+    def walk(depth: int, stop: int, leaf: Callable[[], tuple | None],
+             walk: Callable) -> Iterator[tuple]:
+        """The level loop: enumerate ``order[depth:stop]`` under the
+        current binding and hand every complete prefix to ``leaf``, which
+        returns its row or None (no row) — called in place, so no
+        generator is created per emitted row."""
+        if depth == stop:
+            row = leaf()
+            if row is not None:
+                yield row
+            return
+        variable = order[depth]
+        if counter is not None:
+            counter.charge(search_nodes=1)
+            if detail:
+                counter.attribute(node_labels[variable])
+        below = depth + 1
+        for value in candidates_for(variable):
+            binding[variable] = value
+            if passes(depth):
+                if below == stop:
+                    row = leaf()
+                    if row is not None:
+                        yield row
+                else:
+                    yield from walk(below, stop, leaf, walk)
+            del binding[variable]
+
+    def exists_below(depth: int):
+        """The boolean existential eliminator of ``order[depth:]``."""
+        return make_eliminator(depth, (BOOLEAN,),
+                               (lambda: BOOLEAN.lift(None),),
+                               lift_factors=_BOOLEAN_FACTORS)
 
     # ------------------------------------------------------------------
     # Any-k ranked enumeration: a priority frontier over the search tree,
@@ -528,44 +538,9 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
     # ------------------------------------------------------------------
     if ranked is not None:
         keys = [(v, bool(descending)) for v, descending in ranked]
-        if not keys:
-            raise ValueError("ranked enumeration needs at least one sort key")
-        unknown = [v for v, _d in keys if v not in position]
-        if unknown:
-            raise ValueError(
-                f"ORDER BY variables {unknown} are not query variables")
-        head_vars = tuple(head) if head is not None else tuple(variables)
-        unknown = [h for h in head_vars if h not in position]
-        if unknown:
-            raise ValueError(f"head variables {unknown} are not query variables")
-        head_set = set(head_vars)
-        key_set = {v for v, _d in keys}
-        stray = sorted(key_set - head_set)
-        if stray:
-            raise ValueError(
-                f"ORDER BY variables {stray} are not head variables; "
-                "a row's sort key must be a function of the row"
-            )
-        n = len(order)
-        ob_depth = max(position[v] for v in key_set) + 1
-        emit_depth = max(ob_depth,
-                         max((position[h] for h in head_vars), default=0) + 1)
-        blockers = [v for v in order[:ob_depth]
-                    if v not in key_set and v not in pinned]
-        if blockers:
-            raise ValueError(
-                f"variable order {order} interleaves unpinned non-key "
-                f"variables {blockers} before the last ORDER BY variable; "
-                "any-k enumeration needs the sort keys as a prefix"
-            )
-        blockers = [v for v in order[ob_depth:emit_depth]
-                    if v not in head_set and v not in pinned]
-        if blockers:
-            raise ValueError(
-                f"variable order {order} interleaves unpinned non-head "
-                f"variables {blockers} before the last head variable; "
-                "any-k emission needs the head as a prefix"
-            )
+        head_vars = tuple(head) if head is not None else query.variables
+        position = {v: i for i, v in enumerate(order)}
+        key_depth = layout.key_depth
 
         # One ranking-semiring eliminator per frontier depth: the depth-d
         # eliminator folds the subtree below a d-prefix binding into the
@@ -575,7 +550,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
         # eliminator, whose absorbing element keeps subtree checks at
         # one-witness cost.
         rank_eliminators: dict[int, Callable[[int], list | None]] = {}
-        for start in range(1, ob_depth):
+        for start in range(1, key_depth):
             suffix = tuple((p, v, descending)
                            for p, (v, descending) in enumerate(keys)
                            if position[v] >= start)
@@ -607,10 +582,7 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                 lift_needs={v for _p, v, _d in suffix},
                 lift_factors=((frozenset(v for _p, v, _d in suffix),
                                suffix_partial),))
-        exists = (make_eliminator(ob_depth, (BOOLEAN,),
-                                  (lambda: BOOLEAN.lift(None),),
-                                  lift_factors=_BOOLEAN_FACTORS)
-                  if ob_depth < n else None)
+        exists = exists_below(key_depth) if key_depth < n else None
 
         def frontier_priority(depth: int) -> tuple | None:
             """The exact best full sort key reachable under the current
@@ -649,24 +621,11 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                                               depth + 1, prefix + (value,)))
                 del binding[variable]
 
-        def tie_class(depth: int, tie_class: Callable) -> Iterator[tuple]:
-            """Head rows of one popped key class (depths ``ob_depth`` to
-            ``emit_depth``), existential tail collapsed per row."""
-            if depth == emit_depth:
-                if emit_depth < n and exists(emit_depth) is None:
-                    return
-                yield tuple(binding[h] for h in head_vars)
-                return
-            variable = order[depth]
-            if counter is not None:
-                counter.charge(search_nodes=1)
-                if detail:
-                    counter.attribute(node_labels[variable])
-            for value in candidates_for(variable):
-                binding[variable] = value
-                if passes(depth):
-                    yield from tie_class(depth + 1, tie_class)
-                del binding[variable]
+        def class_row() -> tuple | None:
+            """One head row of a popped key class, its tail collapsed."""
+            if stop < n and exists(stop) is None:
+                return None
+            return tuple(binding[h] for h in head_vars)
 
         expand(0)
         while heap:
@@ -677,11 +636,11 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             # re-seat the cursors along the restored prefix.
             for variable in order[:depth]:
                 nodes_at(variable)
-            if depth == ob_depth:
+            if depth == key_depth:
                 # Distinct pops carry distinct keys (the key variables are
                 # the only branching prefix variables), so one pop is one
                 # whole tie class: emit it in the drain tie-break order.
-                rows = sorted(tie_class(depth, tie_class))
+                rows = sorted(walk(depth, stop, class_row, walk))
                 binding.clear()
                 for row in rows:
                     if counter is not None:
@@ -697,19 +656,6 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
     # ------------------------------------------------------------------
     if aggregates is not None:
         group = tuple(head or ())
-        missing = [g for g in group if g not in position]
-        if missing:
-            raise ValueError(f"group variables {missing} are not query variables")
-        group_set = set(group)
-        agg_start = max((position[g] for g in group), default=-1) + 1
-        blockers = [v for v in order[:agg_start]
-                    if v not in group_set and v not in pinned]
-        if blockers:
-            raise ValueError(
-                f"variable order {order} interleaves unpinned non-group "
-                f"variables {blockers} before the last group variable; "
-                "in-recursion aggregation needs the group as a prefix"
-            )
         semirings = [agg.semiring() for agg in aggregates]
         lifts = [
             (lambda sr=sr: sr.lift(None)) if agg.var is None
@@ -728,11 +674,11 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
               lift if subset else (lambda _one=sr.one: _one)))
             for agg, sr, lift in zip(aggregates, semirings, lifts)
         ]
-        eliminate = make_eliminator(agg_start, semirings, lifts,
+        eliminate = make_eliminator(stop, semirings, lifts,
                                     lift_factors=lift_factors)
 
-        def emit_group() -> tuple | None:
-            values = eliminate(agg_start)
+        def group_row() -> tuple | None:
+            values = eliminate(stop)
             if values is None:
                 return None
             if counter is not None:
@@ -740,26 +686,8 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             return (tuple(binding[g] for g in group)
                     + tuple(sr.finish(v) for sr, v in zip(semirings, values)))
 
-        def group_recurse(depth: int,
-                          group_recurse: Callable) -> Iterator[tuple]:
-            if depth == agg_start:
-                row = emit_group()
-                if row is not None:
-                    yield row
-                return
-            variable = order[depth]
-            if counter is not None:
-                counter.charge(search_nodes=1)
-                if detail:
-                    counter.attribute(node_labels[variable])
-            for value in candidates_for(variable):
-                binding[variable] = value
-                if passes(depth):
-                    yield from group_recurse(depth + 1, group_recurse)
-                del binding[variable]
-
         produced = False
-        for row in group_recurse(0, group_recurse):
+        for row in walk(0, stop, group_row, walk):
             produced = True
             yield row
         if not produced and not group:
@@ -770,70 +698,35 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
         return
 
     # ------------------------------------------------------------------
-    # Projection / full-enumeration mode.
+    # Projection / full-enumeration mode: below ``stop`` an early-distinct
+    # projection's tail is existential (one witness per head tuple); a
+    # guarded order enumerates every full binding behind a seen-set.
     # ------------------------------------------------------------------
-    # Find the depth after which all head variables are bound, and whether
-    # the prefix guarantees distinct head tuples (every non-head variable
-    # in it is pinned to one value by a constant equality), enabling the
-    # boolean-semiring existential tail.
-    if head is not None:
-        head = tuple(head)
-        missing = [h for h in head if h not in position]
-        if missing:
-            raise ValueError(f"head variables {missing} are not query variables")
-        head_set = set(head)
-        prefix_depth = max((position[h] for h in head), default=0) + 1 if head else 0
-        early_distinct = all(v in head_set or v in pinned
-                             for v in order[:prefix_depth])
-    else:
-        prefix_depth = len(order) + 1
-        early_distinct = True
+    emitted = query.variables if head is None else tuple(head)
 
-    if head is not None and early_distinct and prefix_depth < len(order):
-        exists = make_eliminator(prefix_depth, (BOOLEAN,),
-                                 (lambda: BOOLEAN.lift(None),),
-                                 lift_factors=_BOOLEAN_FACTORS)
-    else:
-        exists = None
-
-    def emit() -> tuple:
+    def row() -> tuple:
         if counter is not None:
             counter.charge(tuples_emitted=1)
-        if head is None:
-            return tuple(binding[v] for v in variables)
-        return tuple(binding[h] for h in head)
+        return tuple(binding[v] for v in emitted)
 
-    def recurse(depth: int, recurse: Callable) -> Iterator[tuple]:
-        if exists is not None and depth == prefix_depth:
-            if exists(prefix_depth) is not None:
-                yield emit()
-            return
-        if depth == len(order):
-            yield emit()
-            return
-        variable = order[depth]
-        if counter is not None:
-            counter.charge(search_nodes=1)
-            if detail:
-                counter.attribute(node_labels[variable])
-        for value in candidates_for(variable):
-            binding[variable] = value
-            if passes(depth):
-                yield from recurse(depth + 1, recurse)
-            del binding[variable]
+    if stop < n:
+        exists = exists_below(stop)
 
-    if head is not None and not early_distinct and set(head) != set(variables):
-        # A guarded order interleaves unpinned non-head variables with
-        # the head, so distinctness needs a seen-set.
-        def deduplicated() -> Iterator[tuple]:
-            seen: set[tuple] = set()
-            for projected in recurse(0, recurse):
-                if projected not in seen:
-                    seen.add(projected)
-                    yield projected
-        yield from deduplicated()
+        def leaf() -> tuple | None:
+            return row() if exists(stop) is not None else None
+    elif layout.seen_set:
+        seen: set[tuple] = set()
+
+        def leaf() -> tuple | None:
+            projected = row()
+            if projected in seen:
+                return None
+            seen.add(projected)
+            return projected
     else:
-        yield from recurse(0, recurse)
+        leaf = row
+
+    yield from walk(0, stop, leaf, walk)
 
 
 def hash_probe_intersect(nodes: Sequence[TrieNode],

@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 
+from dataclasses import dataclass
 from typing import Any, Callable, Collection, Sequence
 
 from repro.query.atoms import ConjunctiveQuery
+from repro.query.terms import pinned_constants
 from repro.relational.database import Database
 from repro.relational.statistics import DegreeCatalog, catalog_lookup
 
@@ -362,3 +364,128 @@ def validate_order(query: ConjunctiveQuery, order: Sequence[str]) -> tuple[str, 
             f"variable order {order} is not a permutation of {query.variables}"
         )
     return order
+
+
+@dataclass(frozen=True, eq=False)
+class LevelLayout:
+    """Where a WCOJ plan's variable order changes hands, decided once.
+
+    Theorem 5.1 / Algorithm 3 walks one order a level at a time; the FAQ
+    and any-k extensions change only what happens below a prefix of it.
+    The recursion, the columnar descent, the pricer and ``explain()``
+    read that prefix here: ``stop`` is the depth where enumeration stops
+    and the tail is eliminated or checked for a witness (``len(order)``
+    for a full or seen-set enumeration); ``seen_set`` whether a seen-set
+    deduplicates the head (a guarded order binds an unpinned non-head
+    variable before the last head variable); ``key_depth`` the depth
+    after any-k's last ORDER BY key (0 without keys); ``fires_at`` per
+    selection the shallowest depth binding all its variables.
+    """
+
+    query: ConjunctiveQuery
+    order: tuple[str, ...]
+    selections: tuple
+    stop: int
+    seen_set: bool
+    key_depth: int
+    fires_at: tuple[int, ...]
+
+    def components(self, depth: int) -> tuple[tuple[int, ...], ...]:
+        """The tail's residual components below ``depth`` as sorted order
+        positions: :meth:`repro.query.hypergraph.Hypergraph.
+        residual_components` of the bound prefix, the selections as
+        couplings (a selection's truth couples the variables it reads)."""
+        position = {v: i for i, v in enumerate(self.order)}
+        groups = self.query.hypergraph().residual_components(
+            self.order[:depth],
+            couplings=[sel.variables for sel in self.selections])
+        return tuple(tuple(sorted(position[v] for v in group))
+                     for group in groups)
+
+
+def level_layout(query: ConjunctiveQuery, order: Sequence[str],
+                 selections: Sequence = (),
+                 head: Sequence[str] | None = None,
+                 aggregate: bool = False,
+                 keys: Sequence[str] | None = None) -> LevelLayout:
+    """The :class:`LevelLayout` of a WCOJ plan over ``order``.
+
+    ``head`` is the projection (None: every variable), or the group-by
+    with ``aggregate``; ``keys`` are any-k's ORDER BY variables.  Raises
+    ``ValueError`` for a selection, head, group or key outside the query
+    variables, and for an order that interleaves an unpinned variable
+    into the prefix the plan needs (a plain projection falls back to a
+    seen-set instead).
+    """
+    order = tuple(order)
+    selections = tuple(selections)
+    position = {v: i for i, v in enumerate(order)}
+    fires_at = []
+    for sel in selections:
+        unknown = [v for v in sel.variables if v not in position]
+        if unknown:
+            raise ValueError(
+                f"selection {sel} mentions variables {unknown} "
+                f"outside the query variables {query.variables}"
+            )
+        fires_at.append(max(position[v] for v in sel.variables))
+    pinned = pinned_constants(selections)
+    stop, seen_set, key_depth = len(order), False, 0
+    prefixes = []  # (lo, hi, allowed, role, last variable, what needs it)
+    if keys is not None:
+        if aggregate:
+            raise ValueError(
+                "ranked enumeration does not apply to aggregate heads; "
+                "ordered aggregate queries drain and sort their group rows"
+            )
+        if not keys:
+            raise ValueError("ranked enumeration needs at least one sort key")
+        unknown = [v for v in keys if v not in position]
+        if unknown:
+            raise ValueError(
+                f"ORDER BY variables {unknown} are not query variables")
+        head_vars = tuple(head) if head is not None else query.variables
+        unknown = [h for h in head_vars if h not in position]
+        if unknown:
+            raise ValueError(f"head variables {unknown} are not query variables")
+        stray = sorted(set(keys) - set(head_vars))
+        if stray:
+            raise ValueError(
+                f"ORDER BY variables {stray} are not head variables; "
+                "a row's sort key must be a function of the row"
+            )
+        key_depth = max(position[v] for v in keys) + 1
+        stop = max(key_depth,
+                   max((position[h] for h in head_vars), default=0) + 1)
+        prefixes = [(0, key_depth, keys, "key", "ORDER BY",
+                     "any-k enumeration needs the sort keys as a prefix"),
+                    (key_depth, stop, head_vars, "head", "head",
+                     "any-k emission needs the head as a prefix")]
+    elif aggregate:
+        group = tuple(head or ())
+        missing = [g for g in group if g not in position]
+        if missing:
+            raise ValueError(f"group variables {missing} are not query variables")
+        stop = max((position[g] for g in group), default=-1) + 1
+        prefixes = [(0, stop, group, "group", "group",
+                     "in-recursion aggregation needs the group as a prefix")]
+    elif head is not None:
+        missing = [h for h in head if h not in position]
+        if missing:
+            raise ValueError(f"head variables {missing} are not query variables")
+        prefix = max((position[h] for h in head), default=-1) + 1
+        if all(v in head or v in pinned for v in order[:prefix]):
+            stop = prefix  # every head tuple is distinct by construction
+        else:
+            seen_set = True
+    for lo, hi, allowed, role, last, needs in prefixes:
+        blockers = [v for v in order[lo:hi]
+                    if v not in allowed and v not in pinned]
+        if blockers:
+            raise ValueError(
+                f"variable order {order} interleaves unpinned non-{role} "
+                f"variables {blockers} before the last {last} variable; "
+                f"{needs}"
+            )
+    return LevelLayout(query, order, selections, stop, seen_set, key_depth,
+                       tuple(fires_at))

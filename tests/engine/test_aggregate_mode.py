@@ -36,6 +36,25 @@ def chain_engine(n_a=20, n_b=6, n_c=25) -> Engine:
 GROUP_COUNT = "Q(A, COUNT(*)) :- R(A,B), S(B,C)"
 
 
+def plus_only() -> str:
+    """Register (once per session) and name a plus-only semiring: an
+    aggregate without a product, which no eliminator can factorize."""
+    name = "plusonly_monoid"
+
+    def none_aware_max(a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return max(a, b)
+
+    try:
+        register_semiring(Semiring(name, None, none_aware_max, lambda v: v))
+    except QueryError:
+        pass  # already registered by an earlier test in this session
+    return name
+
+
 class TestPlanner:
     def test_group_prefix_then_width_minimizing_tail(self):
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C"))])
@@ -172,6 +191,64 @@ class TestExplain:
         explanation = engine.explain(GROUP_COUNT, mode="generic")
         assert explanation.variable_order[0] == "A"
 
+    @pytest.mark.parametrize("query, elimination, selections", [
+        # A star tail splits into one component per arm.
+        ("Q(A, COUNT(*)) :- R(A,B), S(A,C)", (
+            "A — group-by prefix (depth 0)",
+            "B — eliminated in-recursion at depth 1, folded into COUNT "
+            "(component 1/2)",
+            "C — eliminated in-recursion at depth 2, folded into COUNT "
+            "(component 2/2)",
+            "tail factorizes into 2 independent components ({B}; {C}); "
+            "per-component memoized folds combine with the semiring "
+            "product"), ()),
+        # A selection glues the arms it reads into one component.
+        ("Q(A, MIN(C) AS m) :- R(A,B), S(A,C), R(A,D), B < D", (
+            "A — group-by prefix (depth 0)",
+            "B — eliminated in-recursion at depth 1, folded into MIN "
+            "(component 1/2)",
+            "D — eliminated in-recursion at depth 2, folded into MIN "
+            "(component 1/2)",
+            "C — eliminated in-recursion at depth 3, folded into MIN "
+            "(component 2/2)",
+            "tail factorizes into 2 independent components ({B, D}; {C}); "
+            "per-component memoized folds combine with the semiring "
+            "product"),
+         ("B < D — pruned at depth 2 (variable D) of the join recursion",)),
+        ("Q(A, COUNT(*)) :- R(A,B), S(A,C), B < C", (
+            "A — group-by prefix (depth 0)",
+            "B — eliminated in-recursion at depth 1, folded into COUNT",
+            "C — eliminated in-recursion at depth 2, folded into COUNT"),
+         ("B < C — pruned at depth 2 (variable C) of the join recursion",)),
+        # Group-free: the pinned variable is eliminated with the rest.
+        ("Q(COUNT(*)) :- R(A,B), S(A,C), A == 3", (
+            "A — eliminated in-recursion at depth 0, folded into COUNT",
+            "B — eliminated in-recursion at depth 1, folded into COUNT",
+            "C — eliminated in-recursion at depth 2, folded into COUNT"),
+         ("A == 3 — pruned at depth 0 (variable A) of the join recursion",)),
+        ("Q(A, COUNT(*)) :- R(A,B), S(B,C), B == 2", (
+            "B — constant-pinned prefix (depth 0)",
+            "A — group-by prefix (depth 1)",
+            "C — eliminated in-recursion at depth 2, folded into COUNT"),
+         ("B == 2 — pruned at depth 0 (variable B) of the join recursion",)),
+        # A plus-only semiring cannot combine components: monolithic.
+        (lambda: Query([Atom("R", ("A", "B")), Atom("S", ("A", "C"))],
+                       head=("A",),
+                       aggregates=[Aggregate(plus_only(), "C", "m")]), (
+            "A — group-by prefix (depth 0)",
+            "B — eliminated in-recursion at depth 1, folded into "
+            "PLUSONLY_MONOID",
+            "C — eliminated in-recursion at depth 2, folded into "
+            "PLUSONLY_MONOID"), ()),
+    ], ids=["star", "glued", "glued_whole", "group_free_pinned",
+            "pinned_prefix", "product_less"])
+    def test_recursion_lines_pinned(self, query, elimination, selections):
+        explanation = chain_engine().explain(
+            query() if callable(query) else query, mode="generic",
+            aggregate_mode="recursion")
+        assert explanation.elimination == elimination
+        assert explanation.pushed_selections == selections
+
 
 class TestPlanCache:
     def test_isomorphic_aggregate_queries_share_plans(self):
@@ -208,20 +285,7 @@ class TestJoinsLayer:
                 aggregates=[Aggregate("count", None, "n")]))
 
     def test_yannakakis_in_pass_requires_product_semiring(self):
-        name = "plusonly_monoid"
-
-        def none_aware_max(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return max(a, b)
-
-        try:
-            register_semiring(Semiring(name, None, none_aware_max,
-                                       lambda v: v))
-        except QueryError:
-            pass  # already registered by an earlier test in this session
+        name = plus_only()
         R = Relation("R", ("a", "b"), [(1, 2)])
         S = Relation("S", ("b", "c"), [(2, 3)])
         db = Database([R, S])
