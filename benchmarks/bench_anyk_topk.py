@@ -4,14 +4,17 @@
 top-1 paid the same as top-everything.  The any-k ranked mode enumerates
 results in sort order straight out of the join — the ranking-semiring
 best-suffix bounds plus a priority frontier (Tziavelis et al., "Optimal
-Join Algorithms Meet Top-k") — so the work is the bottom-up existence /
-bound DP plus k tie classes, not the join.
+Join Algorithms Meet Top-k") — so the work is the pops the frontier
+makes plus k tie classes, not the join: a level's siblings are already
+in key order, so a pop pushes only its next sibling, and a best-suffix
+bound or existence check is computed for the candidates pushed, not for
+every candidate of the level.
 
 The instance is the skewed acyclic chain of the aggregate-pushdown
 benchmark: every A sees every B and one hub B carries almost all of S's
 fan-out, so the full-head join has many (B, A) prefixes that drain must
 enumerate before its heap sees a single row, while any-k pays one
-saturating existence check per candidate sort key.  The gap is recorded
+saturating existence check per pushed sort key.  The gap is recorded
 as the ratio of join search nodes at k ∈ {1, 10, 100} and gated at k = 1.
 The emitted ranked prefixes are asserted identical across both modes and
 all any-k-capable executors; forced Yannakakis any-k's total operations

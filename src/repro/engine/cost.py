@@ -427,6 +427,63 @@ def _recursion_ops(levels: Sequence[tuple[float, float, int, float]],
         e + w * (k if fan_in else 1) for e, w, k, _thin in levels))
 
 
+def _anyk_ops(instance: _Instance, layout: LevelLayout,
+              levels: Sequence[tuple[float, float, int, float]],
+              results: float, limit: int) -> float:
+    """Counted operations of the any-k frontier stopping after ``limit``
+    rows, over the ranked ``layout``; ``levels`` are its eliminators'
+    simulated levels (memo scopes from the root's children on).
+
+    A frontier level pushes one sibling at a time, since its siblings are
+    in priority order already.  The pops that reach a level are the
+    distinct prefixes among the first ``limit`` rows, plus one (at most
+    ``limit`` plus the depth); each pays one intersection there and a
+    push of its first child, and each pop pushes its next sibling.  A
+    push examines candidates until one has a completion: the inverse of
+    the level's completing share (the full join's rows per binding that
+    survives the level's intersection, the thinning share), each at the
+    eliminator's per-binding share below — the memoized best-suffix walk
+    above the last key, the saturating witness search below it.  Every
+    popped key class walks the rest of the head.
+    """
+    order, key_depth, stop = layout.order, layout.key_depth, layout.stop
+    n = len(order)
+    full = simulate_levels(instance, order)
+    reach = [level[0] for level in full] + [full[-1][1]]
+    candidates = [examined / max(evaluations, 1.0)
+                  for evaluations, examined, _atoms, _thin in full]
+    siblings = [max(1.0, min(candidates[depth], max(examined * thinning, 1.0)
+                             / max(results, 1e-9)))
+                for depth, (_e, examined, _atoms, thinning) in enumerate(full)]
+    walked = [0.0] * (n + 1)   # the memoized walk below each depth
+    witness = [0.0] * (n + 1)  # one saturating witness search from it
+    for depth in range(n - 1, -1, -1):
+        walked[depth] = walked[depth + 1] + levels[depth][0] + levels[depth][1]
+        witness[depth] = min(walked[depth] / max(reach[depth], 1.0),
+                             1.0 + candidates[depth]
+                             + siblings[depth] * witness[depth + 1])
+
+    def pops(depth: int) -> float:
+        rows = max(results / max(reach[depth], 1.0), 1.0)
+        return min(reach[depth], 1.0 + limit / rows) if depth else 1.0
+
+    def priority(depth: int) -> float:
+        if depth == key_depth:
+            return witness[depth]
+        return walked[depth] / max(reach[depth], 1.0)
+
+    classes = pops(key_depth)
+    head_walk = sum(full[depth][0] + full[depth][1]
+                    for depth in range(key_depth, stop))
+    ops = limit + classes * (head_walk + reach[stop] * witness[stop]) / max(
+        reach[key_depth], 1.0)
+    for depth in range(key_depth):
+        ops += (pops(depth) * (1.0 + candidates[depth])
+                + (pops(depth) + pops(depth + 1)) * siblings[depth]
+                * priority(depth + 1))
+    return ops
+
+
 class _Variant(NamedTuple):
     """One way to run the recursion: the level layout the executor will
     actually use (its order, where enumeration stops, whether a seen-set
@@ -750,25 +807,29 @@ def _estimate(query: ConjunctiveQuery, database: Database,
               agg_plan: dict | None, ranked_plan: dict | None,
               limit: int | None,
               ) -> tuple[dict[str, _Candidate], dict[str, float],
-                         Callable[[str], float], tuple[str, ...]]:
+                         dict[str, _Candidate], Callable[[str], float],
+                         tuple[str, ...]]:
     """Price the strategies in ``names`` in predicted milliseconds: a
     candidate for each one that can run the request (a name is absent
     when it cannot: Yannakakis on a cyclic query, or a strategy without
     the forced in-the-join mode), the informational cost entries, the
-    columnar pricer (strategy -> ms for the variant that strategy
-    resolved to), and the order a plain enumeration runs
-    (:func:`_plain_plan`'s choice).  A strategy outside ``names`` is not
-    priced at all: no binary simulation, hybrid partition or naive
-    rescan unless asked for.
+    candidate the columnar kernel runs for each recursion strategy (its
+    drain where python resolved to any-k, which the kernel lacks, unless
+    any-k is forced) and the kernel's pricer (strategy -> ms of that
+    run), and the order a plain enumeration runs (:func:`_plain_plan`'s
+    choice).  A strategy outside ``names`` is not priced at all: no
+    binary simulation, hybrid partition or naive rescan unless asked for.
 
     Every recursion variant — plain, in-recursion aggregation, any-k, the
     columnar descent — is the same :func:`simulate_levels` walk over the
-    order *it* runs, under its own scopes.  *Any-k* pays the best-suffix
-    DP below the first level plus one root-to-leaf delay per surfaced
-    result; without a LIMIT every result must surface, so it pays the
-    drain on top and auto resolves to drain.  A group-by keeping every
-    variable eliminates nothing: both aggregate modes walk the same
-    levels, and only the fold pays the engine's fold over every row.
+    order *it* runs, under its own scopes.  *Any-k* under a LIMIT pays
+    the pops its lazy frontier makes (:func:`_anyk_ops`), at most the
+    eager price: the best-suffix DP below the first level plus one
+    root-to-leaf delay per surfaced result.  Without a LIMIT every
+    result must surface, so it pays that price and the drain on top, and
+    auto resolves to drain.  A group-by keeping every variable eliminates
+    nothing: both aggregate modes walk the same levels, and only the fold
+    pays the engine's fold over every row.
     """
     total = float(sum(c.cardinality for c in instance.catalogs))
     n = len(query.variables)
@@ -782,7 +843,8 @@ def _estimate(query: ConjunctiveQuery, database: Database,
         # The frontier prices an eliminator below every level from the
         # root's children on, wherever its keys end.
         inner = _Variant(level_layout(
-            instance.query, ranked_plan["order"], selections), 1)
+            instance.query, ranked_plan["order"], selections, group or None,
+            keys=[v for v, _d in ranked_plan["keys"]]), 1)
     elif agg_plan is not None:
         axis, forced = "aggregate_mode", axes.aggregate_mode
         prefer_inner = agg_plan["has_elimination"]
@@ -803,8 +865,14 @@ def _estimate(query: ConjunctiveQuery, database: Database,
 
     def recursion_ops(variant: _Variant, fan_in: bool = False,
                       memo: bool = True) -> float:
-        return _capped(_recursion_ops(*walk(variant, memo), agm, fan_in)
-                       + (pops if variant is inner else 0.0))
+        levels, emitted = walk(variant, memo)
+        ops = _recursion_ops(levels, emitted, agm, fan_in)
+        if variant is not inner:
+            return _capped(ops)
+        if ranked_plan is None or limit is None:
+            return _capped(ops + pops)
+        return _capped(min(ops + pops, _anyk_ops(
+            instance, variant.layout, levels, results, limit)))
 
     if ranked_plan is not None:
         pops = n * limit if limit is not None else recursion_ops(outer)
@@ -830,7 +898,7 @@ def _estimate(query: ConjunctiveQuery, database: Database,
 
     candidates: dict[str, _Candidate] = {}
     info: dict[str, float] = dict(plain.priced)
-    resolved: dict[str, _Variant] = {}
+    kernel: dict[str, tuple[_Candidate, _Variant]] = {}
     # The recursion and Yannakakis can also run in the join: in-recursion
     # or in-pass aggregation (Yannakakis' needs product semirings), the
     # any-k frontier or annotated join-tree expansion.  Leapfrog is the
@@ -857,12 +925,19 @@ def _estimate(query: ConjunctiveQuery, database: Database,
                 inner_ok=recursion or tree_inner_ok)
             if mode is None:
                 continue
-        resolved[name] = variants[mode]
         candidates[name] = _Candidate(cost[mode], ops[mode],
                                       **({axis: mode} if axis else {}))
+        if recursion:
+            # The columnar kernel has no any-k: unless it is forced, the
+            # kernel runs the drain of a recursion resolved to it.
+            run = (outer_name if axis == "ranked_mode" and mode == inner_name
+                   and forced != inner_name else mode)
+            kernel[name] = (_Candidate(cost[run], ops[run],
+                                       **({axis: run} if axis else {})),
+                            variants[run])
     if "generic" in candidates:
         candidates["leapfrog"] = candidates["generic"]
-        resolved["leapfrog"] = resolved["generic"]
+        kernel["leapfrog"] = kernel["generic"]
 
     # The materializing, naive and hybrid strategies run only the
     # above-the-join variant (the hybrid's sides stream full core tuples,
@@ -900,16 +975,19 @@ def _estimate(query: ConjunctiveQuery, database: Database,
                 **({axis: outer_name} if axis else {}))
 
     def columnar_ms(name: str) -> float:
-        """The same levels without the separator memo, one seek per
-        intersected atom, plus the kernel's fixed cost per level."""
-        return (ms("columnar", recursion_ops(resolved[name], True, False),
-                   candidates[name].aggregate_mode or "")
+        """The kernel's run of ``name``: the same levels without the
+        separator memo, one seek per intersected atom, plus the kernel's
+        fixed cost per level."""
+        run, variant = kernel[name]
+        return (ms("columnar", recursion_ops(variant, True, False),
+                   run.aggregate_mode or "")
                 + 1000.0 * n * COST_TABLE["columnar.level"])
 
     info["build[trie]"] = ms("trie.row", total)
     info["build[layout]"] = ms("layout.row", total)
     asked = {name: candidates[name] for name in names if name in candidates}
-    return asked, info, columnar_ms, plain.variant.layout.order
+    runs = {name: run for name, (run, _variant) in kernel.items()}
+    return asked, info, runs, columnar_ms, plain.variant.layout.order
 
 
 def _payload_for(strategy: str, candidate: _Candidate,
@@ -1024,7 +1102,7 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     hybrid_plan = (plan_hybrid(query, database, registry)
                    if "hybrid" in names else None)
     instance = _instance(query, database, selections, registry)
-    candidates, costs, columnar_ms, plain_order = _estimate(
+    candidates, costs, kernel_runs, columnar_ms, plain_order = _estimate(
         query, database, instance, selections, group, bound.bound, acyclic,
         names, binary_order, hybrid_plan, axes, agg_plan, ranked_plan, limit)
     for name in names:
@@ -1057,10 +1135,11 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     capable = [s for s in COLUMNAR_CAPABLE if s in candidates]
     candidate = (min(capable, key=lambda s: (costs[s], STRATEGIES.index(s)))
                  if capable else strategy)
+    kernel = kernel_runs[candidate] if capable else candidates[candidate]
     columnar_reason = (
         columnar_unsupported_reason(
             selections=selections, aggregates=aggregates,
-            ranked_mode=candidates[candidate].ranked_mode)
+            ranked_mode=kernel.ranked_mode)
         if capable else
         f"strategy {strategy!r} has no columnar implementation")
     if columnar_reason is not None or costs[candidate] == math.inf:
@@ -1081,6 +1160,11 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         else:
             backend_fallback = "python backend priced cheaper"
     chosen = candidates[strategy]
+    if backend_resolved == "columnar" and kernel != chosen:
+        # The kernel drains what python would run as any-k: the plan
+        # reports the drain's price.
+        chosen = kernel
+        costs[strategy], costs[f"ops[{strategy}]"] = chosen.cost, chosen.ops
     ranked_resolved = chosen.ranked_mode
     if order_by and ranked_resolved is None:
         ranked_resolved = "drain"  # ordered aggregate queries

@@ -172,16 +172,23 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
     (:func:`repro.query.semiring.ranking_semiring`) compute, per
     separator and bottom-up, the lexicographically best sort-key suffix
     any completion of a prefix binding can achieve; a priority frontier
-    (Lawler/REA-style successor expansion) then pops prefix bindings by
-    ``bound key components + best-suffix bound`` — an exact bound, so
-    pops occur in final-key order — and each popped complete key class
-    is emitted in the drain tie-break order (ascending full row).
-    ``order`` must keep the key variables as a prefix (after pinned
-    variables, before the remaining head variables); the ranked planner
-    (:func:`repro.query.variable_order.ranked_order`) constructs such
-    orders.  Abandoning the iterator after k results abandons the
-    frontier, which is what bounds ``ORDER BY ... LIMIT k`` by the
-    bottom-up DP plus k delays instead of the full join.
+    then pops prefix bindings by ``bound key components + best-suffix
+    bound`` — an exact bound, so pops occur in final-key order — and
+    each popped complete key class is emitted in the drain tie-break
+    order (ascending full row).  ``order`` must keep the key variables
+    as a prefix (after pinned variables, before the remaining head
+    variables); the ranked planner (:func:`repro.query.variable_order.
+    ranked_order`) constructs such orders.  At a level binding sort key
+    p below keys 0..p-1 — every frontier level of a planner order, a
+    pinned one holding a single candidate — the siblings are already in
+    priority order, so the frontier pushes them lazily: a level's first
+    surviving candidate when its parent is popped, and a popped entry's
+    next sibling as its successor.  The first row then costs the pops
+    down the key levels and the eliminators below the candidates they
+    examine, whatever k is; abandoning the iterator after k results
+    abandons the frontier, so ``ORDER BY ... LIMIT k`` pays for the pops
+    it makes instead of the full join.  A hand-given order that binds a
+    later key first pushes every candidate of that level at once.
 
     Yields tuples over ``query.variables`` (or ``head`` / the aggregate
     row shape); because the recursion suspends at every ``yield``,
@@ -602,8 +609,42 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                 return None
             return tuple(components)
 
+        # A frontier level whose variable is sort key p, with keys
+        # 0..p-1 bound above it, has its siblings in priority order
+        # already: they share every earlier key component and differ
+        # first at component p, so the intersection's sorted candidates
+        # are the priority order (reversed for a DESC key).  A pinned
+        # level has at most one candidate.  Such a level pushes one
+        # sibling at a time; a hand-given order that binds a later key
+        # first pushes every candidate of the level at once.
+        steps = {position[v]: 1 for v in pinned if position[v] < key_depth}
+        for p, (v, descending) in enumerate(keys):
+            if all(position[u] < position[v] for u, _d in keys[:p]):
+                steps[position[v]] = -1 if descending else 1
+
         heap: list = []
         tick = itertools.count()  # heap tiebreak; bindings never compare
+
+        def push(depth: int, prefix: tuple, candidates: list, index: int,
+                 step: int | None) -> None:
+            """Walk ``candidates`` from ``index`` by ``step`` and push the
+            values that pass the level's selections and have a
+            completion: at a lazy level only the first, with the cursor
+            its pop resumes from; at an eager level (``step`` None,
+            walked forward) all of them."""
+            variable = order[depth]
+            while 0 <= index < len(candidates):
+                value = candidates[index]
+                index += step or 1
+                binding[variable] = value
+                if passes(depth):
+                    priority = frontier_priority(depth + 1)
+                    if priority is not None:
+                        heapq.heappush(heap, (
+                            priority, next(tick), depth + 1, prefix + (value,),
+                            None if step is None else (candidates, index, step)))
+                        if step is not None:
+                            return
 
         def expand(depth: int) -> None:
             variable = order[depth]
@@ -611,15 +652,10 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                 counter.charge(search_nodes=1)
                 if detail:
                     counter.attribute(node_labels[variable])
-            prefix = tuple(binding[v] for v in order[:depth])
-            for value in candidates_for(variable):
-                binding[variable] = value
-                if passes(depth):
-                    priority = frontier_priority(depth + 1)
-                    if priority is not None:
-                        heapq.heappush(heap, (priority, next(tick),
-                                              depth + 1, prefix + (value,)))
-                del binding[variable]
+            candidates = candidates_for(variable)
+            step = steps.get(depth)
+            push(depth, tuple(binding[v] for v in order[:depth]), candidates,
+                 len(candidates) - 1 if step == -1 else 0, step)
 
         def class_row() -> tuple | None:
             """One head row of a popped key class, its tail collapsed."""
@@ -629,13 +665,19 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
 
         expand(0)
         while heap:
-            _priority, _tick, depth, values = heapq.heappop(heap)
+            _priority, _tick, depth, values, siblings = heapq.heappop(heap)
             binding.clear()
             binding.update(zip(order[:depth], values))
             # The one binding that does not come from the level above:
             # re-seat the cursors along the restored prefix.
             for variable in order[:depth]:
                 nodes_at(variable)
+            if siblings is not None:
+                # The popped entry's successor among its siblings: every
+                # sibling after it ranks no better, so it enters the
+                # frontier only now.
+                push(depth - 1, values[:-1], *siblings)
+                binding[order[depth - 1]] = values[-1]
             if depth == key_depth:
                 # Distinct pops carry distinct keys (the key variables are
                 # the only branching prefix variables), so one pop is one

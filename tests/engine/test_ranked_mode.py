@@ -10,10 +10,12 @@ behaviour across modes, the per-call-limit / query-ORDER-BY interaction
 surface of forced modes.
 """
 
+import math
 import random
 
 import pytest
 
+from repro.datagen.graphs import erdos_renyi_graph
 from repro.engine import Engine
 from repro.engine.cost import dispatch
 from repro.errors import QueryError
@@ -64,6 +66,18 @@ def skewed_engine(groups: int = 60, hubs: int = 40,
     s_rows += [(b, c) for b in range(1, hubs) for c in range(2)]
     s = Relation("S", ("b", "c"), s_rows)
     return Engine(relations=[r, s], cache_results=False)
+
+
+#: The star of the end-to-end benchmark's ``star_top``, at any LIMIT.
+STAR_TOP = "Q(A,B,C,D) :- R(A,B), T(A,C), V(D,A) ORDER BY B DESC, A LIMIT {k}"
+
+
+def star_top_engine() -> Engine:
+    return Engine(relations=[
+        erdos_renyi_graph(200, 600, seed=seed, name=name, attributes=attrs)
+        for seed, (name, attrs) in enumerate(
+            (("R", ("a", "b")), ("T", ("a", "c")), ("V", ("d", "a"))))],
+        cache_results=False)
 
 
 class TestRankedPlanner:
@@ -195,6 +209,25 @@ class TestDelayShape:
                            counter=drain))
         assert counter.search_nodes < drain.search_nodes / 10
 
+    @pytest.mark.parametrize("mode", ["generic", "leapfrog"])
+    def test_first_row_work_does_not_depend_on_k(self, mode):
+        # A frontier level pushes one sibling at a time, so the first row
+        # costs the pops down the key levels, not a best-suffix bound for
+        # every root candidate B.
+        engine = star_top_engine()
+        roots = len({b for _a, b in engine.database.get("R")})
+        first_rows = {}
+        for k in (1, 10, 100):
+            query = STAR_TOP.format(k=k)
+            list(engine.stream(query, mode=mode, ranked_mode="anyk"))
+            counter = OperationCounter()
+            stream = engine.stream(query, mode=mode, ranked_mode="anyk",
+                                   counter=counter)
+            first = next(stream)
+            first_rows[k] = (first, counter.as_dict())
+            assert counter.search_nodes < roots
+        assert first_rows[1] == first_rows[10] == first_rows[100]
+
 
 class TestLimitOrderByInteraction:
     """Per-call ``limit`` + query-carried ORDER BY: ordering always wins.
@@ -311,6 +344,24 @@ class TestDispatchAndExplain:
         assert decision.ranked_mode in ("anyk", "drain")
         decision = dispatch(q, db)
         assert decision.ranked_mode is None
+
+    def test_columnar_request_runs_the_kernels_drain(self):
+        # The kernel has no any-k: where python resolves Generic-Join to
+        # any-k, a columnar request runs the same strategy's drain there
+        # instead of falling back to python.
+        engine = star_top_engine()
+        query = STAR_TOP.format(k=10)
+        python = engine.explain(query)
+        assert (python.strategy, python.ranked_mode) == ("generic", "anyk")
+        columnar = engine.explain(query, backend="columnar")
+        assert (columnar.strategy, columnar.ranked_mode,
+                columnar.backend) == ("generic", "drain", "columnar")
+        assert columnar.costs["backend[columnar]"] < math.inf
+        assert (engine.execute(query, backend="columnar").tuples
+                == engine.execute(query).tuples)
+        forced = engine.explain(query, backend="columnar", ranked_mode="anyk")
+        assert forced.backend == "python"
+        assert "any-k" in forced.backend_fallback
 
     def test_sparse_path_top_k_runs_ranked_yannakakis_on_python(self):
         # Every vertex has out- and in-degree 3, like the e2e benchmark's

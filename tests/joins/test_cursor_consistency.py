@@ -73,6 +73,28 @@ class TestAnyKHeapPops:
                               ranked=keys))
             assert got == expected
 
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("order", [("B", "A", "C", "D"),
+                                       ("A", "B", "C", "D")])
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_shallower_pop_reseats_below_for_its_sibling(self, stream, seed,
+                                                         order, descending):
+        # B, A, C binds the keys in ORDER BY sequence: every level pushes
+        # one sibling at a time.  A, B, C pushes every A at once and the
+        # rest lazily.  Either way, after the last class under one prefix
+        # the next pop is shallower than the one before it, and popping
+        # it pushes its own sibling: that sibling's best suffix is walked
+        # from cursors the deeper pops left under another prefix.
+        database = deep_database(seed)
+        head = ("A", "B", "C", "D")
+        keys = [("B", descending), ("A", False), ("C", not descending)]
+        expected = sort_rows(naive_rows(DEEP, database, head), head, keys)
+        got = list(stream(DEEP, database, order=order, head=head,
+                          ranked=keys))
+        assert got == expected
+        assert len({row[1] for row in got}) > 2  # pops moved between Bs
+
     @pytest.mark.parametrize("seed", range(3))
     def test_projected_head_with_existential_tail(self, seed):
         database = deep_database(seed)

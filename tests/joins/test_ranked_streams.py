@@ -120,6 +120,55 @@ class TestWcojRanked:
         stream.close()
         assert got == want[:3]
 
+    # Frontier levels whose siblings are already in priority order push
+    # one sibling at a time; a hand-given order that binds a later key
+    # first pushes every candidate of its level.  Either way any-k is the
+    # drain, row for row, at every LIMIT.
+    @pytest.mark.parametrize("stream", [generic_join_stream, leapfrog_stream])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("keys, order, head, selections", [
+        ([("A", False), ("C", True)], ("A", "C", "B", "D"),
+         ("A", "B", "C", "D"), ()),
+        ([("C", True), ("A", True)], ("C", "A", "B", "D"),
+         ("A", "C"), ()),
+        ([("B", True), ("D", False)], ("B", "D", "A", "C"),
+         ("A", "B", "D"), [comparison("A", "<", "C")]),
+        ([("C", False), ("A", True)], ("B", "C", "A", "D"),
+         ("A", "C", "D"), [comparison("B", "==", 3)]),
+        ([("D", False), ("A", True)], ("A", "D", "B", "C"),
+         ("A", "B", "C", "D"), ()),  # keys out of ORDER BY sequence
+        ([("C", True), ("B", False), ("A", False)], ("A", "B", "C", "D"),
+         ("A", "B", "C"), [comparison("A", "<", "D")]),
+    ])
+    @pytest.mark.parametrize("limit", [None, 0, 1, 7])
+    def test_lazy_and_eager_frontiers_match_drain(self, stream, seed, keys,
+                                                  order, head, selections,
+                                                  limit):
+        database = random_database(seed, n=8)
+        want = drained(PATH3, database, head, keys, selections)
+        got = list(itertools.islice(
+            stream(PATH3, database, order=order, head=head, ranked=keys,
+                   selections=selections), limit))
+        assert got == want[:limit]
+
+    def test_lazy_frontier_does_no_more_work_than_the_eager_one(self):
+        # The hand-given order binds A (key 1) before D (key 0): A's level
+        # pushes eagerly.  With the keys in ORDER BY sequence both levels
+        # push lazily, and the first row costs a fraction of the work.
+        database = random_database(3, n=30, rows=200)
+        keys = [("D", True), ("A", False)]
+        work = {}
+        for order in (("D", "A", "B", "C"), ("A", "D", "B", "C")):
+            counter = OperationCounter()
+            stream = generic_join_stream(PATH3, database, order=order,
+                                         ranked=keys, counter=counter)
+            first = next(stream)
+            stream.close()
+            work[order] = (first, counter.total())
+        lazy, eager = work[("D", "A", "B", "C")], work[("A", "D", "B", "C")]
+        assert lazy[0] == eager[0]
+        assert lazy[1] < eager[1]
+
 
 class TestWcojRankedContract:
     def test_keys_must_be_query_variables(self):
