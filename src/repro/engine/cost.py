@@ -188,12 +188,12 @@ COST_TABLE = {
 }
 
 #: Counted operations per input tuple of Yannakakis' three entry points
-#: when no pass shrinks anything.  The plain join runs two semijoin
-#: sweeps over both sides of every tree edge.  In-pass aggregation and
-#: any-k run no semijoin sweep: one annotated pass (the annotation scan,
-#: then a ⊕-projected message and a ⊗-join per tree edge); any-k adds
-#: one bucketing of every annotated tuple into its candidate lists, and
-#: its frontier pops are priced on top.  Structure, not speed:
+#: when no pass shrinks anything.  Each runs one annotated pass (the
+#: annotation scan, then a ⊕-projected message and a ⊗-join per tree
+#: edge); the plain walk and any-k bucket every annotated tuple into
+#: candidate lists and pay their search nodes / frontier pops on top.
+#: The plain entry keeps its fit to the semijoin sweeps it used to run
+#: (no plan moves before a re-fit).  Structure, not speed:
 #: ``calibrate_costs.py --check`` holds it.
 _TREE_PASSES = {None: 8.0, "recursion": 12.0, "anyk": 5.5}
 
@@ -723,30 +723,34 @@ def plan_hybrid(query: ConjunctiveQuery, database: Database,
 
 
 def _hybrid_ops(query: ConjunctiveQuery, database: Database,
-                hybrid_plan: dict, group: Sequence[str], agm: float,
+                selections: Sequence[Comparison], hybrid_plan: dict,
+                group: Sequence[str], agm: float,
                 ) -> tuple[float, float, float] | None:
     """(partition, heavy-side, light-side) operation counts, or None.
 
     Two heavy/light scan passes over every touched relation; then, under
     per-key residual Yannakakis sub-plans, the touched restrictions are
     scanned once *in total* across keys (they partition the heavy tuples)
-    and each untouched relation once per key — semijoin passes over
+    and each untouched relation once per key — annotated passes over
     ``heavy_total + n_keys * untouched``; a cyclic residual prices one
     whole-side binary sub-plan instead.  The light side is generic join
     simulated on the light instance's own degrees (per-key degree <= t in
-    every touched relation: the whole case for the hybrid).  None when no
-    key is heavy — the light side alone is generic join plus the passes;
-    an empty *light* side is still a plan (a few fat keys, each a residual
+    every touched relation: the whole case for the hybrid) after its
+    single-atom selections, as its executor runs it.  None when no key is
+    heavy — the light side alone is generic join plus the passes; an
+    empty *light* side is still a plan (a few fat keys, each a residual
     sub-plan, beat the recursion).
     """
     part = partition_instance(query, database, hybrid_plan["variable"],
                               hybrid_plan["threshold"])
     if part.heavy_total == 0:
         return None
-    own = catalog_lookup(part.heavy_db), catalog_lookup(part.light_db)
+    light_query, light_db, _residual = filtered_instance(
+        part.light_query, selections, part.light_db)
+    own = catalog_lookup(part.heavy_db), catalog_lookup(light_db)
     heavy, light = (
         _Instance(side, tuple(lookup(atom.relation) for atom in side.atoms))
-        for side, lookup in zip((part.heavy_query, part.light_query), own))
+        for side, lookup in zip((part.heavy_query, light_query), own))
     if hybrid_plan["heavy_strategy"] == "yannakakis":
         untouched = sum(c.cardinality for i, c in enumerate(heavy.catalogs)
                         if i not in part.touched)
@@ -962,7 +966,8 @@ def _estimate(query: ConjunctiveQuery, database: Database,
         if hybrid_plan is not None:
             # Only skewed instances are partitioned (and priced) at all;
             # an unskewed one still runs a forced hybrid, priced inf.
-            sides = (_hybrid_ops(query, database, hybrid_plan, group, agm)
+            sides = (_hybrid_ops(query, database, selections, hybrid_plan,
+                                 group, agm)
                      if hybrid_plan["skewed"] else None)
             flat["hybrid"] = math.inf
             if sides is not None:

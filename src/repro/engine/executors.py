@@ -31,10 +31,10 @@ return:
 Selections are pushed *below* the join everywhere: the WCOJ executors
 prune candidate values inside the join recursion at the depth where each
 predicate's variables are bound; the naive executor prunes partial
-bindings at the earliest covering atom; the materializing executors
-(binary plans, Yannakakis) filter base-relation scans for single-atom
-predicates and apply genuinely cross-atom comparisons during the pairwise
-joins, at the first join that binds both sides.
+bindings at the earliest covering atom; binary plans and Yannakakis
+filter base-relation scans for single-atom predicates and apply genuinely
+cross-atom comparisons at the first pairwise join (binary) or join-tree
+depth (Yannakakis) that binds both sides.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from repro.joins.leapfrog import leapfrog_stream
 from repro.joins.naive import nested_loop_stream
 from repro.joins.plan import execute_plan, left_deep_plan, split_selections
 from repro.joins.yannakakis import (
-    yannakakis,
     yannakakis_aggregate_stream,
     yannakakis_ranked_stream,
+    yannakakis_stream,
 )
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.builder import Query
@@ -369,20 +369,15 @@ class BinaryPlanExecutor(_NoPayloadExecutor):
 class YannakakisExecutor(_NoPayloadExecutor):
     """Yannakakis' acyclic-query algorithm behind the common protocol.
 
-    The payload is empty for plain queries and a mode tag otherwise:
-    ``("recursion", ())`` builds one
-    :class:`repro.joins.yannakakis.AnnotatedJoinTree` — the state IVM
-    maintains — and yields its group rows (semiring product at joins,
-    fold at projections, no semijoin pass, never materializing the join);
-    ``("fold", ())`` materializes the join and leaves the fold to the
-    engine; ``("anyk", ())`` runs the ranked enumeration of
-    :func:`repro.joins.yannakakis.yannakakis_ranked_stream` (the same
-    tree built once in the ordering semiring, no semijoin pass, then a
-    Lawler-style frontier over its candidate lists).
-    Single-atom selections filter the scans first
-    (:func:`filtered_instance`); the cross-atom residue fires at the
-    first join binding it, on complete assignments under any-k, and at
-    the annotated tree's root in-pass.
+    Every mode is one :class:`repro.joins.yannakakis.AnnotatedJoinTree`
+    pass, never a materialized join.  A plain payload (and ``("fold",
+    ())``, whose fold the engine does) walks the support-only tree's
+    candidate lists root-down, so a ``LIMIT`` stops the walk;
+    ``("recursion", ())`` yields the tree's group rows — the state IVM
+    maintains — and ``("anyk", ())`` runs the ranked frontier.  Scans are
+    filtered first (:func:`filtered_instance`); the cross-atom residue
+    fires at the first walk depth binding it, on complete assignments
+    under any-k, and at the root in-pass.
     """
 
     name = "yannakakis"
@@ -400,9 +395,7 @@ class YannakakisExecutor(_NoPayloadExecutor):
             return yannakakis_aggregate_stream(
                 derived, derived_db, spec.head_vars, spec.aggregates,
                 selections=residual, counter=counter)
-        result = yannakakis(derived, derived_db, counter=counter,
-                            selections=residual)
-        rows = iter(result.sorted_tuples())
+        rows = yannakakis_stream(derived, derived_db, residual, counter)
         if spec.aggregates:
             return rows
         return head_projected(spec.core, rows, head=spec.head_vars)

@@ -43,7 +43,7 @@ class OperationCounter:
         Off by default: attribution roughly doubles the bookkeeping on
         the hot recursion.
     breakdown:
-        Labelled attributions (``search_nodes[A]``, ``semijoin.bottom_up
+        Labelled attributions (``search_nodes[A]``, ``messages
         .tuples_scanned``, ...).  Breakdown entries re-slice work already
         charged to the main counters, so they are excluded from
         :meth:`total` and :meth:`as_dict` — unlike :attr:`extra`, whose
@@ -131,8 +131,8 @@ class OperationCounter:
 def phase(counter: OperationCounter | None, label: str) -> Iterator[None]:
     """Attribute every counter delta inside the block to ``label``.
 
-    Used for coarse per-phase breakdowns (Yannakakis' semijoin passes,
-    message passes, frontier expansion): snapshot the known counters on
+    Used for coarse per-phase breakdowns (Yannakakis' annotation scan,
+    message pass, enumeration walk, frontier expansion): snapshot the known counters on
     entry, and on exit write each field's delta into the breakdown as
     ``{label}.{field}``.  A no-op unless ``counter.detail`` is set, so
     undetailed runs pay one branch per phase, not per operation.

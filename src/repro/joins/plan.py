@@ -119,11 +119,9 @@ def apply_covered_selections(relation: Relation, pending: list,
     """Filter by (and consume from ``pending``) every comparison predicate
     the relation's schema covers.
 
-    The shared primitive behind cross-atom selection pushdown in the
-    materializing executors: both the binary-plan executor and Yannakakis
-    call it on base scans and on every pairwise join result, so each
-    predicate fires exactly once, at the first relation binding all its
-    variables.
+    Cross-atom selection pushdown in binary plans: called on base scans
+    and on every pairwise join result, so each predicate fires exactly
+    once, at the first relation binding all its variables.
     """
     covered = [sel for sel in pending
                if sel.variables <= set(relation.schema)]

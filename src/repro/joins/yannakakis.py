@@ -1,41 +1,29 @@
 """Yannakakis' algorithm for alpha-acyclic queries.
 
 The classical counterpoint to WCOJ algorithms: when the query hypergraph is
-alpha-acyclic, a full semijoin reduction along a join tree followed by joins
-in reverse order evaluates the query in O(|D| + |output|) — no pairwise plan
-pathology, no need for multiway intersection.  The paper's separation results
-are precisely about the *cyclic* queries where this classical route is
-unavailable; having Yannakakis in the library lets the optimizer (and the
-experiments) treat the acyclic case with the right tool and makes the
-"cyclic is where WCOJ matters" story executable.
+alpha-acyclic, a join tree evaluates it in O(|D| + |output|) — the paper's
+separation results are about the *cyclic* queries where it cannot.
 
-Beyond the plain join, the module holds the join tree's annotated pass
-and its two uses:
+Every mode is one :class:`AnnotatedJoinTree` — input tuples annotated with
+semiring values, one bottom-up pass of ``⊕``-projected messages
+``⊗``-joined into their parents (AJAR-style early aggregation) — read one
+of three ways, none of which materializes the join:
 
-* cross-atom comparison predicates can be handed to :func:`yannakakis`
-  (``selections``) and are applied *during* the bottom-up joins, at the
-  first join where both sides are bound, instead of filtering the finished
-  output;
-* :class:`AnnotatedJoinTree` is the FAQ aggregate as ⊕/⊗ message passing
-  (AJAR-style early aggregation): each input tuple is annotated with
-  semiring values, join-tree messages are aggregated down to the parent
-  separator before joining (``⊕`` over eliminated variables, ``⊗``
-  across joined tuples), and group-by columns survive to the root — so an
-  acyclic group-by never materializes the join, keeping the output-linear
-  guarantee for the *aggregate* output.  The finished tree is also the
-  state incremental view maintenance (:mod:`repro.ivm`) repairs: a tuple
-  delta re-derives only the messages on the changed leaf's root path with
-  :func:`ann_project` and :func:`ann_join`.
-  :func:`yannakakis_aggregate_stream` builds one over
-  :func:`aggregate_lifts` and yields its rows;
-* :func:`yannakakis_ranked_stream` is the any-k instance of the same pass:
-  one :class:`AnnotatedJoinTree` in the **ordering semiring**
-  (:func:`repro.query.semiring.ranking_semiring`) annotates every tuple
-  with the best sort-key contribution of its join-tree subtree, and a
-  Lawler/REA-style priority frontier expands root-down tuple assignments
-  in exact bound order — ``ORDER BY ... LIMIT k`` emits k rows after one
-  annotated pass, with no semijoin reduction and without materializing
-  the join.
+* :func:`yannakakis_stream` (plain): the pass in the support ring alone
+  drops every tuple with no complete subtree, so its tables, bucketed by
+  parent separator (:func:`candidate_lists`), are walked depth-first
+  root-down without a dead end — the unranked case of any-k: constant
+  delay after one linear pass unless a cross-node predicate prunes.
+  :func:`yannakakis` collects it into a :class:`Relation`;
+  :func:`semijoin_reduce` is the classical full reducer, kept as a
+  reference;
+* :func:`yannakakis_aggregate_stream`: group-by columns survive to the
+  root, whose accumulators are the FAQ aggregate.  The tree is also the
+  state incremental view maintenance (:mod:`repro.ivm`) repairs with
+  :func:`ann_project` and :func:`ann_join`;
+* :func:`yannakakis_ranked_stream` (any-k): the tree in the **ordering
+  semiring** bounds each tuple's best subtree sort key, and a Lawler/REA
+  frontier expands the annotation-sorted candidate lists in exact order.
 """
 
 from __future__ import annotations
@@ -43,15 +31,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
 from repro.joins.instrumentation import OperationCounter, phase
-from repro.joins.plan import (
-    apply_covered_selections,
-    raise_if_pending,
-    split_selections,
-)
+from repro.joins.plan import raise_if_pending, split_selections
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.decomposition import gyo_reduction
 from repro.query.semiring import (
@@ -63,7 +47,7 @@ from repro.query.semiring import (
 )
 from repro.query.terms import Comparison
 from repro.relational.database import Database
-from repro.relational.operators import natural_join, semijoin
+from repro.relational.operators import semijoin
 from repro.relational.relation import Relation
 
 
@@ -104,104 +88,37 @@ def join_tree_of(query: ConjunctiveQuery) -> JoinTree:
     )
 
 
-def _semijoin_passes(relations: dict[str, Relation], tree: JoinTree,
-                     counter: OperationCounter | None) -> None:
-    """The two semijoin passes (bottom-up then top-down), in place.
+def yannakakis(query: ConjunctiveQuery, database: Database,
+               counter: OperationCounter | None = None,
+               selections: Sequence[Comparison] = ()) -> Relation:
+    """Evaluate an alpha-acyclic conjunctive query with Yannakakis'
+    algorithm: :func:`yannakakis_stream` under ``selections`` (it raises
+    :class:`QueryError` on a cyclic query), projected onto the head."""
+    positions = [query.variables.index(h) for h in query.head]
+    return Relation(query.name, query.head, (
+        tuple(t[p] for p in positions)
+        for t in yannakakis_stream(query, database, selections, counter)))
 
-    With a detail counter, each pass attributes its work under
-    ``semijoin.bottom_up`` / ``semijoin.top_down``.
-    """
+
+def semijoin_reduce(query: ConjunctiveQuery, database: Database,
+                    counter: OperationCounter | None = None) -> dict[str, Relation]:
+    """The classical full reducer, per edge key: a bottom-up then a
+    top-down semijoin pass, after which every tuple joins into some output
+    tuple.  No executor runs it (the annotated pass drops dangling tuples
+    by itself); the tests hold the annotated modes to it."""
+    tree = join_tree_of(query)
+    relations = dict(query.bind(database))
     with phase(counter, "semijoin.bottom_up"):
         for node in tree.order:
             par = tree.parent[node]
-            if par is None:
-                continue
-            relations[par] = semijoin(relations[par], relations[node],
-                                      counter=counter)
+            if par is not None:
+                relations[par] = semijoin(relations[par], relations[node],
+                                          counter=counter)
     with phase(counter, "semijoin.top_down"):
         for node in reversed(tree.order):
             for child in tree.children[node]:
                 relations[child] = semijoin(relations[child], relations[node],
                                             counter=counter)
-
-
-def yannakakis(query: ConjunctiveQuery, database: Database,
-               counter: OperationCounter | None = None,
-               selections: Sequence[Comparison] = ()) -> Relation:
-    """Evaluate an alpha-acyclic full conjunctive query with Yannakakis'
-    algorithm.
-
-    Phases:
-
-    1. build a join tree from the GYO reduction;
-    2. bottom-up semijoin pass (children reduce their parents);
-    3. top-down semijoin pass (parents reduce their children);
-    4. join bottom-up; after the two passes every intermediate join result
-       is no larger than the final output times the subtree's contribution,
-       giving the classical O(|D| + |output|) guarantee for full queries.
-
-    ``selections`` (comparison predicates over the query variables, e.g.
-    the cross-atom residue the engine cannot push into a single scan) are
-    applied mid-plan: at the first relation — base or intermediate join
-    result — whose schema covers all their variables, so predicates
-    spanning atoms prune during phase 4 instead of post-filtering the
-    output.
-
-    Raises
-    ------
-    QueryError
-        If the query hypergraph is not alpha-acyclic.
-    """
-    tree = join_tree_of(query)
-    relations = dict(query.bind(database))
-    pending = list(selections)
-    if pending:
-        relations = {key: apply_covered_selections(rel, pending, counter)
-                     for key, rel in relations.items()}
-
-    # Phases 2–3: the semijoin reduction.
-    _semijoin_passes(relations, tree, counter)
-
-    # Phase 4: join bottom-up, firing cross-atom predicates as soon as a
-    # join binds all their variables.
-    with phase(counter, "join"):
-        for node in tree.order:
-            par = tree.parent[node]
-            if par is None:
-                continue
-            joined = natural_join(relations[par], relations[node],
-                                  counter=counter)
-            if pending:
-                joined = apply_covered_selections(joined, pending, counter)
-            if counter is not None:
-                counter.charge(intermediate_tuples=len(joined))
-            relations[par] = joined
-
-    result = relations[tree.root]
-    raise_if_pending(pending, query)
-    variables = query.variables
-    missing = [v for v in variables if v not in result.schema]
-    if missing:
-        raise QueryError(
-            f"internal error: join tree result is missing variables {missing}"
-        )
-    ordered = result.reorder(variables, name=query.name)
-    if tuple(query.head) != tuple(variables):
-        ordered = ordered.project(query.head, name=query.name)
-    return ordered
-
-
-def semijoin_reduce(query: ConjunctiveQuery, database: Database,
-                    counter: OperationCounter | None = None) -> dict[str, Relation]:
-    """The full (bottom-up + top-down) semijoin reduction only.
-
-    Returns the reduced relation per edge key.  After this pass every
-    remaining tuple participates in at least one output tuple (for acyclic
-    queries), which is the precondition for output-linear join evaluation.
-    """
-    tree = join_tree_of(query)
-    relations = dict(query.bind(database))
-    _semijoin_passes(relations, tree, counter)
     return relations
 
 
@@ -384,7 +301,7 @@ class AnnotatedJoinTree:
     * ``lifts[edge]`` maps a base tuple of that node to its annotation
       coordinates, one per entry of ``semirings`` (:func:`aggregate_lifts`
       builds them for aggregates, :func:`yannakakis_ranked_stream` for
-      sort keys);
+      sort keys; :func:`yannakakis_stream` lifts none);
     * every annotation vector starts with a hidden **support** coordinate
       (the COUNT ring): the number of join assignments behind a message
       entry or group, so a repair can tell "cancelled to zero" from "no
@@ -541,8 +458,136 @@ def yannakakis_aggregate_stream(query: ConjunctiveQuery, database: Database,
 
 
 # ----------------------------------------------------------------------
-# Any-k ranked enumeration over the annotated join tree (Lawler/REA).
+# Root-down enumeration over the annotated join tree: plain depth-first
+# and any-k ranked (Lawler/REA).
 # ----------------------------------------------------------------------
+
+#: Per depth of a root-down walk: the node's ``(annotation, row)``
+#: candidates bucketed by parent separator value, the parent's depth, and
+#: the separator's positions in the parent's row.
+Lookup = tuple[dict[tuple, list[tuple[list, tuple]]], int, list[int]]
+
+
+def _tree_selections(query: ConjunctiveQuery,
+                     selections: Sequence[Comparison]
+                     ) -> tuple[list[Comparison], list[Comparison]]:
+    """(single-atom selections, cross-node residue) of an enumerated tree,
+    rejecting a selection over a variable the query does not bind."""
+    _per_atom, residual = split_selections(query, selections)
+    raise_if_pending([sel for sel in residual
+                      if not sel.variables <= set(query.variables)], query)
+    return [sel for sel in selections if sel not in residual], residual
+
+
+def candidate_lists(tree: AnnotatedJoinTree,
+                    counter: OperationCounter | None = None,
+                    rank: Callable[[list], Any] | None = None,
+                    ) -> tuple[list[AnnotatedNode], list[Lookup]]:
+    """Drain a group- and residual-free tree's message pass into the
+    root-down node sequence and a :data:`Lookup` per depth.
+
+    Each yielded table holds exactly the tuples with a complete subtree
+    below, so its bucket (one hash insert per row) under a parent tuple
+    that survived the pass is never empty.  With ``rank``, each bucket is
+    sorted by ``rank(annotation)``.  The root's one bucket is keyed ``()``.
+    """
+    buckets: dict[str, dict[tuple, list[tuple[list, tuple]]]] = {}
+    for node, (_schema, rows) in tree.pass_messages(counter):
+        positions = [node.schema.index(v) for v in node.sep]
+        grouped: dict[tuple, list[tuple[list, tuple]]] = {}
+        for row, ann in rows.items():
+            grouped.setdefault(tuple(row[p] for p in positions),
+                               []).append((ann, row))
+        if counter is not None:
+            counter.charge(hash_inserts=len(rows))
+        if rank is not None:
+            for group_rows in grouped.values():
+                group_rows.sort(key=lambda pair: rank(pair[0]))
+        buckets[node.edge] = grouped
+    sequence = [tree.nodes[edge] for edge in reversed(tree.tree.order)]
+    depth_of = {node.edge: depth for depth, node in enumerate(sequence)}
+    lookups = [(buckets[node.edge], depth_of.get(node.parent, 0),
+                [tree.nodes[node.parent].schema.index(v) for v in node.sep])
+               for node in sequence]
+    return sequence, lookups
+
+
+def _candidates(lookup: Lookup, rows: Sequence[tuple]
+                ) -> list[tuple[list, tuple]]:
+    """A depth's candidates under the rows chosen above it."""
+    grouped, parent_depth, positions = lookup
+    return grouped.get(tuple(rows[parent_depth][p] for p in positions), [])
+
+
+def _bound_at(sequence: Sequence[AnnotatedNode]) -> dict[str, tuple[int, int]]:
+    """(depth, column) where a root-down walk first binds each variable."""
+    bound: dict[str, tuple[int, int]] = {}
+    for depth, node in enumerate(sequence):
+        for column, variable in enumerate(node.schema):
+            bound.setdefault(variable, (depth, column))
+    return bound
+
+
+def _holds(checks: Sequence[tuple[Comparison, list]],
+           rows: Sequence[tuple]) -> bool:
+    """Whether each ``(predicate, [(variable, depth, column)])`` holds."""
+    return all(sel.evaluate({v: rows[d][c] for v, d, c in reads})
+               for sel, reads in checks)
+
+
+def yannakakis_stream(query: ConjunctiveQuery, database: Database,
+                      selections: Sequence[Comparison] = (),
+                      counter: OperationCounter | None = None,
+                      ) -> Iterator[tuple]:
+    """Enumerate an alpha-acyclic query's tuples over ``query.variables``
+    (duplicate-free: one per assignment) after one linear pass.
+
+    The :class:`AnnotatedJoinTree` in the support ring alone (single-atom
+    selections filter its scans) is bucketed by :func:`candidate_lists`
+    and walked depth-first root-down.  A cross-node predicate fires at the
+    first depth binding all its variables: a candidate it rejects is a
+    scanned tuple, every other visited one a search node.  The pass
+    dropped every dangling tuple, so the walk never dead-ends: without
+    such predicates the first tuple costs one search node per atom.
+
+    Raises :class:`QueryError` when the query is not alpha-acyclic or a
+    selection mentions a variable outside the query's.
+    """
+    covered, residual = _tree_selections(query, selections)
+    edges = [query.edge_key(j) for j in range(len(query.atoms))]
+    tree = AnnotatedJoinTree(query, database, (), [], dict.fromkeys(
+        edges, lambda _row: []), covered, counter)
+    sequence, lookups = candidate_lists(tree, counter)
+    bound_at = _bound_at(sequence)
+    emit = [bound_at[v] for v in query.variables]
+    checks: list[list] = [[] for _ in sequence]
+    for sel in residual:
+        reads = [(v, *bound_at[v]) for v in sel.variables]
+        checks[max(depth for _v, depth, _c in reads)].append((sel, reads))
+
+    last = len(sequence) - 1
+    chosen: list[tuple] = [()] * len(sequence)
+    stack = [iter(_candidates(lookups[0], chosen))]
+    with phase(counter, "enumerate"):
+        while stack:
+            depth = len(stack) - 1
+            for _ann, row in stack[depth]:
+                chosen[depth] = row
+                if checks[depth] and not _holds(checks[depth], chosen):
+                    if counter is not None:
+                        counter.charge(tuples_scanned=1)
+                    continue
+                if counter is not None:
+                    counter.charge(search_nodes=1)
+                if depth < last:
+                    stack.append(iter(_candidates(lookups[depth + 1],
+                                                  chosen)))
+                    break
+                if counter is not None:
+                    counter.charge(tuples_emitted=1)
+                yield tuple(chosen[d][c] for d, c in emit)
+            else:
+                stack.pop()
 
 
 def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
@@ -553,38 +598,25 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
                              ) -> Iterator[tuple]:
     """Enumerate an alpha-acyclic query's head rows in exact sort order.
 
-    The any-k counterpart of :func:`yannakakis_aggregate_stream`: instead
-    of materializing the join and heap-selecting, the join tree itself is
-    annotated in the ordering semiring and enumerated best-first.
+    The ranked counterpart of :func:`yannakakis_stream`:
 
     1. *Annotate*: one :class:`AnnotatedJoinTree` pass in ``RANKING``.
        Every sort-key column is owned by its designated atom, whose lift
-       holds the tuple's own key components; each node's table ⊗ its
-       children's messages annotates a tuple with the lexicographically
-       best sort-key contribution its whole subtree can achieve (the
-       join-tree analogue of the WCOJ per-separator best-suffix bounds)
-       and drops every tuple with no complete subtree.  Those tables,
-       grouped by the parent separator and sorted by annotation, are the
-       candidate lists.  No semijoin reduction runs: the root-down
-       expansion only ever looks up candidates matching a chosen parent.
-    2. *Enumerate* (Lawler/REA successor expansion): states assign tuples
-       to a root-down prefix of the tree nodes; a state's priority is the
-       exact best full key among its completions — chosen tuples
-       contribute their actual components, unassigned subtrees their
-       annotations.  Popping a state pushes its first extension (next
-       node's best matching tuple, same priority) and its last-choice
-       successor (the next tuple in that node's annotation-sorted
-       candidate list), so every assignment is reached exactly once and
-       pops are monotone in the sort order.  Complete assignments are
-       buffered per key class and emitted in the drain tie-break order
-       (ascending head row), making the stream prefix bit-identical to
-       sort-and-drain.
+       holds the tuple's own key components, so each node's table ⊗ its
+       children's messages annotates a tuple with the best sort-key
+       contribution its whole subtree can achieve (the join-tree analogue
+       of the WCOJ best-suffix bounds); :func:`candidate_lists` sorts each
+       bucket by it.
+    2. *Enumerate* (Lawler/REA): a state assigns tuples to a root-down
+       prefix of the nodes, prioritized by the exact best full key among
+       its completions.  A pop pushes its extension (the next node's best
+       candidate, same priority) and its successor (the next candidate at
+       its last node), so every assignment is reached once, in sort
+       order.  Rows of one key class are emitted in ascending order (the
+       drain tie-break): the prefix is bit-identical to sort-and-drain.
 
-    ``selections`` are the engine's cross-atom residue: predicates a
-    single node's schema covers filter that node's table; genuinely
-    cross-node predicates are checked on complete assignments (their
-    pruning is invisible to the bounds, which stay admissible, so rank
-    order is unaffected).
+    Single-atom ``selections`` filter the scans; cross-node ones are
+    checked on complete assignments (the bounds stay admissible).
 
     Raises :class:`QueryError` when the query is not alpha-acyclic.
     """
@@ -609,46 +641,21 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
 
         return lift
 
-    _per_atom, residual = split_selections(query, selections)
+    covered, residual = _tree_selections(query, selections)
     owners = _designated(query, [variable for variable, _d in keys])
     annotated = AnnotatedJoinTree(
         query, database, (), [RANKING],
         {edge: lift_of(owned) for edge, owned in owners.items()},
-        [sel for sel in selections if sel not in residual], counter)
-    # Each node's table ⊗ its children's messages, grouped by the parent
-    # separator and sorted by annotation: its candidate lists.
-    candidates: dict[str, dict[tuple, list[tuple]]] = {}
-    for node, (_schema, rows) in annotated.pass_messages(counter):
-        positions = [node.schema.index(v) for v in node.sep]
-        grouped: dict[tuple, list[tuple]] = {}
-        for row, ann in rows.items():
-            grouped.setdefault(tuple(row[p] for p in positions),
-                               []).append((ann[1], row))
-        if counter is not None:
-            counter.charge(hash_inserts=len(rows))
-        for group_rows in grouped.values():
-            group_rows.sort(key=lambda pair: tuple(c for _p, c in pair[0]))
-        candidates[node.edge] = grouped
-
-    # Root-down node sequence (parents before children, the root first);
-    # per depth, the node's candidate lists and where its parent's
-    # separator value sits in the state (the root's list is keyed ()).
-    sequence = [annotated.nodes[edge]
-                for edge in reversed(annotated.tree.order)]
-    depth_of = {node.edge: depth for depth, node in enumerate(sequence)}
-    lookups = [(candidates[node.edge], depth_of.get(node.parent, 0),
-                [annotated.nodes[node.parent].schema.index(v)
-                 for v in node.sep])
-               for node in sequence]
-
-    root_groups = lookups[0][0]
-    if not root_groups:
+        covered, counter)
+    sequence, lookups = candidate_lists(
+        annotated, counter, rank=lambda ann: tuple(c for _p, c in ann[1]))
+    root_list = _candidates(lookups[0], ())
+    if not root_list:
         return
-
-    def candidate_list(state_rows: tuple, depth: int) -> list[tuple]:
-        grouped, parent_depth, positions = lookups[depth]
-        parent_row = state_rows[parent_depth]
-        return grouped[tuple(parent_row[p] for p in positions)]
+    bound_at = _bound_at(sequence)
+    emit = [bound_at[h] for h in head]
+    checks = [(sel, [(v, *bound_at[v]) for v in sel.variables])
+              for sel in residual]
 
     def dense(priority: tuple, ann: tuple) -> tuple:
         """Replace an annotation's positions inside a dense priority."""
@@ -657,8 +664,8 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
             components[p] = component
         return tuple(components)
 
-    initial_ann, initial_row = root_groups[()][0]
-    heap: list = [(dense((None,) * len(keys), initial_ann),
+    initial_ann, initial_row = root_list[0]
+    heap: list = [(dense((None,) * len(keys), initial_ann[1]),
                    0, (0,), (initial_row,))]
     tick = itertools.count(1)
 
@@ -667,14 +674,6 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
     # more rows of that class remain (heap minimum strictly larger).
     buffer_key: tuple | None = None
     buffer_rows: set[tuple] = set()
-
-    def complete_row(rows: tuple) -> tuple | None:
-        binding = {}
-        for node, row in zip(sequence, rows):  # lint: disable=counter-honesty -- one row per join-tree node (query-sized), not relation tuples; each completion is charged as a frontier pop
-            binding.update(zip(node.schema, row))
-        if residual and not all(sel.evaluate(binding) for sel in residual):
-            return None
-        return tuple(binding[h] for h in head)
 
     with phase(counter, "frontier"):
         while heap:
@@ -689,12 +688,12 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
                 buffer_key, buffer_rows = None, set()
             depth = len(indices) - 1
             # Successor: the next candidate at the last assigned node.
-            successor_list = candidate_list(rows, depth)
+            successor_list = _candidates(lookups[depth], rows)
             nxt = indices[depth] + 1
             if nxt < len(successor_list):
                 ann, row = successor_list[nxt]
                 heapq.heappush(heap, (
-                    dense(priority, ann), next(tick),
+                    dense(priority, ann[1]), next(tick),
                     indices[:depth] + (nxt,), rows[:depth] + (row,),
                 ))
             if depth + 1 < len(sequence):
@@ -702,17 +701,15 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
                 # subtree bound is already in the priority (the message
                 # minimum equals the sorted candidate list's head), so the
                 # priority is unchanged.
-                extension_list = candidate_list(rows, depth + 1)
+                extension_list = _candidates(lookups[depth + 1], rows)
                 _ann, row = extension_list[0]
                 heapq.heappush(heap, (
                     priority, next(tick), indices + (0,), rows + (row,),
                 ))
-            else:
-                row = complete_row(rows)
-                if row is not None:
-                    if buffer_key is None:
-                        buffer_key = priority
-                    buffer_rows.add(row)
+            elif _holds(checks, rows):
+                if buffer_key is None:
+                    buffer_key = priority
+                buffer_rows.add(tuple(rows[d][c] for d, c in emit))
         for row in sorted(buffer_rows):
             if counter is not None:
                 counter.charge(tuples_emitted=1)

@@ -46,7 +46,7 @@ class StrategyProfile:
         OperationCounter.as_dict` — actual work, including ``total``.
     breakdown:
         Per-variable / per-phase attribution (``search_nodes[A]``,
-        ``semijoin.bottom_up.tuples_scanned``, ...).
+        ``messages.tuples_scanned``, ...).
     calibration:
         ``actual total / predicted`` — below 1 the simulation over-states
         the instance; None without a finite positive prediction.

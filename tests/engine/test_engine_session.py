@@ -245,6 +245,39 @@ class TestStreamingAndLimit:
             engine.execute_many([triangle_query()], limit=-1)
 
 
+class TestYannakakisDelay:
+    # Plain Yannakakis streams its first row after one annotated pass, one
+    # bucketing of the pass's tables and one root-down descent: the
+    # in-pass COUNT(*) of the same query, plus one hash insert per input
+    # tuple, plus one search node per atom — never the whole join.
+    BODIES = {"path": ("RSU", "R(A,B), S(B,C), U(C,D)"),
+              "star": ("RTV", "R(A,B), T(A,C), V(D,A)")}
+
+    @staticmethod
+    def engine() -> Engine:
+        return Engine(relations=[
+            erdos_renyi_graph(60, 200, seed=seed, name=name, attributes=attrs)
+            for seed, (name, attrs) in enumerate(
+                (("R", ("a", "b")), ("S", ("b", "c")), ("T", ("a", "c")),
+                 ("U", ("c", "d")), ("V", ("d", "a"))))],
+            cache_results=False)
+
+    @pytest.mark.parametrize("shape", sorted(BODIES))
+    def test_first_row_costs_one_pass_not_the_join(self, shape):
+        engine = self.engine()
+        relations, body = self.BODIES[shape]
+        inputs = sum(len(engine.database.get(name)) for name in relations)
+        count = OperationCounter()
+        engine.execute(f"Q(COUNT(*) AS n) :- {body}", mode="yannakakis",
+                       aggregate_mode="recursion", counter=count)
+        first = OperationCounter()
+        stream = engine.stream(f"Q(A,B,C,D) :- {body}", mode="yannakakis",
+                               counter=first)
+        assert next(stream, None) is not None
+        stream.close()
+        assert first.total() <= count.total() + inputs + len(relations)
+
+
 class TestExecuteMany:
     def test_batch_matches_individual_execution(self):
         engine = triangle_engine()

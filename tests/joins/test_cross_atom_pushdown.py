@@ -1,11 +1,12 @@
 """Cross-atom comparison pushdown in the materializing executors.
 
 Predicates spanning atoms (``A < D`` with A and D in different relations)
-used to be applied to the finished join output; binary plans and
-Yannakakis now fire them at the first pairwise join that binds both sides,
-shrinking every later intermediate.  These tests pin both the semantics
-(identical results to post-hoc filtering) and the work reduction
-(strictly smaller intermediates on instances where the predicate is
+used to be applied to the finished join output; binary plans fire them at
+the first pairwise join that binds both sides, shrinking every later
+intermediate, and Yannakakis at the first depth of its root-down walk
+that binds both.  These tests pin both the semantics (identical results
+to post-hoc filtering) and the work reduction (strictly smaller
+intermediates or fewer search nodes on instances where the predicate is
 selective).
 """
 
@@ -83,7 +84,7 @@ class TestExecutePlan:
 
 
 class TestYannakakis:
-    def test_cross_atom_predicate_applied_during_phase_four(self):
+    def test_cross_atom_predicate_applied_during_the_walk(self):
         query, database = path_instance()
         sels = [comparison("A", "<", "C")]
         result = yannakakis(query, database, selections=sels)
@@ -97,7 +98,29 @@ class TestYannakakis:
         baseline = OperationCounter()
         yannakakis(query, database, counter=baseline)
         assert result.is_empty()
-        assert counter.intermediate_tuples < baseline.intermediate_tuples
+        assert counter.total() < baseline.total()
+
+    def test_cross_node_predicate_prunes_search_nodes(self):
+        # A and D sit in the two end atoms, so A < D fires at the last
+        # depth of the walk: each candidate it rejects is scanned, never
+        # a search node.
+        R = Relation("R", ("a", "b"), [(a, b) for a in range(12)
+                                       for b in range(3)])
+        S = Relation("S", ("b", "c"), [(b, c) for b in range(3)
+                                       for c in range(3)])
+        U = Relation("U", ("c", "d"), [(c, d) for c in range(3)
+                                       for d in range(12)])
+        query = ConjunctiveQuery([Atom("R", ("A", "B")),
+                                  Atom("S", ("B", "C")),
+                                  Atom("U", ("C", "D"))])
+        database = Database([R, S, U])
+        sels = [comparison("A", "<", "D")]
+        counter = OperationCounter()
+        result = yannakakis(query, database, counter=counter, selections=sels)
+        baseline = OperationCounter()
+        yannakakis(query, database, counter=baseline)
+        assert sorted(result.tuples) == reference(query, database, sels)
+        assert counter.search_nodes < baseline.search_nodes
 
     def test_unknown_selection_variable_raises(self):
         query, database = path_instance()

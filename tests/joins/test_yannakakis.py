@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.graphs import erdos_renyi_graph
+from repro.engine import Engine
 from repro.errors import QueryError
 from repro.joins.instrumentation import OperationCounter
 from repro.joins.naive import nested_loop_join
@@ -14,8 +15,9 @@ from repro.joins.yannakakis import (
     yannakakis_aggregate_stream,
 )
 from repro.query.atoms import Atom, ConjunctiveQuery, path_query
+from repro.query.builder import Query
 from repro.query.semiring import Aggregate
-from repro.query.terms import Comparison, Constant
+from repro.query.terms import Comparison, Constant, comparison
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -83,19 +85,36 @@ class TestYannakakis:
         assert counter.total() > 0
 
     pairs = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=15)
+    shapes = {"chain": (("A", "B"), ("B", "C"), ("C", "D")),
+              "star": (("A", "B"), ("A", "C"), ("A", "D"))}
 
-    @given(pairs, pairs, pairs)
+    @given(pairs, pairs, pairs, st.sampled_from(sorted(shapes)),
+           st.sampled_from([("A", "B", "C", "D"), ("D", "A"), ("B",)]),
+           st.sampled_from([None, ("A", "<", "D"), ("B", "!=", "D"),
+                            ("C", ">=", "A")]))
     @settings(max_examples=40, deadline=None)
-    def test_matches_naive_on_random_chains(self, e1, e2, e3):
-        query = ConjunctiveQuery([
-            Atom("R", ("A", "B")), Atom("S", ("B", "C")), Atom("T", ("C", "D")),
-        ])
+    def test_matches_naive_on_random_chains(self, e1, e2, e3, shape, head,
+                                            predicate):
+        atoms = [Atom(name, variables) for name, variables
+                 in zip("RST", self.shapes[shape])]
         database = Database([
-            Relation("R", ("A", "B"), e1),
-            Relation("S", ("B", "C"), e2),
-            Relation("T", ("C", "D"), e3),
+            Relation(name, ("x", "y"), rows)
+            for name, rows in zip("RST", (e1, e2, e3))
         ])
-        assert yannakakis(query, database) == nested_loop_join(query, database)
+        sels = [] if predicate is None else [comparison(*predicate)]
+        full = nested_loop_join(ConjunctiveQuery(atoms), database)
+        bindings = [dict(zip(full.attributes, t)) for t in full.tuples]
+        expected = {tuple(b[h] for h in head) for b in bindings
+                    if all(sel.evaluate(b) for sel in sels)}
+
+        query = ConjunctiveQuery(atoms, head=head)
+        result = yannakakis(query, database, selections=sels)
+        assert result.attributes == head
+        assert result.tuples == expected
+        streamed = list(Engine(database=database).stream(
+            Query(atoms, selections=sels, head=head), mode="yannakakis"))
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == expected
 
 
 class TestSemijoinReduce:
