@@ -55,8 +55,7 @@ def measure(groups: int) -> Measurement:
     """Search nodes of monolithic over factorized; asserts agreement."""
     database = skewed_star_instance(groups)
     spec = Query.coerce(QUERY)
-    order, _width = aggregate_elimination_order(spec.core,
-                                                group=spec.head_vars)
+    order = aggregate_elimination_order(spec.core, group=spec.head_vars)
 
     def fold(counter: OperationCounter, **kwargs) -> list[tuple]:
         return sorted(generic_join_stream(

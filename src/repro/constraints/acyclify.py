@@ -15,8 +15,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterable
 
-import networkx as nx
-
 from repro.constraints.degree import DegreeConstraint, DegreeConstraintSet
 from repro.constraints.dependency_graph import constraint_dependency_graph, is_acyclic
 from repro.errors import ConstraintError, UnboundedQueryError
@@ -72,6 +70,8 @@ def acyclify(dc: DegreeConstraintSet) -> DegreeConstraintSet:
         If no bound-preserving weakening exists on some cycle (cannot happen
         for bounded DC by Proposition 5.2; raised defensively).
     """
+    import networkx as nx
+
     require_bounded(dc)
     current = DegreeConstraintSet(dc.variables, dc.constraints)
     while not is_acyclic(current):
@@ -120,6 +120,8 @@ def acyclify_simple_fds(dc: DegreeConstraintSet) -> DegreeConstraintSet:
     it suffices to keep a spanning path of FDs; FDs between components never
     lie on cycles because the condensation is a DAG.
     """
+    import networkx as nx
+
     if not dc.only_cardinalities_and_simple_fds():
         raise ConstraintError(
             "acyclify_simple_fds applies only to cardinality constraints and simple FDs"

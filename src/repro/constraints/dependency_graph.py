@@ -10,16 +10,19 @@ acyclicity.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Sequence
 
 from repro.constraints.degree import DegreeConstraintSet
 from repro.errors import ConstraintError
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def constraint_dependency_graph(dc: DegreeConstraintSet) -> nx.DiGraph:
     """Build G_DC as a networkx DiGraph over all the query variables."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(dc.variables)
     for constraint in dc:
@@ -31,11 +34,15 @@ def constraint_dependency_graph(dc: DegreeConstraintSet) -> nx.DiGraph:
 
 def is_acyclic(dc: DegreeConstraintSet) -> bool:
     """True if the constraint dependency graph is a DAG."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(constraint_dependency_graph(dc))
 
 
 def find_cycle(dc: DegreeConstraintSet) -> list[tuple[str, str]] | None:
     """Return one directed cycle of G_DC as a list of edges, or None."""
+    import networkx as nx
+
     graph = constraint_dependency_graph(dc)
     try:
         return list(nx.find_cycle(graph, orientation="original"))[:]
@@ -57,6 +64,8 @@ def compatible_variable_order(dc: DegreeConstraintSet,
     ConstraintError
         If DC is cyclic (no compatible order exists).
     """
+    import networkx as nx
+
     graph = constraint_dependency_graph(dc)
     if not nx.is_directed_acyclic_graph(graph):
         raise ConstraintError("degree constraints are cyclic; no compatible order exists")

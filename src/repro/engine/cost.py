@@ -238,10 +238,6 @@ class DispatchDecision:
         the mode-tagged aggregate or any-k order), the mode tag for
         Yannakakis, binary's greedy atom order, the hybrid split; None
         for naive and plain Yannakakis.
-    faq_width:
-        The fractional-hypertree width of the aggregate-aware variable
-        order — the maximum over the tail's residual components; None
-        for non-aggregate queries.
     backend:
         The resolved execution backend: ``"python"`` (reference oracle)
         or ``"columnar"`` (sorted NumPy layouts).  In auto pricing the
@@ -261,7 +257,6 @@ class DispatchDecision:
     aggregate_mode: str | None = None
     ranked_mode: str | None = None
     payload: tuple | None = None
-    faq_width: float | None = None
     backend: str = "python"
     backend_fallback: str | None = None
 
@@ -642,26 +637,20 @@ def plan_aggregation(query: ConjunctiveQuery,
 
     Returns a dict with the binding ``order`` (constant-pinned variables,
     then the group prefix, then the width-minimizing elimination tail,
-    chosen and priced per residual component), its fractional-hypertree
-    ``width`` — the *maximum component width*, the exponent of the
-    factorized eliminator's exact FAQ bound — whether any variable is
-    actually eliminated (``has_elimination``), and whether every
-    aggregate's semiring carries a product (``product_ok`` — the
-    precondition for Yannakakis' in-pass mode).
+    chosen per residual component), whether any variable is actually
+    eliminated (``has_elimination``), and whether every aggregate's
+    semiring carries a product (``product_ok`` — the precondition for
+    Yannakakis' in-pass mode).
     """
     fixed = set(pinned_constants(selections))
     # Without product semirings the eliminator cannot combine component
-    # values, so the order and width must be those of the monolithic
-    # fold — pricing the factorized exponent would promise a bound the
-    # executor cannot achieve.
+    # values, so the order must be the monolithic fold's.
     product_ok = all(a.semiring().has_product for a in aggregates)
-    order, width = aggregate_elimination_order(query, group=group,
-                                               fixed=fixed,
-                                               selections=selections,
-                                               factorize=product_ok)
+    order = aggregate_elimination_order(query, group=group, fixed=fixed,
+                                        selections=selections,
+                                        factorize=product_ok)
     return {
         "order": order,
-        "width": width,
         "has_elimination": bool(set(query.variables) - set(group)),
         "product_ok": product_ok,
     }
@@ -676,17 +665,14 @@ def plan_ranked(query: ConjunctiveQuery, selections: Sequence[Comparison],
     (non-aggregate queries only — ORDER BY columns are head variables
     there).  Returns a dict with the binding ``order`` (pinned variables,
     the sort keys in key sequence, the remaining head, then the
-    width-minimizing existential tail), its fractional-hypertree
-    ``width`` (the proxy for the bottom-up best-suffix DP's cost), and
-    the normalized ``keys``.
+    width-minimizing existential tail) and the normalized ``keys``.
     """
     fixed = set(pinned_constants(selections))
     keys = tuple((variable, bool(descending))
                  for variable, descending in order_by)
-    order, width = ranked_order(query, [v for v, _d in keys],
-                                fixed=fixed, head=head,
-                                selections=selections)
-    return {"order": order, "width": width, "keys": keys}
+    order = ranked_order(query, [v for v, _d in keys], fixed=fixed,
+                         head=head, selections=selections)
+    return {"order": order, "keys": keys}
 
 
 def plan_hybrid(query: ConjunctiveQuery, database: Database,
@@ -1181,7 +1167,6 @@ def dispatch(query: ConjunctiveQuery, database: Database,
         aggregate_mode=chosen.aggregate_mode,
         ranked_mode=ranked_resolved,
         payload=payload,
-        faq_width=agg_plan["width"] if agg_plan is not None else None,
         backend=backend_resolved,
         backend_fallback=backend_fallback,
     )

@@ -28,10 +28,12 @@ materialization on the streams they return.
 
 Execution streams wherever the algorithm allows: for the WCOJ and naive
 strategies, ``stream()`` yields result tuples straight out of the join
-recursion and ``execute(..., limit=k)`` abandons the search after the k-th
-tuple, so ``LIMIT`` queries never pay for the full join (the materializing
-strategies — binary plans, Yannakakis — compute their result before
-yielding; stream-folded aggregate queries must also drain first, while
+recursion, and plain Yannakakis yields them from a root-down walk of its
+annotated join tree once the bottom-up messages are passed;
+``execute(..., limit=k)`` abandons the search after the k-th tuple, so
+``LIMIT`` queries never pay for the full join (binary plans compute their
+result before yielding; stream-folded aggregate queries must also drain
+first, while
 in-recursion aggregate plans stream finalized group rows
 group-at-a-time).  Ordered queries run in one of two *ranked modes*:
 **any-k** plans (``ranked_mode="anyk"``) enumerate results in sort order

@@ -171,8 +171,8 @@ def hybrid_light_order(query: ConjunctiveQuery, skew: str,
 def _best_tail_order(query: ConjunctiveQuery, prefix: tuple[str, ...],
                      tail: tuple[str, ...], max_exact_tail: int,
                      selections: Sequence = (), factorize: bool = True,
-                     ) -> tuple[tuple[str, ...], float]:
-    """The prefix + width-minimizing tail, scored *per residual component*.
+                     ) -> tuple[str, ...]:
+    """The prefix + width-minimizing tail, chosen *per residual component*.
 
     Shared by the aggregate and ranked planners.  Conditioned on the
     prefix (the separator the executors bind before eliminating), the
@@ -180,32 +180,30 @@ def _best_tail_order(query: ConjunctiveQuery, prefix: tuple[str, ...],
     (:meth:`repro.query.hypergraph.Hypergraph.residual_components`, the
     query's ``selections`` passed as couplings so a predicate spanning
     components glues them — exactly the split the factorized eliminator
-    executes).  Each component's permutation is therefore chosen (and
-    priced) on its own: candidates are scored by the tree decomposition
-    their reversed binding order induces on the component's induced
-    sub-hypergraph (elimination runs innermost-first), first by integer
-    width (cheap, no LP); the returned width proxy is the **maximum over
-    components** of the winner's fractional hypertree width — the exact
-    FAQ-bound exponent of factorized elimination, where the monolithic
-    tail width would overcharge product-decomposable tails.
+    executes).  Each component's permutation is therefore chosen on its
+    own: candidates are ranked by the integer width of the tree
+    decomposition their reversed binding order induces on the
+    component's induced sub-hypergraph (elimination runs
+    innermost-first).  The order is what dispatch uses; it prices the
+    order with the Theorem 5.1 walk, not with a width.
 
-    Scoring per component also shrinks the search: a tail of three
+    Choosing per component also shrinks the search: a tail of three
     independent pairs costs ``3·2!`` candidate scores instead of ``6!``,
     and a component longer than ``max_exact_tail`` falls back to its
     heuristic single candidate without giving up exactness elsewhere.
 
-    ``factorize=False`` scores the whole tail as one component — the
-    exponent a *monolithic* fold pays, which is what callers must price
-    when an aggregate's semiring has no product and the executor cannot
+    ``factorize=False`` chooses the whole tail as one component — the
+    order a *monolithic* fold runs, which is what callers must plan when
+    an aggregate's semiring has no product and the executor cannot
     factorize.
 
-    The scored result is memoized: the function is pure, and its inputs
-    affect the answer only through the hypergraph, the prefix/tail split
-    and the selections' variable sets (couplings), so repeated pricing of
-    the same query — every ``profile``/``analyze`` run re-dispatches it,
-    and isomorphic re-plans recompute it — skips the permutation sweep.
+    The result is memoized: the function is pure, and its inputs affect
+    the answer only through the hypergraph, the prefix/tail split and the
+    selections' variable sets (couplings), so repeated pricing of the
+    same query — every ``profile``/``analyze`` run re-dispatches it, and
+    isomorphic re-plans recompute it — skips the permutation sweep.
     """
-    def compute() -> tuple[tuple[str, ...], float]:
+    def compute() -> tuple[str, ...]:
         return _score_tail_order(query, prefix, tail, max_exact_tail,
                                  selections, factorize)
 
@@ -221,16 +219,13 @@ def _best_tail_order(query: ConjunctiveQuery, prefix: tuple[str, ...],
 def _score_tail_order(query: ConjunctiveQuery, prefix: tuple[str, ...],
                       tail: tuple[str, ...], max_exact_tail: int,
                       selections: Sequence = (), factorize: bool = True,
-                      ) -> tuple[tuple[str, ...], float]:
+                      ) -> tuple[str, ...]:
     """The uncached permutation sweep behind :func:`_best_tail_order`."""
     from repro.query.widths import decomposition_from_elimination_order
 
-    hypergraph = query.hypergraph()
     if not tail:
-        decomp = decomposition_from_elimination_order(
-            hypergraph, tuple(reversed(prefix)))
-        return prefix, decomp.fractional_hypertree_width(hypergraph)
-
+        return prefix
+    hypergraph = query.hypergraph()
     tail_position = {v: i for i, v in enumerate(tail)}
     if factorize:
         split = hypergraph.residual_components(
@@ -243,27 +238,17 @@ def _score_tail_order(query: ConjunctiveQuery, prefix: tuple[str, ...],
     )
 
     order = prefix
-    width = 0.0
     for component in components:
+        if len(component) == 1 or len(component) > max_exact_tail:
+            order = order + component
+            continue
         sub = (hypergraph if len(components) == 1
                else hypergraph.restrict_to(set(prefix) | set(component)))
-        if len(component) > 1 and len(component) <= max_exact_tail:
-            candidates = itertools.permutations(component)
-        else:
-            candidates = iter((component,))
-        best_perm: tuple[str, ...] | None = None
-        best_decomp = None
-        best_width = None
-        for perm in candidates:
-            decomp = decomposition_from_elimination_order(
-                sub, tuple(reversed(prefix + tuple(perm))))
-            w = decomp.width()
-            if best_width is None or w < best_width:
-                best_perm, best_decomp, best_width = tuple(perm), decomp, w
-        assert best_perm is not None and best_decomp is not None
-        order = order + best_perm
-        width = max(width, best_decomp.fractional_hypertree_width(sub))
-    return order, width
+        order = order + min(
+            itertools.permutations(component),
+            key=lambda perm: decomposition_from_elimination_order(
+                sub, tuple(reversed(prefix + perm))).width())
+    return order
 
 
 def aggregate_elimination_order(query: ConjunctiveQuery,
@@ -272,7 +257,7 @@ def aggregate_elimination_order(query: ConjunctiveQuery,
                                 max_exact_tail: int = 5,
                                 selections: Sequence = (),
                                 factorize: bool = True,
-                                ) -> tuple[tuple[str, ...], float]:
+                                ) -> tuple[str, ...]:
     """A binding order for in-recursion (FAQ-style) aggregation.
 
     The returned order keeps the constant-pinned variables (``fixed``) and
@@ -283,22 +268,18 @@ def aggregate_elimination_order(query: ConjunctiveQuery,
     permutation is scored by the tree decomposition its reversed order
     induces (:func:`repro.query.widths.decomposition_from_elimination_order`
     — FAQ eliminates innermost-first, so the elimination order is the
-    binding order reversed), first by integer width (cheap, no LP), and
-    the winner's fractional hypertree width over those bags is returned as
-    the FAQ-width proxy the dispatcher prices with.  For alpha-acyclic
-    queries some tail achieves width 1, which is what makes acyclic
-    group-bys output-linear instead of join-linear.
+    binding order reversed), by its integer width (no LP).  For
+    alpha-acyclic queries some tail achieves width 1, which is what makes
+    acyclic group-bys output-linear instead of join-linear.
 
     Tails longer than ``max_exact_tail`` fall back to the min-degree
     heuristic (one candidate) rather than enumerating permutations.  The
     prefix is ordered by the same block heuristic as
     :func:`pushdown_order`, so the whole result is a deterministic
-    function of the query structure.  The tail is chosen and priced per
-    residual component (``selections`` glue the components they span;
-    ``factorize=False`` prices the monolithic fold instead — see
+    function of the query structure.  The tail is chosen per residual
+    component (``selections`` glue the components they span;
+    ``factorize=False`` chooses it for the monolithic fold instead — see
     :func:`_best_tail_order`).
-
-    Returns ``(order, width)``.
     """
     base = pushdown_order(query, fixed=fixed, leading=group)
     prefix_set = set(fixed) | set(group)
@@ -314,7 +295,7 @@ def ranked_order(query: ConjunctiveQuery,
                  head: Collection[str] = (),
                  max_exact_tail: int = 5,
                  selections: Sequence = (),
-                 ) -> tuple[tuple[str, ...], float]:
+                 ) -> tuple[str, ...]:
     """A binding order for any-k ranked enumeration.
 
     The order any-k needs mirrors the aggregate prefix machinery, with the
@@ -327,10 +308,6 @@ def ranked_order(query: ConjunctiveQuery,
     :func:`aggregate_elimination_order` — the tail is what the boolean
     and ranking eliminators fold away, and its width governs the cost of
     the bottom-up best-suffix DP.
-
-    Returns ``(order, width)`` where ``width`` is the fractional
-    hypertree width of the winning tail's decomposition (the dispatcher's
-    proxy for the any-k setup cost).
     """
     fixed_set = set(fixed)
     key_block: list[str] = []

@@ -27,8 +27,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from repro.covers.edge_cover import fractional_edge_cover_number
 from repro.errors import QueryError
 from repro.query.hypergraph import Hypergraph
@@ -77,18 +75,50 @@ class TreeDecomposition:
                 return False
         # Running intersection: bags containing any vertex form a connected
         # subtree.
-        tree = nx.Graph()
-        tree.add_nodes_from(range(len(self.bags)))
-        tree.add_edges_from(self.edges)
-        if len(self.bags) > 1 and not nx.is_connected(tree):
+        tree: dict[int, set[int]] = {i: set() for i in range(len(self.bags))}
+        for a, b in self.edges:
+            tree[a].add(b)
+            tree[b].add(a)
+        if not _connected(tree, set(tree)):
             return False
         for vertex in vertices:
-            nodes = [i for i, bag in enumerate(self.bags) if vertex in bag]
-            if not nodes:
-                return False
-            if len(nodes) > 1 and not nx.is_connected(tree.subgraph(nodes)):
+            nodes = {i for i, bag in enumerate(self.bags) if vertex in bag}
+            if not nodes or not _connected(tree, nodes):
                 return False
         return True
+
+
+def _connected(graph: dict[int, set[int]], nodes: set[int]) -> bool:
+    """Whether ``nodes`` induce a connected subgraph of ``graph``."""
+    if not nodes:
+        return True
+    start = next(iter(nodes))
+    seen, frontier = {start}, [start]
+    while frontier:
+        for other in (graph[frontier.pop()] & nodes) - seen:
+            seen.add(other)
+            frontier.append(other)
+    return seen == nodes
+
+
+def _primal_graph(hypergraph: Hypergraph) -> dict[str, set[str]]:
+    """The primal (Gaifman) graph as adjacency sets: two vertices are
+    adjacent when some edge contains both."""
+    graph: dict[str, set[str]] = {v: set() for v in hypergraph.vertices}
+    for edge in hypergraph.edges.values():
+        for v in edge:
+            graph[v] |= edge - {v}
+    return graph
+
+
+def _eliminate(graph: dict[str, set[str]], variable: str) -> set[str]:
+    """Remove ``variable`` from ``graph``, joining its neighbours pairwise
+    (the fill-in edges), and return those neighbours."""
+    neighbours = graph.pop(variable)
+    for v in neighbours:
+        graph[v] |= neighbours - {v}
+        graph[v].discard(variable)
+    return neighbours
 
 
 def _bag_rho_star(hypergraph: Hypergraph, bag: frozenset[str]) -> float:
@@ -119,33 +149,16 @@ def decomposition_from_elimination_order(hypergraph: Hypergraph,
     if sorted(order) != sorted(hypergraph.vertices):
         raise QueryError("elimination order must be a permutation of the vertices")
 
-    graph = nx.Graph()
-    graph.add_nodes_from(hypergraph.vertices)
-    for edge in hypergraph.edges.values():
-        for a, b in itertools.combinations(sorted(edge), 2):
-            graph.add_edge(a, b)
-
-    working = graph.copy()
-    bags: list[frozenset[str]] = []
-    bag_of_variable: dict[str, int] = {}
-    for variable in order:
-        neighbours = set(working.neighbors(variable))
-        bag = frozenset({variable} | neighbours)
-        bag_of_variable[variable] = len(bags)
-        bags.append(bag)
-        for a, b in itertools.combinations(sorted(neighbours), 2):
-            working.add_edge(a, b)
-        working.remove_node(variable)
+    working = _primal_graph(hypergraph)
+    bags = [frozenset({v} | _eliminate(working, v)) for v in order]
 
     position = {v: i for i, v in enumerate(order)}
     edges: list[tuple[int, int]] = []
     for i, variable in enumerate(order):
         rest = bags[i] - {variable}
-        if not rest:
-            continue
-        # Connect to the bag of the earliest-eliminated remaining member.
-        successor = min(rest, key=lambda v: position[v])
-        edges.append((i, bag_of_variable[successor]))
+        if rest:
+            # Connect to the bag of the earliest-eliminated remaining member.
+            edges.append((i, min(position[v] for v in rest)))
 
     return TreeDecomposition(bags=tuple(bags), edges=tuple(edges),
                              elimination_order=order)
@@ -173,27 +186,13 @@ def fractional_hypertree_width(hypergraph: Hypergraph,
 
 def min_fill_order(hypergraph: Hypergraph) -> tuple[str, ...]:
     """The classic min-fill elimination-order heuristic on the primal graph."""
-    graph = nx.Graph()
-    graph.add_nodes_from(hypergraph.vertices)
-    for edge in hypergraph.edges.values():
-        for a, b in itertools.combinations(sorted(edge), 2):
-            graph.add_edge(a, b)
+    working = _primal_graph(hypergraph)
     order: list[str] = []
-    working = graph.copy()
-    while working.nodes:
-        def fill_in(v: str) -> int:
-            neighbours = list(working.neighbors(v))
-            missing = 0
-            for a, b in itertools.combinations(neighbours, 2):
-                if not working.has_edge(a, b):
-                    missing += 1
-            return missing
-
-        choice = min(sorted(working.nodes), key=fill_in)
-        neighbours = list(working.neighbors(choice))
-        for a, b in itertools.combinations(neighbours, 2):
-            working.add_edge(a, b)
-        working.remove_node(choice)
+    while working:
+        choice = min(sorted(working), key=lambda v: sum(
+            b not in working[a]
+            for a, b in itertools.combinations(working[v], 2)))
+        _eliminate(working, choice)
         order.append(choice)
     return tuple(order)
 

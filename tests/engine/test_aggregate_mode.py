@@ -12,6 +12,7 @@ import pytest
 
 from repro.engine import Engine
 from repro.engine.cost import dispatch
+from repro.engine.fingerprint import payload_order
 from repro.errors import QueryError
 from repro.joins.generic_join import generic_join_stream
 from repro.joins.instrumentation import OperationCounter
@@ -20,6 +21,7 @@ from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.builder import Query
 from repro.query.semiring import Aggregate, Semiring, register_semiring
 from repro.query.variable_order import aggregate_elimination_order
+from repro.query.widths import decomposition_from_elimination_order
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -58,19 +60,14 @@ def plus_only() -> str:
 class TestPlanner:
     def test_group_prefix_then_width_minimizing_tail(self):
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C"))])
-        order, width = aggregate_elimination_order(q, group=("A",))
+        order = aggregate_elimination_order(q, group=("A",))
         assert order == ("A", "B", "C")
-        assert width == 1.0
-
-    def test_cyclic_query_reports_fractional_width(self):
-        q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C")),
-                              Atom("T", ("A", "C"))])
-        _order, width = aggregate_elimination_order(q, group=("A",))
-        assert width == 1.5
+        assert decomposition_from_elimination_order(
+            q.hypergraph(), tuple(reversed(order))).width() == 1
 
     def test_fixed_variables_precede_group(self):
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C"))])
-        order, _w = aggregate_elimination_order(q, group=("A",), fixed=("B",))
+        order = aggregate_elimination_order(q, group=("A",), fixed=("B",))
         assert order[0] == "B" and order[1] == "A"
 
 
@@ -121,15 +118,20 @@ class TestDispatch:
                 == sorted(engine.execute(query, mode="generic",
                                          aggregate_mode="fold").tuples))
 
-    def test_dispatch_carries_faq_width(self):
+    def test_dispatch_order_of_acyclic_group_by_induces_width_one(self):
+        # Eliminating the chosen order innermost-first (the binding order
+        # reversed) keeps every bag within one atom: width 1.
         engine = chain_engine()
         spec = Query.coerce(GROUP_COUNT)
         decision = dispatch(spec.core, engine.database,
                             aggregates=spec.aggregates,
                             group=spec.head_vars)
-        assert decision.faq_width == 1.0
         assert decision.aggregate_mode == "recursion"
         assert decision.payload is not None
+        order = payload_order(decision.payload)
+        decomposition = decomposition_from_elimination_order(
+            spec.core.hypergraph(), tuple(reversed(order)))
+        assert decomposition.width() == 1
 
     def test_forced_recursion_on_materializing_strategy_raises(self):
         engine = chain_engine()

@@ -24,6 +24,7 @@ from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.builder import Q, sort_rows
 from repro.query.semiring import count
 from repro.query.variable_order import ranked_order
+from repro.query.widths import decomposition_from_elimination_order
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -83,21 +84,22 @@ def star_top_engine() -> Engine:
 class TestRankedPlanner:
     def test_keys_prefix_then_head_then_width_minimizing_tail(self):
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C"))])
-        order, width = ranked_order(q, ["B"], head=("A", "B"))
+        order = ranked_order(q, ["B"], head=("A", "B"))
         assert order[0] == "B"
         assert set(order[:2]) == {"A", "B"}
-        assert width == 1.0
+        assert decomposition_from_elimination_order(
+            q.hypergraph(), tuple(reversed(order))).width() == 1
 
     def test_keys_follow_order_by_sequence_not_degree(self):
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C"))])
-        order, _w = ranked_order(q, ["A", "B"], head=("A", "B"))
+        order = ranked_order(q, ["A", "B"], head=("A", "B"))
         assert order[:2] == ("A", "B")
-        order, _w = ranked_order(q, ["B", "A"], head=("A", "B"))
+        order = ranked_order(q, ["B", "A"], head=("A", "B"))
         assert order[:2] == ("B", "A")
 
     def test_pinned_variables_precede_keys(self):
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C"))])
-        order, _w = ranked_order(q, ["A"], fixed=("C",), head=("A",))
+        order = ranked_order(q, ["A"], fixed=("C",), head=("A",))
         assert order[0] == "C" and order[1] == "A"
 
 

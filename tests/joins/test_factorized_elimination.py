@@ -186,7 +186,7 @@ class TestBitIdenticalResults:
         ])
         q = ConjunctiveQuery([Atom(n, vs) for n, vs in atoms_spec])
         aggs = (Aggregate("count", None, "n"), Aggregate("sum", "B1", "s"))
-        order, _w = aggregate_elimination_order(q, group=("A",))
+        order = aggregate_elimination_order(q, group=("A",))
         expected = sorted(generic_join_stream(
             q, db, order=order, head=("A",), aggregates=aggs,
             factorize=False))
@@ -294,7 +294,7 @@ class TestPlannerExecutorAgreement:
         # look independent.
         assert len(hg.residual_components(("A",))) == 2
         from repro.query.variable_order import aggregate_elimination_order
-        order, _w = aggregate_elimination_order(
+        order = aggregate_elimination_order(
             spec.core, group=("A",), selections=spec.all_selections)
         assert order[0] == "A"
 

@@ -7,7 +7,16 @@ from repro.query.variable_order import (
     min_degree_order,
     validate_order,
 )
+from repro.query.widths import decomposition_from_elimination_order
 from repro.relational.relation import Relation
+
+
+def induced_fhtw(query, order):
+    """The fractional hypertree width of the decomposition ``order``
+    induces when eliminated innermost-first (the binding order reversed)."""
+    h = query.hypergraph()
+    return decomposition_from_elimination_order(
+        h, tuple(reversed(order))).fractional_hypertree_width(h)
 
 
 class TestOrders:
@@ -60,21 +69,21 @@ class TestComponentwiseTailScoring:
         from repro.query.variable_order import aggregate_elimination_order
         q = ConjunctiveQuery([Atom("R1", ("A", "B")), Atom("R2", ("A", "C")),
                               Atom("R3", ("A", "D"))])
-        order, width = aggregate_elimination_order(q, group=("A",))
+        order = aggregate_elimination_order(q, group=("A",))
         assert order[0] == "A"
         assert sorted(order[1:]) == ["B", "C", "D"]
         # Each residual component {B}, {C}, {D} has width 1; the
-        # monolithic tail would report the same exponent here, but the
-        # component split is what the factorized eliminator executes.
-        assert width == 1.0
+        # monolithic tail has the same exponent here, but the component
+        # split is what the factorized eliminator executes.
+        assert induced_fhtw(q, order) == 1.0
 
     def test_product_tail_of_two_pairs(self):
         from repro.query.variable_order import aggregate_elimination_order
         q = ConjunctiveQuery([Atom("R", ("A", "B", "C")),
                               Atom("S", ("D", "E"))])
-        order, width = aggregate_elimination_order(q, group=("A",))
+        order = aggregate_elimination_order(q, group=("A",))
         assert order[0] == "A"
-        assert width == 1.0
+        assert induced_fhtw(q, order) == 1.0
         # Components stay contiguous in the tail: {B, C} then {D, E}
         # (deterministic order by first tail occurrence).
         tail = order[1:]
@@ -88,17 +97,17 @@ class TestComponentwiseTailScoring:
         atoms = [Atom("R", ("A", "B1", "B2", "B3", "B4", "B5", "B6")),
                  Atom("S", ("A", "C"))]
         q = ConjunctiveQuery(atoms)
-        order, width = aggregate_elimination_order(q, group=("A",),
-                                                   max_exact_tail=3)
+        order = aggregate_elimination_order(q, group=("A",),
+                                            max_exact_tail=3)
         assert order[0] == "A"
-        assert width >= 1.0
+        assert induced_fhtw(q, order) >= 1.0
 
     def test_non_decomposable_scoring_is_unchanged(self):
         from repro.query.variable_order import aggregate_elimination_order
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C")),
                               Atom("T", ("A", "C"))])
-        _order, width = aggregate_elimination_order(q, group=("A",))
-        assert width == 1.5
+        order = aggregate_elimination_order(q, group=("A",))
+        assert induced_fhtw(q, order) == 1.5
 
 
 class TestOrderMemoization:
@@ -165,7 +174,7 @@ class TestOrderMemoization:
         monolithic = aggregate_elimination_order(q, group=("A",),
                                                  factorize=False)
         assert len(vo._tail_order_memo) == 2
-        assert factored[0][0] == monolithic[0][0] == "A"
+        assert factored[0] == monolithic[0] == "A"
 
     def test_min_degree_order_memoizes(self):
         import repro.query.variable_order as vo

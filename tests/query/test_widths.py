@@ -1,8 +1,11 @@
 """Tests for tree decompositions and fractional hypertree width."""
 
+import itertools
+
 import pytest
 
 from repro.errors import QueryError
+from repro.query.hypergraph import Hypergraph
 from repro.bounds.agm import rho_star
 from repro.query.atoms import (
     clique_query,
@@ -57,6 +60,101 @@ class TestDecompositionConstruction:
         )
         # X1 appears in bags 0 and 3, which are not adjacent via X1-bags.
         assert not bad.is_valid_for(h)
+
+
+def _render(decomposition):
+    """Bags and tree edges with the ``X`` dropped from vertex names:
+    ``("124 234 34 4", "01 12 23")``."""
+    bags = " ".join("".join(v[1:] for v in sorted(bag))
+                    for bag in decomposition.bags)
+    edges = " ".join(f"{a}{b}" for a, b in decomposition.edges)
+    return bags, edges
+
+
+#: Every elimination order of the 4-cycle and the 3-path (``"2 1 4 3"``
+#: eliminates X2, X1, X4, X3) and the bags and edges it induces.
+CYCLE4_DECOMPOSITIONS = {
+    "1 2 3 4": ("124 234 34 4", "01 12 23"),
+    "1 2 4 3": ("124 234 34 3", "01 12 23"),
+    "1 3 2 4": ("124 234 24 4", "02 12 23"),
+    "1 3 4 2": ("124 234 24 2", "02 12 23"),
+    "1 4 2 3": ("124 234 23 3", "01 12 23"),
+    "1 4 3 2": ("124 234 23 2", "01 12 23"),
+    "2 1 3 4": ("123 134 34 4", "01 12 23"),
+    "2 1 4 3": ("123 134 34 3", "01 12 23"),
+    "2 3 1 4": ("123 134 14 4", "01 12 23"),
+    "2 3 4 1": ("123 134 14 1", "01 12 23"),
+    "2 4 1 3": ("123 134 13 3", "02 12 23"),
+    "2 4 3 1": ("123 134 13 1", "02 12 23"),
+    "3 1 2 4": ("234 124 24 4", "02 12 23"),
+    "3 1 4 2": ("234 124 24 2", "02 12 23"),
+    "3 2 1 4": ("234 124 14 4", "01 12 23"),
+    "3 2 4 1": ("234 124 14 1", "01 12 23"),
+    "3 4 1 2": ("234 124 12 2", "01 12 23"),
+    "3 4 2 1": ("234 124 12 1", "01 12 23"),
+    "4 1 2 3": ("134 123 23 3", "01 12 23"),
+    "4 1 3 2": ("134 123 23 2", "01 12 23"),
+    "4 2 1 3": ("134 123 13 3", "02 12 23"),
+    "4 2 3 1": ("134 123 13 1", "02 12 23"),
+    "4 3 1 2": ("134 123 12 2", "01 12 23"),
+    "4 3 2 1": ("134 123 12 1", "01 12 23"),
+}
+PATH3_DECOMPOSITIONS = {
+    "1 2 3 4": ("12 23 34 4", "01 12 23"),
+    "1 2 4 3": ("12 23 34 3", "01 13 23"),
+    "1 3 2 4": ("12 234 24 4", "02 12 23"),
+    "1 3 4 2": ("12 234 24 2", "03 12 23"),
+    "1 4 2 3": ("12 34 23 3", "02 13 23"),
+    "1 4 3 2": ("12 34 23 2", "03 12 23"),
+    "2 1 3 4": ("123 13 34 4", "01 12 23"),
+    "2 1 4 3": ("123 13 34 3", "01 13 23"),
+    "2 3 1 4": ("123 134 14 4", "01 12 23"),
+    "2 3 4 1": ("123 134 14 1", "01 12 23"),
+    "2 4 1 3": ("123 34 13 3", "02 13 23"),
+    "2 4 3 1": ("123 34 13 1", "02 12 23"),
+    "3 1 2 4": ("234 12 24 4", "02 12 23"),
+    "3 1 4 2": ("234 12 24 2", "02 13 23"),
+    "3 2 1 4": ("234 124 14 4", "01 12 23"),
+    "3 2 4 1": ("234 124 14 1", "01 12 23"),
+    "3 4 1 2": ("234 24 12 2", "01 13 23"),
+    "3 4 2 1": ("234 24 12 1", "01 12 23"),
+    "4 1 2 3": ("34 12 23 3", "03 12 23"),
+    "4 1 3 2": ("34 12 23 2", "02 13 23"),
+    "4 2 1 3": ("34 123 13 3", "03 12 23"),
+    "4 2 3 1": ("34 123 13 1", "02 12 23"),
+    "4 3 1 2": ("34 23 12 2", "01 13 23"),
+    "4 3 2 1": ("34 23 12 1", "01 12 23"),
+}
+
+
+class TestPinnedDecompositions:
+    """The primal-graph construction's output, pinned order by order."""
+
+    @pytest.mark.parametrize("query, expected", [
+        (cycle_query(4), CYCLE4_DECOMPOSITIONS),
+        (path_query(3), PATH3_DECOMPOSITIONS),
+    ], ids=["cycle4", "path3"])
+    def test_every_elimination_order(self, query, expected):
+        h = query.hypergraph()
+        orders = list(itertools.permutations(h.vertices))
+        assert sorted(" ".join(v[1:] for v in o) for o in orders) == sorted(expected)
+        for order in orders:
+            decomposition = decomposition_from_elimination_order(h, order)
+            assert decomposition.is_valid_for(h)
+            assert _render(decomposition) == expected[" ".join(v[1:] for v in order)]
+
+    def test_min_fill_orders(self):
+        assert min_fill_order(cycle_query(7).hypergraph()) == (
+            "X1", "X2", "X3", "X4", "X5", "X6", "X7")
+        assert min_fill_order(clique_query(4).hypergraph()) == (
+            "X1", "X2", "X3", "X4")
+
+    def test_min_fill_on_a_star_eliminates_the_leaves_first(self):
+        # Eliminating the hub X1 first would fill in every leaf pair.
+        h = Hypergraph(("X1", "X2", "X3", "X4"),
+                       {"R": {"X1", "X2"}, "S": {"X1", "X3"},
+                        "T": {"X1", "X4"}})
+        assert min_fill_order(h)[0] != "X1"
 
 
 class TestFractionalHypertreeWidth:

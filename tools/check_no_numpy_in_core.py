@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Assert the core engine stays importable — and functional — without NumPy.
+"""Assert the core engine stays importable — and functional — without
+NumPy, SciPy or networkx.
 
 The columnar backend (``repro.columnar``) is the only subsystem allowed a
 hard NumPy dependency, and even it must *import* cleanly without it (it
@@ -8,11 +9,13 @@ unsupported).  Everything else — ``repro.joins``, ``repro.query``, the
 engine, the CLI — is pure Python and must not grow a top-level
 ``import numpy`` by accident.
 
-The check installs a meta-path finder that blocks ``numpy`` and ``scipy``
-before any ``repro`` import, then:
+The check installs a meta-path finder that blocks ``numpy``, ``scipy``
+and ``networkx`` before any ``repro`` import, then:
 
 * imports every core module,
 * runs a small triangle join end-to-end on the python backend,
+* plans the aggregate order of a 3-path ``COUNT`` group-by and the any-k
+  order of an ``ORDER BY … LIMIT`` 3-path,
 * confirms ``repro.columnar`` reports itself unsupported instead of
   raising.
 
@@ -28,15 +31,15 @@ import sys
 
 
 class _BlockNumericStack:
-    """Meta-path finder that refuses numpy/scipy imports."""
+    """Meta-path finder that refuses numpy/scipy/networkx imports."""
 
-    BLOCKED = ("numpy", "scipy")
+    BLOCKED = ("numpy", "scipy", "networkx")
 
     def find_spec(self, name, path=None, target=None):
         if name.split(".", 1)[0] in self.BLOCKED:
             raise ImportError(
                 f"blocked import of {name!r}: the core engine must not "
-                "depend on the numeric stack (see tools/check_no_numpy_in_core.py)"
+                "depend on it (see tools/check_no_numpy_in_core.py)"
             )
         return None
 
@@ -88,11 +91,18 @@ def main() -> int:
               f"reason, got {reason!r}", file=sys.stderr)
         return 1
 
-    # The pure-Python join layer must work end-to-end, not merely import.
-    # (Full engine dispatch is allowed scipy at runtime — the AGM bound is
-    # an LP — so the functional check stops at the joins/query layers.)
+    # The pure-Python join layer and the order planners must work, not
+    # merely import.  Full engine dispatch is still allowed scipy at
+    # runtime for one thing: its AGM bound is an LP (ROADMAP item 6(a)
+    # would take it off dispatch), so the functional check stops short of
+    # Engine.execute.
     from repro.joins import generic_join
     from repro.query import parse_query
+    from repro.query.builder import Query
+    from repro.query.variable_order import (
+        aggregate_elimination_order,
+        ranked_order,
+    )
     from repro.relational.database import Database
     from repro.relational.relation import Relation
 
@@ -105,8 +115,24 @@ def main() -> int:
         print("triangle join returned no rows without numpy", file=sys.stderr)
         return 1
 
+    path = "R(A,B), S(B,C), T(C,D)"
+    grouped = Query.coerce(f"Q(A, COUNT(*) AS n) :- {path}")
+    order = aggregate_elimination_order(grouped.core, group=grouped.head_vars)
+    if order[0] != "A" or sorted(order) != ["A", "B", "C", "D"]:
+        print(f"group-by order {order!r} does not lead with the group",
+              file=sys.stderr)
+        return 1
+    ranked = Query.coerce(f"Q(A,B,C,D) :- {path} ORDER BY D DESC, A LIMIT 10")
+    order = ranked_order(ranked.core, [key for key, _desc in ranked.order_by],
+                         head=ranked.head_vars)
+    if order[:2] != ("D", "A") or sorted(order) != ["A", "B", "C", "D"]:
+        print(f"ranked order {order!r} does not lead with the sort keys",
+              file=sys.stderr)
+        return 1
+
     print(f"checked {len(CORE_MODULES)} core modules: importable and "
-          "functional with numpy/scipy blocked; columnar degrades cleanly")
+          "functional with numpy/scipy/networkx blocked; columnar degrades "
+          "cleanly")
     return 0
 
 
