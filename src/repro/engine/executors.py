@@ -57,7 +57,7 @@ from repro.joins.hybrid import HybridPartition, partition_instance
 from repro.joins.instrumentation import OperationCounter
 from repro.joins.leapfrog import leapfrog_stream
 from repro.joins.naive import nested_loop_stream
-from repro.joins.plan import execute_plan, left_deep_plan, split_selections
+from repro.joins.plan import left_deep_plan, plan_rows, split_selections
 from repro.joins.yannakakis import (
     yannakakis_aggregate_stream,
     yannakakis_ranked_stream,
@@ -332,9 +332,10 @@ class BinaryPlanExecutor(_NoPayloadExecutor):
     The payload is a tuple of atom *indices* (not edge keys): indices
     translate cleanly through the canonical atom order, whereas edge keys
     embed relation occurrence numbering that can differ between isomorphic
-    queries.  Cross-atom comparison predicates are applied *inside*
-    :func:`repro.joins.plan.execute_plan`, at the first pairwise join that
-    binds both sides.
+    queries.  ``stream`` is :func:`repro.joins.plan.plan_rows`: the joins
+    below the root are materialized, the root join streams (a ``LIMIT``
+    stops it), and cross-atom comparison predicates fire at the first
+    pairwise join that binds both sides.
     """
 
     name = "binary"
@@ -358,9 +359,7 @@ class BinaryPlanExecutor(_NoPayloadExecutor):
         derived, derived_db, residual = filtered_instance(
             spec.core, spec.all_selections, database, registry)
         plan = left_deep_plan([derived.edge_key(i) for i in payload])
-        execution = execute_plan(plan, derived, derived_db, counter=counter,
-                                 selections=residual)
-        rows = iter(execution.result.sorted_tuples())
+        rows = plan_rows(plan, derived, derived_db, counter, residual, [])
         if spec.aggregates:
             return rows
         return head_projected(spec.core, rows, head=spec.head_vars)

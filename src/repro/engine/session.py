@@ -31,9 +31,9 @@ strategies, ``stream()`` yields result tuples straight out of the join
 recursion, and plain Yannakakis yields them from a root-down walk of its
 annotated join tree once the bottom-up messages are passed;
 ``execute(..., limit=k)`` abandons the search after the k-th tuple, so
-``LIMIT`` queries never pay for the full join (binary plans compute their
-result before yielding; stream-folded aggregate queries must also drain
-first, while
+``LIMIT`` queries never pay for the full join (binary plans materialize
+the joins below their root, then stream the root join; stream-folded
+aggregate queries must drain first, while
 in-recursion aggregate plans stream finalized group rows
 group-at-a-time).  Ordered queries run in one of two *ranked modes*:
 **any-k** plans (``ranked_mode="anyk"``) enumerate results in sort order
@@ -177,8 +177,8 @@ class Explanation:                 # make a generated __hash__ crash
         placement.
     pushed_selections:
         Where each selection lands *below* the join (recursion depth for
-        WCOJ, earliest covering atom for naive, filtered scan or
-        first-covering pairwise join for the materializing strategies).
+        WCOJ, earliest covering atom for naive, filtered scan, then the
+        first-covering pairwise join or Yannakakis walk depth).
     order_by / limit:
         Result-ordering and top-k controls carried by the query.
     ranked_mode:
@@ -1019,11 +1019,12 @@ class Engine:
         tuples are finalized group rows, which stream group-at-a-time out
         of the recursion, and for any-k ranked plans they are head rows
         in exact ORDER BY order, so consuming k ordered tuples never pays
-        for the full join.  The materializing strategies (binary plans,
-        Yannakakis) compute their result before yielding the first tuple,
-        and drain-ranked or stream-folded aggregate queries must drain
-        the join first; ``limit`` then merely truncates the iteration
-        (top-k for ordered queries — always applied *after* ordering).
+        for the full join.  Plain Yannakakis streams its root-down walk
+        after one annotated pass, and a binary plan materializes only the
+        intermediates below its root, then streams the root join.
+        Drain-ranked or stream-folded aggregate queries must drain the
+        join first; ``limit`` then merely truncates the iteration (top-k
+        for ordered queries — always applied *after* ordering).
 
         With ``collect_operations`` (or an explicit ``counter``),
         :attr:`last_operations` is the *live* counter of the returned
@@ -1287,6 +1288,16 @@ class Engine:
                         pending.remove(sel)
             return tuple(placements)
         per_atom, residual = split_selections(core, spec.all_selections)
+        if strategy != "yannakakis":
+            where = ("applied during the pairwise joins, at the first join "
+                     "binding both sides")
+        elif payload_ranked_mode(prepared.payload) == "anyk":
+            where = "checked on each complete assignment of the ranked walk"
+        elif payload_aggregate_mode(prepared.payload) == "recursion":
+            where = "applied to the root's join in the pass, before grouping"
+        else:
+            where = ("fired during the join-tree walk, at the first depth "
+                     "binding all its variables")
 
         def column(atom: Any, variable: str) -> str:
             stored = self._db.get(atom.relation).attributes
@@ -1298,11 +1309,7 @@ class Engine:
             if sel.is_constant_equality else
             f"{sel} — filtered into the scan of {core.atoms[i].relation}"
             for i, sels in enumerate(per_atom) for sel in sels
-        ) + tuple(
-            f"{sel} — applied during the pairwise joins, at the first "
-            "join binding both sides"
-            for sel in residual
-        )
+        ) + tuple(f"{sel} — {where}" for sel in residual)
 
     # ------------------------------------------------------------------
     # Internals

@@ -2,23 +2,24 @@
 
 Traditional query plans evaluate one (pairwise) join at a time, materializing
 every intermediate result.  The plan tree here supports exactly that
-paradigm; the executor records the size of every intermediate relation, which
-is the quantity the WCOJ lower-bound arguments are about (a pairwise plan for
-the triangle query must materialize an Omega(N^2) intermediate on the hard
-instances even though the output is O(N^{3/2})).
+paradigm.  Its executor, :func:`plan_rows`, is one row pipeline: each join
+below the root becomes a row list whose size it records, the quantity the
+WCOJ lower-bound arguments are about (a pairwise plan for the triangle query
+must materialize an Omega(N^2) intermediate on the hard instances even though
+the output is O(N^{3/2})); the root join streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from repro.errors import QueryError
 from repro.joins.instrumentation import OperationCounter
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Comparison
 from repro.relational.database import Database
-from repro.relational.operators import natural_join, project
+from repro.relational.operators import join_rows, project, row_picker
 from repro.relational.relation import Relation
 
 
@@ -65,18 +66,9 @@ JoinPlan = Union[PlanLeaf, PlanJoin]
 
 @dataclass
 class PlanExecution:
-    """The outcome of executing a plan.
-
-    Attributes
-    ----------
-    result:
-        The final relation.
-    intermediate_sizes:
-        Sizes of every materialized intermediate (inner node), in execution
-        order.
-    counter:
-        The operation counter used during execution.
-    """
+    """The outcome of executing a plan: the ``result`` relation, the
+    ``intermediate_sizes`` of the joins below the root in execution order,
+    and the ``counter`` the run charged."""
 
     result: Relation
     intermediate_sizes: list[int] = field(default_factory=list)
@@ -114,27 +106,30 @@ def split_selections(core: ConjunctiveQuery, selections: Sequence[Comparison]
     return per_atom, residual
 
 
-def apply_covered_selections(relation: Relation, pending: list,
-                             counter: OperationCounter | None) -> Relation:
-    """Filter by (and consume from ``pending``) every comparison predicate
-    the relation's schema covers.
+def apply_covered_selections(attributes: Sequence[str], rows: Iterable[tuple],
+                             pending: list, counter: OperationCounter | None
+                             ) -> Iterable[tuple]:
+    """Filter rows over ``attributes`` by (and consume from ``pending``)
+    every comparison predicate those attributes cover.
 
     Cross-atom selection pushdown in binary plans: called on base scans
-    and on every pairwise join result, so each predicate fires exactly
-    once, at the first relation binding all its variables.
+    and on every pairwise join's rows, so each predicate fires exactly
+    once, at the first node binding all its variables.  The rows are
+    filtered lazily, one scanned tuple charged per row read.
     """
-    covered = [sel for sel in pending
-               if sel.variables <= set(relation.schema)]
+    covered = [sel for sel in pending if sel.variables <= set(attributes)]
     if not covered:
-        return relation
+        return rows
     for sel in covered:
         pending.remove(sel)
-    if counter is not None:
-        counter.charge(tuples_scanned=len(relation))
-    return relation.filter(
-        lambda row: all(sel.evaluate(row) for sel in covered),
-        name=relation.name,
-    )
+
+    def keep(row: tuple) -> bool:
+        if counter is not None:
+            counter.charge(tuples_scanned=1)
+        binding = dict(zip(attributes, row))
+        return all(sel.evaluate(binding) for sel in covered)
+
+    return filter(keep, rows)
 
 
 def raise_if_pending(pending: list, query: ConjunctiveQuery) -> None:
@@ -168,62 +163,74 @@ def _validate_plan(plan: JoinPlan, query: ConjunctiveQuery) -> None:
         )
 
 
-def execute_plan(plan: JoinPlan, query: ConjunctiveQuery, database: Database,
-                 counter: OperationCounter | None = None,
-                 selections: Sequence = ()) -> PlanExecution:
-    """Execute a binary join plan bottom-up, materializing intermediates.
+def plan_rows(plan: JoinPlan, query: ConjunctiveQuery, database: Database,
+              counter: OperationCounter | None, selections: Sequence,
+              sizes: list[int]) -> Iterator[tuple]:
+    """Stream a binary join plan's rows over ``query.variables``.
 
-    The result is reordered to the query's head variables.  Every inner
-    node's output size is recorded and also charged to the counter as
-    ``intermediate_tuples``.
-
-    ``selections`` (comparison predicates over the query variables) fire at
-    the lowest plan node whose schema covers all their variables — a leaf
-    scan for single-atom predicates, the first pairwise join binding both
-    sides for cross-atom ones — and are applied *before* any join-project
-    projection, so predicates prune intermediates instead of filtering the
-    finished output.
+    Each join below the root becomes a row list, its size appended to
+    ``sizes`` and charged as ``intermediate_tuples``; the root join's rows
+    stream, so abandoning the iterator abandons the last join.  Joins
+    assemble rows in ``query.variables`` order, only ``project_to`` nodes
+    deduplicate (:func:`~repro.relational.operators.project`), and
+    ``selections`` fire below any projection.
     """
     _validate_plan(plan, query)
-    execution = PlanExecution(result=None, counter=counter or OperationCounter())  # type: ignore[arg-type]
     bound_relations = query.bind(database)
     pending = list(selections)
-
-    def run(node: JoinPlan) -> Relation:
-        if isinstance(node, PlanLeaf):
-            return apply_covered_selections(bound_relations[node.edge_key],
-                                            pending, execution.counter)
-        left = run(node.left)
-        right = run(node.right)
-        joined = natural_join(left, right, counter=execution.counter)
-        if pending:
-            joined = apply_covered_selections(joined, pending,
-                                              execution.counter)
-        if node.project_to is not None:
-            joined = project(joined, node.project_to, counter=execution.counter)
-        execution.intermediate_sizes.append(len(joined))
-        execution.counter.charge(intermediate_tuples=len(joined))
-        return joined
-
-    result = run(plan)
-    raise_if_pending(pending, query)
-    # The final node is the query output, not an intermediate.
-    if execution.intermediate_sizes:
-        final_size = execution.intermediate_sizes.pop()
-        execution.counter.charge(intermediate_tuples=-final_size)
-
     variables = query.variables
-    missing = [v for v in variables if v not in result.schema]
+
+    def run(node: JoinPlan, root: bool = False) -> tuple[tuple, Iterable]:
+        """A node's attributes and rows: lazy at the root, a list below."""
+        if isinstance(node, PlanLeaf):
+            relation = bound_relations[node.edge_key]
+            rows = apply_covered_selections(relation.attributes,
+                                            relation.tuples, pending, counter)
+            return relation.attributes, (
+                rows if root or isinstance(rows, Collection) else list(rows))
+        left_attributes, left = run(node.left)
+        right_attributes, right = run(node.right)
+        attributes = tuple(v for v in variables
+                           if v in left_attributes or v in right_attributes)
+        rows = apply_covered_selections(
+            attributes, join_rows(left_attributes, left, right_attributes,
+                                  right, attributes, counter),
+            pending, counter)
+        if node.project_to is not None:
+            projected = project(Relation(str(node), attributes, rows),
+                                node.project_to, counter)
+            attributes, rows = projected.attributes, projected.tuples
+        if not root:
+            rows = list(rows)
+            sizes.append(len(rows))
+            if counter is not None:
+                counter.charge(intermediate_tuples=len(rows))
+        return attributes, rows
+
+    attributes, rows = run(plan, root=True)
+    raise_if_pending(pending, query)
+    missing = [v for v in variables if v not in attributes]
     if missing:
         raise QueryError(
             f"plan result is missing variables {missing}; a projection removed them"
         )
-    ordered = result.reorder(tuple(v for v in variables if v in result.schema),
-                             name=query.name)
-    if tuple(query.head) != tuple(ordered.attributes):
-        ordered = ordered.project(query.head, name=query.name)
-    execution.result = ordered
-    return execution
+    if attributes != variables:  # a root ``project_to`` keeps its own order
+        rows = map(row_picker([attributes.index(v) for v in variables]), rows)
+    yield from rows
+
+
+def execute_plan(plan: JoinPlan, query: ConjunctiveQuery, database: Database,
+                 counter: OperationCounter | None = None,
+                 selections: Sequence = ()) -> PlanExecution:
+    """Execute a binary join plan: :func:`plan_rows` drained into the
+    result relation, projected onto the query's head."""
+    counter = counter or OperationCounter()
+    sizes: list[int] = []
+    result = Relation(query.name, query.variables, plan_rows(
+        plan, query, database, counter, selections, sizes))
+    if tuple(query.head) != query.variables:
+        result = result.project(query.head, name=query.name)
+    return PlanExecution(result, sizes, counter)
 
 
 def left_deep_plan(edge_keys: Sequence[str]) -> JoinPlan:

@@ -13,7 +13,9 @@ algorithms on equal footing.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
+from operator import itemgetter
+from typing import (Any, Callable, Collection, Iterable, Iterator, Mapping,
+                    Sequence, TYPE_CHECKING)
 
 from repro.errors import SchemaError
 from repro.relational.relation import Relation
@@ -50,53 +52,56 @@ def rename(relation: Relation, mapping: Mapping[str, str]) -> Relation:
     return relation.rename(mapping)
 
 
+def row_picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A function taking a row to the tuple of its values at ``positions``."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def join_rows(left_schema: tuple[str, ...], left: Collection[tuple],
+              right_schema: tuple[str, ...], right: Collection[tuple],
+              schema: Sequence[str],
+              counter: "OperationCounter | None" = None) -> Iterator[tuple]:
+    """Hash-join two row collections on their common attributes, building
+    on the smaller side, and yield each output row over ``schema``.
+
+    With no common attribute this is the cartesian product, charged as
+    such: no hash inserts or probes.  Duplicate-free inputs give a
+    duplicate-free output, so nothing is deduplicated.
+    """
+    if len(left) > len(right):  # from here on, ``left`` is the build side
+        left_schema, left, right_schema, right = (right_schema, right,
+                                                  left_schema, left)
+    # Output positions within the concatenated row ``left row + right row``.
+    both = left_schema + right_schema
+    assemble = row_picker([both.index(a) for a in schema])
+    common = [a for a in left_schema if a in right_schema]
+    build_key = row_picker([left_schema.index(a) for a in common])
+    probe_key = row_picker([right_schema.index(a) for a in common])
+    hashed = 1 if common else 0  # a cartesian product is one bucket
+    table: dict[tuple, list[tuple]] = {}
+    for t in left:
+        table.setdefault(build_key(t), []).append(t)
+    _charge(counter, tuples_scanned=len(left), hash_inserts=hashed * len(left))
+    lookup = table.get
+    for t in right:
+        _charge(counter, tuples_scanned=1, hash_probes=hashed)
+        for m in lookup(probe_key(t), ()):
+            _charge(counter, tuples_emitted=1)
+            yield assemble(m + t)
+
+
 def natural_join(left: Relation, right: Relation, name: str | None = None,
                  counter: "OperationCounter | None" = None) -> Relation:
-    """Natural join via the classic build/probe hash join.
-
-    The smaller relation is used as the build side.  Joins on the common
-    attributes of the two schemas; a join with no common attributes
-    degenerates to the cartesian product.
-    """
-    common = left.schema.intersection(right.schema)
-    if not common:
-        return cartesian_product(left, right, name=name, counter=counter)
-
-    build, probe = (left, right) if len(left) <= len(right) else (right, left)
-    build_pos = build.schema.positions(common)
-    probe_pos = probe.schema.positions(common)
-
-    table: dict[tuple, list[tuple]] = {}
-    for t in build:
-        table.setdefault(tuple(t[p] for p in build_pos), []).append(t)
-    _charge(counter, tuples_scanned=len(build), hash_inserts=len(build))
-
-    out_schema = left.schema.union(right.schema)
-    # Positions used to assemble the output tuple from (left tuple, right tuple).
-    assembly: list[tuple[int, int]] = []
-    for attr in out_schema:
-        if attr in left.schema:
-            assembly.append((0, left.schema.position(attr)))
-        else:
-            assembly.append((1, right.schema.position(attr)))
-
-    result: set[tuple] = set()
-    for t in probe:
-        _charge(counter, tuples_scanned=1, hash_probes=1)
-        key = tuple(t[p] for p in probe_pos)
-        matches = table.get(key)
-        if not matches:
-            continue
-        for m in matches:
-            if build is left:
-                pair = (m, t)
-            else:
-                pair = (t, m)
-            out = tuple(pair[side][pos] for side, pos in assembly)
-            result.add(out)
-            _charge(counter, tuples_emitted=1)
-    join_name = name or f"({left.name} JOIN {right.name})"
-    return Relation(join_name, out_schema, result)
+    """Natural join via :func:`join_rows`' build/probe hash join; with no
+    common attributes, the cartesian product."""
+    schema = left.schema.union(right.schema)
+    join = "JOIN" if left.schema.intersection(right.schema) else "X"
+    return Relation(name or f"({left.name} {join} {right.name})", schema,
+                    join_rows(left.attributes, left.tuples, right.attributes,
+                              right.tuples, schema, counter))
 
 
 def semijoin(left: Relation, right: Relation, name: str | None = None,
@@ -142,14 +147,7 @@ def cartesian_product(left: Relation, right: Relation, name: str | None = None,
         raise SchemaError(
             f"cartesian product requires disjoint schemas, both contain {common}"
         )
-    out_schema = left.schema.union(right.schema)
-    result = set()
-    for lt in left:
-        for rt in right:
-            result.add(lt + rt)
-            _charge(counter, tuples_emitted=1)
-    _charge(counter, tuples_scanned=len(left) + len(right))
-    return Relation(name or f"({left.name} X {right.name})", out_schema, result)
+    return natural_join(left, right, name=name, counter=counter)
 
 
 def intersect_value_sets(sets: Sequence[Iterable[Value]],

@@ -49,6 +49,11 @@ def test_counter_honesty_passes_clean_twin():
     assert list(CounterHonestyChecker().check_file(ctx)) == []
 
 
+def test_counter_honesty_measures_the_relational_operators():
+    ctx = _ctx("counter_bad.py", "src/repro/relational/operators.py")
+    assert len(list(CounterHonestyChecker().check_file(ctx))) == 3
+
+
 def test_counter_honesty_ignores_unmeasured_packages():
     ctx = _ctx("counter_bad.py", "src/repro/relational/fixture.py")
     assert list(CounterHonestyChecker().check_file(ctx)) == []

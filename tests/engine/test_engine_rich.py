@@ -244,6 +244,23 @@ class TestExplainAndStats:
         assert any("during the pairwise joins" in entry
                    for entry in path.pushed_selections)
 
+    @pytest.mark.parametrize("query, axes, where", [
+        ("Q(A,C) :- R(A,B), S(B,C), A < C", {},
+         "fired during the join-tree walk, at the first depth binding all "
+         "its variables"),
+        ("Q(A,C) :- R(A,B), S(B,C), A < C ORDER BY A LIMIT 3",
+         {"ranked_mode": "anyk"},
+         "checked on each complete assignment of the ranked walk"),
+        ("Q(A,COUNT(*)) :- R(A,B), S(B,C), A < C",
+         {"aggregate_mode": "recursion"},
+         "applied to the root's join in the pass, before grouping"),
+    ])
+    def test_cross_atom_selection_placed_by_the_yannakakis_plan(
+            self, query, axes, where):
+        engine = triangle_engine()
+        path = engine.explain(query, mode="yannakakis", **axes)
+        assert path.pushed_selections == (f"A < C — {where}",)
+
     def test_forced_yannakakis_on_selected_acyclic_query(self):
         engine = triangle_engine()
         result = engine.execute("Q(A,C) :- R(A,B), S(B,C), A < C",

@@ -278,6 +278,36 @@ class TestYannakakisDelay:
         assert first.total() <= count.total() + inputs + len(relations)
 
 
+class TestBinaryDelay:
+    # A binary plan materializes only the intermediates below its root;
+    # the root join streams, so a first row or a LIMIT stops it early.
+    QUERY = "Q(A,B,C,D) :- R(A,B), S(B,C), U(C,D)"
+
+    def test_first_row_does_not_drain_the_root_join(self):
+        engine = TestYannakakisDelay.engine()
+        drained = OperationCounter()
+        rows = list(engine.stream(self.QUERY, mode="binary", counter=drained))
+        assert len(rows) > 1
+        first = OperationCounter()
+        stream = engine.stream(self.QUERY, mode="binary", counter=first)
+        assert next(stream, None) is not None
+        stream.close()
+        assert first.total() < drained.total()
+
+    def test_limit_stops_the_root_join(self):
+        engine = TestYannakakisDelay.engine()
+        drained = OperationCounter()
+        engine.execute(self.QUERY, mode="binary", counter=drained)
+        limited = OperationCounter()
+        assert len(list(engine.stream(self.QUERY, mode="binary", limit=1,
+                                      counter=limited))) == 1
+        # The intermediate below the root is paid in full either way.
+        assert limited.intermediate_tuples == drained.intermediate_tuples > 0
+        assert limited.tuples_emitted < drained.tuples_emitted
+        # The root join is charged one emitted row: the one it produced.
+        assert limited.tuples_emitted == limited.intermediate_tuples + 1
+
+
 class TestExecuteMany:
     def test_batch_matches_individual_execution(self):
         engine = triangle_engine()

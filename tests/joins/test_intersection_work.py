@@ -12,6 +12,8 @@ import math
 
 import pytest
 
+from repro.datagen.graphs import erdos_renyi_graph, zipf_graph
+from repro.engine import Engine
 from repro.joins.generic_join import (
     generic_join_stream,
     hash_probe_intersect,
@@ -110,3 +112,64 @@ def test_skewed_triangle_does_the_work_it_charges(stream):
                + counter.seeks * math.ceil(math.log2(widest)))
     assert charged > 0
     assert calls <= 4 * charged, (calls, charged, counter.as_dict())
+
+
+# ---------------------------------------------------------------------
+# The same audit one level up: whole queries through Engine.execute.
+# ---------------------------------------------------------------------
+AUDIT_SHAPES = {
+    "triangle": ("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", False),
+    "cycle4": ("Q(A,B,C,D) :- R(A,B), S(B,C), U(C,D), V(D,A)", False),
+    "path3": ("Q(A,B,C,D) :- R(A,B), S(B,C), U(C,D)", True),
+    "path3_projected": ("Q(A,D) :- R(A,B), S(B,C), U(C,D)", True),
+    "star_count": ("Q(A, COUNT(*) AS n) :- R(A,B), T(A,C), V(D,A)", True),
+    "path3_top": ("Q(A,B,C,D) :- R(A,B), S(B,C), U(C,D) "
+                  "ORDER BY D DESC, A LIMIT 10", True),
+}
+AUDIT_CELLS = [
+    (instance, shape, mode)
+    for instance in ("uniform", "zipf")
+    for shape, (_query, acyclic) in AUDIT_SHAPES.items()
+    for mode in ("generic", "leapfrog", "yannakakis", "binary")
+    if acyclic or mode != "yannakakis"
+]
+
+
+@pytest.fixture(scope="module")
+def audit_engines():
+    """One warm-able engine per instance: five 120-vertex, 480-edge
+    relations, uniform or Zipf(0.8) on both endpoints, fixed seeds."""
+    def relations(instance):
+        for seed, name in enumerate("RSTUV"):
+            graph = (erdos_renyi_graph(120, 480, seed=seed)
+                     if instance == "uniform"
+                     else zipf_graph(120, 480, skew=0.8, seed=seed))
+            yield Relation(name, ("x", "y"),
+                           [(Counted(a), Counted(b)) for a, b in graph])
+    return {instance: Engine(relations=relations(instance),
+                             cache_results=False)
+            for instance in ("uniform", "zipf")}
+
+
+@pytest.mark.parametrize("instance,shape,mode", AUDIT_CELLS)
+def test_every_strategy_does_the_work_it_charges(audit_engines, instance,
+                                                 shape, mode):
+    """Value calls per charged operation stay under one constant, c = 5,
+    for every forced python strategy: the operation counts the
+    dispatcher prices and the gates compare are one currency.
+
+    Every run is the second of its query, so plans and indexes are warm
+    and the calls are the join's.  Hybrid and naive are not in the grid.
+    Hybrid's light side builds its tries per run, outside the registry,
+    and its partitions are uncharged ``Relation`` copies (about 9.5 calls
+    per operation on the uniform triangle).  Naive is the nested-loop
+    oracle, not a strategy the counts are compared on.
+    """
+    engine = audit_engines[instance]
+    query, _acyclic = AUDIT_SHAPES[shape]
+    engine.execute(query, mode=mode, backend="python")
+    counter = OperationCounter()
+    Counted.calls = 0
+    engine.execute(query, mode=mode, backend="python", counter=counter)
+    assert Counted.calls <= 5 * counter.total(), (
+        Counted.calls, counter.as_dict())

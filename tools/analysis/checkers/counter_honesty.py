@@ -4,7 +4,8 @@ The benchmark gates (`bench_hybrid_skew`, `bench_faq_factorization`,
 `bench_ivm_delta`, ...) compare **operation counts**, the same series
 Ngo's survey states its results in.  Those counts are only as honest as
 the charging convention: every loop that walks relation tuples inside
-``repro.joins`` and ``repro.columnar`` must charge an
+``repro.joins``, ``repro.columnar`` and ``repro.relational.operators``
+(the hash join binary plans run) must charge an
 :class:`~repro.joins.instrumentation.OperationCounter` *on its path* —
 one uncharged loop silently deflates a strategy's measured work and
 inflates its gate ratio.
@@ -72,8 +73,10 @@ VECTORIZED_FOLDS = frozenset({"reduceat", "bincount"})
 #: Calls that walk their whole argument to build a collection.
 MATERIALIZERS = frozenset({"set", "frozenset", "sorted", "list", "fromkeys"})
 
-#: The packages whose operation counts the benchmark gates compare.
-MEASURED_PACKAGES = ("repro.joins", "repro.columnar")
+#: The packages whose operation counts the benchmark gates compare, and
+#: the relational operators module, whose hash-join loop binary plans run.
+MEASURED_PACKAGES = ("repro.joins", "repro.columnar",
+                     "repro.relational.operators")
 
 #: Where the per-search-node value lists of the WCOJ kernels live, and
 #: the one package whose functions run once per search node.
