@@ -1347,8 +1347,9 @@ class Engine:
         if self._metrics is not None:
             self._m_dispatch.inc(strategy=prepared.plan.strategy)
             self._m_backend.inc(backend=prepared.plan.backend)
-        rows = executor.stream(spec, self._db, prepared.payload,
-                               registry=self._registry, counter=counter)
+        rows = source = executor.stream(spec, self._db, prepared.payload,
+                                        registry=self._registry,
+                                        counter=counter)
         self._sync_index_stats()
         if spec.aggregates and not executor.handles_aggregation(
                 spec, prepared.payload):
@@ -1356,14 +1357,27 @@ class Engine:
                                    spec.head_vars, spec.aggregates)
         if spec.order_by and not executor.handles_ordering(
                 spec, prepared.payload):
-            return iter(sort_rows(rows, spec.output_columns, spec.order_by,
+            rows = iter(sort_rows(rows, spec.output_columns, spec.order_by,
                                   limit=limit))
-        if (self._metrics is not None and spec.order_by
-                and executor.handles_ordering(spec, prepared.payload)):
+        elif self._metrics is not None and spec.order_by:
             rows = self._observe_anyk_delays(rows)
-        if limit is not None:
-            return itertools.islice(rows, limit)
-        return rows
+        return self._closing(rows, limit, source)
+
+    @staticmethod
+    def _closing(rows: Iterator[tuple], limit: int | None,
+                 source: Iterator[tuple]) -> Iterator[tuple]:
+        """``rows`` up to ``limit``, as a generator whose ``close()`` —
+        or its end — also closes the executor's ``source``: an abandoned
+        stream releases the executor's state (an any-k frontier, a
+        suspended recursion) at once, whichever branch of :meth:`_run`
+        built it."""
+        taken = rows if limit is None else itertools.islice(rows, limit)
+        try:
+            yield from taken
+        finally:
+            close = getattr(source, "close", None)
+            if close is not None:
+                close()
 
     def _observe_anyk_delays(self, rows: Iterator[tuple]) -> Iterator[tuple]:
         """Pass an any-k ranked stream through, feeding the delay

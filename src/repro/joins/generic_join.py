@@ -38,10 +38,9 @@ engine can amortize index construction across queries.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
 
+from repro.joins.anyk import anyk
 from repro.joins.instrumentation import OperationCounter
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.semiring import (
@@ -171,24 +170,27 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
     machinery.  The ranking-semiring eliminators
     (:func:`repro.query.semiring.ranking_semiring`) compute, per
     separator and bottom-up, the lexicographically best sort-key suffix
-    any completion of a prefix binding can achieve; a priority frontier
-    then pops prefix bindings by ``bound key components + best-suffix
-    bound`` — an exact bound, so pops occur in final-key order — and
-    each popped complete key class is emitted in the drain tie-break
-    order (ascending full row).  ``order`` must keep the key variables
-    as a prefix (after pinned variables, before the remaining head
-    variables); the ranked planner (:func:`repro.query.variable_order.
-    ranked_order`) constructs such orders.  At a level binding sort key
-    p below keys 0..p-1 — every frontier level of a planner order, a
-    pinned one holding a single candidate — the siblings are already in
-    priority order, so the frontier pushes them lazily: a level's first
-    surviving candidate when its parent is popped, and a popped entry's
-    next sibling as its successor.  The first row then costs the pops
-    down the key levels and the eliminators below the candidates they
-    examine, whatever k is; abandoning the iterator after k results
-    abandons the frontier, so ``ORDER BY ... LIMIT k`` pays for the pops
-    it makes instead of the full join.  A hand-given order that binds a
-    later key first pushes every candidate of that level at once.
+    any completion of a prefix binding can achieve.  The key levels are
+    the stages of the shared any-k frontier (:func:`repro.joins.anyk.
+    anyk`): a candidate's priority is its ``bound key components +
+    best-suffix bound`` — an exact bound, so pops occur in final-key
+    order — each expansion of a level charges one search node, and a
+    popped key class walks the head levels below it and is emitted in
+    the drain tie-break order (ascending full row).  ``order`` must keep
+    the key variables as a prefix (after pinned variables, before the
+    remaining head variables); the ranked planner (:func:`repro.query.
+    variable_order.ranked_order`) constructs such orders.  At a level
+    binding sort key p below keys 0..p-1 — every frontier level of a
+    planner order, a pinned one holding a single candidate — the
+    siblings are already in priority order, so they enter the frontier
+    one at a time: a level's first surviving candidate when its parent
+    is popped, and a popped entry's next sibling as its successor.  The
+    first row then costs the pops down the key levels and the
+    eliminators below the candidates they examine, whatever k is;
+    abandoning the iterator after k results abandons the frontier, so
+    ``ORDER BY ... LIMIT k`` pays for the pops it makes instead of the
+    full join.  A hand-given order that binds a later key first pushes
+    every candidate of that level at once.
 
     Yields tuples over ``query.variables`` (or ``head`` / the aggregate
     row shape); because the recursion suspends at every ``yield``,
@@ -540,8 +542,9 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                                lift_factors=_BOOLEAN_FACTORS)
 
     # ------------------------------------------------------------------
-    # Any-k ranked enumeration: a priority frontier over the search tree,
-    # ordered by exact best-suffix bounds from the ranking semiring.
+    # Any-k ranked enumeration: the key levels are the stages of the
+    # shared frontier (:func:`repro.joins.anyk.anyk`), priced by exact
+    # best-suffix bounds from the ranking semiring.
     # ------------------------------------------------------------------
     if ranked is not None:
         keys = [(v, bool(descending)) for v, descending in ranked]
@@ -564,17 +567,14 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
             if not suffix:
                 continue
 
-            def suffix_lift(_suffix=suffix):
-                return tuple((p, rank_component(binding[v], descending))
-                             for p, v, descending in _suffix)
-
             def suffix_partial(subset, _suffix=suffix):
-                # The sort-key sub-vector a component can see; vectors
-                # over disjoint key positions recompose with the ranking
-                # semiring's ⊗ (positionwise merge), so the combined
-                # best-suffix bound stays exact — the lexicographic
-                # minimum of independent blocks is the merge of the
-                # blocks' minima.
+                # The sort-key sub-vector over ``subset``: the whole
+                # suffix is the eliminator's lift, and a residual
+                # component sees its own block.  Vectors over disjoint
+                # key positions recompose with the ranking semiring's ⊗
+                # (positionwise merge), so the combined best-suffix
+                # bound stays exact — the lexicographic minimum of
+                # independent blocks is the merge of the blocks' minima.
                 chosen = tuple(entry for entry in _suffix
                                if entry[1] in subset)
 
@@ -584,16 +584,21 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
 
                 return partial_lift
 
+            reads = frozenset(v for _p, v, _d in suffix)
             rank_eliminators[start] = make_eliminator(
-                start, (RANKING,), (suffix_lift,),
-                lift_needs={v for _p, v, _d in suffix},
-                lift_factors=((frozenset(v for _p, v, _d in suffix),
-                               suffix_partial),))
+                start, (RANKING,), (suffix_partial(reads),),
+                lift_needs=reads, lift_factors=((reads, suffix_partial),))
         exists = exists_below(key_depth) if key_depth < n else None
 
-        def frontier_priority(depth: int) -> tuple | None:
-            """The exact best full sort key reachable under the current
-            ``depth``-prefix binding (None: the subtree is empty)."""
+        def priority(depth: int, _base: tuple | None,
+                     value: Any) -> tuple | None:
+            """Bind ``value`` at ``depth``: the exact best full sort key
+            reachable under the extended binding (None: the level's
+            selections reject it, or its subtree is empty)."""
+            binding[order[depth]] = value
+            if not passes(depth):
+                return None
+            depth += 1
             components: list = [None] * len(keys)
             for p, (v, descending) in enumerate(keys):
                 if position[v] < depth:
@@ -617,45 +622,28 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
         # level has at most one candidate.  Such a level pushes one
         # sibling at a time; a hand-given order that binds a later key
         # first pushes every candidate of the level at once.
-        steps = {position[v]: 1 for v in pinned if position[v] < key_depth}
+        steps = [1 if v in pinned else None for v in order[:key_depth]]
         for p, (v, descending) in enumerate(keys):
             if all(position[u] < position[v] for u, _d in keys[:p]):
                 steps[position[v]] = -1 if descending else 1
 
-        heap: list = []
-        tick = itertools.count()  # heap tiebreak; bindings never compare
-
-        def push(depth: int, prefix: tuple, candidates: list, index: int,
-                 step: int | None) -> None:
-            """Walk ``candidates`` from ``index`` by ``step`` and push the
-            values that pass the level's selections and have a
-            completion: at a lazy level only the first, with the cursor
-            its pop resumes from; at an eager level (``step`` None,
-            walked forward) all of them."""
-            variable = order[depth]
-            while 0 <= index < len(candidates):
-                value = candidates[index]
-                index += step or 1
-                binding[variable] = value
-                if passes(depth):
-                    priority = frontier_priority(depth + 1)
-                    if priority is not None:
-                        heapq.heappush(heap, (
-                            priority, next(tick), depth + 1, prefix + (value,),
-                            None if step is None else (candidates, index, step)))
-                        if step is not None:
-                            return
-
-        def expand(depth: int) -> None:
+        def expand(depth: int, prefix: tuple) -> list[Any]:
+            # A successor push may have rebound the prefix's last level.
+            binding.update(zip(order, prefix))
             variable = order[depth]
             if counter is not None:
                 counter.charge(search_nodes=1)
                 if detail:
                     counter.attribute(node_labels[variable])
-            candidates = candidates_for(variable)
-            step = steps.get(depth)
-            push(depth, tuple(binding[v] for v in order[:depth]), candidates,
-                 len(candidates) - 1 if step == -1 else 0, step)
+            return candidates_for(variable)
+
+        def restore(prefix: tuple) -> None:
+            binding.clear()
+            binding.update(zip(order, prefix))
+            # The one binding that does not come from the level above:
+            # re-seat the cursors along the restored prefix.
+            for variable in order[:len(prefix)]:
+                nodes_at(variable)
 
         def class_row() -> tuple | None:
             """One head row of a popped key class, its tail collapsed."""
@@ -663,34 +651,12 @@ def wcoj_stream(query: ConjunctiveQuery, database: Database,
                 return None
             return tuple(binding[h] for h in head_vars)
 
-        expand(0)
-        while heap:
-            _priority, _tick, depth, values, siblings = heapq.heappop(heap)
-            binding.clear()
-            binding.update(zip(order[:depth], values))
-            # The one binding that does not come from the level above:
-            # re-seat the cursors along the restored prefix.
-            for variable in order[:depth]:
-                nodes_at(variable)
-            if siblings is not None:
-                # The popped entry's successor among its siblings: every
-                # sibling after it ranks no better, so it enters the
-                # frontier only now.
-                push(depth - 1, values[:-1], *siblings)
-                binding[order[depth - 1]] = values[-1]
-            if depth == key_depth:
-                # Distinct pops carry distinct keys (the key variables are
-                # the only branching prefix variables), so one pop is one
-                # whole tie class: emit it in the drain tie-break order.
-                rows = sorted(walk(depth, stop, class_row, walk))
-                binding.clear()
-                for row in rows:
-                    if counter is not None:
-                        counter.charge(tuples_emitted=1)
-                    yield row
-            else:
-                expand(depth)
-                binding.clear()
+        def complete(prefix: tuple) -> Iterator[tuple]:
+            binding.update(zip(order, prefix))
+            return walk(key_depth, stop, class_row, walk)
+
+        yield from anyk(key_depth, expand, priority, steps, restore,
+                        complete, counter)
         return
 
     # ------------------------------------------------------------------

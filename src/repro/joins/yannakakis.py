@@ -22,18 +22,19 @@ of three ways, none of which materializes the join:
   state incremental view maintenance (:mod:`repro.ivm`) repairs with
   :func:`ann_project` and :func:`ann_join`;
 * :func:`yannakakis_ranked_stream` (any-k): the tree in the **ordering
-  semiring** bounds each tuple's best subtree sort key, and a Lawler/REA
-  frontier expands the annotation-sorted candidate lists in exact order.
+  semiring** bounds each tuple's best subtree sort key, and its
+  annotation-sorted candidate lists are the stages of the shared
+  Lawler/REA frontier (:func:`repro.joins.anyk.anyk`), expanded in exact
+  order.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
+from repro.joins.anyk import anyk
 from repro.joins.instrumentation import OperationCounter, phase
 from repro.joins.plan import raise_if_pending, split_selections
 from repro.query.atoms import ConjunctiveQuery
@@ -607,18 +608,23 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
        contribution its whole subtree can achieve (the join-tree analogue
        of the WCOJ best-suffix bounds); :func:`candidate_lists` sorts each
        bucket by it.
-    2. *Enumerate* (Lawler/REA): a state assigns tuples to a root-down
-       prefix of the nodes, prioritized by the exact best full key among
-       its completions.  A pop pushes its extension (the next node's best
-       candidate, same priority) and its successor (the next candidate at
-       its last node), so every assignment is reached once, in sort
-       order.  Rows of one key class are emitted in ascending order (the
-       drain tie-break): the prefix is bit-identical to sort-and-drain.
+    2. *Enumerate*: the root-down nodes are the stages of the shared
+       any-k frontier (:func:`repro.joins.anyk.anyk`).  A stage's choices
+       are the node's bucket under its parent's tuple, already in
+       priority order, so they enter one sibling at a time; a choice's
+       priority is its parent's with the choice's annotation in place,
+       the exact best full key among its completions.  Each pop charges
+       one search node; a complete assignment passing the cross-node
+       checks yields its head row, and the frontier emits each key class
+       in ascending order (the drain tie-break): the prefix is
+       bit-identical to sort-and-drain.
 
     Single-atom ``selections`` filter the scans; cross-node ones are
     checked on complete assignments (the bounds stay admissible).
 
-    Raises :class:`QueryError` when the query is not alpha-acyclic.
+    Raises :class:`QueryError` when the query is not alpha-acyclic, or
+    when a key or head variable is not a query variable or a key is not
+    a head variable (a row's sort key must be a function of the row).
     """
     keys = [(variable, bool(descending)) for variable, descending in order_by]
     if not keys:
@@ -631,6 +637,12 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
         raise QueryError(
             f"ranked head/ORDER BY variables {unknown} are not query "
             f"variables {query.variables}"
+        )
+    stray = sorted({v for v, _d in keys} - set(head))
+    if stray:
+        raise QueryError(
+            f"ORDER BY variables {stray} are not head variables; "
+            "a row's sort key must be a function of the row"
         )
 
     def lift_of(owned: dict[int, int]) -> Lift:
@@ -649,68 +661,34 @@ def yannakakis_ranked_stream(query: ConjunctiveQuery, database: Database,
         covered, counter)
     sequence, lookups = candidate_lists(
         annotated, counter, rank=lambda ann: tuple(c for _p, c in ann[1]))
-    root_list = _candidates(lookups[0], ())
-    if not root_list:
-        return
     bound_at = _bound_at(sequence)
     emit = [bound_at[h] for h in head]
     checks = [(sel, [(v, *bound_at[v]) for v in sel.variables])
               for sel in residual]
 
-    def dense(priority: tuple, ann: tuple) -> tuple:
-        """Replace an annotation's positions inside a dense priority."""
-        components = list(priority)
-        for p, component in ann:
+    def candidates(depth: int, prefix: tuple) -> list[tuple[list, tuple]]:
+        return _candidates(lookups[depth], [row for _ann, row in prefix])
+
+    def priority(_depth: int, base: tuple | None,
+                 candidate: tuple[list, tuple]) -> tuple:
+        """``base`` with the candidate's subtree components in place: a
+        sibling covers the same key positions, and a node's first
+        candidate is the minimum already folded into its parent's."""
+        components = list(base or (None,) * len(keys))
+        for p, component in candidate[0][1]:
             components[p] = component
         return tuple(components)
 
-    initial_ann, initial_row = root_list[0]
-    heap: list = [(dense((None,) * len(keys), initial_ann[1]),
-                   0, (0,), (initial_row,))]
-    tick = itertools.count(1)
+    def restore(_prefix: tuple) -> None:
+        if counter is not None:
+            counter.charge(search_nodes=1)
 
-    # Tie-class buffer: rows of one key class are collected and emitted in
-    # ascending row order (the drain tie-break) once the frontier proves no
-    # more rows of that class remain (heap minimum strictly larger).
-    buffer_key: tuple | None = None
-    buffer_rows: set[tuple] = set()
+    def complete(prefix: tuple) -> tuple[tuple, ...]:
+        rows = [row for _ann, row in prefix]
+        if not _holds(checks, rows):
+            return ()
+        return (tuple(rows[d][c] for d, c in emit),)
 
     with phase(counter, "frontier"):
-        while heap:
-            priority, _tick, indices, rows = heapq.heappop(heap)
-            if counter is not None:
-                counter.charge(search_nodes=1)
-            if buffer_rows and priority > buffer_key:
-                for row in sorted(buffer_rows):
-                    if counter is not None:
-                        counter.charge(tuples_emitted=1)
-                    yield row
-                buffer_key, buffer_rows = None, set()
-            depth = len(indices) - 1
-            # Successor: the next candidate at the last assigned node.
-            successor_list = _candidates(lookups[depth], rows)
-            nxt = indices[depth] + 1
-            if nxt < len(successor_list):
-                ann, row = successor_list[nxt]
-                heapq.heappush(heap, (
-                    dense(priority, ann[1]), next(tick),
-                    indices[:depth] + (nxt,), rows[:depth] + (row,),
-                ))
-            if depth + 1 < len(sequence):
-                # Extension: the next node's best matching tuple.  Its
-                # subtree bound is already in the priority (the message
-                # minimum equals the sorted candidate list's head), so the
-                # priority is unchanged.
-                extension_list = _candidates(lookups[depth + 1], rows)
-                _ann, row = extension_list[0]
-                heapq.heappush(heap, (
-                    priority, next(tick), indices + (0,), rows + (row,),
-                ))
-            elif _holds(checks, rows):
-                if buffer_key is None:
-                    buffer_key = priority
-                buffer_rows.add(tuple(rows[d][c] for d, c in emit))
-        for row in sorted(buffer_rows):
-            if counter is not None:
-                counter.charge(tuples_emitted=1)
-            yield row
+        yield from anyk(len(sequence), candidates, priority,
+                        [1] * len(sequence), restore, complete, counter)

@@ -6,8 +6,9 @@ agreement of the any-k prefix with drain-and-heap on randomized acyclic
 and cyclic queries, the node-count separation for small k (the delay
 shape any-k exists for), ``explain()``'s ranked-mode report, plan-cache
 behaviour across modes, the per-call-limit / query-ORDER-BY interaction
-(ordering must never be skipped by a truncating limit), and the error
-surface of forced modes.
+(ordering must never be skipped by a truncating limit), ``close()`` on
+every branch of the engine's row pipeline, and the error surface of
+forced modes.
 """
 
 import math
@@ -211,11 +212,11 @@ class TestDelayShape:
                            counter=drain))
         assert counter.search_nodes < drain.search_nodes / 10
 
-    @pytest.mark.parametrize("mode", ["generic", "leapfrog"])
+    @pytest.mark.parametrize("mode", ["generic", "leapfrog", "yannakakis"])
     def test_first_row_work_does_not_depend_on_k(self, mode):
-        # A frontier level pushes one sibling at a time, so the first row
-        # costs the pops down the key levels, not a best-suffix bound for
-        # every root candidate B.
+        # A frontier stage pushes one sibling at a time, so the first row
+        # costs the pops down the key levels (or join-tree nodes), not a
+        # best-suffix bound for every root candidate B.
         engine = star_top_engine()
         roots = len({b for _a, b in engine.database.get("R")})
         first_rows = {}
@@ -229,6 +230,44 @@ class TestDelayShape:
             first_rows[k] = (first, counter.as_dict())
             assert counter.search_nodes < roots
         assert first_rows[1] == first_rows[10] == first_rows[100]
+
+
+class TestStreamClose:
+    """``Engine.stream(...).close()`` ends the stream on every branch of
+    the row pipeline and releases the executor's stream with it."""
+
+    QUERY = "Q(A,B,C) :- R(A,B), S(B,C)"
+    TOP = QUERY + " ORDER BY C DESC, A LIMIT 3"
+
+    @pytest.mark.parametrize("query, options", [
+        (TOP, {"mode": "generic", "ranked_mode": "anyk"}),
+        (TOP, {"mode": "yannakakis", "ranked_mode": "anyk"}),
+        (QUERY + " ORDER BY C DESC, A", {"ranked_mode": "drain"}),
+        (QUERY, {"mode": "generic"}),
+        (QUERY, {"mode": "generic", "backend": "columnar"}),
+    ], ids=["anyk-limit", "yannakakis-anyk-limit", "drain-sorted", "plain",
+            "columnar"])
+    def test_close_ends_the_stream(self, query, options):
+        if options.get("backend") == "columnar":
+            pytest.importorskip("numpy")
+        engine = random_chain_engine(0)
+        stream = engine.stream(query, **options)
+        next(stream)
+        stream.close()
+        with pytest.raises(StopIteration):
+            next(stream)
+
+    def test_close_releases_the_frontier(self):
+        # The frontier's phase writes its breakdown when its generator
+        # exits: on close, not when the engine's stream is collected.
+        engine = random_chain_engine(0)
+        counter = OperationCounter(detail=True)
+        stream = engine.stream(self.TOP, mode="yannakakis",
+                               ranked_mode="anyk", counter=counter)
+        next(stream)
+        assert "frontier.search_nodes" not in counter.breakdown
+        stream.close()
+        assert counter.breakdown["frontier.search_nodes"] >= 1
 
 
 class TestLimitOrderByInteraction:

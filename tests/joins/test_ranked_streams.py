@@ -1,11 +1,12 @@
 """Any-k ranked enumeration at the join-core level.
 
-Direct tests of the two ranked executors beneath the engine: the WCOJ
-priority frontier (``wcoj_stream(..., ranked=...)`` through both
-intersection engines) and the annotated-join-tree enumeration of
-:func:`repro.joins.yannakakis.yannakakis_ranked_stream` — exact prefix
-agreement with sort-and-drain, the variable-order contract, and the
-error surface.
+Direct tests of the stage builders of the shared any-k frontier
+(:func:`repro.joins.anyk.anyk`) beneath the engine: the WCOJ key levels
+(``wcoj_stream(..., ranked=...)`` through both intersection engines) and
+the annotated join tree's root-down nodes
+(:func:`repro.joins.yannakakis.yannakakis_ranked_stream`) — exact prefix
+agreement with sort-and-drain in one suite over all three, the
+variable-order contract, and the error surface.
 """
 
 import itertools
@@ -58,63 +59,109 @@ def drained(query, database, head, order_by, selections=()):
     return sort_rows(projected, head, order_by)
 
 
-class TestWcojRanked:
-    @pytest.mark.parametrize("stream", [generic_join_stream, leapfrog_stream])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_head_matches_drain(self, stream, seed):
-        database = random_database(seed)
-        head = ("A", "B", "C")
-        keys = [("C", True), ("A", False)]
-        got = list(stream(CHAIN, database, order=("C", "A", "B"),
-                          head=head, ranked=keys))
-        assert got == drained(CHAIN, database, head, keys)
+#: Every ranked stage builder, and the ones that take a cyclic query.
+ALGORITHMS = ("generic", "leapfrog", "yannakakis")
+WCOJ = ("generic", "leapfrog")
 
-    @pytest.mark.parametrize("stream", [generic_join_stream, leapfrog_stream])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_projected_head_matches_drain(self, stream, seed):
+
+def ranked(algorithm, query, database, head, keys, order=(), selections=(),
+           counter=None):
+    """The any-k stream of one stage builder; ``order`` is the WCOJ
+    variable order (the join tree fixes Yannakakis' own)."""
+    if algorithm == "yannakakis":
+        return yannakakis_ranked_stream(query, database, head, keys,
+                                        selections=selections,
+                                        counter=counter)
+    stream = {"generic": generic_join_stream,
+              "leapfrog": leapfrog_stream}[algorithm]
+    return stream(query, database, order=order, head=head, ranked=keys,
+                  selections=selections, counter=counter)
+
+
+class TestRankedMatchesDrain:
+    """Every stage builder of the shared any-k frontier yields the
+    sort-and-drain rows, row for row."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("query, order, head, keys", [
+        (CHAIN, ("C", "A", "B"), ("A", "B", "C"), [("C", True), ("A", False)]),
+        (PATH3, ("C", "A", "B", "D"), ("A", "B", "C", "D"),
+         [("C", True), ("A", False)]),
+    ], ids=["chain", "path"])
+    def test_full_head_matches_drain(self, algorithm, seed, query, order,
+                                     head, keys):
         database = random_database(seed)
-        head = ("A", "C")
-        keys = [("A", False)]
-        got = list(stream(PATH3, database, order=("A", "C", "B", "D"),
-                          head=head, ranked=keys))
+        got = list(ranked(algorithm, query, database, head, keys, order))
+        assert got == drained(query, database, head, keys)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("order, head, keys", [
+        (("A", "C", "B", "D"), ("A", "C"), [("A", False)]),
+        (("D", "A", "B", "C"), ("A", "D"), [("D", False), ("A", True)]),
+    ], ids=["one-key", "two-keys"])
+    def test_projected_head_deduplicates(self, algorithm, seed, order, head,
+                                         keys):
+        database = random_database(seed)
+        got = list(ranked(algorithm, PATH3, database, head, keys, order))
         assert got == drained(PATH3, database, head, keys)
 
+    @pytest.mark.parametrize("algorithm", WCOJ)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_cyclic_query_matches_drain(self, seed):
+    def test_cyclic_query_matches_drain(self, algorithm, seed):
         database = random_database(seed)
         head = ("A", "B", "C")
         keys = [("B", False), ("C", True)]
-        got = list(generic_join_stream(TRIANGLE, database,
-                                       order=("B", "C", "A"),
-                                       head=head, ranked=keys))
+        got = list(ranked(algorithm, TRIANGLE, database, head, keys,
+                          ("B", "C", "A")))
         assert got == drained(TRIANGLE, database, head, keys)
 
-    def test_selections_prune_inside_the_frontier(self):
-        database = random_database(5)
-        keys = [("B", True)]
-        selections = [comparison("A", "<", "C")]
-        got = list(generic_join_stream(
-            CHAIN, database, order=("B", "A", "C"),
-            head=("A", "B", "C"), ranked=keys, selections=selections))
-        rows = [r for r in generic_join_stream(CHAIN, database)
-                if r[0] < r[2]]
-        assert got == sort_rows(sorted(rows), ("A", "B", "C"), keys)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("seed, query, order, keys, selection", [
+        (5, CHAIN, ("B", "A", "C"), [("B", True)], comparison("A", "<", "C")),
+        (3, PATH3, ("B", "A", "C", "D"), [("B", False)],
+         comparison("A", "<", "D")),
+    ], ids=["chain", "path"])
+    def test_cross_node_selection_filters_completions(self, algorithm, seed,
+                                                      query, order, keys,
+                                                      selection):
+        database = random_database(seed)
+        head = query.variables
+        got = list(ranked(algorithm, query, database, head, keys, order,
+                          [selection]))
+        rows = [r for r in generic_join_stream(query, database)
+                if selection.evaluate(dict(zip(head, r)))]
+        assert got == sort_rows(sorted(rows), head, keys)
 
-    def test_empty_join_yields_nothing(self):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_single_atom_query(self, algorithm):
+        database = random_database(4)
+        q = ConjunctiveQuery([Atom("R", ("A", "B"))])
+        got = list(ranked(algorithm, q, database, ("A", "B"), [("B", True)],
+                          ("B", "A")))
+        expected = sort_rows(sorted(database.get("R").tuples),
+                             ("A", "B"), [("B", True)])
+        assert got == expected
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("query", [CHAIN, PATH3], ids=["chain", "path"])
+    def test_no_complete_assignment_yields_nothing(self, algorithm, query):
         database = Database([
             Relation("R", ("a", "b"), [(1, 2)]),
             Relation("S", ("b", "c"), [(9, 9)]),
+            Relation("U", ("c", "d"), [(9, 9)]),
         ])
-        assert list(generic_join_stream(
-            CHAIN, database, order=("A", "B", "C"),
-            head=("A", "B", "C"), ranked=[("A", False)])) == []
+        assert list(ranked(algorithm, query, database, query.variables,
+                           [("A", False)], query.variables)) == []
 
-    def test_prefix_is_lazy(self):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_prefix_is_lazy(self, algorithm):
         database = random_database(6)
         head = ("A", "B", "C")
         keys = [("A", False)]
-        stream = generic_join_stream(CHAIN, database, order=("A", "B", "C"),
-                                     head=head, ranked=keys)
+        stream = ranked(algorithm, CHAIN, database, head, keys,
+                        ("A", "B", "C"))
         want = drained(CHAIN, database, head, keys)
         got = [next(stream) for _ in range(3)]
         stream.close()
@@ -122,9 +169,10 @@ class TestWcojRanked:
 
     # Frontier levels whose siblings are already in priority order push
     # one sibling at a time; a hand-given order that binds a later key
-    # first pushes every candidate of its level.  Either way any-k is the
-    # drain, row for row, at every LIMIT.
-    @pytest.mark.parametrize("stream", [generic_join_stream, leapfrog_stream])
+    # first pushes every candidate of its level (Yannakakis' buckets are
+    # always in priority order).  Either way any-k is the drain, row for
+    # row, at every LIMIT.
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("keys, order, head, selections", [
         ([("A", False), ("C", True)], ("A", "C", "B", "D"),
@@ -141,16 +189,18 @@ class TestWcojRanked:
          ("A", "B", "C"), [comparison("A", "<", "D")]),
     ])
     @pytest.mark.parametrize("limit", [None, 0, 1, 7])
-    def test_lazy_and_eager_frontiers_match_drain(self, stream, seed, keys,
-                                                  order, head, selections,
-                                                  limit):
+    def test_lazy_and_eager_frontiers_match_drain(self, algorithm, seed,
+                                                  keys, order, head,
+                                                  selections, limit):
         database = random_database(seed, n=8)
         want = drained(PATH3, database, head, keys, selections)
         got = list(itertools.islice(
-            stream(PATH3, database, order=order, head=head, ranked=keys,
-                   selections=selections), limit))
+            ranked(algorithm, PATH3, database, head, keys, order,
+                   selections), limit))
         assert got == want[:limit]
 
+
+class TestWcojRanked:
     def test_lazy_frontier_does_no_more_work_than_the_eager_one(self):
         # The hand-given order binds A (key 1) before D (key 0): A's level
         # pushes eagerly.  With the keys in ORDER BY sequence both levels
@@ -202,55 +252,6 @@ class TestWcojRankedContract:
 
 
 class TestYannakakisRanked:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_head_matches_drain(self, seed):
-        database = random_database(seed)
-        head = ("A", "B", "C", "D")
-        keys = [("C", True), ("A", False)]
-        got = list(yannakakis_ranked_stream(PATH3, database, head, keys))
-        expected = sort_rows(sorted(yannakakis(PATH3, database).tuples),
-                             head, keys)
-        assert got == expected
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_projected_head_deduplicates(self, seed):
-        database = random_database(seed)
-        head = ("A", "D")
-        keys = [("D", False), ("A", True)]
-        got = list(yannakakis_ranked_stream(PATH3, database, head, keys))
-        projected = sorted({(a, d) for a, b, c, d
-                            in yannakakis(PATH3, database).tuples})
-        assert got == sort_rows(projected, head, keys)
-
-    def test_cross_node_selection_filters_completions(self):
-        database = random_database(3)
-        head = ("A", "B", "C", "D")
-        keys = [("B", False)]
-        selections = [comparison("A", "<", "D")]
-        got = list(yannakakis_ranked_stream(PATH3, database, head, keys,
-                                            selections=selections))
-        rows = [r for r in yannakakis(PATH3, database).tuples if r[0] < r[3]]
-        assert got == sort_rows(sorted(rows), head, keys)
-
-    def test_single_atom_query(self):
-        database = random_database(4)
-        q = ConjunctiveQuery([Atom("R", ("A", "B"))])
-        got = list(yannakakis_ranked_stream(q, database, ("A", "B"),
-                                            [("B", True)]))
-        expected = sort_rows(sorted(database.get("R").tuples),
-                             ("A", "B"), [("B", True)])
-        assert got == expected
-
-    def test_no_complete_assignment_yields_nothing(self):
-        database = Database([
-            Relation("R", ("a", "b"), [(1, 2)]),
-            Relation("S", ("b", "c"), [(9, 9)]),
-            Relation("U", ("c", "d"), [(9, 9)]),
-        ])
-        assert list(yannakakis_ranked_stream(PATH3, database,
-                                             ("A", "B", "C", "D"),
-                                             [("A", False)])) == []
-
     def test_cyclic_query_raises(self):
         database = random_database(0)
         with pytest.raises(QueryError, match="alpha-acyclic"):
@@ -262,6 +263,17 @@ class TestYannakakisRanked:
         with pytest.raises(QueryError, match="ORDER BY"):
             list(yannakakis_ranked_stream(CHAIN, database,
                                           ("A", "B", "C"), []))
+
+    def test_keys_must_be_head_variables(self):
+        # A key outside the head would rank one head row under several
+        # keys and emit it once per key class.
+        database = Database([
+            Relation("R", ("a", "b"), [(1, 1), (1, 2), (2, 1)]),
+            Relation("S", ("b", "c"), [(1, 5), (2, 6)]),
+        ])
+        with pytest.raises(QueryError, match="not head variables"):
+            list(yannakakis_ranked_stream(CHAIN, database, ("A",),
+                                          [("C", False)]))
 
 
 def ranked_prefix(query, database, limit=None):
