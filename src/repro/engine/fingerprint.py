@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.builder import Query
+from repro.query.terms import Comparison
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,51 @@ def fingerprint_drift(current: tuple[int, ...],
     return max(abs(a - b) for a, b in zip(current, planned))
 
 
+@dataclass(frozen=True)
+class CanonicalShape:
+    """What of a query's canonical form no constant's value changes.
+
+    The variable and atom correspondence of :class:`CanonicalQuery`, and
+    the form around its ``sel:`` part: ``prefix`` renders the body and
+    head, ``suffix`` the aggregate, ORDER BY and LIMIT parts.  Queries
+    that differ only in the values of their constants share one shape;
+    :meth:`bind` renders the selections of one of them.
+    """
+
+    to_canonical: Mapping[str, str]
+    from_canonical: Mapping[str, str]
+    atom_order: tuple[int, ...]
+    prefix: str
+    suffix: str
+
+    def bind(self, selections: Sequence[Comparison] = ()) -> CanonicalQuery:
+        """The canonical form of the query of this shape with these
+        selections (a rich query's ``all_selections``).
+
+        Selections sort by their rendering, constants included, so the
+        whole ``sel:`` part is rendered anew; a ``plan_form`` differs from
+        ``form`` only when some ``var == constant`` selection is a slot.
+        """
+        form = plan_form = self.prefix + self.suffix
+        parameters: tuple[str, ...] = ()
+        if selections:
+            rename = self.to_canonical
+            rendered = ";".join(sorted(sel.canonical_str(rename)
+                                       for sel in selections))
+            form = plan_form = f"{self.prefix}|sel:{rendered}{self.suffix}"
+            slots = sorted((f"{rename[sel.lhs]}==?", str(sel.rhs))
+                           for sel in selections if sel.is_constant_equality)
+            if slots:
+                rendered = ";".join(sorted(
+                    [slot for slot, _value in slots]
+                    + [sel.canonical_str(rename) for sel in selections
+                       if not sel.is_constant_equality]))
+                plan_form = f"{self.prefix}|sel:{rendered}{self.suffix}"
+                parameters = tuple(value for _slot, value in slots)
+        return CanonicalQuery(form, self.to_canonical, self.from_canonical,
+                              self.atom_order, plan_form, parameters)
+
+
 def canonical_query(query: ConjunctiveQuery | Query) -> CanonicalQuery:
     """Compute the canonical form of a (possibly rich) query.
 
@@ -188,15 +234,19 @@ def canonical_query(query: ConjunctiveQuery | Query) -> CanonicalQuery:
     only in the constants they pin (``plan_form``): a constant is a
     singleton relation, so the plan priced for one is valid for the next.
     """
+    shape = canonical_shape(query)
+    if isinstance(query, Query):
+        return shape.bind(query.all_selections)
+    return shape.bind()
+
+
+def canonical_shape(query: ConjunctiveQuery | Query) -> CanonicalShape:
+    """The :class:`CanonicalShape` of a query: its canonical form with
+    the selections left to :meth:`CanonicalShape.bind`."""
     rich = query if isinstance(query, Query) else None
     core = rich.core if rich is not None else query
-    return _canonical_core(core, rich)
-
-
-def _canonical_core(query: ConjunctiveQuery,
-                    rich: Query | None) -> CanonicalQuery:
-    atoms = query.atoms
-    unnamed = len(query.variables)  # sorts after every assigned index
+    atoms = core.atoms
+    unnamed = len(core.variables)  # sorts after every assigned index
     assigned: dict[str, int] = {}
     order: list[int] = []
     remaining = set(range(len(atoms)))
@@ -225,18 +275,11 @@ def _canonical_core(query: ConjunctiveQuery,
         f"{atoms[i].relation}({','.join(to_canonical[v] for v in atoms[i].variables)})"
         for i in order
     )
-    plan_extras = ""
-    parameters: tuple[str, ...] = ()
+    parts = []
     if rich is None:
-        head = ",".join(to_canonical[v] for v in query.head)
-        extras = ""
+        head = core.head
     else:
-        head = ",".join(to_canonical[v] for v in rich.head_vars)
-        parts = []
-        if rich.all_selections:
-            rendered = sorted(sel.canonical_str(to_canonical)
-                              for sel in rich.all_selections)
-            parts.append("sel:" + ";".join(rendered))
+        head = rich.head_vars
         if rich.aggregates:
             parts.append("agg:" + ";".join(
                 f"{a.kind}({to_canonical[a.var] if a.var is not None else '*'})"
@@ -254,24 +297,10 @@ def _canonical_core(query: ConjunctiveQuery,
             ))
         if rich.limit is not None:
             parts.append(f"lim:{rich.limit}")
-        extras = "".join("|" + p for p in parts)
-        if rich.fixed_variables:
-            slots = sorted((f"{to_canonical[sel.lhs]}==?", str(sel.rhs))
-                           for sel in rich.all_selections
-                           if sel.is_constant_equality)
-            parts[0] = "sel:" + ";".join(sorted(
-                [slot for slot, _value in slots]
-                + [sel.canonical_str(to_canonical)
-                   for sel in rich.all_selections
-                   if not sel.is_constant_equality]))
-            plan_extras = "".join("|" + p for p in parts)
-            parameters = tuple(value for _slot, value in slots)
-    form = f"{body}=>{head}{extras}"
-    return CanonicalQuery(
-        form=form,
+    return CanonicalShape(
         to_canonical=MappingProxyType(to_canonical),
         from_canonical=MappingProxyType(from_canonical),
         atom_order=tuple(order),
-        plan_form=f"{body}=>{head}{plan_extras}" if parameters else form,
-        parameters=parameters,
+        prefix=f"{body}=>{','.join(to_canonical[v] for v in head)}",
+        suffix="".join("|" + p for p in parts),
     )

@@ -3,6 +3,10 @@
 An :class:`Engine` owns a :class:`Database` plus every piece of derived
 state a single-shot call throws away:
 
+* a shape cache keyed on a query text's token sequence with its literals
+  lifted out, so a text that differs from a seen one only in its
+  constants binds them into a parsed template and a canonical shape
+  instead of meeting the parser;
 * an :class:`IndexRegistry` that builds tries/hash indexes once and reuses
   them across queries (invalidated automatically on data mutation);
 * a :class:`PlanCache` keyed on canonical query structure + a statistics
@@ -52,7 +56,13 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.engine.cost import COLUMNAR_CAPABLE, PlanAxes, dispatch
+from repro.engine.cost import (
+    BACKENDS,
+    COLUMNAR_CAPABLE,
+    STRATEGIES,
+    PlanAxes,
+    dispatch,
+)
 from repro.engine.executors import (
     bound_scan,
     executor_for,
@@ -61,10 +71,15 @@ from repro.engine.executors import (
     payload_ranked_mode,
     unique_index_layouts,
 )
-from repro.engine.fingerprint import CanonicalQuery, canonical_query
+from repro.engine.fingerprint import (
+    CanonicalQuery,
+    CanonicalShape,
+    canonical_query,
+    canonical_shape,
+)
 from repro.engine.plan_cache import CachedPlan, LRUCache, PlanCache
 from repro.engine.registry import IndexRegistry
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError
 from repro.joins.hybrid import partition_instance
 from repro.joins.instrumentation import OperationCounter
 from repro.joins.plan import split_selections
@@ -72,6 +87,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ProfileReport, profile_query
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.query.builder import Query, sort_rows
+from repro.query.parser import QueryTemplate, parse_template, text_shape
 from repro.query.semiring import fold_aggregates
 from repro.query.terms import pinned_constants
 from repro.query.variable_order import level_layout
@@ -335,6 +351,15 @@ class Explanation:                 # make a generated __hash__ crash
         return self.render()
 
 
+@dataclass
+class _Shape:
+    """A shape-cache entry: the template every text of one shape binds,
+    and its canonical shape once a query of the shape was canonicalized."""
+
+    template: QueryTemplate
+    canonical: CanonicalShape | None = None
+
+
 @dataclass(frozen=True)
 class _Prepared:
     """A query after planning: everything needed to run it."""
@@ -357,7 +382,8 @@ class Engine:
         Convenience: relations to register into a fresh database (mutually
         exclusive with ``database``).
     plan_cache_size / result_cache_size:
-        LRU capacities of the two caches.
+        LRU capacities of the two caches; the shape cache in front of
+        the parser holds as many shapes as the plan cache holds plans.
     cache_results:
         Whether to cache materialized results keyed on data versions.
         Streaming (`stream`) never consults the result cache mid-flight.
@@ -397,10 +423,10 @@ class Engine:
         self._plans = PlanCache(plan_cache_size)
         self._results = LRUCache(result_cache_size)
         self._cache_results = cache_results
-        # Bounded like the plan cache: a long-lived session fed distinct
-        # query strings must not grow without limit.
-        self._parse_cache: LRUCache = LRUCache(plan_cache_size)
-        self._canon_cache: LRUCache = LRUCache(plan_cache_size)
+        # Query texts by shape (see ``_prepare``), bounded like the plan
+        # cache: a long-lived session fed distinct shapes must not grow
+        # without limit.
+        self._shapes: LRUCache = LRUCache(plan_cache_size)
         self.stats = EngineStats()
         self.tracer = tracer  # type: ignore[assignment]  # the setter maps None
         if metrics is False:
@@ -440,31 +466,44 @@ class Engine:
 
     def _declare_metrics(self) -> None:
         """Declare the session's instruments once, keeping bound
-        references so hot-path recording skips the registry lookup."""
+        references so hot-path recording skips the registry lookup; the
+        per-query series are bound to their labels here too."""
         m = self._metrics
         self._m_queries = m.counter(
-            "repro_queries_total", "Queries served (execute/stream/batch)")
-        self._m_plan_lookups = m.counter(
+            "repro_queries_total",
+            "Queries served (execute/stream/batch)").labels()
+        plan_lookups = m.counter(
             "repro_plan_cache_lookups_total",
             "Plan-cache lookups by outcome", ("outcome",))
-        self._m_result_lookups = m.counter(
+        result_lookups = m.counter(
             "repro_result_cache_lookups_total",
             "Result-cache lookups by outcome", ("outcome",))
+        self._m_plan_lookups = {outcome: plan_lookups.labels(outcome=outcome)
+                                for outcome in ("hit", "miss")}
+        self._m_result_lookups = {
+            outcome: result_lookups.labels(outcome=outcome)
+            for outcome in ("hit", "miss")}
         self._m_index_events = m.counter(
             "repro_index_events_total",
             "Index registry builds, reuses and invalidations", ("event",))
-        self._m_dispatch = m.counter(
+        self._m_index_builds = self._m_index_events.labels(event="build")
+        self._m_index_reuses = self._m_index_events.labels(event="reuse")
+        dispatched = m.counter(
             "repro_dispatch_total", "Executed plans by strategy",
             ("strategy",))
-        self._m_backend = m.counter(
+        self._m_dispatch = {strategy: dispatched.labels(strategy=strategy)
+                            for strategy in STRATEGIES}
+        backends = m.counter(
             "repro_backend_dispatch_total", "Executed plans by backend",
             ("backend",))
+        self._m_backend = {backend: backends.labels(backend=backend)
+                           for backend in BACKENDS}
         self._m_layout_builds = m.counter(
             "repro_columnar_layout_builds_total",
             "Columnar layout materializations (layout-cache misses)")
         self._m_exec_seconds = m.histogram(
             "repro_execution_seconds",
-            "Wall-clock seconds of materializing query runs")
+            "Wall-clock seconds of materializing query runs").labels()
         self._m_operations = m.counter(
             "repro_operations_total",
             "Executor operations by kind (counted runs only)", ("kind",))
@@ -722,29 +761,36 @@ class Engine:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _normalize(self, query: QueryLike) -> Query:
-        if isinstance(query, str):
-            cached = self._parse_cache.get(query)
-            if cached is None:
-                cached = Query.coerce(query)
-                self._parse_cache.put(query, cached)
-            return cached
-        return Query.coerce(query)
-
-    def _canonical(self, query: Query) -> CanonicalQuery:
-        canon = self._canon_cache.get(query)
-        if canon is None:
-            canon = canonical_query(query)
-            self._canon_cache.put(query, canon)
-        return canon
-
     def _prepare(self, query: QueryLike, axes: PlanAxes) -> _Prepared:
         tracer = self._tracer
-        with tracer.span("parse", from_text=isinstance(query, str)):
-            query = self._normalize(query)
+        from_text = isinstance(query, str)
+        shape: _Shape | None = None
+        with tracer.span("parse", from_text=from_text) as span:
+            if from_text:
+                # A text whose shape was seen binds its literals into the
+                # shape's template; only a new shape meets the parser.
+                key, literals = text_shape(query)
+                shape = self._shapes.get(key)
+                if tracer.enabled:
+                    span.set(shape="miss" if shape is None else "hit")
+                if shape is None:
+                    try:
+                        shape = _Shape(parse_template(query))
+                    except ReproError:
+                        Query.coerce(query)  # raises the parser's own error
+                        raise
+                    self._shapes.put(key, shape)
+                query = shape.template.bind(literals)
+            else:
+                query = Query.coerce(query)
         axes.check(query.aggregates, query.order_by)
         with tracer.span("canonicalize") as span:
-            canon = self._canonical(query)
+            if shape is None:
+                canon = canonical_query(query)
+            else:
+                if shape.canonical is None:
+                    shape.canonical = canonical_shape(shape.template.query)
+                canon = shape.canonical.bind(query.all_selections)
             span.set(form=canon.form)
         core = query.core
         fingerprint = statistics_fingerprint(
@@ -772,7 +818,7 @@ class Engine:
         if cached is not None:
             self.stats.plan_hits += 1
             if self._metrics is not None:
-                self._m_plan_lookups.inc(outcome="hit")
+                self._m_plan_lookups["hit"].inc()
             executor = executor_for(cached.strategy)
             payload = executor.payload_from_canonical(cached.payload, canon,
                                                       query)
@@ -780,7 +826,7 @@ class Engine:
 
         self.stats.plan_misses += 1
         if self._metrics is not None:
-            self._m_plan_lookups.inc(outcome="miss")
+            self._m_plan_lookups["miss"].inc()
         with tracer.span("dispatch.price", mode=axes.mode) as span:
             decision = dispatch(core, self._db,
                                 selections=query.all_selections,
@@ -948,7 +994,7 @@ class Engine:
             if cached is not None:
                 self.stats.result_hits += 1
                 if metrics is not None:
-                    self._m_result_lookups.inc(outcome="hit")
+                    self._m_result_lookups["hit"].inc()
                 # A served cache entry performs no execution work: report
                 # a fresh zeroed counter, never the populating run's
                 # tallies.
@@ -957,7 +1003,7 @@ class Engine:
                     return self._serve_cached(prepared, cached)
             self.stats.result_misses += 1
             if metrics is not None:
-                self._m_result_lookups.inc(outcome="miss")
+                self._m_result_lookups["miss"].inc()
 
         run_counter = counter
         if run_counter is None and self._collect:
@@ -1345,8 +1391,8 @@ class Engine:
         if self._runs_columnar(prepared):
             executor = self._columnar(prepared.plan.strategy)
         if self._metrics is not None:
-            self._m_dispatch.inc(strategy=prepared.plan.strategy)
-            self._m_backend.inc(backend=prepared.plan.backend)
+            self._m_dispatch[prepared.plan.strategy].inc()
+            self._m_backend[prepared.plan.backend].inc()
         rows = source = executor.stream(spec, self._db, prepared.payload,
                                         registry=self._registry,
                                         counter=counter)
@@ -1458,9 +1504,9 @@ class Engine:
             built = self._registry.builds - self.stats.index_builds
             reused = self._registry.reuses - self.stats.index_reuses
             if built:
-                self._m_index_events.inc(built, event="build")
+                self._m_index_builds.inc(built)
             if reused:
-                self._m_index_events.inc(reused, event="reuse")
+                self._m_index_reuses.inc(reused)
             layout_built = (self._registry.layout_builds
                             - self._layout_builds_seen)
             if layout_built:
@@ -1477,8 +1523,7 @@ class Engine:
         self.stats.invalidations += dropped
         if self._metrics is not None and dropped:
             self._m_index_events.inc(dropped, event="invalidate")
-        self._parse_cache.clear()
-        self._canon_cache.clear()
+        self._shapes.clear()
 
     def __repr__(self) -> str:
         return (f"Engine({len(self._db)} relations, "

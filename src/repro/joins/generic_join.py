@@ -72,17 +72,22 @@ def resolve_tries(query: ConjunctiveQuery, database: Database,
     to the atom's variables (the engine's index registry guarantees this by
     construction).
     """
-    bound_relations = query.bind(database)
+    query.validate_against(database)
     trie_map: dict[str, TrieIndex] = {}
     trie_orders: dict[str, tuple[str, ...]] = {}
-    for edge_key, relation in bound_relations.items():
-        atom_order = tuple(v for v in order if v in relation.schema)
+    for i, atom in enumerate(query.atoms):
+        edge_key = query.edge_key(i)
+        atom_order = tuple(v for v in order if v in atom.variables)
         trie_orders[edge_key] = atom_order
         provided = tries.get(edge_key) if tries is not None else None
-        if provided is not None:
-            trie_map[edge_key] = provided
-        else:
-            trie_map[edge_key] = TrieIndex(relation, atom_order)
+        if provided is None:
+            # Only a trie built here needs the relation in the query's
+            # variable names.
+            relation = database.get(atom.relation)
+            provided = TrieIndex(relation.rename(
+                dict(zip(relation.attributes, atom.variables)),
+                name=edge_key), atom_order)
+        trie_map[edge_key] = provided
     return trie_map, trie_orders
 
 

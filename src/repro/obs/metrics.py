@@ -72,13 +72,17 @@ class _Instrument:
         self.label_names = tuple(label_names)
         self._children: dict[tuple[str, ...], Any] = {}
 
-    def _child(self, labels: dict[str, str]) -> Any:
-        key = _labels_key(self.label_names, labels)
+    def _child(self, key: tuple[str, ...]) -> Any:
         child = self._children.get(key)
         if child is None:
             child = self._make_child()
             self._children[key] = child
         return child
+
+    def labels(self, **labels: str) -> "LabelledSeries":
+        """One label combination, checked and keyed once, for a hot path
+        that records into it repeatedly."""
+        return LabelledSeries(self, _labels_key(self.label_names, labels))
 
     def _make_child(self) -> Any:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -92,6 +96,28 @@ class _Instrument:
                 f"# TYPE {self.name} {self.kind}"]
 
 
+class LabelledSeries:
+    """One labelled series of an instrument (see
+    :meth:`_Instrument.labels`).
+
+    The child series is created on the first recording, exactly as a
+    labelled call creates it, so a binding that is never used adds
+    nothing to the snapshot or the exposition.
+    """
+
+    __slots__ = ("_instrument", "_key")
+
+    def __init__(self, instrument: _Instrument, key: tuple[str, ...]):
+        self._instrument = instrument
+        self._key = key
+
+    def inc(self, amount: float = 1) -> None:
+        self._instrument._inc(self._key, amount)
+
+    def observe(self, value: float) -> None:
+        self._instrument._observe(self._key, value)
+
+
 class Counter(_Instrument):
     """A monotonically increasing total, optionally labelled."""
 
@@ -101,9 +127,12 @@ class Counter(_Instrument):
         return [0.0]
 
     def inc(self, amount: float = 1, **labels: str) -> None:
+        self._inc(_labels_key(self.label_names, labels), amount)
+
+    def _inc(self, key: tuple[str, ...], amount: float) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a gauge")
-        self._child(labels)[0] += amount
+        self._child(key)[0] += amount
 
     def value(self, **labels: str) -> float:
         key = _labels_key(self.label_names, labels)
@@ -138,10 +167,10 @@ class Gauge(_Instrument):
         return [0.0]
 
     def set(self, value: float, **labels: str) -> None:
-        self._child(labels)[0] = value
+        self._child(_labels_key(self.label_names, labels))[0] = value
 
     def inc(self, amount: float = 1, **labels: str) -> None:
-        self._child(labels)[0] += amount
+        self._child(_labels_key(self.label_names, labels))[0] += amount
 
     def value(self, **labels: str) -> float:
         key = _labels_key(self.label_names, labels)
@@ -182,7 +211,10 @@ class Histogram(_Instrument):
         return _HistogramChild(len(self.buckets) + 1)
 
     def observe(self, value: float, **labels: str) -> None:
-        child = self._child(labels)
+        self._observe(_labels_key(self.label_names, labels), value)
+
+    def _observe(self, key: tuple[str, ...], value: float) -> None:
+        child = self._child(key)
         child.counts[bisect_left(self.buckets, value)] += 1
         child.sum += value
         child.count += 1

@@ -33,12 +33,18 @@ everywhere the engine takes a query.
 Errors are :class:`~repro.errors.ParseError` with the 1-based line and
 column of the offending token, and dangling text after the rule (including
 a trailing comma) is always rejected.
+
+No decision of the parser reads a literal's value, which is what the
+engine's shape cache rests on: :func:`text_shape` reduces a text to its
+token sequence with the literals lifted out, and :func:`parse_template`
+parses a text once into a :class:`QueryTemplate` that binds the literals
+of any text of the same shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Union
+import re
+from typing import Any, NamedTuple, Union
 
 from repro.errors import ParseError
 from repro.query.atoms import Atom, ConjunctiveQuery
@@ -46,14 +52,28 @@ from repro.query.builder import Query, QueryAtom
 from repro.query.semiring import SEMIRINGS, Aggregate
 from repro.query.terms import Comparison, Constant, comparison
 
-_OPERATORS = (":-", "<-", "<=", ">=", "==", "!=", "=", "<", ">",
-              "(", ")", ",", ".", "*")
 _CMP_OPS = ("<=", ">=", "==", "!=", "=", "<", ">")
 _ARROWS = (":-", "<-")
 
+#: The tokenizer: one alternation, tried in order at each position.
+#: ``\s``, ``\w`` and ``\d`` accept what ``str.isspace``,
+#: ``str.isalnum`` (or ``_``) and ``str.isdecimal`` accept.  A ``<``
+#: directly before a negative number is a comparison, never the ``<-``
+#: arrow (relation names cannot start with a digit), as in ``B<-3``.  An
+#: identifier starts with a letter or ``_``; :func:`_tokenize` rejects a
+#: numeric non-letter (``½``) the pattern lets through.  ``bad`` is any
+#: other character, an unterminated quote included.
+_TOKEN_RE = re.compile(r"""
+    \s+
+  | (?P<ident> [^\W\d]\w* )
+  | (?P<int> -?\d+ )
+  | (?P<string> '[^'\n]*' | "[^"\n]*" )
+  | (?P<op> <(?=-\d) | :- | <- | <= | >= | == | != | [=<>(),.*] )
+  | (?P<bad> . )
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | an operator literal | "end"
     value: Any
     line: int
@@ -62,58 +82,32 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, column = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, column = i + 1, line + 1, 1
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        if kind is None:  # whitespace
+            breaks = value.count("\n")
+            if breaks:
+                line += breaks
+                line_start = match.start() + value.rindex("\n") + 1
             continue
-        if ch.isspace():
-            i, column = i + 1, column + 1
-            continue
-        start_line, start_column = line, column
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        if ch in "'\"":
-            j = text.find(ch, i + 1)
-            if j < 0 or "\n" in text[i + 1:j]:
-                raise ParseError(f"unterminated string starting with {ch}",
-                                 start_line, start_column)
-            tokens.append(_Token("string", text[i + 1:j], start_line, start_column))
-            column += j + 1 - i
-            i = j + 1
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                # '<-' directly followed by a digit can never be the rule
-                # arrow (relation names cannot start with a digit): it is a
-                # '<' comparison against a negative constant, as in 'B<-3'.
-                if (op == "<-" and i + 2 < n and text[i + 2].isdigit()):
-                    op = "<"
-                tokens.append(_Token(op, op, start_line, start_column))
-                column += len(op)
-                i += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}",
-                             start_line, start_column)
-    end_column = column
-    tokens.append(_Token("end", None, line, end_column))
+        column = match.start() - line_start + 1
+        if kind == "int":
+            value = int(value)
+        elif kind == "string":
+            value = value[1:-1]
+        elif kind == "op":
+            kind = value
+        elif kind == "bad" or not (value[0].isalpha() or value[0] == "_"):
+            # A stray character, or an identifier that does not start
+            # with a letter or ``_``.
+            char = value[0]
+            if char in "'\"":
+                raise ParseError(f"unterminated string starting with {char}",
+                                 line, column)
+            raise ParseError(f"unexpected character {char!r}", line, column)
+        tokens.append(_Token(kind, value, line, column))
+    tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -341,7 +335,11 @@ def parse_query(text: str) -> ConjunctiveQuery | Query:
     """
     if not text.strip():
         raise ParseError("empty query text")
-    parser = _Parser(_tokenize(text))
+    return _parse(_tokenize(text))
+
+
+def _parse(tokens: list[_Token]) -> ConjunctiveQuery | Query:
+    parser = _Parser(tokens)
     name = "Q"
     head_vars: list[str] = []
     aggregates: list[Aggregate] = []
@@ -377,6 +375,126 @@ def parse_query(text: str) -> ConjunctiveQuery | Query:
         limit=limit,
         name=name,
     )
+
+
+class _Slot:
+    """The value of the ``index``-th literal of a query text, unbound."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __repr__(self) -> str:
+        return f"?{self.index}"
+
+
+def text_shape(text: str) -> tuple[tuple, list]:
+    """The shape of a query text and its literal values, in one scan.
+
+    The shape is the token sequence with every literal replaced by its
+    type (``int`` or ``str``, the types themselves, so no token can
+    collide with them); whitespace is not a token.  The parser's every
+    decision reads token kinds, never a literal's value, so texts of one
+    shape parse alike and differ only in their constants.  The one
+    exception is the ``LIMIT`` count (a negative one is an error): it
+    stays in the shape as written, so each count is its own shape.
+
+    A text the parser rejects gets a shape too; it never equals the shape
+    of a text the parser accepts.
+
+    >>> text_shape("Q(C) :- R(5, B), S(B, 'x')")[1]
+    [5, 'x']
+    >>> text_shape("Q(C) :- R(5, B)")[0] == text_shape("Q(C):-R(7,B)")[0]
+    True
+    """
+    shape: list = []
+    literals: list = []
+    for ident, number, string, op, bad in _TOKEN_RE.findall(text):
+        token = ident or op or bad
+        if token:
+            shape.append(token)
+        elif number:
+            previous = shape[-1] if shape else None
+            if isinstance(previous, str) and previous.lower() == "limit":
+                shape.append(number)
+            else:
+                shape.append(int)
+                literals.append(int(number))
+        elif string:
+            shape.append(str)
+            literals.append(string[1:-1])
+    return tuple(shape), literals
+
+
+class QueryTemplate:
+    """A parsed query whose literals are numbered slots.
+
+    :meth:`bind` fills the slots with one text's literal values (as
+    :func:`text_shape` lists them).  Only the fields that hold a constant
+    are rebuilt: the atoms with a constant term, and the selections
+    comparing against one, lowered ``== constant`` selections included.
+    Everything else — the lowered core, the head, aggregates, ORDER BY,
+    LIMIT, the name — reads no literal value, so the bound query shares
+    it with the template, and every check of ``Query.__init__`` (none
+    reads a value) holds for the bound query as it did for the template.
+    """
+
+    __slots__ = ("query", "_atoms", "_selections")
+
+    def __init__(self, query: Query):
+        self.query = query
+        self._atoms = tuple(
+            i for i, atom in enumerate(query.atoms)
+            if any(isinstance(t, Constant) for t in atom.terms))
+        self._selections = tuple(
+            i for i, sel in enumerate(query.all_selections)
+            if isinstance(sel.rhs, Constant))
+
+    def bind(self, literals: list) -> Query:
+        """The query the template's text parses to with ``literals``."""
+        template = self.query
+        if not self._atoms and not self._selections:
+            return template
+        atoms = list(template.atoms)
+        for i in self._atoms:
+            atom = atoms[i]
+            atoms[i] = QueryAtom(atom.relation, [
+                Constant(literals[t.value.index])
+                if isinstance(t, Constant) else t for t in atom.terms])
+        selections = list(template.all_selections)
+        for i in self._selections:
+            sel = selections[i]
+            selections[i] = Comparison(
+                sel.lhs, sel.op, Constant(literals[sel.rhs.value.index]))
+        query = Query.__new__(Query)
+        query.__dict__.update(template.__dict__)
+        query.atoms = tuple(atoms)
+        query.all_selections = tuple(selections)
+        query.selections = query.all_selections[:len(template.selections)]
+        return query
+
+
+def parse_template(text: str) -> QueryTemplate:
+    """The :class:`QueryTemplate` of a query text.
+
+    The text's tokens are parsed with each literal that
+    :func:`text_shape` lifts replaced by a :class:`_Slot`.  No parser
+    decision reads a literal's value, so the parse takes the path
+    :func:`parse_query` takes on the text, and binding the text's own
+    literals gives the query :func:`parse_query` returns (as a
+    :class:`Query`).  It fails where :func:`parse_query` fails, but its
+    error may show a slot (``?0``) where the text has a literal: take
+    the error from :func:`parse_query`.
+    """
+    tokens = _tokenize(text)
+    shape, _literals = text_shape(text)
+    slots = 0
+    for position, kind in enumerate(shape):
+        if kind is int or kind is str:
+            tokens[position] = tokens[position]._replace(value=_Slot(slots))
+            slots += 1
+    return QueryTemplate(Query.coerce(_parse(tokens)))
 
 
 def parse_condition(text: str) -> Comparison:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Sequence
 
+from repro.errors import QueryError
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import pinned_constants
 from repro.relational.database import Database
@@ -390,9 +391,11 @@ def level_layout(query: ConjunctiveQuery, order: Sequence[str],
     ``head`` is the projection (None: every variable), or the group-by
     with ``aggregate``; ``keys`` are any-k's ORDER BY variables.  Raises
     ``ValueError`` for a selection, head, group or key outside the query
-    variables, and for an order that interleaves an unpinned variable
-    into the prefix the plan needs (a plain projection falls back to a
-    seen-set instead).
+    variables.  Raises :class:`~repro.errors.QueryError` where the plan's
+    contract fails: a key that is not a head variable, keys combined
+    with an aggregate, and an order that interleaves an unpinned
+    variable into the prefix the plan needs (a plain projection falls
+    back to a seen-set instead).
     """
     order = tuple(order)
     selections = tuple(selections)
@@ -411,7 +414,7 @@ def level_layout(query: ConjunctiveQuery, order: Sequence[str],
     prefixes = []  # (lo, hi, allowed, role, last variable, what needs it)
     if keys is not None:
         if aggregate:
-            raise ValueError(
+            raise QueryError(
                 "ranked enumeration does not apply to aggregate heads; "
                 "ordered aggregate queries drain and sort their group rows"
             )
@@ -427,7 +430,7 @@ def level_layout(query: ConjunctiveQuery, order: Sequence[str],
             raise ValueError(f"head variables {unknown} are not query variables")
         stray = sorted(set(keys) - set(head_vars))
         if stray:
-            raise ValueError(
+            raise QueryError(
                 f"ORDER BY variables {stray} are not head variables; "
                 "a row's sort key must be a function of the row"
             )
@@ -459,7 +462,7 @@ def level_layout(query: ConjunctiveQuery, order: Sequence[str],
         blockers = [v for v in order[lo:hi]
                     if v not in allowed and v not in pinned]
         if blockers:
-            raise ValueError(
+            raise QueryError(
                 f"variable order {order} interleaves unpinned non-{role} "
                 f"variables {blockers} before the last {last} variable; "
                 f"{needs}"

@@ -281,7 +281,7 @@ class TestJoinsLayer:
         S = Relation("S", ("b", "c"), [(2, 3)])
         db = Database([R, S])
         q = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("B", "C"))])
-        with pytest.raises(ValueError, match="group as a prefix"):
+        with pytest.raises(QueryError, match="group as a prefix"):
             list(generic_join_stream(
                 q, db, order=("B", "A", "C"), head=("A",),
                 aggregates=[Aggregate("count", None, "n")]))

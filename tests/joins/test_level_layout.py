@@ -2,7 +2,7 @@
 
 :func:`repro.query.variable_order.level_layout` is what the python
 recursion, the columnar descent, the pricer and ``explain()`` read; its
-``ValueError`` is the one every runner raises for an order that
+``QueryError`` is the one every runner raises for an order that
 interleaves an unpinned variable into the prefix the plan needs.
 """
 
@@ -12,6 +12,7 @@ import pytest
 
 from repro.engine.executors import _trie_requests
 from repro.engine.session import Engine
+from repro.errors import QueryError
 from repro.joins.generic_join import generic_join_stream
 from repro.joins.leapfrog import leapfrog_stream
 from repro.query.atoms import Atom, ConjunctiveQuery
@@ -48,7 +49,7 @@ def _engine() -> Engine:
 def test_runners_raise_the_layout_interleave_error(case):
     order, kwargs, needs = INTERLEAVED[case]
     keys = [v for v, _d in kwargs["ranked"]] if "ranked" in kwargs else None
-    with pytest.raises(ValueError, match=needs) as expected:
+    with pytest.raises(QueryError, match=needs) as expected:
         level_layout(CHAIN, order, head=kwargs["head"],
                      aggregate="aggregates" in kwargs, keys=keys)
     assert "interleaves unpinned non-" in str(expected.value)
@@ -56,7 +57,7 @@ def test_runners_raise_the_layout_interleave_error(case):
     messages = {}
     for name, stream in (("generic", generic_join_stream),
                          ("leapfrog", leapfrog_stream)):
-        with pytest.raises(ValueError) as raised:
+        with pytest.raises(QueryError) as raised:
             list(stream(CHAIN, engine.database, order=order, **kwargs))
         messages[name] = str(raised.value)
     if "ranked" not in kwargs:  # the columnar kernel has no any-k mode
@@ -64,7 +65,7 @@ def test_runners_raise_the_layout_interleave_error(case):
         from repro.columnar.join import columnar_rows
         layouts = engine.registry.columnar_layouts(
             _trie_requests(CHAIN, engine.database, order))
-        with pytest.raises(ValueError) as raised:
+        with pytest.raises(QueryError) as raised:
             columnar_rows(CHAIN, order, layouts,
                           engine.registry.columnar_store, **kwargs)
         messages["columnar"] = str(raised.value)

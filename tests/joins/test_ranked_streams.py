@@ -230,21 +230,21 @@ class TestWcojRankedContract:
 
     def test_keys_must_be_head_variables(self):
         database = random_database(0)
-        with pytest.raises(ValueError, match="not head variables"):
+        with pytest.raises(QueryError, match="not head variables"):
             list(generic_join_stream(CHAIN, database,
                                      order=("C", "A", "B"),
                                      head=("A", "B"), ranked=[("C", False)]))
 
     def test_order_must_lead_with_the_keys(self):
         database = random_database(0)
-        with pytest.raises(ValueError, match="sort keys as a prefix"):
+        with pytest.raises(QueryError, match="sort keys as a prefix"):
             list(generic_join_stream(CHAIN, database,
                                      order=("A", "B", "C"),
                                      head=("A", "B"), ranked=[("B", False)]))
 
     def test_ranked_rejects_aggregates(self):
         database = random_database(0)
-        with pytest.raises(ValueError, match="aggregate"):
+        with pytest.raises(QueryError, match="aggregate"):
             list(generic_join_stream(CHAIN, database,
                                      order=("A", "B", "C"), head=("A",),
                                      aggregates=[count()],
