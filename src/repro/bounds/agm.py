@@ -8,18 +8,22 @@ fractional edge cover delta of H,
 and the best such bound is obtained by minimizing
 ``sum_F delta_F * log2 |R_F|`` over the fractional edge cover polytope.
 With all relations of size N the optimum is N^{rho*(H)}.
+
+The polytope depends only on H and the minimum sits at one of its
+vertices, so the bound is a minimum over
+:func:`~repro.covers.edge_cover.cover_vertices`' table, enumerated once
+per hypergraph shape: no LP is solved and nothing numeric is imported.
+The LP (:func:`~repro.covers.edge_cover.weighted_fractional_edge_cover`)
+is the oracle the table is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from repro.covers.edge_cover import (
-    fractional_edge_cover,
-    weighted_fractional_edge_cover,
-)
+from repro.covers.edge_cover import cover_vertices
 from repro.errors import BoundError
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.hypergraph import Hypergraph
@@ -74,22 +78,32 @@ def agm_bound_from_sizes(hypergraph: Hypergraph, sizes: Mapping[str, int]) -> AG
         if sizes[key] < 0:
             raise BoundError(f"negative size for edge {key!r}")
 
-    # An empty relation forces an empty output; the optimal cover puts all
-    # its weight on that edge.
-    empty_edges = [key for key in hypergraph.edge_keys if sizes[key] == 0]
-    if empty_edges:
-        cover = {key: 0.0 for key in hypergraph.edge_keys}
-        # Covering every vertex with empty edges may be impossible, but the
-        # bound is 0 regardless; report a cover using the unweighted optimum.
-        base = fractional_edge_cover(hypergraph)
-        cover.update(base.weights)
-        return AGMBound(log2_bound=float("-inf"), cover=cover, sizes=dict(sizes))
+    keys = hypergraph.edge_keys
+    table = cover_vertices(hypergraph)
+    if any(sizes[key] == 0 for key in keys):
+        # An empty relation forces an empty output; the bound is 0 whatever
+        # the cover, so report the unweighted optimum (a rho* vertex).
+        cover, _ = _cheapest(table, [1.0] * len(keys))
+        return AGMBound(log2_bound=float("-inf"), cover=dict(zip(keys, cover)),
+                        sizes=dict(sizes))
+    costs = [math.log2(sizes[key]) if sizes[key] > 1 else 0.0 for key in keys]
+    cover, log2_bound = _cheapest(table, costs)
+    return AGMBound(log2_bound=log2_bound, cover=dict(zip(keys, cover)),
+                    sizes=dict(sizes))
 
-    costs = {key: math.log2(sizes[key]) if sizes[key] > 1 else 0.0
-             for key in hypergraph.edge_keys}
-    cover = weighted_fractional_edge_cover(hypergraph, costs)
-    log2_bound = sum(cover.weights[key] * costs[key] for key in hypergraph.edge_keys)
-    return AGMBound(log2_bound=log2_bound, cover=dict(cover.weights), sizes=dict(sizes))
+
+def _cheapest(table: Sequence[tuple[float, ...]], costs: Sequence[float]
+              ) -> tuple[tuple[float, ...], float]:
+    """The first vertex of ``table`` whose cost is the minimum, and that cost.
+
+    Costs within rounding (1e-12 relative) of the minimum count as equal,
+    so a tie goes to the earlier vertex whatever the summation order.
+    """
+    values = [sum(w * c for w, c in zip(vertex, costs)) for vertex in table]
+    low = min(values)
+    slack = 1e-12 * max(1.0, abs(low))
+    return next((vertex, value) for vertex, value in zip(table, values)
+                if value <= low + slack)
 
 
 def agm_bound(query: ConjunctiveQuery, database: Database) -> AGMBound:
@@ -108,4 +122,6 @@ def rho_star(query: ConjunctiveQuery) -> float:
 
     With every relation of size N the AGM bound is N^{rho*}.
     """
-    return fractional_edge_cover(query.hypergraph()).objective
+    hypergraph = query.hypergraph()
+    return _cheapest(cover_vertices(hypergraph),
+                     [1.0] * hypergraph.num_edges())[1]

@@ -2,6 +2,7 @@
 
 from repro.covers.lp import LinearProgram, LPSolution, solve_lp
 from repro.covers.edge_cover import (
+    cover_vertices,
     fractional_edge_cover,
     fractional_edge_cover_number,
     weighted_fractional_edge_cover,
@@ -13,6 +14,7 @@ __all__ = [
     "LinearProgram",
     "LPSolution",
     "solve_lp",
+    "cover_vertices",
     "fractional_edge_cover",
     "fractional_edge_cover_number",
     "weighted_fractional_edge_cover",

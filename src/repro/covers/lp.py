@@ -130,7 +130,7 @@ class LinearProgram:
         # Imported here, not at module top: building an LP *model* is pure
         # Python, and the core planner layers must stay importable on
         # installs without the numeric stack (tools/check_no_numpy_in_core).
-        import numpy as np  # lint: disable=import-layering -- solve() is the planner's single numeric entry point; lazy so LP *models* build on installs without the numeric stack
+        import numpy as np  # lint: disable=import-layering -- solve() serves the bounds and experiments, never the query path; lazy so LP *models* build on installs without the numeric stack
         from scipy.optimize import linprog  # lint: disable=import-layering -- same seam as numpy above: only solving, never modeling, touches scipy
 
         if not self._variables:

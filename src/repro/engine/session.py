@@ -793,6 +793,10 @@ class Engine:
                 canon = shape.canonical.bind(query.all_selections)
             span.set(form=canon.form)
         core = query.core
+        # The op's one schema check: bound scans and index layouts read
+        # relations by position, and executors handed registry tries do
+        # not check again.
+        core.validate_against(self._db)
         fingerprint = statistics_fingerprint(
             self._db,
             [core.atoms[i].relation for i in canon.atom_order],
@@ -802,7 +806,6 @@ class Engine:
             # buckets of the scans they bind (one index seek each) join
             # the fingerprint — a plan priced for a 2-row key is never
             # replayed for a 2000-row hub.
-            core.validate_against(self._db)  # seeks index by position
             pinned = pinned_constants(query.all_selections)
             scans = (bound_scan(core.atoms[i], pinned, self._db,
                                 self._registry) for i in canon.atom_order)

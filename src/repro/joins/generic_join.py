@@ -70,9 +70,9 @@ def resolve_tries(query: ConjunctiveQuery, database: Database,
     Missing entries of ``tries`` are built from scratch; provided entries
     must have been built level-compatible with the restriction of ``order``
     to the atom's variables (the engine's index registry guarantees this by
-    construction).
+    construction).  Only an atom whose trie is built here is checked
+    against ``database``: whoever provides a trie has checked its atom.
     """
-    query.validate_against(database)
     trie_map: dict[str, TrieIndex] = {}
     trie_orders: dict[str, tuple[str, ...]] = {}
     for i, atom in enumerate(query.atoms):
@@ -83,7 +83,7 @@ def resolve_tries(query: ConjunctiveQuery, database: Database,
         if provided is None:
             # Only a trie built here needs the relation in the query's
             # variable names.
-            relation = database.get(atom.relation)
+            relation = atom.relation_in(database)
             provided = TrieIndex(relation.rename(
                 dict(zip(relation.attributes, atom.variables)),
                 name=edge_key), atom_order)

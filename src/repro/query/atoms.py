@@ -55,6 +55,22 @@ class Atom:
         """The set of variables of this atom."""
         return frozenset(self.variables)
 
+    def relation_in(self, database: Database) -> Relation:
+        """This atom's relation in ``database``, checked to match its arity.
+
+        Raises
+        ------
+        SchemaError
+            If the relation is missing or its arity differs from the atom's.
+        """
+        relation = database.get(self.relation)
+        if relation.arity != len(self.variables):
+            raise SchemaError(
+                f"atom {self} has arity {len(self.variables)} but relation "
+                f"{self.relation!r} has arity {relation.arity}"
+            )
+        return relation
+
     def __str__(self) -> str:
         return f"{self.relation}({', '.join(self.variables)})"
 
@@ -171,24 +187,19 @@ class ConjunctiveQuery:
             If a relation is missing or its arity differs from the atom's.
         """
         for atom in self._atoms:
-            relation = database.get(atom.relation)
-            if relation.arity != len(atom.variables):
-                raise SchemaError(
-                    f"atom {atom} has arity {len(atom.variables)} but relation "
-                    f"{atom.relation!r} has arity {relation.arity}"
-                )
+            atom.relation_in(database)
 
     def bind(self, database: Database) -> dict[str, Relation]:
         """Map each atom's edge key to its relation *renamed to the query's
         variables*, ready for joining.
 
         Self-joins produce several entries over the same physical tuples but
-        with the per-atom variable names.
+        with the per-atom variable names.  Each atom is checked as
+        :meth:`validate_against` checks it, in the same pass.
         """
-        self.validate_against(database)
         bound = {}
         for i, atom in enumerate(self._atoms):
-            relation = database.get(atom.relation)
+            relation = atom.relation_in(database)
             mapping = dict(zip(relation.attributes, atom.variables))
             bound[self.edge_key(i)] = relation.rename(mapping, name=self.edge_key(i))
         return bound

@@ -13,9 +13,10 @@ The check installs a meta-path finder that blocks ``numpy``, ``scipy``
 and ``networkx`` before any ``repro`` import, then:
 
 * imports every core module,
-* runs a small triangle join end-to-end on the python backend,
-* plans the aggregate order of a 3-path ``COUNT`` group-by and the any-k
-  order of an ``ORDER BY … LIMIT`` 3-path,
+* runs four queries end to end through ``Engine.execute`` (parse,
+  dispatch with its AGM bound, execute): a triangle, a 3-path ``COUNT``
+  group-by, an ``ORDER BY … LIMIT`` 3-path and a join over an empty
+  relation, each checked against its known answer,
 * confirms ``repro.columnar`` reports itself unsupported instead of
   raising.
 
@@ -91,48 +92,33 @@ def main() -> int:
               f"reason, got {reason!r}", file=sys.stderr)
         return 1
 
-    # The pure-Python join layer and the order planners must work, not
-    # merely import.  Full engine dispatch is still allowed scipy at
-    # runtime for one thing: its AGM bound is an LP (ROADMAP item 6(a)
-    # would take it off dispatch), so the functional check stops short of
-    # Engine.execute.
-    from repro.joins import generic_join
-    from repro.query import parse_query
-    from repro.query.builder import Query
-    from repro.query.variable_order import (
-        aggregate_elimination_order,
-        ranked_order,
-    )
-    from repro.relational.database import Database
+    # The engine must work, not merely import: every query is planned by
+    # dispatch (whose AGM bound is a cover-vertex table, not an LP) and run.
+    from repro.engine import Engine
     from repro.relational.relation import Relation
 
     rows = [(0, 1), (1, 2), (2, 0), (0, 2)]
-    database = Database([Relation("R", ("X", "Y"), rows),
-                         Relation("S", ("X", "Y"), rows),
-                         Relation("T", ("X", "Y"), rows)])
-    query = parse_query("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)")
-    if not list(generic_join(query, database).tuples):
-        print("triangle join returned no rows without numpy", file=sys.stderr)
-        return 1
-
+    engine = Engine(relations=[Relation(name, ("X", "Y"), rows)
+                               for name in ("R", "S", "T")]
+                    + [Relation("E", ("X", "Y"), [])])
     path = "R(A,B), S(B,C), T(C,D)"
-    grouped = Query.coerce(f"Q(A, COUNT(*) AS n) :- {path}")
-    order = aggregate_elimination_order(grouped.core, group=grouped.head_vars)
-    if order[0] != "A" or sorted(order) != ["A", "B", "C", "D"]:
-        print(f"group-by order {order!r} does not lead with the group",
-              file=sys.stderr)
-        return 1
-    ranked = Query.coerce(f"Q(A,B,C,D) :- {path} ORDER BY D DESC, A LIMIT 10")
-    order = ranked_order(ranked.core, [key for key, _desc in ranked.order_by],
-                         head=ranked.head_vars)
-    if order[:2] != ("D", "A") or sorted(order) != ["A", "B", "C", "D"]:
-        print(f"ranked order {order!r} does not lead with the sort keys",
-              file=sys.stderr)
-        return 1
+    expected = {
+        "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)": [(0, 1, 2)],
+        f"Q(A, COUNT(*) AS n) :- {path}": [(0, 3), (1, 2), (2, 2)],
+        f"Q(A,B,C,D) :- {path} ORDER BY D DESC, A LIMIT 2":
+            [(0, 2, 0, 2), (1, 2, 0, 2)],
+        "Q(A,B,C) :- R(A,B), E(B,C)": [],
+    }
+    for text, want in expected.items():
+        got = engine.execute(text).sorted_tuples()
+        if got != want:
+            print(f"{text!r} returned {got!r} without numpy, expected "
+                  f"{want!r}", file=sys.stderr)
+            return 1
 
-    print(f"checked {len(CORE_MODULES)} core modules: importable and "
-          "functional with numpy/scipy/networkx blocked; columnar degrades "
-          "cleanly")
+    print(f"checked {len(CORE_MODULES)} core modules: "
+          f"importable and {len(expected)} Engine queries run with "
+          "numpy/scipy/networkx blocked; columnar degrades cleanly")
     return 0
 
 
