@@ -15,12 +15,12 @@ Run with:  python examples/aggregation_and_acyclic.py
 """
 
 from repro import Database, OperationCounter, Relation
+from repro.covers.hypertree import fractional_hypertree_width
 from repro.datagen.graphs import social_graph, undirected_closure
 from repro.joins.counting import count_join, group_count
 from repro.joins.generic_join import generic_join
 from repro.joins.yannakakis import yannakakis
 from repro.query.atoms import Atom, ConjunctiveQuery, path_query, triangle_query
-from repro.query.widths import fractional_hypertree_width
 from repro.query.decomposition import is_alpha_acyclic
 
 

@@ -1,22 +1,1 @@
 """Worst-case output size bounds: AGM, polymatroid, modular/acyclic, entropic."""
-
-from repro.bounds.agm import AGMBound, agm_bound, agm_bound_from_sizes, rho_star
-from repro.bounds.polymatroid import PolymatroidBound, polymatroid_bound
-from repro.bounds.modular import ModularBound, modular_bound, modular_bound_dual
-from repro.bounds.entropic import entropic_bound_estimate
-from repro.bounds.degree_aware import output_size_bound, worst_case_output_size
-
-__all__ = [
-    "AGMBound",
-    "agm_bound",
-    "agm_bound_from_sizes",
-    "rho_star",
-    "PolymatroidBound",
-    "polymatroid_bound",
-    "ModularBound",
-    "modular_bound",
-    "modular_bound_dual",
-    "entropic_bound_estimate",
-    "output_size_bound",
-    "worst_case_output_size",
-]

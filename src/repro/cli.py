@@ -47,51 +47,52 @@ from __future__ import annotations
 import argparse
 import csv
 import heapq
+import importlib
 import sys
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ReproError
-from repro.experiments import (
-    run_acyclic_dc,
-    run_acyclify,
-    run_bound_lps,
-    run_example1_experiment,
-    run_inequalities,
-    run_loomis_whitney,
-    run_table1,
-    run_table2,
-    run_tightness,
-    run_triangle_bounds,
-    run_triangle_scaling,
-)
-from repro.experiments.runner import ExperimentTable
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentTable
+
+
+def _exp(module: str):
+    """``repro.experiments.<module>``, imported when its experiment runs,
+    so that `repro engine` loads no experiment."""
+    return importlib.import_module(f"repro.experiments.{module}")
+
 
 # Registry: name -> (description, runner taking the parsed args).
 _EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], ExperimentTable]]] = {
     "table1": ("Table 1: bound taxonomy",
-               lambda args: run_table1()),
+               lambda args: _exp("table1").run_table1()),
     "table2": ("Table 2: PANDA proof sequence for Example 1",
-               lambda args: run_table2(scale=args.scale)),
+               lambda args: _exp("table2").run_table2(scale=args.scale)),
     "triangle-bounds": ("AGM LP regimes for the triangle (E3)",
-                        lambda args: run_triangle_bounds()),
+                        lambda args: _exp("triangle_bounds")
+                        .run_triangle_bounds()),
     "triangle": ("Triangle scaling: WCOJ vs pairwise (E4)",
-                 lambda args: run_triangle_scaling(sizes=tuple(args.sizes),
-                                                   family=args.family)),
+                 lambda args: _exp("triangle_scaling").run_triangle_scaling(
+                     sizes=tuple(args.sizes), family=args.family)),
     "loomis-whitney": ("Loomis-Whitney separation (E5)",
-                       lambda args: run_loomis_whitney(sizes=tuple(args.sizes))),
+                       lambda args: _exp("loomis_whitney").run_loomis_whitney(
+                           sizes=tuple(args.sizes))),
     "acyclic-dc": ("Algorithm 3 vs Theorem 5.1 bound (E6)",
-                   lambda args: run_acyclic_dc(sizes=tuple(args.sizes))),
+                   lambda args: _exp("acyclic_dc").run_acyclic_dc(
+                       sizes=tuple(args.sizes))),
     "example1": ("PANDA on Example 1 vs bound (75) (E7)",
-                 lambda args: run_example1_experiment(scales=tuple(args.sizes))),
+                 lambda args: _exp("example1").run_example1_experiment(
+                     scales=tuple(args.sizes))),
     "bound-lps": ("Modular vs polymatroid LPs (E8)",
-                  lambda args: run_bound_lps()),
+                  lambda args: _exp("bound_lps").run_bound_lps()),
     "acyclify": ("Constraint acyclification (E9)",
-                 lambda args: run_acyclify()),
+                 lambda args: _exp("acyclify_exp").run_acyclify()),
     "inequalities": ("Shearer / Friedgut / Zhang-Yeung (E10)",
-                     lambda args: run_inequalities()),
+                     lambda args: _exp("inequalities").run_inequalities()),
     "tightness": ("AGM tightness (E11)",
-                  lambda args: run_tightness()),
+                  lambda args: _exp("tightness").run_tightness()),
 }
 
 

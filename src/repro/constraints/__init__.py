@@ -1,39 +1,1 @@
 """Degree constraints, their dependency graph, and acyclification."""
-
-from repro.constraints.degree import (
-    DegreeConstraint,
-    DegreeConstraintSet,
-    cardinality_constraints,
-    constraints_from_database,
-)
-from repro.constraints.dependency_graph import (
-    constraint_dependency_graph,
-    is_acyclic,
-    compatible_variable_order,
-)
-from repro.constraints.fd import FunctionalDependency, fd_closure, fds_to_constraints
-from repro.constraints.acyclify import (
-    bound_variables,
-    all_variables_bound,
-    acyclify,
-    acyclify_simple_fds,
-    best_acyclic_weakening,
-)
-
-__all__ = [
-    "DegreeConstraint",
-    "DegreeConstraintSet",
-    "cardinality_constraints",
-    "constraints_from_database",
-    "constraint_dependency_graph",
-    "is_acyclic",
-    "compatible_variable_order",
-    "FunctionalDependency",
-    "fd_closure",
-    "fds_to_constraints",
-    "bound_variables",
-    "all_variables_bound",
-    "acyclify",
-    "acyclify_simple_fds",
-    "best_acyclic_weakening",
-]

@@ -1,42 +1,2 @@
 """Synthetic workload generators: graphs, AGM-tight instances, skewed
 instances, Loomis–Whitney instances, and degree-constrained relations."""
-
-from repro.datagen.graphs import (
-    erdos_renyi_graph,
-    zipf_graph,
-    complete_bipartite_graph,
-    social_graph,
-)
-from repro.datagen.worstcase import (
-    triangle_agm_tight_instance,
-    triangle_skew_instance,
-    clique_agm_tight_instance,
-    cycle_agm_tight_instance,
-    triangle_database,
-)
-from repro.datagen.loomis_whitney import (
-    loomis_whitney_agm_tight_instance,
-    loomis_whitney_random_instance,
-)
-from repro.datagen.relations import (
-    random_relation,
-    relation_with_degree_bound,
-    relation_with_fd,
-)
-
-__all__ = [
-    "erdos_renyi_graph",
-    "zipf_graph",
-    "complete_bipartite_graph",
-    "social_graph",
-    "triangle_agm_tight_instance",
-    "triangle_skew_instance",
-    "clique_agm_tight_instance",
-    "cycle_agm_tight_instance",
-    "triangle_database",
-    "loomis_whitney_agm_tight_instance",
-    "loomis_whitney_random_instance",
-    "random_relation",
-    "relation_with_degree_bound",
-    "relation_with_fd",
-]

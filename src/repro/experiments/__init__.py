@@ -4,32 +4,3 @@ Each experiment module exposes a ``run_*`` function returning an
 :class:`repro.experiments.runner.ExperimentTable`, which the benchmarks and
 the EXPERIMENTS.md report are generated from.
 """
-
-from repro.experiments.runner import ExperimentTable, format_table
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.triangle_bounds import run_triangle_bounds
-from repro.experiments.triangle_scaling import run_triangle_scaling
-from repro.experiments.loomis_whitney import run_loomis_whitney
-from repro.experiments.acyclic_dc import run_acyclic_dc
-from repro.experiments.example1 import run_example1_experiment
-from repro.experiments.bound_lps import run_bound_lps
-from repro.experiments.acyclify_exp import run_acyclify
-from repro.experiments.inequalities import run_inequalities
-from repro.experiments.tightness import run_tightness
-
-__all__ = [
-    "ExperimentTable",
-    "format_table",
-    "run_table1",
-    "run_table2",
-    "run_triangle_bounds",
-    "run_triangle_scaling",
-    "run_loomis_whitney",
-    "run_acyclic_dc",
-    "run_example1_experiment",
-    "run_bound_lps",
-    "run_acyclify",
-    "run_inequalities",
-    "run_tightness",
-]

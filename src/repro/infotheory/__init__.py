@@ -7,51 +7,3 @@ Shannon-type inequalities (linear inequalities valid over the polymatroid
 cone Gamma_n), Shearer's lemma, and the Zhang–Yeung non-Shannon inequality
 witnessing Gamma*_4 != Gamma_4.
 """
-
-from repro.infotheory.set_functions import (
-    SetFunction,
-    all_subsets,
-    modular_from_singletons,
-    uniform_step_function,
-)
-from repro.infotheory.entropy import (
-    entropy_of_distribution,
-    entropy_function_of_distribution,
-    entropy_function_of_relation,
-)
-from repro.infotheory.shannon import (
-    LinearEntropyExpression,
-    is_shannon_valid,
-    find_polymatroid_counterexample,
-    elemental_inequalities,
-)
-from repro.infotheory.shearer import (
-    shearer_holds_for,
-    shearer_is_valid,
-    verify_friedgut_inequality,
-)
-from repro.infotheory.nonshannon import (
-    zhang_yeung_expression,
-    zhang_yeung_is_non_shannon,
-    verify_zhang_yeung_on_entropic,
-)
-
-__all__ = [
-    "SetFunction",
-    "all_subsets",
-    "modular_from_singletons",
-    "uniform_step_function",
-    "entropy_of_distribution",
-    "entropy_function_of_distribution",
-    "entropy_function_of_relation",
-    "LinearEntropyExpression",
-    "is_shannon_valid",
-    "find_polymatroid_counterexample",
-    "elemental_inequalities",
-    "shearer_holds_for",
-    "shearer_is_valid",
-    "verify_friedgut_inequality",
-    "zhang_yeung_expression",
-    "zhang_yeung_is_non_shannon",
-    "verify_zhang_yeung_on_entropic",
-]

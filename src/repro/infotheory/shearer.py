@@ -19,6 +19,7 @@ from typing import Callable, Mapping
 
 from repro.infotheory.set_functions import SetFunction
 from repro.infotheory.shannon import LinearEntropyExpression, is_shannon_valid
+from repro.joins.generic_join import generic_join
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.hypergraph import Hypergraph
 from repro.relational.database import Database
@@ -88,8 +89,6 @@ def verify_friedgut_inequality(query: ConjunctiveQuery, database: Database,
 
         holds within a small relative tolerance.
     """
-    from repro.joins.generic_join import generic_join  # lint: disable=import-layering -- witness construction drives the join layer above; lazy so the theory layer imports stand alone
-
     hypergraph = query.hypergraph()
     if not hypergraph.is_cover(cover):
         raise ValueError("the supplied weights are not a fractional edge cover")

@@ -15,49 +15,3 @@ This package implements
   (:mod:`interpreter`),
 * the paper's Example 1 and Table 2, reproduced end to end (:mod:`example1`).
 """
-
-from repro.panda.terms import ConditionalTerm, TermBag
-from repro.panda.shannon_flow import (
-    ShannonFlowInequality,
-    shannon_flow_from_constraints,
-    extract_flow_from_polymatroid_dual,
-)
-from repro.panda.proof_sequence import (
-    DecompositionStep,
-    CompositionStep,
-    SubmodularityStep,
-    ProofSequence,
-)
-from repro.panda.proof_search import derive_proof_sequence
-from repro.panda.interpreter import PandaInterpreter, PandaResult
-from repro.panda.example1 import (
-    example1_query,
-    example1_constraints,
-    example1_inequality,
-    example1_proof_sequence,
-    example1_database,
-    run_example1,
-    table2_rows,
-)
-
-__all__ = [
-    "ConditionalTerm",
-    "TermBag",
-    "ShannonFlowInequality",
-    "shannon_flow_from_constraints",
-    "extract_flow_from_polymatroid_dual",
-    "DecompositionStep",
-    "CompositionStep",
-    "SubmodularityStep",
-    "ProofSequence",
-    "derive_proof_sequence",
-    "PandaInterpreter",
-    "PandaResult",
-    "example1_query",
-    "example1_constraints",
-    "example1_inequality",
-    "example1_proof_sequence",
-    "example1_database",
-    "run_example1",
-    "table2_rows",
-]

@@ -1,33 +1,21 @@
-"""Width parameters of query hypergraphs: treewidth-style decompositions and
-fractional hypertree width.
+"""Tree decompositions of query hypergraphs.
 
 Section 1.1 of the paper credits the "new query plans" to variable
-elimination / tree decompositions, and PANDA's significance (Section 5.2) is
-that it meets refined width parameters (fractional hypertree width and
-submodular width) over such decompositions.  This module provides the
-decomposition machinery at query scale:
-
-* tree decompositions induced by an elimination order (the standard
-  construction: the bag of a variable is itself plus its higher neighbours in
-  the fill-in graph);
-* the *fractional hypertree width* of a decomposition — the maximum over
-  bags of the fractional edge cover number rho* of the bag — and the query's
-  fhtw as the minimum over all elimination orders (exact for the small,
-  query-sized hypergraphs this library targets, via brute force over orders
-  with a cheap greedy fallback for larger ones).
-
-For alpha-acyclic queries fhtw = 1; for the triangle it is 3/2 (the single
-bag {A,B,C} with the optimal (1/2,1/2,1/2) cover); fhtw never exceeds rho*
-(the trivial one-bag decomposition).  The tests pin these well-known values.
+elimination / tree decompositions.  This module provides the decomposition
+machinery at query scale: the tree decomposition induced by an elimination
+order (the standard construction: the bag of a variable is itself plus its
+higher neighbours in the fill-in graph), its classical width, and the
+min-fill order heuristic.  The *fractional* hypertree width of a
+decomposition solves an edge-cover LP per bag, so it lives above the LPs,
+in :mod:`repro.covers.hypertree`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.covers.edge_cover import fractional_edge_cover_number
 from repro.errors import QueryError
 from repro.query.hypergraph import Hypergraph
 
@@ -53,13 +41,6 @@ class TreeDecomposition:
     def width(self) -> int:
         """The classical treewidth-style width: max bag size - 1."""
         return max(len(bag) for bag in self.bags) - 1
-
-    def fractional_hypertree_width(self, hypergraph: Hypergraph) -> float:
-        """max over bags of rho*(bag) with respect to ``hypergraph``'s edges."""
-        worst = 0.0
-        for bag in self.bags:
-            worst = max(worst, _bag_rho_star(hypergraph, bag))
-        return worst
 
     def is_valid_for(self, hypergraph: Hypergraph) -> bool:
         """Check the three tree-decomposition properties."""
@@ -121,20 +102,6 @@ def _eliminate(graph: dict[str, set[str]], variable: str) -> set[str]:
     return neighbours
 
 
-def _bag_rho_star(hypergraph: Hypergraph, bag: frozenset[str]) -> float:
-    """rho* of a bag: fractional edge cover of the bag's vertices using the
-    hypergraph's edges restricted to the bag."""
-    edges = {}
-    for key, edge in hypergraph.edges.items():
-        restricted = edge & bag
-        if restricted:
-            edges[key] = restricted
-    if not edges:
-        raise QueryError(f"bag {sorted(bag)} is not touched by any edge")
-    sub = Hypergraph(tuple(sorted(bag)), edges)
-    return fractional_edge_cover_number(sub)
-
-
 def decomposition_from_elimination_order(hypergraph: Hypergraph,
                                          order: Sequence[str]) -> TreeDecomposition:
     """The tree decomposition induced by eliminating variables in ``order``.
@@ -164,26 +131,6 @@ def decomposition_from_elimination_order(hypergraph: Hypergraph,
                              elimination_order=order)
 
 
-def fractional_hypertree_width(hypergraph: Hypergraph,
-                               max_exact_vertices: int = 6) -> float:
-    """The fractional hypertree width fhtw(H).
-
-    Exact (brute force over elimination orders) when the hypergraph has at
-    most ``max_exact_vertices`` vertices — which covers the query sizes this
-    library deals with — and a min-fill greedy upper bound beyond that.
-    """
-    vertices = hypergraph.vertices
-    if len(vertices) <= max_exact_vertices:
-        best = float("inf")
-        for order in itertools.permutations(vertices):
-            decomposition = decomposition_from_elimination_order(hypergraph, order)
-            best = min(best, decomposition.fractional_hypertree_width(hypergraph))
-        return best
-    order = min_fill_order(hypergraph)
-    decomposition = decomposition_from_elimination_order(hypergraph, order)
-    return decomposition.fractional_hypertree_width(hypergraph)
-
-
 def min_fill_order(hypergraph: Hypergraph) -> tuple[str, ...]:
     """The classic min-fill elimination-order heuristic on the primal graph."""
     working = _primal_graph(hypergraph)
@@ -195,24 +142,3 @@ def min_fill_order(hypergraph: Hypergraph) -> tuple[str, ...]:
         _eliminate(working, choice)
         order.append(choice)
     return tuple(order)
-
-
-def best_decomposition(hypergraph: Hypergraph,
-                       max_exact_vertices: int = 6) -> TreeDecomposition:
-    """A tree decomposition achieving :func:`fractional_hypertree_width`."""
-    vertices = hypergraph.vertices
-    candidates: Iterable[Sequence[str]]
-    if len(vertices) <= max_exact_vertices:
-        candidates = itertools.permutations(vertices)
-    else:
-        candidates = [min_fill_order(hypergraph)]
-    best: TreeDecomposition | None = None
-    best_width = float("inf")
-    for order in candidates:
-        decomposition = decomposition_from_elimination_order(hypergraph, order)
-        width = decomposition.fractional_hypertree_width(hypergraph)
-        if width < best_width - 1e-12:
-            best_width = width
-            best = decomposition
-    assert best is not None
-    return best

@@ -114,7 +114,7 @@ def test_default_rules_flag_an_upward_module_level_import(tmp_path):
                       "from repro.engine import Engine\n")
     assert [(f.rule, f.line) for f in result.findings] == [
         ("import-layering", 1)]
-    assert "higher layer 'physical'" in result.findings[0].message
+    assert "higher layer 'engine'" in result.findings[0].message
     assert "(lazy)" not in result.findings[0].message
 
 
@@ -138,7 +138,7 @@ def test_default_checkers_are_the_two_rules():
                                                     "counter-honesty"}
 
 
-def test_repo_run_has_five_reasoned_suppressions():
+def test_repo_run_has_four_reasoned_suppressions():
     result = run_on_repo()
     assert result.findings == []
     assert sorted((f.path, f.rule) for f, _ in result.suppressed) == [
@@ -146,7 +146,6 @@ def test_repo_run_has_five_reasoned_suppressions():
         ("src/repro/covers/lp.py", "import-layering"),
         ("src/repro/covers/lp.py", "import-layering"),
         ("src/repro/engine/session.py", "import-layering"),
-        ("src/repro/infotheory/shearer.py", "import-layering"),
     ]
     assert all(reason for _, reason in result.suppressed)
 
@@ -190,7 +189,7 @@ def test_cli_runs_with_tomllib_unavailable():
     proc = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "0 finding(s), 5 suppressed" in proc.stderr
+    assert "0 finding(s), 4 suppressed" in proc.stderr
 
 
 def test_real_layer_config_assigns_core_modules():
@@ -201,6 +200,27 @@ def test_real_layer_config_assigns_core_modules():
     # Longest-prefix wins: instrumentation is carved out below joins.
     assert instrumentation is not None
     assert LAYERS.rank(instrumentation) < LAYERS.rank(joins)
-    # The physical layer is the numeric one; planner layers are not.
-    assert engine.numeric
+    # Columnar is the numeric layer; the engine and the planner layers
+    # are not.
+    assert LAYERS.layer_of("repro.columnar.join").numeric
+    assert not engine.numeric
     assert not LAYERS.layer_of("repro.covers.lp").numeric
+
+
+def test_real_layer_config_puts_the_paper_side_above_the_engine():
+    def rank(module):
+        return LAYERS.rank(LAYERS.layer_of(module))
+
+    engine = rank("repro.engine.session")
+    # columnar.executor subclasses an engine executor: carved out of
+    # columnar into the engine's layer, with the kernel below it.
+    assert rank("repro.columnar.executor") == engine
+    assert rank("repro.columnar.join") < engine
+    # AGM is the one bound the dispatcher reads; it sits with the covers.
+    assert (rank("repro.bounds.agm") == rank("repro.covers.edge_cover")
+            < rank("repro.joins.generic_join"))
+    assert rank("repro.query.widths") < rank("repro.covers.hypertree")
+    for module in ("repro.bounds.polymatroid", "repro.infotheory.shearer",
+                   "repro.datagen.graphs", "repro.panda.interpreter",
+                   "repro.experiments.table1"):
+        assert rank(module) > rank("repro.ivm.view") > engine

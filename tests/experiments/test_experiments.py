@@ -4,19 +4,17 @@ qualitative claims at small scale."""
 
 import pytest
 
-from repro.experiments import (
-    run_acyclic_dc,
-    run_acyclify,
-    run_bound_lps,
-    run_example1_experiment,
-    run_inequalities,
-    run_loomis_whitney,
-    run_table1,
-    run_table2,
-    run_tightness,
-    run_triangle_bounds,
-    run_triangle_scaling,
-)
+from repro.experiments.acyclic_dc import run_acyclic_dc
+from repro.experiments.acyclify_exp import run_acyclify
+from repro.experiments.bound_lps import run_bound_lps
+from repro.experiments.example1 import run_example1_experiment
+from repro.experiments.inequalities import run_inequalities
+from repro.experiments.loomis_whitney import run_loomis_whitney
+from repro.experiments.table1 import run_table1
+from repro.experiments.table2 import run_table2
+from repro.experiments.tightness import run_tightness
+from repro.experiments.triangle_bounds import run_triangle_bounds
+from repro.experiments.triangle_scaling import run_triangle_scaling
 from repro.experiments.runner import ExperimentTable, fit_exponent, format_table, geometric_mean
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds.agm import agm_bound, rho_star
+from repro.covers.hypertree import fractional_hypertree_width
 from repro.constraints.degree import constraints_from_database
 from repro.infotheory.entropy import entropy_function_of_relation
 from repro.joins.counting import count_join
@@ -27,7 +28,6 @@ from repro.joins.naive import nested_loop_join
 from repro.joins.yannakakis import yannakakis
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.decomposition import is_alpha_acyclic
-from repro.query.widths import fractional_hypertree_width
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 

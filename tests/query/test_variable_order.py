@@ -7,6 +7,7 @@ from repro.query.variable_order import (
     min_degree_order,
     validate_order,
 )
+from repro.covers.hypertree import decomposition_fhtw
 from repro.query.widths import decomposition_from_elimination_order
 from repro.relational.relation import Relation
 
@@ -15,8 +16,8 @@ def induced_fhtw(query, order):
     """The fractional hypertree width of the decomposition ``order``
     induces when eliminated innermost-first (the binding order reversed)."""
     h = query.hypergraph()
-    return decomposition_from_elimination_order(
-        h, tuple(reversed(order))).fractional_hypertree_width(h)
+    return decomposition_fhtw(decomposition_from_elimination_order(
+        h, tuple(reversed(order))), h)
 
 
 class TestOrders:

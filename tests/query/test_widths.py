@@ -13,11 +13,14 @@ from repro.query.atoms import (
     path_query,
     triangle_query,
 )
+from repro.covers.hypertree import (
+    best_decomposition,
+    decomposition_fhtw,
+    fractional_hypertree_width,
+)
 from repro.query.widths import (
     TreeDecomposition,
-    best_decomposition,
     decomposition_from_elimination_order,
-    fractional_hypertree_width,
     min_fill_order,
 )
 
@@ -186,7 +189,7 @@ class TestFractionalHypertreeWidth:
         h = cycle_query(4).hypergraph()
         decomposition = best_decomposition(h)
         assert decomposition.is_valid_for(h)
-        assert decomposition.fractional_hypertree_width(h) == pytest.approx(
+        assert decomposition_fhtw(decomposition, h) == pytest.approx(
             fractional_hypertree_width(h))
 
     def test_min_fill_order_is_permutation(self):

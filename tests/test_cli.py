@@ -1,8 +1,14 @@
 """Tests for the command-line experiment runner and engine subcommand."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_engine_parser, build_parser, main
+from tools.analysis.layers import paper_side
 
 
 class TestCli:
@@ -50,6 +56,28 @@ class TestEngineCli:
         assert "engine session over 3 relations" in out
         assert "Q_triangle" in out
         assert "EngineStats" in out
+
+    def test_engine_run_imports_no_experiment(self):
+        # The experiment registry imports each runner's module only when
+        # that experiment runs: an engine session loads no experiment.
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['engine', '--demo', 'triangle-skew',"
+            " '--show', '0']) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('repro')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.splitlines()[-1].split()
+        assert "repro.engine.session" in loaded
+        # The demo builds its relations with the workload generators; no
+        # other paper-side module loads.
+        assert [m for m in paper_side(loaded)
+                if m.split(".")[1] != "datagen"] == []
 
     def test_repeat_reports_cache_hits(self, capsys):
         assert main(["engine", "--demo", "triangle-skew", "--size", "60",

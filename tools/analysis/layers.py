@@ -4,9 +4,10 @@ Layers are listed lowest first; a module may import (at module level or
 lazily) only from its own layer or layers listed above it.  Modules are
 assigned to the *longest matching prefix*, so repro.joins.instrumentation
 can sit in the foundation layer while the rest of repro.joins sits in the
-executor layer.  An upward import — even a lazy, inside-a-function one —
-is a finding and needs an inline ``# lint: disable=import-layering --
-<why>``.
+joins layer, and repro.columnar.executor in the engine layer above the
+rest of repro.columnar.  An upward import — even a lazy, inside-a-function
+one — is a finding and needs an inline ``# lint: disable=import-layering
+-- <why>``.
 
 ``numeric=True`` marks the only layers allowed to import numpy/scipy;
 everywhere else the numeric stack is a finding on either axis (the
@@ -17,6 +18,7 @@ actually blocks the imports and runs a join).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,44 @@ LAYERS = LayerConfig(
     # Observability imports nothing from the engine: the engine imports *it*.
     Layer("obs", ("repro.obs",)),
     Layer("relational", ("repro.relational",)),
-    # repro.query and repro.covers are mutually recursive (widths needs the
-    # edge-cover LP; the LP needs the hypergraph) — one layer, by design.
-    Layer("querycore", ("repro.query", "repro.covers")),
-    Layer("theory", ("repro.constraints", "repro.infotheory",
-                     "repro.datagen")),
-    Layer("bounds", ("repro.bounds",)),
+    Layer("query", ("repro.query",)),
+    # The edge-cover LPs and the one bound the dispatcher prices with: AGM,
+    # a minimum over the cover-vertex table.
+    Layer("covers", ("repro.covers", "repro.bounds.agm")),
+    Layer("constraints", ("repro.constraints",)),
     Layer("joins", ("repro.joins",)),
-    # The engine imports repro.columnar for planning; columnar.executor
-    # imports engine.executors for its fallback oracle — one layer.
-    Layer("physical", ("repro.engine", "repro.columnar"), numeric=True),
+    Layer("columnar", ("repro.columnar",), numeric=True),
+    # columnar.executor subclasses the engine's WCOJ executor, so it sits
+    # in the engine's layer while the layout and the kernel sit below it.
+    Layer("engine", ("repro.engine", "repro.columnar.executor")),
     Layer("ivm", ("repro.ivm",)),
-    Layer("apps", ("repro", "repro.cli", "repro.__main__", "repro.panda",
-                   "repro.experiments")),
+    # The paper side: the proof machinery, the workloads and the paper's
+    # artifacts sit above the engine, which needs none of them.
+    Layer("theory", ("repro.infotheory", "repro.datagen")),
+    Layer("bounds", ("repro.bounds",)),
+    Layer("paper", ("repro.panda", "repro.experiments")),
+    Layer("apps", ("repro", "repro.cli", "repro.__main__")),
 )
+
+
+def paper_side(modules: Iterable[str]) -> list[str]:
+    """The modules of ``modules`` that the engine never needs.
+
+    These are the modules of the layers above ``ivm`` and under ``apps``:
+    the proof machinery, the workloads and the paper's artifacts.  A
+    package counts only if it is not merely the parent of a listed
+    module of a lower layer (``repro.bounds`` is loaded with
+    ``repro.bounds.agm``, which sits in ``covers``).
+    """
+    ranks = {layer.name: LAYERS.rank(layer) for layer in LAYERS.layers}
+
+    def above_the_engine(module: str) -> bool:
+        layer = LAYERS.layer_of(module)
+        return (layer is not None
+                and ranks["ivm"] < LAYERS.rank(layer) < ranks["apps"])
+
+    listed = sorted(set(modules))
+    return [m for m in listed if above_the_engine(m)
+            and not any(other.startswith(m + ".")
+                        and not above_the_engine(other)
+                        for other in listed)]

@@ -12,13 +12,22 @@ engine, the CLI — is pure Python and must not grow a top-level
 The check installs a meta-path finder that blocks ``numpy``, ``scipy``
 and ``networkx`` before any ``repro`` import, then:
 
-* imports every core module,
+* imports the core's entry points, and with them every module of their
+  import closure,
 * runs four queries end to end through ``Engine.execute`` (parse,
   dispatch with its AGM bound, execute): a triangle, a 3-path ``COUNT``
   group-by, an ``ORDER BY … LIMIT`` 3-path and a join over an empty
   relation, each checked against its known answer,
 * confirms ``repro.columnar`` reports itself unsupported instead of
-  raising.
+  raising,
+* confirms that no paper-side module (a layer above the engine in
+  ``tools/analysis/layers.py``: ``repro.panda``, ``repro.infotheory``,
+  ``repro.experiments``, ``repro.datagen``, ``repro.bounds`` but AGM)
+  was loaded along the way,
+* then imports every other module of ``repro`` — the paper side
+  included — so that none of them grows a module-level numpy, scipy or
+  networkx import either.  Only the submodules of ``repro.columnar`` are
+  left out: they need NumPy by design, and the package gates them.
 
 Usage::
 
@@ -45,23 +54,23 @@ class _BlockNumericStack:
         return None
 
 
-CORE_MODULES = (
-    "repro",
-    "repro.joins",
-    "repro.joins.generic_join",
-    "repro.joins.leapfrog",
-    "repro.joins.binary_plans",
-    "repro.joins.yannakakis",
-    "repro.query",
-    "repro.query.variable_order",
-    "repro.query.widths",
+#: The core's entry points.  Each import pulls in its whole closure, and
+#: the check covers every ``repro`` module that closure loads: no hand
+#: list to fall behind the code.
+ENTRY_POINTS = (
     "repro.engine",
-    "repro.engine.cost",
-    "repro.engine.registry",
     "repro.ivm",
     "repro.cli",
     "repro.columnar",  # must import (and degrade), not crash
 )
+
+#: The one package whose submodules may import NumPy at module level.
+NUMERIC_PACKAGE = "repro.columnar"
+
+
+def _repro_modules() -> list[str]:
+    return sorted(m for m in sys.modules
+                  if m == "repro" or m.startswith("repro."))
 
 
 def main() -> int:
@@ -71,14 +80,18 @@ def main() -> int:
     sys.meta_path.insert(0, _BlockNumericStack())
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.join(root, "src")
-    if os.path.isdir(src) and src not in sys.path:
-        sys.path.insert(0, src)
+    for path in (os.path.join(root, "src"), root):
+        if os.path.isdir(path) and path not in sys.path:
+            sys.path.insert(0, path)
 
     import importlib
+    import pkgutil
 
-    for name in CORE_MODULES:
+    from tools.analysis.layers import paper_side
+
+    for name in ENTRY_POINTS:
         importlib.import_module(name)
+    core = _repro_modules()
 
     import repro.columnar as columnar
 
@@ -116,9 +129,25 @@ def main() -> int:
                   f"{want!r}", file=sys.stderr)
             return 1
 
-    print(f"checked {len(CORE_MODULES)} core modules: "
+    paper = paper_side(_repro_modules())
+    if paper:
+        print(f"the engine loaded paper-side modules: {paper}",
+              file=sys.stderr)
+        return 1
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.startswith(NUMERIC_PACKAGE + "."):
+            importlib.import_module(info.name)
+    everything = _repro_modules()
+
+    print(f"checked {len(core)} core modules: "
           f"importable and {len(expected)} Engine queries run with "
-          "numpy/scipy/networkx blocked; columnar degrades cleanly")
+          "numpy/scipy/networkx blocked and no paper-side module loaded; "
+          "columnar degrades cleanly; "
+          f"{len(everything)} repro modules in all (every one but "
+          f"{NUMERIC_PACKAGE}'s submodules) import with the same block")
     return 0
 
 
