@@ -175,7 +175,8 @@ def build_engine_parser() -> argparse.ArgumentParser:
                                 "results in rank order out of the join "
                                 "itself (stops after LIMIT results), "
                                 "'drain' enumerates the join and "
-                                "heap-selects the top-k, 'auto' prices "
+                                "selects the top-k (a heap; a code sort "
+                                "on columnar), 'auto' prices "
                                 "both (queries may carry 'ORDER BY col "
                                 "[DESC] ... LIMIT k' trailers)")
     execution.add_argument("--backend", default="python", choices=BACKENDS,

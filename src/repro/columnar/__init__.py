@@ -7,7 +7,9 @@ those sorted columns, and Leapfrog's seek/next iterator discipline becomes
 one ``np.searchsorted`` per seek over a per-level composite key (prefix
 rank times dictionary size plus code), batched over a frontier.  Semiring
 folds for COUNT/SUM/MIN/MAX and the boolean existential tail run over runs
-of equal separator keys instead of per-tuple Python ⊕ calls.
+of equal separator keys instead of per-tuple Python ⊕ calls, and an
+``ORDER BY`` ranks the joined code columns with one ``np.lexsort`` before
+anything is decoded.
 
 The pure-Python cores in :mod:`repro.joins` remain the reference oracle:
 the columnar backend must produce bit-identical rows, aggregate values,
@@ -57,9 +59,11 @@ def unsupported_reason(
     selections (cross-atom predicates such as ``A < B``, and the equality
     couplings repeated-variable atoms lower to), aggregate kinds without a
     vectorized fold, and any-k ranked enumeration (tuple-at-a-time by
-    construction).  Data-dependent cases — mixed un-orderable domains,
-    SUM over non-integer values — are only detectable at run time and
-    degrade inside the executor instead.
+    construction).  A drain-ranked ``ORDER BY … LIMIT k`` is inside it:
+    without aggregates the kernel sorts the joined dictionary codes and
+    decodes only the top-k.  Data-dependent cases — mixed un-orderable
+    domains, SUM over non-integer values — are only detectable at run
+    time and degrade inside the executor instead.
     """
     if not HAS_NUMPY:
         return "NumPy is not installed"

@@ -27,6 +27,11 @@ Three emission modes mirror ``generic_join_stream``:
   runs of equal origins) and combine components per surviving prefix with
   exact Python-int arithmetic.
 
+The two enumerating modes rank an ``ORDER BY`` in code space before
+decoding: code order is value order, so one ``np.lexsort`` over the
+direction-adjusted key columns and the full row is ``sort_rows``' order,
+and only its first ``LIMIT`` rows become Python tuples.
+
 Anything outside this subset raises :class:`ColumnarFallback`, which the
 executor converts into a transparent rerun on the oracle.
 """
@@ -253,7 +258,8 @@ class _Descent:
 # ----------------------------------------------------------------------
 
 def columnar_rows(core, order, layouts, store, selections=(), head=None,
-                  aggregates=None, counter=None) -> list[tuple]:
+                  aggregates=None, counter=None, order_by=(),
+                  limit=None) -> list[tuple]:
     """Run one query columnar and return its rows in oracle stream order.
 
     Mirrors ``generic_join_stream``'s mode selection: ``aggregates`` not
@@ -265,6 +271,11 @@ def columnar_rows(core, order, layouts, store, selections=(), head=None,
     an order the oracle rejects raises its ``ValueError`` here too.
     Raises :class:`ColumnarFallback` when the plan or the data leaves the
     vectorized subset.
+
+    ``order_by`` (``(column, descending)`` keys over the emitted columns;
+    not with ``aggregates``) returns the rows in ``sort_rows`` order
+    instead, cut to the first ``limit``: they are ranked in code space
+    (:func:`_ranked`) and only the survivors are decoded.
     """
     plan = level_layout(core, order, selections, head,
                         aggregate=aggregates is not None)
@@ -272,13 +283,15 @@ def columnar_rows(core, order, layouts, store, selections=(), head=None,
     if aggregates is not None:
         return _aggregate_rows(descent, store, tuple(head or ()),
                                tuple(aggregates), counter)
+    ranking = (order_by, limit)
     if head is None:
-        return _full_rows(descent, core.variables, store, counter)
+        return _full_rows(descent, core.variables, store, counter, ranking)
     head = tuple(head)
     if plan.stop == len(plan.order):
         # Full descent: nothing is existential below the head, or (a
         # guarded order) each head tuple is kept at its first occurrence.
-        return _full_rows(descent, head, store, counter, plan.seen_set)
+        return _full_rows(descent, head, store, counter, ranking,
+                          plan.seen_set)
     head_set = set(head)
     state = descent.initial_state()
     for depth in range(plan.stop):
@@ -293,14 +306,13 @@ def columnar_rows(core, order, layouts, store, selections=(), head=None,
         if counter is not None and rows:
             counter.charge(tuples_emitted=1)
         return rows
-    columns = [store.decode_column(state["values"][h][kept]) for h in head]
-    rows = list(zip(*columns))
     if counter is not None:
-        counter.charge(tuples_emitted=len(rows))
-    return rows
+        counter.charge(tuples_emitted=len(kept))
+    codes = _ranked([state["values"][h][kept] for h in head], head, ranking)
+    return list(zip(*(store.decode_column(column) for column in codes)))
 
 
-def _full_rows(descent: _Descent, emit_vars, store, counter,
+def _full_rows(descent: _Descent, emit_vars, store, counter, ranking,
                distinct: bool = False) -> list[tuple]:
     """Descend every level and decode the frontier as full bindings —
     with ``distinct``, only the first occurrence of each ``emit_vars``
@@ -311,20 +323,41 @@ def _full_rows(descent: _Descent, emit_vars, store, counter,
         state = descent.step(state, depth, track_value=True)
         if state["size"] == 0:
             return []
+    if not emit_vars:
+        if counter is not None:
+            counter.charge(tuples_emitted=1)
+        return [()]
     codes = [state["values"][v] for v in emit_vars]
     if distinct:
         _unique, first = np.unique(np.stack(codes, axis=1), axis=0,
                                    return_index=True)
         first.sort()
         codes = [column[first] for column in codes]
-    columns = [store.decode_column(column) for column in codes]
-    if not columns:
-        rows = [()] if state["size"] else []
-    else:
-        rows = list(zip(*columns))
     if counter is not None:
-        counter.charge(tuples_emitted=len(rows))
-    return rows
+        counter.charge(tuples_emitted=len(codes[0]))
+    codes = _ranked(codes, emit_vars, ranking)
+    return list(zip(*(store.decode_column(column) for column in codes)))
+
+
+def _ranked(codes: list, columns, ranking) -> list:
+    """The code columns of the rows ``sort_rows`` would return, in its
+    order: without ORDER BY keys, ``codes`` unchanged.
+
+    Code order is value order, so one ``np.lexsort`` over the
+    direction-adjusted key columns (a DESC key's codes negated), then
+    every column ascending, is ``sort_rows``' ``(keys, full row)``
+    comparison; the first ``limit`` rows of it are the top-k.
+    """
+    order_by, limit = ranking
+    if not order_by:
+        return codes
+    position = {column: i for i, column in enumerate(columns)}
+    keys = [-codes[position[column]] if descending
+            else codes[position[column]]
+            for column, descending in order_by]
+    # np.lexsort's last key is its primary one.
+    winners = np.lexsort((*reversed(codes), *reversed(keys)))[:limit]
+    return [column[winners] for column in codes]
 
 
 def _existential_alive(descent: _Descent, state: dict) -> np.ndarray:

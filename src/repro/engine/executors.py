@@ -20,9 +20,10 @@ return:
   aggregates itself (in-recursion / in-pass), in which case ``stream``
   yields finalized aggregate rows and the engine skips its stream-fold;
 * ``handles_ordering`` reports whether the plan enumerates in rank order
-  itself (any-k), in which case ``stream`` yields head tuples already in
-  ORDER BY order and the engine skips its drain-and-heap sort, merely
-  truncating to the effective LIMIT;
+  itself (any-k; the columnar executor ranks its drain in code space), in
+  which case ``stream`` yields head tuples already in ORDER BY order and
+  the engine skips its drain-and-heap sort, merely truncating to the
+  effective LIMIT;
 * ``stream`` lazily yields result tuples over ``spec.stream_variables`` —
   deduplicated head tuples normally, full-variable tuples when a
   stream-fold must observe them, aggregate rows when the plan aggregates

@@ -44,9 +44,10 @@ group-at-a-time).  Ordered queries run in one of two *ranked modes*:
 straight out of the join — the ranking-semiring frontier for the WCOJ
 strategies, the annotated join tree for Yannakakis — so ``ORDER BY ...
 LIMIT k`` stops after k results; **drain** plans enumerate the join and
-heap-select the top-k.  Both yield the identical ranked prefix (ties are
-broken by the full row).  ``execute_many`` plans a whole batch first and
-prebuilds the shared indexes before running it.
+heap-select the top-k, or, on the columnar backend, sort the joined
+dictionary codes and decode only the top-k.  All yield the identical
+ranked prefix (ties are broken by the full row).  ``execute_many`` plans
+a whole batch first and prebuilds the shared indexes before running it.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ class Explanation:                 # make a generated __hash__ crash
         The resolved ranked execution mode for ordered queries —
         ``"anyk"`` (rank-ordered enumeration out of the join itself,
         stopping after LIMIT results) or ``"drain"`` (enumerate the join,
-        heap-select the top-k); None without ORDER BY.
+        heap-select the top-k, or on the columnar backend sort its
+        dictionary codes); None without ORDER BY.
     hybrid_split:
         For hybrid plans, the heavy/light split report: the skew
         variable and threshold, then per-side key/tuple counts and the
@@ -301,11 +303,15 @@ class Explanation:                 # make a generated __hash__ crash
                 pieces.append(f"LIMIT {self.limit}")
             lines.append(f"order/limit:    {' '.join(pieces)}")
         if self.ranked_mode is not None:
-            detail = ("any-k: rank-ordered enumeration out of the join, "
-                      "stops after LIMIT results"
-                      if self.ranked_mode == "anyk"
-                      else "drain-and-heap: enumerate the join, "
-                           "heap-select the top-k")
+            if self.ranked_mode == "anyk":
+                detail = ("any-k: rank-ordered enumeration out of the join, "
+                          "stops after LIMIT results")
+            elif self.backend == "columnar" and not self.aggregates:
+                detail = ("drain-and-sort: enumerate the join, sort its "
+                          "dictionary codes, decode the top-k")
+            else:
+                detail = ("drain-and-heap: enumerate the join, "
+                          "heap-select the top-k")
             lines.append(f"ranked mode:    {self.ranked_mode} ({detail})")
         if self.hybrid_split:
             lines.append("hybrid split:")
@@ -933,7 +939,8 @@ class Engine:
             rank-ordered enumeration out of the join itself (WCOJ
             frontier / Yannakakis annotated join tree; restricting
             dispatch to strategies that support it; non-aggregate queries
-            only), ``"drain"`` forces enumerate-then-heap-select.  Both
+            only), ``"drain"`` forces enumerate-then-select (a heap on
+            python, a dictionary-code sort on columnar).  Both
             modes return the identical ranked prefix.  Only valid on
             ordered queries.
         limit:
@@ -1387,7 +1394,9 @@ class Engine:
         Any-k ranked plans skip the sort stage the same way: the stream
         is already in ORDER BY order, so the (min-merged per-call/query)
         ``limit`` truncates it — ordering always happens before any
-        limit is applied, whichever mode produced the ordering.
+        limit is applied, whichever mode produced the ordering.  So do
+        columnar drain plans without aggregates, whose executor ranks
+        dictionary codes and returns the query's top-k already ordered.
         """
         spec = prepared.query
         executor = executor_for(prepared.plan.strategy)
@@ -1408,7 +1417,8 @@ class Engine:
                 spec, prepared.payload):
             rows = iter(sort_rows(rows, spec.output_columns, spec.order_by,
                                   limit=limit))
-        elif self._metrics is not None and spec.order_by:
+        elif (self._metrics is not None
+              and payload_ranked_mode(prepared.payload) == "anyk"):
             rows = self._observe_anyk_delays(rows)
         return self._closing(rows, limit, source)
 

@@ -96,6 +96,29 @@ class TestRunTimeFallback:
         _assert_transparent(engine, "Q(A,B) :- U(A,B)")
         _assert_transparent(engine, "Q(A,B,C) :- R(A,B), R(B,C)")
 
+    def test_ordered_limit_keeps_the_python_drain_order(self):
+        # The session leaves a columnar drain's ordering to the executor,
+        # so the fallback must rank the oracle's rows itself.
+        engine = Engine(relations=[
+            Relation("R", ("X", "Y"), [(1, 2), (1, 3), (2, 3), (2, 4),
+                                       (3, 1), (4, 1), (4, 2)]),
+            Relation("U", ("X", "Y"), [("a", "b")]),
+        ], cache_results=False)
+        _assert_transparent(engine, "Q(A,B) :- U(A,B)")
+        for query in ("Q(A,B,C) :- R(A,B), R(B,C) ORDER BY C DESC, A LIMIT 4",
+                      "Q(A,C) :- R(A,B), R(B,C) ORDER BY C, A DESC"):
+            explanation = engine.explain(query, mode="generic",
+                                         backend="columnar")
+            assert explanation.backend == "columnar"
+            python = list(engine.stream(query, mode="generic",
+                                        ranked_mode="drain"))
+            assert python != sorted(python)
+            for limit in (None, 2):
+                columnar = list(engine.stream(query, mode="generic",
+                                              limit=limit,
+                                              backend="columnar"))
+                assert columnar == python[:limit]
+
     def test_float_sum_degrades_exactly(self):
         engine = Engine(relations=[
             Relation("R", ("X", "Y"), [(1, 0.5), (1, 0.25), (2, 1.5)]),
