@@ -9,21 +9,20 @@ and the best such bound is obtained by minimizing
 ``sum_F delta_F * log2 |R_F|`` over the fractional edge cover polytope.
 With all relations of size N the optimum is N^{rho*(H)}.
 
-The polytope depends only on H and the minimum sits at one of its
-vertices, so the bound is a minimum over
-:func:`~repro.covers.edge_cover.cover_vertices`' table, enumerated once
-per hypergraph shape: no LP is solved and nothing numeric is imported.
-The LP (:func:`~repro.covers.edge_cover.weighted_fractional_edge_cover`)
-is the oracle the table is tested against.
+The minimum is one exact simplex solve,
+:func:`~repro.covers.edge_cover.cheapest_cover`, in ``Fraction``
+arithmetic: nothing numeric is imported.  The scipy LP
+(:func:`~repro.covers.edge_cover.weighted_fractional_edge_cover`) is the
+oracle it is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from repro.covers.edge_cover import cover_vertices
+from repro.covers.edge_cover import cheapest_cover
 from repro.errors import BoundError
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.hypergraph import Hypergraph
@@ -79,31 +78,16 @@ def agm_bound_from_sizes(hypergraph: Hypergraph, sizes: Mapping[str, int]) -> AG
             raise BoundError(f"negative size for edge {key!r}")
 
     keys = hypergraph.edge_keys
-    table = cover_vertices(hypergraph)
     if any(sizes[key] == 0 for key in keys):
         # An empty relation forces an empty output; the bound is 0 whatever
         # the cover, so report the unweighted optimum (a rho* vertex).
-        cover, _ = _cheapest(table, [1.0] * len(keys))
+        cover = cheapest_cover(hypergraph, [1.0] * len(keys))
         return AGMBound(log2_bound=float("-inf"), cover=dict(zip(keys, cover)),
                         sizes=dict(sizes))
     costs = [math.log2(sizes[key]) if sizes[key] > 1 else 0.0 for key in keys]
-    cover, log2_bound = _cheapest(table, costs)
-    return AGMBound(log2_bound=log2_bound, cover=dict(zip(keys, cover)),
-                    sizes=dict(sizes))
-
-
-def _cheapest(table: Sequence[tuple[float, ...]], costs: Sequence[float]
-              ) -> tuple[tuple[float, ...], float]:
-    """The first vertex of ``table`` whose cost is the minimum, and that cost.
-
-    Costs within rounding (1e-12 relative) of the minimum count as equal,
-    so a tie goes to the earlier vertex whatever the summation order.
-    """
-    values = [sum(w * c for w, c in zip(vertex, costs)) for vertex in table]
-    low = min(values)
-    slack = 1e-12 * max(1.0, abs(low))
-    return next((vertex, value) for vertex, value in zip(table, values)
-                if value <= low + slack)
+    cover = cheapest_cover(hypergraph, costs)
+    return AGMBound(log2_bound=sum(w * c for w, c in zip(cover, costs)),
+                    cover=dict(zip(keys, cover)), sizes=dict(sizes))
 
 
 def agm_bound(query: ConjunctiveQuery, database: Database) -> AGMBound:
@@ -123,5 +107,4 @@ def rho_star(query: ConjunctiveQuery) -> float:
     With every relation of size N the AGM bound is N^{rho*}.
     """
     hypergraph = query.hypergraph()
-    return _cheapest(cover_vertices(hypergraph),
-                     [1.0] * hypergraph.num_edges())[1]
+    return sum(cheapest_cover(hypergraph, [1.0] * hypergraph.num_edges()))

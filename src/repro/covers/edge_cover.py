@@ -8,12 +8,11 @@ and the fractional edge cover number rho*(H) is the minimum total weight of a
 point in FECP(H).  The AGM bound (Corollary 4.2) is the weighted variant in
 which edge F costs log |R_F| instead of 1.
 
-FECP(H) depends only on H, and a linear objective with non-negative costs
-attains its minimum over it at a vertex (NPRR).  :func:`cover_vertices`
-lists those vertices once per hypergraph shape, in exact integer
-arithmetic and without a solver, so a bound for any costs is a minimum
-over a table.  The scipy LPs below remain the reference those tables are
-tested against.
+:func:`cheapest_cover` solves the cover LP for any non-negative costs
+with one exact simplex solve on its dual, the fractional vertex packing,
+in ``Fraction`` arithmetic and without scipy; the AGM bound and rho* of
+the query path and the fhtw of :mod:`repro.covers.hypertree` use it.  The
+scipy LPs below remain the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.covers.lp import LinearProgram
 from repro.errors import LPError
@@ -61,22 +60,15 @@ def _uncovered_error(vertex: str) -> LPError:
     return LPError(f"vertex {vertex!r} is not covered by any edge; cover is infeasible")
 
 
-def cover_vertices(hypergraph: Hypergraph) -> tuple[tuple[float, ...], ...]:
-    """The vertices of FECP(H), each as weights in ``edge_keys`` order.
+def cheapest_cover(hypergraph: Hypergraph, costs: Sequence[float]
+                   ) -> tuple[float, ...]:
+    """A minimum-cost point of FECP(H): weights in ``edge_keys`` order.
 
-    A point is a vertex when its zero weights and the vertices it covers
-    exactly pin it down: for its support S some |S| tight vertices T make
-    the 0/1 incidence block A[T, S] non-singular, and the weights on S
-    are the solution of A[T, S] delta = 1.  Every such (S, T) with a
-    positive solution that covers the remaining vertices is one vertex,
-    which makes ``sum_k C(|E|, k) C(|V|, k)`` small solves — cheap at
-    query size.  The table is ordered by support size, then by the
-    position of the support's edges; ties between equally cheap vertices
-    are broken by that order.
-
-    Tables are cached process-wide by incidence pattern (edge positions
-    over vertex positions), so isomorphic queries over other names share
-    one enumeration.
+    ``costs`` are non-negative, one per edge in ``edge_keys`` order.  The
+    cover is one exact simplex solve (:func:`_packing_simplex`), cached
+    process-wide by incidence pattern (edge positions over vertex
+    positions) and costs, so isomorphic queries over other names with the
+    same relation sizes share one solve.
 
     Raises
     ------
@@ -90,66 +82,48 @@ def cover_vertices(hypergraph: Hypergraph) -> tuple[tuple[float, ...], ...]:
     for vertex, i in position.items():
         if i not in covered:
             raise _uncovered_error(vertex)
-    return _vertex_table(len(position), incidence)
+    return _packing_simplex(len(position), incidence, tuple(costs))
 
 
 @functools.lru_cache(maxsize=256)
-def _vertex_table(num_vertices: int, incidence: tuple[tuple[int, ...], ...]
-                  ) -> tuple[tuple[float, ...], ...]:
-    members = [frozenset(edge) for edge in incidence]
-    everything = frozenset(range(num_vertices))
-    table: dict[tuple[Fraction, ...], None] = {}
-    for k in range(1, min(len(members), num_vertices) + 1):
-        for support in combinations(range(len(members)), k):
-            if frozenset().union(*(members[j] for j in support)) != everything:
-                continue
-            rows = [[int(v in members[j]) for j in support]
-                    for v in range(num_vertices)]
-            for tight in combinations(range(num_vertices), k):
-                solved = _solve_ones([rows[v] for v in tight])
-                if solved is None:
-                    continue
-                det, nums = solved
-                if min(nums) <= 0:
-                    # Negative: infeasible.  Zero: the same vertex has a
-                    # smaller support and is found there.
-                    continue
-                if any(sum(n for n, hit in zip(nums, rows[v]) if hit) < det
-                       for v in range(num_vertices)):
-                    continue
-                weights = dict(zip(support, nums))
-                table[tuple(Fraction(weights.get(j, 0), det)
-                            for j in range(len(members)))] = None
-    return tuple(tuple(float(w) for w in vertex) for vertex in table)
+def _packing_simplex(num_vertices: int, incidence: tuple[tuple[int, ...], ...],
+                     costs: tuple[float, ...]) -> tuple[float, ...]:
+    """Solve the cover LP's dual, max sum_v y_v subject to
+    sum_{v in F} y_v <= c_F and y >= 0, and return the optimal cover.
 
-
-def _solve_ones(block: list[list[int]]) -> tuple[int, list[int]] | None:
-    """Solve ``block x = 1`` exactly for a small square 0/1 block.
-
-    Returns ``(d, y)`` with ``d > 0`` and ``x = y / d`` (integers: Bareiss'
-    fraction-free elimination keeps every entry a minor), or None when
-    the block is singular.
+    A dense tableau over Fractions: one row per edge, columns y_v, then
+    the slacks s_F, then the right-hand side.  y = 0 is feasible because
+    no cost is negative, so the slack basis starts the single phase.
+    Bland's rule (lowest improving column; on a ratio tie, the lowest
+    basic variable leaves) cannot cycle, and makes the cover a function of
+    the arguments alone.  At the optimum the objective row holds the slack
+    columns' reduced costs, which are the duals delta_F: a basic, hence
+    vertex, optimum of the cover LP.
     """
-    m = [row + [1] for row in block]
-    n, previous = len(m), 1
-    for i in range(n):
-        if m[i][i] == 0:
-            swap = next((r for r in range(i + 1, n) if m[r][i]), None)
-            if swap is None:
-                return None
-            m[i], m[swap] = m[swap], m[i]
-        pivot = m[i][i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n + 1):
-                m[r][c] = (m[r][c] * pivot - m[r][i] * m[i][c]) // previous
-        previous = pivot
-    # The last pivot d is the (row-permuted) determinant; d * x is integral.
-    d = m[n - 1][n - 1]
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        rest = sum(m[i][j] * y[j] for j in range(i + 1, n))
-        y[i] = (d * m[i][n] - rest) // m[i][i]
-    return (d, y) if d > 0 else (-d, [-v for v in y])
+    n, m = num_vertices, len(incidence)
+    rows = [[Fraction(int(v in edge)) for v in range(n)]
+            + [Fraction(int(f == g)) for g in range(m)] + [Fraction(cost)]
+            for f, (edge, cost) in enumerate(zip(incidence, costs))]
+    objective = [Fraction(-1)] * n + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        entering = next((j for j in range(n + m) if objective[j] < 0), None)
+        if entering is None:
+            return tuple(float(objective[n + f]) for f in range(m))
+        # Every vertex is in some edge, so y is bounded and the column
+        # of an improving y_v always has a positive entry.
+        _ratio, _basic, r = min((row[-1] / row[entering], basis[i], i)
+                                for i, row in enumerate(rows)
+                                if row[entering] > 0)
+        pivot, scale = rows[r], rows[r][entering]
+        pivot[:] = [x / scale for x in pivot]
+        support = [j for j, x in enumerate(pivot) if x]
+        for row in [*rows, objective]:
+            factor = row[entering]
+            if factor and row is not pivot:
+                for j in support:
+                    row[j] -= factor * pivot[j]
+        basis[r] = entering
 
 
 def _cover_lp(hypergraph: Hypergraph, costs: Mapping[str, float]) -> EdgeCover:

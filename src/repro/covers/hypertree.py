@@ -5,7 +5,9 @@ elimination / tree decompositions, and PANDA's significance (Section 5.2) is
 that it meets refined width parameters (fractional hypertree width and
 submodular width) over such decompositions.  The decompositions themselves
 are query-model structure (:mod:`repro.query.widths`); their *fractional*
-width is an edge-cover LP per bag, so it lives here, beside the LP:
+width is an edge-cover LP per bag, one exact simplex solve
+(:func:`~repro.covers.edge_cover.cheapest_cover`, no scipy), so it lives
+here, beside that solver:
 
 * the fractional hypertree width of one decomposition — the maximum over
   bags of the fractional edge cover number rho* of the bag;
@@ -18,7 +20,7 @@ For alpha-acyclic queries fhtw = 1; for the triangle it is 3/2 (the single
 bag {A,B,C} with the optimal (1/2,1/2,1/2) cover); fhtw never exceeds rho*
 (the trivial one-bag decomposition).  The tests pin these well-known values.
 No planner reads these numbers: the dispatcher prices orders by the
-Theorem 5.1 walk, so the LP stays off the query path.
+Theorem 5.1 walk, so the widths stay off the query path.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from repro.covers.edge_cover import fractional_edge_cover_number
+from repro.covers.edge_cover import cheapest_cover
 from repro.errors import QueryError
 from repro.query.hypergraph import Hypergraph
 from repro.query.widths import (
@@ -47,7 +49,7 @@ def _bag_rho_star(hypergraph: Hypergraph, bag: frozenset[str]) -> float:
     if not edges:
         raise QueryError(f"bag {sorted(bag)} is not touched by any edge")
     sub = Hypergraph(tuple(sorted(bag)), edges)
-    return fractional_edge_cover_number(sub)
+    return sum(cheapest_cover(sub, [1.0] * len(edges)))
 
 
 def decomposition_fhtw(decomposition: TreeDecomposition,

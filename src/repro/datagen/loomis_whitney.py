@@ -17,12 +17,6 @@ from repro.relational.database import Database
 from repro.relational.relation import Relation
 
 
-def _atom_tuples(variables: tuple[str, ...], atom_vars: tuple[str, ...],
-                 full_tuples: Iterable[tuple]) -> set[tuple]:
-    positions = [variables.index(v) for v in atom_vars]
-    return {tuple(t[p] for p in positions) for t in full_tuples}
-
-
 def loomis_whitney_agm_tight_instance(k: int, n: int
                                       ) -> tuple[ConjunctiveQuery, Database]:
     """The AGM-tight LW(k) instance with every relation of size ~ n.
@@ -71,11 +65,6 @@ def loomis_whitney_random_instance(k: int, n: int, domain_size: int | None = Non
     return query, Database(relations)
 
 
-def loomis_whitney_expected_output(k: int, n: int) -> float:
-    """The AGM bound value n^{k/(k-1)} for reference in experiments."""
-    return float(n) ** (k / (k - 1.0))
-
-
 def loomis_whitney_bound_exponent(k: int) -> float:
     """rho*(LW(k)) = k / (k - 1)."""
     return k / (k - 1.0)
@@ -85,22 +74,6 @@ def loomis_whitney_plan_gap_exponent(k: int) -> float:
     """The paper's separation exponent: any join-project plan is worse than
     the WCOJ runtime by a factor Omega(N^{1 - 1/k})."""
     return 1.0 - 1.0 / k
-
-
-def loomis_whitney_pairwise_lower_bound(k: int, n: int) -> float:
-    """A lower bound on the largest intermediate of any pairwise plan on the
-    AGM-tight instance.
-
-    On the tight instance every join of two atoms covers all k variables, and
-    joining the two relations (each the full (k-1)-cube) produces the set of
-    pairs agreeing on their k-2 shared variables: m^{k-2} * m * m = m^k
-    tuples where m = n^{1/(k-1)}... which equals the output size; the real
-    separation appears for join-*project* plans on skewed instances.  For the
-    tight instance we report m^k as the floor on intermediate size, i.e. the
-    output size itself, and experiments measure the actual intermediates.
-    """
-    m = max(1, int(round(n ** (1.0 / (k - 1)))))
-    return float(m) ** k
 
 
 def loomis_whitney_skew_instance(k: int, n: int) -> tuple[ConjunctiveQuery, Database]:

@@ -22,16 +22,6 @@ from repro.relational.database import Database
 from repro.relational.relation import Relation
 
 
-def triangle_database(r: Relation, s: Relation, t: Relation) -> Database:
-    """Bundle three relations (schemas (A,B), (B,C), (A,C)) into a database
-    named R, S, T, matching :func:`repro.query.atoms.triangle_query`."""
-    return Database([
-        r.with_name("R") if r.name != "R" else r,
-        s.with_name("S") if s.name != "S" else s,
-        t.with_name("T") if t.name != "T" else t,
-    ])
-
-
 def triangle_agm_tight_instance(n: int) -> tuple[ConjunctiveQuery, Database]:
     """The AGM-tight triangle instance with |R| = |S| = |T| ~ n.
 

@@ -9,7 +9,7 @@ and EXPERIMENTS.md embeds them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 
 @dataclass
@@ -82,11 +82,6 @@ def format_table(table: ExperimentTable) -> str:
     for note in table.notes:
         lines.append(f"  note: {note}")
     return "\n".join(lines)
-
-
-def format_tables(tables: Iterable[ExperimentTable]) -> str:
-    """Render several tables separated by blank lines."""
-    return "\n\n".join(format_table(t) for t in tables)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

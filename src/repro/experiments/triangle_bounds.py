@@ -3,13 +3,11 @@
 For several relation-size regimes, solve the fractional-edge-cover LP,
 report the optimal (alpha, beta, gamma), identify which of the four simplex
 vertices it is (the paper's case analysis: (1,1,0)-type vertices when one
-relation is large, (1/2,1/2,1/2) in the balanced regime), and compare the
-bound to the actual maximum output achieved by a matching construction.
+relation is large, (1/2,1/2,1/2) in the balanced regime), and report the
+bound itself.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.bounds.agm import agm_bound_from_sizes
 from repro.experiments.runner import ExperimentTable
@@ -30,19 +28,6 @@ def _vertex_label(cover: dict[str, float]) -> str:
         if all(abs(key[i] - vertex[i]) < 1e-6 for i in range(3)):
             return label
     return "interior/other"
-
-
-def _achievable_output(sizes: dict[str, int]) -> int:
-    """The exact worst-case triangle output for given relation sizes.
-
-    For the triangle query the AGM bound min(|R||S|, |R||T|, |S||T|,
-    sqrt(|R||S||T|)) is known to be achievable up to rounding; we report the
-    floor of the bound as the constructible target (Atserias et al.), which
-    the tightness experiment (E11) verifies by explicit construction in the
-    balanced regime.
-    """
-    r, s, t = sizes["R"], sizes["S"], sizes["T"]
-    return int(min(r * s, r * t, s * t, math.isqrt(r * s * t) + 1))
 
 
 def run_triangle_bounds(base: int = 1000) -> ExperimentTable:

@@ -46,11 +46,6 @@ class Constant:
 Term = Union[str, Constant]
 
 
-def is_variable(term: Term) -> bool:
-    """True when ``term`` is a variable name (an identifier string)."""
-    return isinstance(term, str) and bool(VARIABLE_RE.match(term))
-
-
 def make_term(value: Any) -> Term:
     """Coerce a Python value into a term.
 

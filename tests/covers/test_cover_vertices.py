@@ -1,11 +1,11 @@
-"""The cover-vertex table against the fractional edge cover LP.
+"""The exact simplex cover solver against the fractional edge cover LP.
 
-The AGM bound is a minimum over the vertices of the fractional edge cover
-polyhedron; the scipy LP is the oracle that minimum must agree with.
+The AGM bound and rho* are one exact simplex solve on the packing dual
+(``cheapest_cover``); the scipy LP is the oracle that solve must agree
+with, and the cover it returns must be feasible.
 """
 
 import math
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.bounds.agm import agm_bound_from_sizes, rho_star
 from repro.covers.edge_cover import (
-    _vertex_table,
-    cover_vertices,
+    _packing_simplex,
+    cheapest_cover,
     fractional_edge_cover_number,
     is_fractional_edge_cover,
     weighted_fractional_edge_cover,
@@ -34,16 +34,18 @@ from repro.query.hypergraph import Hypergraph
 STAR = ConjunctiveQuery([Atom("R", ("A", "B")), Atom("S", ("A", "C")),
                          Atom("T", ("A", "D"))], name="star")
 
-#: name -> (query, vertex count).  K4 (4 variables, 6 atoms) is the
-#: largest shape the engine's tests dispatch.
 SHAPES = {
-    "triangle": (triangle_query(), 4),
-    "4-cycle": (cycle_query(4), 2),
-    "LW(4)": (loomis_whitney_query(4), 11),
-    "3-path": (path_query(3), 1),
-    "star": (STAR, 1),
-    "5-cycle": (cycle_query(5), 6),
-    "K4": (clique_query(4), 7),
+    "triangle": triangle_query(),
+    "4-cycle": cycle_query(4),
+    "LW(4)": loomis_whitney_query(4),
+    "3-path": path_query(3),
+    "star": STAR,
+    "5-cycle": cycle_query(5),
+    "K4": clique_query(4),
+    **{f"{k}-cycle": cycle_query(k) for k in range(8, 15)},
+    "12-path": path_query(12),
+    "30-path": path_query(30),
+    **{f"K{k}": clique_query(k) for k in (6, 7, 8)},
 }
 
 SIZE = st.one_of(st.sampled_from([0, 1, 2, 10**6]), st.integers(0, 10**6))
@@ -56,11 +58,11 @@ def _sizes(query, data):
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
-class TestVertexMinimumIsTheLpOptimum:
+class TestSolverIsTheLpOptimum:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_agm_matches_lp(self, name, data):
-        query, _count = SHAPES[name]
+        query = SHAPES[name]
         hypergraph = query.hypergraph()
         sizes = _sizes(query, data)
         bound = agm_bound_from_sizes(hypergraph, sizes)
@@ -78,44 +80,42 @@ class TestVertexMinimumIsTheLpOptimum:
             bound.log2_bound, rel=1e-12, abs=1e-12)
 
     def test_rho_star_matches_lp(self, name):
-        query, _count = SHAPES[name]
-        assert rho_star(query) == pytest.approx(
-            fractional_edge_cover_number(query.hypergraph()), rel=1e-9)
-
-    def test_vertex_count_and_first_enumeration_time(self, name):
-        query, count = SHAPES[name]
+        query = SHAPES[name]
         hypergraph = query.hypergraph()
-        best = math.inf
-        for _ in range(3):
-            _vertex_table.cache_clear()
-            start = time.perf_counter()
-            table = cover_vertices(hypergraph)
-            best = min(best, time.perf_counter() - start)
-        assert len(table) == count
-        assert all(is_fractional_edge_cover(
-            hypergraph, dict(zip(hypergraph.edge_keys, vertex)))
-            for vertex in table)
-        assert best < 0.020
+        assert rho_star(query) == pytest.approx(
+            fractional_edge_cover_number(hypergraph), rel=1e-9)
+        cover = cheapest_cover(hypergraph, [1.0] * hypergraph.num_edges())
+        assert is_fractional_edge_cover(
+            hypergraph, dict(zip(hypergraph.edge_keys, cover)))
 
 
-class TestTieBreak:
-    def test_tie_goes_to_the_first_vertex_of_the_table(self):
-        # Uniform sizes on the 4-cycle: both perfect matchings cost 2 log N.
+class TestDeterminism:
+    def test_same_cover_across_calls_memo_clears_and_names(self):
+        # Uniform sizes on the 4-cycle: both perfect matchings (and every
+        # mix of them) cost 2 log N; the solver must name one and keep it.
         hypergraph = cycle_query(4).hypergraph()
+        renamed = cycle_query(4, relation_prefix="F").hypergraph()
         sizes = {key: 64 for key in hypergraph.edge_keys}
-        bound = agm_bound_from_sizes(hypergraph, sizes)
-        first = dict(zip(hypergraph.edge_keys, cover_vertices(hypergraph)[0]))
-        assert bound.cover == first
-        assert bound.log2_bound == pytest.approx(12.0)
-
-    def test_deterministic_across_calls_and_cache_clears(self):
-        hypergraph = clique_query(4).hypergraph()
-        sizes = {key: 1000 for key in hypergraph.edge_keys}
         first = agm_bound_from_sizes(hypergraph, sizes)
-        _vertex_table.cache_clear()
+        assert first.log2_bound == pytest.approx(12.0)
+        assert set(first.cover.values()) <= {0.0, 0.5, 1.0}
         again = agm_bound_from_sizes(hypergraph, sizes)
-        assert again.cover == first.cover
-        assert again.log2_bound == first.log2_bound
+        _packing_simplex.cache_clear()
+        cleared = agm_bound_from_sizes(hypergraph, sizes)
+        other = agm_bound_from_sizes(
+            renamed, {key: 64 for key in renamed.edge_keys})
+        for bound in (again, cleared, other):
+            assert list(bound.cover.values()) == list(first.cover.values())
+            assert bound.log2_bound == first.log2_bound
+
+    def test_memo_is_keyed_by_incidence_pattern_not_names(self):
+        _packing_simplex.cache_clear()
+        first = cheapest_cover(triangle_query().hypergraph(), [1.0, 2.0, 3.0])
+        renamed = cheapest_cover(triangle_query("X", "Y", "Z").hypergraph(),
+                                 [1.0, 2.0, 3.0])
+        assert renamed == first
+        info = _packing_simplex.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_empty_relation_reports_the_rho_star_vertex(self):
         hypergraph = triangle_query().hypergraph()
@@ -124,27 +124,24 @@ class TestTieBreak:
         assert bound.cover == {"R": 0.5, "S": 0.5, "T": 0.5}
 
 
-class TestTable:
-    def test_keyed_by_incidence_pattern_not_names(self):
-        _vertex_table.cache_clear()
-        first = cover_vertices(triangle_query().hypergraph())
-        renamed = cover_vertices(triangle_query("X", "Y", "Z").hypergraph())
-        assert renamed == first
-        info = _vertex_table.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-
-    def test_triangle_vertices_exactly(self):
-        table = cover_vertices(triangle_query().hypergraph())
-        assert sorted(table) == [(0.0, 1.0, 1.0), (0.5, 0.5, 0.5),
-                                 (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)]
+class TestVertices:
+    @pytest.mark.parametrize("costs, vertex", [
+        ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)),
+        ((1.0, 1.0, 5.0), (1.0, 1.0, 0.0)),
+        ((1.0, 5.0, 1.0), (1.0, 0.0, 1.0)),
+        ((5.0, 1.0, 1.0), (0.0, 1.0, 1.0)),
+    ])
+    def test_each_triangle_vertex_is_the_strict_optimum_of_some_costs(
+            self, costs, vertex):
+        assert cheapest_cover(triangle_query().hypergraph(), costs) == vertex
 
     def test_uncovered_vertex_raises_as_the_lp_does(self):
         hypergraph = Hypergraph(["A", "B", "C"], {"R": ["A", "B"]})
         with pytest.raises(LPError) as lp:
             weighted_fractional_edge_cover(hypergraph, {"R": 1.0})
-        with pytest.raises(LPError) as table:
-            cover_vertices(hypergraph)
-        assert str(table.value) == str(lp.value)
+        with pytest.raises(LPError) as solver:
+            cheapest_cover(hypergraph, [1.0])
+        assert str(solver.value) == str(lp.value)
         with pytest.raises(LPError):
             agm_bound_from_sizes(hypergraph, {"R": 10})
         with pytest.raises(LPError):

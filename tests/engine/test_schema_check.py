@@ -93,7 +93,7 @@ def test_a_plan_hit_after_an_arity_change_is_a_schema_error():
 
 
 def test_engine_queries_load_no_scipy():
-    # The AGM bound of every plan miss is a cover-vertex table; one stray
+    # The AGM bound of every plan miss is one exact simplex solve; one stray
     # LP call would import scipy.optimize, the largest import and memory
     # cost of a cold session, on its first dispatch.
     script = """

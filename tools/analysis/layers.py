@@ -58,7 +58,7 @@ LAYERS = LayerConfig(
     Layer("relational", ("repro.relational",)),
     Layer("query", ("repro.query",)),
     # The edge-cover LPs and the one bound the dispatcher prices with: AGM,
-    # a minimum over the cover-vertex table.
+    # one exact simplex solve.
     Layer("covers", ("repro.covers", "repro.bounds.agm")),
     Layer("constraints", ("repro.constraints",)),
     Layer("joins", ("repro.joins",)),

@@ -14,10 +14,12 @@ and ``networkx`` before any ``repro`` import, then:
 
 * imports the core's entry points, and with them every module of their
   import closure,
-* runs four queries end to end through ``Engine.execute`` (parse,
+* runs five queries end to end through ``Engine.execute`` (parse,
   dispatch with its AGM bound, execute): a triangle, a 3-path ``COUNT``
-  group-by, an ``ORDER BY … LIMIT`` 3-path and a join over an empty
-  relation, each checked against its known answer,
+  group-by, an ``ORDER BY … LIMIT`` 3-path, a join over an empty
+  relation and a 20-cycle over a 20-tuple ring (one exact simplex solve
+  of 20 edges, which must stay fast), each checked against its known
+  answer,
 * confirms ``repro.columnar`` reports itself unsupported instead of
   raising,
 * confirms that no paper-side module (a layer above the engine in
@@ -106,21 +108,27 @@ def main() -> int:
         return 1
 
     # The engine must work, not merely import: every query is planned by
-    # dispatch (whose AGM bound is a cover-vertex table, not an LP) and run.
+    # dispatch (whose AGM bound is one exact simplex solve, not scipy) and run.
     from repro.engine import Engine
     from repro.relational.relation import Relation
 
     rows = [(0, 1), (1, 2), (2, 0), (0, 2)]
+    ring = [(v, (v + 1) % 20) for v in range(20)]
     engine = Engine(relations=[Relation(name, ("X", "Y"), rows)
                                for name in ("R", "S", "T")]
-                    + [Relation("E", ("X", "Y"), [])])
+                    + [Relation("E", ("X", "Y"), []),
+                       Relation("C", ("X", "Y"), ring)])
     path = "R(A,B), S(B,C), T(C,D)"
+    cycle = ", ".join(f"C(V{k}, V{(k + 1) % 20})" for k in range(20))
+    heads = ",".join(f"V{k}" for k in range(20))
     expected = {
         "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)": [(0, 1, 2)],
         f"Q(A, COUNT(*) AS n) :- {path}": [(0, 3), (1, 2), (2, 2)],
         f"Q(A,B,C,D) :- {path} ORDER BY D DESC, A LIMIT 2":
             [(0, 2, 0, 2), (1, 2, 0, 2)],
         "Q(A,B,C) :- R(A,B), E(B,C)": [],
+        f"Q({heads}) :- {cycle}":
+            [tuple((v + k) % 20 for k in range(20)) for v in range(20)],
     }
     for text, want in expected.items():
         got = engine.execute(text).sorted_tuples()
