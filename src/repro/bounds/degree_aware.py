@@ -84,9 +84,3 @@ def output_size_bound(query: ConjunctiveQuery, database: Database | None = None,
 
     detail = polymatroid_bound(dc)
     return OutputSizeBound(log2_bound=detail.log2_bound, method="polymatroid", detail=detail)
-
-
-def worst_case_output_size(query: ConjunctiveQuery, database: Database | None = None,
-                           dc: DegreeConstraintSet | None = None) -> float:
-    """Convenience wrapper returning the numeric bound only."""
-    return output_size_bound(query, database=database, dc=dc).bound

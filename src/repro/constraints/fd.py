@@ -2,10 +2,9 @@
 
 A functional dependency A_X -> A_Y is the degree constraint (X, X u Y, 1):
 fixing the X-values leaves at most one Y-binding.  This module provides the
-classical FD closure computation (Armstrong axioms via the standard chase
-loop), conversion between FDs and degree constraints, and detection of
-"simple" FDs (single variable to single variable), the class for which
-Corollary 5.3 gives an exact acyclification.
+conversion from FDs to degree constraints, and detection of "simple" FDs
+(single variable to single variable), the class for which Corollary 5.3
+gives an exact acyclification.
 """
 
 from __future__ import annotations
@@ -63,39 +62,6 @@ class FunctionalDependency:
         return f"{lhs} -> {rhs}"
 
 
-def fd_closure(attributes: Iterable[str], fds: Sequence[FunctionalDependency]
-               ) -> frozenset[str]:
-    """The closure {attributes}+ under the given FDs (standard fixpoint loop)."""
-    closure = set(attributes)
-    changed = True
-    while changed:
-        changed = False
-        for fd in fds:
-            if fd.determinant <= closure and not fd.dependent <= closure:
-                closure |= fd.dependent
-                changed = True
-    return frozenset(closure)
-
-
-def implies(fds: Sequence[FunctionalDependency], candidate: FunctionalDependency) -> bool:
-    """True if ``candidate`` is implied by ``fds`` (via closure)."""
-    return candidate.dependent <= fd_closure(candidate.determinant, fds)
-
-
-def minimal_cover_is_acyclic(fds: Sequence[FunctionalDependency]) -> bool:
-    """True when the digraph of simple FDs (x -> y edges) has no directed
-    cycle.  Non-simple FDs contribute edges from each determinant variable to
-    each dependent variable, mirroring G_DC."""
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    for fd in fds:
-        for x in fd.determinant:
-            for y in fd.dependent - fd.determinant:
-                graph.add_edge(x, y)
-    return nx.is_directed_acyclic_graph(graph)
-
-
 def fds_to_constraints(variables: Sequence[str], fds: Sequence[FunctionalDependency],
                        guards: dict[FunctionalDependency, str] | None = None
                        ) -> DegreeConstraintSet:
@@ -107,24 +73,3 @@ def fds_to_constraints(variables: Sequence[str], fds: Sequence[FunctionalDepende
         guard = (guards or {}).get(fd)
         constraints.append(fd.to_degree_constraint(guard=guard))
     return DegreeConstraintSet(variables, constraints)
-
-
-def keys_of(attributes: Sequence[str], fds: Sequence[FunctionalDependency]
-            ) -> list[frozenset[str]]:
-    """All minimal keys of a relation schema under the given FDs.
-
-    Brute-force over subsets (fine for query-sized schemas); used by tests
-    and by OLAP-style workload generators to place key/foreign-key FDs.
-    """
-    from itertools import combinations
-
-    attribute_set = frozenset(attributes)
-    keys: list[frozenset[str]] = []
-    for size in range(1, len(attributes) + 1):
-        for candidate in combinations(attributes, size):
-            candidate_set = frozenset(candidate)
-            if any(k <= candidate_set for k in keys):
-                continue
-            if fd_closure(candidate_set, fds) >= attribute_set:
-                keys.append(candidate_set)
-    return keys

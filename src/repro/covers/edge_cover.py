@@ -200,16 +200,3 @@ def integral_edge_cover(hypergraph: Hypergraph) -> EdgeCover:
     size, subset = best
     weights = {key: (1.0 if key in subset else 0.0) for key in keys}
     return EdgeCover(weights=weights, total_weight=float(size), objective=float(size))
-
-
-def fractional_vertex_cover_number(hypergraph: Hypergraph) -> float:
-    """The fractional *vertex* cover number tau*(H) (LP dual of fractional
-    matching).  Included for completeness of the cover toolbox; not used by
-    the bounds themselves."""
-    lp = LinearProgram("fractional-vertex-cover")
-    for vertex in hypergraph.vertices:
-        lp.add_variable(vertex, lower=0.0)
-    lp.minimize({vertex: 1.0 for vertex in hypergraph.vertices})
-    for key, edge in hypergraph.edges.items():
-        lp.add_constraint(f"edge[{key}]", {v: 1.0 for v in edge}, ">=", 1.0)
-    return lp.solve().objective

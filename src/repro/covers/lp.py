@@ -11,7 +11,7 @@ class with named variables and named constraints; it converts to the scipy
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import LPError
 
@@ -199,38 +199,3 @@ class LinearProgram:
             values=values,
             dual_values=dual_values,
         )
-
-
-def solve_lp(objective: Mapping[str, float], constraints: Sequence[
-        tuple[Mapping[str, float], str, float]], sense: str = "min",
-        bounds: Mapping[str, tuple[float | None, float | None]] | None = None
-        ) -> LPSolution:
-    """One-shot helper: build and solve an LP from plain dictionaries.
-
-    Parameters
-    ----------
-    objective:
-        Variable -> coefficient of the objective.
-    constraints:
-        Sequence of ``(coefficients, op, rhs)`` triples.
-    sense:
-        ``"min"`` or ``"max"``.
-    bounds:
-        Optional variable bounds; defaults to non-negative.
-    """
-    lp = LinearProgram()
-    variables: set[str] = set(objective)
-    for coeffs, _, _ in constraints:
-        variables.update(coeffs)
-    for var in sorted(variables):
-        lower, upper = (bounds or {}).get(var, (0.0, None))
-        lp.add_variable(var, lower, upper)
-    if sense == "min":
-        lp.minimize(objective)
-    elif sense == "max":
-        lp.maximize(objective)
-    else:
-        raise LPError(f"unknown sense {sense!r}")
-    for i, (coeffs, op, rhs) in enumerate(constraints):
-        lp.add_constraint(f"c{i}", coeffs, op, rhs)
-    return lp.solve()

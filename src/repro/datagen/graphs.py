@@ -159,21 +159,6 @@ def skew_cycle_instance(exponent: float, seed: int = 0) -> Database:
     ])
 
 
-def complete_bipartite_graph(left_size: int, right_size: int, name: str = "E",
-                             attributes: Sequence[str] = ("A", "B")) -> Relation:
-    """The complete bipartite graph K_{left,right} with disjoint vertex ids.
-
-    Left vertices are 0..left_size-1 and right vertices are offset by
-    ``left_size`` so the two sides never collide.
-    """
-    edges = [
-        (i, left_size + j)
-        for i in range(left_size)
-        for j in range(right_size)
-    ]
-    return Relation(name, attributes, edges)
-
-
 def social_graph(num_vertices: int, average_degree: float = 8.0, skew: float = 1.2,
                  seed: int = 0, name: str = "Follows",
                  attributes: Sequence[str] = ("A", "B")) -> Relation:

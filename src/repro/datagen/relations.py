@@ -1,9 +1,9 @@
-"""Random relations under cardinality, degree, and FD constraints.
+"""Random relations under cardinality and degree constraints.
 
 These generators feed the degree-constraint experiments (Algorithm 3, PANDA,
 the bound-tightness checks): they produce relations that *provably* satisfy a
-requested maximum degree or functional dependency, so constraint sets built
-from the generator parameters are guaranteed to validate.
+requested maximum degree, so constraint sets built from the generator
+parameters are guaranteed to validate.
 """
 
 from __future__ import annotations
@@ -64,62 +64,3 @@ def relation_with_degree_bound(name: str, attributes: Sequence[str],
                 row[key_positions[a]] = ext[i]
             tuples.add(tuple(row))
     return Relation(name, attributes, tuples)
-
-
-def relation_with_fd(name: str, attributes: Sequence[str], determinant: Sequence[str],
-                     num_tuples: int, domain_size: int, seed: int = 0) -> Relation:
-    """A relation satisfying the FD ``determinant -> attributes``.
-
-    Every determinant value maps to exactly one combination of the remaining
-    attributes (a degree bound of 1), so key/foreign-key style schemas can be
-    assembled from these.
-    """
-    rng = random.Random(seed)
-    determinant = tuple(determinant)
-    rest = tuple(a for a in attributes if a not in determinant)
-    positions = {a: i for i, a in enumerate(attributes)}
-    assignment: dict[tuple, tuple] = {}
-    tuples: set[tuple] = set()
-    attempts = 0
-    while len(tuples) < num_tuples and attempts < 50 * num_tuples + 100:
-        attempts += 1
-        det_value = tuple(rng.randrange(domain_size) for _ in determinant)
-        if det_value not in assignment:
-            assignment[det_value] = tuple(rng.randrange(domain_size) for _ in rest)
-        rest_value = assignment[det_value]
-        row = [None] * len(attributes)
-        for i, a in enumerate(determinant):
-            row[positions[a]] = det_value[i]
-        for i, a in enumerate(rest):
-            row[positions[a]] = rest_value[i]
-        tuples.add(tuple(row))
-    return Relation(name, attributes, tuples)
-
-
-def functional_chain_database(chain_length: int, fanout: int, num_roots: int,
-                              seed: int = 0) -> dict[str, Relation]:
-    """Relations forming a chain R1(X1), R2(X1, X2), ..., each R_{i+1}
-    mapping X_i to at most ``fanout`` values of X_{i+1}.
-
-    This is the shape of the paper's query (63):
-    Q(A,B,C,D) <- R(A), S(A,B), T(B,C), W(C,A,D), where only per-step degree
-    bounds (not cardinalities) are known for the later relations.
-    """
-    rng = random.Random(seed)
-    relations: dict[str, Relation] = {}
-    roots = list(range(num_roots))
-    relations["R1"] = Relation("R1", ("X1",), [(r,) for r in roots])
-    current_values = roots
-    for step in range(1, chain_length):
-        name = f"R{step + 1}"
-        attrs = (f"X{step}", f"X{step + 1}")
-        tuples = []
-        next_values: set[int] = set()
-        for value in current_values:
-            for _ in range(rng.randint(1, fanout)):
-                nxt = rng.randrange(num_roots * fanout * 2)
-                tuples.append((value, nxt))
-                next_values.add(nxt)
-        relations[name] = Relation(name, attrs, set(tuples))
-        current_values = sorted(next_values)
-    return relations

@@ -84,17 +84,6 @@ def format_table(table: ExperimentTable) -> str:
     return "\n".join(lines)
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (0 if the list is empty)."""
-    positives = [v for v in values if v > 0]
-    if not positives:
-        return 0.0
-    product = 1.0
-    for v in positives:
-        product *= v
-    return product ** (1.0 / len(positives))
-
-
 def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log(y) vs log(x): the empirical growth exponent.
 

@@ -133,16 +133,3 @@ def verify_support_bound(relation: Relation) -> bool:
         if h(subset) > math.log2(support) + 1e-9:
             return False
     return True
-
-
-def mutual_information(h: SetFunction, x: Iterable[str], y: Iterable[str],
-                       given: Iterable[str] = ()) -> float:
-    """(Conditional) mutual information I(X ; Y | Z) computed from an entropy
-    function: I(X;Y|Z) = h(XZ) + h(YZ) - h(XYZ) - h(Z)."""
-    x_set, y_set, z_set = frozenset(x), frozenset(y), frozenset(given)
-    return (
-        h(x_set | z_set)
-        + h(y_set | z_set)
-        - h(x_set | y_set | z_set)
-        - h(z_set)
-    )

@@ -179,14 +179,3 @@ def find_polymatroid_counterexample(expression: LinearEntropyExpression,
     if minimum >= -tolerance:
         return None
     return witness
-
-
-def conditional_term(ground_set: Iterable[str], y: Iterable[str], x: Iterable[str],
-                     coefficient: float = 1.0) -> LinearEntropyExpression:
-    """The expression ``coefficient * h(Y | X) = coefficient * (h(Y u X) - h(X))``."""
-    ground = frozenset(ground_set)
-    x_set = frozenset(x)
-    y_set = frozenset(y) | x_set
-    return LinearEntropyExpression.from_dict(
-        ground, {y_set: coefficient, x_set: -coefficient}
-    )

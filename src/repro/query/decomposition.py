@@ -100,17 +100,3 @@ def gyo_reduction(hypergraph: Hypergraph) -> GYOResult:
 def is_alpha_acyclic(hypergraph: Hypergraph) -> bool:
     """True iff the hypergraph is alpha-acyclic (GYO reduces it fully)."""
     return gyo_reduction(hypergraph).acyclic
-
-
-def join_tree(hypergraph: Hypergraph) -> dict[str, str | None]:
-    """Return a join tree as child-edge -> parent-edge links.
-
-    Raises
-    ------
-    ValueError
-        If the hypergraph is not alpha-acyclic.
-    """
-    result = gyo_reduction(hypergraph)
-    if not result.acyclic:
-        raise ValueError("hypergraph is not alpha-acyclic; no join tree exists")
-    return dict(result.parent)

@@ -252,19 +252,3 @@ class TrieIndex:
         """
         node = self.node(prefix)
         return None if node is None else node.seek(lower_bound)
-
-
-def build_tries(relations: Iterable[Relation], global_order: Sequence[str]
-                ) -> dict[str, TrieIndex]:
-    """Build a trie per relation, each ordered consistently with ``global_order``.
-
-    The per-relation attribute order is the restriction of the global
-    variable order to the relation's attributes, which is the precondition
-    Leapfrog Triejoin requires of its inputs.
-    """
-    tries = {}
-    for rel in relations:
-        order = [a for a in global_order if a in rel.schema]
-        remaining = [a for a in rel.attributes if a not in order]
-        tries[rel.name] = TrieIndex(rel, order + remaining)
-    return tries

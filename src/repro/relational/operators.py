@@ -3,7 +3,7 @@
 These are the "one pair at a time" building blocks that traditional query
 plans (and the binary-plan baselines in :mod:`repro.joins.binary_plans`) are
 made of: selection, projection, renaming, natural join (hash join),
-semijoin, union, difference and cartesian product.
+semijoin, union and difference.
 
 Every operator optionally reports work done to an
 :class:`repro.joins.instrumentation.OperationCounter`, so that the benchmark
@@ -14,10 +14,9 @@ algorithms on equal footing.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import (Any, Callable, Collection, Iterable, Iterator, Mapping,
-                    Sequence, TYPE_CHECKING)
+from typing import (Any, Callable, Collection, Iterator, Mapping, Sequence,
+                    TYPE_CHECKING)
 
-from repro.errors import SchemaError
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -137,27 +136,3 @@ def difference(left: Relation, right: Relation, name: str | None = None,
     """Set difference ``left - right`` of relations with identical schemas."""
     _charge(counter, tuples_scanned=len(left) + len(right))
     return left.difference(right, name=name)
-
-
-def cartesian_product(left: Relation, right: Relation, name: str | None = None,
-                      counter: "OperationCounter | None" = None) -> Relation:
-    """Cartesian product; schemas must be disjoint."""
-    common = left.schema.intersection(right.schema)
-    if common:
-        raise SchemaError(
-            f"cartesian product requires disjoint schemas, both contain {common}"
-        )
-    return natural_join(left, right, name=name, counter=counter)
-
-
-def intersect_value_sets(sets: Sequence[Iterable[Value]],
-                         counter: "OperationCounter | None" = None) -> set[Value]:
-    """Intersect several value collections, iterating the smallest one."""
-    materialized = [s if isinstance(s, (set, frozenset)) else set(s) for s in sets]
-    if not materialized:
-        return set()
-    materialized.sort(key=len)
-    smallest = materialized[0]
-    others = materialized[1:]
-    _charge(counter, intersection_steps=len(smallest))
-    return {v for v in smallest if all(v in o for o in others)}

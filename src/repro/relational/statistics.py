@@ -143,17 +143,6 @@ def join_size(left: dict, right: dict) -> int:
     return sum(map(mul, left.values(), map(right.get, left, repeat(0))))
 
 
-def is_functional_dependency(relation: Relation, x_attrs: Sequence[str],
-                             y_attrs: Sequence[str]) -> bool:
-    """True if the relation satisfies the FD ``A_X -> A_Y``.
-
-    Equivalent to ``degree(relation, x_attrs, y_attrs) <= 1``.
-    """
-    if len(relation) == 0:
-        return True
-    return degree(relation, x_attrs, y_attrs) <= 1
-
-
 def size_bucket(n: int) -> int:
     """Bucket a cardinality by order of magnitude (``n.bit_length()``).
 

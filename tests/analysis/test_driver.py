@@ -133,9 +133,9 @@ def test_cli_clean_on_the_repo(capsys):
     assert "0 finding(s)" in err
 
 
-def test_default_checkers_are_the_two_rules():
-    assert {c.rule for c in default_checkers()} == {"import-layering",
-                                                    "counter-honesty"}
+def test_default_checkers_are_the_three_rules():
+    assert {c.rule for c in default_checkers()} == {
+        "import-layering", "counter-honesty", "unreferenced-definition"}
 
 
 def test_repo_run_has_four_reasoned_suppressions():

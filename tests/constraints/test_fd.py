@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.constraints.fd import (
-    FunctionalDependency,
-    fd_closure,
-    fds_to_constraints,
-    implies,
-    keys_of,
-    minimal_cover_is_acyclic,
-)
+from repro.constraints.fd import FunctionalDependency, fds_to_constraints
 from repro.errors import ConstraintError
 
 
@@ -39,38 +32,6 @@ class TestFunctionalDependency:
         assert c.guard == "R"
 
 
-class TestClosure:
-    FDS = [
-        FunctionalDependency(("A",), ("B",)),
-        FunctionalDependency(("B",), ("C",)),
-        FunctionalDependency(("C", "D"), ("E",)),
-    ]
-
-    def test_transitive_closure(self):
-        assert fd_closure(("A",), self.FDS) == frozenset({"A", "B", "C"})
-
-    def test_closure_with_composite_determinant(self):
-        assert fd_closure(("A", "D"), self.FDS) == frozenset({"A", "B", "C", "D", "E"})
-
-    def test_implies(self):
-        assert implies(self.FDS, FunctionalDependency(("A",), ("C",)))
-        assert not implies(self.FDS, FunctionalDependency(("C",), ("A",)))
-
-    def test_keys_of(self):
-        keys = keys_of(("A", "B", "C"), [
-            FunctionalDependency(("A",), ("B",)),
-            FunctionalDependency(("B",), ("C",)),
-        ])
-        assert keys == [frozenset({"A"})]
-
-    def test_keys_of_multiple_keys(self):
-        keys = keys_of(("A", "B"), [
-            FunctionalDependency(("A",), ("B",)),
-            FunctionalDependency(("B",), ("A",)),
-        ])
-        assert frozenset({"A"}) in keys and frozenset({"B"}) in keys
-
-
 class TestConversionAndCycles:
     def test_fds_to_constraints_drops_trivial(self):
         dc = fds_to_constraints(("A", "B"), [
@@ -78,10 +39,3 @@ class TestConversionAndCycles:
             FunctionalDependency(("A", "B"), ("A",)),
         ])
         assert len(dc) == 1
-
-    def test_minimal_cover_acyclicity(self):
-        acyclic = [FunctionalDependency(("A",), ("B",)),
-                   FunctionalDependency(("B",), ("C",))]
-        cyclic = acyclic + [FunctionalDependency(("C",), ("A",))]
-        assert minimal_cover_is_acyclic(acyclic)
-        assert not minimal_cover_is_acyclic(cyclic)

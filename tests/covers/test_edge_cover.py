@@ -6,7 +6,6 @@ import pytest
 from repro.covers.edge_cover import (
     fractional_edge_cover,
     fractional_edge_cover_number,
-    fractional_vertex_cover_number,
     integral_edge_cover,
     is_fractional_edge_cover,
     weighted_fractional_edge_cover,
@@ -98,13 +97,3 @@ class TestIntegralCover:
     def test_single_edge(self):
         h = path_query(1).hypergraph()
         assert integral_edge_cover(h).objective == pytest.approx(1.0)
-
-
-class TestVertexCover:
-    def test_triangle_fractional_vertex_cover(self):
-        assert fractional_vertex_cover_number(
-            triangle_query().hypergraph()) == pytest.approx(1.5)
-
-    def test_path_vertex_cover(self):
-        assert fractional_vertex_cover_number(
-            path_query(2).hypergraph()) == pytest.approx(1.0)

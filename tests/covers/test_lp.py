@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.covers.lp import LinearProgram, solve_lp
+from repro.covers.lp import LinearProgram
 from repro.errors import LPError
 
 
@@ -104,13 +104,10 @@ class TestLinearProgram:
 
 class TestSolveLpHelper:
     def test_one_shot_helper(self):
-        solution = solve_lp(
-            objective={"x": 1.0, "y": 1.0},
-            constraints=[({"x": 1.0}, ">=", 1.0), ({"y": 1.0}, ">=", 2.0)],
-            sense="min",
-        )
-        assert solution.objective == pytest.approx(3.0)
-
-    def test_helper_rejects_bad_sense(self):
-        with pytest.raises(LPError):
-            solve_lp({"x": 1.0}, [], sense="maximize-ish")
+        lp = LinearProgram()
+        lp.add_variable("x")
+        lp.add_variable("y")
+        lp.minimize({"x": 1.0, "y": 1.0})
+        lp.add_constraint("c0", {"x": 1.0}, ">=", 1.0)
+        lp.add_constraint("c1", {"y": 1.0}, ">=", 2.0)
+        assert lp.solve().objective == pytest.approx(3.0)

@@ -1,7 +1,6 @@
 """Tests for graph generators."""
 
 from repro.datagen.graphs import (
-    complete_bipartite_graph,
     erdos_renyi_graph,
     social_graph,
     undirected_closure,
@@ -49,12 +48,3 @@ class TestZipfAndSocial:
         g = undirected_closure(erdos_renyi_graph(20, 40, seed=7))
         tuples = set(g.tuples)
         assert all((b, a) in tuples for a, b in tuples)
-
-
-class TestCompleteBipartite:
-    def test_size_and_disjoint_sides(self):
-        g = complete_bipartite_graph(3, 4)
-        assert len(g) == 12
-        left = {a for a, _ in g}
-        right = {b for _, b in g}
-        assert left.isdisjoint(right)

@@ -1,12 +1,7 @@
 """Tests for degree-constrained relation generators."""
 
-from repro.datagen.relations import (
-    functional_chain_database,
-    random_relation,
-    relation_with_degree_bound,
-    relation_with_fd,
-)
-from repro.relational.statistics import degree, is_functional_dependency
+from repro.datagen.relations import random_relation, relation_with_degree_bound
+from repro.relational.statistics import degree
 
 
 class TestRandomRelation:
@@ -44,24 +39,3 @@ class TestDegreeBoundedRelation:
                                        num_keys=5, domain_size=10, seed=4)
         assert r.attributes == ("X", "Y", "Z")
         assert degree(r, ("Y",), ("X", "Z")) <= 2
-
-
-class TestFdRelation:
-    def test_fd_holds(self):
-        r = relation_with_fd("R", ("A", "B", "C"), determinant=("A",),
-                             num_tuples=40, domain_size=12, seed=5)
-        assert is_functional_dependency(r, ("A",), ("B", "C"))
-
-    def test_composite_determinant(self):
-        r = relation_with_fd("R", ("A", "B", "C"), determinant=("A", "B"),
-                             num_tuples=40, domain_size=6, seed=6)
-        assert is_functional_dependency(r, ("A", "B"), ("C",))
-
-
-class TestFunctionalChain:
-    def test_chain_structure(self):
-        relations = functional_chain_database(chain_length=3, fanout=2, num_roots=5, seed=7)
-        assert set(relations.keys()) == {"R1", "R2", "R3"}
-        assert relations["R1"].attributes == ("X1",)
-        assert relations["R2"].attributes == ("X1", "X2")
-        assert degree(relations["R2"], ("X1",), ("X2",)) <= 2

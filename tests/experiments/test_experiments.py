@@ -15,7 +15,7 @@ from repro.experiments.table2 import run_table2
 from repro.experiments.tightness import run_tightness
 from repro.experiments.triangle_bounds import run_triangle_bounds
 from repro.experiments.triangle_scaling import run_triangle_scaling
-from repro.experiments.runner import ExperimentTable, fit_exponent, format_table, geometric_mean
+from repro.experiments.runner import ExperimentTable, fit_exponent, format_table
 
 
 class TestRunnerHelpers:
@@ -33,10 +33,6 @@ class TestRunnerHelpers:
         table.add_row(a=1)
         table.add_row(a=3)
         assert table.column("a") == [1, 3]
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4, 16]) == pytest.approx(4.0)
-        assert geometric_mean([]) == 0.0
 
     def test_fit_exponent_recovers_power_law(self):
         xs = [10, 20, 40, 80]

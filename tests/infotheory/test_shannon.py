@@ -5,7 +5,6 @@ import pytest
 from repro.infotheory.set_functions import uniform_step_function
 from repro.infotheory.shannon import (
     LinearEntropyExpression,
-    conditional_term,
     elemental_inequalities,
     find_polymatroid_counterexample,
     is_shannon_valid,
@@ -36,12 +35,6 @@ class TestExpression:
         combined = a.plus(b).scaled(2.0)
         assert combined.as_dict()[frozenset(["A"])] == pytest.approx(2.0)
         assert combined.as_dict()[frozenset(["B"])] == pytest.approx(4.0)
-
-    def test_conditional_term_helper(self):
-        e = conditional_term(["A", "B", "C"], ["B", "C"], ["B"], coefficient=2.0)
-        d = e.as_dict()
-        assert d[frozenset(["B", "C"])] == pytest.approx(2.0)
-        assert d[frozenset(["B"])] == pytest.approx(-2.0)
 
     def test_str_representation(self):
         assert "h(A)" in str(expr(["A"], {("A",): 1.0}))

@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.relational.index import HashIndex, TrieIndex, build_tries
+from repro.joins.generic_join import resolve_tries
+from repro.query.atoms import Atom, ConjunctiveQuery
+from repro.relational.database import Database
+from repro.relational.index import HashIndex, TrieIndex
 from repro.relational.relation import Relation
 
 
@@ -93,10 +96,13 @@ class TestTrieIndex:
         assert trie.values(()) == [1, 2, 3]
 
     def test_build_tries_uses_global_order(self, edges):
-        other = Relation("F", ("B", "C"), [(2, 5)])
-        tries = build_tries([edges, other], global_order=("C", "B", "A"))
-        assert tries["E"].order == ("B", "A")
-        assert tries["F"].order == ("C", "B")
+        # Leapfrog Triejoin's precondition: each atom's trie levels follow
+        # the restriction of the global variable order to its variables.
+        query = ConjunctiveQuery([Atom("E", ("A", "B")), Atom("F", ("B", "C"))])
+        database = Database([edges, Relation("F", ("B", "C"), [(2, 5)])])
+        tries, orders = resolve_tries(query, database, ("C", "B", "A"))
+        assert orders == {"E": ("B", "A"), "F": ("C", "B")}
+        assert {key: trie.order for key, trie in tries.items()} == orders
 
     @given(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=30))
     @settings(max_examples=50, deadline=None)

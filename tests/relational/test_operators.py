@@ -1,15 +1,11 @@
 """Tests for repro.relational.operators."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchemaError
 from repro.joins.instrumentation import OperationCounter
 from repro.relational.operators import (
-    cartesian_product,
     difference,
-    intersect_value_sets,
     natural_join,
     project,
     rename,
@@ -106,25 +102,12 @@ class TestSemijoin:
 
 class TestCartesianProduct:
     def test_product(self):
+        # Over disjoint schemas the natural join is the cartesian product.
         r = rel("R", ("A",), [(1,), (2,)])
         s = rel("S", ("B",), [(3,), (4,)])
-        assert len(cartesian_product(r, s)) == 4
-
-    def test_product_rejects_shared_attributes(self):
-        r = rel("R", ("A",), [(1,)])
-        s = rel("S", ("A",), [(2,)])
-        with pytest.raises(SchemaError):
-            cartesian_product(r, s)
-
-
-class TestIntersections:
-    def test_intersect_value_sets(self):
-        assert intersect_value_sets([{1, 2, 3}, [2, 3, 4], {3}]) == {3}
-
-    def test_intersection_counter_charges_smallest(self):
-        counter = OperationCounter()
-        intersect_value_sets([{1, 2, 3, 4, 5}, {2, 3}], counter=counter)
-        assert counter.intersection_steps == 2
+        out = natural_join(r, s)
+        assert out.attributes == ("A", "B")
+        assert out.tuples == frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
 
 
 class TestJoinProperties:

@@ -9,11 +9,8 @@ from __future__ import annotations
 import os
 import sys
 
-from tools.analysis.checkers import default_checkers
+from tools.analysis.checkers import REPO_ROOT, default_checkers
 from tools.analysis.core import AnalysisDriver, AnalysisResult
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
 
 
 def run_on_repo() -> AnalysisResult:

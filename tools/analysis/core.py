@@ -65,7 +65,7 @@ class FileContext:
     def __init__(self, relpath: str, source: str) -> None:
         self.relpath = relpath
         self.tree = ast.parse(source, filename=relpath)
-        self.module_name = _module_name(relpath)
+        self.module_name = module_name_of(relpath)
         self.suppressions = _collect_suppressions(source)
 
     def suppression_for(self, rule: str, line: int) -> Suppression | None:
@@ -86,7 +86,7 @@ class FileContext:
         return lazy
 
 
-def _module_name(relpath: str) -> str:
+def module_name_of(relpath: str) -> str:
     """Dotted module name for a repo-relative path (src-layout aware)."""
     path = relpath.replace(os.sep, "/")
     if path.startswith("src/"):
