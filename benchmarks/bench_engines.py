@@ -17,7 +17,6 @@ from repro.experiments.acyclic_dc import chain_instance
 from repro.joins.backtracking import backtracking_join
 from repro.joins.counting import count_join, group_count
 from repro.joins.generic_join import generic_join
-from repro.joins.naive import nested_loop_join
 from repro.joins.yannakakis import yannakakis
 
 CHAIN_QUERY, CHAIN_DB, CHAIN_DC = chain_instance(num_r=150, fanout=3, seed=3)

@@ -48,6 +48,7 @@ import argparse
 import csv
 import heapq
 import importlib
+import itertools
 import sys
 import time
 from typing import TYPE_CHECKING, Callable
@@ -349,15 +350,16 @@ def _mixed_type_variables(query, database) -> list[str]:
     return sorted(v for v, k in kinds.items() if len(k) > 1)
 
 
-def _ordered_rows(result, query) -> list[tuple]:
-    """Every result row, honouring the query's ORDER BY (sorted otherwise
-    for deterministic output)."""
-    from repro.query.builder import sort_rows
-
-    order_by = getattr(query, "order_by", ())
-    if order_by:
-        return sort_rows(result.tuples, result.attributes, order_by)
-    return result.sorted_tuples()
+def _ordered_rows(result, query, show: int | None = None) -> list[tuple]:
+    """The result's rows, or its first ``show``: an ordered query's as the
+    engine delivered them (already ranked), any other's sorted — their
+    delivery order over string values depends on ``PYTHONHASHSEED`` —
+    by an O(n) heap sample when only ``show`` are wanted."""
+    if getattr(query, "order_by", ()):
+        return list(itertools.islice(result, show))
+    if show is None:
+        return result.sorted_tuples()
+    return heapq.nsmallest(show, result.tuples)
 
 
 def _emit_result(result, query, fmt: str, show: int) -> None:
@@ -375,12 +377,8 @@ def _emit_result(result, query, fmt: str, show: int) -> None:
         writer.writerow(result.attributes)
         writer.writerows(_ordered_rows(result, query))
     elif show > 0:
-        if getattr(query, "order_by", ()):
-            for row in _ordered_rows(result, query)[:show]:
-                print(f"    {row}")
-        else:  # O(n) sample, not a full O(n log n) sort
-            for row in heapq.nsmallest(show, result.tuples):
-                print(f"    {row}")
+        for row in _ordered_rows(result, query, show):
+            print(f"    {row}")
 
 
 def engine_main(argv: list[str] | None = None) -> int:

@@ -104,10 +104,6 @@ class DegreeConstraint:
         x_set = frozenset(x)
         return cls(x=x_set, y=x_set | frozenset(y), bound=1, guard=guard)
 
-    def with_guard(self, guard: str) -> "DegreeConstraint":
-        """A copy with the guard set."""
-        return DegreeConstraint(x=self.x, y=self.y, bound=self.bound, guard=guard)
-
     def weaken_to(self, new_y: Iterable[str]) -> "DegreeConstraint":
         """Replace Y by a smaller set Y' (X < Y' <= Y) keeping the same bound.
 

@@ -71,10 +71,6 @@ class LinearProgram:
         self._bounds[name] = (lower, upper)
         return name
 
-    def has_variable(self, name: str) -> bool:
-        """True if the variable has been declared."""
-        return name in self._bounds
-
     def set_bounds(self, name: str, lower: float | None, upper: float | None) -> None:
         """Override the bounds of an existing variable."""
         if name not in self._bounds:

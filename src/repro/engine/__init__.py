@@ -7,8 +7,9 @@ ROADMAP's production-scale ambitions (sharding, async serving,
 multi-backend) plug into:
 
 * :class:`Engine` (:mod:`repro.engine.session`) — the session object:
-  ``execute`` / ``stream`` / ``execute_many`` / ``explain`` over one owned
-  :class:`~repro.relational.database.Database`;
+  ``stream`` / ``execute`` (the stream collected, iterating in delivered
+  order) / ``execute_many`` (``execute`` in a loop) / ``explain`` over one
+  owned :class:`~repro.relational.database.Database`;
 * :class:`IndexRegistry` (:mod:`repro.engine.registry`) — version-checked
   trie/hash index reuse across queries;
 * :class:`PlanCache` (:mod:`repro.engine.plan_cache`) — plans keyed on

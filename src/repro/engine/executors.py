@@ -15,7 +15,8 @@ return:
   to and from canonical vocabulary, so the plan cache can serve isomorphic
   queries;
 * ``index_requests`` names the registry indexes the executor would use,
-  letting the engine prebuild and share them across a batch;
+  letting the engine warm them in a traced ``index.resolve`` stage and
+  ``explain`` report them warm or cold;
 * ``handles_aggregation`` reports whether the plan evaluates the
   aggregates itself (in-recursion / in-pass), in which case ``stream``
   yields finalized aggregate rows and the engine skips its stream-fold;
@@ -191,9 +192,9 @@ def unique_index_layouts(executor: Any, spec: Query, database: Database,
     """Deduplicated ``(relation, layout)`` pairs a plan's run would use.
 
     Self-join atoms request the same physical index under distinct edge
-    keys; the registry builds it once, so prewarming (``execute_many``,
-    the traced ``index.resolve`` stage) and ``explain``'s warm/cold
-    report both want the per-index view, in first-request order.
+    keys; the registry builds it once, so the traced ``index.resolve``
+    stage and ``explain``'s warm/cold report both want the per-index
+    view, in first-request order.
     """
     seen: set[tuple[str, tuple[str, ...]]] = set()
     layouts: list[tuple[str, tuple[str, ...]]] = []

@@ -46,8 +46,9 @@ strategies, the annotated join tree for Yannakakis — so ``ORDER BY ...
 LIMIT k`` stops after k results; **drain** plans enumerate the join and
 heap-select the top-k, or, on the columnar backend, sort the joined
 dictionary codes and decode only the top-k.  All yield the identical
-ranked prefix (ties are broken by the full row).  ``execute_many`` plans
-a whole batch first and prebuilds the shared indexes before running it.
+ranked prefix (ties are broken by the full row).  ``execute`` is that
+stream collected: its result relation iterates in the delivered order,
+and ``execute_many`` is ``execute`` in a loop.
 """
 
 from __future__ import annotations
@@ -601,10 +602,6 @@ class Engine:
         self._refresh_gauges()
         return self._metrics.exposition()
 
-    def add_relation(self, relation: Relation) -> None:
-        """Register a new relation in the catalog."""
-        self._db.add(relation)
-
     def replace_relation(self, relation: Relation) -> None:
         """Rebind a name to a new relation, invalidating derived state.
 
@@ -863,20 +860,6 @@ class Engine:
         self._plans.put(key, plan)
         return _Prepared(query, canon, plan, decision.payload, "miss")
 
-    @staticmethod
-    def _check_limit(limit: int | None) -> None:
-        if limit is not None and limit < 0:
-            raise QueryError(f"limit must be non-negative, got {limit}")
-
-    @staticmethod
-    def _effective_limit(query: Query, limit: int | None) -> int | None:
-        """Combine the query's own LIMIT with the per-call one (min wins)."""
-        if query.limit is None:
-            return limit
-        if limit is None:
-            return query.limit
-        return min(query.limit, limit)
-
     def _result_key(self, prepared: _Prepared) -> tuple:
         # Versions are listed in canonical atom order (like the statistics
         # fingerprint) so atom-permuted isomorphic queries share the key.
@@ -894,7 +877,7 @@ class Engine:
         canonical form), so the cached schema may use another query's
         variable names or aggregate aliases; positions line up by
         construction, making a rename sufficient — and cheap, since renames
-        share the tuple set.
+        share the tuple set and the delivered order.
         """
         columns = prepared.query.output_columns
         if tuple(cached.attributes) != columns:
@@ -913,7 +896,13 @@ class Engine:
                 aggregate_mode: str = "auto",
                 ranked_mode: str = "auto",
                 backend: str = "python") -> Relation:
-        """Evaluate a query and return its result relation.
+        """Evaluate a query and return its result relation: the rows
+        :meth:`stream` yields, collected.
+
+        The relation iterates its rows in the order the stream delivered
+        them — an ordered query's in ORDER BY order, LIMIT taken after
+        ordering — also when served from the result cache.  Equality,
+        hashing, ``len`` and ``in`` are set-based, as for any relation.
 
         Parameters
         ----------
@@ -968,13 +957,19 @@ class Engine:
             only how fast they are produced.
         """
         axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
-        self._check_limit(limit)
+        # The result key does not encode a per-call limit (a query's own
+        # LIMIT is part of it), and a cached answer costs no operations:
+        # a call with either one neither serves nor stores a result.
+        cacheable = limit is None and counter is None and self._cache_results
         tracer = self._tracer
         with tracer.span("query", mode=mode) as span:
-            prepared = self._prepare(query, axes)
-            effective = self._effective_limit(prepared.query, limit)
-            result = self._execute_prepared(prepared, effective, counter,
-                                            cacheable=limit is None)
+            prepared, limit, counter, cached = self._begin(
+                query, axes, limit, counter, cacheable)
+            if cached is not None:
+                with tracer.span("deliver", result_cache="hit"):
+                    result = self._serve_cached(prepared, cached)
+            else:
+                result = self._drain(prepared, limit, counter, cacheable)
             if tracer.enabled:
                 span.set(query=str(prepared.query),
                          strategy=prepared.plan.strategy,
@@ -982,23 +977,27 @@ class Engine:
                          rows=len(result))
             return result
 
-    def _execute_prepared(self, prepared: _Prepared, limit: int | None,
-                          counter: OperationCounter | None,
-                          cacheable: bool) -> Relation:
-        """The shared check-cache / run / materialize / fill-cache path.
+    def _begin(self, query: QueryLike, axes: PlanAxes, limit: int | None,
+               counter: OperationCounter | None, cacheable: bool
+               ) -> tuple[_Prepared, int | None, OperationCounter | None,
+                          Relation | None]:
+        """The prologue every run shares: plan the query and count it,
+        then serve its cached result (``cacheable`` runs only) or pick
+        the run's operation counter and warm the plan's indexes.
 
-        ``cacheable`` is False exactly when a *per-call* limit was passed:
-        the result key does not encode it, so serving (or storing) would
-        confuse differently-limited calls.  A LIMIT carried by the query
-        itself is part of the canonical form — those results cache safely
-        (the repeated top-k workload the ordered surface exists for).
+        Returns the prepared query, its effective limit, the run's
+        counter and the cached result (None when the run goes ahead).
         """
+        if limit is not None and limit < 0:
+            raise QueryError(f"limit must be non-negative, got {limit}")
+        prepared = self._prepare(query, axes)
+        own = prepared.query.limit  # the query's own LIMIT: the smaller wins
+        if own is not None:
+            limit = own if limit is None else min(own, limit)
         self.stats.queries += 1
         metrics = self._metrics
         if metrics is not None:
             self._m_queries.inc()
-        tracer = self._tracer
-        cacheable = cacheable and self._cache_results and counter is None
         if cacheable:
             cached = self._results.get(self._result_key(prepared))
             if cached is not None:
@@ -1009,33 +1008,39 @@ class Engine:
                 # a fresh zeroed counter, never the populating run's
                 # tallies.
                 self.last_operations = OperationCounter()
-                with tracer.span("deliver", result_cache="hit"):
-                    return self._serve_cached(prepared, cached)
+                return prepared, limit, None, cached
             self.stats.result_misses += 1
             if metrics is not None:
                 self._m_result_lookups["miss"].inc()
-
-        run_counter = counter
-        if run_counter is None and self._collect:
+        if counter is None and self._collect:
             # Detail mode feeds the per-variable search-node metrics.
-            run_counter = OperationCounter(detail=metrics is not None)
-        self.last_operations = run_counter
-        start = time.perf_counter()
+            counter = OperationCounter(detail=metrics is not None)
+        self.last_operations = counter
         self._resolve_indexes(prepared)
+        return prepared, limit, counter, None
+
+    def _drain(self, prepared: _Prepared, limit: int | None,
+               counter: OperationCounter | None,
+               cacheable: bool) -> Relation:
+        """Drain the run's stream into the result relation, which
+        iterates in the order the stream delivered, and cache it."""
+        tracer = self._tracer
+        metrics = self._metrics
+        start = time.perf_counter()
         with tracer.span("execute", strategy=prepared.plan.strategy) as span:
-            rows = list(self._run(prepared, run_counter, limit))
+            rows = list(self._run(prepared, counter, limit))
             span.set(rows=len(rows))
-            if run_counter is not None and tracer.enabled:
-                span.set(operations=run_counter.as_dict())
+            if counter is not None and tracer.enabled:
+                span.set(operations=counter.as_dict())
         with tracer.span("deliver",
                          result_cache="store" if cacheable else "bypass"):
-            result = Relation(prepared.query.name,
-                              prepared.query.output_columns, rows)
+            result = Relation.ordered(prepared.query.name,
+                                      prepared.query.output_columns, rows)
         if metrics is not None:
             self._m_exec_seconds.observe(time.perf_counter() - start)
-            if run_counter is not None:
-                self._record_operations(run_counter)
-                self._record_calibration(prepared.plan, run_counter.total())
+            if counter is not None:
+                self._record_operations(counter)
+                self._record_calibration(prepared.plan, counter.total())
         if cacheable:
             self._results.put(self._result_key(prepared), result)
         return result
@@ -1093,51 +1098,27 @@ class Engine:
         join work.
         """
         axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
-        self._check_limit(limit)
-        prepared = self._prepare(query, axes)
-        limit = self._effective_limit(prepared.query, limit)
-        self.stats.queries += 1
-        if self._metrics is not None:
-            self._m_queries.inc()
-        run_counter = counter
-        if run_counter is None and self._collect:
-            run_counter = OperationCounter(detail=self._metrics is not None)
-        self.last_operations = run_counter
-        self._resolve_indexes(prepared)
-        return self._run(prepared, run_counter, limit)
+        prepared, limit, counter, _ = self._begin(query, axes, limit,
+                                                  counter, cacheable=False)
+        return self._run(prepared, counter, limit)
 
     def execute_many(self, queries: Sequence[QueryLike],
                      mode: str = "auto", limit: int | None = None,
                      aggregate_mode: str = "auto",
                      ranked_mode: str = "auto",
                      backend: str = "python") -> list[Relation]:
-        """Evaluate a batch, sharing planning and index builds across it.
+        """Evaluate a batch: :meth:`execute` on each query in turn.
 
-        All queries are planned first; the union of their index requests is
-        built once (deduplicated by the registry — columnar plans prewarm
-        sorted layouts, python plans prewarm tries); then each query runs.
-        A non-default ``aggregate_mode`` (or ``ranked_mode``) applies to
-        every query in the batch (so the batch must be all-aggregate, or
-        all-ordered, to force one).
+        The axes and the per-call ``limit`` apply to every query in the
+        batch (so the batch must be all-aggregate, or all-ordered, to
+        force an ``aggregate_mode`` or ``ranked_mode``).  Queries share
+        plans, indexes and cached results the way any two calls on one
+        session do: the registry builds each index once.
         """
-        axes = PlanAxes(mode, aggregate_mode, ranked_mode, backend)
-        self._check_limit(limit)
-        prepared = [self._prepare(q, axes) for q in queries]
-        requested: set[_Layout] = set()
-        columnar_requested: set[_Layout] = set()
-        for prep in prepared:
-            columnar, layouts = self._index_layouts(prep)
-            (columnar_requested if columnar else requested).update(layouts)
-        with self._tracer.span("index.resolve", batch=len(prepared)) as span:
-            self._prebuild_indexes(requested, columnar_requested)
-            span.set(indexes=len(requested) + len(columnar_requested))
-        self._sync_index_stats()
-        return [
-            self._execute_prepared(prep,
-                                   self._effective_limit(prep.query, limit),
-                                   None, cacheable=limit is None)
-            for prep in prepared
-        ]
+        return [self.execute(query, mode, limit,
+                             aggregate_mode=aggregate_mode,
+                             ranked_mode=ranked_mode, backend=backend)
+                for query in queries]
 
     def explain(self, query: QueryLike, mode: str = "auto",
                 aggregate_mode: str = "auto",
@@ -1373,16 +1354,28 @@ class Engine:
     def _resolve_indexes(self, prepared: _Prepared) -> None:
         """Under tracing, warm the plan's indexes inside their own span
         before the run (executor.stream would otherwise resolve them
-        invisibly, inside ``execute``)."""
+        invisibly, inside ``execute``).
+
+        A columnar layout that cannot be built (an un-orderable mixed
+        value domain) is left to the run, which falls back to the python
+        oracle transparently, so warming must not fail first.
+        """
         tracer = self._tracer
-        if tracer.enabled:
-            with tracer.span("index.resolve") as span:
-                columnar, layouts = self._index_layouts(prepared)
-                if columnar:
-                    self._prebuild_indexes((), layouts)
-                else:
-                    self._prebuild_indexes(layouts, ())
-                span.set(indexes=len(layouts), warm=sum(layouts.values()))
+        if not tracer.enabled:
+            return
+        with tracer.span("index.resolve") as span:
+            columnar, layouts = self._index_layouts(prepared)
+            pairs = sorted(layouts)
+            if not columnar:
+                for relation_name, layout in pairs:
+                    self._registry.trie(relation_name, layout)
+            elif pairs:
+                try:
+                    self._registry.columnar_layouts(
+                        [(pair, *pair) for pair in pairs])
+                except TypeError:
+                    pass
+            span.set(indexes=len(layouts), warm=sum(layouts.values()))
 
     def _run(self, prepared: _Prepared, counter: OperationCounter | None,
              limit: int | None = None) -> Iterator[tuple]:
@@ -1493,24 +1486,6 @@ class Engine:
             executor = ColumnarExecutor(oracle=executor_for(strategy))
             self._columnar_executor[strategy] = executor
         return executor
-
-    def _prebuild_indexes(self, trie_layouts, columnar_layouts) -> None:
-        """Warm registry indexes ahead of execution.
-
-        ``trie_layouts`` / ``columnar_layouts`` are ``(relation, layout)``
-        pairs.  Columnar layout failures (un-orderable mixed value
-        domains) are swallowed here: the run itself falls back to the
-        python oracle transparently, so prewarming must not fail first.
-        """
-        for relation_name, layout in sorted(trie_layouts):
-            self._registry.trie(relation_name, layout)
-        pairs = sorted(columnar_layouts)
-        if pairs:
-            try:
-                self._registry.columnar_layouts(
-                    [(pair, pair[0], pair[1]) for pair in pairs])
-            except TypeError:
-                pass
 
     def _sync_index_stats(self) -> None:
         if self._metrics is not None:

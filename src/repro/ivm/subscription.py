@@ -133,7 +133,8 @@ class Subscription:
 
     @property
     def result(self) -> Relation:
-        """The current result relation (set semantics)."""
+        """The current result relation; it iterates in the order an
+        executed result would (equality and ``len`` are set-based)."""
         return self._result
 
     @property
@@ -152,13 +153,11 @@ class Subscription:
         return self._fallback_reason
 
     def rows(self) -> list[tuple]:
-        """The current rows, ordered and limited per the query."""
-        rows = list(self._result.tuples)
+        """The current rows: an ordered view's in the order its result
+        iterates (ranked and limited already), any other's sorted."""
         if self._spec.order_by:
-            return sort_rows(rows, self._spec.output_columns,
-                             self._spec.order_by, self._spec.limit)
-        rows.sort()  # deterministic presentation for unordered views
-        return rows
+            return list(self._result)
+        return self._result.sorted_tuples()
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -290,12 +289,15 @@ class Subscription:
                 "(no additive inverse to retract with)")
 
     def _result_from_state(self) -> Relation:
+        """The result relation of the current view state.  State rows are
+        unordered, so this is where an ordered view ranks and limits
+        them, in the order an executed result would iterate."""
         rows = self._state.rows()
         columns = self._spec.output_columns
         if self._spec.order_by:
             rows = sort_rows(rows, columns, self._spec.order_by,
                              self._spec.limit)
-        return Relation(self._result.name, columns, rows)
+        return Relation.ordered(self._result.name, columns, rows)
 
     def _finish(self, result: Relation, record: MaintenanceRecord) -> None:
         changed = self._result is not None and result != self._result

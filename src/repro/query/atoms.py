@@ -204,10 +204,6 @@ class ConjunctiveQuery:
             bound[self.edge_key(i)] = relation.rename(mapping, name=self.edge_key(i))
         return bound
 
-    def output_schema(self) -> tuple[str, ...]:
-        """Schema of the query output (the head variables)."""
-        return self._head
-
     def __str__(self) -> str:
         body = ", ".join(str(a) for a in self._atoms)
         return f"{self._name}({', '.join(self._head)}) :- {body}"

@@ -3,7 +3,10 @@
 Relations follow set semantics (no duplicate tuples), as in the paper's
 conjunctive-query setting.  A relation is immutable once constructed; all
 operations return new relations.  Tuples are plain Python tuples whose i-th
-component is the value of the i-th schema attribute.
+component is the value of the i-th schema attribute.  A relation built by
+:meth:`Relation.ordered` also remembers an iteration order — an engine
+result iterates in the order its stream delivered the rows — while
+equality, hashing, ``len`` and ``in`` stay set-based.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ class Relation:
     [1, 2]
     """
 
-    __slots__ = ("_name", "_schema", "_tuples")
+    # ``_rows`` is what iteration yields: the tuple set itself, or (see
+    # :meth:`ordered`) the same rows as a tuple in a remembered order.
+    __slots__ = ("_name", "_schema", "_tuples", "_rows")
 
     def __init__(
         self,
@@ -59,7 +64,7 @@ class Relation:
                     f"for schema {self._schema.attributes}"
                 )
             frozen.add(tup)
-        self._tuples = frozenset(frozen)
+        self._tuples = self._rows = frozenset(frozen)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -93,7 +98,7 @@ class Relation:
         return len(self._tuples)
 
     def __iter__(self) -> Iterator[Tuple_]:
-        return iter(self._tuples)
+        return iter(self._rows)
 
     def __contains__(self, item: object) -> bool:
         return tuple(item) in self._tuples if isinstance(item, (tuple, list)) else False
@@ -134,12 +139,28 @@ class Relation:
         """Build an empty relation with the given schema."""
         return cls(name, schema, ())
 
+    @classmethod
+    def ordered(cls, name: str, schema: Schema | Sequence[str],
+                rows: Sequence[Tuple_]) -> "Relation":
+        """Build a relation that iterates ``rows`` in the given order.
+
+        A repeated row keeps its first place, so iteration yields exactly
+        ``len`` rows.  Only iteration sees the order: equality, hashing
+        and :attr:`tuples` are those of the plain relation.
+        """
+        relation = cls(name, schema, rows)
+        if len(relation._tuples) != len(rows):
+            rows = list(dict.fromkeys(rows))
+        relation._rows = tuple(rows)
+        return relation
+
     def with_name(self, name: str) -> "Relation":
         """Return the same relation under a different name."""
         new = Relation.__new__(Relation)
         new._name = name
         new._schema = self._schema
         new._tuples = self._tuples
+        new._rows = self._rows
         return new
 
     def with_tuples(self, tuples: Iterable[Sequence[Value]]) -> "Relation":
@@ -203,6 +224,7 @@ class Relation:
         new._name = name or self._name
         new._schema = new_schema
         new._tuples = self._tuples
+        new._rows = self._rows
         return new
 
     def reorder(self, attributes: Sequence[str], name: str | None = None) -> "Relation":
@@ -240,7 +262,7 @@ class Relation:
         new = Relation.__new__(Relation)
         new._name = name or self._name
         new._schema = self._schema
-        new._tuples = self._tuples | other._tuples
+        new._tuples = new._rows = self._tuples | other._tuples
         return new
 
     def difference(self, other: "Relation", name: str | None = None) -> "Relation":
@@ -252,7 +274,7 @@ class Relation:
         new = Relation.__new__(Relation)
         new._name = name or self._name
         new._schema = self._schema
-        new._tuples = self._tuples - other._tuples
+        new._tuples = new._rows = self._tuples - other._tuples
         return new
 
     def sorted_tuples(self) -> list[Tuple_]:

@@ -6,8 +6,8 @@ then the full row) and decodes only its top-k; the session does not sort
 again.  The reference is the python backend's forced
 ``ranked_mode="drain"``: the join drained into ``sort_rows``.  Every
 case below must stream that run's rows in that run's order, and
-``execute`` (a set-valued relation) must return the same rows, on both
-WCOJ strategies.
+``execute`` must return the same rows in the same order, on both WCOJ
+strategies.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ def _python_drain(engine: Engine, query: str) -> list[tuple]:
 
 def _columnar_rows(engine: Engine, query: str, mode: str = "generic",
                    limit: int | None = None) -> list[tuple]:
-    """The columnar stream, after checking ``execute`` holds its rows."""
+    """The columnar stream, after checking ``execute`` iterates it."""
     rows = list(engine.stream(query, mode=mode, limit=limit,
                               backend="columnar"))
-    assert set(engine.execute(query, mode=mode, limit=limit,
-                              backend="columnar").tuples) == set(rows)
+    assert list(engine.execute(query, mode=mode, limit=limit,
+                               backend="columnar")) == rows
     return rows
 
 

@@ -75,6 +75,31 @@ class TestEqualityAndNaming:
         assert len({a, b}) == 1
 
 
+class TestOrdered:
+    # Neither sorted nor in the frozenset's iteration order.
+    ROWS = [(5, 1), (1, 2), (4, 0), (0, 3)]
+
+    def test_iterates_in_the_given_order(self):
+        r = Relation.ordered("R", ("A", "B"), self.ROWS)
+        assert list(r) == self.ROWS
+
+    def test_comparisons_stay_set_based(self):
+        r = Relation.ordered("R", ("A", "B"), self.ROWS)
+        plain = Relation("R", ("A", "B"), reversed(self.ROWS))
+        assert r == plain and hash(r) == hash(plain)
+        assert r.tuples == frozenset(self.ROWS)
+        assert (1, 2) in r and len(r) == 4
+
+    def test_a_repeated_row_keeps_its_first_place(self):
+        r = Relation.ordered("R", ("A", "B"), self.ROWS + [(1, 2)])
+        assert list(r) == self.ROWS and len(r) == 4
+
+    def test_with_name_and_rename_keep_the_order(self):
+        r = Relation.ordered("R", ("A", "B"), self.ROWS)
+        assert list(r.with_name("S")) == self.ROWS
+        assert list(r.rename({"A": "X"}, name="S")) == self.ROWS
+
+
 class TestColumnAccess:
     def test_column(self):
         r = Relation("R", ("A", "B"), [(1, 2), (1, 3), (2, 3)])
