@@ -4,7 +4,7 @@ A gate script (``bench_<name>.py``) holds a scenario, a
 ``measure(**case) -> Measurement`` (its docstring's first line titles the
 table) and a module-level ``GATE = Gate(...)``.  Everything else is here:
 the ``src/`` path fallback, one untimed warm-up call before any timed one
-(so no row pays the lazy scipy import), a ``gc.collect()`` before each
+(so no row pays a first call's lazy imports), a ``gc.collect()`` before each
 measurement, the table, one JSON record per case, the failing gate named
 on stderr, the exit code, ``--quick`` and ``--json``.
 

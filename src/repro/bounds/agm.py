@@ -11,9 +11,8 @@ With all relations of size N the optimum is N^{rho*(H)}.
 
 The minimum is one exact simplex solve,
 :func:`~repro.covers.edge_cover.cheapest_cover`, in ``Fraction``
-arithmetic: nothing numeric is imported.  The scipy LP
-(:func:`~repro.covers.edge_cover.weighted_fractional_edge_cover`) is the
-oracle it is tested against.
+arithmetic: nothing numeric is imported.  scipy's ``linprog`` on the
+same cover LP is its oracle in the tests.
 """
 
 from __future__ import annotations

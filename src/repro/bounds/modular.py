@@ -113,21 +113,21 @@ def modular_bound(dc: DegreeConstraintSet) -> ModularBound:
         )
     lp = LinearProgram("modular-bound")
     for variable in dc.variables:
-        lp.add_variable(f"v[{variable}]", lower=0.0, upper=None)
+        lp.add_variable(f"v[{variable}]")
     lp.maximize({f"v[{variable}]": 1.0 for variable in dc.variables})
     for i, constraint in enumerate(dc):
         coeffs = {f"v[{variable}]": 1.0 for variable in constraint.free_variables}
         lp.add_constraint(f"dc[{i}]", coeffs, "<=", constraint.log_bound)
     solution = lp.solve()
     vertex_values = {
-        variable: max(0.0, solution.values[f"v[{variable}]"])
+        variable: float(solution.values[f"v[{variable}]"])
         for variable in dc.variables
     }
     dual_weights = {
-        i: abs(solution.dual_values.get(f"dc[{i}]", 0.0)) for i in range(len(dc))
+        i: float(solution.dual_values[f"dc[{i}]"]) for i in range(len(dc))
     }
     return ModularBound(
-        log2_bound=solution.objective,
+        log2_bound=float(solution.objective),
         vertex_values=vertex_values,
         dual_weights=dual_weights,
         num_lp_variables=lp.num_variables,
@@ -144,7 +144,9 @@ def modular_bound_dual(dc: DegreeConstraintSet) -> ModularBound:
 
     Returns a :class:`ModularBound` whose ``dual_weights`` are the decision
     variables of this LP and whose ``vertex_values`` come from the LP duals.
-    Strong duality makes its ``log2_bound`` equal to :func:`modular_bound`'s.
+    The solver reaches a cover LP through its packing dual, which is (54)
+    itself: both functions run one identical exact simplex solve, so the
+    two ``log2_bound`` values are equal, not merely close.
     A zero-bound constraint (empty relation) short-circuits to ``-inf``
     exactly like :func:`modular_bound` — here the infinity would land in
     the objective coefficients instead of the right-hand side.
@@ -158,7 +160,7 @@ def modular_bound_dual(dc: DegreeConstraintSet) -> ModularBound:
         )
     lp = LinearProgram("modular-bound-dual")
     for i, _ in enumerate(dc):
-        lp.add_variable(f"delta[{i}]", lower=0.0, upper=None)
+        lp.add_variable(f"delta[{i}]")
     lp.minimize({f"delta[{i}]": c.log_bound for i, c in enumerate(dc)})
     for variable in dc.variables:
         coeffs = {
@@ -173,14 +175,14 @@ def modular_bound_dual(dc: DegreeConstraintSet) -> ModularBound:
         lp.add_constraint(f"cover[{variable}]", coeffs, ">=", 1.0)
     solution = lp.solve()
     dual_weights = {
-        i: max(0.0, solution.values[f"delta[{i}]"]) for i in range(len(dc))
+        i: float(solution.values[f"delta[{i}]"]) for i in range(len(dc))
     }
     vertex_values = {
-        variable: abs(solution.dual_values.get(f"cover[{variable}]", 0.0))
+        variable: float(solution.dual_values[f"cover[{variable}]"])
         for variable in dc.variables
     }
     return ModularBound(
-        log2_bound=solution.objective,
+        log2_bound=float(solution.objective),
         vertex_values=vertex_values,
         dual_weights=dual_weights,
         num_lp_variables=lp.num_variables,

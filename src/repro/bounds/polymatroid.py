@@ -16,6 +16,7 @@ bound — this is the knob used in the Table 1 experiment to exhibit the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
 from repro.constraints.acyclify import all_variables_bound
@@ -41,17 +42,23 @@ class PolymatroidBound:
         The optimal objective max h([n]).
     optimal_h:
         An optimizer h* as a :class:`SetFunction` (a polymatroid in H_DC).
-    tight_constraints:
-        Names of degree constraints with non-zero dual value (informational).
+    dual_weights:
+        The exact optimal dual delta_{Y|X} of every degree constraint, keyed
+        by its index in DC: the Shannon-flow coefficients of eq. (73).
     num_lp_variables / num_lp_constraints:
         LP size, reported for the complexity discussion of Section 4.2.
     """
 
     log2_bound: float
     optimal_h: SetFunction
-    tight_constraints: tuple[str, ...]
+    dual_weights: dict[int, Fraction]
     num_lp_variables: int
     num_lp_constraints: int
+
+    @property
+    def tight_constraints(self) -> tuple[str, ...]:
+        """Names ``dc[i]`` of the degree constraints with non-zero dual."""
+        return tuple(f"dc[{i}]" for i, weight in self.dual_weights.items() if weight)
 
     @property
     def bound(self) -> float:
@@ -95,7 +102,7 @@ def polymatroid_bound(dc: DegreeConstraintSet,
                     variables,
                     {s: 0.0 for s in all_subsets(variables)},
                 ),
-                tight_constraints=(f"dc[{i}]",),
+                dual_weights={j: Fraction(int(j == i)) for j in range(len(dc))},
                 num_lp_variables=0,
                 num_lp_constraints=0,
             )
@@ -108,19 +115,16 @@ def polymatroid_bound(dc: DegreeConstraintSet,
     lp = LinearProgram("polymatroid-bound")
     for subset in all_subsets(variables):
         if subset:
-            lp.add_variable(_key(subset), lower=0.0, upper=None)
+            lp.add_variable(_key(subset))
 
     full = frozenset(variables)
     lp.maximize({_key(full): 1.0})
 
-    constraint_names: list[str] = []
     for i, constraint in enumerate(dc):
-        name = f"dc[{i}]"
         coeffs: dict[str, float] = {_key(constraint.y): 1.0}
         if constraint.x:
             coeffs[_key(constraint.x)] = coeffs.get(_key(constraint.x), 0.0) - 1.0
-        lp.add_constraint(name, coeffs, "<=", constraint.log_bound)
-        constraint_names.append(name)
+        lp.add_constraint(f"dc[{i}]", coeffs, "<=", constraint.log_bound)
 
     count = 0
     for ineq in elemental_inequalities(variables):
@@ -140,17 +144,12 @@ def polymatroid_bound(dc: DegreeConstraintSet,
             zy_count += 1
 
     solution = lp.solve()
-    values = {s: solution.values[_key(s)] for s in all_subsets(variables) if s}
+    values = {s: float(solution.values[_key(s)]) for s in all_subsets(variables) if s}
     values[frozenset()] = 0.0
-    optimal_h = SetFunction(variables, values)
-    tight = tuple(
-        name for name in constraint_names
-        if abs(solution.dual_values.get(name, 0.0)) > 1e-9
-    )
     return PolymatroidBound(
-        log2_bound=solution.objective,
-        optimal_h=optimal_h,
-        tight_constraints=tight,
+        log2_bound=float(solution.objective),
+        optimal_h=SetFunction(variables, values),
+        dual_weights={i: solution.dual_values[f"dc[{i}]"] for i in range(len(dc))},
         num_lp_variables=lp.num_variables,
         num_lp_constraints=lp.num_constraints,
     )

@@ -13,10 +13,14 @@ simple FDs.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Collection
 
 from repro.constraints.degree import DegreeConstraint, DegreeConstraintSet
-from repro.constraints.dependency_graph import constraint_dependency_graph, is_acyclic
+from repro.constraints.dependency_graph import (
+    constraint_dependency_graph,
+    find_cycle,
+    is_acyclic,
+)
 from repro.errors import ConstraintError, UnboundedQueryError
 
 
@@ -70,15 +74,10 @@ def acyclify(dc: DegreeConstraintSet) -> DegreeConstraintSet:
         If no bound-preserving weakening exists on some cycle (cannot happen
         for bounded DC by Proposition 5.2; raised defensively).
     """
-    import networkx as nx
-
     require_bounded(dc)
     current = DegreeConstraintSet(dc.variables, dc.constraints)
-    while not is_acyclic(current):
-        graph = constraint_dependency_graph(current)
-        cycle_edges = list(nx.find_cycle(graph, orientation="original"))
-        cycle_vertices = {edge[0] for edge in cycle_edges} | {edge[1] for edge in cycle_edges}
-        weakened = _weaken_one_on_cycle(current, cycle_edges, cycle_vertices)
+    while (cycle := find_cycle(current)) is not None:
+        weakened = _weaken_one_on_cycle(current, set(cycle))
         if weakened is None:
             raise ConstraintError(
                 "could not find a bound-preserving weakening on a constraint cycle; "
@@ -89,17 +88,14 @@ def acyclify(dc: DegreeConstraintSet) -> DegreeConstraintSet:
 
 
 def _weaken_one_on_cycle(dc: DegreeConstraintSet,
-                         cycle_edges: Iterable[tuple],
-                         cycle_vertices: set[str]) -> DegreeConstraintSet | None:
+                         cycle_edges: set[tuple[str, str]]
+                         ) -> DegreeConstraintSet | None:
     """Try every (constraint, y) pair on the cycle; return the first
     weakening that keeps all variables bound, or None."""
-    cycle_edge_pairs = {(e[0], e[1]) for e in cycle_edges}
     for constraint in dc:
         for y in sorted(constraint.free_variables):
-            if y not in cycle_vertices:
-                continue
             # The constraint must contribute an edge (x, y) on the cycle.
-            if not any((x, y) in cycle_edge_pairs for x in constraint.x):
+            if not any((x, y) in cycle_edges for x in constraint.x):
                 continue
             new_y = constraint.y - {y}
             if new_y == constraint.x:
@@ -120,25 +116,22 @@ def acyclify_simple_fds(dc: DegreeConstraintSet) -> DegreeConstraintSet:
     it suffices to keep a spanning path of FDs; FDs between components never
     lie on cycles because the condensation is a DAG.
     """
-    import networkx as nx
-
     if not dc.only_cardinalities_and_simple_fds():
         raise ConstraintError(
             "acyclify_simple_fds applies only to cardinality constraints and simple FDs"
         )
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dc.variables)
+    graph = constraint_dependency_graph(dc)  # the FD digraph: x -> y per FD
     fd_for_edge: dict[tuple[str, str], DegreeConstraint] = {}
     for constraint in dc:
         if constraint.is_cardinality:
             continue
         (x,) = tuple(constraint.x)
         (y,) = tuple(constraint.free_variables)
-        graph.add_edge(x, y)
         fd_for_edge.setdefault((x, y), constraint)
 
     keep: set[DegreeConstraint] = {c for c in dc if c.is_cardinality}
-    components = list(nx.strongly_connected_components(graph))
+    reach = {v: {v} | {y for _, y in _dfs_edges(graph, v, graph)} for v in graph}
+    components = {frozenset(u for u in reach[v] if v in reach[u]) for v in graph}
     component_of = {}
     for i, comp in enumerate(components):
         for v in comp:
@@ -154,19 +147,14 @@ def acyclify_simple_fds(dc: DegreeConstraintSet) -> DegreeConstraintSet:
     for comp in components:
         if len(comp) <= 1:
             continue
-        members = sorted(comp)
-        sub = graph.subgraph(comp)
         # A DFS tree of the strongly connected subgraph reaches every member.
-        root = members[0]
-        tree_edges = list(nx.dfs_edges(sub, source=root))
-        for x, y in tree_edges:
+        root = min(comp)
+        for x, y in _dfs_edges(graph, root, comp):
             keep.add(fd_for_edge[(x, y)])
         # Also keep one edge back to the root so every member determines the
         # root (preserving full equivalence of the component in the closure).
-        for x, y in sub.edges():
-            if y == root and x != root:
-                keep.add(fd_for_edge[(x, y)])
-                break
+        back = next(x for x in graph if x in comp and root in graph[x])
+        keep.add(fd_for_edge[(back, root)])
 
     result = DegreeConstraintSet(dc.variables, [c for c in dc if c in keep])
     if not is_acyclic(result):
@@ -174,6 +162,24 @@ def acyclify_simple_fds(dc: DegreeConstraintSet) -> DegreeConstraintSet:
         # cycle; fall back to the general weakening which preserves soundness.
         return acyclify(result)
     return result
+
+
+def _dfs_edges(graph: dict[str, list[str]], root: str, within: Collection[str]
+               ) -> list[tuple[str, str]]:
+    """The tree edges of a depth-first search from ``root`` over the nodes
+    ``within``, in visiting order (successors in adjacency order)."""
+    seen, edges = {root}, []
+    stack = [(root, iter(graph[root]))]
+    while stack:
+        parent, successors = stack[-1]
+        child = next(successors, None)
+        if child is None:
+            stack.pop()
+        elif child not in seen and child in within:
+            seen.add(child)
+            edges.append((parent, child))
+            stack.append((child, iter(graph[child])))
+    return edges
 
 
 def best_acyclic_weakening(dc: DegreeConstraintSet,

@@ -10,44 +10,56 @@ acyclicity.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.constraints.degree import DegreeConstraintSet
 from repro.errors import ConstraintError
 
-if TYPE_CHECKING:
-    import networkx as nx
-
-
-def constraint_dependency_graph(dc: DegreeConstraintSet) -> nx.DiGraph:
-    """Build G_DC as a networkx DiGraph over all the query variables."""
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dc.variables)
+def constraint_dependency_graph(dc: DegreeConstraintSet) -> dict[str, list[str]]:
+    """Build G_DC over all the query variables (nodes in ``dc.variables``
+    order, successors in the order the constraints add their edges)."""
+    graph: dict[str, list[str]] = {v: [] for v in dc.variables}
     for constraint in dc:
         for x in constraint.x:
             for y in constraint.free_variables:
-                graph.add_edge(x, y)
+                if y not in graph[x]:
+                    graph[x].append(y)
     return graph
+
+
+def _cycle(graph: dict[str, list[str]]) -> list[tuple[str, str]] | None:
+    """The first directed cycle a depth-first search meets, as its edges
+    (starting at the node the closing edge returns to), or None.
+
+    Roots are tried in node order and successors in adjacency order.
+    """
+    finished: set[str] = set()
+    for root in graph:
+        if root in finished:
+            continue
+        path, successors = [root], [iter(graph[root])]
+        while path:
+            head = next(successors[-1], None)
+            if head is None:
+                finished.add(path.pop())
+                successors.pop()
+            elif head in path:
+                cycle = path[path.index(head):] + [head]
+                return list(zip(cycle, cycle[1:]))
+            elif head not in finished:
+                path.append(head)
+                successors.append(iter(graph[head]))
+    return None
 
 
 def is_acyclic(dc: DegreeConstraintSet) -> bool:
     """True if the constraint dependency graph is a DAG."""
-    import networkx as nx
-
-    return nx.is_directed_acyclic_graph(constraint_dependency_graph(dc))
+    return find_cycle(dc) is None
 
 
 def find_cycle(dc: DegreeConstraintSet) -> list[tuple[str, str]] | None:
     """Return one directed cycle of G_DC as a list of edges, or None."""
-    import networkx as nx
-
-    graph = constraint_dependency_graph(dc)
-    try:
-        return list(nx.find_cycle(graph, orientation="original"))[:]
-    except nx.NetworkXNoCycle:
-        return None
+    return _cycle(constraint_dependency_graph(dc))
 
 
 def compatible_variable_order(dc: DegreeConstraintSet,
@@ -64,16 +76,17 @@ def compatible_variable_order(dc: DegreeConstraintSet,
     ConstraintError
         If DC is cyclic (no compatible order exists).
     """
-    import networkx as nx
-
     graph = constraint_dependency_graph(dc)
-    if not nx.is_directed_acyclic_graph(graph):
+    if _cycle(graph) is not None:
         raise ConstraintError("degree constraints are cyclic; no compatible order exists")
     if prefer is None:
         prefer = dc.variables
     priority = {v: i for i, v in enumerate(prefer)}
     # Kahn's algorithm with a preference-ordered frontier.
-    in_degree = {v: graph.in_degree(v) for v in graph.nodes}
+    in_degree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for w in successors:
+            in_degree[w] += 1
     order: list[str] = []
     frontier = sorted(
         [v for v, d in in_degree.items() if d == 0],
@@ -82,7 +95,7 @@ def compatible_variable_order(dc: DegreeConstraintSet,
     while frontier:
         v = frontier.pop(0)
         order.append(v)
-        for _, w in graph.out_edges(v):
+        for w in graph[v]:
             in_degree[w] -= 1
             if in_degree[w] == 0:
                 frontier.append(w)

@@ -6,7 +6,7 @@ that it meets refined width parameters (fractional hypertree width and
 submodular width) over such decompositions.  The decompositions themselves
 are query-model structure (:mod:`repro.query.widths`); their *fractional*
 width is an edge-cover LP per bag, one exact simplex solve
-(:func:`~repro.covers.edge_cover.cheapest_cover`, no scipy), so it lives
+(:func:`~repro.covers.edge_cover.cheapest_cover`), so it lives
 here, beside that solver:
 
 * the fractional hypertree width of one decomposition — the maximum over

@@ -1,81 +1,137 @@
-"""A thin, named-variable linear-programming layer on top of scipy.
+"""A named-variable linear-programming layer over one exact simplex.
 
 All the bounds in the paper are optimal values of linear programs (the
 fractional edge cover LP, the polymatroid LP (68), the modular LP (54) and
 its dual (57), the Shannon-flow dual (72)).  Building those LPs directly as
 coefficient matrices is error prone, so this module provides a small model
-class with named variables and named constraints; it converts to the scipy
-``linprog`` standard form internally.
+class with named variables and named constraints, and one solver for all
+of them: :func:`simplex`, a dense tableau over ``Fraction``s under Bland's
+rule.  Every LP in the package is a packing LP or the dual of one, so a
+single phase from the slack basis solves it exactly.  scipy's ``linprog``
+is the test suite's oracle for this solver, not a dependency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 from repro.errors import LPError
+
+#: Anything ``Fraction()`` converts exactly: ints, floats and Fractions.
+Number = int | float | Fraction
+
+
+def simplex(matrix: Sequence[Sequence[Number]], rhs: Sequence[Number],
+            costs: Sequence[Number]
+            ) -> tuple[list[Fraction], list[Fraction], Fraction]:
+    """Maximise ``costs . x`` subject to ``matrix x <= rhs`` and x >= 0,
+    for ``rhs >= 0``; return the optimal x, the duals y and the optimum.
+
+    A dense tableau over Fractions: one row per constraint, columns x_j,
+    then the slacks s_i, then the right-hand side.  x = 0 is feasible
+    because no right-hand side is negative, so the slack basis starts the
+    single phase.  Bland's rule (lowest improving column; on a ratio tie,
+    the lowest basic variable leaves) cannot cycle, and makes the optimum
+    a function of the arguments alone.  At the optimum the objective row
+    holds the slack columns' reduced costs, which are the duals y_i.
+
+    Raises
+    ------
+    LPError
+        If an improving column has no positive entry: the LP is unbounded.
+    """
+    n, m = len(costs), len(rhs)
+    rows = [[*map(Fraction, row)] + [Fraction(int(i == k)) for k in range(m)]
+            + [Fraction(b)] for i, (row, b) in enumerate(zip(matrix, rhs))]
+    objective = [-Fraction(c) for c in costs] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        entering = next((j for j in range(n + m) if objective[j] < 0), None)
+        if entering is None:
+            break
+        ratios = [(row[-1] / row[entering], basis[i], i)
+                  for i, row in enumerate(rows) if row[entering] > 0]
+        if not ratios:
+            raise LPError(f"tableau column {entering} has no positive entry")
+        _ratio, _basic, r = min(ratios)
+        pivot, scale = rows[r], rows[r][entering]
+        pivot[:] = [x / scale for x in pivot]
+        support = [j for j, x in enumerate(pivot) if x]
+        for row in [*rows, objective]:
+            factor = row[entering]
+            if factor and row is not pivot:
+                for j in support:
+                    row[j] -= factor * pivot[j]
+        basis[r] = entering
+    values = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            values[j] = rows[i][-1]
+    return values, objective[n:n + m], objective[-1]
 
 
 @dataclass
 class LPSolution:
-    """Solution of a linear program.
+    """Exact solution of a linear program.
 
     Attributes
     ----------
-    status:
-        scipy status string ("optimal" when solved).
     objective:
         Optimal objective value (in the *original* sense: max problems report
         the max).
     values:
         Variable name -> optimal value.
     dual_values:
-        Constraint name -> dual value (marginals), when available.
+        Constraint name -> optimal dual value, the non-negative multiplier
+        of the constraint (a ``>=`` row counts as its negation); by strong
+        duality ``sum dual * rhs`` is the objective of a maximisation.
     """
 
-    status: str
-    objective: float
-    values: dict[str, float]
-    dual_values: dict[str, float] = field(default_factory=dict)
+    objective: Fraction
+    values: dict[str, Fraction]
+    dual_values: dict[str, Fraction]
 
-    def __getitem__(self, variable: str) -> float:
+    def __getitem__(self, variable: str) -> Fraction:
         return self.values[variable]
 
 
 class LinearProgram:
     """A linear program with named variables and constraints.
 
-    The canonical sense is *minimization*; call :meth:`maximize` /
-    :meth:`minimize` to set the objective.  Variables are non-negative by
-    default with no upper bound; override with :meth:`set_bounds`.
+    Call :meth:`maximize` / :meth:`minimize` to set the objective (the
+    default is minimising 0).  Variables are non-negative, with an optional
+    upper bound.  :meth:`solve` handles the two forms every LP of the paper
+    takes, once normalised to max c.x subject to Ax <= b and x >= 0 (a
+    ``>=`` row negated, an upper bound as a row):
+
+    * **packing form**, every b >= 0: solved directly from the slack basis;
+    * **cover form**, every c <= 0 (a minimisation with non-negative
+      costs): its dual is a packing LP, and the primal is read off that
+      dual's duals.
     """
 
     def __init__(self, name: str = "lp"):
         self.name = name
         self._variables: list[str] = []
+        self._upper: dict[str, float | None] = {}
         self._objective: dict[str, float] = {}
         self._sense: str = "min"
-        # Each constraint: (name, {var: coeff}, op, rhs) with op in {<=, ==, >=}.
+        # Each constraint: (name, {var: coeff}, op, rhs) with op in {<=, >=}.
         self._constraints: list[tuple[str, dict[str, float], str, float]] = []
-        self._bounds: dict[str, tuple[float | None, float | None]] = {}
 
     # ------------------------------------------------------------------
     # Model building
     # ------------------------------------------------------------------
-    def add_variable(self, name: str, lower: float | None = 0.0,
-                     upper: float | None = None) -> str:
-        """Declare a variable; returns its name for convenience."""
-        if name in self._bounds:
+    def add_variable(self, name: str, upper: float | None = None) -> str:
+        """Declare a variable x >= 0 (x <= upper when given); returns its
+        name for convenience."""
+        if name in self._upper:
             raise LPError(f"variable {name!r} declared twice")
         self._variables.append(name)
-        self._bounds[name] = (lower, upper)
+        self._upper[name] = upper
         return name
-
-    def set_bounds(self, name: str, lower: float | None, upper: float | None) -> None:
-        """Override the bounds of an existing variable."""
-        if name not in self._bounds:
-            raise LPError(f"unknown variable {name!r}")
-        self._bounds[name] = (lower, upper)
 
     def minimize(self, coefficients: Mapping[str, float]) -> None:
         """Set a minimization objective (variable -> coefficient)."""
@@ -91,14 +147,14 @@ class LinearProgram:
 
     def add_constraint(self, name: str, coefficients: Mapping[str, float],
                        op: str, rhs: float) -> None:
-        """Add a constraint ``sum coeff*var  op  rhs`` with op in <=, >=, ==."""
-        if op not in ("<=", ">=", "=="):
+        """Add a constraint ``sum coeff*var  op  rhs`` with op in <=, >=."""
+        if op not in ("<=", ">="):
             raise LPError(f"unsupported constraint operator {op!r}")
         self._check_known(coefficients)
         self._constraints.append((name, dict(coefficients), op, rhs))
 
     def _check_known(self, coefficients: Mapping[str, float]) -> None:
-        unknown = [v for v in coefficients if v not in self._bounds]
+        unknown = [v for v in coefficients if v not in self._upper]
         if unknown:
             raise LPError(f"unknown variables in expression: {unknown}")
 
@@ -116,82 +172,59 @@ class LinearProgram:
     # Solving
     # ------------------------------------------------------------------
     def solve(self) -> LPSolution:
-        """Solve with scipy's HiGHS backend and return an :class:`LPSolution`.
+        """Solve exactly with :func:`simplex` and return an :class:`LPSolution`.
 
         Raises
         ------
         LPError
-            If the problem is infeasible, unbounded, or the solver fails.
+            If the LP is unbounded or infeasible, or in neither form (the
+            message names the first row with a negative right-hand side).
         """
-        # Imported here, not at module top: building an LP *model* is pure
-        # Python, and the core planner layers must stay importable on
-        # installs without the numeric stack (tools/check_no_numpy_in_core).
-        import numpy as np  # lint: disable=import-layering -- solve() serves the bounds and experiments, never the query path; lazy so LP *models* build on installs without the numeric stack
-        from scipy.optimize import linprog  # lint: disable=import-layering -- same seam as numpy above: only solving, never modeling, touches scipy
-
         if not self._variables:
             raise LPError("no variables declared")
-        index = {v: i for i, v in enumerate(self._variables)}
-        n = len(self._variables)
-
-        sign = 1.0 if self._sense == "min" else -1.0
-        c = np.zeros(n)
-        for var, coeff in self._objective.items():
-            c[index[var]] = sign * coeff
-
-        a_ub_rows: list[np.ndarray] = []
-        b_ub: list[float] = []
-        ub_names: list[str] = []
-        a_eq_rows: list[np.ndarray] = []
-        b_eq: list[float] = []
-        eq_names: list[str] = []
-        for name, coeffs, op, rhs in self._constraints:
-            row = np.zeros(n)
+        index = {v: j for j, v in enumerate(self._variables)}
+        names: list[str] = []
+        matrix: list[list[Number]] = []
+        rhs: list[Number] = []
+        for name, coeffs, op, bound in self._constraints:
+            sign = 1 if op == "<=" else -1
+            row: list[Number] = [0] * len(index)
             for var, coeff in coeffs.items():
-                row[index[var]] += coeff
-            if op == "<=":
-                a_ub_rows.append(row)
-                b_ub.append(rhs)
-                ub_names.append(name)
-            elif op == ">=":
-                a_ub_rows.append(-row)
-                b_ub.append(-rhs)
-                ub_names.append(name)
-            else:
-                a_eq_rows.append(row)
-                b_eq.append(rhs)
-                eq_names.append(name)
+                row[index[var]] = sign * coeff
+            names.append(name)
+            matrix.append(row)
+            rhs.append(sign * bound)
+        for var, upper in self._upper.items():
+            if upper is not None:
+                names.append(f"upper[{var}]")
+                matrix.append([int(j == index[var]) for j in range(len(index))])
+                rhs.append(upper)
+        sense = 1 if self._sense == "max" else -1
+        costs = [sense * self._objective.get(v, 0) for v in self._variables]
 
-        bounds = [self._bounds[v] for v in self._variables]
-        result = linprog(
-            c,
-            A_ub=np.array(a_ub_rows) if a_ub_rows else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq_rows) if a_eq_rows else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds,
-            method="highs",
-        )
-        if not result.success:
+        primal = all(b >= 0 for b in rhs)
+        if not primal and not all(c <= 0 for c in costs):
+            row_name = names[next(i for i, b in enumerate(rhs) if b < 0)]
             raise LPError(
-                f"LP {self.name!r} failed: {result.message} (status={result.status})"
-            )
-        values = {v: float(result.x[index[v]]) for v in self._variables}
-        objective = float(result.fun) * sign
-
-        dual_values: dict[str, float] = {}
-        marginals_ub = getattr(getattr(result, "ineqlin", None), "marginals", None)
-        marginals_eq = getattr(getattr(result, "eqlin", None), "marginals", None)
-        if marginals_ub is not None:
-            for name, marginal in zip(ub_names, marginals_ub):
-                dual_values[name] = float(sign * marginal)
-        if marginals_eq is not None:
-            for name, marginal in zip(eq_names, marginals_eq):
-                dual_values[name] = float(sign * marginal)
-
+                f"LP {self.name!r} is neither a packing LP nor a cover LP: "
+                f"row {row_name!r} has a negative right-hand side and the "
+                "objective is not a minimisation with non-negative costs")
+        try:
+            if primal:
+                values, duals, optimum = simplex(matrix, rhs, costs)
+            else:
+                # The dual, max (-b).y subject to (-A^T) y <= -c, is a
+                # packing LP; it is unbounded iff the primal is infeasible.
+                transposed = [[-row[j] for row in matrix]
+                              for j in range(len(index))]
+                duals, values, optimum = simplex(
+                    transposed, [-c for c in costs], [-b for b in rhs])
+                optimum = -optimum
+        except LPError as exc:
+            kind = "unbounded" if primal else "infeasible (its dual is unbounded)"
+            raise LPError(f"LP {self.name!r} is {kind}: {exc}") from None
         return LPSolution(
-            status="optimal",
-            objective=objective,
-            values=values,
-            dual_values=dual_values,
+            objective=sense * optimum,
+            values=dict(zip(self._variables, values)),
+            dual_values=dict(zip(names[:len(self._constraints)], duals)),
         )

@@ -126,7 +126,7 @@ def _polymatroid_lp(ground_set: frozenset[str], box: float) -> LinearProgram:
     for subset in all_subsets(ground_set):
         if not subset:
             continue
-        lp.add_variable(_subset_key(subset), lower=0.0, upper=box)
+        lp.add_variable(_subset_key(subset), upper=box)
     for idx, ineq in enumerate(elemental_inequalities(ground_set)):
         coeffs = {
             _subset_key(s): c for s, c in ineq.coefficients if s
@@ -139,23 +139,16 @@ def _minimize_over_polymatroids(expression: LinearEntropyExpression,
                                 box: float = 1.0
                                 ) -> tuple[float, SetFunction]:
     lp = _polymatroid_lp(expression.ground_set, box)
-    objective = {
-        _subset_key(s): c for s, c in expression.coefficients if s
-    }
-    # Variables not mentioned get 0 coefficient implicitly.
-    for subset in all_subsets(expression.ground_set):
-        if subset and _subset_key(subset) not in objective:
-            objective[_subset_key(subset)] = 0.0
-    lp.minimize(objective)
+    lp.minimize({_subset_key(s): c for s, c in expression.coefficients if s})
     solution = lp.solve()
     values = {
-        subset: solution.values[_subset_key(subset)]
+        subset: float(solution.values[_subset_key(subset)])
         for subset in all_subsets(expression.ground_set)
         if subset
     }
     values[frozenset()] = 0.0
     witness = SetFunction(expression.ground_set, values)
-    return solution.objective, witness
+    return float(solution.objective), witness
 
 
 def is_shannon_valid(expression: LinearEntropyExpression,

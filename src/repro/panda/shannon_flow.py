@@ -116,7 +116,7 @@ def shannon_flow_from_constraints(dc: DegreeConstraintSet,
     for index, weight in weights.items():
         if index < 0 or index >= len(dc):
             raise ProofError(f"constraint index {index} out of range")
-        weight = Fraction(weight).limit_denominator(10**6)
+        weight = Fraction(weight)
         if weight == 0:
             continue
         constraint = dc.constraints[index]
@@ -140,46 +140,14 @@ def constraint_log_bounds(dc: DegreeConstraintSet) -> dict[ConditionalTerm, floa
 def extract_flow_from_polymatroid_dual(dc: DegreeConstraintSet,
                                        result: PolymatroidBound | None = None,
                                        ) -> ShannonFlowInequality:
-    """Extract the delta vector from the polymatroid-bound LP duals (eq. 73).
+    """The Shannon-flow inequality of the polymatroid-bound LP's duals (eq. 73).
 
-    Solves the polymatroid bound if ``result`` is not supplied, reads the
-    dual value of every degree constraint, and returns the corresponding
-    Shannon-flow inequality.  By LP duality the inequality is valid and its
-    weighted log bound equals the polymatroid bound; both facts are verified
-    by the caller-facing tests rather than assumed here.
+    Reads the exact dual weight of every degree constraint off ``result``
+    (solving the polymatroid bound only when it is not supplied).  By LP
+    duality the inequality is valid and its weighted log bound equals the
+    polymatroid bound; both facts are verified by the caller-facing tests
+    rather than assumed here.
     """
     if result is None:
         result = polymatroid_bound(dc)
-    # Re-solve to obtain dual values when the provided result lacks them.
-    weights: dict[int, Fraction] = {}
-    # Dual values are keyed "dc[i]" by the polymatroid LP.
-    # polymatroid_bound stores only the *names* of tight constraints, so we
-    # recompute duals through a fresh solve here when necessary.
-    from repro.bounds.polymatroid import _key  # reuse the subset-key helper
-    from repro.covers.lp import LinearProgram
-    from repro.infotheory.set_functions import all_subsets
-    from repro.infotheory.shannon import elemental_inequalities
-
-    lp = LinearProgram("polymatroid-bound-dual-extraction")
-    variables = dc.variables
-    for subset in all_subsets(variables):
-        if subset:
-            lp.add_variable(_key(subset), lower=0.0, upper=None)
-    full = frozenset(variables)
-    lp.maximize({_key(full): 1.0})
-    for i, constraint in enumerate(dc):
-        coeffs: dict[str, float] = {_key(constraint.y): 1.0}
-        if constraint.x:
-            coeffs[_key(constraint.x)] = coeffs.get(_key(constraint.x), 0.0) - 1.0
-        lp.add_constraint(f"dc[{i}]", coeffs, "<=", constraint.log_bound)
-    count = 0
-    for ineq in elemental_inequalities(variables):
-        coeffs = {_key(s): c for s, c in ineq.coefficients if s}
-        lp.add_constraint(f"shannon[{count}]", coeffs, ">=", 0.0)
-        count += 1
-    solution = lp.solve()
-    for i in range(len(dc)):
-        dual = solution.dual_values.get(f"dc[{i}]", 0.0)
-        if abs(dual) > 1e-9:
-            weights[i] = Fraction(abs(dual)).limit_denominator(10**4)
-    return shannon_flow_from_constraints(dc, weights)
+    return shannon_flow_from_constraints(dc, result.dual_weights)

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from tools.analysis.checkers import default_checkers
 from tools.analysis.checkers.counter_honesty import CounterHonestyChecker
 from tools.analysis.core import AnalysisDriver, FileContext
@@ -125,6 +127,14 @@ def test_default_rules_flag_numpy_in_the_query_layer(tmp_path):
     assert "numeric stack" in result.findings[0].message
 
 
+def test_default_rules_flag_networkx_in_the_constraints_layer(tmp_path):
+    result = _run_all(tmp_path, "src/repro/constraints/mod.py",
+                      "def graph():\n    import networkx\n")
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("import-layering", 2)]
+    assert "networkx (lazy)" in result.findings[0].message
+
+
 # -- the repository run (what the CI analysis job executes) -------------
 
 def test_cli_clean_on_the_repo(capsys):
@@ -138,24 +148,28 @@ def test_default_checkers_are_the_three_rules():
         "import-layering", "counter-honesty", "unreferenced-definition"}
 
 
-def test_repo_run_has_four_reasoned_suppressions():
-    result = run_on_repo()
-    assert result.findings == []
-    assert sorted((f.path, f.rule) for f, _ in result.suppressed) == [
+@pytest.fixture(scope="session")
+def repo_run():
+    """One in-process lint of the whole repository, shared by the tests
+    that read its result (the CLI tests keep their own runs)."""
+    return run_on_repo()
+
+
+def test_repo_run_has_two_reasoned_suppressions(repo_run):
+    assert repo_run.findings == []
+    assert sorted((f.path, f.rule) for f, _ in repo_run.suppressed) == [
         ("src/repro/columnar/layout.py", "counter-honesty"),
-        ("src/repro/covers/lp.py", "import-layering"),
-        ("src/repro/covers/lp.py", "import-layering"),
         ("src/repro/engine/session.py", "import-layering"),
     ]
-    assert all(reason for _, reason in result.suppressed)
+    assert all(reason for _, reason in repo_run.suppressed)
 
 
-def test_repo_run_checks_every_python_file_under_src():
+def test_repo_run_checks_every_python_file_under_src(repo_run):
     src = os.path.join(REPO_ROOT, "src")
     expected = sum(name.endswith(".py")
                    for _dirpath, _dirs, names in os.walk(src)
                    for name in names)
-    assert run_on_repo().files_checked == expected > 0
+    assert repo_run.files_checked == expected > 0
 
 
 # -- Python 3.10 has no tomllib -----------------------------------------
@@ -189,7 +203,7 @@ def test_cli_runs_with_tomllib_unavailable():
     proc = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "0 finding(s), 4 suppressed" in proc.stderr
+    assert "0 finding(s), 2 suppressed" in proc.stderr
 
 
 def test_real_layer_config_assigns_core_modules():

@@ -20,18 +20,18 @@ class TestLinearProgram:
 
     def test_simple_maximization(self):
         lp = LinearProgram()
-        lp.add_variable("x", lower=0.0, upper=3.0)
+        lp.add_variable("x", upper=3.0)
         lp.maximize({"x": 5.0})
         solution = lp.solve()
         assert solution.objective == pytest.approx(15.0)
 
-    def test_equality_constraint(self):
+    def test_equality_constraint_rejected(self):
         lp = LinearProgram()
         lp.add_variable("x")
         lp.add_variable("y")
         lp.maximize({"x": 1.0, "y": 1.0})
-        lp.add_constraint("eq", {"x": 1.0, "y": 1.0}, "==", 2.0)
-        assert lp.solve().objective == pytest.approx(2.0)
+        with pytest.raises(LPError):
+            lp.add_constraint("eq", {"x": 1.0, "y": 1.0}, "==", 2.0)
 
     def test_dual_values_reported(self):
         lp = LinearProgram()
@@ -42,12 +42,23 @@ class TestLinearProgram:
         # Dual of the binding constraint equals the objective coefficient.
         assert abs(solution.dual_values["lb"]) == pytest.approx(3.0)
 
-    def test_infeasible_raises(self):
+    def test_out_of_form_raises_naming_the_row(self):
+        # max x over 1 <= x <= 3: feasible, but the slack basis of neither
+        # the LP nor its dual is a feasible start.
         lp = LinearProgram()
-        lp.add_variable("x", lower=0.0, upper=1.0)
+        lp.add_variable("x", upper=3.0)
+        lp.maximize({"x": 1.0})
+        lp.add_constraint("floor", {"x": 1.0}, ">=", 1.0)
+        with pytest.raises(LPError, match="'floor'"):
+            lp.solve()
+
+    def test_infeasible_cover_raises(self):
+        lp = LinearProgram()
+        lp.add_variable("x")
         lp.minimize({"x": 1.0})
         lp.add_constraint("c", {"x": 1.0}, ">=", 2.0)
-        with pytest.raises(LPError):
+        lp.add_constraint("uncovered", {}, ">=", 1.0)
+        with pytest.raises(LPError, match="infeasible"):
             lp.solve()
 
     def test_unbounded_raises(self):

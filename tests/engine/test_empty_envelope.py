@@ -4,7 +4,7 @@ Satellite regression of the component-factorization PR: an empty relation
 (or one a selection filters out entirely) forces an empty join, so the
 dispatcher's envelope must be exactly zero — previously a zero-bound
 degree constraint reached the LP layer as a ``log2 0 = -inf`` coefficient
-and scipy's ``linprog`` raised ``ValueError``.  Data-derived constraint
+and the LP solver raised ``ValueError``.  Data-derived constraint
 sets are cyclic (``dc.is_acyclic()`` false), which is why the envelope is
 no longer asked of them: it is ``min(AGM, simulated levels of the
 filtered instance)`` and must still respect the filter.

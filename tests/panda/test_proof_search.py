@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 
 from repro.constraints.degree import cardinality_constraints
 from repro.datagen.worstcase import triangle_agm_tight_instance
-from repro.panda.example1 import example1_inequality
+from repro.panda.example1 import example1_constraints, example1_inequality
 from repro.panda.proof_search import derive_proof_sequence
 from repro.panda.shannon_flow import ShannonFlowInequality, extract_flow_from_polymatroid_dual
 from repro.panda.terms import ConditionalTerm
@@ -66,6 +67,18 @@ class TestDeriveProofSequence:
         query, database = triangle_agm_tight_instance(64)
         dc = cardinality_constraints(query, database)
         inequality = extract_flow_from_polymatroid_dual(dc)
+        sequence = derive_proof_sequence(inequality)
+        assert sequence is not None
+        assert sequence.verify()
+
+    @pytest.mark.parametrize("stats", [
+        (16, 32, 16, 2, 4), (16, 16, 16, 4, 4), (64, 128, 64, 4, 8),
+        (64, 64, 64, 8, 8),
+    ])
+    def test_extracted_example1_flows_with_exact_duals(self, stats):
+        # Example 1 statistics whose polymatroid LP is degenerate: rounded
+        # float duals gave flows the bounded search could not prove.
+        inequality = extract_flow_from_polymatroid_dual(example1_constraints(*stats))
         sequence = derive_proof_sequence(inequality)
         assert sequence is not None
         assert sequence.verify()

@@ -117,6 +117,22 @@ class TestExtraction:
         assert flow.weighted_log_bound(bounds) == pytest.approx(
             polymatroid_bound(dc).log2_bound, abs=1e-4)
 
+    def test_extraction_solves_lp68_once_and_reads_a_supplied_result(
+            self, monkeypatch):
+        from repro.bounds.polymatroid import polymatroid_bound
+        from repro.covers.lp import LinearProgram
+        dc = example1_constraints(128, 128, 128, 4, 4)
+        result = polymatroid_bound(dc)
+        solved = []
+        solve = LinearProgram.solve
+        monkeypatch.setattr(LinearProgram, "solve",
+                            lambda lp: solved.append(lp.name) or solve(lp))
+        flow = extract_flow_from_polymatroid_dual(dc)
+        assert solved == ["polymatroid-bound"]
+        solved.clear()
+        assert extract_flow_from_polymatroid_dual(dc, result) == flow
+        assert solved == []
+
     def test_extracted_flow_for_example1(self):
         dc = example1_constraints(128, 128, 128, 4, 4)
         flow = extract_flow_from_polymatroid_dual(dc)

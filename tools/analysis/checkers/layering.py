@@ -10,10 +10,10 @@ re-enter ``execute`` — but each such edge must carry an inline
 suppression with its reason, so the DAG's exceptions stay enumerable.
 
 **Numeric axis** — only layers flagged ``numeric=True`` may import
-numpy/scipy, on any line.  This is the static half of the no-numpy-in-
-core contract; the runtime half (``tools/check_no_numpy_in_core.py``)
-stays, because only it proves the lazy imports are never *executed* on
-the core paths.
+numpy, scipy or networkx, on any line.  This is the static half of the
+no-numpy-in-core contract; the runtime half
+(``tools/check_no_numpy_in_core.py``) stays, because only it proves the
+lazy imports are never *executed* on the core paths.
 
 Imports under ``if TYPE_CHECKING:`` are exempt on both axes: they are
 erased at runtime and exist for the type checker.
@@ -28,7 +28,7 @@ from tools.analysis.core import Checker, FileContext, Finding
 from tools.analysis.layers import LayerConfig
 
 #: Top-level third-party packages the numeric axis polices.
-NUMERIC_STACK = ("numpy", "scipy")
+NUMERIC_STACK = ("numpy", "scipy", "networkx")
 
 #: The package whose internal imports the DAG orders.
 INTERNAL_ROOT = "repro"

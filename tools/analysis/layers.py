@@ -9,10 +9,10 @@ rest of repro.columnar.  An upward import — even a lazy, inside-a-function
 one — is a finding and needs an inline ``# lint: disable=import-layering
 -- <why>``.
 
-``numeric=True`` marks the only layers allowed to import numpy/scipy;
-everywhere else the numeric stack is a finding on either axis (the
-runtime half of this contract is tools/check_no_numpy_in_core.py, which
-actually blocks the imports and runs a join).
+``numeric=True`` marks the only layers allowed to import numpy, scipy or
+networkx; everywhere else the numeric stack is a finding on either axis
+(the runtime half of this contract is tools/check_no_numpy_in_core.py,
+which actually blocks the imports and runs a join).
 """
 
 from __future__ import annotations

@@ -29,7 +29,11 @@ and ``networkx`` before any ``repro`` import, then:
 * then imports every other module of ``repro`` — the paper side
   included — so that none of them grows a module-level numpy, scipy or
   networkx import either.  Only the submodules of ``repro.columnar`` are
-  left out: they need NumPy by design, and the package gates them.
+  left out: they need NumPy by design, and the package gates them,
+* and runs each paper-side LP once, checked against its known value:
+  the polymatroid bound and the Shannon-flow extraction on Example 1,
+  the modular LP (54) and its dual (57) and ``acyclify`` on query (63),
+  and the Shannon prover on Shearer's triangle inequality.
 
 Usage::
 
@@ -73,6 +77,43 @@ NUMERIC_PACKAGE = "repro.columnar"
 def _repro_modules() -> list[str]:
     return sorted(m for m in sys.modules
                   if m == "repro" or m.startswith("repro."))
+
+
+def _paper_side_values() -> dict[str, tuple[object, object]]:
+    """Check name -> (computed, expected), one run of each paper-side LP."""
+    from repro.bounds.modular import modular_bound, modular_bound_dual
+    from repro.bounds.polymatroid import polymatroid_bound
+    from repro.constraints.acyclify import acyclify
+    from repro.experiments.acyclify_exp import query63_constraints
+    from repro.infotheory.shannon import is_shannon_valid
+    from repro.infotheory.shearer import shearer_expression
+    from repro.panda.example1 import example1_constraints
+    from repro.panda.shannon_flow import extract_flow_from_polymatroid_dual
+    from repro.query.atoms import triangle_query
+
+    example1 = example1_constraints(64, 64, 64, 4, 4)
+    weakened = acyclify(query63_constraints())
+    triangle = triangle_query().hypergraph()
+    shearer = shearer_expression(triangle, dict.fromkeys(triangle.edge_keys, 0.5))
+    return {
+        "polymatroid_bound(Example 1)":
+            (polymatroid_bound(example1).log2_bound, 11.0),
+        "Shannon flow of Example 1":
+            (str(extract_flow_from_polymatroid_dual(example1)),
+             "h(ABCD) <= 1/2*h(AB) + 1/2*h(BC) + 1/2*h(CD) + 1/2*h(ABD|BD) "
+             "+ 1/2*h(ACD|AC)"),
+        "acyclify(query (63))":
+            (str(weakened),
+             "DC{deg(A | ()) <= 100 guarded by R; deg(A,B | A) <= 4 guarded "
+             "by S; deg(B,C | B) <= 4 guarded by T; deg(C,D | C) <= 4 "
+             "guarded by W}"),
+        # 100 * 4 * 4 * 4 = 6400 = 2 ** 12.643856189774723
+        "modular_bound(acyclified (63))":
+            (round(modular_bound(weakened).log2_bound, 9), 12.64385619),
+        "modular_bound_dual(acyclified (63))":
+            (round(modular_bound_dual(weakened).log2_bound, 9), 12.64385619),
+        "is_shannon_valid(Shearer, triangle)": (is_shannon_valid(shearer), True),
+    }
 
 
 def main() -> int:
@@ -150,12 +191,20 @@ def main() -> int:
             importlib.import_module(info.name)
     everything = _repro_modules()
 
+    paper_values = _paper_side_values()
+    for name, (got, want) in paper_values.items():
+        if got != want:
+            print(f"{name} gave {got!r} without numpy, expected {want!r}",
+                  file=sys.stderr)
+            return 1
+
     print(f"checked {len(core)} core modules: "
           f"importable and {len(expected)} Engine queries run with "
           "numpy/scipy/networkx blocked and no paper-side module loaded; "
           "columnar degrades cleanly; "
           f"{len(everything)} repro modules in all (every one but "
-          f"{NUMERIC_PACKAGE}'s submodules) import with the same block")
+          f"{NUMERIC_PACKAGE}'s submodules) import with the same block, "
+          f"and {len(paper_values)} paper-side LP checks run under it")
     return 0
 
 
