@@ -19,7 +19,7 @@ with total delta-weight at least 1 by constraints whose free set contains it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.constraints.acyclify import all_variables_bound
 from repro.constraints.degree import DegreeConstraintSet
@@ -63,31 +63,6 @@ class ModularBound:
         return modular_from_singletons(variables, self.vertex_values)
 
 
-def _zero_bound_certificate(dc: DegreeConstraintSet) -> ModularBound | None:
-    """The -inf bound forced by a zero-bound constraint, or None.
-
-    A constraint ``(X, Y, 0)`` asserts its guard holds *no* Y-binding —
-    an empty (or fully filtered-out) relation — so the output is provably
-    empty and the LP is infeasible (its right-hand side would be
-    ``log2 0 = -inf``, which the solver rightly rejects).  Mirroring
-    :func:`repro.bounds.agm.agm_bound_from_sizes`'s empty-edge
-    convention, the bound is reported directly as ``-inf`` with all the
-    dual weight on the first empty constraint, instead of handing the
-    solver an infinite coefficient.
-    """
-    for i, constraint in enumerate(dc):
-        if constraint.bound == 0:
-            return ModularBound(
-                log2_bound=float("-inf"),
-                vertex_values={v: 0.0 for v in dc.variables},
-                dual_weights={j: (1.0 if j == i else 0.0)
-                              for j in range(len(dc))},
-                num_lp_variables=0,
-                num_lp_constraints=0,
-            )
-    return None
-
-
 def modular_bound(dc: DegreeConstraintSet) -> ModularBound:
     """Solve the primal modular LP (54) and report primal and dual optima.
 
@@ -104,9 +79,19 @@ def modular_bound(dc: DegreeConstraintSet) -> ModularBound:
         If some variable is unbounded (no constraint's free set covers it
         reachable from cardinalities), making the LP unbounded.
     """
-    empty = _zero_bound_certificate(dc)
-    if empty is not None:
-        return empty
+    for i, constraint in enumerate(dc):
+        if constraint.bound == 0:
+            # An empty guard relation: log2 0 = -inf would make the LP
+            # infeasible, and the output is provably empty.  As
+            # agm_bound_from_sizes does for an empty edge, report -inf
+            # with all the dual weight on this constraint.
+            return ModularBound(
+                log2_bound=float("-inf"),
+                vertex_values={v: 0.0 for v in dc.variables},
+                dual_weights={j: float(j == i) for j in range(len(dc))},
+                num_lp_variables=0,
+                num_lp_constraints=0,
+            )
     if not all_variables_bound(dc):
         raise UnboundedQueryError(
             "modular bound is infinite: some variable is not bound by the constraints"
@@ -119,72 +104,26 @@ def modular_bound(dc: DegreeConstraintSet) -> ModularBound:
         coeffs = {f"v[{variable}]": 1.0 for variable in constraint.free_variables}
         lp.add_constraint(f"dc[{i}]", coeffs, "<=", constraint.log_bound)
     solution = lp.solve()
-    vertex_values = {
-        variable: float(solution.values[f"v[{variable}]"])
-        for variable in dc.variables
-    }
-    dual_weights = {
-        i: float(solution.dual_values[f"dc[{i}]"]) for i in range(len(dc))
-    }
     return ModularBound(
         log2_bound=float(solution.objective),
-        vertex_values=vertex_values,
-        dual_weights=dual_weights,
+        vertex_values={v: float(solution.values[f"v[{v}]"]) for v in dc.variables},
+        dual_weights={i: float(solution.dual_values[f"dc[{i}]"]) for i in range(len(dc))},
         num_lp_variables=lp.num_variables,
         num_lp_constraints=lp.num_constraints,
     )
 
 
 def modular_bound_dual(dc: DegreeConstraintSet) -> ModularBound:
-    """Solve the dual LP (57) directly.
+    """The dual LP (57), read off the solve of (54).
 
     min  sum_{(X,Y,N) in DC} delta_{Y|X} * log2 N_{Y|X}
     s.t. sum_{(X,Y) in DC, i in Y-X} delta_{Y|X} >= 1   for every variable i
          delta >= 0.
 
-    Returns a :class:`ModularBound` whose ``dual_weights`` are the decision
-    variables of this LP and whose ``vertex_values`` come from the LP duals.
-    The solver reaches a cover LP through its packing dual, which is (54)
-    itself: both functions run one identical exact simplex solve, so the
-    two ``log2_bound`` values are equal, not merely close.
-    A zero-bound constraint (empty relation) short-circuits to ``-inf``
-    exactly like :func:`modular_bound` — here the infinity would land in
-    the objective coefficients instead of the right-hand side.
+    (57) is (54)'s LP dual: its optimal delta are (54)'s exact duals and
+    its duals are (54)'s optimal v, so this is :func:`modular_bound`'s
+    result with (57)'s LP size, and the two optima are equal.
     """
-    empty = _zero_bound_certificate(dc)
-    if empty is not None:
-        return empty
-    if not all_variables_bound(dc):
-        raise UnboundedQueryError(
-            "dual modular bound is infinite: some variable is not bound"
-        )
-    lp = LinearProgram("modular-bound-dual")
-    for i, _ in enumerate(dc):
-        lp.add_variable(f"delta[{i}]")
-    lp.minimize({f"delta[{i}]": c.log_bound for i, c in enumerate(dc)})
-    for variable in dc.variables:
-        coeffs = {
-            f"delta[{i}]": 1.0
-            for i, constraint in enumerate(dc)
-            if variable in constraint.free_variables
-        }
-        if not coeffs:
-            raise UnboundedQueryError(
-                f"variable {variable!r} is not covered by any constraint's free set"
-            )
-        lp.add_constraint(f"cover[{variable}]", coeffs, ">=", 1.0)
-    solution = lp.solve()
-    dual_weights = {
-        i: float(solution.values[f"delta[{i}]"]) for i in range(len(dc))
-    }
-    vertex_values = {
-        variable: float(solution.dual_values[f"cover[{variable}]"])
-        for variable in dc.variables
-    }
-    return ModularBound(
-        log2_bound=float(solution.objective),
-        vertex_values=vertex_values,
-        dual_weights=dual_weights,
-        num_lp_variables=lp.num_variables,
-        num_lp_constraints=lp.num_constraints,
-    )
+    primal = modular_bound(dc)
+    return replace(primal, num_lp_variables=primal.num_lp_constraints,
+                   num_lp_constraints=primal.num_lp_variables)

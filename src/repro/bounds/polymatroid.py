@@ -44,7 +44,12 @@ class PolymatroidBound:
         An optimizer h* as a :class:`SetFunction` (a polymatroid in H_DC).
     dual_weights:
         The exact optimal dual delta_{Y|X} of every degree constraint, keyed
-        by its index in DC: the Shannon-flow coefficients of eq. (73).
+        by its index in DC: the Shannon-flow coefficients of eq. (73) when
+        the LP is the plain (68).
+    zhang_yeung:
+        Whether the LP also imposed Zhang–Yeung rows.  Their duals are not
+        in ``dual_weights``, so those weights alone need not form a valid
+        Shannon-flow inequality.
     num_lp_variables / num_lp_constraints:
         LP size, reported for the complexity discussion of Section 4.2.
     """
@@ -52,6 +57,7 @@ class PolymatroidBound:
     log2_bound: float
     optimal_h: SetFunction
     dual_weights: dict[int, Fraction]
+    zhang_yeung: bool
     num_lp_variables: int
     num_lp_constraints: int
 
@@ -103,6 +109,7 @@ def polymatroid_bound(dc: DegreeConstraintSet,
                     {s: 0.0 for s in all_subsets(variables)},
                 ),
                 dual_weights={j: Fraction(int(j == i)) for j in range(len(dc))},
+                zhang_yeung=False,
                 num_lp_variables=0,
                 num_lp_constraints=0,
             )
@@ -132,7 +139,8 @@ def polymatroid_bound(dc: DegreeConstraintSet,
         lp.add_constraint(f"shannon[{count}]", coeffs, ">=", 0.0)
         count += 1
 
-    if use_zhang_yeung and len(variables) >= 4:
+    zhang_yeung = use_zhang_yeung and len(variables) >= 4
+    if zhang_yeung:
         zy_count = 0
         for quad in permutations(variables, 4):
             expr = zhang_yeung_expression(quad)
@@ -150,6 +158,7 @@ def polymatroid_bound(dc: DegreeConstraintSet,
         log2_bound=float(solution.objective),
         optimal_h=SetFunction(variables, values),
         dual_weights={i: solution.dual_values[f"dc[{i}]"] for i in range(len(dc))},
+        zhang_yeung=zhang_yeung,
         num_lp_variables=lp.num_variables,
         num_lp_constraints=lp.num_constraints,
     )

@@ -9,10 +9,10 @@ point in FECP(H).  The AGM bound (Corollary 4.2) is the weighted variant in
 which edge F costs log |R_F| instead of 1.
 
 :func:`cheapest_cover` solves the cover LP for any non-negative costs
-with one exact simplex solve on its dual, the fractional vertex packing,
-in ``Fraction`` arithmetic; the AGM bound and rho* of the query path, the
-fhtw of :mod:`repro.covers.hypertree` and the named-edge covers below all
-use it.  scipy's ``linprog`` is its oracle in the tests.
+with one exact simplex solve on its dual, the fractional vertex packing;
+the AGM bound and rho* of the query path, the fhtw of
+:mod:`repro.covers.hypertree` and the named-edge covers below all use it.
+scipy's ``linprog`` is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _packing_simplex(num_vertices: int, incidence: tuple[tuple[int, ...], ...],
     rows are the cover weights delta_F: a basic, hence vertex, optimum of
     the cover LP.
     """
-    matrix = [[int(v in edge) for v in range(num_vertices)] for edge in incidence]
+    matrix = [dict.fromkeys(edge, 1) for edge in incidence]
     _packing, cover, _optimum = simplex(matrix, costs, [1] * num_vertices)
     return tuple(float(delta) for delta in cover)
 

@@ -5,9 +5,9 @@ fractional edge cover LP, the polymatroid LP (68), the modular LP (54) and
 its dual (57), the Shannon-flow dual (72)).  Building those LPs directly as
 coefficient matrices is error prone, so this module provides a small model
 class with named variables and named constraints, and one solver for all
-of them: :func:`simplex`, a dense tableau over ``Fraction``s under Bland's
-rule.  Every LP in the package is a packing LP or the dual of one, so a
-single phase from the slack basis solves it exactly.  scipy's ``linprog``
+of them: :func:`simplex`, an exact sparse tableau under Bland's rule.
+Every LP in the package is a packing LP or the dual of one, so a single
+phase from the slack basis solves it exactly.  scipy's ``linprog``
 is the test suite's oracle for this solver, not a dependency.
 """
 
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import LPError
 
@@ -23,19 +24,29 @@ from repro.errors import LPError
 Number = int | float | Fraction
 
 
-def simplex(matrix: Sequence[Sequence[Number]], rhs: Sequence[Number],
+def _integers(values: Iterable[Number]) -> tuple[list[int], int]:
+    """Integers proportional to ``values``, and the common denominator
+    they are over (``values[k] == integers[k] / denominator``)."""
+    exact = [Fraction(x) for x in values]
+    scale = lcm(*(x.denominator for x in exact))
+    return [x.numerator * (scale // x.denominator) for x in exact], scale
+
+
+def simplex(matrix: Sequence[Mapping[int, Number]], rhs: Sequence[Number],
             costs: Sequence[Number]
             ) -> tuple[list[Fraction], list[Fraction], Fraction]:
     """Maximise ``costs . x`` subject to ``matrix x <= rhs`` and x >= 0,
     for ``rhs >= 0``; return the optimal x, the duals y and the optimum.
 
-    A dense tableau over Fractions: one row per constraint, columns x_j,
-    then the slacks s_i, then the right-hand side.  x = 0 is feasible
-    because no right-hand side is negative, so the slack basis starts the
-    single phase.  Bland's rule (lowest improving column; on a ratio tie,
-    the lowest basic variable leaves) cannot cycle, and makes the optimum
-    a function of the arguments alone.  At the optimum the objective row
-    holds the slack columns' reduced costs, which are the duals y_i.
+    Each row of ``matrix`` maps a column j to the non-zero coefficient of
+    x_j.  x = 0 is feasible, so the slack basis starts the single phase.
+    Bland's rule (the lowest-labelled improving variable enters, x_j before
+    the slacks; a ratio tie goes to the lowest-labelled basic variable)
+    cannot cycle, and makes the optimum a function of the arguments alone.
+    The duals are the slacks' reduced costs at the optimum.  The compact
+    tableau is exact and sparse: integers over a positive denominator per
+    row, with the right-hand sides and the costs each scaled to integers
+    by one common factor, which moves no pivot.
 
     Raises
     ------
@@ -43,33 +54,89 @@ def simplex(matrix: Sequence[Sequence[Number]], rhs: Sequence[Number],
         If an improving column has no positive entry: the LP is unbounded.
     """
     n, m = len(costs), len(rhs)
-    rows = [[*map(Fraction, row)] + [Fraction(int(i == k)) for k in range(m)]
-            + [Fraction(b)] for i, (row, b) in enumerate(zip(matrix, rhs))]
-    objective = [-Fraction(c) for c in costs] + [Fraction(0)] * (m + 1)
+    b, rhs_scale = _integers(rhs)
+    c, cost_scale = _integers(costs)
+    # tableau[i][j] / denominator[i] is the entry of row i (the objective
+    # row is i = m) in column j: non-basic variable nonbasic[j] for j < n,
+    # the right-hand side for j = n.  Absent entries are zero.
+    tableau: list[dict[int, int]] = []
+    denominator: list[int] = []
+    for row, value in zip(matrix, b):
+        integers, scale = _integers(row.values())
+        entries = {j: x for j, x in zip(row, integers) if x}
+        if value:
+            entries[n] = value * scale
+        tableau.append(entries)
+        denominator.append(scale)
+    objective = {j: -x for j, x in enumerate(c) if x}
+    tableau.append(objective)
+    denominator.append(1)
+    nonbasic = list(range(n))
     basis = list(range(n, n + m))
     while True:
-        entering = next((j for j in range(n + m) if objective[j] < 0), None)
-        if entering is None:
+        improving = [(nonbasic[j], j) for j, d in objective.items()
+                     if d < 0 and j < n]
+        if not improving:
             break
-        ratios = [(row[-1] / row[entering], basis[i], i)
-                  for i, row in enumerate(rows) if row[entering] > 0]
-        if not ratios:
-            raise LPError(f"tableau column {entering} has no positive entry")
-        _ratio, _basic, r = min(ratios)
-        pivot, scale = rows[r], rows[r][entering]
-        pivot[:] = [x / scale for x in pivot]
-        support = [j for j, x in enumerate(pivot) if x]
-        for row in [*rows, objective]:
-            factor = row[entering]
-            if factor and row is not pivot:
-                for j in support:
-                    row[j] -= factor * pivot[j]
-        basis[r] = entering
+        label, s = min(improving)
+        touched = [i for i, row in enumerate(tableau) if s in row]
+        r, best_value, best_a = -1, 0, 1
+        for i in touched[:-1]:  # the objective row is last, and never leaves
+            a = tableau[i][s]
+            if a > 0:
+                value = tableau[i].get(n, 0)
+                # Compare value / a with the best ratio so far, exactly.
+                if r < 0 or value * best_a < best_value * a or (
+                        value * best_a == best_value * a and basis[i] < basis[r]):
+                    r, best_value, best_a = i, value, a
+        if r < 0:
+            raise LPError(f"tableau column {label} has no positive entry")
+        # Exchange nonbasic[s] and basis[r]: with the pivot p = a_rs,
+        # a_ij -= a_is a_rj / p, a_is = -a_is / p, a_rj /= p, a_rs = 1 / p.
+        pivot = tableau[r]
+        p, d_r = pivot.pop(s), denominator[r]
+        pivot_entries = list(pivot.items())
+        for i in touched:
+            if i == r:
+                continue
+            row = tableau[i]
+            f = row.pop(s)
+            if p != 1:
+                for j in row:
+                    row[j] *= p
+            for j, y in pivot_entries:
+                x = row.get(j, 0) - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            row[s] = -f * d_r
+            denominator[i] *= p
+            if p != 1:
+                _reduce(row, denominator, i)
+        pivot[s] = d_r
+        denominator[r] = p
+        _reduce(pivot, denominator, r)
+        basis[r], nonbasic[s] = nonbasic[s], basis[r]
     values = [Fraction(0)] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            values[j] = rows[i][-1]
-    return values, objective[n:n + m], objective[-1]
+    for i, label in enumerate(basis):
+        if label < n:
+            values[label] = Fraction(tableau[i].get(n, 0), denominator[i] * rhs_scale)
+    duals = [Fraction(0)] * m
+    scale = denominator[m] * cost_scale
+    for j, label in enumerate(nonbasic):
+        if label >= n:
+            duals[label - n] = Fraction(objective.get(j, 0), scale)
+    return values, duals, Fraction(objective.get(n, 0), scale * rhs_scale)
+
+
+def _reduce(row: dict[int, int], denominator: list[int], i: int) -> None:
+    """Divide row ``i`` and its denominator by their greatest common divisor."""
+    g = gcd(denominator[i], *row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        denominator[i] //= g
 
 
 @dataclass
@@ -184,20 +251,17 @@ class LinearProgram:
             raise LPError("no variables declared")
         index = {v: j for j, v in enumerate(self._variables)}
         names: list[str] = []
-        matrix: list[list[Number]] = []
+        matrix: list[dict[int, Number]] = []
         rhs: list[Number] = []
         for name, coeffs, op, bound in self._constraints:
             sign = 1 if op == "<=" else -1
-            row: list[Number] = [0] * len(index)
-            for var, coeff in coeffs.items():
-                row[index[var]] = sign * coeff
             names.append(name)
-            matrix.append(row)
+            matrix.append({index[var]: sign * coeff for var, coeff in coeffs.items()})
             rhs.append(sign * bound)
         for var, upper in self._upper.items():
             if upper is not None:
                 names.append(f"upper[{var}]")
-                matrix.append([int(j == index[var]) for j in range(len(index))])
+                matrix.append({index[var]: 1})
                 rhs.append(upper)
         sense = 1 if self._sense == "max" else -1
         costs = [sense * self._objective.get(v, 0) for v in self._variables]
@@ -215,7 +279,7 @@ class LinearProgram:
             else:
                 # The dual, max (-b).y subject to (-A^T) y <= -c, is a
                 # packing LP; it is unbounded iff the primal is infeasible.
-                transposed = [[-row[j] for row in matrix]
+                transposed = [{i: -row[j] for i, row in enumerate(matrix) if j in row}
                               for j in range(len(index))]
                 duals, values, optimum = simplex(
                     transposed, [-c for c in costs], [-b for b in rhs])

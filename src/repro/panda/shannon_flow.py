@@ -147,7 +147,16 @@ def extract_flow_from_polymatroid_dual(dc: DegreeConstraintSet,
     duality the inequality is valid and its weighted log bound equals the
     polymatroid bound; both facts are verified by the caller-facing tests
     rather than assumed here.
+
+    Raises
+    ------
+    ProofError
+        If ``result`` comes from the LP strengthened by Zhang–Yeung rows:
+        its degree-constraint duals leave out those rows' share.
     """
     if result is None:
         result = polymatroid_bound(dc)
+    if result.zhang_yeung:
+        raise ProofError("a Shannon-flow inequality is read off the plain "
+                         "polymatroid LP (68), not one with Zhang–Yeung rows")
     return shannon_flow_from_constraints(dc, result.dual_weights)

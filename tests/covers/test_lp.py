@@ -52,6 +52,15 @@ class TestLinearProgram:
         with pytest.raises(LPError, match="'floor'"):
             lp.solve()
 
+    def test_infeasible_raises(self):
+        # Cover form with an upper bound that conflicts with a >= row.
+        lp = LinearProgram()
+        lp.add_variable("x", upper=1.0)
+        lp.minimize({"x": 1.0})
+        lp.add_constraint("c", {"x": 1.0}, ">=", 2.0)
+        with pytest.raises(LPError, match="infeasible"):
+            lp.solve()
+
     def test_infeasible_cover_raises(self):
         lp = LinearProgram()
         lp.add_variable("x")

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from scipy.optimize import linprog
 
-from repro.bounds.modular import modular_bound, modular_bound_dual
+from repro.bounds.modular import modular_bound
 from repro.bounds.polymatroid import polymatroid_bound
 from repro.constraints.degree import (
     DegreeConstraint,
@@ -61,9 +61,7 @@ def _shearer_triangle():
 
 MODELS = {
     "modular chain": lambda: modular_bound(_chain_dc()),
-    "modular dual chain": lambda: modular_bound_dual(_chain_dc()),
     "modular example1": lambda: modular_bound(_example1_dc()),
-    "modular dual example1": lambda: modular_bound_dual(_example1_dc()),
     "polymatroid triangle": lambda: polymatroid_bound(_triangle_dc()),
     "polymatroid triangle + FD": lambda: polymatroid_bound(_triangle_fd_dc()),
     "polymatroid chain": lambda: polymatroid_bound(_chain_dc()),

@@ -133,6 +133,14 @@ class TestExtraction:
         assert extract_flow_from_polymatroid_dual(dc, result) == flow
         assert solved == []
 
+    def test_extraction_rejects_a_zhang_yeung_result(self):
+        from repro.bounds.polymatroid import polymatroid_bound
+        dc = example1_constraints(64, 64, 64, 4, 4)
+        result = polymatroid_bound(dc, use_zhang_yeung=True)
+        assert result.zhang_yeung
+        with pytest.raises(ProofError, match="Zhang–Yeung"):
+            extract_flow_from_polymatroid_dual(dc, result)
+
     def test_extracted_flow_for_example1(self):
         dc = example1_constraints(128, 128, 128, 4, 4)
         flow = extract_flow_from_polymatroid_dual(dc)
