@@ -20,12 +20,20 @@ Three emission modes mirror ``generic_join_stream``:
   the oracle's seen-set);
 * early-distinct projection — descend the head prefix, then decide each
   prefix's survival with a *component-factorized* boolean existential
-  tail (one batched descent per residual component, exactly the
+  tail (one batched fold per residual component, exactly the
   factorization the oracle uses);
 * in-recursion aggregation — descend the group prefix, then fold each
   residual component with segment reductions (``np.add.reduceat`` over
   runs of equal origins) and combine components per surviving prefix with
   exact Python-int arithmetic.
+
+Both folds memoize like the oracle's eliminator, on the separators the
+pricer's :func:`repro.engine.cost.simulate_levels` credits: at a
+component position whose separator is proper and held by one atom, only
+the first frontier row of each distinct separator binding descends, and
+the folded columns are spread back through ``np.unique``'s inverse index
+(:class:`_ComponentFold`).  An acyclic group-by is output-linear here
+too, not join-linear.
 
 The two enumerating modes rank an ``ORDER BY`` in code space before
 decoding: code order is value order, so one ``np.lexsort`` over the
@@ -41,11 +49,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.columnar import ColumnarFallback
+from repro.query.terms import pinned_constants
 from repro.query.variable_order import level_layout
 
 #: Component folds beyond this many rows could overflow exact int64 SUMs
 #: (|value| <= 2**31 and 2**28 rows keep |sum| < 2**59); degrade instead.
 _SUM_SAFE_ROWS = 1 << 28
+
+#: A memo key over several variables is one int64 per row, the codes in
+#: base ``|dictionary|``; a wider key leaves its position unmemoized.
+_KEY_LIMIT = np.iinfo(np.int64).max
+
+#: A memoized fold's counts and SUMs multiply through the levels instead
+#: of counting rows; a total past this magnitude degrades to the oracle.
+_EXACT_LIMIT = float(1 << 62)
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +144,12 @@ class _Descent:
                 dtype=bool, count=len(domain))
             masks[depth] = mask if masks[depth] is None else masks[depth] & mask
         self.masks = masks
+        # A pinned level (``var == constant``) is a seek of the one code
+        # its mask admits, as in the python recursion: no scan of the
+        # level filtered afterwards.
+        pinned = pinned_constants(plan.selections)
+        self.pinned = [np.flatnonzero(mask) if variable in pinned else None
+                       for variable, mask in zip(self.order, masks)]
 
     def initial_state(self) -> dict:
         ranges = {
@@ -137,9 +160,10 @@ class _Descent:
         return {"size": 1, "origins": np.zeros(1, dtype=np.int64),
                 "ranges": ranges, "values": {}}
 
-    def component_state(self, state: dict, depths) -> dict:
+    def component_state(self, state: dict, depths, carry=()) -> dict:
         """Restrict ``state`` to the atoms touching the variables at the
-        order positions ``depths`` (one residual component)."""
+        order positions ``depths`` (one residual component), keeping the
+        codes of the bound variables ``carry``."""
         component = {self.order[d] for d in depths}
         ranges = {
             edge_key: pair for edge_key, pair in state["ranges"].items()
@@ -147,7 +171,32 @@ class _Descent:
         }
         return {"size": state["size"],
                 "origins": np.arange(state["size"], dtype=np.int64),
-                "ranges": ranges, "values": {}}
+                "ranges": ranges,
+                "values": {v: state["values"][v] for v in carry}}
+
+    def memo_keys(self, depths) -> list:
+        """Per position of one residual component below the plan's stop,
+        the key its fold is memoized on, or ``None`` where it descends
+        flat.
+
+        The key is the position's separator, as the pricer's scopes read
+        it (:meth:`LevelLayout.separators`).  The selections the kernel
+        runs read one variable, bound where they fire, so they add none;
+        a variable an aggregate folds adds none either
+        (:class:`_ComponentFold` weights it where it binds).  A position
+        is memoized where its separator is a proper subset of what is
+        bound and one atom holds it, which is where
+        :func:`repro.engine.cost.simulate_levels` credits a memo; a key
+        no atom holds would sort a frontier of mostly distinct bindings
+        for nothing.  Nor is a key whose codes overflow one int64.
+        """
+        stop = self.plan.stop
+        held = [set(variables) for variables in self.atom_vars.values()]
+        width = len(self.store.values)
+        return [key if (len(key) < stop + j
+                        and any(set(key) <= variables for variables in held)
+                        and width ** len(key) <= _KEY_LIMIT) else None
+                for j, key in enumerate(self.plan.separators(depths, stop))]
 
     def step(self, state: dict, depth: int, track_value: bool) -> dict:
         """Bind ``order[depth]`` across the whole frontier at once.
@@ -171,6 +220,8 @@ class _Descent:
         counter = self.counter
         if counter is not None:
             counter.charge(search_nodes=size)
+        if self.pinned[depth] is not None:
+            return self._seek_constant(state, depth, relevant, track_value)
         spans = np.stack([ranges[edge_key][1] - ranges[edge_key][0]
                           for edge_key in relevant])
         if len(relevant) == 1:
@@ -225,12 +276,8 @@ class _Descent:
             parts.append((parents_kept, values[kept], child_ranges))
         if not parts:
             empty = np.zeros(0, dtype=np.int64)
-            next_values = {v: empty for v in state["values"]}
-            if track_value:
-                next_values[variable] = empty
-            return {"size": 0, "origins": empty,
-                    "ranges": {edge_key: (empty, empty) for edge_key in ranges},
-                    "values": next_values}
+            return self._child_state(
+                state, empty, {}, {variable: empty} if track_value else {})
         if len(parts) == 1:
             parents_all, values_all, ranges_all = parts[0]
         else:
@@ -251,6 +298,42 @@ class _Descent:
         return {"size": int(len(values_all)),
                 "origins": state["origins"][parents_all],
                 "ranges": ranges_all, "values": next_values}
+
+    def _seek_constant(self, state: dict, depth: int, relevant: list,
+                       track_value: bool) -> dict:
+        """Bind a pinned ``order[depth]``: every frontier row seeks the
+        constant's code in every relevant atom, one seek per atom."""
+        variable = self.order[depth]
+        codes = self.pinned[depth]  # the code the constant has, if any
+        size = state["size"] if len(codes) else 0
+        values = np.full(size, codes[0] if size else 0, dtype=np.int64)
+        keep = np.ones(size, dtype=bool)
+        probed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for edge_key in relevant if size else ():
+            left, right = self.layouts[edge_key].seek(
+                self.atom_vars[edge_key].index(variable),
+                state["ranges"][edge_key][0], values)
+            if self.counter is not None:
+                self.counter.charge(seeks=size)
+            keep &= left < right
+            probed[edge_key] = (left, right)
+        kept = np.flatnonzero(keep)
+        bound = {variable: values[kept]} if track_value else {}
+        return self._child_state(state, kept, probed, bound)
+
+    @staticmethod
+    def _child_state(state: dict, kept: np.ndarray, probed: dict,
+                     bound: dict) -> dict:
+        """The frontier rows ``kept`` of ``state``: the atoms in ``probed``
+        narrowed to their seeks' windows, the codes ``bound`` added."""
+        ranges = {}
+        for edge_key, (lo, hi) in state["ranges"].items():
+            lo, hi = probed.get(edge_key, (lo, hi))
+            ranges[edge_key] = (lo[kept], hi[kept])
+        values = {v: column[kept] for v, column in state["values"].items()}
+        values.update(bound)
+        return {"size": len(kept), "origins": state["origins"][kept],
+                "ranges": ranges, "values": values}
 
 
 # ----------------------------------------------------------------------
@@ -292,14 +375,17 @@ def columnar_rows(core, order, layouts, store, selections=(), head=None,
         # guarded order) each head tuple is kept at its first occurrence.
         return _full_rows(descent, head, store, counter, ranking,
                           plan.seen_set)
-    head_set = set(head)
+    folds = [_ComponentFold(descent, depths, boolean=True)
+             for depths in plan.components(plan.stop)]
+    # The prefix keeps the codes of the head and of the memo keys.
+    tracked = set(head).union(*(fold.needs for fold in folds))
     state = descent.initial_state()
     for depth in range(plan.stop):
         state = descent.step(state, depth,
-                             track_value=plan.order[depth] in head_set)
+                             track_value=plan.order[depth] in tracked)
         if state["size"] == 0:
             return []
-    alive = _existential_alive(descent, state)
+    alive = _existential_alive(state, folds)
     kept = np.flatnonzero(alive)
     if not head:  # boolean query: one empty row iff the join is non-empty
         rows = [()] if len(kept) else []
@@ -360,28 +446,178 @@ def _ranked(codes: list, columns, ranking) -> list:
     return [column[winners] for column in codes]
 
 
-def _existential_alive(descent: _Descent, state: dict) -> np.ndarray:
+class _ComponentFold:
+    """The fold of one residual component below the plan's stop.
+
+    Called on the prefix frontier, it returns per row the number of
+    completions of the component (with ``boolean``, only its sign is
+    meaningful) and, per ``(kind, variable)`` of ``specs``, the SUM of the
+    variable's integer values, or the MIN / MAX of its codes, over those
+    completions — meaningful where the count is positive.
+
+    Where the component's position ``j`` has a memo key
+    (:meth:`_Descent.memo_keys`), only the first frontier row of each
+    distinct binding of it descends, and its fold is spread back to the
+    rows sharing that binding through the inverse index: the python
+    eliminator's memo, one ``np.unique`` per level instead of one dict
+    probe per row.  A variable bound above such a level needs no place in
+    its key: below the level only the count is folded, and the variable's
+    value is weighted by that count where it was bound.
+    """
+
+    def __init__(self, descent: _Descent, depths, specs=(), int_domain=None,
+                 boolean: bool = False):
+        self.descent = descent
+        self.depths = depths
+        self.specs = tuple(specs)
+        self.int_domain = int_domain
+        self.boolean = boolean
+        self.keys = descent.memo_keys(depths)
+        self.position = {descent.order[d]: j for j, d in enumerate(depths)}
+        #: The variables whose codes the fold reads: keys and specs.
+        self.needs = {variable for _kind, variable in self.specs}.union(
+            *filter(None, self.keys))
+
+    def __call__(self, state: dict) -> tuple:
+        sub = self.descent.component_state(
+            state, self.depths, self.needs & state["values"].keys())
+        return self._fold(sub, 0, self.specs)
+
+    def _fold(self, sub: dict, j: int, specs) -> tuple:
+        """The fold of ``depths[j:]`` below every row of ``sub``, a
+        frontier about to bind ``order[depths[j]]``."""
+        key = self.keys[j]
+        if key is None:
+            return self._descend(sub, j, specs)
+        codes = np.zeros(sub["size"], dtype=np.int64)
+        width = len(self.descent.store.values)
+        for u in key:  # the key's codes, as digits of one int64
+            codes = codes * width + sub["values"][u]
+        if self.descent.counter is not None:
+            self.descent.counter.charge(intersection_steps=len(codes))
+        _unique, first, inverse = np.unique(codes, return_index=True,
+                                            return_inverse=True)
+        counts, values = self._descend(
+            self.descent._child_state(sub, first, {}, {}), j, specs)
+        return counts[inverse], [value[inverse] for value in values]
+
+    def _descend(self, sub: dict, j: int, specs) -> tuple:
+        """:meth:`_fold` without a memo at ``j``: bind ``depths[j:]`` flat
+        down to the next memoized position (or the component's end), fold
+        there, and reduce the children into their parents by origin."""
+        descent, depths, keys = self.descent, self.depths, self.keys
+        counter = descent.counter
+        size = sub["size"]
+        sub = dict(sub, origins=np.arange(size, dtype=np.int64))
+        m = j
+        while True:
+            variable = descent.order[depths[m]]
+            sub = descent.step(sub, depths[m],
+                               track_value=variable in self.needs)
+            m += 1
+            if sub["size"] == 0:
+                empty = np.zeros(size, dtype=np.int64)
+                return empty, [empty] * len(specs)
+            if m == len(depths) or keys[m] is not None:
+                break
+        origins = sub["origins"]
+        if m == len(depths):
+            # The COUNT fold: one pass over the component's frontier rows
+            # — the vectorized face of the python eliminator's per-tuple ⊕.
+            if counter is not None:
+                counter.charge(intersection_steps=len(origins))
+            counts = np.bincount(origins, minlength=size)
+            children = []
+            for kind, variable in specs:
+                codes = sub["values"][variable]
+                if kind == "sum":
+                    if len(codes) > _SUM_SAFE_ROWS:
+                        raise ColumnarFallback(
+                            "SUM fold too large for exact int64 arithmetic")
+                    codes = self.int_domain[codes]
+                children.append(codes)
+        else:
+            deeper = [spec for spec in specs if self.position[spec[1]] >= m]
+            below, values = self._fold(sub, m, deeper)
+            # Dead children (no completion) carry no value: drop them.
+            live = np.flatnonzero(below > 0)
+            origins = origins[live]
+            below = below[live]
+            folded = dict(zip(deeper, values))
+            children = []
+            for spec in specs:
+                if spec in folded:
+                    value = folded[spec][live]
+                    if spec[0] == "sum":
+                        value = _exact(value)
+                else:  # bound on this stretch: once per completion below
+                    value = sub["values"][spec[1]][live]
+                    if spec[0] == "sum":
+                        value = _exact(self.int_domain[value], below)
+                children.append(value)
+            if self.boolean:
+                if counter is not None:
+                    counter.charge(intersection_steps=len(origins))
+                counts = np.bincount(origins, minlength=size)
+            else:
+                counts = _segments(_exact(below), origins, size, np.add,
+                                   counter)
+        return counts, [
+            _segments(value, origins, size, _REDUCERS[kind], counter)
+            for (kind, _variable), value in zip(specs, children)]
+
+
+def _exact(values: np.ndarray, weights: np.ndarray | None = None):
+    """``values`` (times ``weights``) as int64, checked first in floating
+    point: a memoized fold multiplies counts through its levels, so any
+    sum of the result must stay inside int64, or the run degrades to the
+    oracle's exact integers."""
+    magnitude = np.abs(values.astype(np.float64))
+    if weights is not None:
+        magnitude *= weights
+    if magnitude.sum() >= _EXACT_LIMIT:
+        raise ColumnarFallback("memoized fold too large for exact int64")
+    return values if weights is None else values * weights
+
+
+def _existential_alive(state: dict, folds: list) -> np.ndarray:
     """Which frontier rows have at least one completion of the tail?
 
-    One batched boolean descent per residual component below the plan's
-    stop — the same factorization ``generic_join_stream`` applies, so a
-    star projection costs the sum of its arms, not their product.
+    One boolean :class:`_ComponentFold` per residual component below the
+    plan's stop — the same factorization and separator memo
+    ``generic_join_stream`` applies, so a star projection costs the sum
+    of its arms, not their product, and an arm keyed on a pinned
+    variable is searched once.
     """
-    size = state["size"]
-    alive = np.ones(size, dtype=bool)
-    for depths in descent.plan.components(descent.plan.stop):
-        sub = descent.component_state(state, depths)
-        for d in depths:
-            sub = descent.step(sub, d, track_value=False)
-            if sub["size"] == 0:
-                return np.zeros(size, dtype=bool)
-        witnessed = np.zeros(size, dtype=bool)
-        # Witness scatter: one pass over the component's surviving rows.
-        if descent.counter is not None:
-            descent.counter.charge(intersection_steps=len(sub["origins"]))
-        witnessed[sub["origins"]] = True
+    alive = np.ones(state["size"], dtype=bool)
+    for fold in folds:
+        witnessed = fold(state)[0] > 0
+        if not witnessed.any():
+            return witnessed
         alive &= witnessed
     return alive
+
+
+#: The ufunc whose ``reduceat`` folds an aggregate kind over a segment —
+#: on codes for MIN / MAX, since code order is value order.
+_REDUCERS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _segments(values: np.ndarray, origins: np.ndarray, size: int,
+              ufunc, counter) -> np.ndarray:
+    """``ufunc`` over each run of equal ``origins`` (they arrive grouped:
+    the descent keeps its frontier in parent order), scattered into a
+    zeroed array of ``size`` parents: one pass over ``values``."""
+    if counter is not None:
+        counter.charge(intersection_steps=len(values))
+    out = np.zeros(size, dtype=np.int64)
+    if len(origins):
+        change = np.empty(len(origins), dtype=bool)
+        change[0] = True
+        np.not_equal(origins[1:], origins[:-1], out=change[1:])
+        starts = np.flatnonzero(change)
+        out[origins[starts]] = ufunc.reduceat(values, starts)
+    return out
 
 
 def _aggregate_rows(descent: _Descent, store, group, aggregates,
@@ -421,58 +657,21 @@ def _aggregate_rows(descent: _Descent, store, group, aggregates,
             counter.charge(tuples_emitted=1)
         return [row]
 
-    components = descent.plan.components(stop)
-    component_of = {order[d]: ci for ci, depths in enumerate(components)
-                    for d in depths}
     alive = np.ones(size, dtype=bool)
     counts_by_component: list[np.ndarray] = []
-    folds: dict[int, tuple[str, np.ndarray]] = {}  # aggregate idx -> fold
-    for ci, depths in enumerate(components):
-        track = {agg.var for agg in aggregates
-                 if component_of.get(agg.var) == ci}
-        sub = descent.component_state(state, depths)
-        for d in depths:
-            sub = descent.step(sub, d, track_value=order[d] in track)
-        origins = sub["origins"]
-        # The COUNT fold: one pass over the component's frontier rows —
-        # the vectorized face of the python eliminator's per-tuple ⊕.
-        if counter is not None:
-            counter.charge(intersection_steps=len(origins))
-        counts = np.bincount(origins, minlength=size)
+    component_of: dict[int, int] = {}   # aggregate idx -> component idx
+    folds: dict[int, np.ndarray] = {}   # aggregate idx -> its fold
+    for ci, depths in enumerate(descent.plan.components(stop)):
+        spec = [ai for ai, agg in enumerate(aggregates)
+                if agg.kind != "count" and order.index(agg.var) in depths]
+        counts, values = _ComponentFold(
+            descent, depths, [(aggregates[ai].kind, aggregates[ai].var)
+                              for ai in spec], int_domain)(state)
         counts_by_component.append(counts)
         alive &= counts > 0
-        if len(origins) == 0:
-            continue
-        # Frontier rows arrive grouped by origin (the descent preserves
-        # lexicographic order), so per-origin folds are segment reductions.
-        change = np.empty(len(origins), dtype=bool)
-        change[0] = True
-        np.not_equal(origins[1:], origins[:-1], out=change[1:])
-        segment_starts = np.flatnonzero(change)
-        segment_origins = origins[segment_starts]
-        for ai, agg in enumerate(aggregates):
-            if agg.var not in track or agg.kind == "count":
-                continue
-            codes = sub["values"][agg.var]
-            # Each segment reduction below re-walks the component's rows.
-            if counter is not None:
-                counter.charge(intersection_steps=len(codes))
-            fold = np.zeros(size, dtype=np.int64)
-            if agg.kind == "sum":
-                if len(codes) > _SUM_SAFE_ROWS:
-                    raise ColumnarFallback(
-                        "SUM fold too large for exact int64 arithmetic")
-                fold[segment_origins] = np.add.reduceat(
-                    int_domain[codes], segment_starts)
-                folds[ai] = ("sum", fold)
-            elif agg.kind == "min":
-                fold[segment_origins] = np.minimum.reduceat(
-                    codes, segment_starts)
-                folds[ai] = ("code", fold)
-            else:  # max — code order equals value order
-                fold[segment_origins] = np.maximum.reduceat(
-                    codes, segment_starts)
-                folds[ai] = ("code", fold)
+        for ai, value in zip(spec, values):
+            component_of[ai] = ci
+            folds[ai] = value
 
     kept = np.flatnonzero(alive)
     rows: list[tuple] = []
@@ -486,15 +685,9 @@ def _aggregate_rows(descent: _Descent, store, group, aggregates,
         for ai, agg in enumerate(aggregates):
             if agg.kind == "count":
                 plans.append(("count", None, None))
-            elif agg.var in component_of:
-                ci = component_of[agg.var]
-                kind, fold = folds.get(ai, ("code", None))
-                if fold is None:
-                    # Var in a component but never tracked: impossible —
-                    # tracked above whenever agg.var ∈ component.
-                    raise ColumnarFallback("missing component fold")
-                data = fold[kept].tolist()
-                plans.append((agg.kind, ci, data))
+            elif ai in folds:
+                plans.append((agg.kind, component_of[ai],
+                              folds[ai][kept].tolist()))
             else:  # aggregate over a group/pinned prefix variable
                 plans.append((agg.kind + "@prefix", None,
                               decoded_prefix[agg.var]))

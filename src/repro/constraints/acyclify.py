@@ -93,7 +93,7 @@ def _weaken_one_on_cycle(dc: DegreeConstraintSet,
     """Try every (constraint, y) pair on the cycle; return the first
     weakening that keeps all variables bound, or None."""
     for constraint in dc:
-        for y in sorted(constraint.free_variables):
+        for y in (v for v in dc.variables if v in constraint.free_variables):
             # The constraint must contribute an edge (x, y) on the cycle.
             if not any((x, y) in cycle_edges for x in constraint.x):
                 continue

@@ -17,11 +17,17 @@ from repro.errors import ConstraintError
 
 def constraint_dependency_graph(dc: DegreeConstraintSet) -> dict[str, list[str]]:
     """Build G_DC over all the query variables (nodes in ``dc.variables``
-    order, successors in the order the constraints add their edges)."""
+    order, successors in the order the constraints add their edges).
+
+    A constraint's X and Y - X are frozensets, whose iteration order
+    follows string hashing; each is walked in ``dc.variables`` order, so
+    the graph, and every cycle and weakening read off it, is the same in
+    every process."""
     graph: dict[str, list[str]] = {v: [] for v in dc.variables}
     for constraint in dc:
-        for x in constraint.x:
-            for y in constraint.free_variables:
+        free = [v for v in dc.variables if v in constraint.free_variables]
+        for x in (v for v in dc.variables if v in constraint.x):
+            for y in free:
                 if y not in graph[x]:
                     graph[x].append(y)
     return graph

@@ -221,8 +221,10 @@ class DispatchDecision:
         ``ranked[drain]`` (the two execution-mode estimates compared),
         ``order[head]`` / ``order[guarded]`` (a strict projection's two
         variable orders, priced as the recursion),
-        ``hybrid[heavy]`` / ``hybrid[light]``, ``backend[...]`` and
-        ``build[trie]`` / ``build[layout]`` (what a first run adds).
+        ``hybrid[heavy]`` / ``hybrid[light]``, ``backend[...]`` (with
+        ``ops[columnar]``, the kernel's predicted operations, when it can
+        run) and ``build[trie]`` / ``build[layout]`` (what a first run
+        adds).
     binary_order:
         The greedy atom order the binary simulation priced (the payload
         when binary is chosen); None when binary was not a candidate.
@@ -295,32 +297,25 @@ def _instance(query: ConjunctiveQuery, database: Database,
         for atom, stored in zip(derived.atoms, query.atoms)))
 
 
-def _scopes(layout: LevelLayout, start: int, memo: bool = True,
+def _scopes(layout: LevelLayout, start: int,
             factorize: bool = True) -> list[tuple[str, ...]]:
     """Per level of the layout's order, the earlier variables its work is
     keyed on: the whole prefix above ``start``.  From ``start`` on the
     executors eliminate — each residual component of the layout on its
-    own (``factorize``), and with ``memo`` (the python recursion; the
-    columnar descent has none) a level is evaluated once per binding of
-    its *separator*, the earlier variables sharing an atom with it or a
-    later one of its component."""
-    query, order = layout.query, layout.order
+    own (``factorize``) — and a level is evaluated once per binding of
+    its separator (:meth:`LevelLayout.separators`).
+    :func:`simulate_levels` credits that memo where one atom holds the
+    separator, which is exactly where the columnar descent memoizes too,
+    so one walk prices both backends."""
+    order = layout.order
     scopes = [order[:depth] for depth in range(len(order))]
     if start >= len(order):
         return scopes
     groups = (layout.components(start) if factorize
               else (tuple(range(start, len(order))),))
     for depths in groups:
-        seen: set[str] = set()
-        separators = {}
-        for depth in reversed(depths):
-            for atom in query.atoms_containing(order[depth]):
-                seen |= atom.variable_set
-            separators[depth] = set(seen)
-        for j, depth in enumerate(depths):
-            before = order[:start] + tuple(order[d] for d in depths[:j])
-            scopes[depth] = tuple(u for u in before
-                                  if not memo or u in separators[depth])
+        for depth, separator in zip(depths, layout.separators(depths, start)):
+            scopes[depth] = separator
     return scopes
 
 
@@ -517,14 +512,14 @@ def _plain_orders(query: ConjunctiveQuery, selections: Sequence[Comparison],
     return tuple(_Variant(layout, layout.stop) for layout in layouts)
 
 
-def _walk(instance: _Instance, variant: _Variant, results: float,
-          memo: bool = True) -> tuple[list, float]:
+def _walk(instance: _Instance, variant: _Variant,
+          results: float) -> tuple[list, float]:
     """A variant's simulated levels and the rows it emits (below an
     elimination: the surviving prefixes)."""
     order = variant.layout.order
     n = len(order)
     levels = simulate_levels(instance, order, _scopes(
-        variant.layout, variant.start, memo, variant.factorize))
+        variant.layout, variant.start, variant.factorize))
     if variant.start == n:
         emitted = results
     elif variant.start:
@@ -797,7 +792,8 @@ def _estimate(query: ConjunctiveQuery, database: Database,
               agg_plan: dict | None, ranked_plan: dict | None,
               limit: int | None,
               ) -> tuple[dict[str, _Candidate], dict[str, float],
-                         dict[str, _Candidate], Callable[[str], float],
+                         dict[str, _Candidate],
+                         Callable[[str], tuple[float, float]],
                          tuple[str, ...]]:
     """Price the strategies in ``names`` in predicted milliseconds: a
     candidate for each one that can run the request (a name is absent
@@ -805,10 +801,11 @@ def _estimate(query: ConjunctiveQuery, database: Database,
     the forced in-the-join mode), the informational cost entries, the
     candidate the columnar kernel runs for each recursion strategy (its
     drain where python resolved to any-k, which the kernel lacks, unless
-    any-k is forced) and the kernel's pricer (strategy -> ms of that
-    run), and the order a plain enumeration runs (:func:`_plain_plan`'s
-    choice).  A strategy outside ``names`` is not priced at all: no
-    binary simulation, hybrid partition or naive rescan unless asked for.
+    any-k is forced) and the kernel's pricer (strategy -> ms and
+    operations of that run), and the order a plain enumeration runs
+    (:func:`_plain_plan`'s choice).  A strategy outside ``names`` is not
+    priced at all: no binary simulation, hybrid partition or naive rescan
+    unless asked for.
 
     Every recursion variant — plain, in-recursion aggregation, any-k, the
     columnar descent — is the same :func:`simulate_levels` walk over the
@@ -846,16 +843,15 @@ def _estimate(query: ConjunctiveQuery, database: Database,
         inner = _Variant(grouped, grouped.stop, agg_plan["product_ok"])
     label, inner_name, outer_name = _VARIANTS.get(axis, ("", "", ""))
 
-    walks: dict[tuple, tuple[list, float]] = {}
+    walks: dict[_Variant, tuple[list, float]] = {}
 
-    def walk(variant: _Variant, memo: bool = True) -> tuple[list, float]:
-        if (variant, memo) not in walks:
-            walks[variant, memo] = _walk(instance, variant, results, memo)
-        return walks[variant, memo]
+    def walk(variant: _Variant) -> tuple[list, float]:
+        if variant not in walks:
+            walks[variant] = _walk(instance, variant, results)
+        return walks[variant]
 
-    def recursion_ops(variant: _Variant, fan_in: bool = False,
-                      memo: bool = True) -> float:
-        levels, emitted = walk(variant, memo)
+    def recursion_ops(variant: _Variant, fan_in: bool = False) -> float:
+        levels, emitted = walk(variant)
         ops = _recursion_ops(levels, emitted, agm, fan_in)
         if variant is not inner:
             return _capped(ops)
@@ -965,20 +961,20 @@ def _estimate(query: ConjunctiveQuery, database: Database,
                 ms(name, count, outer_name), count,
                 **({axis: outer_name} if axis else {}))
 
-    def columnar_ms(name: str) -> float:
-        """The kernel's run of ``name``: the same levels without the
-        separator memo, one seek per intersected atom, plus the kernel's
-        fixed cost per level."""
+    def columnar(name: str) -> tuple[float, float]:
+        """The kernel's run of ``name`` as ``(ms, operations)``: the same
+        memoized levels as the recursion, one seek per intersected atom,
+        plus the kernel's fixed cost per level."""
         run, variant = kernel[name]
-        return (ms("columnar", recursion_ops(variant, True, False),
-                   run.aggregate_mode or "")
-                + 1000.0 * n * COST_TABLE["columnar.level"])
+        ops = recursion_ops(variant, True)
+        return (ms("columnar", ops, run.aggregate_mode or "")
+                + 1000.0 * n * COST_TABLE["columnar.level"], ops)
 
     info["build[trie]"] = ms("trie.row", total)
     info["build[layout]"] = ms("layout.row", total)
     asked = {name: candidates[name] for name in names if name in candidates}
     runs = {name: run for name, (run, _variant) in kernel.items()}
-    return asked, info, runs, columnar_ms, plain.variant.layout.order
+    return asked, info, runs, columnar, plain.variant.layout.order
 
 
 def _payload_for(strategy: str, candidate: _Candidate,
@@ -1093,7 +1089,7 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     hybrid_plan = (plan_hybrid(query, database, registry)
                    if "hybrid" in names else None)
     instance = _instance(query, database, selections, registry)
-    candidates, costs, kernel_runs, columnar_ms, plain_order = _estimate(
+    candidates, costs, kernel_runs, columnar, plain_order = _estimate(
         query, database, instance, selections, group, bound.bound, acyclic,
         names, binary_order, hybrid_plan, axes, agg_plan, ranked_plan, limit)
     for name in names:
@@ -1136,7 +1132,8 @@ def dispatch(query: ConjunctiveQuery, database: Database,
     if columnar_reason is not None or costs[candidate] == math.inf:
         columnar_cost = math.inf
     else:
-        columnar_cost = _capped(columnar_ms(candidate))
+        columnar_cost, costs["ops[columnar]"] = columnar(candidate)
+        columnar_cost = _capped(columnar_cost)
     costs["backend[python]"] = costs[strategy]
     costs["backend[columnar]"] = columnar_cost
     backend_resolved = "python"

@@ -1058,9 +1058,10 @@ class Engine:
     def _record_calibration(self, plan: CachedPlan, actual: int) -> None:
         """A counted run against its plan's prediction and against the
         cheapest candidate's — a forced plan's only candidate is itself;
-        a plan priced ``inf`` carries no prediction: nothing recorded."""
+        a plan priced ``inf`` carries no prediction: nothing recorded.
+        The candidates are strategies; ``ops[columnar]`` prices a backend."""
         predicted = {name[4:-1]: ops for name, ops in plan.costs
-                     if name.startswith("ops[")}
+                     if name.startswith("ops[") and name[4:-1] in STRATEGIES}
         if predicted.get(plan.strategy):
             self._m_calibration.observe(actual / predicted[plan.strategy],
                                         strategy=plan.strategy)

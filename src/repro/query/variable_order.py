@@ -380,6 +380,30 @@ class LevelLayout:
         return tuple(tuple(sorted(position[v] for v in group))
                      for group in groups)
 
+    def separators(self, depths: Sequence[int],
+                   start: int) -> list[tuple[str, ...]]:
+        """Per position of ``depths`` (ascending order positions below
+        ``start``, one eliminated tail), its *separator*: the variables
+        bound before it — ``order[:start]``, then the earlier positions
+        of ``depths`` — that share an atom with it or a later position.
+        An eliminator evaluates a position once per binding of its
+        separator; the pricer's scopes and the columnar memo keys are
+        both read here."""
+        order = self.order
+        reach: list[set[str]] = []
+        seen: set[str] = set()
+        for depth in reversed(depths):
+            for atom in self.query.atoms_containing(order[depth]):
+                seen |= atom.variable_set
+            reach.append(set(seen))
+        reach.reverse()
+        bound = list(order[:start])
+        separators = []
+        for depth, needed in zip(depths, reach):
+            separators.append(tuple(u for u in bound if u in needed))
+            bound.append(order[depth])
+        return separators
+
 
 def level_layout(query: ConjunctiveQuery, order: Sequence[str],
                  selections: Sequence = (),

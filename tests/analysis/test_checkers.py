@@ -48,6 +48,14 @@ def test_counter_honesty_fails_seeded_fixture():
     assert "vectorized fold" in messages
 
 
+def test_counter_honesty_holds_a_memo_dedup_to_the_rule():
+    source = ("def dedup(sub, np):\n"
+              "    return np.unique(sub['codes'], return_inverse=True)\n")
+    ctx = FileContext("src/repro/columnar/fixture.py", source)
+    messages = _messages(CounterHonestyChecker().check_file(ctx))
+    assert len(messages) == 1 and "vectorized fold" in messages[0]
+
+
 def test_counter_honesty_passes_clean_twin():
     ctx = _ctx("counter_clean.py", "src/repro/joins/fixture.py")
     assert list(CounterHonestyChecker().check_file(ctx)) == []

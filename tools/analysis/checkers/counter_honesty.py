@@ -26,9 +26,10 @@ entries re-slice work, they are excluded from ``total()``.
 
 The columnar backend's folds are loops in disguise: a segment reduction
 (``np.add.reduceat``, ``np.bincount``) walks every frontier row exactly
-like the python eliminator's per-tuple ⊕ calls.  Calls to those fold
-primitives are therefore held to the same rule — the enclosing function
-must charge referencing one of the arrays the fold reads.
+like the python eliminator's per-tuple ⊕ calls, and so does a memo's
+dedup (``np.unique`` over a separator's codes) like its dict probes.
+Calls to those primitives are therefore held to the same rule — the
+enclosing function must charge referencing one of the arrays they read.
 
 A materialising builtin is a loop too: ``set(x)`` / ``frozenset(x)`` /
 ``sorted(x)`` / ``list(x)`` / ``dict.fromkeys(x)`` walks all of ``x``
@@ -68,7 +69,7 @@ TRANSPARENT_WRAPPERS = frozenset({
 })
 
 #: Vectorized segment-fold primitives: one call = one pass over tuples.
-VECTORIZED_FOLDS = frozenset({"reduceat", "bincount"})
+VECTORIZED_FOLDS = frozenset({"reduceat", "bincount", "unique"})
 
 #: Calls that walk their whole argument to build a collection.
 MATERIALIZERS = frozenset({"set", "frozenset", "sorted", "list", "fromkeys"})

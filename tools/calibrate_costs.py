@@ -29,7 +29,9 @@ is what EXPLAIN ANALYZE prints beside the prediction.
 ``--check`` is deterministic: it fails when, on any shape, a strategy's
 actual operations are more than ``TOLERANCE`` times away from what the
 committed simulation predicts — the simulation has drifted from what
-the executors do.
+the executors do.  The columnar kernel is checked the same way, as the
+``columnar`` row: its counted operations against the ``ops[columnar]``
+the backend axis was priced with.
 """
 
 from __future__ import annotations
@@ -124,17 +126,21 @@ def calibration_set(quick: bool) -> Iterator[tuple[str, Engine, str, dict]]:
 
 def samples(quick: bool, repeats: int = 1) -> Iterator[dict]:
     """One record per (run, strategy): predicted and actual operations,
-    and the best wall clock of ``repeats`` profiled runs."""
+    and the best wall clock of ``repeats`` profiled runs.  The columnar
+    kernel is one more row, ``columnar``: its run of Generic-Join against
+    the ``ops[columnar]`` the backend was priced with."""
     for label, engine, query, axes in calibration_set(quick):
         costs = engine.explain(query, **axes).costs
-        for strategy in STRATEGIES:
-            predicted = costs.get(f"ops[{strategy}]")
+        runs = [(strategy, {"mode": strategy}) for strategy in STRATEGIES]
+        runs.append(("columnar", {"mode": "generic", "backend": "columnar"}))
+        for name, forced in runs:
+            predicted = costs.get(f"ops[{name}]")
             if predicted is None or predicted > MAX_PREDICTED_OPS:
                 continue
-            profile = min((engine.profile(query, mode=strategy, **axes)
+            profile = min((profile_query(engine, query, **forced, **axes)
                            .profiles[0] for _ in range(repeats)),
                           key=lambda p: p.wall_ms)
-            yield {"run": label, "strategy": strategy,
+            yield {"run": label, "strategy": name,
                    "predicted": predicted, "actual": profile.actual,
                    "wall_ms": profile.wall_ms}
 
@@ -213,7 +219,7 @@ def build_rates(quick: bool) -> tuple[float, float]:
 def fit(quick: bool) -> dict[str, float]:
     per_op: dict[str, list[float]] = {name: [] for name in STRATEGIES}
     for sample in samples(quick, repeats=3):
-        if sample["actual"] >= 1000:
+        if sample["actual"] >= 1000 and sample["strategy"] in per_op:
             per_op[sample["strategy"]].append(
                 sample["wall_ms"] / 1000.0 / sample["actual"])
     level = columnar_level_cost()
